@@ -178,20 +178,21 @@ impl Ftl {
         Ok(lpa as usize)
     }
 
-    /// Reads the current contents of a logical page.
+    /// Reads the current contents of a logical page, borrowed from the
+    /// device: a probe scans the page where it lies. A caller that goes
+    /// on to write (read-modify-write of a tail page) copies it first.
     ///
     /// # Errors
     ///
     /// [`Error::NotFound`] if the page was never written;
     /// [`Error::InvalidArgument`] for an out-of-range address.
-    pub fn read(&mut self, lpa: u64) -> Result<(Vec<u8>, Nanos)> {
+    pub fn read(&mut self, lpa: u64) -> Result<(&[u8], Nanos)> {
         let idx = self.check_lpa(lpa)?;
         let ppa = self.l2p[idx];
         if ppa == NONE {
             return Err(Error::not_found(format!("logical page {lpa} unwritten")));
         }
-        let (data, cost) = self.device.read_page(ppa)?;
-        Ok((data.to_vec(), cost))
+        self.device.read_page(ppa)
     }
 
     /// True if the logical page has been written at least once.

@@ -478,15 +478,11 @@ impl FlashStore {
         }
         self.stats.flash_probes += 1;
         let bucket = self.bucket_of(fp);
-        let pages: Vec<u64> = self.buckets[bucket].pages.iter().rev().copied().collect();
-        for lpa in pages {
-            let (data, _) = self.ftl.read(lpa)?;
+        for at in (0..self.buckets[bucket].pages.len()).rev() {
+            let (data, _) = self.ftl.read(self.buckets[bucket].pages[at])?;
             self.stats.pages_scanned += 1;
-            if let Some(hit) = scan_page(&data, fp)? {
-                return Ok(match hit {
-                    RecordHit::Live(v) => Some(v),
-                    RecordHit::Tombstone => None,
-                });
+            if let Some(hit) = scan_page(data, fp)? {
+                return Ok(hit.value());
             }
         }
         Ok(None)
@@ -522,31 +518,32 @@ impl FlashStore {
         let mut at = 0;
         while at < probes.len() {
             let bucket = probes[at].0;
-            let mut group: Vec<usize> = Vec::new();
+            let start = at;
             while at < probes.len() && probes[at].0 == bucket {
-                group.push(probes[at].1);
                 at += 1;
             }
-            if group.len() > 1 {
-                self.stats.coalesced_probes += group.len() as u64 - 1;
-            }
+            let group = &mut probes[start..at];
+            self.stats.coalesced_probes += group.len() as u64 - 1;
             // Walk the chain newest-first once for the whole group; a
-            // probe resolves at the first page holding its fingerprint
-            // (scan_page already yields the newest record within a page).
-            let chain: Vec<u64> = self.buckets[bucket].pages.iter().rev().copied().collect();
-            let mut unresolved = group;
-            for lpa in chain {
-                if unresolved.is_empty() {
+            // probe resolves at the first page holding its fingerprint.
+            // The still-unresolved probes stay packed at the group's
+            // front, in their original order.
+            let mut unresolved = group.len();
+            for page in (0..self.buckets[bucket].pages.len()).rev() {
+                if unresolved == 0 {
                     break;
                 }
-                let (data, _) = self.ftl.read(lpa)?;
+                let (data, _) = self.ftl.read(self.buckets[bucket].pages[page])?;
                 self.stats.pages_scanned += 1;
-                let mut still = Vec::with_capacity(unresolved.len());
-                for i in unresolved {
-                    match scan_page(&data, fps[i])? {
-                        Some(RecordHit::Live(v)) => out[i] = Some(v),
-                        Some(RecordHit::Tombstone) => {} // resolved: absent
-                        None => still.push(i),
+                let mut still = 0;
+                for k in 0..unresolved {
+                    let i = group[k].1;
+                    match scan_page(data, fps[i])? {
+                        Some(hit) => out[i] = hit.value(),
+                        None => {
+                            group[still] = group[k];
+                            still += 1;
+                        }
                     }
                 }
                 unresolved = still;
@@ -732,7 +729,7 @@ impl FlashStore {
             let space = rpp - tail_count;
             let take = space.min(remaining.len());
             let (now, later) = remaining.split_at(take);
-            let (mut data, _) = self.ftl.read(lpa)?;
+            let mut data = self.ftl.read(lpa)?.0.to_vec();
             append_records(&mut data, now);
             self.ftl.write(lpa, &data)?;
             self.log_page(&mut collect, bucket_idx, lpa, &data);
@@ -801,17 +798,11 @@ impl FlashStore {
         let mut order: Vec<Fingerprint> = Vec::new();
         for &lpa in &chain {
             let (data, _) = self.ftl.read(lpa)?;
-            for (fp, hit) in iter_records(&data)? {
+            for (fp, hit) in iter_records(data)? {
                 if !newest.contains_key(&fp) {
                     order.push(fp);
                 }
-                newest.insert(
-                    fp,
-                    match hit {
-                        RecordHit::Live(v) => Some(v),
-                        RecordHit::Tombstone => None,
-                    },
-                );
+                newest.insert(fp, hit.value());
             }
         }
         let live: Vec<(Fingerprint, Option<u64>)> = order
@@ -871,14 +862,8 @@ impl FlashStore {
             .collect();
         for lpa in all_pages {
             let (data, _) = self.ftl.read(lpa)?;
-            for (fp, hit) in iter_records(&data)? {
-                newest.insert(
-                    fp,
-                    match hit {
-                        RecordHit::Live(v) => Some(v),
-                        RecordHit::Tombstone => None,
-                    },
-                );
+            for (fp, hit) in iter_records(data)? {
+                newest.insert(fp, hit.value());
             }
         }
         // RAM buffer is newest of all.
@@ -910,6 +895,16 @@ enum RecordHit {
     Tombstone,
 }
 
+impl RecordHit {
+    /// What a lookup resolving at this record answers.
+    fn value(self) -> Option<u64> {
+        match self {
+            RecordHit::Live(v) => Some(v),
+            RecordHit::Tombstone => None,
+        }
+    }
+}
+
 fn append_records(page: &mut Vec<u8>, records: &[(Fingerprint, Option<u64>)]) {
     for (fp, v) in records {
         page.extend_from_slice(fp.as_bytes());
@@ -929,54 +924,74 @@ fn append_records(page: &mut Vec<u8>, records: &[(Fingerprint, Option<u64>)]) {
     page[..PAGE_HEADER_LEN].copy_from_slice(&(count as u32).to_le_bytes());
 }
 
-/// Finds the newest record for `fp` within one page (later records win).
-fn scan_page(data: &[u8], fp: Fingerprint) -> Result<Option<RecordHit>> {
-    let mut found = None;
-    for (rec_fp, hit) in iter_records(data)? {
-        if rec_fp == fp {
-            found = Some(hit);
-        }
-    }
-    Ok(found)
-}
-
-fn iter_records(data: &[u8]) -> Result<Vec<(Fingerprint, RecordHit)>> {
+/// The record area of a page — exactly the records its header claims —
+/// or `Corruption` when the page is shorter than that.
+fn page_records(data: &[u8]) -> Result<&[u8]> {
     if data.len() < PAGE_HEADER_LEN {
         return Err(Error::Corruption("page shorter than header".into()));
     }
     let count = u32::from_le_bytes(data[..PAGE_HEADER_LEN].try_into().expect("4 bytes")) as usize;
     let need = PAGE_HEADER_LEN + count * RECORD_LEN;
-    if data.len() < need {
-        return Err(Error::Corruption(format!(
+    data.get(PAGE_HEADER_LEN..need).ok_or_else(|| {
+        Error::Corruption(format!(
             "page holds {} bytes but header claims {count} records ({need} bytes)",
             data.len()
-        )));
-    }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let base = PAGE_HEADER_LEN + i * RECORD_LEN;
-        let fp_bytes: [u8; FINGERPRINT_LEN] = data[base..base + FINGERPRINT_LEN]
-            .try_into()
-            .expect("20 bytes");
-        let fp = Fingerprint::from_bytes(fp_bytes);
-        let value = u64::from_le_bytes(
-            data[base + FINGERPRINT_LEN..base + FINGERPRINT_LEN + 8]
+        ))
+    })
+}
+
+/// Decodes the value and liveness of one `RECORD_LEN`-byte record.
+fn record_hit(record: &[u8], index: usize) -> Result<RecordHit> {
+    match record[FINGERPRINT_LEN + 8] {
+        FLAG_LIVE => Ok(RecordHit::Live(u64::from_le_bytes(
+            record[FINGERPRINT_LEN..FINGERPRINT_LEN + 8]
                 .try_into()
                 .expect("8 bytes"),
-        );
-        let flag = data[base + FINGERPRINT_LEN + 8];
-        let hit = match flag {
-            FLAG_LIVE => RecordHit::Live(value),
-            FLAG_TOMBSTONE => RecordHit::Tombstone,
-            other => {
-                return Err(Error::Corruption(format!(
-                    "record {i} has invalid flag {other}"
-                )))
-            }
-        };
-        out.push((fp, hit));
+        ))),
+        FLAG_TOMBSTONE => Ok(RecordHit::Tombstone),
+        other => Err(Error::Corruption(format!(
+            "record {index} has invalid flag {other}"
+        ))),
     }
-    Ok(out)
+}
+
+/// Finds the newest record for `fp` within one page, searching the page
+/// where it lies: later records win, so the scan runs newest-first and
+/// stops at the first match. Almost every record is rejected on its
+/// first eight bytes; only the record returned is decoded and
+/// flag-checked.
+fn scan_page(data: &[u8], fp: Fingerprint) -> Result<Option<RecordHit>> {
+    let key = fp.as_bytes();
+    let head = u64::from_ne_bytes(key[..8].try_into().expect("8 bytes"));
+    for (index, record) in page_records(data)?
+        .chunks_exact(RECORD_LEN)
+        .enumerate()
+        .rev()
+    {
+        if u64::from_ne_bytes(record[..8].try_into().expect("8 bytes")) == head
+            && record[8..FINGERPRINT_LEN] == key[8..]
+        {
+            return record_hit(record, index).map(Some);
+        }
+    }
+    Ok(None)
+}
+
+/// Every record of a page, oldest first — for whole-page consumers
+/// (compaction, scans, log replay), which validate every flag.
+fn iter_records(data: &[u8]) -> Result<Vec<(Fingerprint, RecordHit)>> {
+    page_records(data)?
+        .chunks_exact(RECORD_LEN)
+        .enumerate()
+        .map(|(index, record)| {
+            let fp_bytes: [u8; FINGERPRINT_LEN] =
+                record[..FINGERPRINT_LEN].try_into().expect("20 bytes");
+            Ok((
+                Fingerprint::from_bytes(fp_bytes),
+                record_hit(record, index)?,
+            ))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1546,6 +1561,145 @@ mod tests {
         assert!(matches!(s.get(fp), Err(Error::Corruption(_))));
     }
 
+    /// Rewrites the newest page of `fp`'s bucket through `edit`.
+    fn corrupt_tail_page(s: &mut FlashStore, fp: Fingerprint, edit: impl FnOnce(&mut Vec<u8>)) {
+        let bucket = s.bucket_of(fp);
+        let lpa = *s.buckets[bucket].pages.last().expect("bucket flushed");
+        let mut data = s.ftl.read(lpa).unwrap().0.to_vec();
+        edit(&mut data);
+        s.ftl.write(lpa, &data).unwrap();
+    }
+
+    /// A header claiming more records than the page holds is corruption
+    /// for the in-place scanner, never an out-of-bounds scan.
+    #[test]
+    fn header_count_past_the_page_is_detected_as_corruption() {
+        let mut s = store();
+        let fp = Fingerprint::from_u64(66);
+        s.put(fp, 1).unwrap();
+        s.flush().unwrap();
+        corrupt_tail_page(&mut s, fp, |page| {
+            page[..PAGE_HEADER_LEN].copy_from_slice(&1_000u32.to_le_bytes());
+        });
+        assert!(matches!(s.get(fp), Err(Error::Corruption(_))));
+        assert!(matches!(s.get_batch(&[fp]), Err(Error::Corruption(_))));
+    }
+
+    /// A read cut short *inside* the record area (header intact) is
+    /// caught by the same length check.
+    #[test]
+    fn read_cut_inside_the_records_is_detected_as_corruption() {
+        let mut s = store();
+        let fp = Fingerprint::from_u64(67);
+        s.put(fp, 1).unwrap();
+        s.flush().unwrap();
+        s.ftl
+            .device_mut()
+            .arm_short_read(PAGE_HEADER_LEN + RECORD_LEN - 1);
+        assert!(matches!(s.get_batch(&[fp]), Err(Error::Corruption(_))));
+        assert_eq!(s.get_batch(&[fp]).unwrap(), vec![Some(1)], "one-shot");
+    }
+
+    /// The record a probe resolves at is flag-checked; a bad flag on a
+    /// record the probe only passes is left to the whole-page readers
+    /// (scan, compaction, replay), which still validate every record.
+    #[test]
+    fn invalid_flag_on_the_matching_record_is_detected_as_corruption() {
+        let mut s = store();
+        // Same bucket, one page: `hit` is the newest record.
+        let (other, hit) = {
+            let mut same = (0..10_000u64)
+                .map(Fingerprint::from_u64)
+                .filter(|fp| s.bucket_of(*fp) == 0);
+            (same.next().unwrap(), same.next().unwrap())
+        };
+        s.put(other, 1).unwrap();
+        s.put(hit, 2).unwrap();
+        s.flush().unwrap();
+        corrupt_tail_page(&mut s, hit, |page| {
+            let flag = page.len() - RECORD_LEN + FINGERPRINT_LEN + 8;
+            page[flag] = 9;
+        });
+        assert!(matches!(s.get(hit), Err(Error::Corruption(_))));
+        assert!(matches!(s.get_batch(&[hit]), Err(Error::Corruption(_))));
+        assert_eq!(s.get(other).unwrap(), Some(1));
+        assert!(matches!(s.scan(), Err(Error::Corruption(_))));
+    }
+
+    // --- the pre-rewrite lookup, kept as the oracle -----------------------
+
+    /// Newest record for `fp` in a page, the old way: parse every record
+    /// of the page, last match wins.
+    fn oracle_scan_page(data: &[u8], fp: Fingerprint) -> Result<Option<RecordHit>> {
+        let mut found = None;
+        for (rec_fp, hit) in iter_records(data)? {
+            if rec_fp == fp {
+                found = Some(hit);
+            }
+        }
+        Ok(found)
+    }
+
+    fn oracle_get(s: &mut FlashStore, fp: Fingerprint) -> Result<Option<u64>> {
+        if let Some(pending) = s.write_buffer.get(&fp) {
+            s.stats.buffer_hits += 1;
+            return Ok(*pending);
+        }
+        s.stats.flash_probes += 1;
+        let bucket = s.bucket_of(fp);
+        let pages: Vec<u64> = s.buckets[bucket].pages.iter().rev().copied().collect();
+        for lpa in pages {
+            let data = s.ftl.read(lpa)?.0.to_vec();
+            s.stats.pages_scanned += 1;
+            if let Some(hit) = oracle_scan_page(&data, fp)? {
+                return Ok(hit.value());
+            }
+        }
+        Ok(None)
+    }
+
+    fn oracle_get_batch(s: &mut FlashStore, fps: &[Fingerprint]) -> Result<Vec<Option<u64>>> {
+        let mut out = vec![None; fps.len()];
+        let mut probes: Vec<(usize, usize)> = Vec::new();
+        for (i, fp) in fps.iter().enumerate() {
+            if let Some(pending) = s.write_buffer.get(fp) {
+                s.stats.buffer_hits += 1;
+                out[i] = *pending;
+            } else {
+                s.stats.flash_probes += 1;
+                probes.push((s.bucket_of(*fp), i));
+            }
+        }
+        probes.sort_unstable();
+        let mut at = 0;
+        while at < probes.len() {
+            let bucket = probes[at].0;
+            let mut unresolved: Vec<usize> = Vec::new();
+            while at < probes.len() && probes[at].0 == bucket {
+                unresolved.push(probes[at].1);
+                at += 1;
+            }
+            s.stats.coalesced_probes += unresolved.len() as u64 - 1;
+            let chain: Vec<u64> = s.buckets[bucket].pages.iter().rev().copied().collect();
+            for lpa in chain {
+                if unresolved.is_empty() {
+                    break;
+                }
+                let data = s.ftl.read(lpa)?.0.to_vec();
+                s.stats.pages_scanned += 1;
+                let mut still = Vec::new();
+                for i in unresolved {
+                    match oracle_scan_page(&data, fps[i])? {
+                        Some(hit) => out[i] = hit.value(),
+                        None => still.push(i),
+                    }
+                }
+                unresolved = still;
+            }
+        }
+        Ok(out)
+    }
+
     /// Clones of a durable store are volatile and never write to the
     /// original's directory.
     #[test]
@@ -1606,6 +1760,56 @@ mod tests {
             let scanned = s.scan().unwrap();
             prop_assert_eq!(scanned.len(), model.len());
             wipe(&wal);
+        }
+
+        /// The in-place read path against the oracle, over chains with
+        /// overwrites, tombstones and several pages per bucket, probed
+        /// with batches that repeat fingerprints and miss: same answers,
+        /// and the same `StoreStats`, `DeviceStats` (reads and virtual
+        /// busy time) and `FtlStats`, so the simulated cost model and
+        /// every committed bench number reproduce.
+        #[test]
+        fn prop_in_place_reads_match_the_record_parsing_oracle(seed: u64, ops in 200usize..600) {
+            let cfg = FlashConfig {
+                geometry: FlashGeometry::new(512, 8, 128),
+                latency: FlashLatency::default(),
+                overprovision: 0.25,
+                buckets: 4,
+                write_buffer: 24,
+            };
+            let mut new = FlashStore::new(cfg).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..ops {
+                let fp = Fingerprint::from_u64(rng.gen_range(0..240u64));
+                match rng.gen_range(0..10) {
+                    0..=6 => new.put(fp, rng.gen()).unwrap(),
+                    7..=8 => new.delete(fp).unwrap(),
+                    _ => new.flush().unwrap(),
+                }
+            }
+            let mut old = new.clone();
+            for _ in 0..4 {
+                // Keys past 240 were never stored; a narrow range repeats.
+                let batch: Vec<Fingerprint> = (0..rng.gen_range(1..48usize))
+                    .map(|_| Fingerprint::from_u64(rng.gen_range(0..300u64)))
+                    .collect();
+                prop_assert_eq!(
+                    new.get_batch(&batch).unwrap(),
+                    oracle_get_batch(&mut old, &batch).unwrap()
+                );
+                let single = batch[0];
+                prop_assert_eq!(new.get(single).unwrap(), oracle_get(&mut old, single).unwrap());
+                prop_assert_eq!(new.stats(), old.stats());
+                prop_assert_eq!(new.device_stats(), old.device_stats());
+                prop_assert_eq!(new.ftl_stats(), old.ftl_stats());
+            }
+            let stats = new.stats();
+            prop_assert!(
+                stats.pages_scanned > stats.flash_probes - stats.coalesced_probes
+                    && stats.coalesced_probes > 0
+                    && new.device_stats().busy > Nanos::ZERO,
+                "the comparison must walk multi-page chains and share walks: {stats:?}"
+            );
         }
 
         /// The store behaves like a HashMap under random put/delete/get

@@ -7,22 +7,24 @@
 //! saturation every queued request waits behind every other one, tail
 //! latency grows without bound, and memory follows. This module is the
 //! bound. Every submission to a [`SharedBatcher`](crate::SharedBatcher)
-//! must first acquire an [`AdmissionToken`]; the token is held until the
-//! submission's ticket is answered (or dropped), so the policy limits
+//! must first be admitted by the batcher's gate; its slot is held until
+//! the batch it joined is answered (or dropped), so the policy limits
 //! **outstanding admitted work** — queued *plus* in flight — which is the
 //! quantity that actually grows without bound under overload:
 //!
-//! - [`AdmissionPolicy::Block`] — producers wait for a token: classic
+//! - [`AdmissionPolicy::Block`] — producers wait for a slot: classic
 //!   backpressure, nothing is ever lost, arrival pacing degrades to the
 //!   service rate,
 //! - [`AdmissionPolicy::Shed`] — fail fast: a submission past the bound
 //!   resolves immediately as [`Error::Overloaded`], keeping latency for
 //!   *admitted* requests bounded,
-//! - [`AdmissionPolicy::FairShed`] — shed, plus per-tenant token
+//! - [`AdmissionPolicy::FairShed`] — shed, plus per-tenant slot
 //!   accounting: one noisy tenant saturating its quota cannot push a
 //!   quiet tenant's traffic out of the queue.
 //!
-//! Token release also records the **admitted latency** — admission to
+//! Admission is per submission; release is **per batch** — one lock, one
+//! clock read and at most one wake-up hand back every slot of an answered
+//! batch and record each entry's **admitted latency** — admission to
 //! answer — into a bounded ring of recent samples, so p99/p999 for the
 //! requests the system chose to serve stay observable at any uptime.
 //!
@@ -37,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use shhc_types::{Error, Result};
 
-use crate::SampleRing;
+use crate::samples::{RingReader, SampleRing};
 
 /// Retained admitted-latency samples (ring of the most recent).
 pub(crate) const LATENCY_SAMPLE_CAP: usize = 1 << 18;
@@ -70,9 +72,9 @@ pub enum AdmissionPolicy {
         /// flight).
         max_pending: usize,
     },
-    /// [`Shed`](AdmissionPolicy::Shed) with per-tenant token accounting:
+    /// [`Shed`](AdmissionPolicy::Shed) with per-tenant slot accounting:
     /// a submission is also shed when *its tenant* already holds
-    /// `per_tenant_quota` outstanding tokens, so one noisy tenant
+    /// `per_tenant_quota` outstanding slots, so one noisy tenant
     /// saturates its own quota instead of the whole queue.
     FairShed {
         /// Bound on outstanding admitted submissions across all tenants.
@@ -169,15 +171,18 @@ impl IngestBucket {
     }
 }
 
-/// Outstanding-token counts, under the gate mutex.
+/// Outstanding-slot counts, under the gate mutex.
 #[derive(Debug, Default)]
 struct Counts {
-    /// Tokens currently held (admitted submissions not yet answered).
+    /// Slots currently held (admitted submissions not yet answered).
     outstanding: usize,
-    /// Per-tenant outstanding tokens (only maintained under
+    /// Per-tenant outstanding slots (only maintained under
     /// [`AdmissionPolicy::FairShed`]). Entries are removed at zero so the
     /// map stays proportional to *active* tenants.
     per_tenant: std::collections::HashMap<u32, usize>,
+    /// [`AdmissionPolicy::Block`] submitters parked on `space` right now;
+    /// a release that finds none skips the wake-up.
+    parked: usize,
     /// Completed-request latency accounting (admission → answer).
     latency: SampleRing,
     latency_total_ns: u128,
@@ -185,13 +190,13 @@ struct Counts {
 }
 
 /// Shared admission state: the gate every submission passes and every
-/// token release notifies.
+/// answered batch releases into.
 #[derive(Debug)]
 pub(crate) struct AdmissionGate {
     policy: AdmissionPolicy,
     counts: Mutex<Counts>,
     space: Condvar,
-    /// Submissions admitted (tokens ever issued).
+    /// Submissions admitted (slots ever issued).
     admitted: AtomicU64,
     /// Submissions shed with [`Error::Overloaded`].
     shed: AtomicU64,
@@ -203,8 +208,9 @@ pub(crate) struct AdmissionGate {
 }
 
 /// Snapshot of admission counters for
-/// [`SharedBatcherStats`](crate::SharedBatcherStats).
-#[derive(Debug, Clone, Default)]
+/// [`SharedBatcherStats`](crate::SharedBatcherStats). The latency samples
+/// are a reader handle: the copy happens after the gate lock is gone.
+#[derive(Debug, Clone)]
 pub(crate) struct AdmissionSnapshot {
     pub admitted: u64,
     pub shed: u64,
@@ -214,7 +220,7 @@ pub(crate) struct AdmissionSnapshot {
     pub latency_count: u64,
     pub latency_total_ns: u128,
     pub latency_max_ns: u64,
-    pub latency_samples_ns: Vec<u64>,
+    pub latency_samples: RingReader,
 }
 
 impl AdmissionGate {
@@ -238,13 +244,15 @@ impl AdmissionGate {
     }
 
     /// Admits one submission for `tenant`, blocking or shedding per the
-    /// policy. On success the returned token must be held until the
-    /// submission is answered.
+    /// policy. The slot is held until [`release`](Self::release) hands it
+    /// back with the rest of its batch. Returns the tenant key the slot
+    /// is charged to — `Some` only under a per-tenant policy — which the
+    /// caller keeps for that release.
     ///
     /// # Errors
     ///
     /// [`Error::Overloaded`] when a shedding policy is past its bound.
-    pub(crate) fn admit(self: &Arc<Self>, tenant: Option<u32>) -> Result<AdmissionToken> {
+    pub(crate) fn admit(&self, tenant: Option<u32>) -> Result<Option<u32>> {
         let max_pending = self.policy.max_pending();
         let mut counts = self.counts.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -255,13 +263,15 @@ impl AdmissionGate {
                 AdmissionPolicy::Block { .. } => {
                     self.blocked.fetch_add(1, Ordering::Relaxed);
                     // Timed wait as a defensive measure: correctness only
-                    // needs the notify on token release, but a bounded
-                    // re-check keeps a lost wakeup from becoming a hang.
+                    // needs the notify on release, but a bounded re-check
+                    // keeps a lost wakeup from becoming a hang.
+                    counts.parked += 1;
                     let (guard, _) = self
                         .space
                         .wait_timeout(counts, Duration::from_millis(10))
                         .unwrap_or_else(|e| e.into_inner());
                     counts = guard;
+                    counts.parked -= 1;
                 }
                 AdmissionPolicy::Shed { .. } | AdmissionPolicy::FairShed { .. } => {
                     drop(counts);
@@ -272,6 +282,7 @@ impl AdmissionGate {
                 }
             }
         }
+        let mut charged = None;
         if let AdmissionPolicy::FairShed {
             per_tenant_quota, ..
         } = self.policy
@@ -287,15 +298,12 @@ impl AdmissionGate {
                 )));
             }
             *held += 1;
+            charged = Some(key);
         }
         counts.outstanding += 1;
         drop(counts);
         self.admitted.fetch_add(1, Ordering::Relaxed);
-        Ok(AdmissionToken {
-            gate: Arc::clone(self),
-            tenant,
-            admitted_at: Instant::now(),
-        })
+        Ok(charged)
     }
 
     pub(crate) fn note_blocked(&self) {
@@ -317,24 +325,34 @@ impl AdmissionGate {
             .outstanding
     }
 
-    fn release(&self, tenant: Option<u32>, admitted_at: Instant) {
-        let latency_ns = admitted_at.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+    /// Hands back the slots of one answered (or abandoned) batch:
+    /// `admitted_at` holds each entry's admission time, `charged` the
+    /// tenant keys [`admit`](Self::admit) returned for them. One lock and
+    /// one clock read cover the whole batch; parked `Block` submitters
+    /// are woken only if there are any.
+    pub(crate) fn release(&self, charged: &[u32], admitted_at: &[Instant]) {
+        let now = Instant::now();
         let mut counts = self.counts.lock().unwrap_or_else(|e| e.into_inner());
-        counts.outstanding = counts.outstanding.saturating_sub(1);
-        if matches!(self.policy, AdmissionPolicy::FairShed { .. }) {
-            let key = tenant.unwrap_or(u32::MAX);
-            if let Some(held) = counts.per_tenant.get_mut(&key) {
+        counts.outstanding = counts.outstanding.saturating_sub(admitted_at.len());
+        for key in charged {
+            if let Some(held) = counts.per_tenant.get_mut(key) {
                 *held = held.saturating_sub(1);
                 if *held == 0 {
-                    counts.per_tenant.remove(&key);
+                    counts.per_tenant.remove(key);
                 }
             }
         }
-        counts.latency.push(latency_ns);
-        counts.latency_total_ns += u128::from(latency_ns);
-        counts.latency_max_ns = counts.latency_max_ns.max(latency_ns);
+        for at in admitted_at {
+            let latency_ns = now.duration_since(*at).as_nanos().min(u128::from(u64::MAX)) as u64;
+            counts.latency.push(latency_ns);
+            counts.latency_total_ns += u128::from(latency_ns);
+            counts.latency_max_ns = counts.latency_max_ns.max(latency_ns);
+        }
+        let wake = counts.parked > 0;
         drop(counts);
-        self.space.notify_all();
+        if wake {
+            self.space.notify_all();
+        }
     }
 
     pub(crate) fn snapshot(&self) -> AdmissionSnapshot {
@@ -348,24 +366,8 @@ impl AdmissionGate {
             latency_count: counts.latency.seen(),
             latency_total_ns: counts.latency_total_ns,
             latency_max_ns: counts.latency_max_ns,
-            latency_samples_ns: counts.latency.snapshot(),
+            latency_samples: counts.latency.reader(),
         }
-    }
-}
-
-/// Proof of admission: held from submit until the submission's ticket is
-/// answered. Dropping the token releases the admission slot and records
-/// the admitted latency.
-#[derive(Debug)]
-pub(crate) struct AdmissionToken {
-    gate: Arc<AdmissionGate>,
-    tenant: Option<u32>,
-    admitted_at: Instant,
-}
-
-impl Drop for AdmissionToken {
-    fn drop(&mut self) {
-        self.gate.release(self.tenant, self.admitted_at);
     }
 }
 
@@ -384,12 +386,13 @@ mod tests {
     #[test]
     fn shed_past_bound_fails_fast_and_release_reopens() {
         let gate = AdmissionGate::new(AdmissionPolicy::Shed { max_pending: 2 });
-        let t1 = gate.admit(None).unwrap();
-        let _t2 = gate.admit(None).unwrap();
+        let t1 = Instant::now();
+        assert_eq!(gate.admit(None).unwrap(), None, "no tenant accounting");
+        gate.admit(None).unwrap();
         let err = gate.admit(None).unwrap_err();
         assert!(err.is_overload(), "{err}");
-        drop(t1);
-        let _t3 = gate.admit(None).expect("release reopened a slot");
+        gate.release(&[], &[t1]);
+        gate.admit(None).expect("release reopened a slot");
         let snap = gate.snapshot();
         assert_eq!(snap.admitted, 3);
         assert_eq!(snap.shed, 1);
@@ -398,35 +401,59 @@ mod tests {
     }
 
     #[test]
+    fn one_release_returns_a_whole_batch() {
+        let gate = AdmissionGate::new(AdmissionPolicy::FairShed {
+            max_pending: 8,
+            per_tenant_quota: 3,
+        });
+        let mut charged = Vec::new();
+        let mut admitted_at = Vec::new();
+        for tenant in [1, 1, 1, 2, 2] {
+            charged.push(gate.admit(Some(tenant)).unwrap().expect("tenant charged"));
+            admitted_at.push(Instant::now());
+        }
+        assert!(gate.admit(Some(1)).is_err(), "tenant 1 at its quota");
+        gate.release(&charged, &admitted_at);
+        let snap = gate.snapshot();
+        assert_eq!(snap.outstanding, 0);
+        assert_eq!(snap.latency_count, 5, "one sample per entry");
+        assert_eq!(snap.latency_samples.samples().len(), 5);
+        for _ in 0..3 {
+            gate.admit(Some(1)).expect("quota fully handed back");
+        }
+    }
+
+    #[test]
     fn fair_shed_enforces_tenant_quota_before_global_bound() {
         let gate = AdmissionGate::new(AdmissionPolicy::FairShed {
             max_pending: 100,
             per_tenant_quota: 2,
         });
-        let _a1 = gate.admit(Some(7)).unwrap();
-        let a2 = gate.admit(Some(7)).unwrap();
+        gate.admit(Some(7)).unwrap();
+        let a2 = gate.admit(Some(7)).unwrap().expect("tenant charged");
         let err = gate.admit(Some(7)).unwrap_err();
         assert!(err.is_overload(), "{err}");
         // A different tenant is unaffected by tenant 7's saturation.
-        let _b1 = gate.admit(Some(8)).unwrap();
+        gate.admit(Some(8)).unwrap();
         let snap = gate.snapshot();
         assert_eq!(snap.shed_by_tenant, 1);
-        // Releasing one of tenant 7's tokens reopens its quota.
-        drop(a2);
-        let _a3 = gate.admit(Some(7)).unwrap();
+        // Releasing one of tenant 7's slots reopens its quota.
+        gate.release(&[a2], &[Instant::now()]);
+        gate.admit(Some(7)).unwrap();
     }
 
     #[test]
     fn block_waits_for_a_release() {
         let gate = AdmissionGate::new(AdmissionPolicy::Block { max_pending: 1 });
-        let t1 = gate.admit(None).unwrap();
+        gate.admit(None).unwrap();
+        let t1 = Instant::now();
         let gate2 = Arc::clone(&gate);
         let waiter = std::thread::spawn(move || {
-            let _t = gate2.admit(None).unwrap();
+            gate2.admit(None).unwrap();
         });
         std::thread::sleep(Duration::from_millis(20));
         assert!(!waiter.is_finished(), "blocked while the slot is held");
-        drop(t1);
+        gate.release(&[], &[t1]);
         waiter.join().unwrap();
         assert!(gate.snapshot().blocked >= 1);
     }

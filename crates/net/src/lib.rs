@@ -60,7 +60,7 @@ pub use adaptive::{BatchTuner, TunerConfig, TunerTick};
 pub use admission::{AdmissionPolicy, IngestModel, DEFAULT_MAX_PENDING};
 pub use batch::{Batch, Batcher};
 pub use model::NetModel;
-pub use samples::SampleRing;
+pub use samples::{RingReader, SampleRing};
 pub use shared::{CloseReason, ClosedBatch, SharedBatcher, SharedBatcherStats, Submitted, Ticket};
 pub use transport::{duplex, ChannelTransport, TransportStats};
 pub use wire::{

@@ -7,9 +7,17 @@
 //! uptime — the property the [`BatchTuner`](crate::BatchTuner) windowed
 //! p99 and the admission latency tail both rely on.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 /// Default capacity for delay/latency rings: bounded memory (~2 MiB of
 /// `u64` worst case) while far exceeding any control window.
 pub(crate) const DELAY_SAMPLE_CAP: usize = 1 << 18;
+
+/// Slots per allocation: a ring grows a chunk at a time up to its
+/// capacity, so a short-lived batcher never pays for a 2 MiB ring and
+/// growing never copies or doubles what is already held.
+const CHUNK: usize = 4096;
 
 /// A fixed-capacity ring of the most recent `u64` samples.
 ///
@@ -17,9 +25,15 @@ pub(crate) const DELAY_SAMPLE_CAP: usize = 1 << 18;
 /// [`snapshot`](SampleRing::snapshot) returns the retained samples
 /// oldest-first, and [`seen`](SampleRing::seen) counts every sample ever
 /// pushed (so callers can window by count delta even across overwrites).
+///
+/// The slots are shared atomics so that a [`reader`](SampleRing::reader)
+/// taken under the owner's lock can copy the samples out *after* the lock
+/// is released: a stats snapshot never stalls the threads that push.
 #[derive(Debug, Clone)]
 pub struct SampleRing {
-    buf: Vec<u64>,
+    /// Slot `i` is `chunks[i / CHUNK][i % CHUNK]`.
+    chunks: Vec<Arc<[AtomicU64]>>,
+    len: usize,
     cap: usize,
     next: usize,
     seen: u64,
@@ -40,7 +54,8 @@ impl SampleRing {
     pub fn new(cap: usize) -> Self {
         assert!(cap > 0, "sample ring capacity must be nonzero");
         SampleRing {
-            buf: Vec::new(),
+            chunks: Vec::new(),
+            len: 0,
             cap,
             next: 0,
             seen: 0,
@@ -49,23 +64,32 @@ impl SampleRing {
 
     /// Records one sample, evicting the oldest when full.
     pub fn push(&mut self, sample: u64) {
-        if self.buf.len() < self.cap {
-            self.buf.push(sample);
-        } else {
-            self.buf[self.next] = sample;
+        if self.len < self.cap {
+            let allocated = self.chunks.len() * CHUNK;
+            if self.len == allocated {
+                let slots = CHUNK.min(self.cap - allocated);
+                self.chunks
+                    .push((0..slots).map(|_| AtomicU64::new(0)).collect());
+            }
+            self.len += 1;
         }
-        self.next = (self.next + 1) % self.cap;
+        // Relaxed: a sample publishes nothing but itself.
+        self.chunks[self.next / CHUNK][self.next % CHUNK].store(sample, Ordering::Relaxed);
+        self.next += 1;
+        if self.next == self.cap {
+            self.next = 0;
+        }
         self.seen += 1;
     }
 
     /// Samples currently retained (≤ capacity).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 
     /// True before the first push.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len == 0
     }
 
     /// The ring's capacity.
@@ -78,16 +102,47 @@ impl SampleRing {
         self.seen
     }
 
+    /// A handle on the samples retained right now. Cheap (a reference
+    /// per chunk, no sample copied), so a stats reader takes it under the
+    /// lock that guards the ring and calls [`RingReader::samples`] once
+    /// the lock is released.
+    pub fn reader(&self) -> RingReader {
+        RingReader {
+            chunks: self.chunks.clone(),
+            len: self.len,
+            // Before the ring wraps the oldest sample sits in slot 0.
+            oldest: if self.len < self.cap { 0 } else { self.next },
+        }
+    }
+
     /// The retained samples, oldest first.
     pub fn snapshot(&self) -> Vec<u64> {
-        if self.buf.len() < self.cap {
-            self.buf.clone()
-        } else {
-            let mut out = Vec::with_capacity(self.cap);
-            out.extend_from_slice(&self.buf[self.next..]);
-            out.extend_from_slice(&self.buf[..self.next]);
-            out
+        self.reader().samples()
+    }
+}
+
+/// The samples a [`SampleRing`] retained at the moment
+/// [`SampleRing::reader`] was called, copied out on demand.
+#[derive(Debug, Clone)]
+pub struct RingReader {
+    chunks: Vec<Arc<[AtomicU64]>>,
+    len: usize,
+    oldest: usize,
+}
+
+impl RingReader {
+    /// Copies the samples out, oldest first. Pushes racing the copy may
+    /// replace the *oldest* few entries with samples newer than the
+    /// handle (every entry is still a recorded sample, and the recent
+    /// tail — what quantile windows read — is exact).
+    pub fn samples(&self) -> Vec<u64> {
+        let mut out = Vec::with_capacity(self.chunks.len() * CHUNK);
+        for chunk in &self.chunks {
+            out.extend(chunk.iter().map(|slot| slot.load(Ordering::Relaxed)));
         }
+        out.truncate(self.len);
+        out.rotate_left(self.oldest);
+        out
     }
 }
 
@@ -121,6 +176,27 @@ mod tests {
             assert_eq!(ring.snapshot(), vec![v]);
         }
         assert_eq!(ring.seen(), 100);
+    }
+
+    #[test]
+    fn reader_keeps_its_length_across_growth_and_wraps() {
+        let mut ring = SampleRing::new(2 * CHUNK + 10);
+        for v in 0..CHUNK as u64 + 5 {
+            ring.push(v);
+        }
+        let early = ring.reader();
+        // Two more chunks are allocated and the ring wraps once.
+        for v in CHUNK as u64 + 5..3 * CHUNK as u64 {
+            ring.push(v);
+        }
+        assert_eq!(early.samples().len(), CHUNK + 5, "length as of the handle");
+        assert_eq!(ring.len(), 2 * CHUNK + 10);
+        let newest = 3 * CHUNK as u64 - 1;
+        let kept = ring.snapshot();
+        assert_eq!(kept.len(), ring.capacity());
+        assert_eq!(kept[0], newest + 1 - ring.capacity() as u64, "oldest first");
+        assert!(kept.windows(2).all(|w| w[1] == w[0] + 1), "in push order");
+        assert_eq!(*kept.last().unwrap(), newest);
     }
 
     #[test]

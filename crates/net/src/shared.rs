@@ -12,9 +12,20 @@
 //!   driven by a timer thread the owner runs), or on explicit flush,
 //! - [`Ticket`] — the completion handle a submission receives: a blocking
 //!   one-shot that later yields that fingerprint's answer,
-//! - [`ClosedBatch`] — a released batch plus the answer slots of every
-//!   ticket in it; one cluster round-trip answers them all through
-//!   index-mapped demux ([`ClosedBatch::complete`]).
+//! - [`ClosedBatch`] — a released batch; one cluster round-trip answers
+//!   every ticket in it through index-mapped demux
+//!   ([`ClosedBatch::complete`]).
+//!
+//! Completion is **per batch, not per fingerprint**. A batch allocates
+//! one shared completion cell when it opens; a ticket is a handle on that
+//! cell plus its index in the batch. Completing the batch stores the
+//! whole answer vector once, hands every admission slot back in one
+//! release and issues at most one wake-up — none at all when no waiter is
+//! parked, the common case on a size-closed batch, which is answered on
+//! the closing submitter's own thread before anyone waits. So a window of
+//! 2 048 fingerprints costs one cell and no system call between submit
+//! and wait; per fingerprint it pays an admission count, a clock read and
+//! a push.
 //!
 //! The aggregator is generic over the answer type `V` and knows nothing
 //! about clusters or dispatch: whoever receives a [`ClosedBatch`] owns the
@@ -51,68 +62,74 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use shhc_types::{Error, Fingerprint, Result};
 
-use crate::admission::{AdmissionGate, AdmissionPolicy, AdmissionToken, IngestBucket, IngestModel};
+use crate::admission::{AdmissionGate, AdmissionPolicy, IngestBucket, IngestModel};
 use crate::samples::SampleRing;
 
-/// One-shot answer cell shared between a [`Ticket`] and its
-/// [`AnswerSlot`]: `None` until answered, then the final answer.
-struct Cell<V> {
-    slot: StdMutex<Option<Result<V>>>,
+/// Largest up-front reservation for an opening batch's entry vectors; a
+/// size limit beyond it grows them as entries arrive.
+const RESERVE_LIMIT: usize = 4096;
+
+/// How a batch ended: every ticket's answer in batch order, or the one
+/// error they all share.
+enum Outcome<V> {
+    Answered(Vec<V>),
+    Failed(Error),
+}
+
+impl<V: Clone> Outcome<V> {
+    fn answer(&self, index: usize) -> Result<V> {
+        match self {
+            // `complete` checked the length against the batch.
+            Outcome::Answered(answers) => Ok(answers[index].clone()),
+            Outcome::Failed(err) => Err(err.clone()),
+        }
+    }
+}
+
+struct CellState<V> {
+    /// `None` until the batch is answered, then final.
+    outcome: Option<Outcome<V>>,
+    /// Tickets parked on `ready` right now; resolving a cell nobody waits
+    /// on skips the wake-up.
+    waiters: usize,
+}
+
+/// The completion cell one batch's tickets share.
+struct BatchCell<V> {
+    state: StdMutex<CellState<V>>,
     ready: Condvar,
 }
 
-impl<V> Cell<V> {
-    fn new() -> Arc<Self> {
-        Arc::new(Cell {
-            slot: StdMutex::new(None),
+impl<V> BatchCell<V> {
+    fn new(outcome: Option<Outcome<V>>) -> Arc<Self> {
+        Arc::new(BatchCell {
+            state: StdMutex::new(CellState {
+                outcome,
+                waiters: 0,
+            }),
             ready: Condvar::new(),
         })
     }
 
-    fn fill(&self, answer: Result<V>) {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        // First answer wins; a second fill is unreachable because
-        // `AnswerSlot::fill` consumes the slot.
-        if slot.is_none() {
-            *slot = Some(answer);
-        }
-        drop(slot);
-        self.ready.notify_all();
+    fn lock(&self) -> MutexGuard<'_, CellState<V>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
 
-/// The answering half of a completion ticket, held by the batch until the
-/// dispatcher resolves it. Dropping an unfilled slot fails the ticket
-/// with [`Error::Unavailable`] so waiters never block forever.
-struct AnswerSlot<V> {
-    cell: Option<Arc<Cell<V>>>,
-    /// The admission slot this submission holds; dropped (released, and
-    /// its admitted latency recorded) when the answer lands.
-    _token: Option<AdmissionToken>,
-}
-
-impl<V> AnswerSlot<V> {
-    fn fill(mut self, answer: Result<V>) {
-        if let Some(cell) = self.cell.take() {
-            cell.fill(answer);
-        }
-        // `self._token` drops here, releasing the admission slot only
-        // once the submission is actually answered.
-    }
-}
-
-impl<V> Drop for AnswerSlot<V> {
-    fn drop(&mut self) {
-        if let Some(cell) = self.cell.take() {
-            cell.fill(Err(Error::Unavailable(
-                "front-end dropped the batch without answering its tickets".into(),
-            )));
+    /// Stores the batch's outcome and wakes its parked waiters, if any.
+    /// Called once per cell ([`Unanswered::resolve`] guards that).
+    fn resolve(&self, outcome: Outcome<V>) {
+        let mut state = self.lock();
+        state.outcome = Some(outcome);
+        let parked = state.waiters > 0;
+        drop(state);
+        if parked {
+            self.ready.notify_all();
         }
     }
 }
@@ -123,22 +140,23 @@ impl<V> Drop for AnswerSlot<V> {
 /// Tickets are answered exactly once — by the dispatcher completing (or
 /// failing) the batch, or by the batch being dropped (which surfaces as
 /// [`Error::Unavailable`]). Waiting consumes the ticket, so an answer can
-/// never be observed twice.
+/// never be observed twice. A ticket may outlive the batcher that issued
+/// it.
 pub struct Ticket<V> {
-    cell: Arc<Cell<V>>,
+    cell: Arc<BatchCell<V>>,
+    /// This submission's position in its batch.
+    index: usize,
 }
 
 impl<V> Ticket<V> {
     /// True once the answer has arrived (a subsequent
     /// [`wait`](Ticket::wait) will not block).
     pub fn is_ready(&self) -> bool {
-        self.cell
-            .slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some()
+        self.cell.lock().outcome.is_some()
     }
+}
 
+impl<V: Clone> Ticket<V> {
     /// Blocks until the fingerprint's answer arrives.
     ///
     /// # Errors
@@ -146,16 +164,18 @@ impl<V> Ticket<V> {
     /// The dispatch failure, when the batch's cluster round-trip failed;
     /// [`Error::Unavailable`] when the batch was dropped unanswered.
     pub fn wait(self) -> Result<V> {
-        let mut slot = self.cell.slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.cell.lock();
         loop {
-            if let Some(answer) = slot.take() {
-                return answer;
+            if let Some(outcome) = &state.outcome {
+                return outcome.answer(self.index);
             }
-            slot = self
+            state.waiters += 1;
+            state = self
                 .cell
                 .ready
-                .wait(slot)
+                .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
+            state.waiters -= 1;
         }
     }
 
@@ -167,21 +187,23 @@ impl<V> Ticket<V> {
     /// [`wait`](Ticket::wait).
     pub fn wait_timeout(self, timeout: Duration) -> Result<V> {
         let deadline = Instant::now() + timeout;
-        let mut slot = self.cell.slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.cell.lock();
         loop {
-            if let Some(answer) = slot.take() {
-                return answer;
+            if let Some(outcome) = &state.outcome {
+                return outcome.answer(self.index);
             }
             let now = Instant::now();
             if now >= deadline {
                 return Err(Error::Unavailable("ticket wait timed out".into()));
             }
+            state.waiters += 1;
             let (guard, _) = self
                 .cell
                 .ready
-                .wait_timeout(slot, deadline - now)
+                .wait_timeout(state, deadline - now)
                 .unwrap_or_else(|e| e.into_inner());
-            slot = guard;
+            state = guard;
+            state.waiters -= 1;
         }
     }
 }
@@ -191,6 +213,56 @@ impl<V> std::fmt::Debug for Ticket<V> {
         f.debug_struct("Ticket")
             .field("ready", &self.is_ready())
             .finish()
+    }
+}
+
+/// An admitted batch nobody has answered yet — filling in the queue, or
+/// closed and in flight. However it ends, it ends once: the admission
+/// slots of all its entries go back in one release, then one outcome
+/// resolves all its tickets. Dropping it unanswered fails the tickets
+/// with [`Error::Unavailable`] so waiters never block forever.
+struct Unanswered<V> {
+    fingerprints: Vec<Fingerprint>,
+    /// Each entry's own enqueue time, taken right after admission: the
+    /// source of its queueing delay at close and its admitted latency at
+    /// release.
+    submitted_at: Vec<Instant>,
+    /// The tenant key each entry's admission was charged to (empty unless
+    /// the policy counts per tenant).
+    charged: Vec<u32>,
+    cell: Arc<BatchCell<V>>,
+    gate: Arc<AdmissionGate>,
+    resolved: bool,
+}
+
+impl<V> Unanswered<V> {
+    fn open(gate: &Arc<AdmissionGate>, reserve: usize) -> Self {
+        Unanswered {
+            fingerprints: Vec::with_capacity(reserve),
+            submitted_at: Vec::with_capacity(reserve),
+            charged: Vec::new(),
+            cell: BatchCell::new(None),
+            gate: Arc::clone(gate),
+            resolved: false,
+        }
+    }
+
+    /// Admission first, answer second: a waiter that sees its answer
+    /// also sees the batch's slots already returned.
+    fn resolve(&mut self, outcome: Outcome<V>) {
+        self.resolved = true;
+        self.gate.release(&self.charged, &self.submitted_at);
+        self.cell.resolve(outcome);
+    }
+}
+
+impl<V> Drop for Unanswered<V> {
+    fn drop(&mut self) {
+        if !self.resolved {
+            self.resolve(Outcome::Failed(Error::Unavailable(
+                "front-end dropped the batch without answering its tickets".into(),
+            )));
+        }
     }
 }
 
@@ -206,19 +278,14 @@ pub enum CloseReason {
 }
 
 /// A batch released by a [`SharedBatcher`]: the fingerprints in arrival
-/// order plus the answer slot of every ticket in it.
+/// order plus the completion cell of the tickets issued for them.
 ///
 /// Whoever receives the batch owns the cluster round-trip and must end it
 /// with [`complete`](ClosedBatch::complete) or
 /// [`fail`](ClosedBatch::fail); dropping the batch fails every ticket.
 #[must_use = "every ticket in the batch blocks until the batch is completed or failed"]
 pub struct ClosedBatch<V> {
-    fingerprints: Vec<Fingerprint>,
-    slots: Vec<AnswerSlot<V>>,
-    /// Enqueue time of the batch's oldest entry — the sole source for
-    /// [`queueing_delay`](ClosedBatch::queueing_delay), so a flush racing
-    /// a concurrent submit can never reset it.
-    first_submitted_at: Instant,
+    batch: Unanswered<V>,
     closed_at: Instant,
     reason: CloseReason,
 }
@@ -226,18 +293,18 @@ pub struct ClosedBatch<V> {
 impl<V> ClosedBatch<V> {
     /// The batch's fingerprints, in arrival order across all sessions.
     pub fn fingerprints(&self) -> &[Fingerprint] {
-        &self.fingerprints
+        &self.batch.fingerprints
     }
 
     /// Number of fingerprints (never zero — empty batches are not
     /// released).
     pub fn len(&self) -> usize {
-        self.fingerprints.len()
+        self.batch.fingerprints.len()
     }
 
     /// Always false; present for API completeness.
     pub fn is_empty(&self) -> bool {
-        self.fingerprints.is_empty()
+        self.batch.fingerprints.is_empty()
     }
 
     /// Why the batch closed.
@@ -249,41 +316,36 @@ impl<V> ClosedBatch<V> {
     /// enqueue time to the close, never a shared `opened_at` that a
     /// concurrent flush could have reset).
     pub fn queueing_delay(&self) -> Duration {
-        self.closed_at - self.first_submitted_at
+        self.closed_at - self.batch.submitted_at[0]
     }
 
     /// Answers every ticket: `answers[i]` resolves the ticket of
     /// `fingerprints()[i]` — the index-mapped demux of one cluster
-    /// round-trip.
+    /// round-trip. The vector is stored as it is; each ticket reads its
+    /// own element.
     ///
     /// # Errors
     ///
     /// [`Error::Decode`] when `answers` does not cover the batch exactly;
     /// every ticket is then failed with the same error.
     pub fn complete(mut self, answers: Vec<V>) -> Result<()> {
-        if answers.len() != self.slots.len() {
+        if answers.len() != self.len() {
             let err = Error::Decode(format!(
                 "batch of {} fingerprints answered with {} values",
-                self.slots.len(),
+                self.len(),
                 answers.len()
             ));
-            for slot in self.slots.drain(..) {
-                slot.fill(Err(err.clone()));
-            }
+            self.batch.resolve(Outcome::Failed(err.clone()));
             return Err(err);
         }
-        for (slot, answer) in self.slots.drain(..).zip(answers) {
-            slot.fill(Ok(answer));
-        }
+        self.batch.resolve(Outcome::Answered(answers));
         Ok(())
     }
 
     /// Fails every ticket with (a clone of) `err` — the path taken when
     /// the batch's cluster round-trip fails as a whole.
     pub fn fail(mut self, err: &Error) {
-        for slot in self.slots.drain(..) {
-            slot.fill(Err(err.clone()));
-        }
+        self.batch.resolve(Outcome::Failed(err.clone()));
     }
 }
 
@@ -313,13 +375,6 @@ pub struct Submitted<V> {
     /// already resolved with [`Error::Overloaded`] and nothing was
     /// queued. Callers that can retry should back off first.
     pub shed: bool,
-}
-
-/// One queued submission.
-struct PendingEntry<V> {
-    fingerprint: Fingerprint,
-    slot: AnswerSlot<V>,
-    submitted_at: Instant,
 }
 
 /// Accumulated front-end counters (under the queue lock).
@@ -516,8 +571,15 @@ impl SharedBatcherStats {
 /// first pending entry's own enqueue time — there is deliberately no
 /// shared `opened_at` a racing flush could reset.
 struct State<V> {
-    pending: Vec<PendingEntry<V>>,
+    /// The batch being filled; `None` while nothing is pending.
+    open: Option<Unanswered<V>>,
     stats: StatsAccum,
+}
+
+impl<V> State<V> {
+    fn oldest(&self) -> Option<Instant> {
+        self.open.as_ref().map(|batch| batch.submitted_at[0])
+    }
 }
 
 /// Thread-safe cross-client fingerprint aggregator.
@@ -574,7 +636,7 @@ impl<V> SharedBatcher<V> {
             max_size: AtomicUsize::new(max_size),
             max_age_ns: AtomicU64::new(Self::age_ns(max_age)),
             state: Mutex::new(State {
-                pending: Vec::new(),
+                open: None,
                 stats: StatsAccum::default(),
             }),
             gate: AdmissionGate::new(policy),
@@ -638,31 +700,30 @@ impl<V> SharedBatcher<V> {
             }
         }
         // 2. Occupancy admission: blocks or sheds per the policy.
-        let token = match self.gate.admit(tenant) {
-            Ok(token) => token,
+        let charged = match self.gate.admit(tenant) {
+            Ok(charged) => charged,
             Err(err) => return Self::shed_submission(err),
         };
-        // 3. The queue proper.
+        // 3. The queue proper. One clock read stamps the entry for its
+        // queueing delay and its admitted latency alike.
         let now = Instant::now();
-        let cell = Cell::new();
-        let ticket = Ticket {
-            cell: Arc::clone(&cell),
-        };
+        let max_size = self.max_size.load(Ordering::Relaxed);
         let mut state = self.state.lock();
-        let opened = state.pending.is_empty();
-        state.pending.push(PendingEntry {
-            fingerprint,
-            slot: AnswerSlot {
-                cell: Some(cell),
-                _token: Some(token),
-            },
-            submitted_at: now,
-        });
-        let oldest = state.pending[0].submitted_at;
-        let closed = if state.pending.len() >= self.max_size.load(Ordering::Relaxed) {
-            Some(Self::close(&mut state, now, CloseReason::Size))
-        } else if now.duration_since(oldest) >= self.max_age() {
-            Some(Self::close(&mut state, now, CloseReason::Age))
+        let opened = state.open.is_none();
+        let batch = state
+            .open
+            .get_or_insert_with(|| Unanswered::open(&self.gate, max_size.min(RESERVE_LIMIT)));
+        let ticket = Ticket {
+            cell: Arc::clone(&batch.cell),
+            index: batch.fingerprints.len(),
+        };
+        batch.fingerprints.push(fingerprint);
+        batch.submitted_at.push(now);
+        batch.charged.extend(charged);
+        let closed = if batch.fingerprints.len() >= max_size {
+            Self::close(&mut state, now, CloseReason::Size)
+        } else if now.duration_since(batch.submitted_at[0]) >= self.max_age() {
+            Self::close(&mut state, now, CloseReason::Age)
         } else {
             None
         };
@@ -675,16 +736,14 @@ impl<V> SharedBatcher<V> {
         }
     }
 
-    /// Builds the fail-fast result of a shed submission: a ticket that
-    /// is already resolved with `err`, nothing queued.
+    /// Builds the fail-fast result of a shed submission: a ticket born
+    /// resolved with `err`, nothing queued.
     fn shed_submission(err: Error) -> Submitted<V> {
-        let cell = Cell::new();
-        let ticket = Ticket {
-            cell: Arc::clone(&cell),
-        };
-        cell.fill(Err(err));
         Submitted {
-            ticket,
+            ticket: Ticket {
+                cell: BatchCell::new(Some(Outcome::Failed(err))),
+                index: 0,
+            },
             closed: None,
             opened: false,
             shed: true,
@@ -698,11 +757,10 @@ impl<V> SharedBatcher<V> {
         let now = Instant::now();
         let mut state = self.state.lock();
         let stale = state
-            .pending
-            .first()
-            .is_some_and(|oldest| now.duration_since(oldest.submitted_at) >= self.max_age());
+            .oldest()
+            .is_some_and(|oldest| now.duration_since(oldest) >= self.max_age());
         if stale {
-            Some(Self::close(&mut state, now, CloseReason::Age))
+            Self::close(&mut state, now, CloseReason::Age)
         } else {
             None
         }
@@ -711,65 +769,59 @@ impl<V> SharedBatcher<V> {
     /// Unconditionally releases whatever is pending.
     pub fn flush(&self) -> Option<ClosedBatch<V>> {
         let now = Instant::now();
-        let mut state = self.state.lock();
-        if state.pending.is_empty() {
-            None
-        } else {
-            Some(Self::close(&mut state, now, CloseReason::Flush))
-        }
+        Self::close(&mut self.state.lock(), now, CloseReason::Flush)
     }
 
     /// When the pending batch must be released at the latest (`None` when
     /// the queue is empty) — what a flusher thread sleeps toward.
     pub fn next_deadline(&self) -> Option<Instant> {
-        let state = self.state.lock();
-        state
-            .pending
-            .first()
-            .map(|oldest| oldest.submitted_at + self.max_age())
+        let oldest = self.state.lock().oldest();
+        oldest.map(|oldest| oldest + self.max_age())
     }
 
-    fn close(state: &mut State<V>, now: Instant, reason: CloseReason) -> ClosedBatch<V> {
-        let entries = std::mem::take(&mut state.pending);
-        let first_submitted_at = entries.first().map(|e| e.submitted_at).unwrap_or(now);
-        let mut fingerprints = Vec::with_capacity(entries.len());
-        let mut slots = Vec::with_capacity(entries.len());
+    /// Releases the open batch, if there is one, recording its close in
+    /// the stats.
+    fn close(state: &mut State<V>, now: Instant, reason: CloseReason) -> Option<ClosedBatch<V>> {
+        let batch = state.open.take()?;
         let stats = &mut state.stats;
         stats.batches += 1;
-        stats.fingerprints += entries.len() as u64;
-        stats.max_occupancy = stats.max_occupancy.max(entries.len());
+        stats.fingerprints += batch.fingerprints.len() as u64;
+        stats.max_occupancy = stats.max_occupancy.max(batch.fingerprints.len());
         match reason {
             CloseReason::Size => stats.closed_by_size += 1,
             CloseReason::Age => stats.closed_by_age += 1,
             CloseReason::Flush => stats.closed_by_flush += 1,
         }
-        for entry in entries {
+        for submitted_at in &batch.submitted_at {
             // Each entry's delay is measured from its *own* enqueue time
             // with the one shared close instant, so no sample can be
             // negative or reach across a batch boundary.
             let delay_ns = now
-                .duration_since(entry.submitted_at)
+                .duration_since(*submitted_at)
                 .as_nanos()
                 .min(u128::from(u64::MAX)) as u64;
             stats.delay_count += 1;
             stats.delay_total_ns += u128::from(delay_ns);
             stats.delay_max_ns = stats.delay_max_ns.max(delay_ns);
             stats.delay_samples.push(delay_ns);
-            fingerprints.push(entry.fingerprint);
-            slots.push(entry.slot);
         }
-        ClosedBatch {
-            fingerprints,
-            slots,
-            first_submitted_at,
+        Some(ClosedBatch {
+            batch,
             closed_at: now,
             reason,
-        }
+        })
     }
 
     /// Fingerprints currently waiting.
     pub fn pending_len(&self) -> usize {
-        self.state.lock().pending.len()
+        Self::pending(&self.state.lock())
+    }
+
+    fn pending(state: &State<V>) -> usize {
+        state
+            .open
+            .as_ref()
+            .map_or(0, |batch| batch.fingerprints.len())
     }
 
     /// The current maximum batch size.
@@ -795,23 +847,28 @@ impl<V> SharedBatcher<V> {
     }
 
     /// Snapshots the aggregation counters, delay distribution, and
-    /// admission counters.
+    /// admission counters. Only the counters are read under the queue and
+    /// admission locks; the two sample rings (2 MiB each when full) are
+    /// copied after both are released, so a stats reader — the tuner
+    /// every control interval, a tier merge — never stalls submitters
+    /// behind a memcpy.
     pub fn stats(&self) -> SharedBatcherStats {
         let admission = self.gate.snapshot();
         let state = self.state.lock();
         let s = &state.stats;
-        SharedBatcherStats {
+        let delay_samples = s.delay_samples.reader();
+        let mut stats = SharedBatcherStats {
             batches: s.batches,
             fingerprints: s.fingerprints,
             closed_by_size: s.closed_by_size,
             closed_by_age: s.closed_by_age,
             closed_by_flush: s.closed_by_flush,
             max_occupancy: s.max_occupancy,
-            pending: state.pending.len(),
+            pending: Self::pending(&state),
             delay_count: s.delay_count,
             delay_total_ns: s.delay_total_ns,
             delay_max_ns: s.delay_max_ns,
-            delay_samples_ns: s.delay_samples.snapshot(),
+            delay_samples_ns: Vec::new(),
             admitted: admission.admitted,
             shed: admission.shed,
             shed_by_tenant: admission.shed_by_tenant,
@@ -820,8 +877,12 @@ impl<V> SharedBatcher<V> {
             admitted_latency_count: admission.latency_count,
             admitted_latency_total_ns: admission.latency_total_ns,
             admitted_latency_max_ns: admission.latency_max_ns,
-            admitted_latency_samples_ns: admission.latency_samples_ns,
-        }
+            admitted_latency_samples_ns: Vec::new(),
+        };
+        drop(state);
+        stats.delay_samples_ns = delay_samples.samples();
+        stats.admitted_latency_samples_ns = admission.latency_samples.samples();
+        stats
     }
 
     /// Shrinks the delay-sample ring so saturation behaviour is testable
@@ -961,6 +1022,90 @@ mod tests {
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.fingerprints, 4);
         assert!((stats.mean_occupancy() - 4.0).abs() < 1e-9);
+    }
+
+    /// The interleaving the per-batch wake-up exists for, forced: the
+    /// waiter is parked on the cell (its count says so) before the batch
+    /// completes, and the one notify reaches it.
+    #[test]
+    fn waiter_parked_before_complete_is_woken() {
+        let b: SharedBatcher<u64> = SharedBatcher::new(2, Duration::from_secs(60));
+        let s1 = b.submit(fp(1));
+        let cell = Arc::clone(&s1.ticket.cell);
+        let waiter = std::thread::spawn(move || s1.ticket.wait());
+        while cell.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+        let s2 = b.submit(fp(2));
+        s2.closed
+            .expect("size limit")
+            .complete(vec![10, 20])
+            .unwrap();
+        assert_eq!(waiter.join().unwrap().unwrap(), 10);
+        assert_eq!(cell.lock().waiters, 0);
+        assert_eq!(
+            s2.ticket.wait().unwrap(),
+            20,
+            "unparked ticket reads the stored answer"
+        );
+    }
+
+    /// `stats()` copies the sample rings after releasing the locks the
+    /// submitters need; whatever it races, each snapshot is one the
+    /// counters agree on.
+    #[test]
+    fn stats_racing_submitters_stays_consistent() {
+        const SUBMITTERS: u64 = 4;
+        const PER_SUBMITTER: u64 = 20_000;
+        const RING: usize = 4096;
+        let b: Arc<SharedBatcher<u64>> = Arc::new(SharedBatcher::new(7, Duration::from_secs(60)));
+        b.set_delay_sample_cap_for_test(RING);
+        let handles: Vec<_> = (0..SUBMITTERS)
+            .map(|t| {
+                let b = Arc::clone(&b);
+                std::thread::spawn(move || {
+                    let mut closed_sizes = 0u64;
+                    for i in 0..PER_SUBMITTER {
+                        if let Some(batch) = b.submit(fp((t << 32) | i)).closed {
+                            closed_sizes += batch.len() as u64;
+                            let n = batch.len();
+                            batch.complete(vec![0; n]).unwrap();
+                        }
+                    }
+                    closed_sizes
+                })
+            })
+            .collect();
+        let mut snapshots = 0;
+        while handles.iter().any(|h| !h.is_finished()) || snapshots == 0 {
+            let stats = b.stats();
+            assert_eq!(
+                stats.delay_count, stats.fingerprints,
+                "one delay per released entry"
+            );
+            assert_eq!(
+                stats.delay_samples_ns.len() as u64,
+                stats.fingerprints.min(RING as u64),
+                "retained samples = released entries, capped by the ring"
+            );
+            assert!(stats.batches * 7 >= stats.fingerprints);
+            assert!(stats.admitted_latency_count <= stats.admitted);
+            assert_eq!(
+                stats.admitted_latency_samples_ns.len() as u64,
+                stats
+                    .admitted_latency_count
+                    .min(crate::admission::LATENCY_SAMPLE_CAP as u64)
+            );
+            snapshots += 1;
+        }
+        let released: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        let stats = b.stats();
+        assert_eq!(stats.fingerprints, released, "fingerprints = Σ batch sizes");
+        assert_eq!(
+            stats.fingerprints + stats.pending as u64,
+            SUBMITTERS * PER_SUBMITTER
+        );
+        assert_eq!(stats.outstanding, stats.pending);
     }
 
     mod properties {
