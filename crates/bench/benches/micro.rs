@@ -10,7 +10,7 @@ use shhc_bloom::BloomFilter;
 use shhc_cache::{Cache, LruCache};
 use shhc_chunking::{Chunker, GearChunker, RabinChunker};
 use shhc_flash::{FlashConfig, FlashStore};
-use shhc_hash::{fnv1a64, xxh64, Sha1};
+use shhc_hash::{fingerprint_of, fnv1a64, xxh64, Sha1};
 use shhc_net::{decode, encode, encode_into, Frame, SharedBatcher, Ticket};
 use shhc_ring::{ConsistentHashRing, Partitioner};
 use shhc_types::{Fingerprint, StreamId};
@@ -27,6 +27,19 @@ fn bench_hashes(c: &mut Criterion) {
     });
     group.bench_function("fnv1a_8k", |b| {
         b.iter(|| fnv1a64(black_box(&data_8k)));
+    });
+    // One buffered block plus a full padding block: what `finalize` costs.
+    let data_64 = [0xA5u8; 64];
+    group.throughput(Throughput::Bytes(64));
+    group.bench_function("sha1_64b", |b| {
+        b.iter(|| Sha1::digest(black_box(&data_64)));
+    });
+    // The ingest workload's mean chunk (ledger: 9 279 B) as the client
+    // fingerprints it.
+    let chunk_9k = vec![0xA5u8; 9 * 1024];
+    group.throughput(Throughput::Bytes(9 * 1024));
+    group.bench_function("fingerprint_chunk_9k", |b| {
+        b.iter(|| fingerprint_of(black_box(&chunk_9k)));
     });
     group.finish();
 }

@@ -1371,7 +1371,7 @@ impl ShhcCluster {
         let pages: Vec<(Fingerprint, u64)> = missing.into_iter().collect();
         let mut rb = RebalanceReport::default();
         for page in pages.chunks(chunk) {
-            if !self.install_missing(node, page, &mut rb)? {
+            if !self.resync_page(node, page, &mut rb)? {
                 break;
             }
         }
@@ -1849,15 +1849,76 @@ impl ShhcCluster {
         page: &[(Fingerprint, u64)],
         report: &mut RebalanceReport,
     ) -> Result<bool> {
+        let Some((exists, _)) = self.probe_page(target, page)? else {
+            return Ok(false);
+        };
+        let missing = page
+            .iter()
+            .zip(exists)
+            .filter(|(_, present)| !present)
+            .map(|(pair, _)| *pair)
+            .collect();
+        self.ship_page(target, missing, report)
+    }
+
+    /// [`ShhcCluster::install_missing`] for a warm-restarted `node`, whose
+    /// recovered entries can be *stale* as well as missing: a crash
+    /// between a window's lookup-insert and its record (or a torn record
+    /// at the log's tail) replays the insert-time placeholder while the
+    /// peer that stayed up holds the recorded value. An entry the node
+    /// holds with a value other than the peer's is removed from it, not
+    /// overwritten: the scan of the peer may itself predate a record
+    /// that has since reached both, and an absent entry is the benign
+    /// state — lookups answer from the peer and read-repair the node.
+    fn resync_page(
+        &self,
+        node: NodeId,
+        page: &[(Fingerprint, u64)],
+        report: &mut RebalanceReport,
+    ) -> Result<bool> {
+        let Some((exists, held)) = self.probe_page(node, page)? else {
+            return Ok(false);
+        };
+        let mut missing = Vec::new();
+        let mut disputed = Vec::new();
+        for (i, &(fp, value)) in page.iter().enumerate() {
+            if !exists[i] {
+                missing.push((fp, value));
+            } else if held[i] != value {
+                disputed.push(fp);
+            }
+        }
+        if !disputed.is_empty() {
+            let frame = Frame::RemoveReq {
+                correlation: self.next_correlation(),
+                fingerprints: disputed,
+            };
+            match self.exchange(node, &frame) {
+                Ok(Frame::Ack { .. }) => {}
+                Ok(other) => return Err(unexpected(other)),
+                Err(Error::Unavailable(_)) => return Ok(false),
+                Err(e) => return Err(e),
+            }
+        }
+        self.ship_page(node, missing, report)
+    }
+
+    /// Which entries of `page` `target` holds, and with what value (zero
+    /// where absent); `None` when the target is down.
+    fn probe_page(
+        &self,
+        target: NodeId,
+        page: &[(Fingerprint, u64)],
+    ) -> Result<Option<(Vec<bool>, Vec<u64>)>> {
         let probe = Frame::QueryReq {
             correlation: self.next_correlation(),
             admission: Admission::Normal,
             fingerprints: page.iter().map(|(fp, _)| *fp).collect(),
         };
-        let exists = match self.exchange(target, &probe) {
-            Ok(Frame::LookupResp { exists, .. }) => exists,
+        let (exists, values) = match self.exchange(target, &probe) {
+            Ok(Frame::LookupResp { exists, values, .. }) => (exists, values),
             Ok(other) => return Err(unexpected(other)),
-            Err(Error::Unavailable(_)) => return Ok(false),
+            Err(Error::Unavailable(_)) => return Ok(None),
             Err(e) => return Err(e),
         };
         if exists.len() != page.len() {
@@ -1867,23 +1928,30 @@ impl ShhcCluster {
                 page.len()
             )));
         }
-        let missing: Vec<(Fingerprint, u64)> = page
-            .iter()
-            .zip(exists.iter())
-            .filter(|(_, present)| !**present)
-            .map(|(pair, _)| *pair)
-            .collect();
-        if missing.is_empty() {
+        let held = expand_values(&exists, &values)?;
+        Ok(Some((exists, held)))
+    }
+
+    /// Ships `pairs` to `target` as one migration frame (none when
+    /// empty). Returns `false` when the target is down.
+    fn ship_page(
+        &self,
+        target: NodeId,
+        pairs: Vec<(Fingerprint, u64)>,
+        report: &mut RebalanceReport,
+    ) -> Result<bool> {
+        if pairs.is_empty() {
             return Ok(true);
         }
+        let moved = pairs.len() as u64;
         let frame = Frame::MigrateReq {
             correlation: self.next_correlation(),
-            pairs: missing.clone(),
+            pairs,
         };
         match self.exchange(target, &frame) {
             Ok(Frame::Ack { .. }) => {
                 report.chunks += 1;
-                report.moved += missing.len() as u64;
+                report.moved += moved;
                 Ok(true)
             }
             Ok(other) => Err(unexpected(other)),

@@ -14,6 +14,22 @@
 //! - [`GearHasher`] — the gear rolling hash used by the FastCDC-style
 //!   chunker.
 //!
+//! # SHA-1 dispatch
+//!
+//! [`Sha1`] hands every whole 64-byte block of an update to one
+//! compression core, and that core has two bodies producing identical
+//! digests: on x86-64, when `is_x86_feature_detected!` reports `sha`,
+//! `ssse3` and `sse4.1` at run time, the CPU's SHA-extension rounds;
+//! everywhere else — other CPUs, other targets — the portable RFC 3174
+//! rounds, which are also the oracle the tests hold the first body to.
+//! Nothing selects between them but the CPU: no feature, variable or
+//! option. The accelerated body is ordinary safe code inside a
+//! `#[target_feature]` function, so the only thing the compiler cannot
+//! check is that the CPU really executes those instructions. The crate is
+//! therefore `deny(unsafe_code)` with a single exemption, the call from
+//! the dispatcher into that function, which is sound because the
+//! detection that guards it sits on the lines directly above it.
+//!
 //! # Examples
 //!
 //! ```
@@ -26,7 +42,7 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fnv;

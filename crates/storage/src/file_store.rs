@@ -155,6 +155,20 @@ impl FileChunkStore {
     }
 }
 
+/// Reads one record's payload from its open container file and checks it
+/// against the fingerprint the index holds for it.
+fn read_verified(file: &mut File, id: ChunkId, entry: &IndexEntry) -> Result<Vec<u8>> {
+    file.seek(SeekFrom::Start(entry.offset))?;
+    let mut data = vec![0u8; entry.len as usize];
+    file.read_exact(&mut data)?;
+    if fingerprint_of(&data) != entry.fingerprint {
+        return Err(Error::Corruption(format!(
+            "chunk {id} payload does not match its fingerprint"
+        )));
+    }
+    Ok(data)
+}
+
 impl ChunkStore for FileChunkStore {
     fn put(&mut self, fingerprint: Fingerprint, data: Vec<u8>) -> Result<ChunkId> {
         let len = data.len() as u64;
@@ -192,15 +206,7 @@ impl ChunkStore for FileChunkStore {
     fn get(&self, id: ChunkId) -> Result<Vec<u8>> {
         let entry = self.index.get(&id).ok_or_else(|| Error::not_found(id))?;
         let mut file = File::open(self.container_path(id.container()))?;
-        file.seek(SeekFrom::Start(entry.offset))?;
-        let mut data = vec![0u8; entry.len as usize];
-        file.read_exact(&mut data)?;
-        if fingerprint_of(&data) != entry.fingerprint {
-            return Err(Error::Corruption(format!(
-                "chunk {id} payload does not match its fingerprint"
-            )));
-        }
-        Ok(data)
+        read_verified(&mut file, id, entry)
     }
 
     /// One open per container and reads in ascending offset order (the
@@ -212,28 +218,20 @@ impl ChunkStore for FileChunkStore {
         let mut entries = Vec::with_capacity(ids.len());
         for &id in ids {
             let entry = self.index.get(&id).ok_or_else(|| Error::not_found(id))?;
-            entries.push((id, entry.offset, entry.len, entry.fingerprint));
+            entries.push((id, entry));
         }
         let mut order: Vec<usize> = (0..entries.len()).collect();
-        order.sort_by_key(|&i| (entries[i].0.container(), entries[i].1));
+        order.sort_by_key(|&i| (entries[i].0.container(), entries[i].1.offset));
         let mut out: Vec<Vec<u8>> = vec![Vec::new(); entries.len()];
         let mut open: Option<(u32, File)> = None;
         for i in order {
-            let (id, offset, len, fingerprint) = entries[i];
+            let (id, entry) = entries[i];
             let container = id.container();
             if open.as_ref().map(|(c, _)| *c) != Some(container) {
                 open = Some((container, File::open(self.container_path(container))?));
             }
             let file = &mut open.as_mut().expect("container opened above").1;
-            file.seek(SeekFrom::Start(offset))?;
-            let mut data = vec![0u8; len as usize];
-            file.read_exact(&mut data)?;
-            if fingerprint_of(&data) != fingerprint {
-                return Err(Error::Corruption(format!(
-                    "chunk {id} payload does not match its fingerprint"
-                )));
-            }
-            out[i] = data;
+            out[i] = read_verified(file, id, entry)?;
         }
         Ok(out)
     }

@@ -126,23 +126,6 @@ impl ChunkStore for MemChunkStore {
         Ok(chunk.data.clone())
     }
 
-    /// One verified pass over the window; resolving the slab slot once
-    /// per id is the whole cost, so this mainly pins the `get_many`
-    /// ordering contract for the backends where batching does matter.
-    fn get_many(&self, ids: &[ChunkId]) -> Result<Vec<Vec<u8>>> {
-        let mut out = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let chunk = self.chunk(id)?;
-            if fingerprint_of(&chunk.data) != chunk.fingerprint {
-                return Err(Error::Corruption(format!(
-                    "chunk {id} payload does not match its fingerprint"
-                )));
-            }
-            out.push(chunk.data.clone());
-        }
-        Ok(out)
-    }
-
     fn fingerprint_of(&self, id: ChunkId) -> Result<Fingerprint> {
         Ok(self.chunk(id)?.fingerprint)
     }

@@ -67,6 +67,39 @@ fn acked_entries_survive_kill_nine_without_replication() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crash between a window's lookup-insert and its record: the victim's
+/// log replays the insert-time placeholders while its replica peer holds
+/// the recorded values. Warm restart must not leave the stale copies
+/// answering — the peer that stayed up saw every record.
+#[test]
+fn records_missed_while_down_are_not_shadowed_by_replayed_placeholders() {
+    let dir = wal_dir("stale-values");
+    let cluster = ShhcCluster::spawn(durable_config(3, &dir).with_replication(2)).unwrap();
+    let batch = fps(0..1_500);
+    cluster.lookup_insert_batch(&batch).unwrap();
+
+    let victim = NodeId::new(2);
+    cluster.kill_node(victim).unwrap();
+    let recorded: Vec<(Fingerprint, u64)> = batch
+        .iter()
+        .enumerate()
+        .map(|(i, fp)| (*fp, 0xC0DE_0000 + i as u64))
+        .collect();
+    cluster.record_batch(&recorded).unwrap();
+    let report = cluster.restart_node(victim).unwrap();
+    assert!(
+        report.recovered_entries > 0,
+        "the victim replayed its share"
+    );
+
+    let (exists, values) = cluster.lookup_insert_batch_values(&batch).unwrap();
+    assert!(exists.iter().all(|e| *e));
+    let expected: Vec<u64> = recorded.iter().map(|(_, value)| *value).collect();
+    assert_eq!(values, expected, "a replayed placeholder shadowed a record");
+    cluster.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Dirty shutdown: every crash also tears the final journal and segment
 /// records. Recovery must detect the torn tails by checksum, truncate
 /// them, and still serve every acked entry.
