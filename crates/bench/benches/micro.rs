@@ -2,6 +2,8 @@
 //! bloom filters, caches, the cuckoo table, chunking, the flash store,
 //! ring routing, wire encode/decode, and the shared batcher's tickets.
 
+use std::sync::{Arc, Weak};
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -227,8 +229,32 @@ fn bench_shared_batcher(c: &mut Criterion) {
         });
     });
 
+    // The paced window: 32 submissions into a batch far from full, then
+    // a blocking wait on the first ticket, which asks the batch's owner;
+    // the owner ships it on this thread, and the other 31 find answers.
+    const PACED: usize = 32;
+    group.throughput(Throughput::Elements(PACED as u64));
+    let owned: Arc<SharedBatcher<u64>> = Arc::new_cyclic(|weak: &Weak<SharedBatcher<u64>>| {
+        let weak = weak.clone();
+        SharedBatcher::new(WINDOW, far).on_demand(move || {
+            if let Some(batch) = weak.upgrade().and_then(|b| b.close_wanted()) {
+                let n = batch.len() as u64;
+                batch.complete((0..n).collect()).expect("complete");
+            }
+        })
+    });
+    group.bench_function("demand_close_32", |b| {
+        b.iter(|| {
+            tickets.extend(fps[..PACED].iter().map(|fp| owned.submit(*fp).ticket));
+            tickets
+                .drain(..)
+                .map(|t| t.wait().expect("answered"))
+                .sum::<u64>()
+        });
+    });
+
     // `stats()` once both sample rings (2^18 delays, 2^18 admitted
-    // latencies) are full — what the tuner and the tier merge pay.
+    // latencies) are full — what a monitor or the tier merge pays.
     group.throughput(Throughput::Elements(1));
     let mut filled = false;
     group.bench_function("stats_full_ring", |b| {

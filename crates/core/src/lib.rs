@@ -72,9 +72,7 @@ pub use tier::FrontendTier;
 
 // The ticket/stats types a SharedFrontend user needs, re-exported from
 // the net layer so `shhc` stays a single-dependency facade.
-pub use shhc_net::{
-    AdmissionPolicy, BatchTuner, IngestModel, SharedBatcherStats, Ticket, TunerConfig, TunerTick,
-};
+pub use shhc_net::{AdmissionPolicy, IngestModel, SharedBatcherStats, Ticket};
 
 // The self-tuning knobs `autotune` exposes.
 pub use shhc_cache::{SizerConfig, SizerDecision};

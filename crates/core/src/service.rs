@@ -308,9 +308,7 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
     }
 
     /// Submits one window of fingerprints through the front-end tier
-    /// (tenant-attributed to `stream`) and waits for every ticket. A
-    /// window smaller than the batch size flushes, so the tail of a
-    /// stream is never left to the age limit.
+    /// (tenant-attributed to `stream`) and waits for every ticket.
     ///
     /// Shed submissions are retried with exponential backoff up to
     /// [`SHED_RETRY_LIMIT`] times — overload shows up as a slower backup
@@ -334,9 +332,6 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
                 backoff = (backoff * 2).min(SHED_BACKOFF_CAP);
             };
             tickets.push(ticket);
-        }
-        if fps.len() < self.inner.batch_size {
-            self.inner.tier.flush_all()?;
         }
         tickets.into_iter().map(|t| t.wait()).collect()
     }

@@ -6,21 +6,35 @@
 //! fingerprints into batches before querying the hash cluster.
 //! [`SharedFrontend`] is that component: a cheaply cloneable handle any
 //! number of client threads submit fingerprints to. Each submission
-//! receives a [`Ticket`] that later yields the fingerprint's answer;
-//! batches close on size (dispatched synchronously on the closing
-//! client's thread), on age (dispatched by a **background flusher
-//! thread**, so an idle front-end still answers a lone fingerprint within
-//! ≈`max_age` — the idle-batch starvation the submit-driven
-//! [`SyncFrontend`](crate::SyncFrontend) suffered), or on explicit
-//! [`flush`](SharedFrontend::flush).
+//! receives a [`Ticket`] that later yields the fingerprint's answer.
+//!
+//! A batch leaves for the cluster by the three rules of
+//! [`SharedBatcher`]'s module docs; here is who ships it:
+//!
+//! - **size** — the client whose submission filled it, inline;
+//! - **demand** — a client blocked in [`Ticket::wait`] on it: at once, on
+//!   its own thread, if this front-end has no round trip in flight; if it
+//!   has one, as soon as that ends, again on the thread of one of the
+//!   batch's own waiters. A sparse stream therefore pays one round trip
+//!   per window and a dense one gets batches the size of whatever
+//!   arrived during the previous round trip — with no limit to tune;
+//! - **age** — the **background flusher thread**, and only for batches
+//!   whose clients all poll [`Ticket::is_ready`] instead of blocking (or
+//!   have gone away): it caps their wait at ≈`max_age`, so an idle
+//!   front-end still answers a lone polled fingerprint — the idle-batch
+//!   starvation the submit-driven [`SyncFrontend`](crate::SyncFrontend)
+//!   suffered;
+//!
+//! plus an explicit [`flush`](SharedFrontend::flush), on the caller.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use shhc_net::{
-    AdmissionPolicy, BatchTuner, ClosedBatch, IngestModel, SharedBatcher, SharedBatcherStats,
-    Ticket, TunerConfig,
+    AdmissionPolicy, ClosedBatch, IngestModel, SharedBatcher, SharedBatcherStats, Ticket,
 };
 use shhc_types::{Fingerprint, Result};
 
@@ -38,12 +52,8 @@ pub struct LookupAnswer {
     pub value: u64,
 }
 
-/// Floor on flusher sleeps, so a tiny `max_age` degrades to a busy-ish
-/// poll instead of a zero-length sleep loop.
-const MIN_TICK: Duration = Duration::from_micros(50);
-
 /// Full configuration for a [`SharedFrontend`]: batch close limits plus
-/// the admission policy, ingest-rate model and optional batch tuner.
+/// the admission policy and ingest-rate model.
 ///
 /// # Examples
 ///
@@ -60,20 +70,19 @@ const MIN_TICK: Duration = Duration::from_micros(50);
 pub struct FrontendConfig {
     /// Maximum fingerprints per batch (size close trigger).
     pub batch_size: usize,
-    /// Maximum batch age before the flusher closes it.
+    /// Maximum batch age before the flusher closes it (the cap for
+    /// clients that never block on a ticket).
     pub max_age: Duration,
     /// Admission policy bounding the pending + in-flight queue.
     pub admission: AdmissionPolicy,
     /// Optional ingest-rate model: the front-end's own aggregation
     /// capacity, paced (`Block`) or enforced by shedding.
     pub ingest: Option<IngestModel>,
-    /// Optional adaptive batch tuner retuning the close limits live.
-    pub tuner: Option<TunerConfig>,
 }
 
 impl FrontendConfig {
-    /// A config with the given close limits, default (blocking) admission,
-    /// no ingest model and no tuner.
+    /// A config with the given close limits, default (blocking) admission
+    /// and no ingest model.
     ///
     /// # Panics
     ///
@@ -85,7 +94,6 @@ impl FrontendConfig {
             max_age,
             admission: AdmissionPolicy::default(),
             ingest: None,
-            tuner: None,
         }
     }
 
@@ -100,12 +108,6 @@ impl FrontendConfig {
         self.ingest = Some(model);
         self
     }
-
-    /// Attaches an adaptive batch tuner.
-    pub fn tuner(mut self, tuner: TunerConfig) -> Self {
-        self.tuner = Some(tuner);
-        self
-    }
 }
 
 struct FrontendInner {
@@ -115,15 +117,61 @@ struct FrontendInner {
     /// alarm must be re-armed). Dropping the last handle disconnects the
     /// channel, which is the flusher's exit signal.
     wake_tx: Sender<()>,
+    /// Batches this front-end has in flight to the cluster: the lane a
+    /// demand close waits for. A mutex, not an atomic, because "lane
+    /// idle → close the wanted batch" and "lane freed → pass the demand
+    /// on" must each be one step, or a waiter that marks its batch wanted
+    /// while the last round trip is finishing could be missed by both.
+    in_flight: Mutex<usize>,
+    /// Passes of the flusher loop, so a test can see an idle one sleep.
+    flusher_passes: AtomicU64,
 }
 
 impl FrontendInner {
     /// Sends one batch to the cluster and answers every ticket in it.
     /// Runs on whichever thread closed the batch — a client thread on a
-    /// size trigger, the flusher on an age trigger.
+    /// size or demand trigger or an explicit flush, the flusher on the
+    /// age cap.
     fn dispatch(&self, batch: ClosedBatch<LookupAnswer>) -> Result<usize> {
+        *self.in_flight.lock() += 1;
+        self.round_trip(batch)
+    }
+
+    /// The batcher's demand callback: a waiter has blocked on the open
+    /// batch. With the lane idle it ships the batch on its own thread;
+    /// with a round trip in flight the batch stays open and wanted, and
+    /// whoever frees the lane passes the demand back (see `round_trip`).
+    fn demand(&self) {
+        let batch = {
+            let mut in_flight = self.in_flight.lock();
+            if *in_flight > 0 {
+                return;
+            }
+            let Some(batch) = self.batcher.close_wanted() else {
+                return;
+            };
+            *in_flight = 1;
+            batch
+        };
+        // A failure has already failed the batch's tickets, the asking
+        // waiter's among them.
+        let _ = self.round_trip(batch);
+    }
+
+    /// One cluster round trip for a batch already counted in flight.
+    ///
+    /// When it frees the lane and the open batch is wanted, the demand is
+    /// passed to that batch's parked waiters, one of which ships it —
+    /// leader–follower. Not this thread: it belongs to a client that
+    /// already has its answers, and looping here would bill it for
+    /// strangers' round trips for as long as load lasts. Not the flusher
+    /// either: the waiter is parked on that very batch and must wake for
+    /// the answer anyway, so leading costs no extra thread switch, where
+    /// the flusher would add one and serialize every demand close behind
+    /// a single thread.
+    fn round_trip(&self, batch: ClosedBatch<LookupAnswer>) -> Result<usize> {
         let n = batch.len();
-        match self
+        let result = match self
             .cluster
             .lookup_insert_batch_values(batch.fingerprints())
         {
@@ -133,14 +181,19 @@ impl FrontendInner {
                     .zip(values)
                     .map(|(existed, value)| LookupAnswer { existed, value })
                     .collect();
-                batch.complete(answers)?;
-                Ok(n)
+                batch.complete(answers).map(|()| n)
             }
             Err(e) => {
                 batch.fail(&e);
                 Err(e)
             }
+        };
+        let mut in_flight = self.in_flight.lock();
+        *in_flight -= 1;
+        if *in_flight == 0 {
+            self.batcher.pass_demand();
         }
+        result
     }
 }
 
@@ -161,11 +214,12 @@ impl FrontendInner {
 /// # fn main() -> Result<(), shhc_types::Error> {
 /// let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2))?;
 /// let frontend = SharedFrontend::new(cluster.clone(), 4, Duration::from_millis(5));
-/// // A lone fingerprint is answered by the age flusher — no further
-/// // submission or flush call needed.
+/// // A lone fingerprint needs no further submission or flush call:
+/// // blocking on its ticket ships the batch it sits in.
 /// let ticket = frontend.submit(Fingerprint::from_u64(7));
 /// let answer = ticket.wait_timeout(Duration::from_secs(10))?;
 /// assert!(!answer.existed, "fresh fingerprint");
+/// assert_eq!(frontend.stats().closed_by_demand, 1);
 /// cluster.shutdown()?;
 /// # Ok(())
 /// # }
@@ -186,27 +240,20 @@ impl std::fmt::Debug for SharedFrontend {
 }
 
 impl SharedFrontend {
-    /// Creates a shared front-end batching up to `batch_size`
-    /// fingerprints or `max_age` of waiting, whichever comes first, and
-    /// spawns its background flusher thread.
+    /// Creates a shared front-end whose batches hold at most `batch_size`
+    /// fingerprints and wait at most `max_age` for a client to block on
+    /// them, and spawns its background flusher thread.
     ///
     /// # Panics
     ///
     /// Panics if `batch_size` is zero.
     ///
-    /// Setting `SHHC_TEST_ADAPTIVE=1` in the environment attaches a
-    /// default [`BatchTuner`] (as [`with_tuner`](Self::with_tuner)
-    /// would) — the CI lever that runs the whole existing suite with the
-    /// adaptive batcher enabled, pinning down that tuning never changes
-    /// answers. Setting `SHHC_TEST_ADMISSION=fairshed` likewise runs the
+    /// Setting `SHHC_TEST_ADMISSION=fairshed` in the environment runs the
     /// suite behind a per-tenant fair-shedding admission gate, pinning
     /// down that a bounded front-end still answers everything the tests
     /// submit.
     pub fn new(cluster: ShhcCluster, batch_size: usize, max_age: Duration) -> Self {
         let mut config = FrontendConfig::new(batch_size, max_age);
-        if matches!(std::env::var("SHHC_TEST_ADAPTIVE"), Ok(v) if v == "1") {
-            config = config.tuner(TunerConfig::default());
-        }
         if matches!(std::env::var("SHHC_TEST_ADMISSION"), Ok(v) if v == "fairshed") {
             // Bounds generous enough that the functional suite never
             // actually sheds — the lever checks the gate's accounting,
@@ -219,61 +266,52 @@ impl SharedFrontend {
         Self::with_config(cluster, config)
     }
 
-    /// Creates a shared front-end whose batch limits are continuously
-    /// retuned by a [`BatchTuner`] with the given knobs. `batch_size`
-    /// and `max_age` are the starting point; the tuner adjusts both
-    /// within the config's bounds as the workload shifts. Tuning only
-    /// changes *when* batches close — answers stay byte-identical to a
-    /// static front-end fed the same submission sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn with_tuner(
-        cluster: ShhcCluster,
-        batch_size: usize,
-        max_age: Duration,
-        tuner: TunerConfig,
-    ) -> Self {
-        Self::with_config(
-            cluster,
-            FrontendConfig::new(batch_size, max_age).tuner(tuner),
-        )
-    }
-
     /// Creates a shared front-end from a full [`FrontendConfig`]:
-    /// admission policy, ingest model and tuner included.
+    /// admission policy and ingest model included.
     ///
     /// # Panics
     ///
     /// Panics if `config.batch_size` is zero.
     pub fn with_config(cluster: ShhcCluster, config: FrontendConfig) -> Self {
         let (wake_tx, wake_rx) = unbounded();
-        let inner = Arc::new(FrontendInner {
-            cluster,
-            batcher: SharedBatcher::with_admission(
-                config.batch_size,
-                config.max_age,
-                config.admission,
-                config.ingest,
-            ),
-            wake_tx,
+        let inner = Arc::new_cyclic(|weak: &Weak<FrontendInner>| {
+            let owner = weak.clone();
+            FrontendInner {
+                cluster,
+                batcher: SharedBatcher::with_admission(
+                    config.batch_size,
+                    config.max_age,
+                    config.admission,
+                    config.ingest,
+                )
+                .on_demand(move || {
+                    // A ticket that outlived the front-end has nobody to
+                    // ask; its batch was failed when the batcher dropped.
+                    if let Some(inner) = owner.upgrade() {
+                        inner.demand();
+                    }
+                }),
+                wake_tx,
+                in_flight: Mutex::new(0),
+                flusher_passes: AtomicU64::new(0),
+            }
         });
         let weak = Arc::downgrade(&inner);
-        let tuner = config.tuner.map(BatchTuner::new);
         std::thread::Builder::new()
             .name("shhc-fe-flusher".into())
-            .spawn(move || flusher_loop(weak, wake_rx, tuner))
+            .spawn(move || flusher_loop(weak, wake_rx))
             .expect("spawn front-end flusher thread");
         SharedFrontend { inner }
     }
 
     /// Submits one fingerprint, returning its completion ticket.
     ///
-    /// If this submission closes the batch (size or age limit), the whole
-    /// batch is dispatched synchronously on the calling thread before
-    /// returning, so every ticket in it — this one included — is already
-    /// answered. Dispatch failures are delivered through the tickets.
+    /// If this submission closes the batch (size limit, or an age limit
+    /// the flusher has not got to yet), the whole batch is dispatched
+    /// synchronously on the calling thread before returning, so every
+    /// ticket in it — this one included — is already answered. Otherwise
+    /// the batch goes when a client blocks on one of its tickets, or at
+    /// the age cap. Dispatch failures are delivered through the tickets.
     pub fn submit(&self, fp: Fingerprint) -> Ticket<LookupAnswer> {
         self.submit_from(None, fp).0
     }
@@ -355,38 +393,31 @@ impl SharedFrontend {
     }
 }
 
-/// The background flusher: sleeps toward the pending batch's age
-/// deadline, releases it when due, and dispatches it. With a tuner
-/// attached it also ticks the controller, which retunes the batcher's
-/// close limits in place. Exits when every front-end handle is gone
-/// (the wake channel disconnects).
-fn flusher_loop(weak: Weak<FrontendInner>, wake_rx: Receiver<()>, mut tuner: Option<BatchTuner>) {
+/// The background flusher — the age cap. It sleeps toward the pending
+/// batch's deadline and ships the batch if it is still there when the
+/// deadline passes, which only happens to batches none of whose clients
+/// block on a ticket (they poll [`Ticket::is_ready`], or went away).
+/// With nothing pending it has no deadline and blocks on the wake
+/// channel: every submission that opens a batch sends on it, so an idle
+/// front-end's flusher does not run at all. Exits when every front-end
+/// handle is gone (the wake channel disconnects).
+fn flusher_loop(weak: Weak<FrontendInner>, wake_rx: Receiver<()>) {
     loop {
-        let sleep = match weak.upgrade() {
+        let deadline = match weak.upgrade() {
             Some(inner) => {
-                if let Some(t) = tuner.as_mut() {
-                    // The tuner is internally rate-limited; ticking on
-                    // every pass keeps it current without a second timer.
-                    t.tick(&inner.batcher);
-                }
-                match inner.batcher.next_deadline() {
-                    Some(deadline) => deadline
-                        .saturating_duration_since(Instant::now())
-                        .max(MIN_TICK),
-                    // With an empty queue there is no deadline; sleeping
-                    // half the age limit bounds a just-missed
-                    // submission's extra wait to max_age/2 (the wake
-                    // channel normally cuts that to ~zero). Re-read the
-                    // limit each pass — the tuner may have moved it.
-                    None => {
-                        (inner.batcher.max_age() / 2).clamp(MIN_TICK, Duration::from_millis(500))
-                    }
-                }
+                inner.flusher_passes.fetch_add(1, Ordering::Relaxed);
+                inner.batcher.next_deadline()
             }
             // Every handle is gone; nothing can ever be submitted again.
             None => return,
         };
-        match wake_rx.recv_timeout(sleep) {
+        let woken = match deadline {
+            Some(deadline) => {
+                wake_rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            }
+            None => wake_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match woken {
             Ok(()) => {
                 // New batch opened: drain stale wakeups and re-arm.
                 while wake_rx.try_recv().is_ok() {}
@@ -432,28 +463,188 @@ mod tests {
         cluster.shutdown().unwrap();
     }
 
+    /// Polls `is_ready` — never blocks, so never demands.
+    fn poll_until_ready(ticket: &Ticket<LookupAnswer>) {
+        let patience = Instant::now() + Duration::from_secs(10);
+        while !ticket.is_ready() {
+            assert!(
+                Instant::now() < patience,
+                "the age cap must answer a poller"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
-    fn idle_batch_is_flushed_by_age_without_further_calls() {
+    fn polled_batch_is_flushed_by_the_age_cap_without_further_calls() {
         // Regression: the submit-driven front-end only noticed an expired
         // age limit on the *next* submit, so a lone fingerprint starved
-        // forever. The flusher thread must answer it within ≈max_age.
+        // forever. A client that only polls gives no demand signal; the
+        // flusher thread must still answer it within ≈max_age.
         let max_age = Duration::from_millis(20);
         let cluster = ShhcCluster::spawn(ClusterConfig::small_test(1)).unwrap();
         let fe = SharedFrontend::new(cluster.clone(), 1000, max_age);
         let start = Instant::now();
         let ticket = fe.submit(fp(42));
-        let answer = ticket
-            .wait_timeout(Duration::from_secs(10))
-            .expect("age flusher must answer a lone fingerprint");
+        poll_until_ready(&ticket);
         let waited = start.elapsed();
-        assert!(!answer.existed);
+        assert!(!ticket.wait().unwrap().existed);
         assert!(waited >= max_age, "answered before the age limit");
         // Generous CI bound; the point is "≈max_age, not forever".
         assert!(
             waited < max_age * 20,
             "lone fingerprint waited {waited:?} (max_age {max_age:?})"
         );
-        assert_eq!(fe.stats().closed_by_age, 1);
+        let stats = fe.stats();
+        assert_eq!(stats.closed_by_age, 1);
+        assert_eq!(stats.closed_by_demand, 0, "polling is not demand");
+        cluster.shutdown().unwrap();
+    }
+
+    #[test]
+    fn first_wait_on_an_open_batch_ships_it_with_the_lane_idle() {
+        let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
+        let fe = SharedFrontend::new(cluster.clone(), 1000, Duration::from_secs(60));
+        let tickets: Vec<_> = (0..3).map(|i| fe.submit(fp(i))).collect();
+        assert!(tickets.iter().all(|t| !t.is_ready()));
+        let mut tickets = tickets.into_iter();
+        let first = tickets.next().unwrap();
+        // Answered inside the watchdog: the wait itself shipped the
+        // batch, not the 60 s age cap.
+        assert!(!first.wait_timeout(Duration::from_secs(30)).unwrap().existed);
+        // One round trip answered the waiter's whole batch.
+        for t in tickets {
+            assert!(t.is_ready());
+            assert!(!t.wait().unwrap().existed);
+        }
+        let stats = fe.stats();
+        assert_eq!((stats.batches, stats.closed_by_demand), (1, 1));
+        assert_eq!(stats.closed_by_age, 0);
+        cluster.shutdown().unwrap();
+    }
+
+    /// Group commit: whatever arrives while a round trip is in flight
+    /// leaves as ONE batch when the lane frees, however many of its
+    /// clients are blocked on it.
+    #[test]
+    fn waiters_behind_a_batch_in_flight_share_the_next_one() {
+        const CLIENTS: u64 = 5;
+        let mut config = ClusterConfig::small_test(1);
+        // Every frame takes this long at the node: the held round trip.
+        config.node_config.batch_overhead = Duration::from_millis(300);
+        let cluster = ShhcCluster::spawn(config).unwrap();
+        let fe = SharedFrontend::new(cluster.clone(), 1000, Duration::from_secs(60));
+        let first = fe.submit(fp(1000));
+        let (first_done_tx, first_done_rx) = std::sync::mpsc::channel();
+        let holder = {
+            let fe = fe.clone();
+            std::thread::spawn(move || {
+                assert_eq!(fe.flush().unwrap(), 1);
+                first_done_tx.send(Instant::now()).unwrap();
+            })
+        };
+        // The first batch is in flight once it has left the queue.
+        while fe.stats().batches == 0 {
+            std::thread::yield_now();
+        }
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let fe = fe.clone();
+                std::thread::spawn(move || {
+                    let answer = fe.submit(fp(c)).wait().unwrap();
+                    (answer, Instant::now())
+                })
+            })
+            .collect();
+        while fe.stats().pending < CLIENTS as usize {
+            std::thread::yield_now();
+        }
+        let mid = fe.stats();
+        assert_eq!(
+            (mid.batches, mid.closed_by_demand),
+            (1, 0),
+            "nothing ships past a batch in flight"
+        );
+        holder.join().unwrap();
+        let first_done = first_done_rx.recv().unwrap();
+        assert!(!first.wait().unwrap().existed);
+        for client in clients {
+            let (answer, answered_at) = client.join().unwrap();
+            assert!(!answer.existed);
+            assert!(
+                answered_at > first_done,
+                "second batch left after the first"
+            );
+        }
+        let stats = fe.stats();
+        assert_eq!(stats.batches, 2, "all {CLIENTS} clients in one next batch");
+        assert_eq!(stats.closed_by_demand, 1);
+        assert_eq!(stats.max_occupancy, CLIENTS as usize);
+        cluster.shutdown().unwrap();
+    }
+
+    /// The race the lane mutex exists for, run 10 000 times: one thread
+    /// finishes a round trip (frees the lane, passes the demand) while
+    /// the other blocks on a fresh batch (marks it wanted, finds the lane
+    /// busy or idle). Whichever way each round falls, the waiter is
+    /// answered; with the age cap a minute away, a lost hand-off would
+    /// trip the one-second watchdog.
+    #[test]
+    fn no_demand_is_lost_between_a_waiter_and_a_finishing_dispatcher() {
+        const ROUNDS: u64 = 10_000;
+        let cluster = ShhcCluster::spawn(ClusterConfig::small_test(1)).unwrap();
+        let fe = SharedFrontend::new(cluster.clone(), 1000, Duration::from_secs(60));
+        let watchdog = Duration::from_secs(1);
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for round in 0..ROUNDS {
+                    // (The test node's flash holds few distinct keys.)
+                    let held = fe.submit(fp(round % 100));
+                    go_tx.send(()).expect("main alive");
+                    // Whatever is open now ships on this thread; if the
+                    // other thread got there first, this is a no-op.
+                    let _ = fe.flush();
+                    held_tx
+                        .send(held.wait_timeout(watchdog))
+                        .expect("main alive");
+                }
+            });
+            for round in 0..ROUNDS {
+                go_rx.recv().expect("dispatcher alive");
+                // Slide the submit across the other thread's round trip.
+                for _ in 0..round % 64 {
+                    std::hint::spin_loop();
+                }
+                let mine = fe.submit(fp(100 + round % 100)).wait_timeout(watchdog);
+                assert!(mine.is_ok(), "round {round}: waiter stranded: {mine:?}");
+                let held = held_rx.recv().expect("dispatcher alive");
+                assert!(held.is_ok(), "round {round}: waiter stranded: {held:?}");
+            }
+        });
+        let stats = fe.stats();
+        assert_eq!(stats.closed_by_age, 0);
+        assert_eq!(stats.fingerprints, 2 * ROUNDS);
+        cluster.shutdown().unwrap();
+    }
+
+    #[test]
+    fn idle_flusher_sleeps_until_a_batch_opens() {
+        let cluster = ShhcCluster::spawn(ClusterConfig::small_test(1)).unwrap();
+        // An age this small used to mean a 20 kHz poll.
+        let fe = SharedFrontend::new(cluster.clone(), 1000, Duration::from_micros(100));
+        let passes = || fe.inner.flusher_passes.load(Ordering::Relaxed);
+        while passes() == 0 {
+            std::thread::yield_now();
+        }
+        let before = passes();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(passes(), before, "an idle flusher makes no passes");
+        // It is asleep, not gone: a poller is still answered.
+        let ticket = fe.submit(fp(1));
+        poll_until_ready(&ticket);
+        assert!(passes() > before);
         cluster.shutdown().unwrap();
     }
 
@@ -479,6 +670,36 @@ mod tests {
         let t2 = fe.submit(fp(2));
         assert!(t1.wait().is_err());
         assert!(t2.wait().is_err());
+        cluster.shutdown().unwrap();
+    }
+
+    #[test]
+    fn dispatch_failure_reaches_demand_closed_tickets() {
+        let cluster = ShhcCluster::spawn(ClusterConfig::small_test(1)).unwrap();
+        let fe = SharedFrontend::new(cluster.clone(), 100, Duration::from_secs(60));
+        cluster.kill_node(shhc_types::NodeId::new(0)).unwrap();
+        let t1 = fe.submit(fp(1));
+        let t2 = fe.submit(fp(2));
+        assert!(t1.wait().is_err(), "the asking waiter gets the failure");
+        assert!(t2.is_ready());
+        assert!(t2.wait().is_err());
+        assert_eq!(fe.stats().closed_by_demand, 1);
+        assert_eq!(fe.outstanding(), 0);
+        cluster.shutdown().unwrap();
+    }
+
+    #[test]
+    fn ticket_waited_on_after_the_frontend_is_gone_is_unavailable() {
+        let cluster = ShhcCluster::spawn(ClusterConfig::small_test(1)).unwrap();
+        let fe = SharedFrontend::new(cluster.clone(), 100, Duration::from_secs(60));
+        let ticket = fe.submit(fp(1));
+        drop(fe);
+        // The demand callback finds no owner; the dropped batcher had
+        // already failed the batch.
+        assert!(matches!(
+            ticket.wait(),
+            Err(shhc_types::Error::Unavailable(_))
+        ));
         cluster.shutdown().unwrap();
     }
 

@@ -18,16 +18,14 @@
 //!   aggregator behind the paper's Figure-4 request flow: submissions
 //!   from any client thread join one shared queue and receive a blocking
 //!   completion ticket; one cluster round-trip answers a whole batch
-//!   through index-mapped demux,
+//!   through index-mapped demux; a batch leaves when it is full or when
+//!   one of its clients blocks on it, so its size follows load with
+//!   nothing to tune,
 //! - [`AdmissionPolicy`] + [`IngestModel`] — bounded admission in front
 //!   of the shared queue: blocking backpressure, fail-fast shedding
 //!   (`Error::Overloaded`), or per-tenant fair shedding, plus a
 //!   token-bucket ingest-rate model, so a front-end degrades gracefully
-//!   instead of queue-collapsing past saturation,
-//! - [`BatchTuner`] — an AIMD controller that retunes a live
-//!   [`SharedBatcher`]'s close limits from its own counters (close-reason
-//!   mix, occupancy, p99 queueing delay), keeping throughput near the
-//!   hand-tuned optimum when the workload shifts.
+//!   instead of queue-collapsing past saturation.
 //!
 //! # Examples
 //!
@@ -47,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adaptive;
 mod admission;
 mod batch;
 mod model;
@@ -56,7 +53,6 @@ mod shared;
 mod transport;
 mod wire;
 
-pub use adaptive::{BatchTuner, TunerConfig, TunerTick};
 pub use admission::{AdmissionPolicy, IngestModel, DEFAULT_MAX_PENDING};
 pub use batch::{Batch, Batcher};
 pub use model::NetModel;

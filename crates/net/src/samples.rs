@@ -4,8 +4,8 @@
 //! either unbounded or goes blind once full. [`SampleRing`] keeps the
 //! most recent `cap` samples by overwriting the oldest, so quantiles
 //! computed from a snapshot always describe *current* behaviour at any
-//! uptime — the property the [`BatchTuner`](crate::BatchTuner) windowed
-//! p99 and the admission latency tail both rely on.
+//! uptime — the property the queueing-delay and admitted-latency tails
+//! rely on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -2,11 +2,14 @@
 //! every ticket gets its own fingerprint's answer, exactly once; a waiter
 //! is never left parked; every way a batch can end (answered, failed,
 //! mis-answered, dropped, abandoned by its batcher) resolves all of its
-//! tickets and hands every admission slot back.
+//! tickets and hands every admission slot back. And what the demand
+//! trigger adds: a blocking wait on a batch that is still filling asks the
+//! batcher's owner to ship it; polling never does.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::sync::{Arc, Barrier, Weak};
+use std::time::{Duration, Instant};
 
 use shhc_net::{AdmissionPolicy, ClosedBatch, SharedBatcher, Ticket};
 use shhc_types::{Error, Fingerprint};
@@ -300,4 +303,145 @@ fn batches_and_tickets_are_send_for_send_answers() {
     assert_send::<ClosedBatch<SendNotSync>>();
     assert_send::<Ticket<SendNotSync>>();
     assert_send::<SharedBatcher<SendNotSync>>();
+}
+
+/// A batcher with the smallest possible owner: asked, it ships the wanted
+/// batch on the asking thread unless it is `busy` (a round trip of its own
+/// in flight), and counts the asks.
+struct Owned {
+    batcher: SharedBatcher<u64>,
+    busy: AtomicBool,
+    asks: AtomicUsize,
+}
+
+fn owned(max_age: Duration) -> Arc<Owned> {
+    Arc::new_cyclic(|weak: &Weak<Owned>| {
+        let weak = weak.clone();
+        Owned {
+            batcher: SharedBatcher::new(1000, max_age).on_demand(move || {
+                let Some(owner) = weak.upgrade() else { return };
+                owner.asks.fetch_add(1, Ordering::SeqCst);
+                if !owner.busy.load(Ordering::SeqCst) {
+                    if let Some(batch) = owner.batcher.close_wanted() {
+                        answer(batch);
+                    }
+                }
+            }),
+            busy: AtomicBool::new(false),
+            asks: AtomicUsize::new(0),
+        }
+    })
+}
+
+#[test]
+fn first_wait_on_an_open_batch_ships_it_on_demand() {
+    let owner = owned(Duration::from_secs(60));
+    let tickets: Vec<_> = (0..3).map(|i| owner.batcher.submit(fp(i)).ticket).collect();
+    assert!(
+        owner.batcher.close_wanted().is_none(),
+        "nobody has blocked yet"
+    );
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        assert_eq!(
+            ticket
+                .wait_timeout(PATIENCE)
+                .expect("answered within PATIENCE, not at the 60 s age limit"),
+            fp(i as u64).route_key()
+        );
+    }
+    assert_eq!(
+        owner.asks.load(Ordering::SeqCst),
+        1,
+        "one ask per batch; the other tickets found their answers"
+    );
+    let stats = owner.batcher.stats();
+    assert_eq!((stats.batches, stats.closed_by_demand), (1, 1));
+    assert_settled(&owner.batcher, 3);
+}
+
+#[test]
+fn polling_is_ready_never_demands() {
+    let owner = owned(Duration::from_millis(5));
+    let ticket = owner.batcher.submit(fp(1)).ticket;
+    for _ in 0..1000 {
+        assert!(!ticket.is_ready());
+    }
+    assert_eq!(owner.asks.load(Ordering::SeqCst), 0);
+    assert!(owner.batcher.close_wanted().is_none());
+    // Such a client is what the age limit is still for.
+    let deadline = owner.batcher.next_deadline().expect("one pending");
+    std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+    answer(owner.batcher.poll().expect("past the age limit"));
+    assert!(ticket.is_ready());
+    assert_eq!(ticket.wait().unwrap(), fp(1).route_key());
+    let stats = owner.batcher.stats();
+    assert_eq!((stats.closed_by_age, stats.closed_by_demand), (1, 0));
+}
+
+/// While the owner is busy its answer to an ask is "not yet": the batch
+/// keeps filling, wanted. `pass_demand` then wakes its waiters and one of
+/// them asks again — every client that arrived meanwhile leaves in that
+/// one batch.
+#[test]
+fn asks_behind_a_busy_owner_become_one_batch_when_demand_is_passed() {
+    const CLIENTS: u64 = 6;
+    let owner = owned(FAR);
+    owner.busy.store(true, Ordering::SeqCst);
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let owner = Arc::clone(&owner);
+            std::thread::spawn(move || owner.batcher.submit(fp(c)).ticket.wait_timeout(PATIENCE))
+        })
+        .collect();
+    // Everyone has submitted and at least one has asked and been put off.
+    while owner.batcher.pending_len() < CLIENTS as usize || owner.asks.load(Ordering::SeqCst) == 0 {
+        std::thread::yield_now();
+    }
+    assert_eq!(
+        owner.batcher.stats().batches,
+        0,
+        "a busy owner ships nothing"
+    );
+    owner.busy.store(false, Ordering::SeqCst);
+    owner.batcher.pass_demand();
+    for (c, client) in clients.into_iter().enumerate() {
+        assert_eq!(
+            client.join().expect("client"),
+            Ok(fp(c as u64).route_key()),
+            "client {c} was left parked"
+        );
+    }
+    let stats = owner.batcher.stats();
+    assert_eq!((stats.batches, stats.closed_by_demand), (1, 1));
+    assert_eq!(stats.max_occupancy, CLIENTS as usize);
+    assert_settled(&owner.batcher, CLIENTS);
+}
+
+#[test]
+fn ticket_waited_on_after_its_owner_is_gone_is_unavailable() {
+    let owner = owned(FAR);
+    let queued = owner.batcher.submit(fp(1)).ticket;
+    drop(owner);
+    assert!(matches!(queued.wait(), Err(Error::Unavailable(_))));
+}
+
+#[test]
+fn failure_reaches_every_ticket_of_a_demand_closed_batch() {
+    let failing: Arc<SharedBatcher<u64>> = Arc::new_cyclic(|weak: &Weak<SharedBatcher<u64>>| {
+        let weak = weak.clone();
+        SharedBatcher::new(1000, FAR).on_demand(move || {
+            if let Some(batch) = weak.upgrade().and_then(|b| b.close_wanted()) {
+                batch.fail(&Error::Unavailable("node down".into()));
+            }
+        })
+    });
+    let tickets: Vec<_> = (0..4).map(|i| failing.submit(fp(i)).ticket).collect();
+    for ticket in tickets {
+        assert!(matches!(
+            ticket.wait_timeout(PATIENCE),
+            Err(Error::Unavailable(m)) if m == "node down"
+        ));
+    }
+    assert_eq!(failing.stats().closed_by_demand, 1);
+    assert_settled(&failing, 4);
 }

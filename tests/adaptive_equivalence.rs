@@ -1,16 +1,18 @@
 //! Self-tuning equivalence suite.
 //!
-//! Every knob the PR-8 controllers turn — batch close limits, shard key
-//! ranges, per-shard cache capacities — is a *performance* dial. This
-//! suite pins down the invariant that makes closed-loop tuning safe to
-//! enable by default: the tuned system returns byte-identical answers
-//! to the untuned one for the same submission sequence.
+//! Every knob the PR-8 controllers turn — shard key ranges, per-shard
+//! cache capacities — is a *performance* dial. This suite pins down the
+//! invariant that makes closed-loop tuning safe to enable by default: the
+//! tuned system returns byte-identical answers to the untuned one for the
+//! same submission sequence. (Batch close limits left this list when
+//! demand close made them nothing to tune; where batch boundaries fall
+//! still must not change an answer, and the first test keeps that.)
 
 use std::time::Duration;
 
 use shhc::{
     AutotuneOptions, ClusterConfig, Durability, LookupAnswer, NodeConfig, SharedFrontend,
-    ShhcCluster, TunerConfig,
+    ShhcCluster,
 };
 use shhc_types::Fingerprint;
 use shhc_workload::SkewSpec;
@@ -21,62 +23,52 @@ fn zipf_trace(ops: usize, seed: u64) -> Vec<Fingerprint> {
     SkewSpec::zipf_clustered(ops, 4_000, 1.1, seed).fingerprints()
 }
 
-/// Drives one front-end through the trace single-threaded, flushing
-/// every `wave` submissions, and collects every answer in order.
+/// Drives one front-end through the trace single-threaded in waves of
+/// `wave` submissions, blocking on each wave's tickets, and collects
+/// every answer in order.
 ///
-/// The age limit (both the front-end's and the tuner's bounds) is kept
-/// huge so every batch is dispatched on *this* thread — inline on a
-/// size close or via the explicit flush. Sequential dispatch means each
-/// node sees its fingerprints in submission order no matter where the
-/// batch boundaries fall, which is exactly why retuning the size limit
-/// mid-stream cannot change answers.
+/// The age limit is kept huge so every batch is dispatched on *this*
+/// thread — inline on a size close, or on demand when the first wait
+/// finds the wave's tail still open. Sequential dispatch means each node
+/// sees its fingerprints in submission order no matter where the batch
+/// boundaries fall, which is exactly why the close rules cannot change
+/// answers.
 fn drive(fe: &SharedFrontend, trace: &[Fingerprint], wave: usize) -> Vec<LookupAnswer> {
-    let mut tickets = Vec::with_capacity(trace.len());
+    let mut answers = Vec::with_capacity(trace.len());
     for chunk in trace.chunks(wave) {
-        for &fp in chunk {
-            tickets.push(fe.submit(fp));
-        }
-        fe.flush().expect("flush");
+        let tickets: Vec<_> = chunk.iter().map(|&fp| fe.submit(fp)).collect();
+        answers.extend(tickets.into_iter().map(|t| t.wait().expect("answer")));
     }
-    tickets
-        .into_iter()
-        .map(|t| t.wait().expect("answer"))
-        .collect()
+    answers
 }
 
 const FOREVER: Duration = Duration::from_secs(600);
 
-/// Tuner bounds that pin the age limit (so the flusher thread never
-/// races the driving thread) while letting the size limit move freely.
-fn size_only_tuner(target: Duration) -> TunerConfig {
-    TunerConfig {
-        min_size: 2,
-        max_size: 64,
-        min_age: FOREVER,
-        max_age: FOREVER,
-        target_delay: target,
-        interval: Duration::from_millis(1),
-    }
-}
-
 #[test]
-fn adaptive_frontend_answers_match_static() {
+fn answers_do_not_depend_on_where_batches_close() {
     let trace = zipf_trace(600, 11);
-    let static_cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
-    let static_fe = SharedFrontend::new(static_cluster.clone(), 8, FOREVER);
-    let want = drive(&static_fe, &trace, 50);
+    let reference = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
+    let want = drive(
+        &SharedFrontend::new(reference.clone(), 8, FOREVER),
+        &trace,
+        50,
+    );
 
-    // One tuner pushed toward shrinking (impossible tail target), one
-    // toward growing (unreachable tail target): both must agree with
-    // the static run answer-for-answer.
-    for target in [Duration::ZERO, Duration::from_secs(1)] {
+    // Size limits below, at and far above the wave: mostly size closes
+    // with a demand-closed tail, one demand close per wave, and waves of
+    // one (every batch a single demanded fingerprint).
+    for (batch_size, wave) in [(2, 50), (64, 50), (1000, 50), (1000, 1)] {
         let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
-        let fe = SharedFrontend::with_tuner(cluster.clone(), 8, FOREVER, size_only_tuner(target));
-        let got = drive(&fe, &trace, 50);
-        assert_eq!(got, want, "tuned answers diverged (target {target:?})");
+        let fe = SharedFrontend::new(cluster.clone(), batch_size, FOREVER);
+        let got = drive(&fe, &trace, wave);
+        assert_eq!(
+            got, want,
+            "answers diverged (size {batch_size}, wave {wave})"
+        );
+        assert_eq!(fe.stats().closed_by_age, 0);
         cluster.shutdown().unwrap();
     }
-    static_cluster.shutdown().unwrap();
+    reference.shutdown().unwrap();
 }
 
 #[test]
