@@ -154,9 +154,12 @@ fn bench_flash_store(c: &mut Criterion) {
 
 /// Cold batched probes at the size the perf ledger measures: a
 /// `default_node` store holding 3 M records (≈ 100 MiB of pages, far
-/// past any CPU cache) probed in 1 024-fingerprint batches drawn
-/// uniformly from what it holds. `get_cold` above runs over 50 k records
-/// that stay cache-resident, which hides the per-probe cost.
+/// past any CPU cache) probed in 1 024-fingerprint batches — drawn
+/// uniformly from what it holds (`get_batch_cold`: directory hit, one
+/// page read, one record verified) or from keys it never held
+/// (`get_batch_absent`: directory miss, no read). `get_cold` above runs
+/// over 50 k records that stay cache-resident, which hides the per-probe
+/// cost.
 fn bench_flash_store_cold(c: &mut Criterion) {
     const RECORDS: u64 = 3_000_000;
     const BATCH: usize = 1024;
@@ -164,33 +167,60 @@ fn bench_flash_store_cold(c: &mut Criterion) {
     let mut group = c.benchmark_group("flash_store");
     group.throughput(Throughput::Elements(BATCH as u64));
     // Built on first use: the load takes seconds, and a filtered run
-    // that skips this row should not pay it.
-    let mut loaded: Option<(FlashStore, Vec<Vec<Fingerprint>>)> = None;
+    // that skips both rows should not pay it.
+    struct Loaded {
+        store: FlashStore,
+        held: Vec<Vec<Fingerprint>>,
+        absent: Vec<Vec<Fingerprint>>,
+    }
+    let mut loaded: Option<Loaded> = None;
+    let mut load = || {
+        let mut rng = StdRng::seed_from_u64(3);
+        let keys: Vec<Fingerprint> = (0..RECORDS)
+            .map(|_| Fingerprint::from_u64(rng.gen()))
+            .collect();
+        let mut store = FlashStore::new(FlashConfig::default_node()).expect("config");
+        for (i, fp) in keys.iter().enumerate() {
+            store.put(*fp, i as u64).expect("put");
+        }
+        store.flush().expect("flush");
+        let held = (0..BATCHES)
+            .map(|_| {
+                (0..BATCH)
+                    .map(|_| keys[rng.gen_range(0..keys.len())])
+                    .collect()
+            })
+            .collect();
+        // Fresh 64-bit draws: none of them is among the 3 M held.
+        let absent = (0..BATCHES)
+            .map(|_| {
+                (0..BATCH)
+                    .map(|_| Fingerprint::from_u64(rng.gen()))
+                    .collect()
+            })
+            .collect();
+        Loaded {
+            store,
+            held,
+            absent,
+        }
+    };
     let mut next = 0usize;
     group.bench_function("get_batch_cold", |b| {
-        let (store, batches) = loaded.get_or_insert_with(|| {
-            let mut rng = StdRng::seed_from_u64(3);
-            let held: Vec<Fingerprint> = (0..RECORDS)
-                .map(|_| Fingerprint::from_u64(rng.gen()))
-                .collect();
-            let mut store = FlashStore::new(FlashConfig::default_node()).expect("config");
-            for (i, fp) in held.iter().enumerate() {
-                store.put(*fp, i as u64).expect("put");
-            }
-            store.flush().expect("flush");
-            let batches = (0..BATCHES)
-                .map(|_| {
-                    (0..BATCH)
-                        .map(|_| held[rng.gen_range(0..held.len())])
-                        .collect()
-                })
-                .collect();
-            (store, batches)
-        });
+        let l = loaded.get_or_insert_with(&mut load);
         b.iter(|| {
             next = (next + 1) % BATCHES;
-            store
-                .get_batch(black_box(&batches[next]))
+            l.store
+                .get_batch(black_box(&l.held[next]))
+                .expect("get_batch")
+        });
+    });
+    group.bench_function("get_batch_absent", |b| {
+        let l = loaded.get_or_insert_with(&mut load);
+        b.iter(|| {
+            next = (next + 1) % BATCHES;
+            l.store
+                .get_batch(black_box(&l.absent[next]))
                 .expect("get_batch")
         });
     });

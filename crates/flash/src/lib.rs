@@ -14,8 +14,10 @@
 //!    collection and write-amplification accounting,
 //! 3. [`FlashStore`] — a bucketed, persistent fingerprint → value table
 //!    over the FTL with a RAM write buffer (delayed writes, as in
-//!    dedupv1), costing ~one flash page read per cold lookup — the same
-//!    characteristic the paper relies on from Berkeley DB on SSD,
+//!    dedupv1) and a 2-byte-per-record RAM signature directory, costing
+//!    one flash page read per cold lookup of a stored key and none for
+//!    an absent one — the characteristic the paper relies on from
+//!    Berkeley DB on SSD,
 //! 4. [`wal`] — an optional write-ahead durability layer
 //!    ([`Durability::Wal`]): a group-committed, checksummed journal plus
 //!    an append-only segment log, replayed on [`FlashStore::open`] so the

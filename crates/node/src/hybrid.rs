@@ -690,6 +690,13 @@ impl HybridHashNode {
         self.cache.len()
     }
 
+    /// RAM held by the flash table's signature directories, in bytes
+    /// ([`FlashStore::directory_bytes`]) — with the bloom filter and the
+    /// cache, the third term of the node's RAM per fingerprint.
+    pub fn directory_bytes(&self) -> usize {
+        self.store.directory_bytes()
+    }
+
     /// The paper's Figure 4 operation: look up `fp`, inserting it as a
     /// new chunk when absent.
     ///
@@ -1324,6 +1331,22 @@ mod tests {
             s.bloom_skips >= 95,
             "bloom skipped only {} of 100 cold misses",
             s.bloom_skips
+        );
+    }
+
+    #[test]
+    fn ram_accounting_names_the_flash_directory() {
+        let mut n = node();
+        let empty = n.directory_bytes();
+        for i in 0..500 {
+            n.lookup_insert(fp(i)).unwrap();
+        }
+        n.flush().unwrap();
+        // Two bytes a record on flash, up to doubled by vector growth.
+        let tags = n.directory_bytes() - empty;
+        assert!(
+            (2 * 500..=4 * 500).contains(&tags),
+            "{tags} B for 500 records"
         );
     }
 

@@ -585,6 +585,14 @@ impl ShardedNode {
         self.shards.iter().map(HybridHashNode::cached_entries).sum()
     }
 
+    /// Flash signature-directory bytes across all shards.
+    pub fn directory_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(HybridHashNode::directory_bytes)
+            .sum()
+    }
+
     /// The paper's lookup-insert over one fingerprint.
     ///
     /// # Errors
