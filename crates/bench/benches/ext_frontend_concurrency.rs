@@ -10,9 +10,8 @@
 //! - `shared` — one [`SharedFrontend`]: submissions from every client
 //!   join one batch queue and receive completion tickets; batches close
 //!   on size, or on age via the background flusher,
-//! - `per_client` — K independent [`SyncFrontend`] sessions at the *same*
-//!   size/age config: the pre-refactor architecture, where each client
-//!   batches alone and blocks on its own dispatch.
+//! - `per_client` — K private [`SharedFrontend`]s at the *same* size/age
+//!   config, one per client: each client batches alone.
 //!
 //! Nodes charge a wall-clock `batch_overhead` per frame (the per-message
 //! network/protocol cost batching exists to amortize) — so a front-end
@@ -28,10 +27,9 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use shhc::{ClusterConfig, NodeConfig, SharedFrontend, ShhcCluster, SyncFrontend};
+use shhc::{ClusterConfig, NodeConfig, SharedFrontend, ShhcCluster};
 use shhc_bench::{banner, frontend_quick, write_bench_json, write_csv};
 use shhc_net::SharedBatcherStats;
-use shhc_types::Nanos;
 use shhc_workload::MultiClientSpec;
 
 struct Scenario {
@@ -63,7 +61,7 @@ fn spawn_cluster(scenario: &Scenario) -> ShhcCluster {
     ShhcCluster::spawn(ClusterConfig::new(scenario.nodes, node_config)).expect("spawn cluster")
 }
 
-/// Merges per-session stats (per-client mode has K of them) into one
+/// Merges per-front-end stats (per-client mode has K of them) into one
 /// distribution for reporting.
 fn merge_stats(all: &[SharedBatcherStats]) -> Measured {
     let mut merged = SharedBatcherStats::default();
@@ -88,20 +86,25 @@ fn merge_stats(all: &[SharedBatcherStats]) -> Measured {
     }
 }
 
-/// K client threads share one front-end; each paces its shard, collects
-/// completion tickets, flushes its tail and waits for every answer.
+/// K client threads spread round-robin over `frontends` front-ends (1 =
+/// all share one; K = one private front-end each); each paces its shard,
+/// collects completion tickets, flushes its tail and waits for every
+/// answer.
 fn drive_shared(
     scenario: &Scenario,
     clients: usize,
+    frontends: usize,
     batch_size: usize,
     shards: &[Vec<shhc_types::Fingerprint>],
 ) -> Measured {
     let cluster = spawn_cluster(scenario);
-    let frontend = SharedFrontend::new(cluster.clone(), batch_size, scenario.max_age);
+    let frontends: Vec<SharedFrontend> = (0..frontends)
+        .map(|_| SharedFrontend::new(cluster.clone(), batch_size, scenario.max_age))
+        .collect();
     let barrier = Arc::new(Barrier::new(clients + 1));
     let mut handles = Vec::new();
-    for shard in shards.iter().take(clients).cloned() {
-        let fe = frontend.clone();
+    for (c, shard) in shards.iter().take(clients).cloned().enumerate() {
+        let fe = frontends[c % frontends.len()].clone();
         let barrier = Arc::clone(&barrier);
         let gap = scenario.arrival_gap;
         handles.push(std::thread::spawn(move || {
@@ -125,78 +128,9 @@ fn drive_shared(
     let start = Instant::now();
     let lookups: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
     let elapsed = start.elapsed();
-    let stats = frontend.stats();
-    let mut m = merge_stats(std::slice::from_ref(&stats));
+    let stats: Vec<SharedBatcherStats> = frontends.iter().map(SharedFrontend::stats).collect();
+    let mut m = merge_stats(&stats);
     cluster.shutdown().expect("shutdown");
-    m.lookups = lookups;
-    m.elapsed = elapsed;
-    m.lookups_per_sec = lookups as f64 / elapsed.as_secs_f64();
-    m
-}
-
-/// K independent per-client sessions at the same size/age config — the
-/// pre-refactor synchronous front-end as measured baseline.
-fn drive_per_client(
-    scenario: &Scenario,
-    clients: usize,
-    batch_size: usize,
-    shards: &[Vec<shhc_types::Fingerprint>],
-) -> Measured {
-    let cluster = spawn_cluster(scenario);
-    let barrier = Arc::new(Barrier::new(clients + 1));
-    let max_age = Nanos::from(scenario.max_age);
-    let mut handles = Vec::new();
-    for shard in shards.iter().take(clients).cloned() {
-        let cluster = cluster.clone();
-        let barrier = Arc::clone(&barrier);
-        let gap = scenario.arrival_gap;
-        handles.push(std::thread::spawn(move || {
-            let mut fe = SyncFrontend::new(cluster, batch_size, max_age);
-            barrier.wait();
-            let mut answered = 0u64;
-            // Queueing delay for the baseline: time from a batch's first
-            // submission to its dispatch, attributed per fingerprint.
-            let mut delays_ns: Vec<u64> = Vec::new();
-            let mut opened_at: Option<Instant> = None;
-            for fp in shard {
-                std::thread::sleep(gap);
-                let opened = *opened_at.get_or_insert_with(Instant::now);
-                if let Some(results) = fe.submit(fp).expect("submit") {
-                    let waited = opened.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                    answered += results.len() as u64;
-                    delays_ns.extend(std::iter::repeat_n(waited, results.len()));
-                    opened_at = None;
-                }
-            }
-            if let Some(opened) = opened_at {
-                let results = fe.flush().expect("flush");
-                let waited = opened.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                answered += results.len() as u64;
-                delays_ns.extend(std::iter::repeat_n(waited, results.len()));
-            }
-            (answered, fe.batches_sent(), delays_ns)
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    let mut lookups = 0u64;
-    let mut batches = 0u64;
-    let mut delays_ns: Vec<u64> = Vec::new();
-    for h in handles {
-        let (answered, sent, delays) = h.join().unwrap();
-        lookups += answered;
-        batches += sent;
-        delays_ns.extend(delays);
-    }
-    let elapsed = start.elapsed();
-    cluster.shutdown().expect("shutdown");
-    let stats = SharedBatcherStats {
-        batches,
-        fingerprints: lookups,
-        delay_samples_ns: delays_ns,
-        ..SharedBatcherStats::default()
-    };
-    let mut m = merge_stats(std::slice::from_ref(&stats));
     m.lookups = lookups;
     m.elapsed = elapsed;
     m.lookups_per_sec = lookups as f64 / elapsed.as_secs_f64();
@@ -253,8 +187,8 @@ fn main() {
         for &clients in &scenario.client_counts {
             let spec = MultiClientSpec::open_loop(max_clients, scenario.per_client);
             let shards = spec.shards();
-            let per = drive_per_client(&scenario, clients, batch_size, &shards);
-            let shared = drive_shared(&scenario, clients, batch_size, &shards);
+            let per = drive_shared(&scenario, clients, clients, batch_size, &shards);
+            let shared = drive_shared(&scenario, clients, 1, batch_size, &shards);
             let speedup = shared.lookups_per_sec / per.lookups_per_sec;
             let p99 = shared.p99_delay.unwrap_or_default();
             println!(

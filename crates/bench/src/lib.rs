@@ -32,12 +32,6 @@ pub fn fig1_requests() -> u64 {
         .unwrap_or(100_000)
 }
 
-/// Quick mode for the wall-clock scaling bench (`SHHC_WALLCLOCK_QUICK`):
-/// tiny batch counts so CI can smoke-run the harness in under a second.
-pub fn wallclock_quick() -> bool {
-    env_flag("SHHC_WALLCLOCK_QUICK")
-}
-
 /// Quick mode for the front-end concurrency bench
 /// (`SHHC_FRONTEND_QUICK`): tiny client populations for a CI smoke run.
 pub fn frontend_quick() -> bool {

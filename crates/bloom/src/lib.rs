@@ -6,8 +6,6 @@
 //! crate provides:
 //!
 //! - [`BloomFilter`] — the classic bit-array filter with double hashing,
-//! - [`CountingBloomFilter`] — 4-bit counters supporting deletion (needed
-//!   once garbage collection of dead fingerprints is in play),
 //! - [`BloomParams`] — the usual parameter solver (optimal `m`, `k` from
 //!   expected insertions and target false-positive rate).
 //!
@@ -24,11 +22,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod counting;
 mod filter;
 mod params;
 
-pub use counting::CountingBloomFilter;
 pub use filter::BloomFilter;
 pub use params::BloomParams;
 

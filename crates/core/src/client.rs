@@ -185,7 +185,11 @@ impl<C: Chunker, S: ChunkStore> BackupClient<C, S> {
     /// # Errors
     ///
     /// Propagates storage failures; corruption is detected per chunk.
-    pub fn restore_snapshot(&self, snapshot: &Snapshot) -> Result<Dataset> {
+    pub fn restore_snapshot(&self, snapshot: &Snapshot) -> Result<Dataset>
+    where
+        C: Send + Sync,
+        S: Send + Sync,
+    {
         let mut ds = Dataset::generate(&shhc_workload::DatasetSpec {
             files: 0,
             mean_file_size: 1,

@@ -4,15 +4,10 @@
 //! answers in arrival order, flush) but is now a thin facade over a
 //! [`SharedFrontend`] handle, so any number of sessions — each with its
 //! own `Frontend` — can feed one cross-client batch queue.
-//! [`SyncFrontend`] preserves the pre-refactor behaviour (per-session
-//! batching, dispatch only ever on the submitting thread) as the measured
-//! baseline for the front-end concurrency bench and as a semantic
-//! reference, starvation bug included.
 
 use std::collections::VecDeque;
-use std::time::Instant;
 
-use shhc_net::{Batcher, Ticket};
+use shhc_net::Ticket;
 use shhc_types::{Fingerprint, Nanos, Result};
 
 use crate::{LookupAnswer, SharedFrontend, ShhcCluster};
@@ -147,99 +142,6 @@ impl Frontend {
     }
 }
 
-/// The pre-refactor synchronous front-end: per-session batching, batch
-/// dispatch only ever happens inside `submit` or `flush` on the calling
-/// thread.
-///
-/// Kept (like the cluster's `DataPlane::Sequential`) as the measured
-/// per-client-batching baseline of the `ext_frontend_concurrency` bench
-/// and as a semantic reference. Its known flaw is documented by the
-/// idle-batch starvation regression test: with no further calls, an
-/// age-expired batch is never released, because `max_age` is only
-/// evaluated on the next `submit`.
-#[derive(Debug)]
-pub struct SyncFrontend {
-    cluster: ShhcCluster,
-    batcher: Batcher,
-    epoch: Instant,
-    batches_sent: u64,
-    fingerprints_sent: u64,
-}
-
-impl SyncFrontend {
-    /// Creates a session batching up to `batch_size` fingerprints or
-    /// `max_age` of waiting, whichever comes first — evaluated only on
-    /// calls into this session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn new(cluster: ShhcCluster, batch_size: usize, max_age: Nanos) -> Self {
-        SyncFrontend {
-            cluster,
-            batcher: Batcher::new(batch_size, max_age),
-            epoch: Instant::now(),
-            batches_sent: 0,
-            fingerprints_sent: 0,
-        }
-    }
-
-    fn now(&self) -> Nanos {
-        Nanos::from(self.epoch.elapsed())
-    }
-
-    /// Adds a fingerprint. When the batch closes (size or age), it is
-    /// sent to the cluster and the per-fingerprint answers are returned.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster failures; the batch's fingerprints are consumed
-    /// either way.
-    pub fn submit(&mut self, fp: Fingerprint) -> Result<Option<Vec<(Fingerprint, bool)>>> {
-        let now = self.now();
-        match self.batcher.push(fp, now) {
-            Some(batch) => self.dispatch(batch.fingerprints).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Sends whatever is pending, returning its answers (empty when
-    /// nothing was pending).
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster failures.
-    pub fn flush(&mut self) -> Result<Vec<(Fingerprint, bool)>> {
-        let now = self.now();
-        match self.batcher.flush(now) {
-            Some(batch) => self.dispatch(batch.fingerprints),
-            None => Ok(Vec::new()),
-        }
-    }
-
-    fn dispatch(&mut self, fps: Vec<Fingerprint>) -> Result<Vec<(Fingerprint, bool)>> {
-        let exists = self.cluster.lookup_insert_batch(&fps)?;
-        self.batches_sent += 1;
-        self.fingerprints_sent += fps.len() as u64;
-        Ok(fps.into_iter().zip(exists).collect())
-    }
-
-    /// Fingerprints currently waiting in the session batch.
-    pub fn pending_len(&self) -> usize {
-        self.batcher.pending_len()
-    }
-
-    /// Batches dispatched so far.
-    pub fn batches_sent(&self) -> u64 {
-        self.batches_sent
-    }
-
-    /// Fingerprints dispatched so far.
-    pub fn fingerprints_sent(&self) -> u64 {
-        self.fingerprints_sent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,18 +204,6 @@ mod tests {
             vec![1, 3]
         );
         assert_eq!(a.batches_sent(), 1, "one cross-client batch");
-        cluster.shutdown().unwrap();
-    }
-
-    #[test]
-    fn sync_frontend_still_batches_by_size() {
-        let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
-        let mut fe = SyncFrontend::new(cluster.clone(), 2, Nanos::from_secs(60));
-        assert!(fe.submit(Fingerprint::from_u64(1)).unwrap().is_none());
-        let results = fe.submit(Fingerprint::from_u64(2)).unwrap().unwrap();
-        assert_eq!(results.len(), 2);
-        assert_eq!(fe.batches_sent(), 1);
-        assert!(fe.flush().unwrap().is_empty());
         cluster.shutdown().unwrap();
     }
 }

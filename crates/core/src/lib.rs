@@ -18,8 +18,7 @@
 //!   a bounded [`AdmissionPolicy`] (blocking backpressure or fail-fast
 //!   shedding) — the multi-front-end arrangement of the paper's Figure 4,
 //! - [`Frontend`] — the per-session facade over a shared front-end
-//!   (legacy single-client API preserved); [`SyncFrontend`] keeps the
-//!   pre-refactor submit-driven behaviour as a measured baseline,
+//!   (legacy single-client API preserved),
 //! - [`BackupService`] — the end-to-end backup path: chunking →
 //!   fingerprint lookup → chunk storage → manifest, plus verified
 //!   restore,
@@ -63,7 +62,7 @@ pub use client::{BackupClient, FileEntry, Snapshot, SnapshotReport};
 pub use cluster::{
     ClusterConfig, ClusterStats, DataPlane, RebalanceReport, RecoveryReport, ShhcCluster,
 };
-pub use frontend::{Frontend, SyncFrontend};
+pub use frontend::Frontend;
 pub use server::{AutotuneOptions, AutotuneReport, NodeSnapshot};
 pub use service::{BackupReport, BackupService, DeleteReport, RestoreConfig, RestoreReport};
 pub use shared_frontend::{FrontendConfig, LookupAnswer, SharedFrontend};

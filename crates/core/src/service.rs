@@ -42,18 +42,16 @@ pub struct DeleteReport {
 /// Tuning for the restore read path.
 ///
 /// `batch` is the number of manifest entries located and fetched per
-/// store-lock scope (both restore flavours release the chunk-store read
-/// lock between batches, so concurrent backup sessions' writers are never
+/// store-lock scope (the restore releases the chunk-store read lock
+/// between batches, so concurrent backup sessions' writers are never
 /// starved by a long replay). `window` is how many fetched batches the
-/// pipelined restore may hold ready ahead of assembly — the prefetcher
-/// blocks once it is that far ahead, bounding memory to
-/// `window × batch × chunk_size`.
+/// restore may hold ready ahead of assembly — the prefetcher blocks once
+/// it is that far ahead, bounding memory to `window × batch × chunk_size`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreConfig {
     /// Manifest entries per locate/fetch batch (per lock scope).
     pub batch: usize,
-    /// Fetched batches the prefetcher may run ahead of assembly
-    /// (pipelined restore only; the sequential path ignores it).
+    /// Fetched batches the prefetcher may run ahead of assembly.
     pub window: usize,
 }
 
@@ -502,26 +500,47 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
     ///
     /// Propagates storage errors; corruption and missing chunks are
     /// detected.
-    pub fn restore(&self, manifest: &BackupManifest) -> Result<Vec<u8>> {
+    pub fn restore(&self, manifest: &BackupManifest) -> Result<Vec<u8>>
+    where
+        C: Send + Sync,
+        S: Send + Sync,
+    {
         self.restore_with(manifest, RestoreConfig::default())
             .map(|r| r.data)
     }
 
-    /// Sequential restore: replays the manifest one entry at a time,
-    /// asking the cluster where each fingerprint lives (one locate
-    /// round-trip per chunk — the pre-batching read path, kept as the
-    /// measured baseline for
-    /// [`restore_pipelined_with`](Self::restore_pipelined_with)) and
-    /// fetching/verifying each chunk from the store.
+    /// Another name for [`restore`](Self::restore), kept only because the
+    /// benchmark package (`ledger/src/bytes.rs`) calls it.
+    ///
+    /// # Errors
+    ///
+    /// As [`restore`](Self::restore).
+    pub fn restore_pipelined(&self, manifest: &BackupManifest) -> Result<Vec<u8>>
+    where
+        C: Send + Sync,
+        S: Send + Sync,
+    {
+        self.restore(manifest)
+    }
+
+    /// Replays a manifest: a prefetcher thread walks it up to
+    /// `config.window` batches ahead of assembly, locating each batch's
+    /// fingerprints in the cluster as **one** batched query and fetching
+    /// its chunks as **one** [`ChunkStore::get_many`] call, while this
+    /// thread verifies and assembles the previous batch — fetch of batch
+    /// N+1 overlaps assembly of batch N.
     ///
     /// The store read lock is taken per `config.batch` entries, never for
     /// the whole replay, so concurrent backup sessions' writes interleave
     /// with a long restore instead of queueing behind it.
     ///
-    /// The cluster locates are advisory (see [`RestoreReport`]): their
-    /// answers are audited, but data is always fetched by the manifest's
-    /// chunk id, and a failing cluster degrades the audit rather than the
-    /// restore.
+    /// The locate queries are sent with [`Admission::Bypass`]: a full
+    /// restore is a scan, and it must not evict the ingest working set
+    /// from the nodes' RAM caches (answers are byte-identical to normal
+    /// queries; only cache recency differs). Locates are advisory (see
+    /// [`RestoreReport`]): their answers are audited, but data is always
+    /// fetched by the manifest's chunk id, and a failing cluster degrades
+    /// the audit rather than the restore.
     ///
     /// # Errors
     ///
@@ -529,96 +548,6 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
     /// [`Error::Corruption`] if a chunk's payload or length no longer
     /// matches the manifest. Cluster failures never error the restore.
     pub fn restore_with(
-        &self,
-        manifest: &BackupManifest,
-        config: RestoreConfig,
-    ) -> Result<RestoreReport> {
-        let start = Instant::now();
-        let mut out = Vec::with_capacity(manifest.logical_bytes() as usize);
-        let mut located = 0usize;
-        let mut mismatched = 0usize;
-        let mut skipped = 0usize;
-        let mut degraded = false;
-        for (w, window) in manifest.entries.chunks(config.batch.max(1)).enumerate() {
-            for entry in window {
-                if degraded {
-                    skipped += 1;
-                    continue;
-                }
-                match self.cluster().query_batch_values_with(
-                    std::slice::from_ref(&entry.fingerprint),
-                    {
-                        // The paper's client restore path reads through
-                        // the index like any other lookup; only the
-                        // batched prefetcher marks itself a scan.
-                        Admission::Normal
-                    },
-                ) {
-                    Ok((exists, _)) if exists.first().copied().unwrap_or(false) => located += 1,
-                    Ok(_) => mismatched += 1,
-                    Err(_) => {
-                        degraded = true;
-                        skipped += 1;
-                    }
-                }
-            }
-            let store = self.inner.store.read();
-            for (j, entry) in window.iter().enumerate() {
-                let i = w * config.batch.max(1) + j;
-                let data = store.get(entry.chunk)?;
-                verify_entry(i, entry, data.len(), store.fingerprint_of(entry.chunk)?)?;
-                out.extend_from_slice(&data);
-            }
-        }
-        Ok(RestoreReport {
-            chunks: manifest.len(),
-            bytes: out.len() as u64,
-            data: out,
-            located,
-            mismatched,
-            skipped,
-            degraded,
-            duration: start.elapsed(),
-        })
-    }
-
-    /// Pipelined restore under the default [`RestoreConfig`], returning
-    /// just the payload. See
-    /// [`restore_pipelined_with`](Self::restore_pipelined_with).
-    ///
-    /// # Errors
-    ///
-    /// As [`restore_with`](Self::restore_with); the two flavours are
-    /// byte-exact equivalents.
-    pub fn restore_pipelined(&self, manifest: &BackupManifest) -> Result<Vec<u8>>
-    where
-        C: Send + Sync,
-        S: Send + Sync,
-    {
-        self.restore_pipelined_with(manifest, RestoreConfig::default())
-            .map(|r| r.data)
-    }
-
-    /// Pipelined restore: a prefetcher thread walks the manifest up to
-    /// `config.window` batches ahead of assembly, locating each batch's
-    /// fingerprints in the cluster as **one** batched query and fetching
-    /// its chunks as **one** [`ChunkStore::get_many`] call, while this
-    /// thread verifies and assembles the previous batch — fetch of batch
-    /// N+1 overlaps assembly of batch N.
-    ///
-    /// The locate queries are sent with [`Admission::Bypass`]: a full
-    /// restore is a scan, and it must not evict the ingest working set
-    /// from the nodes' RAM caches (answers are byte-identical to normal
-    /// queries; only cache recency differs). As in
-    /// [`restore_with`](Self::restore_with), locates are advisory, the
-    /// store read lock is scoped per batch, and data always comes from
-    /// the manifest's own chunk ids.
-    ///
-    /// # Errors
-    ///
-    /// As [`restore_with`](Self::restore_with): storage errors propagate,
-    /// cluster failures only degrade the locate audit.
-    pub fn restore_pipelined_with(
         &self,
         manifest: &BackupManifest,
         config: RestoreConfig,
@@ -746,8 +675,7 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
 }
 
 /// Checks one replayed chunk against its manifest entry (length and
-/// stored fingerprint), with the same error shape for both restore
-/// flavours — the byte-exact-equivalence tests compare error text too.
+/// stored fingerprint).
 fn verify_entry(
     i: usize,
     entry: &shhc_storage::ManifestEntry,

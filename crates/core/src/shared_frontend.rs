@@ -22,8 +22,7 @@
 //!   whose clients all poll [`Ticket::is_ready`] instead of blocking (or
 //!   have gone away): it caps their wait at ≈`max_age`, so an idle
 //!   front-end still answers a lone polled fingerprint — the idle-batch
-//!   starvation the submit-driven [`SyncFrontend`](crate::SyncFrontend)
-//!   suffered;
+//!   starvation a submit-driven front-end suffers;
 //!
 //! plus an explicit [`flush`](SharedFrontend::flush), on the caller.
 

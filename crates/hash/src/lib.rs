@@ -6,7 +6,6 @@
 //! dependencies:
 //!
 //! - [`Sha1`] — the RFC 3174 digest used for chunk fingerprints,
-//! - [`fnv1a64`] / [`Fnv1a`] — tiny non-cryptographic hash for test helpers,
 //! - [`xxh64`] — fast 64-bit hash used for bloom-filter double hashing
 //!   over arbitrary byte keys,
 //! - [`RabinHasher`] — rolling Rabin fingerprint over a sliding window,
@@ -45,13 +44,11 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fnv;
 mod gear;
 mod rabin;
 mod sha1;
 mod xxh;
 
-pub use fnv::{fnv1a64, Fnv1a};
 pub use gear::{GearHasher, GEAR_TABLE};
 pub use rabin::{is_irreducible, RabinHasher, RabinTables, DEFAULT_IRREDUCIBLE_POLY};
 pub use sha1::{Digest, Sha1};

@@ -9,11 +9,6 @@
 //!   per-byte costs are real),
 //! - [`NetModel`] — the link cost model (per-message overhead, RTT,
 //!   bandwidth) used to account virtual network time,
-//! - [`ChannelTransport`] — an in-process duplex byte transport over
-//!   crossbeam channels for the threaded cluster,
-//! - [`Batcher`] — per-session fingerprint aggregation with size and age
-//!   limits (virtual-time; the simulator's and the synchronous
-//!   front-end's building block),
 //! - [`SharedBatcher`] + [`Ticket`] — the thread-safe *cross-client*
 //!   aggregator behind the paper's Figure-4 request flow: submissions
 //!   from any client thread join one shared queue and receive a blocking
@@ -46,19 +41,15 @@
 #![warn(missing_docs)]
 
 mod admission;
-mod batch;
 mod model;
 mod samples;
 mod shared;
-mod transport;
 mod wire;
 
 pub use admission::{AdmissionPolicy, IngestModel, DEFAULT_MAX_PENDING};
-pub use batch::{Batch, Batcher};
 pub use model::NetModel;
 pub use samples::{RingReader, SampleRing};
 pub use shared::{CloseReason, ClosedBatch, SharedBatcher, SharedBatcherStats, Submitted, Ticket};
-pub use transport::{duplex, ChannelTransport, TransportStats};
 pub use wire::{
     decode, encode, encode_into, encode_reusing, encoded_len, lookup_req_len, lookup_resp_len,
     Frame, WIRE_VERSION,

@@ -2,10 +2,8 @@
 //!
 //! The paper's Figure-4 request flow has one web front-end accepting
 //! backup streams from *many concurrent clients* and aggregating their
-//! fingerprints into batches before shipping them to hash nodes. The
-//! session-local [`Batcher`](crate::Batcher) cannot express that shape:
-//! it is `&mut self`, serves one stream, and only notices an expired age
-//! limit when the same session pushes again. This module generalizes it:
+//! fingerprints into batches before shipping them to hash nodes. This
+//! module is that aggregator:
 //!
 //! - [`SharedBatcher`] — a thread-safe pending queue any client thread can
 //!   submit to,

@@ -1,11 +1,10 @@
 //! Restore day: four clients stream their backups back concurrently.
 //!
 //! Each client owns a disjoint deduplicated stream backed up through a
-//! shared `BackupService`. All four then restore at once — first over
-//! the sequential per-chunk baseline, then over the pipelined read path
-//! (batched `Admission::Bypass` locate queries, `get_many` container
-//! reads, and a prefetcher overlapping fetch with assembly). Prints
-//! per-client throughput for both flavours plus the node cache and
+//! shared `BackupService`. All four then restore at once over the
+//! pipelined read path (batched `Admission::Bypass` locate queries,
+//! `get_many` container reads, and a prefetcher overlapping fetch with
+//! assembly). Prints per-client throughput plus the node cache and
 //! locate-audit stats.
 //!
 //! Run with: `cargo run --release --example restore_clients`
@@ -22,9 +21,8 @@ const CLIENTS: usize = 4;
 fn main() -> Result<()> {
     println!("SHHC restore at scale: {CLIENTS} concurrent restoring clients\n");
 
-    // A realistic per-frame service overhead is what the pipelined
-    // path's batching amortizes; without it both flavours are equally
-    // instant in a single process.
+    // A realistic per-frame service overhead is what the restore's
+    // batched locates amortize.
     let mut node_config = NodeConfig::small_test();
     node_config.batch_overhead = std::time::Duration::from_micros(80);
     let cluster = ShhcCluster::spawn(ClusterConfig::new(2, node_config))?;
@@ -51,54 +49,48 @@ fn main() -> Result<()> {
     );
 
     let config = RestoreConfig::new(64, 4);
-    for (label, pipelined) in [("sequential", false), ("pipelined", true)] {
-        let barrier = Arc::new(Barrier::new(CLIENTS));
-        let mut handles = Vec::new();
-        for (c, (manifest, payload)) in manifests.iter().zip(&payloads).enumerate() {
-            let service = service.clone();
-            let barrier = Arc::clone(&barrier);
-            let manifest = manifest.clone();
-            let payload = payload.clone();
-            handles.push(std::thread::spawn(move || -> Result<_> {
-                barrier.wait();
-                let start = Instant::now();
-                let report = if pipelined {
-                    service.restore_pipelined_with(&manifest, config)?
-                } else {
-                    service.restore_with(&manifest, config)?
-                };
-                let elapsed = start.elapsed();
-                assert_eq!(
-                    report.data, payload,
-                    "client {c}: restore must be byte-exact"
-                );
-                Ok((c, report, elapsed))
-            }));
-        }
-
-        println!(
-            "{label} restore ({}-chunk batches, window {}):",
-            config.batch, config.window
-        );
-        println!(
-            "{:>8} {:>10} {:>12} {:>10} {:>14}",
-            "client", "chunks", "elapsed_ms", "MB/s", "locate hits"
-        );
-        for handle in handles {
-            let (c, report, elapsed) = handle.join().expect("client thread")?;
-            println!(
-                "{c:>8} {:>10} {:>12.1} {:>10.1} {:>13.0}%",
-                report.chunks,
-                elapsed.as_secs_f64() * 1e3,
-                report.bytes as f64 / 1e6 / elapsed.as_secs_f64().max(1e-9),
-                report.locate_coverage() * 100.0
+    let barrier = Arc::new(Barrier::new(CLIENTS));
+    let mut handles = Vec::new();
+    for (c, (manifest, payload)) in manifests.iter().zip(&payloads).enumerate() {
+        let service = service.clone();
+        let barrier = Arc::clone(&barrier);
+        let manifest = manifest.clone();
+        let payload = payload.clone();
+        handles.push(std::thread::spawn(move || -> Result<_> {
+            barrier.wait();
+            let start = Instant::now();
+            let report = service.restore_with(&manifest, config)?;
+            let elapsed = start.elapsed();
+            assert_eq!(
+                report.data, payload,
+                "client {c}: restore must be byte-exact"
             );
-        }
-        println!();
+            Ok((c, report, elapsed))
+        }));
     }
 
+    println!(
+        "restore ({}-chunk batches, window {}):",
+        config.batch, config.window
+    );
+    println!(
+        "{:>8} {:>10} {:>12} {:>10} {:>14}",
+        "client", "chunks", "elapsed_ms", "MB/s", "locate hits"
+    );
+    for handle in handles {
+        let (c, report, elapsed) = handle.join().expect("client thread")?;
+        println!(
+            "{c:>8} {:>10} {:>12.1} {:>10.1} {:>13.0}%",
+            report.chunks,
+            elapsed.as_secs_f64() * 1e3,
+            report.bytes as f64 / 1e6 / elapsed.as_secs_f64().max(1e-9),
+            report.locate_coverage() * 100.0
+        );
+    }
+    println!();
+
     let stats = cluster.stats()?;
-    println!("cluster after both restore waves:");
+    println!("cluster after the restore wave:");
     for node in &stats.nodes {
         println!(
             "  node {}: {} entries, cache {} hits / {} misses / {} evictions \
@@ -116,6 +108,6 @@ fn main() -> Result<()> {
 
     drop(service);
     cluster.shutdown()?;
-    println!("\nok: {CLIENTS} concurrent clients, byte-exact restores on both read paths");
+    println!("\nok: {CLIENTS} concurrent clients, byte-exact restores");
     Ok(())
 }

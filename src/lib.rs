@@ -51,5 +51,5 @@ pub use shhc as cluster;
 
 pub use shhc::{
     BackupReport, BackupService, ClusterConfig, ClusterStats, Frontend, SharedFrontend,
-    ShhcCluster, SimCluster, SimClusterConfig, SyncFrontend,
+    ShhcCluster, SimCluster, SimClusterConfig,
 };

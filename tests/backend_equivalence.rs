@@ -4,11 +4,11 @@
 //!
 //! A concurrent mirror backend plus a reader pool must be a pure
 //! performance change: every data-plane answer byte-identical to the
-//! single-writer baseline, for every backend, on both data planes,
-//! under randomized lookup/query/record/remove interleavings.
+//! single-writer baseline, for every backend, under randomized
+//! lookup/query/record/remove interleavings.
 
 use proptest::prelude::*;
-use shhc::{BackendKind, ClusterConfig, DataPlane, NodeConfig, ShhcCluster};
+use shhc::{BackendKind, ClusterConfig, NodeConfig, ShhcCluster};
 use shhc_index::Collection;
 use shhc_node::HybridHashNode;
 use shhc_types::{Fingerprint, NodeId};
@@ -114,29 +114,28 @@ proptest! {
 }
 
 /// Drives one randomized-schedule round through baseline and pooled
-/// clusters on one data plane and asserts every answer is identical.
-fn assert_cluster_equivalence(ops: &[Op], plane: DataPlane, backend: BackendKind, shards: u32) {
-    let baseline = ShhcCluster::spawn(
-        ClusterConfig::new(2, node_config(BackendKind::Single, 1, 0)).with_data_plane(plane),
-    )
+/// clusters and asserts every answer is identical.
+fn assert_cluster_equivalence(ops: &[Op], backend: BackendKind, shards: u32) {
+    let baseline = ShhcCluster::spawn(ClusterConfig::new(
+        2,
+        node_config(BackendKind::Single, 1, 0),
+    ))
     .unwrap();
-    let pooled = ShhcCluster::spawn(
-        ClusterConfig::new(2, node_config(backend, shards, 3)).with_data_plane(plane),
-    )
-    .unwrap();
+    let pooled =
+        ShhcCluster::spawn(ClusterConfig::new(2, node_config(backend, shards, 3))).unwrap();
     for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Lookup(keys) => {
                 let batch: Vec<Fingerprint> = keys.iter().map(|&k| fp(k)).collect();
                 let a = baseline.lookup_insert_batch_values(&batch).unwrap();
                 let b = pooled.lookup_insert_batch_values(&batch).unwrap();
-                assert_eq!(a, b, "{backend} lookup diverged at op {i} ({plane:?})");
+                assert_eq!(a, b, "{backend} lookup diverged at op {i}");
             }
             Op::Query(keys) => {
                 let batch: Vec<Fingerprint> = keys.iter().map(|&k| fp(k)).collect();
                 let a = baseline.query_batch(&batch).unwrap();
                 let b = pooled.query_batch(&batch).unwrap();
-                assert_eq!(a, b, "{backend} query diverged at op {i} ({plane:?})");
+                assert_eq!(a, b, "{backend} query diverged at op {i}");
             }
             Op::Record(pairs) => {
                 let batch: Vec<(Fingerprint, u64)> =
@@ -150,7 +149,7 @@ fn assert_cluster_equivalence(ops: &[Op], plane: DataPlane, backend: BackendKind
                 pooled.remove_batch(&batch).unwrap();
                 let a = baseline.query_batch(&batch).unwrap();
                 let b = pooled.query_batch(&batch).unwrap();
-                assert_eq!(a, b, "{backend} post-remove query diverged ({plane:?})");
+                assert_eq!(a, b, "{backend} post-remove query diverged");
             }
         }
     }
@@ -167,7 +166,7 @@ fn assert_cluster_equivalence(ops: &[Op], plane: DataPlane, backend: BackendKind
     {
         assert!(
             b.total_pool_queries() > 0,
-            "{backend} reader pool must actually serve queries ({plane:?})"
+            "{backend} reader pool must actually serve queries"
         );
         assert_eq!(
             a.total_pool_queries(),
@@ -187,24 +186,21 @@ fn assert_cluster_equivalence(ops: &[Op], plane: DataPlane, backend: BackendKind
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Cluster level, pipelined data plane: pooled nodes (single- and
-    /// multi-shard) answer randomized traffic exactly like the baseline,
-    /// and their pools demonstrably serve the queries.
+    /// Cluster level, over the pipelined data plane: pooled nodes of
+    /// every backend, single- and multi-shard, answer randomized traffic
+    /// exactly like the baseline, and their pools demonstrably serve the
+    /// queries.
     #[test]
     fn prop_cluster_backends_match_pipelined(
         ops in proptest::collection::vec(op_strategy(), 1..10),
     ) {
-        assert_cluster_equivalence(&ops, DataPlane::Pipelined, BackendKind::Striped, 1);
-        assert_cluster_equivalence(&ops, DataPlane::Pipelined, BackendKind::Snapshot, 2);
-    }
-
-    /// Cluster level, sequential data plane: same equivalence on the
-    /// paper's original one-request-at-a-time plane.
-    #[test]
-    fn prop_cluster_backends_match_sequential(
-        ops in proptest::collection::vec(op_strategy(), 1..10),
-    ) {
-        assert_cluster_equivalence(&ops, DataPlane::Sequential, BackendKind::Snapshot, 1);
-        assert_cluster_equivalence(&ops, DataPlane::Sequential, BackendKind::Striped, 2);
+        for (backend, shards) in [
+            (BackendKind::Striped, 1),
+            (BackendKind::Striped, 2),
+            (BackendKind::Snapshot, 1),
+            (BackendKind::Snapshot, 2),
+        ] {
+            assert_cluster_equivalence(&ops, backend, shards);
+        }
     }
 }

@@ -5,40 +5,24 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use shhc::{
-    BackupClient, BackupService, ClusterConfig, Frontend, SharedFrontend, ShhcCluster, SyncFrontend,
-};
+use shhc::{BackupClient, BackupService, ClusterConfig, Frontend, SharedFrontend, ShhcCluster};
 use shhc_chunking::FixedChunker;
 use shhc_storage::MemChunkStore;
-use shhc_types::{Fingerprint, Nanos};
+use shhc_types::Fingerprint;
 use shhc_workload::{Dataset, DatasetSpec, MultiClientSpec};
 
-/// Regression for the idle-batch starvation bug: the legacy front-end
-/// evaluated `max_age` only on the next `submit`, so a lone fingerprint
-/// was never answered. The shared front-end's flusher thread must answer
-/// it within ≈`max_age`, with no further submit or flush call — and with
-/// no blocking wait either, which would ship the batch on demand at once:
+/// Regression for the idle-batch starvation bug: a front-end that
+/// evaluated `max_age` only on the next `submit` never answered a lone
+/// fingerprint. The shared front-end's flusher thread must answer it
+/// within ≈`max_age`, with no further submit or flush call — and with no
+/// blocking wait either, which would ship the batch on demand at once:
 /// the client here only polls, so the age cap is all it has.
 #[test]
 fn lone_fingerprint_is_answered_within_max_age() {
     let max_age = Duration::from_millis(25);
     let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
 
-    // The old architecture really does starve: nothing is dispatched no
-    // matter how long we wait, because nobody calls into the session.
-    let mut legacy = SyncFrontend::new(cluster.clone(), 1000, Nanos::from(max_age));
-    assert!(legacy.submit(Fingerprint::from_u64(1)).unwrap().is_none());
-    std::thread::sleep(3 * max_age);
-    assert_eq!(
-        legacy.pending_len(),
-        1,
-        "legacy front-end must still be starving the batch (that's the bug)"
-    );
-    assert_eq!(legacy.batches_sent(), 0);
-    // Only the *next* call releases it — 3×max_age too late.
-    assert_eq!(legacy.flush().unwrap().len(), 1);
-
-    // The shared front-end answers through the ticket, unprompted.
+    // The answer comes through the ticket, unprompted.
     let frontend = SharedFrontend::new(cluster.clone(), 1000, max_age);
     let start = Instant::now();
     let ticket = frontend.submit(Fingerprint::from_u64(2));

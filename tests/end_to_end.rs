@@ -14,7 +14,7 @@ fn random_data(len: usize, seed: u64) -> Vec<u8> {
     v
 }
 
-fn run_round_trip<C: Chunker>(chunker: C, data: &[u8]) {
+fn run_round_trip<C: Chunker + Send + Sync>(chunker: C, data: &[u8]) {
     let cluster = ShhcCluster::spawn(ClusterConfig::small_test(3)).unwrap();
     let service = BackupService::new(cluster.clone(), chunker, MemChunkStore::new(1 << 20), 64);
     let report = service.backup(StreamId::new(1), data).unwrap();

@@ -21,8 +21,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use shhc::{
-    BackupService, ClusterConfig, DataPlane, Durability, Error, FaultPlan, Fingerprint, NodeId,
-    ShhcCluster, StreamId, WalConfig,
+    BackupService, ClusterConfig, Durability, Error, FaultPlan, Fingerprint, NodeId, ShhcCluster,
+    StreamId, WalConfig,
 };
 use shhc_chunking::FixedChunker;
 use shhc_storage::MemChunkStore;
@@ -50,13 +50,9 @@ fn roomy_config(nodes: u32) -> ClusterConfig {
 /// routing moved on. With install-first + dual-read + rescan-until-empty,
 /// every fingerprint registered before or during the join must keep
 /// answering "exists".
-fn add_node_strands_no_concurrent_insert(plane: DataPlane) {
-    let cluster = ShhcCluster::spawn(
-        roomy_config(3)
-            .with_data_plane(plane)
-            .with_migration_chunk(48),
-    )
-    .unwrap();
+#[test]
+fn add_node_under_live_inserts_strands_nothing_pipelined() {
+    let cluster = ShhcCluster::spawn(roomy_config(3).with_migration_chunk(48)).unwrap();
     // A meaty resident population makes the migration long enough for
     // writers to land inserts mid-flight.
     let base = fps(0..6_000);
@@ -107,18 +103,6 @@ fn add_node_strands_no_concurrent_insert(plane: DataPlane) {
         "every fingerprint lives on exactly one node"
     );
     cluster.shutdown().unwrap();
-}
-
-#[test]
-fn add_node_under_live_inserts_strands_nothing_sequential() {
-    // The Sequential plane is the plane the original bug was provable
-    // on (its slower batches held the pre-swap routing state longest).
-    add_node_strands_no_concurrent_insert(DataPlane::Sequential);
-}
-
-#[test]
-fn add_node_under_live_inserts_strands_nothing_pipelined() {
-    add_node_strands_no_concurrent_insert(DataPlane::Pipelined);
 }
 
 #[test]

@@ -1,22 +1,21 @@
-//! The restore read path: sequential and pipelined replays must be
-//! byte-exact equivalents on both cluster data planes, restores must not
-//! starve concurrent backup writers or flush their cache working set,
-//! and a failing fingerprint index must only degrade the locate audit —
-//! never the restored bytes.
+//! The restore read path: every restore entry point is the one pipelined
+//! replay and must be byte-exact, restores must not starve concurrent
+//! backup writers or flush their cache working set, and a failing
+//! fingerprint index must only degrade the locate audit — never the
+//! restored bytes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use shhc::prelude::*;
-use shhc::{BackendKind, DataPlane, NodeId, RestoreConfig};
+use shhc::{Admission, BackendKind, NodeId, RestoreConfig};
 use shhc_storage::{ChunkStore, StoreStats};
 use shhc_types::{ChunkId, Result as ShhcResult};
 use shhc_workload::RestoreSpec;
 
-fn service_on(plane: DataPlane, nodes: u32) -> BackupService<FixedChunker, MemChunkStore> {
-    let cluster =
-        ShhcCluster::spawn(ClusterConfig::small_test(nodes).with_data_plane(plane)).unwrap();
+fn service(nodes: u32) -> BackupService<FixedChunker, MemChunkStore> {
+    let cluster = ShhcCluster::spawn(ClusterConfig::small_test(nodes)).unwrap();
     BackupService::new(
         cluster,
         FixedChunker::new(256),
@@ -26,42 +25,34 @@ fn service_on(plane: DataPlane, nodes: u32) -> BackupService<FixedChunker, MemCh
 }
 
 #[test]
-fn restore_flavours_are_byte_exact_on_both_data_planes() {
+fn restore_entry_points_are_byte_exact() {
     let spec = RestoreSpec::open_loop(1, 120).with_chunk_size(256);
     let data = spec.client_data(0);
-    for plane in [DataPlane::Sequential, DataPlane::Pipelined] {
-        let svc = service_on(plane, 2);
-        let report = svc.backup(StreamId::new(1), &data).unwrap();
+    let svc = service(2);
+    let report = svc.backup(StreamId::new(1), &data).unwrap();
 
-        let sequential = svc
-            .restore_with(&report.manifest, RestoreConfig::new(7, 2))
-            .unwrap();
-        let pipelined = svc
-            .restore_pipelined_with(&report.manifest, RestoreConfig::new(7, 2))
-            .unwrap();
-        assert_eq!(sequential.data, data, "sequential restore ({plane:?})");
-        assert_eq!(pipelined.data, data, "pipelined restore ({plane:?})");
-        assert_eq!(svc.restore(&report.manifest).unwrap(), data);
-        assert_eq!(svc.restore_pipelined(&report.manifest).unwrap(), data);
+    let replay = svc
+        .restore_with(&report.manifest, RestoreConfig::new(7, 2))
+        .unwrap();
+    assert_eq!(replay.data, data);
+    assert_eq!(svc.restore(&report.manifest).unwrap(), data);
+    assert_eq!(svc.restore_pipelined(&report.manifest).unwrap(), data);
 
-        // Every fingerprint was recorded at backup time, so the advisory
-        // locate audit finds the whole manifest on both paths.
-        for r in [&sequential, &pipelined] {
-            assert_eq!(r.chunks, report.manifest.len());
-            assert_eq!(r.bytes, data.len() as u64);
-            assert_eq!(r.located, r.chunks, "full locate coverage ({plane:?})");
-            assert_eq!(r.mismatched, 0);
-            assert_eq!(r.skipped, 0);
-            assert!(!r.degraded);
-            assert!((r.locate_coverage() - 1.0).abs() < 1e-12);
-        }
-        svc.cluster().clone().shutdown().unwrap();
-    }
+    // Every fingerprint was recorded at backup time, so the advisory
+    // locate audit finds the whole manifest.
+    assert_eq!(replay.chunks, report.manifest.len());
+    assert_eq!(replay.bytes, data.len() as u64);
+    assert_eq!(replay.located, replay.chunks, "full locate coverage");
+    assert_eq!(replay.mismatched, 0);
+    assert_eq!(replay.skipped, 0);
+    assert!(!replay.degraded);
+    assert!((replay.locate_coverage() - 1.0).abs() < 1e-12);
+    svc.cluster().clone().shutdown().unwrap();
 }
 
 #[test]
 fn odd_batch_and_window_shapes_stay_byte_exact() {
-    let svc = service_on(DataPlane::Pipelined, 2);
+    let svc = service(2);
     let spec = RestoreSpec::open_loop(1, 33).with_chunk_size(256);
     let data = spec.client_data(0);
     let report = svc.backup(StreamId::new(9), &data).unwrap();
@@ -70,29 +61,21 @@ fn odd_batch_and_window_shapes_stay_byte_exact() {
         assert_eq!(
             svc.restore_with(&report.manifest, config).unwrap().data,
             data,
-            "sequential batch={batch} window={window}"
-        );
-        assert_eq!(
-            svc.restore_pipelined_with(&report.manifest, config)
-                .unwrap()
-                .data,
-            data,
-            "pipelined batch={batch} window={window}"
+            "batch={batch} window={window}"
         );
     }
-    // An empty manifest restores to nothing on both paths.
+    // An empty manifest restores to nothing.
     let empty = BackupManifest::new(StreamId::new(10));
     assert!(svc.restore(&empty).unwrap().is_empty());
-    assert!(svc.restore_pipelined(&empty).unwrap().is_empty());
     svc.cluster().clone().shutdown().unwrap();
 }
 
 #[test]
 fn concurrent_restores_and_churning_backups_stay_byte_exact() {
-    // Two clients replay their manifests (both flavours) while two other
-    // sessions churn fresh backups through the same service handle: the
-    // replays must come back byte-exact every pass.
-    let svc = service_on(DataPlane::Pipelined, 2);
+    // Two clients replay their manifests while two other sessions churn
+    // fresh backups through the same service handle: the replays must
+    // come back byte-exact every pass.
+    let svc = service(2);
     let spec = RestoreSpec::open_loop(2, 60).with_chunk_size(256);
     let payloads = spec.client_payloads();
     let manifests: Vec<BackupManifest> = payloads
@@ -126,15 +109,10 @@ fn concurrent_restores_and_churning_backups_stay_byte_exact() {
             let svc = svc.clone();
             restorers.push(scope.spawn(move || {
                 for pass in 0..6 {
-                    let restored = if pass % 2 == 0 {
-                        svc.restore_pipelined_with(manifest, RestoreConfig::new(8, 3))
-                            .unwrap()
-                            .data
-                    } else {
-                        svc.restore_with(manifest, RestoreConfig::new(8, 3))
-                            .unwrap()
-                            .data
-                    };
+                    let restored = svc
+                        .restore_with(manifest, RestoreConfig::new(8, 3))
+                        .unwrap()
+                        .data;
                     assert_eq!(&restored, data, "client {c} pass {pass}");
                 }
             }));
@@ -229,15 +207,18 @@ fn long_restore_does_not_starve_backup_writers() {
     svc.cluster().clone().shutdown().unwrap();
 }
 
-/// Ingest hot-set RAM hit ratio after `rounds` of re-backing-up the hot
-/// payload, with an optional full restore of the cold manifest replayed
-/// before each round.
+/// What runs over the cold archive before each hot re-ingest round.
 enum Interference {
     None,
-    Pipelined,
-    Sequential,
+    /// A full restore (Bypass locates).
+    Restore,
+    /// The same locate sweep a restore makes, with Normal admission: the
+    /// cache pollution the Bypass hint exists to avoid.
+    NormalSweep,
 }
 
+/// Ingest hot-set RAM hit ratio after 3 rounds of re-backing-up the hot
+/// payload, with `interference` over the cold manifest before each round.
 fn hot_set_hit_ratio(interference: Interference) -> f64 {
     // Pin the node shape: the cache-pollution mechanics under test live
     // in the single-backend node cache (reader-pool nodes answer queries
@@ -271,13 +252,23 @@ fn hot_set_hit_ratio(interference: Interference) -> f64 {
     for round in 0..3u32 {
         match interference {
             Interference::None => {}
-            Interference::Pipelined => {
-                let restored = svc.restore_pipelined(&cold_manifest).unwrap();
-                assert_eq!(restored, cold);
-            }
-            Interference::Sequential => {
+            Interference::Restore => {
                 let restored = svc.restore(&cold_manifest).unwrap();
                 assert_eq!(restored, cold);
+            }
+            Interference::NormalSweep => {
+                let fps: Vec<Fingerprint> = cold_manifest
+                    .entries
+                    .iter()
+                    .map(|e| e.fingerprint)
+                    .collect();
+                for batch in fps.chunks(RestoreConfig::default().batch) {
+                    let (exists, _) = svc
+                        .cluster()
+                        .query_batch_values_with(batch, Admission::Normal)
+                        .unwrap();
+                    assert!(exists.iter().all(|e| *e));
+                }
             }
         }
         // Re-ingest the hot set: every chunk is a duplicate, counted as
@@ -297,50 +288,42 @@ fn hot_set_hit_ratio(interference: Interference) -> f64 {
 #[test]
 fn bypass_restore_preserves_ingest_hit_rate() {
     let undisturbed = hot_set_hit_ratio(Interference::None);
-    let with_pipelined = hot_set_hit_ratio(Interference::Pipelined);
-    let with_sequential = hot_set_hit_ratio(Interference::Sequential);
+    let with_restore = hot_set_hit_ratio(Interference::Restore);
+    let with_normal = hot_set_hit_ratio(Interference::NormalSweep);
 
     // The scan-resistant (Bypass) restore leaves the ingest working set
     // resident: at least 90 % of the undisturbed hit rate.
     assert!(
-        with_pipelined >= 0.9 * undisturbed,
-        "pipelined restore flushed the hot set: {with_pipelined:.3} vs {undisturbed:.3}"
+        with_restore >= 0.9 * undisturbed,
+        "restore flushed the hot set: {with_restore:.3} vs {undisturbed:.3}"
     );
-    // The sequential baseline reads through the cache with Normal
-    // admission — the pathology the Bypass hint exists to avoid.
+    // The same sweep with Normal admission reads through the cache and
+    // evicts the hot set — proof the contrast above measures the hint.
     assert!(
-        with_sequential < with_pipelined,
-        "expected normal-admission restore to pollute the cache: \
-         sequential {with_sequential:.3} vs pipelined {with_pipelined:.3}"
+        with_normal < with_restore,
+        "expected a normal-admission sweep to pollute the cache: \
+         normal {with_normal:.3} vs restore {with_restore:.3}"
     );
 }
 
 #[test]
 fn dead_index_node_degrades_audit_not_data() {
-    let svc = service_on(DataPlane::Pipelined, 3);
+    let svc = service(3);
     let spec = RestoreSpec::open_loop(1, 80).with_chunk_size(256);
     let data = spec.client_data(0);
     let manifest = svc.backup(StreamId::new(1), &data).unwrap().manifest;
 
     svc.cluster().kill_node(NodeId::new(1)).unwrap();
 
-    for flavour in ["sequential", "pipelined"] {
-        let report = if flavour == "sequential" {
-            svc.restore_with(&manifest, RestoreConfig::new(8, 2))
-        } else {
-            svc.restore_pipelined_with(&manifest, RestoreConfig::new(8, 2))
-        }
+    let report = svc
+        .restore_with(&manifest, RestoreConfig::new(8, 2))
         .unwrap();
-        assert_eq!(report.data, data, "{flavour} restore survives a dead node");
-        assert!(
-            report.degraded,
-            "{flavour} locate audit must flag the dead node"
-        );
-        assert!(report.skipped > 0, "{flavour} skips locates after failure");
-        assert!(
-            report.located + report.mismatched + report.skipped == report.chunks,
-            "{flavour} audit accounts for every entry"
-        );
-    }
+    assert_eq!(report.data, data, "restore survives a dead node");
+    assert!(report.degraded, "locate audit must flag the dead node");
+    assert!(report.skipped > 0, "skips locates after failure");
+    assert!(
+        report.located + report.mismatched + report.skipped == report.chunks,
+        "audit accounts for every entry"
+    );
     svc.cluster().clone().shutdown().unwrap();
 }

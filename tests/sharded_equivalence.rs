@@ -2,14 +2,14 @@
 //!
 //! A multi-core [`shhc::ShardedNode`] must be a pure performance change:
 //! byte-identical answers to the single-threaded `HybridHashNode` for
-//! every operation, on both data planes, through membership changes —
+//! every operation, through membership changes —
 //! plus the property the sharding exists for: a small frame queued
 //! behind a deep frame is answered in ≈ its own service time instead of
 //! waiting for the deep frame to drain.
 
 use std::time::{Duration, Instant};
 
-use shhc::{ClusterConfig, DataPlane, NodeConfig, ShardRouter, ShhcCluster};
+use shhc::{ClusterConfig, NodeConfig, ShardRouter, ShhcCluster};
 use shhc_types::Fingerprint;
 
 /// Deterministic fingerprints spread over the routing-key space.
@@ -28,23 +28,21 @@ fn fp_in_shard(k: u32, of: u32, i: u64) -> Fingerprint {
     fp
 }
 
-fn config(nodes: u32, shards: u32, plane: DataPlane) -> ClusterConfig {
+fn config(nodes: u32, shards: u32) -> ClusterConfig {
     let mut node_config = NodeConfig::small_test();
     node_config.flash = shhc_flash::FlashConfig::medium_test();
     node_config.cache_capacity = 512;
     node_config.bloom_expected = 100_000;
     node_config.shards = shards;
-    ClusterConfig::new(nodes, node_config)
-        .with_data_plane(plane)
-        .with_migration_chunk(48)
+    ClusterConfig::new(nodes, node_config).with_migration_chunk(48)
 }
 
 /// Drives the same randomized lookup/query/record/remove interleaving
 /// through a single-threaded and a sharded cluster and asserts every
 /// answer is identical.
-fn assert_equivalent_traffic(shards: u32, plane: DataPlane) {
-    let baseline = ShhcCluster::spawn(config(3, 1, plane)).unwrap();
-    let sharded = ShhcCluster::spawn(config(3, shards, plane)).unwrap();
+fn assert_equivalent_traffic(shards: u32) {
+    let baseline = ShhcCluster::spawn(config(3, 1)).unwrap();
+    let sharded = ShhcCluster::spawn(config(3, shards)).unwrap();
     let universe = fps(0..2_000);
     // A seed-free deterministic schedule: op kind cycles with the round,
     // batches revisit earlier keys so hits, misses and in-frame
@@ -97,63 +95,54 @@ fn assert_equivalent_traffic(shards: u32, plane: DataPlane) {
 
 #[test]
 fn sharded_matches_single_threaded_pipelined() {
-    for shards in [2, 4, 8] {
-        assert_equivalent_traffic(shards, DataPlane::Pipelined);
-    }
-}
-
-#[test]
-fn sharded_matches_single_threaded_sequential_plane() {
-    for shards in [3, 4] {
-        assert_equivalent_traffic(shards, DataPlane::Sequential);
+    for shards in [2, 3, 4, 8] {
+        assert_equivalent_traffic(shards);
     }
 }
 
 /// Membership changes (the PR-4 epoch machinery) behave identically on
 /// sharded nodes: answers and totals match a single-threaded cluster
-/// through join, drain and anti-entropy, on both data planes.
+/// through join, drain and anti-entropy.
 #[test]
 fn migration_interleavings_preserve_equivalence() {
-    for plane in [DataPlane::Pipelined, DataPlane::Sequential] {
-        let baseline = ShhcCluster::spawn(config(2, 1, plane)).unwrap();
-        let sharded = ShhcCluster::spawn(config(2, 4, plane)).unwrap();
-        let stream = fps(0..3_000);
-        for window in stream.chunks(250) {
-            let a = baseline.lookup_insert_batch_values(window).unwrap();
-            let b = sharded.lookup_insert_batch_values(window).unwrap();
-            assert_eq!(a, b);
-        }
-        // Join: every entry must keep deduplicating afterwards.
-        let (_, report_a) = baseline.add_node().unwrap();
-        let (_, report_b) = sharded.add_node().unwrap();
-        assert!(report_b.moved > 0, "sharded migration must move entries");
-        assert_eq!(
-            report_a.moved, report_b.moved,
-            "identical stores must migrate identical volumes ({plane:?})"
-        );
-        for window in stream.chunks(250) {
-            let a = baseline.lookup_insert_batch_values(window).unwrap();
-            let b = sharded.lookup_insert_batch_values(window).unwrap();
-            assert_eq!(a, b, "post-join answers diverged ({plane:?})");
-            assert!(a.0.iter().all(|e| *e), "join must not lose entries");
-        }
-        // Drain the first node: verified-empty decommission must work
-        // against sharded scan/migrate paths too.
-        let report = sharded.drain_node(shhc_types::NodeId::new(0)).unwrap();
-        assert_eq!(report.post_scan_entries, 0, "drain must verify empty");
-        baseline.drain_node(shhc_types::NodeId::new(0)).unwrap();
-        let exists = sharded.lookup_insert_batch(&stream).unwrap();
-        assert!(exists.iter().all(|e| *e), "drain must not lose entries");
-        // Anti-entropy converges to the same totals.
-        baseline.rebalance().unwrap();
-        sharded.rebalance().unwrap();
-        assert_eq!(
-            baseline.stats().unwrap().total_entries(),
-            sharded.stats().unwrap().total_entries()
-        );
-        baseline.shutdown().unwrap();
-        sharded.shutdown().unwrap();
+    let baseline = ShhcCluster::spawn(config(2, 1)).unwrap();
+    let sharded = ShhcCluster::spawn(config(2, 4)).unwrap();
+    let stream = fps(0..3_000);
+    for window in stream.chunks(250) {
+        let a = baseline.lookup_insert_batch_values(window).unwrap();
+        let b = sharded.lookup_insert_batch_values(window).unwrap();
+        assert_eq!(a, b);
     }
+    // Join: every entry must keep deduplicating afterwards.
+    let (_, report_a) = baseline.add_node().unwrap();
+    let (_, report_b) = sharded.add_node().unwrap();
+    assert!(report_b.moved > 0, "sharded migration must move entries");
+    assert_eq!(
+        report_a.moved, report_b.moved,
+        "identical stores must migrate identical volumes"
+    );
+    for window in stream.chunks(250) {
+        let a = baseline.lookup_insert_batch_values(window).unwrap();
+        let b = sharded.lookup_insert_batch_values(window).unwrap();
+        assert_eq!(a, b, "post-join answers diverged");
+        assert!(a.0.iter().all(|e| *e), "join must not lose entries");
+    }
+    // Drain the first node: verified-empty decommission must work
+    // against sharded scan/migrate paths too.
+    let report = sharded.drain_node(shhc_types::NodeId::new(0)).unwrap();
+    assert_eq!(report.post_scan_entries, 0, "drain must verify empty");
+    baseline.drain_node(shhc_types::NodeId::new(0)).unwrap();
+    let exists = sharded.lookup_insert_batch(&stream).unwrap();
+    assert!(exists.iter().all(|e| *e), "drain must not lose entries");
+    // Anti-entropy converges to the same totals.
+    baseline.rebalance().unwrap();
+    sharded.rebalance().unwrap();
+    assert_eq!(
+        baseline.stats().unwrap().total_entries(),
+        sharded.stats().unwrap().total_entries()
+    );
+    baseline.shutdown().unwrap();
+    sharded.shutdown().unwrap();
 }
 
 /// The head-of-line regression the worker pool exists to fix: a 1-

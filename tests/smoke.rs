@@ -45,8 +45,8 @@ fn facade_reexports_are_wired() {
     let fp = shhc_repro::types::Fingerprint::from_u64(42);
     assert_eq!(fp.to_hex().len(), 40);
     assert_eq!(
-        shhc_repro::hash::fnv1a64(b"shhc"),
-        shhc_hash::fnv1a64(b"shhc")
+        shhc_repro::hash::xxh64(b"shhc", 7),
+        shhc_hash::xxh64(b"shhc", 7)
     );
 
     let cluster =
