@@ -7,6 +7,7 @@ use std::sync::{Arc, Weak};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use shhc::prelude::{BackupService, ClusterConfig, MemChunkStore, ShhcCluster};
 use shhc_baseline::CuckooTable;
 use shhc_bloom::BloomFilter;
 use shhc_cache::{Cache, LruCache};
@@ -110,15 +111,36 @@ fn bench_chunking(c: &mut Criterion) {
     let mut data = vec![0u8; 1 << 20];
     rng.fill_bytes(&mut data);
     group.throughput(Throughput::Bytes(data.len() as u64));
+    // Cut search only: `boundaries` neither copies nor hashes.
     let rabin = RabinChunker::new(2048, 8192, 65536);
     group.bench_function("rabin_1MiB", |b| {
-        b.iter(|| rabin.chunk(black_box(&data)).count());
+        b.iter(|| rabin.boundaries(black_box(&data)).len());
     });
     let gear = GearChunker::new(2048, 8192, 65536);
     group.bench_function("gear_1MiB", |b| {
-        b.iter(|| gear.chunk(black_box(&data)).count());
+        b.iter(|| gear.boundaries(black_box(&data)).len());
+    });
+
+    // The whole client byte path: Gear cuts on the cutter thread, SHA-1
+    // on the caller, lookups of an already stored slice (all duplicates
+    // after the first iteration, as in a re-backup).
+    let mut slice = vec![0u8; 4 << 20];
+    rng.fill_bytes(&mut slice);
+    let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).expect("cluster");
+    let service = BackupService::new(cluster, gear, MemChunkStore::new(4 << 20), 512);
+    group.throughput(Throughput::Bytes(slice.len() as u64));
+    group.bench_function("backup_4MiB", |b| {
+        b.iter(|| {
+            service
+                .backup(StreamId::new(1), black_box(&slice))
+                .expect("backup")
+                .total_chunks
+        });
     });
     group.finish();
+    let cluster = service.cluster().clone();
+    drop(service);
+    cluster.shutdown().expect("cluster shutdown");
 }
 
 fn bench_flash_store(c: &mut Criterion) {

@@ -11,9 +11,9 @@
 //!   before the target size and a looser one after, which tightens the
 //!   size distribution around the target.
 
-use shhc_hash::{fingerprint_of, GearHasher, RabinHasher, RabinTables, DEFAULT_IRREDUCIBLE_POLY};
+use shhc_hash::{GearHasher, RabinHasher, RabinTables, DEFAULT_IRREDUCIBLE_POLY};
 
-use crate::{Chunk, Chunker};
+use crate::Chunker;
 
 /// Validated (min, target, max) chunk-size bounds shared by both CDC
 /// chunkers.
@@ -107,8 +107,10 @@ impl RabinChunker {
     pub fn max_size(&self) -> usize {
         self.bounds.max
     }
+}
 
-    fn find_cut(&self, data: &[u8]) -> usize {
+impl Chunker for RabinChunker {
+    fn cut(&self, data: &[u8]) -> usize {
         let n = data.len();
         if n <= self.bounds.min {
             return n;
@@ -129,15 +131,9 @@ impl RabinChunker {
         }
         end
     }
-}
 
-impl Chunker for RabinChunker {
-    fn chunk<'a>(&'a self, data: &'a [u8]) -> Box<dyn Iterator<Item = Chunk> + 'a> {
-        Box::new(CdcIter {
-            data,
-            pos: 0,
-            cut: move |rest: &[u8]| self.find_cut(rest),
-        })
+    fn max_cut(&self) -> usize {
+        self.bounds.max
     }
 }
 
@@ -201,8 +197,10 @@ impl GearChunker {
     pub fn max_size(&self) -> usize {
         self.bounds.max
     }
+}
 
-    fn find_cut(&self, data: &[u8]) -> usize {
+impl Chunker for GearChunker {
+    fn cut(&self, data: &[u8]) -> usize {
         let n = data.len();
         if n <= self.bounds.min {
             return n;
@@ -232,50 +230,15 @@ impl GearChunker {
         }
         end
     }
-}
 
-impl Chunker for GearChunker {
-    fn chunk<'a>(&'a self, data: &'a [u8]) -> Box<dyn Iterator<Item = Chunk> + 'a> {
-        Box::new(CdcIter {
-            data,
-            pos: 0,
-            cut: move |rest: &[u8]| self.find_cut(rest),
-        })
+    fn max_cut(&self) -> usize {
+        self.bounds.max
     }
 }
 
 fn high_mask(bits: u32) -> u64 {
     debug_assert!(bits > 0 && bits <= 63);
     !0u64 << (64 - bits)
-}
-
-/// Shared driver: repeatedly ask the policy for the next cut length.
-struct CdcIter<'a, F> {
-    data: &'a [u8],
-    pos: usize,
-    cut: F,
-}
-
-impl<'a, F> Iterator for CdcIter<'a, F>
-where
-    F: Fn(&[u8]) -> usize,
-{
-    type Item = Chunk;
-
-    fn next(&mut self) -> Option<Chunk> {
-        if self.pos >= self.data.len() {
-            return None;
-        }
-        let rest = &self.data[self.pos..];
-        let len = (self.cut)(rest).max(1).min(rest.len());
-        let chunk = Chunk {
-            offset: self.pos,
-            data: rest[..len].to_vec(),
-            fingerprint: fingerprint_of(&rest[..len]),
-        };
-        self.pos += len;
-        Some(chunk)
-    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,6 @@
 //! Fixed-size chunking.
 
-use shhc_hash::fingerprint_of;
-
-use crate::{Chunk, Chunker};
+use crate::Chunker;
 
 /// Splits input into fixed-size blocks (the last block may be shorter).
 ///
@@ -42,26 +40,12 @@ impl FixedChunker {
 }
 
 impl Chunker for FixedChunker {
-    fn chunk<'a>(&'a self, data: &'a [u8]) -> Box<dyn Iterator<Item = Chunk> + 'a> {
-        let size = self.size;
-        Box::new(data.chunks(size).enumerate().map(move |(i, block)| Chunk {
-            offset: i * size,
-            data: block.to_vec(),
-            fingerprint: fingerprint_of(block),
-        }))
+    fn cut(&self, _rest: &[u8]) -> usize {
+        self.size
     }
 
-    fn boundaries(&self, data: &[u8]) -> Vec<usize> {
-        let mut out = Vec::with_capacity(data.len() / self.size + 1);
-        let mut pos = self.size;
-        while pos < data.len() {
-            out.push(pos);
-            pos += self.size;
-        }
-        if !data.is_empty() {
-            out.push(data.len());
-        }
-        out
+    fn max_cut(&self) -> usize {
+        self.size
     }
 }
 

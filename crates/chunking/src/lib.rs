@@ -40,6 +40,7 @@ mod fixed;
 pub use cdc::{GearChunker, RabinChunker};
 pub use fixed::FixedChunker;
 
+use shhc_hash::fingerprint_of;
 use shhc_types::Fingerprint;
 
 /// One chunk cut from an input stream.
@@ -69,23 +70,84 @@ impl Chunk {
 ///
 /// Implementations must be deterministic: the same input always yields the
 /// same chunk sequence. Every byte of input appears in exactly one chunk,
-/// in order.
-pub trait Chunker {
-    /// Splits `data`, returning an iterator over owned chunks.
-    fn chunk<'a>(&'a self, data: &'a [u8]) -> Box<dyn Iterator<Item = Chunk> + 'a>;
+/// in order. A chunker only decides where chunks end ([`Chunker::cut`]);
+/// walking the input, copying and fingerprinting are provided on top of
+/// that, so every chunker shares one driver.
+///
+/// Chunkers are `Sync`: `BackupService::backup` searches for cut points on
+/// a helper thread while the calling thread fingerprints the chunks.
+pub trait Chunker: Sync {
+    /// Length of the next chunk at the front of `rest` (non-empty).
+    ///
+    /// The driver clamps the answer to `1..=rest.len()`.
+    fn cut(&self, rest: &[u8]) -> usize;
+
+    /// Upper bound on any length [`Chunker::cut`] returns.
+    fn max_cut(&self) -> usize;
+
+    /// Lazily yields the chunk end offsets (exclusive) of `data` — no
+    /// copying, no hashing.
+    fn cuts<'a>(&'a self, data: &'a [u8]) -> Cuts<'a, Self> {
+        Cuts {
+            chunker: self,
+            data,
+            pos: 0,
+        }
+    }
+
+    /// Splits `data`, returning an iterator over owned, fingerprinted
+    /// chunks.
+    fn chunk<'a>(&'a self, data: &'a [u8]) -> Box<dyn Iterator<Item = Chunk> + 'a> {
+        let mut start = 0;
+        Box::new(self.cuts(data).map(move |end| {
+            let block = &data[start..end];
+            let chunk = Chunk {
+                offset: start,
+                data: block.to_vec(),
+                fingerprint: fingerprint_of(block),
+            };
+            start = end;
+            chunk
+        }))
+    }
 
     /// Returns only the cut-point offsets (chunk end positions, exclusive).
-    ///
-    /// The default implementation drives [`Chunker::chunk`]; cheap
-    /// implementations may override it.
     fn boundaries(&self, data: &[u8]) -> Vec<usize> {
-        self.chunk(data).map(|c| c.offset + c.data.len()).collect()
+        self.cuts(data).collect()
+    }
+}
+
+/// Iterator over a chunker's cut points; see [`Chunker::cuts`].
+#[derive(Debug)]
+pub struct Cuts<'a, C: ?Sized> {
+    chunker: &'a C,
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl<C: Chunker + ?Sized> Iterator for Cuts<'_, C> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let rest = &self.data[self.pos..];
+        if rest.is_empty() {
+            return None;
+        }
+        self.pos += self.chunker.cut(rest).clamp(1, rest.len());
+        Some(self.pos)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    fn ends_from_chunks<C: Chunker>(chunker: &C, data: &[u8]) -> Vec<usize> {
+        chunker.chunk(data).map(|c| c.offset + c.len()).collect()
+    }
 
     #[test]
     fn chunk_len_and_empty() {
@@ -96,5 +158,21 @@ mod tests {
         };
         assert_eq!(c.len(), 3);
         assert!(!c.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn boundaries_equal_chunk_ends(seed: u64, len in 0usize..20_000) {
+            let mut data = vec![0u8; len];
+            StdRng::seed_from_u64(seed).fill_bytes(&mut data);
+            let fixed = FixedChunker::new(700);
+            let rabin = RabinChunker::new(64, 256, 1024);
+            let gear = GearChunker::new(64, 256, 1024);
+            prop_assert_eq!(fixed.boundaries(&data), ends_from_chunks(&fixed, &data));
+            prop_assert_eq!(rabin.boundaries(&data), ends_from_chunks(&rabin, &data));
+            prop_assert_eq!(gear.boundaries(&data), ends_from_chunks(&gear, &data));
+        }
     }
 }

@@ -1,11 +1,13 @@
 //! The end-to-end backup service: chunk → dedup → store → manifest.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use shhc_chunking::Chunker;
+use shhc_hash::fingerprint_of;
 use shhc_storage::{BackupManifest, ChunkStore};
 use shhc_types::{Admission, ChunkId, Error, Fingerprint, Result, StreamId};
 
@@ -28,6 +30,24 @@ const SHED_BACKOFF_FLOOR: Duration = Duration::from_micros(200);
 
 /// Backoff ceiling for shed retries.
 const SHED_BACKOFF_CAP: Duration = Duration::from_millis(10);
+
+/// Cut points the cutter thread of [`BackupService::backup`] sends per
+/// channel message: one send per chunk would cost more than the chunk's
+/// cut search.
+const CUT_BLOCK: usize = 16;
+
+/// Blocks of cut points the cutter may run ahead of fingerprinting
+/// (2 × 512-fingerprint windows).
+const CUT_QUEUE_BLOCKS: usize = 64;
+
+/// Running accounting of one backup: its manifest and chunk counts.
+struct Tally {
+    manifest: BackupManifest,
+    new: usize,
+    duplicate: usize,
+    total: usize,
+    stored_bytes: u64,
+}
 
 /// Outcome of a backup deletion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,107 +358,178 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
     /// dedup accounting. Takes `&self`: any number of sessions may back
     /// up concurrently through one service handle.
     ///
+    /// The byte path is two stages over the caller's buffer: a helper
+    /// thread searches for cut points ([`Chunker::cuts`]) and streams
+    /// them over in small blocks, while this thread fingerprints the
+    /// borrowed slices, looks each window up and uploads the new chunks
+    /// (the only bytes copied). Inputs shorter than
+    /// [`pipeline_threshold`](Self::pipeline_threshold) run both stages
+    /// inline, where a thread would cost more than it overlaps. Either
+    /// way the chunks, lookups and manifest are the same.
+    ///
     /// # Errors
     ///
     /// Propagates cluster and storage failures. On error the store may
     /// hold chunks not referenced by any manifest (garbage, not
     /// corruption).
     pub fn backup(&self, stream: StreamId, data: &[u8]) -> Result<BackupReport> {
-        let mut manifest = BackupManifest::new(stream);
-        let mut report_new = 0usize;
-        let mut report_dup = 0usize;
-        let mut total = 0usize;
-        let mut stored_bytes = 0u64;
-
-        let chunks: Vec<_> = self.inner.chunker.chunk(data).collect();
-        for window in chunks.chunks(self.inner.batch_size) {
-            let fps: Vec<Fingerprint> = window.iter().map(|c| c.fingerprint).collect();
-            let answers = self.lookup_window(stream, &fps)?;
-
-            let mut record_pairs: Vec<(Fingerprint, u64)> = Vec::new();
-            #[allow(clippy::redundant_closure_call)] // try-block emulation
-            let window_result: Result<()> = (|| {
-                for (chunk, answer) in window.iter().zip(&answers) {
-                    total += 1;
-                    let len = chunk.data.len() as u32;
-                    let resolved = if answer.existed {
-                        // Prefer the in-flight location: the cluster value
-                        // may still be the insert-time placeholder.
-                        let shielded = self
-                            .inner
-                            .pending_records
-                            .lock()
-                            .get(&chunk.fingerprint)
-                            .copied();
-                        // Resolve, verify and take the reference under ONE
-                        // store lock, so a concurrent delete cannot free
-                        // the chunk between the check and the add_ref. Any
-                        // failure here — placeholder value, wrong payload,
-                        // chunk just deleted — falls back to uploading our
-                        // own copy (benign redundancy, never corruption).
-                        let mut store = self.inner.store.write();
-                        shielded
-                            .or_else(|| {
-                                let id = ChunkId::from_u64(answer.value);
-                                match store.fingerprint_of(id) {
-                                    Ok(fp) if fp == chunk.fingerprint => Some(id),
-                                    _ => None,
-                                }
-                            })
-                            .filter(|&id| store.add_ref(id).is_ok())
-                    } else {
-                        None
-                    };
-                    match resolved {
-                        Some(id) => {
-                            report_dup += 1;
-                            manifest.push(chunk.fingerprint, id, len);
-                        }
-                        None => {
-                            report_new += 1;
-                            stored_bytes += chunk.data.len() as u64;
-                            let id = self
-                                .inner
-                                .store
-                                .write()
-                                .put(chunk.fingerprint, chunk.data.clone())?;
-                            self.inner
-                                .pending_records
-                                .lock()
-                                .insert(chunk.fingerprint, id);
-                            record_pairs.push((chunk.fingerprint, id.to_u64()));
-                            manifest.push(chunk.fingerprint, id, len);
+        let chunker = &self.inner.chunker;
+        if data.len() < self.pipeline_threshold() {
+            return self.dedup_stream(stream, data, chunker.cuts(data));
+        }
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<usize>>(CUT_QUEUE_BLOCKS);
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut block = Vec::with_capacity(CUT_BLOCK);
+                for end in chunker.cuts(data) {
+                    block.push(end);
+                    if block.len() == CUT_BLOCK {
+                        let full = std::mem::replace(&mut block, Vec::with_capacity(CUT_BLOCK));
+                        // A send error means the fingerprinting side
+                        // failed and hung up: stop cutting.
+                        if tx.send(full).is_err() {
+                            return;
                         }
                     }
                 }
-                if record_pairs.is_empty() {
-                    Ok(())
-                } else {
-                    self.cluster().record_batch(&record_pairs)
+                if !block.is_empty() {
+                    let _ = tx.send(block);
                 }
-            })();
-            // Drop this window's shield entries whether or not the record
-            // landed, so error paths cannot grow the map for the lifetime
-            // of the service. After a failed record the cluster holds a
-            // placeholder value; later sessions fail its verification and
-            // re-upload, which is correct (if slightly redundant).
-            if !record_pairs.is_empty() {
-                let mut pending = self.inner.pending_records.lock();
-                for (fp, _) in &record_pairs {
-                    pending.remove(fp);
-                }
+            });
+            // `rx` moves into the iterator, so an early error return
+            // drops it and unblocks a cutter parked on a full channel
+            // before the scope joins it.
+            self.dedup_stream(stream, data, rx.into_iter().flatten())
+        })
+    }
+
+    /// Input length from which [`backup`](Self::backup) cuts on a helper
+    /// thread: four of the chunker's longest chunks. Below it the input
+    /// is too short for the cutter to run ahead of fingerprinting.
+    pub fn pipeline_threshold(&self) -> usize {
+        4 * self.inner.chunker.max_cut()
+    }
+
+    /// The fingerprinting stage of [`backup`](Self::backup): hashes each
+    /// chunk `data[previous end..end]` as its end arrives and dedups the
+    /// chunks one lookup window at a time.
+    fn dedup_stream(
+        &self,
+        stream: StreamId,
+        data: &[u8],
+        ends: impl Iterator<Item = usize>,
+    ) -> Result<BackupReport> {
+        let mut tally = Tally {
+            manifest: BackupManifest::new(stream),
+            new: 0,
+            duplicate: 0,
+            total: 0,
+            stored_bytes: 0,
+        };
+        let window_len = self.inner.batch_size;
+        let mut spans: Vec<Range<usize>> = Vec::with_capacity(window_len);
+        let mut fps: Vec<Fingerprint> = Vec::with_capacity(window_len);
+        let mut start = 0;
+        for end in ends {
+            fps.push(fingerprint_of(&data[start..end]));
+            spans.push(start..end);
+            start = end;
+            if fps.len() == window_len {
+                self.dedup_window(stream, data, &spans, &fps, &mut tally)?;
+                spans.clear();
+                fps.clear();
             }
-            window_result?;
+        }
+        if !fps.is_empty() {
+            self.dedup_window(stream, data, &spans, &fps, &mut tally)?;
         }
 
         Ok(BackupReport {
-            manifest,
-            total_chunks: total,
-            new_chunks: report_new,
-            duplicate_chunks: report_dup,
+            manifest: tally.manifest,
+            total_chunks: tally.total,
+            new_chunks: tally.new,
+            duplicate_chunks: tally.duplicate,
             logical_bytes: data.len() as u64,
-            stored_bytes,
+            stored_bytes: tally.stored_bytes,
         })
+    }
+
+    /// Dedups one lookup window: the chunk `data[spans[i]]` has
+    /// fingerprint `fps[i]`. Duplicates are verified and referenced, new
+    /// chunks uploaded and their locations recorded in the cluster.
+    fn dedup_window(
+        &self,
+        stream: StreamId,
+        data: &[u8],
+        spans: &[Range<usize>],
+        fps: &[Fingerprint],
+        tally: &mut Tally,
+    ) -> Result<()> {
+        let answers = self.lookup_window(stream, fps)?;
+
+        let mut record_pairs: Vec<(Fingerprint, u64)> = Vec::new();
+        #[allow(clippy::redundant_closure_call)] // try-block emulation
+        let window_result: Result<()> = (|| {
+            for ((span, &fp), answer) in spans.iter().zip(fps).zip(&answers) {
+                tally.total += 1;
+                let bytes = &data[span.clone()];
+                let len = bytes.len() as u32;
+                let resolved = if answer.existed {
+                    // Prefer the in-flight location: the cluster value
+                    // may still be the insert-time placeholder.
+                    let shielded = self.inner.pending_records.lock().get(&fp).copied();
+                    // Resolve, verify and take the reference under ONE
+                    // store lock, so a concurrent delete cannot free
+                    // the chunk between the check and the add_ref. Any
+                    // failure here — placeholder value, wrong payload,
+                    // chunk just deleted — falls back to uploading our
+                    // own copy (benign redundancy, never corruption).
+                    let mut store = self.inner.store.write();
+                    shielded
+                        .or_else(|| {
+                            let id = ChunkId::from_u64(answer.value);
+                            match store.fingerprint_of(id) {
+                                Ok(stored) if stored == fp => Some(id),
+                                _ => None,
+                            }
+                        })
+                        .filter(|&id| store.add_ref(id).is_ok())
+                } else {
+                    None
+                };
+                match resolved {
+                    Some(id) => {
+                        tally.duplicate += 1;
+                        tally.manifest.push(fp, id, len);
+                    }
+                    None => {
+                        tally.new += 1;
+                        tally.stored_bytes += bytes.len() as u64;
+                        let id = self.inner.store.write().put(fp, bytes.to_vec())?;
+                        self.inner.pending_records.lock().insert(fp, id);
+                        record_pairs.push((fp, id.to_u64()));
+                        tally.manifest.push(fp, id, len);
+                    }
+                }
+            }
+            if record_pairs.is_empty() {
+                Ok(())
+            } else {
+                self.cluster().record_batch(&record_pairs)
+            }
+        })();
+        // Drop this window's shield entries whether or not the record
+        // landed, so error paths cannot grow the map for the lifetime
+        // of the service. After a failed record the cluster holds a
+        // placeholder value; later sessions fail its verification and
+        // re-upload, which is correct (if slightly redundant).
+        if !record_pairs.is_empty() {
+            let mut pending = self.inner.pending_records.lock();
+            for (fp, _) in &record_pairs {
+                pending.remove(fp);
+            }
+        }
+        window_result
     }
 
     /// Adds one storage reference per entry of `manifest` — used when a
