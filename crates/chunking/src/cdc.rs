@@ -131,10 +131,6 @@ impl Chunker for RabinChunker {
         }
         end
     }
-
-    fn max_cut(&self) -> usize {
-        self.bounds.max
-    }
 }
 
 /// FastCDC-style chunker using the gear rolling hash with normalized
@@ -229,10 +225,6 @@ impl Chunker for GearChunker {
             }
         }
         end
-    }
-
-    fn max_cut(&self) -> usize {
-        self.bounds.max
     }
 }
 

@@ -43,10 +43,6 @@ impl Chunker for FixedChunker {
     fn cut(&self, _rest: &[u8]) -> usize {
         self.size
     }
-
-    fn max_cut(&self) -> usize {
-        self.size
-    }
 }
 
 #[cfg(test)]

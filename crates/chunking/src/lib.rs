@@ -82,9 +82,6 @@ pub trait Chunker: Sync {
     /// The driver clamps the answer to `1..=rest.len()`.
     fn cut(&self, rest: &[u8]) -> usize;
 
-    /// Upper bound on any length [`Chunker::cut`] returns.
-    fn max_cut(&self) -> usize;
-
     /// Lazily yields the chunk end offsets (exclusive) of `data` — no
     /// copying, no hashing.
     fn cuts<'a>(&'a self, data: &'a [u8]) -> Cuts<'a, Self> {

@@ -36,8 +36,8 @@ const SHED_BACKOFF_CAP: Duration = Duration::from_millis(10);
 /// cut search.
 const CUT_BLOCK: usize = 16;
 
-/// Blocks of cut points the cutter may run ahead of fingerprinting
-/// (2 × 512-fingerprint windows).
+/// Blocks of cut points the cutter may run ahead of fingerprinting:
+/// 1 024 cuts, ≈ 8 MiB of input at 8 KiB chunks.
 const CUT_QUEUE_BLOCKS: usize = 64;
 
 /// Running accounting of one backup: its manifest and chunk counts.
@@ -362,10 +362,8 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
     /// thread searches for cut points ([`Chunker::cuts`]) and streams
     /// them over in small blocks, while this thread fingerprints the
     /// borrowed slices, looks each window up and uploads the new chunks
-    /// (the only bytes copied). Inputs shorter than
-    /// [`pipeline_threshold`](Self::pipeline_threshold) run both stages
-    /// inline, where a thread would cost more than it overlaps. Either
-    /// way the chunks, lookups and manifest are the same.
+    /// (the only bytes copied). The chunks, lookups and manifest are
+    /// those of a single-threaded walk over [`Chunker::chunk`].
     ///
     /// # Errors
     ///
@@ -374,9 +372,6 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
     /// corruption).
     pub fn backup(&self, stream: StreamId, data: &[u8]) -> Result<BackupReport> {
         let chunker = &self.inner.chunker;
-        if data.len() < self.pipeline_threshold() {
-            return self.dedup_stream(stream, data, chunker.cuts(data));
-        }
         let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<usize>>(CUT_QUEUE_BLOCKS);
         std::thread::scope(|scope| {
             scope.spawn(move || {
@@ -401,13 +396,6 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
             // before the scope joins it.
             self.dedup_stream(stream, data, rx.into_iter().flatten())
         })
-    }
-
-    /// Input length from which [`backup`](Self::backup) cuts on a helper
-    /// thread: four of the chunker's longest chunks. Below it the input
-    /// is too short for the cutter to run ahead of fingerprinting.
-    pub fn pipeline_threshold(&self) -> usize {
-        4 * self.inner.chunker.max_cut()
     }
 
     /// The fingerprinting stage of [`backup`](Self::backup): hashes each

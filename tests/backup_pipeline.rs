@@ -82,20 +82,10 @@ impl<C: Chunker> Model<'_, C> {
 }
 
 /// Input sizes around every edge of the byte path: empty, one byte,
-/// either side of the minimum chunk, the maximum chunk, either side of
-/// the inline/pipelined threshold, and a long odd-sized input.
-fn edge_sizes(min: usize, max: usize, threshold: usize) -> Vec<usize> {
-    vec![
-        0,
-        1,
-        min - 1,
-        min,
-        max,
-        threshold - 1,
-        threshold,
-        threshold + 1,
-        (4 << 20) + 17,
-    ]
+/// either side of the minimum chunk, the maximum chunk, and a long
+/// odd-sized input.
+fn edge_sizes(min: usize, max: usize) -> Vec<usize> {
+    vec![0, 1, min - 1, min, max, (4 << 20) + 17]
 }
 
 fn check_against_model<C: Chunker + Clone + Send>(chunker: C, min: usize, max: usize) {
@@ -105,13 +95,11 @@ fn check_against_model<C: Chunker + Clone + Send>(chunker: C, min: usize, max: u
         MemChunkStore::new(1 << 20),
         64,
     );
-    let threshold = svc.pipeline_threshold();
-    assert_eq!(threshold, 4 * max);
     let mut model = Model {
         chunker: &chunker,
         seen: HashSet::new(),
     };
-    let mut inputs: Vec<Vec<u8>> = edge_sizes(min, max, threshold)
+    let mut inputs: Vec<Vec<u8>> = edge_sizes(min, max)
         .into_iter()
         .map(|len| random_data(len, len as u64))
         .collect();
@@ -222,10 +210,6 @@ fn failing_put_errors_promptly_and_leaves_service_usable() {
             fail_at,
         };
         let svc = BackupService::new(roomy_cluster(), chunker, store, 64);
-        assert!(
-            data.len() >= svc.pipeline_threshold(),
-            "takes the two-thread path"
-        );
 
         let err = backup_bounded(&svc, 1, &data).expect_err("the injected put failure");
         assert!(matches!(err, Error::Io(_)), "unexpected error {err:?}");
@@ -247,9 +231,5 @@ fn shut_down_cluster_errors_promptly() {
     let svc = BackupService::new(cluster.clone(), chunker, MemChunkStore::new(1 << 20), 64);
     cluster.shutdown().unwrap();
     let data = random_data(4 << 20, 9);
-    assert!(
-        data.len() >= svc.pipeline_threshold(),
-        "takes the two-thread path"
-    );
     backup_bounded(&svc, 1, &data).expect_err("lookups against a shut-down cluster");
 }
