@@ -1,16 +1,15 @@
-//! Extension — restore at scale: the pipelined, batched, cache-polite
+//! Extension — restore at scale: the two-worker, batched, cache-polite
 //! read path.
 //!
-//! Backup systems are judged on restore day. The restore walks the
-//! manifest a window ahead: each batch's fingerprints go to the cluster
-//! as **one** [`Admission::Bypass`] query, its chunks come back as
-//! **one** `get_many`, and a prefetcher thread fetches batch N+1 while
-//! batch N is verified and assembled.
+//! Backup systems are judged on restore day. The restore cuts the
+//! manifest into batches that two workers take in order: each batch's
+//! fingerprints go to the cluster as **one** [`Admission::Bypass`]
+//! query, its chunks come back as **one** `get_many`, and the worker
+//! verifies them and copies them straight into the output buffer.
 //!
 //! Three measurements, all on clusters with realistic per-frame and
 //! per-op service time turned up:
-//! 1. K-client restore throughput (K swept), plus a window-depth sweep
-//!    at the largest K.
+//! 1. K-client restore throughput (K swept).
 //! 2. A mixed row: pipelined restores running against concurrent ingest
 //!    sessions on the same service (both throughputs reported).
 //! 3. Scan resistance: the ingest hot-set RAM hit rate with a full
@@ -34,13 +33,10 @@ use shhc_workload::RestoreSpec;
 struct Scenario {
     nodes: u32,
     client_counts: Vec<usize>,
-    /// Window-depth sweep at the largest client count.
-    window_sweep: Vec<usize>,
     chunks_per_client: usize,
     chunk_size: usize,
     passes: usize,
     batch: usize,
-    window: usize,
     /// Per-frame node service overhead — what batching amortizes.
     batch_overhead: Duration,
     /// Per-fingerprint node service time.
@@ -215,12 +211,10 @@ fn main() {
         Scenario {
             nodes: 2,
             client_counts: vec![2],
-            window_sweep: vec![2],
             chunks_per_client: 48,
             chunk_size: 1024,
             passes: 1,
             batch: 16,
-            window: 2,
             batch_overhead: Duration::from_micros(40),
             service_delay: Duration::from_nanos(100),
             mixed_ingest_sessions: 1,
@@ -230,12 +224,10 @@ fn main() {
         Scenario {
             nodes: 2,
             client_counts: vec![1, 4, 8],
-            window_sweep: vec![1, 2, 4, 8],
             chunks_per_client: 512,
             chunk_size: 4096,
             passes: 3,
             batch: 64,
-            window: 4,
             batch_overhead: Duration::from_micros(120),
             service_delay: Duration::from_nanos(300),
             mixed_ingest_sessions: 2,
@@ -243,12 +235,13 @@ fn main() {
         }
     };
     banner(
-        "Extension — restore at scale: pipelined read path with manifest-driven prefetch",
-        "batching the locate round-trips and overlapping fetch with assembly restores \
-         at storage speed without flushing the ingest cache working set (Bypass admission)",
+        "Extension — restore at scale: two workers fetch, verify and place manifest batches",
+        "batching the locate round-trips and spreading fetch + verification over two \
+         workers restores at storage speed without flushing the ingest cache working set \
+         (Bypass admission)",
     );
     println!(
-        "mode: {}, {} nodes, {} chunks × {} B per client, {} passes, batch {}, window {}, \
+        "mode: {}, {} nodes, {} chunks × {} B per client, {} passes, batch {}, \
          {:?} per frame + {:?} per op\n",
         if quick { "quick (CI smoke)" } else { "full" },
         scenario.nodes,
@@ -256,32 +249,29 @@ fn main() {
         scenario.chunk_size,
         scenario.passes,
         scenario.batch,
-        scenario.window,
         scenario.batch_overhead,
         scenario.service_delay,
     );
 
-    let config = RestoreConfig::new(scenario.batch, scenario.window);
+    let config = RestoreConfig::new(scenario.batch);
     let mut rows: Vec<String> = Vec::new();
     let mut results_json: Vec<String> = Vec::new();
     println!(
-        "{:>22} {:>8} {:>7} {:>7} {:>9} {:>11} {:>9} {:>8}",
-        "mode", "clients", "batch", "window", "MB", "elapsed_ms", "MB/s", "locate"
+        "{:>22} {:>8} {:>7} {:>9} {:>11} {:>9} {:>8}",
+        "mode", "clients", "batch", "MB", "elapsed_ms", "MB/s", "locate"
     );
     let mut record = |mode: &str, clients: usize, cfg: RestoreConfig, m: &Measured| {
         println!(
-            "{mode:>22} {clients:>8} {:>7} {:>7} {:>9.1} {:>11.1} {:>9.1} {:>7.0}%",
+            "{mode:>22} {clients:>8} {:>7} {:>9.1} {:>11.1} {:>9.1} {:>7.0}%",
             cfg.batch,
-            cfg.window,
             m.total_bytes as f64 / 1e6,
             m.elapsed.as_secs_f64() * 1e3,
             m.mbps(),
             m.locate_coverage * 100.0,
         );
         rows.push(format!(
-            "{mode},{clients},{},{},{},{:.3},{:.2},{:.4},{}",
+            "{mode},{clients},{},{},{:.3},{:.2},{:.4},{}",
             cfg.batch,
-            cfg.window,
             m.total_bytes,
             m.elapsed.as_secs_f64() * 1e3,
             m.mbps(),
@@ -290,10 +280,9 @@ fn main() {
         ));
         results_json.push(format!(
             "    {{\"mode\": \"{mode}\", \"clients\": {clients}, \"batch\": {}, \
-             \"window\": {}, \"total_bytes\": {}, \"elapsed_ms\": {:.3}, \
+             \"total_bytes\": {}, \"elapsed_ms\": {:.3}, \
              \"mbps\": {:.2}, \"locate_coverage\": {:.4}}}",
             cfg.batch,
-            cfg.window,
             m.total_bytes,
             m.elapsed.as_secs_f64() * 1e3,
             m.mbps(),
@@ -302,7 +291,6 @@ fn main() {
     };
 
     // 1. Client-count sweep on fresh clusters.
-    let max_clients = scenario.client_counts.iter().copied().max().unwrap_or(1);
     for &clients in &scenario.client_counts {
         let spec = RestoreSpec::open_loop(clients, scenario.chunks_per_client)
             .with_chunk_size(scenario.chunk_size);
@@ -310,17 +298,6 @@ fn main() {
         let (manifests, payloads) = setup_backups(&svc, &spec);
         let m = drive_restores(&svc, &manifests, &payloads, scenario.passes, config);
         record("pipelined", clients, config, &m);
-        if clients == max_clients {
-            // Window-depth sweep on the same backed-up service.
-            for &window in &scenario.window_sweep {
-                if window == scenario.window {
-                    continue; // already measured above
-                }
-                let cfg = RestoreConfig::new(scenario.batch, window);
-                let m = drive_restores(&svc, &manifests, &payloads, scenario.passes, cfg);
-                record("pipelined", clients, cfg, &m);
-            }
-        }
         svc.cluster().clone().shutdown().expect("shutdown");
     }
 
@@ -395,12 +372,12 @@ fn main() {
         undisturbed, with_restore, hit_ratio_kept
     );
     rows.push(format!(
-        "hitrate-undisturbed,0,{},{},0,0,0,{undisturbed:.4},false",
-        scenario.batch, scenario.window
+        "hitrate-undisturbed,0,{},0,0,0,{undisturbed:.4},false",
+        scenario.batch
     ));
     rows.push(format!(
-        "hitrate-with-restore,0,{},{},0,0,0,{with_restore:.4},false",
-        scenario.batch, scenario.window
+        "hitrate-with-restore,0,{},0,0,0,{with_restore:.4},false",
+        scenario.batch
     ));
 
     println!("\nchecks:");
@@ -412,7 +389,7 @@ fn main() {
         } else {
             "ext_restore"
         },
-        "mode,clients,batch,window,total_bytes,elapsed_ms,mbps,locate_coverage,degraded",
+        "mode,clients,batch,total_bytes,elapsed_ms,mbps,locate_coverage,degraded",
         &rows,
     );
     if quick {

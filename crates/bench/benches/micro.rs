@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the substrate hot paths: hashing,
-//! bloom filters, caches, the cuckoo table, chunking, the flash store,
-//! ring routing, wire encode/decode, and the shared batcher's tickets.
+//! bloom filters, caches, the cuckoo table, chunking, the service's backup
+//! and restore byte paths, the flash store, ring routing, wire
+//! encode/decode, and the shared batcher's tickets.
 
 use std::sync::{Arc, Weak};
 
@@ -135,6 +136,24 @@ fn bench_chunking(c: &mut Criterion) {
                 .backup(StreamId::new(1), black_box(&slice))
                 .expect("backup")
                 .total_chunks
+        });
+    });
+    group.finish();
+
+    // The read side on the same service: two workers locate, fetch
+    // (SHA-1 verified) and place 64-entry batches of the slice's manifest.
+    let manifest = service
+        .backup(StreamId::new(2), &slice)
+        .expect("backup")
+        .manifest;
+    let mut group = c.benchmark_group("restore");
+    group.throughput(Throughput::Bytes(slice.len() as u64));
+    group.bench_function("restore_4MiB", |b| {
+        b.iter(|| {
+            service
+                .restore(black_box(&manifest))
+                .expect("restore")
+                .len()
         });
     });
     group.finish();

@@ -2,13 +2,14 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use shhc_chunking::Chunker;
 use shhc_hash::fingerprint_of;
-use shhc_storage::{BackupManifest, ChunkStore};
+use shhc_storage::{BackupManifest, ChunkStore, ManifestEntry};
 use shhc_types::{Admission, ChunkId, Error, Fingerprint, Result, StreamId};
 
 use crate::{FrontendTier, LookupAnswer, SharedFrontend, ShhcCluster};
@@ -49,6 +50,24 @@ struct Tally {
     stored_bytes: u64,
 }
 
+/// One restore batch: manifest entries `first..first + entries.len()`
+/// and the part of the output buffer they fill.
+struct RestoreJob<'a> {
+    first: usize,
+    entries: &'a [ManifestEntry],
+    region: &'a mut [u8],
+}
+
+/// The advisory locate audit both restore workers add to. Counters are
+/// read only after the workers are joined, so relaxed updates suffice.
+#[derive(Default)]
+struct LocateAudit {
+    located: AtomicUsize,
+    mismatched: AtomicUsize,
+    skipped: AtomicUsize,
+    degraded: AtomicBool,
+}
+
 /// Outcome of a backup deletion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeleteReport {
@@ -64,36 +83,29 @@ pub struct DeleteReport {
 /// `batch` is the number of manifest entries located and fetched per
 /// store-lock scope (the restore releases the chunk-store read lock
 /// between batches, so concurrent backup sessions' writers are never
-/// starved by a long replay). `window` is how many fetched batches the
-/// restore may hold ready ahead of assembly — the prefetcher blocks once
-/// it is that far ahead, bounding memory to `window × batch × chunk_size`.
+/// starved by a long replay). Besides the output buffer, a restore holds
+/// at most one fetched batch per worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreConfig {
     /// Manifest entries per locate/fetch batch (per lock scope).
     pub batch: usize,
-    /// Fetched batches the prefetcher may run ahead of assembly.
-    pub window: usize,
 }
 
 impl RestoreConfig {
-    /// Creates a config; both knobs must be nonzero.
+    /// Creates a config.
     ///
     /// # Panics
     ///
-    /// Panics if `batch` or `window` is zero.
-    pub fn new(batch: usize, window: usize) -> Self {
+    /// Panics if `batch` is zero.
+    pub fn new(batch: usize) -> Self {
         assert!(batch > 0, "restore batch must be nonzero");
-        assert!(window > 0, "restore window must be nonzero");
-        RestoreConfig { batch, window }
+        RestoreConfig { batch }
     }
 }
 
 impl Default for RestoreConfig {
     fn default() -> Self {
-        RestoreConfig {
-            batch: 64,
-            window: 4,
-        }
+        RestoreConfig { batch: 64 }
     }
 }
 
@@ -124,7 +136,8 @@ pub struct RestoreReport {
     pub skipped: usize,
     /// True when an advisory locate failed (e.g. a dead node): further
     /// locates were skipped so a broken index costs at most one failed
-    /// round-trip, and the restore carried on from storage alone.
+    /// round-trip per restore worker, and the restore carried on from
+    /// storage alone.
     pub degraded: bool,
     /// Wall-clock time for the whole replay.
     pub duration: Duration,
@@ -602,12 +615,16 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
         self.restore(manifest)
     }
 
-    /// Replays a manifest: a prefetcher thread walks it up to
-    /// `config.window` batches ahead of assembly, locating each batch's
-    /// fingerprints in the cluster as **one** batched query and fetching
-    /// its chunks as **one** [`ChunkStore::get_many`] call, while this
-    /// thread verifies and assembles the previous batch — fetch of batch
-    /// N+1 overlaps assembly of batch N.
+    /// Replays a manifest on two workers, this thread and one scoped
+    /// helper. The manifest is cut into batches of `config.batch`
+    /// entries, each paired with the disjoint region of the output buffer
+    /// its entries fill, and the workers take batches from one shared
+    /// cursor in manifest order. Per batch, a worker locates the
+    /// fingerprints in the cluster as **one** batched query, fetches the
+    /// chunks as **one** [`ChunkStore::get_many`] call (which re-verifies
+    /// every payload against its fingerprint), checks each chunk against
+    /// its manifest entry and copies it into place. The SHA-1 verification
+    /// of two batches thus runs at once.
     ///
     /// The store read lock is taken per `config.batch` entries, never for
     /// the whole replay, so concurrent backup sessions' writes interleave
@@ -625,7 +642,9 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
     ///
     /// [`Error::NotFound`] if a referenced chunk is gone,
     /// [`Error::Corruption`] if a chunk's payload or length no longer
-    /// matches the manifest. Cluster failures never error the restore.
+    /// matches the manifest. When several batches fail, the error is the
+    /// one at the lowest manifest index, as a front-to-back replay would
+    /// report it. Cluster failures never error the restore.
     pub fn restore_with(
         &self,
         manifest: &BackupManifest,
@@ -635,108 +654,124 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
         C: Send + Sync,
         S: Send + Sync,
     {
-        struct Prefetched {
-            /// Index of the batch's first entry in the manifest.
-            start: usize,
-            blobs: Vec<Vec<u8>>,
-            stored_fps: Vec<Fingerprint>,
-            located: usize,
-            mismatched: usize,
-            skipped: usize,
-            degraded: bool,
-        }
-
         let start_time = Instant::now();
-        let batch_size = config.batch.max(1);
-        let entries = &manifest.entries;
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Result<Prefetched>>(config.window.max(1));
-
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let mut degraded = false;
-                for (w, batch) in entries.chunks(batch_size).enumerate() {
-                    let (located, mismatched, skipped) = if degraded {
-                        (0, 0, batch.len())
-                    } else {
-                        let fps: Vec<Fingerprint> = batch.iter().map(|e| e.fingerprint).collect();
-                        match self
-                            .cluster()
-                            .query_batch_values_with(&fps, Admission::Bypass)
-                        {
-                            Ok((exists, _)) => {
-                                let hits = exists.iter().filter(|e| **e).count();
-                                (hits, exists.len() - hits, 0)
-                            }
-                            Err(_) => {
-                                degraded = true;
-                                (0, 0, batch.len())
-                            }
-                        }
-                    };
-                    let fetched = {
-                        // Lock scope: one batch. Writers get in between
-                        // batches, and the guard drops before the
-                        // (potentially blocking) channel send below.
-                        let store = self.inner.store.read();
-                        let ids: Vec<ChunkId> = batch.iter().map(|e| e.chunk).collect();
-                        store.get_many(&ids).and_then(|blobs| {
-                            let stored_fps = ids
-                                .iter()
-                                .map(|&id| store.fingerprint_of(id))
-                                .collect::<Result<Vec<_>>>()?;
-                            Ok((blobs, stored_fps))
-                        })
-                    };
-                    let failed = fetched.is_err();
-                    let msg = fetched.map(|(blobs, stored_fps)| Prefetched {
-                        start: w * batch_size,
-                        blobs,
-                        stored_fps,
-                        located,
-                        mismatched,
-                        skipped,
-                        degraded,
-                    });
-                    // A send error means the assembler bailed (storage
-                    // error on an earlier batch) and hung up; either way
-                    // there is nothing useful left to prefetch.
-                    if tx.send(msg).is_err() || failed {
+        let batch = config.batch.max(1);
+        let audit = LocateAudit::default();
+        let mut data = vec![0u8; manifest.logical_bytes() as usize];
+        let outcomes = {
+            let mut jobs = Vec::with_capacity(manifest.len().div_ceil(batch));
+            let mut rest = data.as_mut_slice();
+            for (k, entries) in manifest.entries.chunks(batch).enumerate() {
+                let len = entries.iter().map(|e| e.len as usize).sum();
+                let (region, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                jobs.push(RestoreJob {
+                    first: k * batch,
+                    entries,
+                    region,
+                });
+            }
+            let cursor = Mutex::new(jobs.into_iter());
+            // Publishes no data (errors travel back through the joins),
+            // so relaxed loads and stores are enough.
+            let failed = AtomicBool::new(false);
+            // Batches leave the cursor in order, so when one fails every
+            // lower batch is already taken and runs to its end: the
+            // lowest failing index is always found.
+            let work = || {
+                while !failed.load(Ordering::Relaxed) {
+                    let Some(job) = cursor.lock().next() else {
                         break;
+                    };
+                    if let Err(e) = self.restore_batch(job, &audit) {
+                        failed.store(true, Ordering::Relaxed);
+                        return Err(e);
                     }
                 }
-            });
+                Ok(())
+            };
+            std::thread::scope(|scope| {
+                let helper = scope.spawn(work);
+                [work(), helper.join().expect("restore worker panicked")]
+            })
+        };
+        if let Some((_, e)) = outcomes
+            .into_iter()
+            .filter_map(|o| o.err())
+            .min_by_key(|(i, _)| *i)
+        {
+            return Err(e);
+        }
+        Ok(RestoreReport {
+            chunks: manifest.len(),
+            bytes: data.len() as u64,
+            data,
+            located: audit.located.into_inner(),
+            mismatched: audit.mismatched.into_inner(),
+            skipped: audit.skipped.into_inner(),
+            degraded: audit.degraded.into_inner(),
+            duration: start_time.elapsed(),
+        })
+    }
 
-            let mut out = Vec::with_capacity(manifest.logical_bytes() as usize);
-            let mut located = 0usize;
-            let mut mismatched = 0usize;
-            let mut skipped = 0usize;
-            let mut degraded = false;
-            // Dropping `rx` on an early `?` return unblocks a prefetcher
-            // parked on a full channel, so the scope join cannot deadlock.
-            for msg in rx {
-                let batch = msg?;
-                located += batch.located;
-                mismatched += batch.mismatched;
-                skipped += batch.skipped;
-                degraded |= batch.degraded;
-                for (j, (blob, stored_fp)) in batch.blobs.iter().zip(&batch.stored_fps).enumerate()
-                {
-                    let i = batch.start + j;
-                    verify_entry(i, &entries[i], blob.len(), *stored_fp)?;
-                    out.extend_from_slice(blob);
+    /// Locates, fetches, checks and places one restore batch. An error
+    /// carries the manifest index a front-to-back replay reports it at.
+    fn restore_batch(
+        &self,
+        job: RestoreJob<'_>,
+        audit: &LocateAudit,
+    ) -> std::result::Result<(), (usize, Error)> {
+        let RestoreJob {
+            first,
+            entries,
+            region,
+        } = job;
+        if audit.degraded.load(Ordering::Relaxed) {
+            audit.skipped.fetch_add(entries.len(), Ordering::Relaxed);
+        } else {
+            let fps: Vec<Fingerprint> = entries.iter().map(|e| e.fingerprint).collect();
+            match self
+                .cluster()
+                .query_batch_values_with(&fps, Admission::Bypass)
+            {
+                Ok((exists, _)) => {
+                    let hits = exists.iter().filter(|e| **e).count();
+                    audit.located.fetch_add(hits, Ordering::Relaxed);
+                    audit
+                        .mismatched
+                        .fetch_add(exists.len() - hits, Ordering::Relaxed);
+                }
+                Err(_) => {
+                    audit.degraded.store(true, Ordering::Relaxed);
+                    audit.skipped.fetch_add(entries.len(), Ordering::Relaxed);
                 }
             }
-            Ok(RestoreReport {
-                chunks: manifest.len(),
-                bytes: out.len() as u64,
-                data: out,
-                located,
-                mismatched,
-                skipped,
-                degraded,
-                duration: start_time.elapsed(),
-            })
-        })
+        }
+        let (blobs, stored_fps) = {
+            // Lock scope: one batch. Writers get in between batches.
+            let store = self.inner.store.read();
+            let ids: Vec<ChunkId> = entries.iter().map(|e| e.chunk).collect();
+            store
+                .get_many(&ids)
+                .and_then(|blobs| {
+                    let stored_fps = ids
+                        .iter()
+                        .map(|&id| store.fingerprint_of(id))
+                        .collect::<Result<Vec<_>>>()?;
+                    Ok((blobs, stored_fps))
+                })
+                .map_err(|e| (first, e))?
+        };
+        let mut offset = 0;
+        for (j, ((entry, blob), stored_fp)) in
+            entries.iter().zip(&blobs).zip(stored_fps).enumerate()
+        {
+            let i = first + j;
+            entry.verify(i, blob.len(), stored_fp).map_err(|e| (i, e))?;
+            region[offset..offset + blob.len()].copy_from_slice(blob);
+            offset += blob.len();
+        }
+        Ok(())
     }
 
     /// Consumes the service, returning the store (e.g. to inspect
@@ -751,29 +786,6 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
             Err(_) => panic!("into_store with other service handles alive"),
         }
     }
-}
-
-/// Checks one replayed chunk against its manifest entry (length and
-/// stored fingerprint).
-fn verify_entry(
-    i: usize,
-    entry: &shhc_storage::ManifestEntry,
-    len: usize,
-    stored_fp: Fingerprint,
-) -> Result<()> {
-    if len != entry.len as usize {
-        return Err(Error::Corruption(format!(
-            "manifest entry {i}: length {} but stored chunk has {}",
-            entry.len, len
-        )));
-    }
-    if stored_fp != entry.fingerprint {
-        return Err(Error::Corruption(format!(
-            "manifest entry {i}: fingerprint mismatch (chunk {} holds different content)",
-            entry.chunk
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

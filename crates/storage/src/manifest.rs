@@ -16,6 +16,31 @@ pub struct ManifestEntry {
     pub len: u32,
 }
 
+impl ManifestEntry {
+    /// Checks a chunk read back for this entry, the manifest's `index`-th:
+    /// its payload length `len` and the fingerprint the store holds for
+    /// it, `stored`, must both be the ones recorded at backup time.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Corruption`] naming `index` on either mismatch.
+    pub fn verify(&self, index: usize, len: usize, stored: Fingerprint) -> Result<()> {
+        if len != self.len as usize {
+            return Err(Error::Corruption(format!(
+                "manifest entry {index}: length {} but stored chunk has {len}",
+                self.len
+            )));
+        }
+        if stored != self.fingerprint {
+            return Err(Error::Corruption(format!(
+                "manifest entry {index}: fingerprint mismatch (chunk {} holds different content)",
+                self.chunk
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// The recipe to reconstruct one backup stream: an ordered list of chunk
 /// references (both the deduplicated ones and the freshly stored ones).
 ///
@@ -91,20 +116,7 @@ pub fn restore<S: ChunkStore + ?Sized>(store: &S, manifest: &BackupManifest) -> 
     let mut out = Vec::with_capacity(manifest.logical_bytes() as usize);
     for (i, entry) in manifest.entries.iter().enumerate() {
         let data = store.get(entry.chunk)?;
-        if data.len() != entry.len as usize {
-            return Err(Error::Corruption(format!(
-                "manifest entry {i}: length {} but stored chunk has {}",
-                entry.len,
-                data.len()
-            )));
-        }
-        let actual = store.fingerprint_of(entry.chunk)?;
-        if actual != entry.fingerprint {
-            return Err(Error::Corruption(format!(
-                "manifest entry {i}: fingerprint mismatch (chunk {} holds different content)",
-                entry.chunk
-            )));
-        }
+        entry.verify(i, data.len(), store.fingerprint_of(entry.chunk)?)?;
         out.extend_from_slice(&data);
     }
     Ok(out)
@@ -165,10 +177,15 @@ mod tests {
         let mut manifest = BackupManifest::new(StreamId::new(1));
         // Manifest claims different content for the chunk.
         manifest.push(Fingerprint::from_u64(999), id, data.len() as u32);
-        assert!(matches!(
-            restore(&store, &manifest),
-            Err(Error::Corruption(_))
-        ));
+        match restore(&store, &manifest) {
+            Err(Error::Corruption(msg)) => assert_eq!(
+                msg,
+                format!(
+                    "manifest entry 0: fingerprint mismatch (chunk {id} holds different content)"
+                )
+            ),
+            other => panic!("expected corruption, got {other:?}"),
+        }
     }
 
     #[test]
@@ -179,10 +196,12 @@ mod tests {
         let id = store.put(fp, data).unwrap();
         let mut manifest = BackupManifest::new(StreamId::new(1));
         manifest.push(fp, id, 99);
-        assert!(matches!(
-            restore(&store, &manifest),
-            Err(Error::Corruption(_))
-        ));
+        match restore(&store, &manifest) {
+            Err(Error::Corruption(msg)) => {
+                assert_eq!(msg, "manifest entry 0: length 99 but stored chunk has 4")
+            }
+            other => panic!("expected corruption, got {other:?}"),
+        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Each client owns a disjoint deduplicated stream backed up through a
 //! shared `BackupService`. All four then restore at once over the
-//! pipelined read path (batched `Admission::Bypass` locate queries,
-//! `get_many` container reads, and a prefetcher overlapping fetch with
-//! assembly). Prints per-client throughput plus the node cache and
-//! locate-audit stats.
+//! two-worker read path (batched `Admission::Bypass` locate queries and
+//! `get_many` container reads, each worker verifying and placing whole
+//! batches into the output buffer). Prints per-client throughput plus the
+//! node cache and locate-audit stats.
 //!
 //! Run with: `cargo run --release --example restore_clients`
 
@@ -48,7 +48,7 @@ fn main() -> Result<()> {
         spec.total_restored_bytes() as f64 / 1e6
     );
 
-    let config = RestoreConfig::new(64, 4);
+    let config = RestoreConfig::new(64);
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let mut handles = Vec::new();
     for (c, (manifest, payload)) in manifests.iter().zip(&payloads).enumerate() {
@@ -69,10 +69,7 @@ fn main() -> Result<()> {
         }));
     }
 
-    println!(
-        "restore ({}-chunk batches, window {}):",
-        config.batch, config.window
-    );
+    println!("restore ({}-chunk batches, two workers):", config.batch);
     println!(
         "{:>8} {:>10} {:>12} {:>10} {:>14}",
         "client", "chunks", "elapsed_ms", "MB/s", "locate hits"
