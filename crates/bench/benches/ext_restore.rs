@@ -1,32 +1,26 @@
-//! Extension — restore at scale: the two-worker, batched, cache-polite
-//! read path.
+//! Extension — restore at scale: the two-worker, batched read path.
 //!
 //! Backup systems are judged on restore day. The restore cuts the
 //! manifest into batches that two workers take in order: each batch's
-//! fingerprints go to the cluster as **one** [`Admission::Bypass`]
-//! query, its chunks come back as **one** `get_many`, and the worker
-//! verifies them and copies them straight into the output buffer.
+//! chunks come back from the chunk store as **one** `get_many`, and the
+//! worker verifies them and copies them straight into the output buffer.
+//! The fingerprint index is never asked.
 //!
-//! Three measurements, all on clusters with realistic per-frame and
-//! per-op service time turned up:
+//! Two measurements, on clusters with realistic per-frame and per-op
+//! service time turned up (which only the ingest sessions pay):
 //! 1. K-client restore throughput (K swept).
 //! 2. A mixed row: pipelined restores running against concurrent ingest
 //!    sessions on the same service (both throughputs reported).
-//! 3. Scan resistance: the ingest hot-set RAM hit rate with a full
-//!    Bypass restore churning concurrently, against the undisturbed
-//!    value.
 //!
-//! Expected: the concurrent-restore hit rate ≥ 0.9× the undisturbed
-//! one. Emits
-//! `results/ext_restore.csv` plus `BENCH_restore.json` at the workspace
-//! root. Set `SHHC_RESTORE_QUICK=1` for a CI smoke run.
+//! Emits `results/ext_restore.csv` plus `BENCH_restore.json` at the
+//! workspace root. Set `SHHC_RESTORE_QUICK=1` for a CI smoke run.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use shhc::prelude::*;
-use shhc::{BackendKind, NodeConfig, RestoreConfig, ShhcCluster};
+use shhc::{NodeConfig, RestoreConfig, ShhcCluster};
 use shhc_bench::{banner, restore_quick, write_bench_json, write_csv};
 use shhc_workload::RestoreSpec;
 
@@ -43,8 +37,6 @@ struct Scenario {
     service_delay: Duration,
     /// Ingest sessions in the mixed row.
     mixed_ingest_sessions: usize,
-    /// Hot-set re-ingest rounds in the scan-resistance measurement.
-    hitrate_rounds: usize,
 }
 
 type Svc = BackupService<FixedChunker, MemChunkStore>;
@@ -69,8 +61,6 @@ fn spawn_service(scenario: &Scenario) -> Svc {
 struct Measured {
     total_bytes: u64,
     elapsed: Duration,
-    locate_coverage: f64,
-    degraded: bool,
 }
 
 impl Measured {
@@ -89,7 +79,7 @@ fn drive_restores(
     config: RestoreConfig,
 ) -> Measured {
     let barrier = Arc::new(Barrier::new(manifests.len()));
-    let (bytes, coverage_sum, degraded, elapsed) = std::thread::scope(|scope| {
+    let (total_bytes, elapsed) = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (manifest, payload) in manifests.iter().zip(payloads) {
             let svc = svc.clone();
@@ -98,30 +88,24 @@ fn drive_restores(
                 barrier.wait();
                 let start = Instant::now();
                 let mut bytes = 0u64;
-                let mut coverage = 0.0f64;
-                let mut degraded = false;
                 for _ in 0..passes {
                     let report = svc.restore_with(manifest, config).expect("restore");
                     assert_eq!(report.data, *payload, "restore must be byte-exact");
                     bytes += report.bytes;
-                    coverage += report.locate_coverage();
-                    degraded |= report.degraded;
                 }
-                (bytes, coverage / passes as f64, degraded, start.elapsed())
+                (bytes, start.elapsed())
             }));
         }
         handles
             .into_iter()
-            .fold((0u64, 0.0f64, false, Duration::ZERO), |(b, c, d, e), h| {
-                let (bytes, coverage, degraded, elapsed) = h.join().expect("restorer");
-                (b + bytes, c + coverage, d | degraded, e.max(elapsed))
+            .fold((0u64, Duration::ZERO), |(b, e), h| {
+                let (bytes, elapsed) = h.join().expect("restorer");
+                (b + bytes, e.max(elapsed))
             })
     });
     Measured {
-        total_bytes: bytes,
+        total_bytes,
         elapsed,
-        locate_coverage: coverage_sum / manifests.len() as f64,
-        degraded,
     }
 }
 
@@ -140,71 +124,6 @@ fn setup_backups(svc: &Svc, spec: &RestoreSpec) -> (Vec<BackupManifest>, Vec<Vec
     (manifests, payloads)
 }
 
-/// The scan-resistance measurement: the ingest hot-set RAM hit ratio
-/// over `rounds` re-ingests, optionally with a full pipelined (Bypass)
-/// restore of a cache-busting cold archive looping concurrently.
-fn hot_set_hit_ratio(scenario: &Scenario, concurrent_restore: bool) -> f64 {
-    // Node shape pinned to the single backend: that is where the node
-    // cache serves queries (reader-pool nodes answer from mirrors).
-    // Service time stays zero here — this measures cache state, not
-    // wall clock.
-    let mut node_config = NodeConfig::small_test();
-    node_config.cache_capacity = 256;
-    node_config.backend = BackendKind::Single;
-    node_config.readers = 0;
-    let cluster =
-        ShhcCluster::spawn(ClusterConfig::new(scenario.nodes, node_config)).expect("spawn cluster");
-    let svc: Svc = BackupService::new(
-        cluster,
-        FixedChunker::new(scenario.chunk_size),
-        MemChunkStore::new(8 << 20),
-        64,
-    );
-
-    let cold = RestoreSpec::open_loop(1, 1024)
-        .with_chunk_size(scenario.chunk_size)
-        .with_redundancy(0.0)
-        .client_data(0);
-    let hot = RestoreSpec::open_loop(1, 64)
-        .with_chunk_size(scenario.chunk_size)
-        .with_redundancy(0.0)
-        .with_seed(0x401)
-        .client_data(0);
-    let cold_manifest = svc
-        .backup(StreamId::new(1), &cold)
-        .expect("backup")
-        .manifest;
-    svc.backup(StreamId::new(2), &hot).expect("backup");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let ratio = std::thread::scope(|scope| {
-        if concurrent_restore {
-            let svc = svc.clone();
-            let stop = Arc::clone(&stop);
-            let cold = &cold;
-            let cold_manifest = &cold_manifest;
-            scope.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let restored = svc.restore(cold_manifest).expect("restore");
-                    assert_eq!(&restored, cold);
-                }
-            });
-        }
-        for round in 0..scenario.hitrate_rounds {
-            svc.backup(StreamId::new(10 + round as u32), &hot)
-                .expect("backup");
-        }
-        stop.store(true, Ordering::Relaxed);
-        let stats = svc.cluster().stats().expect("stats");
-        let (ram, ssd) = stats.nodes.iter().fold((0u64, 0u64), |(r, s), n| {
-            (r + n.stats.ram_hits, s + n.stats.ssd_hits)
-        });
-        ram as f64 / (ram + ssd).max(1) as f64
-    });
-    svc.cluster().clone().shutdown().expect("shutdown");
-    ratio
-}
-
 fn main() {
     let quick = restore_quick();
     let scenario = if quick {
@@ -218,7 +137,6 @@ fn main() {
             batch_overhead: Duration::from_micros(40),
             service_delay: Duration::from_nanos(100),
             mixed_ingest_sessions: 1,
-            hitrate_rounds: 2,
         }
     } else {
         Scenario {
@@ -231,14 +149,12 @@ fn main() {
             batch_overhead: Duration::from_micros(120),
             service_delay: Duration::from_nanos(300),
             mixed_ingest_sessions: 2,
-            hitrate_rounds: 5,
         }
     };
     banner(
         "Extension — restore at scale: two workers fetch, verify and place manifest batches",
-        "batching the locate round-trips and spreading fetch + verification over two \
-         workers restores at storage speed without flushing the ingest cache working set \
-         (Bypass admission)",
+        "batched store reads with fetch + verification spread over two workers restore \
+         at storage speed, and the restore never touches the fingerprint index",
     );
     println!(
         "mode: {}, {} nodes, {} chunks × {} B per client, {} passes, batch {}, \
@@ -257,36 +173,31 @@ fn main() {
     let mut rows: Vec<String> = Vec::new();
     let mut results_json: Vec<String> = Vec::new();
     println!(
-        "{:>22} {:>8} {:>7} {:>9} {:>11} {:>9} {:>8}",
-        "mode", "clients", "batch", "MB", "elapsed_ms", "MB/s", "locate"
+        "{:>22} {:>8} {:>7} {:>9} {:>11} {:>9}",
+        "mode", "clients", "batch", "MB", "elapsed_ms", "MB/s"
     );
     let mut record = |mode: &str, clients: usize, cfg: RestoreConfig, m: &Measured| {
         println!(
-            "{mode:>22} {clients:>8} {:>7} {:>9.1} {:>11.1} {:>9.1} {:>7.0}%",
+            "{mode:>22} {clients:>8} {:>7} {:>9.1} {:>11.1} {:>9.1}",
             cfg.batch,
             m.total_bytes as f64 / 1e6,
             m.elapsed.as_secs_f64() * 1e3,
             m.mbps(),
-            m.locate_coverage * 100.0,
         );
         rows.push(format!(
-            "{mode},{clients},{},{},{:.3},{:.2},{:.4},{}",
+            "{mode},{clients},{},{},{:.3},{:.2}",
             cfg.batch,
             m.total_bytes,
             m.elapsed.as_secs_f64() * 1e3,
             m.mbps(),
-            m.locate_coverage,
-            m.degraded,
         ));
         results_json.push(format!(
             "    {{\"mode\": \"{mode}\", \"clients\": {clients}, \"batch\": {}, \
-             \"total_bytes\": {}, \"elapsed_ms\": {:.3}, \
-             \"mbps\": {:.2}, \"locate_coverage\": {:.4}}}",
+             \"total_bytes\": {}, \"elapsed_ms\": {:.3}, \"mbps\": {:.2}}}",
             cfg.batch,
             m.total_bytes,
             m.elapsed.as_secs_f64() * 1e3,
             m.mbps(),
-            m.locate_coverage,
         ));
     };
 
@@ -349,8 +260,6 @@ fn main() {
         let ingest_m = Measured {
             total_bytes: ingest_bytes,
             elapsed: ingest_elapsed,
-            locate_coverage: 0.0,
-            degraded: false,
         };
         record(
             "mixed-ingest",
@@ -361,35 +270,13 @@ fn main() {
         svc.cluster().clone().shutdown().expect("shutdown");
     }
 
-    // 3. Scan resistance: hot-set hit rate with and without a concurrent
-    // full restore.
-    let undisturbed = hot_set_hit_ratio(&scenario, false);
-    let with_restore = hot_set_hit_ratio(&scenario, true);
-    let hit_ratio_kept = with_restore / undisturbed.max(1e-9);
-    println!(
-        "\ningest hot-set RAM hit rate: undisturbed {:.3}, with concurrent Bypass restore \
-         {:.3} ({:.2}x)",
-        undisturbed, with_restore, hit_ratio_kept
-    );
-    rows.push(format!(
-        "hitrate-undisturbed,0,{},0,0,0,{undisturbed:.4},false",
-        scenario.batch
-    ));
-    rows.push(format!(
-        "hitrate-with-restore,0,{},0,0,0,{with_restore:.4},false",
-        scenario.batch
-    ));
-
-    println!("\nchecks:");
-    println!("  hot-set hit rate with restore / undisturbed = {hit_ratio_kept:.2} (target ≥ 0.9)");
-
     write_csv(
         if quick {
             "ext_restore_quick"
         } else {
             "ext_restore"
         },
-        "mode,clients,batch,total_bytes,elapsed_ms,mbps,locate_coverage,degraded",
+        "mode,clients,batch,total_bytes,elapsed_ms,mbps",
         &rows,
     );
     if quick {
@@ -401,10 +288,7 @@ fn main() {
         &format!(
             "{{\n  \"bench\": \"ext_restore\",\n  \"quick\": {quick},\n  \"nodes\": {},\n  \
              \"chunks_per_client\": {},\n  \"chunk_size\": {},\n  \"passes\": {},\n  \
-             \"batch_overhead_us\": {},\n  \"service_delay_ns\": {},\n  \"checks\": {{\n    \
-             \"hot_set_hit_rate_undisturbed\": {undisturbed:.4},\n    \
-             \"hot_set_hit_rate_with_restore\": {with_restore:.4},\n    \
-             \"hit_rate_kept\": {hit_ratio_kept:.4},\n    \"hit_rate_target\": 0.9\n  }},\n  \
+             \"batch_overhead_us\": {},\n  \"service_delay_ns\": {},\n  \
              \"results\": [\n{}\n  ]\n}}\n",
             scenario.nodes,
             scenario.chunks_per_client,

@@ -140,8 +140,8 @@ fn bench_chunking(c: &mut Criterion) {
     });
     group.finish();
 
-    // The read side on the same service: two workers locate, fetch
-    // (SHA-1 verified) and place 64-entry batches of the slice's manifest.
+    // The read side on the same service: two workers fetch (SHA-1
+    // verified) and place 64-entry batches of the slice's manifest.
     let manifest = service
         .backup(StreamId::new(2), &slice)
         .expect("backup")

@@ -62,23 +62,6 @@ pub trait Cache<K, V> {
     /// entry, if any.
     fn insert(&mut self, key: K, value: V) -> Option<(K, V)>;
 
-    /// Inserts `key → value` with *cold* (scan-resistant) admission: the
-    /// entry becomes the policy's next eviction candidate instead of its
-    /// most-recent one, and never promotes or displaces protected state.
-    /// One-pass scans — a streaming restore replaying a manifest — use
-    /// this so repeated cold inserts churn a single victim slot while the
-    /// resident working set stays put. Updating a key that is already
-    /// resident rewrites its value in place without a recency boost.
-    /// Returns the evicted entry, if any.
-    fn insert_cold(&mut self, key: K, value: V) -> Option<(K, V)>;
-
-    /// Looks up `key` without touching recency metadata *or* the
-    /// hit/miss counters ([`Cache::stats`], [`Cache::recent_hit_ratio`])
-    /// — the read half of scan-resistant access, so a restore sweep
-    /// neither reorders the cache nor skews the demand signals that
-    /// drive autosizing.
-    fn peek_value(&self, key: &K) -> Option<&V>;
-
     /// Tests presence *without* updating recency.
     fn peek(&self, key: &K) -> bool;
 

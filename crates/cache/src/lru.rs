@@ -131,23 +131,6 @@ impl<K: CacheKey, V, S: BuildHasher> LruCache<K, V, S> {
         }
     }
 
-    fn push_back(&mut self, idx: usize) {
-        {
-            let tail = self.tail;
-            let s = self.slot_mut(idx);
-            s.next = NIL;
-            s.prev = tail;
-        }
-        if self.tail != NIL {
-            let old_tail = self.tail;
-            self.slot_mut(old_tail).next = idx;
-        }
-        self.tail = idx;
-        if self.head == NIL {
-            self.head = idx;
-        }
-    }
-
     fn touch(&mut self, idx: usize) {
         if self.head != idx {
             self.unlink(idx);
@@ -286,38 +269,6 @@ impl<K: CacheKey, V, S: BuildHasher> Cache<K, V> for LruCache<K, V, S> {
         evicted
     }
 
-    /// Links the new entry at the *tail* (LRU end): a full cache evicts
-    /// its real LRU once, then every later cold insert replaces the
-    /// previous cold entry — a scan occupies exactly one slot.
-    fn insert_cold(&mut self, key: K, value: V) -> Option<(K, V)> {
-        self.stats.insertions += 1;
-        if let Some(&idx) = self.map.get(&key) {
-            self.slot_mut(idx).value = value;
-            return None;
-        }
-
-        let evicted = if self.map.len() == self.capacity {
-            self.stats.evictions += 1;
-            self.pop_lru()
-        } else {
-            None
-        };
-
-        let idx = self.alloc(Slot {
-            key: key.clone(),
-            value,
-            prev: NIL,
-            next: NIL,
-        });
-        self.map.insert(key, idx);
-        self.push_back(idx);
-        evicted
-    }
-
-    fn peek_value(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|&idx| &self.slot(idx).value)
-    }
-
     fn peek(&self, key: &K) -> bool {
         self.map.contains_key(key)
     }
@@ -446,41 +397,12 @@ mod tests {
     }
 
     #[test]
-    fn insert_cold_links_at_lru_end() {
-        let mut c = LruCache::new(3);
-        c.insert(1, ());
-        c.insert(2, ());
-        c.insert(3, ());
-        c.get(&1); // order (MRU) 1,3,2 (LRU)
-                   // Full: the first cold insert evicts the true LRU…
-        assert_eq!(c.insert_cold(10, ()).map(|e| e.0), Some(2));
-        // …and every further cold insert churns only the cold slot.
-        assert_eq!(c.insert_cold(11, ()).map(|e| e.0), Some(10));
-        assert_eq!(c.insert_cold(12, ()).map(|e| e.0), Some(11));
-        assert!(c.peek(&1) && c.peek(&3), "warm entries survive the scan");
-        let order: Vec<i32> = c.iter().map(|(k, _)| *k).collect();
-        assert_eq!(order, vec![1, 3, 12]);
-    }
-
-    #[test]
-    fn insert_cold_updates_resident_value_without_touch() {
-        let mut c = LruCache::new(2);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        // 1 is LRU; a cold update must not refresh its recency.
-        assert_eq!(c.insert_cold(1, 11), None);
-        assert_eq!(c.peek_value(&1), Some(&11));
-        c.insert(3, 30);
-        assert!(!c.peek(&1), "cold update must not have touched 1");
-    }
-
-    #[test]
     fn peek_value_is_stat_silent() {
         let mut c = LruCache::new(2);
         c.insert(1, ());
         let before = c.stats();
-        assert_eq!(Cache::peek_value(&c, &1), Some(&()));
-        assert!(Cache::peek_value(&c, &9).is_none());
+        assert_eq!(c.peek_value(&1), Some(&()));
+        assert!(c.peek_value(&9).is_none());
         let after = c.stats();
         assert_eq!((before.hits, before.misses), (after.hits, after.misses));
         assert_eq!(c.recent_hit_ratio(), 0.0, "no observations recorded");

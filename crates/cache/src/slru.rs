@@ -130,27 +130,6 @@ impl<K: CacheKey, V, S: BuildHasher> Cache<K, V> for SegmentedLruCache<K, V, S> 
         evicted
     }
 
-    /// Cold entries land at the probation segment's LRU end and can
-    /// never enter (or demote from) protected, so a restore scan churns
-    /// one probation slot while the promoted working set is untouched.
-    fn insert_cold(&mut self, key: K, value: V) -> Option<(K, V)> {
-        self.stats.insertions += 1;
-        if self.protected.peek(&key) {
-            return self.protected.insert_cold(key, value);
-        }
-        let evicted = self.probation.insert_cold(key, value);
-        if evicted.is_some() {
-            self.stats.evictions += 1;
-        }
-        evicted
-    }
-
-    fn peek_value(&self, key: &K) -> Option<&V> {
-        self.protected
-            .peek_value(key)
-            .or_else(|| self.probation.peek_value(key))
-    }
-
     fn peek(&self, key: &K) -> bool {
         self.probation.peek(key) || self.protected.peek(key)
     }
@@ -258,47 +237,6 @@ mod tests {
             "demoted entry must remain cached (in probation)"
         );
         assert_eq!(c.protected_len(), 2);
-    }
-
-    #[test]
-    fn cold_inserts_churn_one_probation_slot() {
-        let mut c = SegmentedLruCache::new(8, 0.5); // 4 + 4
-        for k in 0..4 {
-            c.insert(k, ());
-            c.get(&k); // protected working set
-        }
-        for k in 10..14 {
-            c.insert(k, ()); // probation full of warm entries
-        }
-        // A cold scan may claim at most one probation slot: the first
-        // cold insert evicts probation's LRU, the rest self-evict.
-        for k in 1000..2000 {
-            c.insert_cold(k, ());
-        }
-        for k in 0..4 {
-            assert!(c.peek(&k), "protected key {k} evicted by cold scan");
-        }
-        for k in 11..14 {
-            assert!(c.peek(&k), "warm probation key {k} lost >1 slot to scan");
-        }
-        assert!(c.peek(&1999), "latest cold entry resident");
-        // Cold reads never enter protected.
-        assert_eq!(c.protected_len(), 4);
-    }
-
-    #[test]
-    fn peek_value_reads_both_segments_silently() {
-        let mut c = SegmentedLruCache::new(4, 0.5);
-        c.insert(1, "p");
-        c.insert(2, "q");
-        c.get(&1); // 1 → protected
-        let before = c.stats();
-        assert_eq!(Cache::peek_value(&c, &1), Some(&"p"));
-        assert_eq!(Cache::peek_value(&c, &2), Some(&"q"));
-        assert!(Cache::peek_value(&c, &3).is_none());
-        let after = c.stats();
-        assert_eq!((before.hits, before.misses), (after.hits, after.misses));
-        assert_eq!(c.protected_len(), 1, "peek must not promote");
     }
 
     #[test]

@@ -161,31 +161,6 @@ impl<K: CacheKey, V, S: BuildHasher> Cache<K, V> for TwoQCache<K, V, S> {
         None
     }
 
-    /// Cold entries go to the admission FIFO's eviction end and never
-    /// consult or feed the ghost list: a scan cannot earn second-chance
-    /// promotions into `Am`, and its victims cannot push real ghosts out
-    /// of the re-reference window.
-    fn insert_cold(&mut self, key: K, value: V) -> Option<(K, V)> {
-        self.stats.insertions += 1;
-        if self.am.peek(&key) {
-            return self.am.insert_cold(key, value);
-        }
-        if self.a1in.peek(&key) {
-            return self.a1in.insert_cold(key, value);
-        }
-        let evicted = self.a1in.insert_cold(key, value);
-        if evicted.is_some() {
-            self.stats.evictions += 1;
-        }
-        evicted
-    }
-
-    fn peek_value(&self, key: &K) -> Option<&V> {
-        self.am
-            .peek_value(key)
-            .or_else(|| self.a1in.peek_value(key))
-    }
-
     fn peek(&self, key: &K) -> bool {
         self.am.peek(key) || self.a1in.peek(key)
     }
@@ -208,8 +183,8 @@ impl<K: CacheKey, V, S: BuildHasher> Cache<K, V> for TwoQCache<K, V, S> {
         let a1in_cap = (capacity / 4).max(1);
         let am_cap = capacity - a1in_cap;
         let before = self.len();
-        // Admission-FIFO overflow becomes ghosts, exactly as a normal
-        // capacity eviction would.
+        // A1in overflow becomes ghosts, exactly as a normal capacity
+        // eviction would.
         while self.a1in.len() > a1in_cap {
             if let Some((k, _)) = self.a1in.pop_lru() {
                 self.ghost_insert(k);
@@ -299,47 +274,6 @@ mod tests {
             c.insert(k, 0);
         }
         assert!(c.peek(&1) && c.peek(&2), "scan displaced the hot set");
-    }
-
-    #[test]
-    fn cold_inserts_bypass_ghosts_and_spare_am() {
-        let mut c = TwoQCache::new(16); // a1in=4, am=12, ghost=8
-                                        // Hot pair reaches Am via the ghost path.
-        for round in 0..3 {
-            for k in [1, 2] {
-                c.insert(k, round);
-            }
-            for k in 100..110 {
-                c.insert(k, round);
-            }
-        }
-        assert!(c.am_len() >= 2);
-        let am_before = c.am_len();
-        let ghosts_before = c.ghost_len();
-        for k in 1000..2000 {
-            c.insert_cold(k, 0);
-        }
-        assert!(c.peek(&1) && c.peek(&2), "cold scan displaced Am");
-        assert_eq!(c.am_len(), am_before, "cold scan must not touch Am");
-        assert_eq!(
-            c.ghost_len(),
-            ghosts_before,
-            "cold evictions must not be remembered as ghosts"
-        );
-        // Re-inserting a cold-scanned key gets no second-chance boost.
-        c.insert(1500, 0);
-        assert_eq!(c.am_len(), am_before, "cold keys must not promote into Am");
-    }
-
-    #[test]
-    fn peek_value_is_stat_silent() {
-        let mut c = TwoQCache::new(8);
-        c.insert(1, "v");
-        let before = c.stats();
-        assert_eq!(Cache::peek_value(&c, &1), Some(&"v"));
-        assert!(Cache::peek_value(&c, &9).is_none());
-        let after = c.stats();
-        assert_eq!((before.hits, before.misses), (after.hits, after.misses));
     }
 
     #[test]

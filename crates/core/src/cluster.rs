@@ -45,7 +45,7 @@ use parking_lot::{Mutex, RwLock};
 use shhc_net::{decode, encode, Frame};
 use shhc_node::{HybridHashNode, NodeConfig, ShardedNode};
 use shhc_ring::{MigrationPlan, RingView};
-use shhc_types::{Admission, Error, Fingerprint, FpHashMap, FpHashSet, NodeId, Result, StreamId};
+use shhc_types::{Error, Fingerprint, FpHashMap, FpHashSet, NodeId, Result, StreamId};
 
 use crate::server::{
     node_loop, sharded_node_loop, AutotuneOptions, AutotuneReport, ControlMsg, ControlReply,
@@ -69,6 +69,18 @@ pub enum DataPlane {
     /// latency tracks the slowest node, not the sum over nodes.
     #[default]
     Pipelined,
+}
+
+/// A cache hint that nothing reads. It survives only because the
+/// benchmark package (`ledger/src/bytes.rs`) passes `Admission::Bypass`
+/// to [`ShhcCluster::query_batch_values_with`]; drop both with
+/// [`DataPlane`] when that package is next revised.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Ignored.
+    Normal,
+    /// Ignored.
+    Bypass,
 }
 
 /// Configuration of a [`ShhcCluster`].
@@ -686,13 +698,7 @@ impl ShhcCluster {
         // authoritative value re-recorded on the new owner (which just
         // inserted a placeholder).
         if let Some(migration) = &state.migration {
-            let repairs = self.dual_read_fallback(
-                migration,
-                fps,
-                Admission::Normal,
-                &mut exists,
-                &mut values,
-            )?;
+            let repairs = self.dual_read_fallback(migration, fps, &mut exists, &mut values)?;
             if !repairs.is_empty() {
                 self.record_batch(&repairs)?;
                 // Close the repair/delete race: a fingerprint tombstoned
@@ -724,7 +730,6 @@ impl ShhcCluster {
         &self,
         migration: &MigrationState,
         fps: &[Fingerprint],
-        admission: Admission,
         exists: &mut [bool],
         values: &mut [u64],
     ) -> Result<Vec<(Fingerprint, u64)>> {
@@ -752,7 +757,6 @@ impl ShhcCluster {
         for (old, positions) in by_old {
             let frame = Frame::QueryReq {
                 correlation: self.next_correlation(),
-                admission,
                 fingerprints: positions.iter().map(|&i| fps[i]).collect(),
             };
             match self.exchange(old, &frame) {
@@ -802,31 +806,36 @@ impl ShhcCluster {
     ///
     /// Same availability semantics as lookups.
     pub fn query_batch(&self, fps: &[Fingerprint]) -> Result<Vec<bool>> {
-        self.query_batch_values_with(fps, Admission::Normal)
-            .map(|(exists, _)| exists)
+        self.query_batch_values(fps).map(|(exists, _)| exists)
+    }
+
+    /// Kept only for `ledger/src/bytes.rs`: [`Self::query_batch_values`],
+    /// ignoring the hint.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::query_batch_values`].
+    pub fn query_batch_values_with(
+        &self,
+        fps: &[Fingerprint],
+        _hint: Admission,
+    ) -> Result<(Vec<bool>, Vec<u64>)> {
+        self.query_batch_values(fps)
     }
 
     /// [`ShhcCluster::query_batch`] returning stored values alongside
-    /// existence, with an explicit cache-admission hint carried to the
-    /// answering nodes. Restore tags its manifest-locate sweeps
-    /// [`Admission::Bypass`] so they cannot flush the ingest working set
-    /// out of the node caches; answers are identical for both hints.
+    /// existence.
     ///
     /// # Errors
     ///
     /// Same availability semantics as lookups.
-    pub fn query_batch_values_with(
-        &self,
-        fps: &[Fingerprint],
-        admission: Admission,
-    ) -> Result<(Vec<bool>, Vec<u64>)> {
+    pub fn query_batch_values(&self, fps: &[Fingerprint]) -> Result<(Vec<bool>, Vec<u64>)> {
         let state = self.routing();
         let mut exists = vec![false; fps.len()];
         let mut values = vec![0u64; fps.len()];
         let mut groups = self.group_by_replicas(&state.view, fps);
         let make = |g: &mut RouteGroup, correlation: u64| Frame::QueryReq {
             correlation,
-            admission,
             fingerprints: std::mem::take(&mut g.fingerprints),
         };
         // Phase 1: one request per group, to the primary only; keep the
@@ -897,7 +906,7 @@ impl ShhcCluster {
         // Dual-read for misses inside in-flight migration ranges.
         // Queries are read-only: patch the answer, repair nothing.
         if let Some(migration) = &state.migration {
-            self.dual_read_fallback(migration, fps, admission, &mut exists, &mut values)?;
+            self.dual_read_fallback(migration, fps, &mut exists, &mut values)?;
         }
         Ok((exists, values))
     }
@@ -1804,7 +1813,6 @@ impl ShhcCluster {
     ) -> Result<Option<(Vec<bool>, Vec<u64>)>> {
         let probe = Frame::QueryReq {
             correlation: self.next_correlation(),
-            admission: Admission::Normal,
             fingerprints: page.iter().map(|(fp, _)| *fp).collect(),
         };
         let (exists, values) = match self.exchange(target, &probe) {
@@ -2495,9 +2503,7 @@ mod tests {
         assert_eq!(values, expected_values, "lookup-insert values");
 
         cluster.remove_batch(&batch_a[..50]).unwrap();
-        let (exists, values) = cluster
-            .query_batch_values_with(&batch_a, Admission::Normal)
-            .unwrap();
+        let (exists, values) = cluster.query_batch_values(&batch_a).unwrap();
         let expected_exists: Vec<bool> = (0..300).map(|i| i >= 50).collect();
         let expected_values: Vec<u64> = (0..300)
             .map(|i| if i >= 50 { value(i) } else { 0 })

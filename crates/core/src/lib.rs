@@ -60,7 +60,7 @@ mod tier;
 
 pub use client::{BackupClient, FileEntry, Snapshot, SnapshotReport};
 pub use cluster::{
-    ClusterConfig, ClusterStats, DataPlane, RebalanceReport, RecoveryReport, ShhcCluster,
+    Admission, ClusterConfig, ClusterStats, DataPlane, RebalanceReport, RecoveryReport, ShhcCluster,
 };
 pub use frontend::Frontend;
 pub use server::{AutotuneOptions, AutotuneReport, NodeSnapshot};
@@ -83,9 +83,7 @@ pub use shhc_node::{
     load_imbalance, BackendKind, CachePolicy, EnergyModel, HybridHashNode, NodeConfig, NodeStats,
     ShardLoad, ShardRouter, ShardedNode,
 };
-pub use shhc_types::{
-    Admission, ChunkId, ClientId, Error, Fingerprint, Nanos, NodeId, Result, StreamId,
-};
+pub use shhc_types::{ChunkId, ClientId, Error, Fingerprint, Nanos, NodeId, Result, StreamId};
 
 /// Commonly used imports for applications built on SHHC.
 pub mod prelude {

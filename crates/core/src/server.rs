@@ -40,7 +40,7 @@ use shhc_node::{
     load_imbalance, merge_classified, Classified, HybridHashNode, NodeConfig, NodeStats, ShardLoad,
     ShardRouter, SubBatch, SubClassified,
 };
-use shhc_types::{Admission, Fingerprint, KeyRange, Nanos, NodeId};
+use shhc_types::{Fingerprint, KeyRange, Nanos, NodeId};
 
 /// A point-in-time view of one node's state, fetched over the control
 /// plane. For sharded nodes every counter is the across-shard aggregate.
@@ -345,11 +345,7 @@ fn handle_frame(node: &mut HybridHashNode, frame: &Bytes) -> Frame {
                 },
             }
         }
-        Frame::QueryReq {
-            fingerprints,
-            admission,
-            ..
-        } => match node.query_many_with(&fingerprints, admission) {
+        Frame::QueryReq { fingerprints, .. } => match node.query_many(&fingerprints) {
             Ok((exists, values)) => {
                 let values = compact_values(&exists, &values);
                 Frame::LookupResp {
@@ -583,7 +579,6 @@ enum ShardWork {
     },
     Query {
         fps: Vec<Fingerprint>,
-        admission: Admission,
         delay: Duration,
     },
     Record {
@@ -997,13 +992,9 @@ fn run_shard_work(shard: &mut HybridHashNode, work: ShardWork) -> ShardOutcome {
             Ok(()) => ShardOutcome::Acked,
             Err(e) => ShardOutcome::Failed(e.to_string()),
         },
-        ShardWork::Query {
-            fps,
-            admission,
-            delay,
-        } => {
+        ShardWork::Query { fps, delay } => {
             sleep_service(delay);
-            match shard.query_many_with(&fps, admission) {
+            match shard.query_many(&fps) {
                 Ok((exists, values)) => ShardOutcome::Answered { exists, values },
                 Err(e) => ShardOutcome::Failed(e.to_string()),
             }
@@ -1307,11 +1298,7 @@ fn dispatch_data(
                 });
             }
         }
-        Frame::QueryReq {
-            fingerprints,
-            admission,
-            ..
-        } => {
+        Frame::QueryReq { fingerprints, .. } => {
             // With a reader pool attached the whole read-only frame goes
             // to the shared pool queue: whichever reader is idle answers
             // it from the mirror indexes, and the shard workers (the
@@ -1358,7 +1345,6 @@ fn dispatch_data(
                     slot: k,
                     work: ShardWork::Query {
                         fps: sub_fps,
-                        admission,
                         delay,
                     },
                 });
@@ -1830,7 +1816,6 @@ mod tests {
             &tx,
             Frame::QueryReq {
                 correlation: 3,
-                admission: Admission::Normal,
                 fingerprints: vec![fp],
             },
         ) {
@@ -1918,7 +1903,6 @@ mod tests {
             &tx2,
             Frame::QueryReq {
                 correlation: 4,
-                admission: Admission::Bypass,
                 fingerprints: fps.clone(),
             },
         ) {
@@ -1995,7 +1979,6 @@ mod tests {
         both(&lookup(fps[..10].to_vec()));
         both(&|correlation| Frame::QueryReq {
             correlation,
-            admission: Admission::Normal,
             fingerprints: fps.clone(),
         });
         both(&|correlation| Frame::RecordReq {
@@ -2008,7 +1991,6 @@ mod tests {
         });
         both(&|correlation| Frame::QueryReq {
             correlation,
-            admission: Admission::Normal,
             fingerprints: fps.clone(),
         });
         both(&|correlation| Frame::Ping { correlation });
@@ -2105,7 +2087,6 @@ mod tests {
                 };
                 both(&|correlation| Frame::QueryReq {
                     correlation,
-                    admission: Admission::Normal,
                     fingerprints: fps.clone(),
                 });
                 both(&|correlation| Frame::LookupInsertReq {
@@ -2113,12 +2094,10 @@ mod tests {
                     stream: StreamId::new(0),
                     fingerprints: fps.clone(),
                 });
-                // Bypass must answer byte-identically to Normal on every
-                // dispatch path (single node, per-shard split, reader
-                // pool) — only the cache's recency state may differ.
+                // A repeat after the inserts, now all hits, on every
+                // dispatch path (single node, per-shard split, reader pool).
                 both(&|correlation| Frame::QueryReq {
                     correlation,
-                    admission: Admission::Bypass,
                     fingerprints: fps.clone(),
                 });
                 both(&|correlation| Frame::RecordReq {
@@ -2133,12 +2112,10 @@ mod tests {
                 // were acked, so the pool must already see them gone.
                 both(&|correlation| Frame::QueryReq {
                     correlation,
-                    admission: Admission::Normal,
                     fingerprints: fps.clone(),
                 });
                 both(&|correlation| Frame::QueryReq {
                     correlation,
-                    admission: Admission::Normal,
                     fingerprints: Vec::new(),
                 });
                 let snap = node_stats(&pool_tx);

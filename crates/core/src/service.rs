@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -10,7 +10,7 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use shhc_chunking::Chunker;
 use shhc_hash::fingerprint_of;
 use shhc_storage::{BackupManifest, ChunkStore, ManifestEntry};
-use shhc_types::{Admission, ChunkId, Error, Fingerprint, Result, StreamId};
+use shhc_types::{ChunkId, Error, Fingerprint, Result, StreamId};
 
 use crate::{FrontendTier, LookupAnswer, SharedFrontend, ShhcCluster};
 
@@ -58,16 +58,6 @@ struct RestoreJob<'a> {
     region: &'a mut [u8],
 }
 
-/// The advisory locate audit both restore workers add to. Counters are
-/// read only after the workers are joined, so relaxed updates suffice.
-#[derive(Default)]
-struct LocateAudit {
-    located: AtomicUsize,
-    mismatched: AtomicUsize,
-    skipped: AtomicUsize,
-    degraded: AtomicBool,
-}
-
 /// Outcome of a backup deletion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeleteReport {
@@ -80,14 +70,14 @@ pub struct DeleteReport {
 
 /// Tuning for the restore read path.
 ///
-/// `batch` is the number of manifest entries located and fetched per
-/// store-lock scope (the restore releases the chunk-store read lock
-/// between batches, so concurrent backup sessions' writers are never
-/// starved by a long replay). Besides the output buffer, a restore holds
+/// `batch` is the number of manifest entries fetched per store-lock
+/// scope (the restore releases the chunk-store read lock between
+/// batches, so concurrent backup sessions' writers are never starved by
+/// a long replay). Besides the output buffer, a restore holds
 /// at most one fetched batch per worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreConfig {
-    /// Manifest entries per locate/fetch batch (per lock scope).
+    /// Manifest entries per fetch batch (per lock scope).
     pub batch: usize,
 }
 
@@ -109,14 +99,12 @@ impl Default for RestoreConfig {
     }
 }
 
-/// Outcome of one restore run: the reconstructed payload plus the
-/// advisory cluster-locate audit that rode along with it.
+/// Outcome of one restore run: the reconstructed payload, its size and
+/// the time it took.
 ///
-/// Restores always fetch data by the manifest's own chunk ids (that is
-/// what keeps them byte-exact even when the fingerprint index has
-/// drifted); the locate counters report how much of the manifest the
-/// cluster could still find, which is the paper's read-path health
-/// signal.
+/// A restore reads only the chunk store: data is fetched by the
+/// manifest's own chunk ids and checked against each entry, and the
+/// fingerprint index is never asked.
 #[derive(Debug, Clone)]
 pub struct RestoreReport {
     /// The reconstructed backup payload.
@@ -125,34 +113,8 @@ pub struct RestoreReport {
     pub chunks: usize,
     /// Bytes reconstructed (equals `data.len()`).
     pub bytes: u64,
-    /// Entries the cluster index located (advisory query answered
-    /// "exists").
-    pub located: usize,
-    /// Entries the cluster index could *not* locate — index drift, e.g.
-    /// a fingerprint removed by a concurrent delete. The data was still
-    /// restored from the manifest's chunk id.
-    pub mismatched: usize,
-    /// Advisory locates skipped after the cluster path degraded.
-    pub skipped: usize,
-    /// True when an advisory locate failed (e.g. a dead node): further
-    /// locates were skipped so a broken index costs at most one failed
-    /// round-trip per restore worker, and the restore carried on from
-    /// storage alone.
-    pub degraded: bool,
     /// Wall-clock time for the whole replay.
     pub duration: Duration,
-}
-
-impl RestoreReport {
-    /// Fraction of manifest entries the cluster index located (1.0 for
-    /// an empty manifest — nothing was missing).
-    pub fn locate_coverage(&self) -> f64 {
-        if self.chunks == 0 {
-            1.0
-        } else {
-            self.located as f64 / self.chunks as f64
-        }
-    }
 }
 
 /// Outcome of one backup run.
@@ -619,24 +581,19 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
     /// helper. The manifest is cut into batches of `config.batch`
     /// entries, each paired with the disjoint region of the output buffer
     /// its entries fill, and the workers take batches from one shared
-    /// cursor in manifest order. Per batch, a worker locates the
-    /// fingerprints in the cluster as **one** batched query, fetches the
-    /// chunks as **one** [`ChunkStore::get_many`] call (which re-verifies
-    /// every payload against its fingerprint), checks each chunk against
-    /// its manifest entry and copies it into place. The SHA-1 verification
-    /// of two batches thus runs at once.
+    /// cursor in manifest order. Per batch, a worker fetches the chunks
+    /// as **one** [`ChunkStore::get_many`] call (which re-verifies every
+    /// payload against its fingerprint), checks each chunk against its
+    /// manifest entry and copies it into place. The SHA-1 verification of
+    /// two batches thus runs at once.
     ///
     /// The store read lock is taken per `config.batch` entries, never for
     /// the whole replay, so concurrent backup sessions' writes interleave
     /// with a long restore instead of queueing behind it.
     ///
-    /// The locate queries are sent with [`Admission::Bypass`]: a full
-    /// restore is a scan, and it must not evict the ingest working set
-    /// from the nodes' RAM caches (answers are byte-identical to normal
-    /// queries; only cache recency differs). Locates are advisory (see
-    /// [`RestoreReport`]): their answers are audited, but data is always
-    /// fetched by the manifest's chunk id, and a failing cluster degrades
-    /// the audit rather than the restore.
+    /// The restore never asks the fingerprint index: the manifest names
+    /// every chunk, so the cluster's nodes, caches and counters are
+    /// untouched, and a restore succeeds with every node down.
     ///
     /// # Errors
     ///
@@ -644,7 +601,7 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
     /// [`Error::Corruption`] if a chunk's payload or length no longer
     /// matches the manifest. When several batches fail, the error is the
     /// one at the lowest manifest index, as a front-to-back replay would
-    /// report it. Cluster failures never error the restore.
+    /// report it.
     pub fn restore_with(
         &self,
         manifest: &BackupManifest,
@@ -656,7 +613,6 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
     {
         let start_time = Instant::now();
         let batch = config.batch.max(1);
-        let audit = LocateAudit::default();
         let mut data = vec![0u8; manifest.logical_bytes() as usize];
         let outcomes = {
             let mut jobs = Vec::with_capacity(manifest.len().div_ceil(batch));
@@ -683,7 +639,7 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
                     let Some(job) = cursor.lock().next() else {
                         break;
                     };
-                    if let Err(e) = self.restore_batch(job, &audit) {
+                    if let Err(e) = self.restore_batch(job) {
                         failed.store(true, Ordering::Relaxed);
                         return Err(e);
                     }
@@ -706,47 +662,18 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
             chunks: manifest.len(),
             bytes: data.len() as u64,
             data,
-            located: audit.located.into_inner(),
-            mismatched: audit.mismatched.into_inner(),
-            skipped: audit.skipped.into_inner(),
-            degraded: audit.degraded.into_inner(),
             duration: start_time.elapsed(),
         })
     }
 
-    /// Locates, fetches, checks and places one restore batch. An error
-    /// carries the manifest index a front-to-back replay reports it at.
-    fn restore_batch(
-        &self,
-        job: RestoreJob<'_>,
-        audit: &LocateAudit,
-    ) -> std::result::Result<(), (usize, Error)> {
+    /// Fetches, checks and places one restore batch. An error carries
+    /// the manifest index a front-to-back replay reports it at.
+    fn restore_batch(&self, job: RestoreJob<'_>) -> std::result::Result<(), (usize, Error)> {
         let RestoreJob {
             first,
             entries,
             region,
         } = job;
-        if audit.degraded.load(Ordering::Relaxed) {
-            audit.skipped.fetch_add(entries.len(), Ordering::Relaxed);
-        } else {
-            let fps: Vec<Fingerprint> = entries.iter().map(|e| e.fingerprint).collect();
-            match self
-                .cluster()
-                .query_batch_values_with(&fps, Admission::Bypass)
-            {
-                Ok((exists, _)) => {
-                    let hits = exists.iter().filter(|e| **e).count();
-                    audit.located.fetch_add(hits, Ordering::Relaxed);
-                    audit
-                        .mismatched
-                        .fetch_add(exists.len() - hits, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    audit.degraded.store(true, Ordering::Relaxed);
-                    audit.skipped.fetch_add(entries.len(), Ordering::Relaxed);
-                }
-            }
-        }
         let (blobs, stored_fps) = {
             // Lock scope: one batch. Writers get in between batches.
             let store = self.inner.store.read();

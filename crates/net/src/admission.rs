@@ -1,4 +1,4 @@
-//! Admission control for the shared front-end: bounded queues, fail-fast
+//! Bounded admission for the shared front-end: bounded queues, fail-fast
 //! shedding and per-tenant fairness.
 //!
 //! The paper's Figure 4 puts *multiple* web front-ends between millions
@@ -22,7 +22,7 @@
 //!   accounting: one noisy tenant saturating its quota cannot push a
 //!   quiet tenant's traffic out of the queue.
 //!
-//! Admission is per submission; release is **per batch** — one lock, one
+//! A slot is taken per submission; release is **per batch** — one lock, one
 //! clock read and at most one wake-up hand back every slot of an answered
 //! batch and record each entry's **admitted latency** — admission to
 //! answer — into a bounded ring of recent samples, so p99/p999 for the

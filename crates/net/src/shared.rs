@@ -51,7 +51,7 @@
 //! it ([`Error::Unavailable`]) rather than leaving waiters blocked
 //! forever.
 //!
-//! Admission is bounded: every submission first passes the batcher's
+//! Occupancy is bounded: every submission first passes the batcher's
 //! [`AdmissionPolicy`] (blocking backpressure by default; fail-fast
 //! shedding with [`Error::Overloaded`] and per-tenant quotas via
 //! [`SharedBatcher::with_admission`]), which limits *outstanding* work —
@@ -297,7 +297,7 @@ impl<V> Unanswered<V> {
         }
     }
 
-    /// Admission first, answer second: a waiter that sees its answer
+    /// Slots first, answer second: a waiter that sees its answer
     /// also sees the batch's slots already returned.
     fn resolve(&mut self, outcome: Outcome<V>) {
         self.resolved = true;

@@ -1,10 +1,10 @@
 //! Length-prefixed, versioned wire format.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use shhc_types::{Admission, Error, Fingerprint, KeyRange, Result, StreamId, FINGERPRINT_LEN};
+use shhc_types::{Error, Fingerprint, KeyRange, Result, StreamId, FINGERPRINT_LEN};
 
 /// Wire protocol version byte; bump on incompatible layout changes.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 const TAG_LOOKUP_INSERT_REQ: u8 = 1;
 const TAG_QUERY_REQ: u8 = 2;
@@ -33,14 +33,13 @@ pub enum Frame {
         /// The batched fingerprints, in stream order.
         fingerprints: Vec<Fingerprint>,
     },
-    /// Read-only existence query (no insertion on miss).
+    /// Read-only existence query (no insertion on miss). Body:
+    /// `[u32 count][count × 20-byte fingerprint]`, the same as
+    /// [`Frame::RemoveReq`]. Wire version 1 carried a one-byte cache
+    /// hint before the count; version 2 dropped it.
     QueryReq {
         /// Request/response correlation id.
         correlation: u64,
-        /// How the answering node may cache what this query reads:
-        /// [`Admission::Bypass`] marks one-pass scans (restore) whose
-        /// results must not displace the ingest working set.
-        admission: Admission,
         /// The batched fingerprints.
         fingerprints: Vec<Fingerprint>,
     },
@@ -196,12 +195,10 @@ pub fn encode_into(frame: &Frame, buf: &mut BytesMut) {
         }
         Frame::QueryReq {
             correlation,
-            admission,
             fingerprints,
         } => {
             buf.put_u8(TAG_QUERY_REQ);
             buf.put_u64_le(*correlation);
-            buf.put_u8(admission.to_wire());
             buf.put_u32_le(fingerprints.len() as u32);
             for fp in fingerprints {
                 buf.put_slice(fp.as_bytes());
@@ -336,16 +333,13 @@ pub fn encoded_len(frame: &Frame) -> usize {
             Frame::LookupInsertReq { fingerprints, .. } => {
                 1 + 8 + 4 + 4 + fingerprints.len() * FINGERPRINT_LEN
             }
-            Frame::QueryReq { fingerprints, .. } => {
-                1 + 8 + 1 + 4 + fingerprints.len() * FINGERPRINT_LEN
+            Frame::QueryReq { fingerprints, .. } | Frame::RemoveReq { fingerprints, .. } => {
+                1 + 8 + 4 + fingerprints.len() * FINGERPRINT_LEN
             }
             Frame::LookupResp { exists, values, .. } => {
                 1 + 8 + 4 + exists.len().div_ceil(8) + values.len() * 8
             }
             Frame::RecordReq { pairs, .. } => 1 + 8 + 4 + pairs.len() * (FINGERPRINT_LEN + 8),
-            Frame::RemoveReq { fingerprints, .. } => {
-                1 + 8 + 4 + fingerprints.len() * FINGERPRINT_LEN
-            }
             Frame::ScanRangeReq { after, .. } => {
                 1 + 8 + 16 + 1 + if after.is_some() { FINGERPRINT_LEN } else { 0 } + 4
             }
@@ -375,8 +369,9 @@ pub fn lookup_resp_len(n: usize, hits: usize) -> usize {
 ///
 /// # Errors
 ///
-/// [`Error::Decode`] on truncation, version mismatch, unknown tag, or a
-/// length prefix that disagrees with the payload.
+/// [`Error::Decode`] on truncation, version mismatch, unknown tag, a
+/// length prefix that disagrees with the payload, or bytes left over
+/// after the tag's body.
 pub fn decode(bytes: &[u8]) -> Result<Frame> {
     let mut buf = bytes;
     if buf.remaining() < 6 {
@@ -409,7 +404,7 @@ pub fn decode(bytes: &[u8]) -> Result<Frame> {
     need(&buf, 8)?;
     let correlation = buf.get_u64_le();
 
-    match tag {
+    let frame = match tag {
         TAG_LOOKUP_INSERT_REQ => {
             need(&buf, 8)?;
             let stream = StreamId::new(buf.get_u32_le());
@@ -423,14 +418,12 @@ pub fn decode(bytes: &[u8]) -> Result<Frame> {
             })
         }
         TAG_QUERY_REQ => {
-            need(&buf, 1 + 4)?;
-            let admission = Admission::from_wire(buf.get_u8())?;
+            need(&buf, 4)?;
             let n = buf.get_u32_le() as usize;
             need(&buf, n * FINGERPRINT_LEN)?;
             let fingerprints = read_fps(&mut buf, n);
             Ok(Frame::QueryReq {
                 correlation,
-                admission,
                 fingerprints,
             })
         }
@@ -541,7 +534,14 @@ pub fn decode(bytes: &[u8]) -> Result<Frame> {
             })
         }
         other => Err(Error::Decode(format!("unknown frame tag {other}"))),
+    }?;
+    if buf.has_remaining() {
+        return Err(Error::Decode(format!(
+            "{} trailing bytes after the frame body",
+            buf.remaining()
+        )));
     }
+    Ok(frame)
 }
 
 /// Reads `n` `(fingerprint, value)` pairs; the caller has verified the
@@ -581,12 +581,10 @@ mod tests {
             },
             Frame::QueryReq {
                 correlation: 2,
-                admission: Admission::Normal,
                 fingerprints: vec![],
             },
             Frame::QueryReq {
                 correlation: 15,
-                admission: Admission::Bypass,
                 fingerprints: (20..24).map(Fingerprint::from_u64).collect(),
             },
             Frame::LookupResp {
@@ -667,6 +665,23 @@ mod tests {
             assert_eq!(&buf[..], &encode(&frame)[..], "{frame:?}");
             assert_eq!(decode(&buf).expect("decode"), frame);
         }
+    }
+
+    #[test]
+    fn query_req_is_count_then_fingerprints() {
+        let fps: Vec<Fingerprint> = (1..3).map(Fingerprint::from_u64).collect();
+        let bytes = encode(&Frame::QueryReq {
+            correlation: 9,
+            fingerprints: fps.clone(),
+        });
+        let mut expected = ((bytes.len() - 4) as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&[WIRE_VERSION, TAG_QUERY_REQ]);
+        expected.extend_from_slice(&9u64.to_le_bytes());
+        expected.extend_from_slice(&2u32.to_le_bytes());
+        for fp in &fps {
+            expected.extend_from_slice(fp.as_bytes());
+        }
+        assert_eq!(&bytes[..], &expected[..]);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use shhc_bloom::BloomFilter;
 use shhc_cache::{Cache, LruCache, SegmentedLruCache, TwoQCache};
 use shhc_flash::{DeviceStats, Durability, FlashConfig, FlashStore, FtlStats};
 use shhc_index::{AnyHandle, AnyIndex, BackendKind, Collection, CollectionHandle};
-use shhc_types::{Admission, Fingerprint, KeyRange, Nanos, NodeId, Result};
+use shhc_types::{Fingerprint, KeyRange, Nanos, NodeId, Result};
 
 /// Which replacement policy manages the RAM fingerprint cache.
 ///
@@ -437,17 +437,6 @@ impl NodeCache {
         }
     }
 
-    /// Recency- and stat-silent lookup: scan-tagged reads must neither
-    /// reorder the cache nor skew the hit-rate signals feeding the
-    /// autosizer.
-    fn peek_value(&self, fp: &Fingerprint) -> Option<u64> {
-        match self {
-            NodeCache::Lru(c) => Cache::peek_value(c, fp).copied(),
-            NodeCache::Slru(c) => Cache::peek_value(c, fp).copied(),
-            NodeCache::TwoQ(c) => Cache::peek_value(c, fp).copied(),
-        }
-    }
-
     fn insert(&mut self, fp: Fingerprint, v: u64) {
         match self {
             NodeCache::Lru(c) => {
@@ -458,22 +447,6 @@ impl NodeCache {
             }
             NodeCache::TwoQ(c) => {
                 c.insert(fp, v);
-            }
-        }
-    }
-
-    /// Scan-resistant (probationary-tail) insertion — see
-    /// [`Cache::insert_cold`].
-    fn insert_cold(&mut self, fp: Fingerprint, v: u64) {
-        match self {
-            NodeCache::Lru(c) => {
-                c.insert_cold(fp, v);
-            }
-            NodeCache::Slru(c) => {
-                c.insert_cold(fp, v);
-            }
-            NodeCache::TwoQ(c) => {
-                c.insert_cold(fp, v);
             }
         }
     }
@@ -989,26 +962,6 @@ impl HybridHashNode {
     ///
     /// Propagates device errors.
     pub fn query_many(&mut self, fps: &[Fingerprint]) -> Result<(Vec<bool>, Vec<u64>)> {
-        self.query_many_with(fps, Admission::Normal)
-    }
-
-    /// [`HybridHashNode::query_many`] with an explicit cache-admission
-    /// hint. Answers are byte-identical for both hints; only the cache's
-    /// *future* shape differs. Under [`Admission::Bypass`] (restore-
-    /// tagged scans) cached values are read without a recency boost or a
-    /// hit/miss observation, and SSD hits enter the cache through the
-    /// scan-resistant [`Cache::insert_cold`] path, so a full-dataset
-    /// restore cannot flush the ingest working set or skew the windowed
-    /// hit rates that drive cache autosizing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn query_many_with(
-        &mut self,
-        fps: &[Fingerprint],
-        admission: Admission,
-    ) -> Result<(Vec<bool>, Vec<u64>)> {
         self.stats.queries += fps.len() as u64;
         let mut exists = vec![false; fps.len()];
         let mut values = vec![0u64; fps.len()];
@@ -1017,11 +970,7 @@ impl HybridHashNode {
         let per_op = self.config.cpu_per_op + self.config.ram_probe;
         for (i, fp) in fps.iter().enumerate() {
             self.charge(per_op);
-            let cached = match admission {
-                Admission::Normal => self.cache.get(fp),
-                Admission::Bypass => self.cache.peek_value(fp),
-            };
-            if let Some(cached) = cached {
+            if let Some(cached) = self.cache.get(fp) {
                 exists[i] = true;
                 values[i] = cached;
             } else if self.bloom.contains(fp.as_bytes()) {
@@ -1036,10 +985,7 @@ impl HybridHashNode {
             self.charge(probe_cost);
             for (k, &i) in probe_idx.iter().enumerate() {
                 if let Some(v) = found[k] {
-                    match admission {
-                        Admission::Normal => self.cache.insert(probe_fps[k], v),
-                        Admission::Bypass => self.cache.insert_cold(probe_fps[k], v),
-                    }
+                    self.cache.insert(probe_fps[k], v);
                     exists[i] = true;
                     values[i] = v;
                 }
@@ -1361,47 +1307,6 @@ mod tests {
         assert!(r.existed);
         assert_eq!(n.entries(), 1);
         assert_eq!(n.stats().queries, 2);
-    }
-
-    #[test]
-    fn bypass_queries_answer_identically_and_spare_the_cache() {
-        let mut config = NodeConfig::small_test();
-        config.cache_capacity = 8;
-        let mut warm = HybridHashNode::new(NodeId::new(3), config.clone()).unwrap();
-        for i in 0..200 {
-            warm.lookup_insert(fp(i)).unwrap();
-        }
-        warm.flush().unwrap();
-        // Re-touch a hot set so it is cache-resident.
-        let hot: Vec<Fingerprint> = (0..6).map(fp).collect();
-        warm.query_many(&hot).unwrap();
-        warm.query_many(&hot).unwrap();
-        let cache_hits_before = warm.cache_stats().hits;
-
-        // A full-dataset bypass scan answers correctly…
-        let scan: Vec<Fingerprint> = (0..200).map(fp).collect();
-        let (exists, values) = warm.query_many_with(&scan, Admission::Bypass).unwrap();
-        assert!(exists.iter().all(|e| *e));
-        // …without recording cache observations…
-        let stats = warm.cache_stats();
-        assert_eq!(stats.hits, cache_hits_before, "bypass reads must be silent");
-        // …and without evicting the hot set: a normal re-read still hits RAM.
-        let ram_hits_before = warm.stats().ram_hits;
-        for f in &hot {
-            let r = warm.lookup_insert(*f).unwrap();
-            assert_eq!(r.outcome, LookupOutcome::RamHit, "hot {f} flushed by scan");
-        }
-        assert_eq!(warm.stats().ram_hits, ram_hits_before + hot.len() as u64);
-
-        // Same answers as a normal query on a fresh replay.
-        let mut other = HybridHashNode::new(NodeId::new(4), config).unwrap();
-        for i in 0..200 {
-            other.lookup_insert(fp(i)).unwrap();
-        }
-        other.flush().unwrap();
-        let (e2, v2) = other.query_many(&scan).unwrap();
-        assert_eq!(exists, e2);
-        assert_eq!(values, v2);
     }
 
     #[test]

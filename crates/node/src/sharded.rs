@@ -31,7 +31,7 @@
 
 use shhc_cache::{CacheSizer, CacheStats, SizerDecision};
 use shhc_flash::{DeviceStats, FtlStats};
-use shhc_types::{Admission, Fingerprint, FpHashMap, KeyRange, Nanos, NodeId, Result};
+use shhc_types::{Fingerprint, FpHashMap, KeyRange, Nanos, NodeId, Result};
 
 use crate::hybrid::{BatchResult, Classified, HybridHashNode, LookupResult, NodeConfig, NodeStats};
 
@@ -668,29 +668,13 @@ impl ShardedNode {
     ///
     /// Propagates device errors.
     pub fn query_many(&mut self, fps: &[Fingerprint]) -> Result<(Vec<bool>, Vec<u64>)> {
-        self.query_many_with(fps, Admission::Normal)
-    }
-
-    /// [`ShardedNode::query_many`] with an explicit cache-admission hint,
-    /// forwarded to every involved shard (see
-    /// [`HybridHashNode::query_many_with`]). Answers are identical for
-    /// both hints.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn query_many_with(
-        &mut self,
-        fps: &[Fingerprint],
-        admission: Admission,
-    ) -> Result<(Vec<bool>, Vec<u64>)> {
         let mut exists = vec![false; fps.len()];
         let mut values = vec![0u64; fps.len()];
         for (s, sub) in self.router.split(fps).into_iter().enumerate() {
             if sub.fingerprints.is_empty() {
                 continue;
             }
-            let (e, v) = self.shards[s].query_many_with(&sub.fingerprints, admission)?;
+            let (e, v) = self.shards[s].query_many(&sub.fingerprints)?;
             for ((&pos, e), v) in sub.positions.iter().zip(e).zip(v) {
                 exists[pos] = e;
                 values[pos] = v;

@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod admission;
 mod error;
 mod fingerprint;
 mod fphash;
@@ -28,7 +27,6 @@ mod range;
 mod size;
 mod time;
 
-pub use admission::Admission;
 pub use error::{Error, Result};
 pub use fingerprint::{Fingerprint, ParseFingerprintError, FINGERPRINT_LEN};
 pub use fphash::{FingerprintBuildHasher, FingerprintHasher, FpHashMap, FpHashSet};

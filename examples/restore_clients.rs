@@ -2,10 +2,11 @@
 //!
 //! Each client owns a disjoint deduplicated stream backed up through a
 //! shared `BackupService`. All four then restore at once over the
-//! two-worker read path (batched `Admission::Bypass` locate queries and
-//! `get_many` container reads, each worker verifying and placing whole
-//! batches into the output buffer). Prints per-client throughput plus the
-//! node cache and locate-audit stats.
+//! two-worker read path (batched `get_many` container reads, each worker
+//! verifying and placing whole batches into the output buffer; the
+//! fingerprint index is never asked). Prints per-client throughput plus
+//! the node cache stats, which the restore wave leaves as ingest left
+//! them.
 //!
 //! Run with: `cargo run --release --example restore_clients`
 
@@ -21,8 +22,7 @@ const CLIENTS: usize = 4;
 fn main() -> Result<()> {
     println!("SHHC restore at scale: {CLIENTS} concurrent restoring clients\n");
 
-    // A realistic per-frame service overhead is what the restore's
-    // batched locates amortize.
+    // A realistic per-frame service overhead, paid by the backups only.
     let mut node_config = NodeConfig::small_test();
     node_config.batch_overhead = std::time::Duration::from_micros(80);
     let cluster = ShhcCluster::spawn(ClusterConfig::new(2, node_config))?;
@@ -71,17 +71,16 @@ fn main() -> Result<()> {
 
     println!("restore ({}-chunk batches, two workers):", config.batch);
     println!(
-        "{:>8} {:>10} {:>12} {:>10} {:>14}",
-        "client", "chunks", "elapsed_ms", "MB/s", "locate hits"
+        "{:>8} {:>10} {:>12} {:>10}",
+        "client", "chunks", "elapsed_ms", "MB/s"
     );
     for handle in handles {
         let (c, report, elapsed) = handle.join().expect("client thread")?;
         println!(
-            "{c:>8} {:>10} {:>12.1} {:>10.1} {:>13.0}%",
+            "{c:>8} {:>10} {:>12.1} {:>10.1}",
             report.chunks,
             elapsed.as_secs_f64() * 1e3,
             report.bytes as f64 / 1e6 / elapsed.as_secs_f64().max(1e-9),
-            report.locate_coverage() * 100.0
         );
     }
     println!();

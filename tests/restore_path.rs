@@ -1,18 +1,19 @@
 //! The restore read path: every restore entry point is the one pipelined
 //! replay and must be byte-exact, restores must not starve concurrent
-//! backup writers or flush their cache working set, and a failing
-//! fingerprint index must only degrade the locate audit — never the
-//! restored bytes.
+//! backup writers, and a restore reads only the chunk store — it leaves
+//! every index node untouched and works with every node dead.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use shhc::prelude::*;
-use shhc::{Admission, BackendKind, NodeId, RestoreConfig};
+use shhc::{BackupClient, ClusterStats, NodeId, NodeStats, RestoreConfig};
+use shhc_cache::CacheStats;
+use shhc_flash::{DeviceStats, FtlStats};
 use shhc_storage::{ChunkStore, StoreStats};
 use shhc_types::{ChunkId, Result as ShhcResult};
-use shhc_workload::RestoreSpec;
+use shhc_workload::{Dataset, DatasetSpec, RestoreSpec};
 
 fn service(nodes: u32) -> BackupService<FixedChunker, MemChunkStore> {
     let cluster = ShhcCluster::spawn(ClusterConfig::small_test(nodes)).unwrap();
@@ -37,16 +38,8 @@ fn restore_entry_points_are_byte_exact() {
     assert_eq!(replay.data, data);
     assert_eq!(svc.restore(&report.manifest).unwrap(), data);
     assert_eq!(svc.restore_pipelined(&report.manifest).unwrap(), data);
-
-    // Every fingerprint was recorded at backup time, so the advisory
-    // locate audit finds the whole manifest.
     assert_eq!(replay.chunks, report.manifest.len());
     assert_eq!(replay.bytes, data.len() as u64);
-    assert_eq!(replay.located, replay.chunks, "full locate coverage");
-    assert_eq!(replay.mismatched, 0);
-    assert_eq!(replay.skipped, 0);
-    assert!(!replay.degraded);
-    assert!((replay.locate_coverage() - 1.0).abs() < 1e-12);
     svc.cluster().clone().shutdown().unwrap();
 }
 
@@ -64,12 +57,7 @@ fn odd_batch_shapes_stay_byte_exact() {
             .restore_with(&report.manifest, RestoreConfig::new(batch))
             .unwrap();
         assert_eq!(replay.data, data, "batch={batch}");
-        assert_eq!(
-            replay.located + replay.mismatched + replay.skipped,
-            replay.chunks,
-            "batch={batch}: the audit accounts for every entry"
-        );
-        assert_eq!(replay.located, replay.chunks, "batch={batch}");
+        assert_eq!(replay.chunks, 33, "batch={batch}");
     }
     // An empty manifest restores to nothing.
     let empty = BackupManifest::new(StreamId::new(10));
@@ -212,26 +200,24 @@ fn long_restore_does_not_starve_backup_writers() {
     svc.cluster().clone().shutdown().unwrap();
 }
 
-/// What runs over the cold archive before each hot re-ingest round.
-enum Interference {
-    None,
-    /// A full restore (Bypass locates).
-    Restore,
-    /// The same locate sweep a restore makes, with Normal admission: the
-    /// cache pollution the Bypass hint exists to avoid.
-    NormalSweep,
+/// Every counter a node keeps, per node: lookup path, RAM cache, flash
+/// device and FTL.
+fn node_counters(
+    stats: &ClusterStats,
+) -> Vec<(NodeId, NodeStats, CacheStats, DeviceStats, FtlStats)> {
+    stats
+        .nodes
+        .iter()
+        .map(|n| (n.id, n.stats, n.cache, n.device, n.ftl))
+        .collect()
 }
 
-/// Ingest hot-set RAM hit ratio after 3 rounds of re-backing-up the hot
-/// payload, with `interference` over the cold manifest before each round.
-fn hot_set_hit_ratio(interference: Interference) -> f64 {
-    // Pin the node shape: the cache-pollution mechanics under test live
-    // in the single-backend node cache (reader-pool nodes answer queries
-    // from mirrors and never touch it).
+#[test]
+fn restore_leaves_every_node_counter_untouched() {
+    // A warm cluster: two clients' backups, then a re-backup of the
+    // first, so the caches hold hits, misses, insertions and evictions.
     let mut node_config = NodeConfig::small_test();
-    node_config.cache_capacity = 256;
-    node_config.backend = BackendKind::Single;
-    node_config.readers = 0;
+    node_config.cache_capacity = 64;
     let cluster = ShhcCluster::spawn(ClusterConfig::new(2, node_config)).unwrap();
     let svc = BackupService::new(
         cluster,
@@ -239,94 +225,73 @@ fn hot_set_hit_ratio(interference: Interference) -> f64 {
         MemChunkStore::new(1 << 20),
         32,
     );
-
-    // A cold archive much larger than the cache, then a hot payload that
-    // fits it comfortably.
-    let cold = RestoreSpec::open_loop(1, 1024)
+    let spec = RestoreSpec::open_loop(2, 200)
         .with_chunk_size(256)
-        .with_redundancy(0.0)
-        .client_data(0);
-    let hot = RestoreSpec::open_loop(1, 64)
-        .with_chunk_size(256)
-        .with_redundancy(0.0)
-        .with_seed(0x401)
-        .client_data(0);
-    let cold_manifest = svc.backup(StreamId::new(1), &cold).unwrap().manifest;
-    svc.backup(StreamId::new(2), &hot).unwrap();
+        .with_seed(0x5EED);
+    let payloads = spec.client_payloads();
+    let manifests: Vec<BackupManifest> = payloads
+        .iter()
+        .enumerate()
+        .map(|(c, data)| svc.backup(StreamId::new(c as u32), data).unwrap().manifest)
+        .collect();
+    svc.backup(StreamId::new(7), &payloads[0]).unwrap();
 
-    for round in 0..3u32 {
-        match interference {
-            Interference::None => {}
-            Interference::Restore => {
-                let restored = svc.restore(&cold_manifest).unwrap();
-                assert_eq!(restored, cold);
-            }
-            Interference::NormalSweep => {
-                let fps: Vec<Fingerprint> = cold_manifest
-                    .entries
-                    .iter()
-                    .map(|e| e.fingerprint)
-                    .collect();
-                for batch in fps.chunks(RestoreConfig::default().batch) {
-                    let (exists, _) = svc
-                        .cluster()
-                        .query_batch_values_with(batch, Admission::Normal)
-                        .unwrap();
-                    assert!(exists.iter().all(|e| *e));
-                }
-            }
-        }
-        // Re-ingest the hot set: every chunk is a duplicate, counted as
-        // a RAM or flash hit depending on where the restore left it.
-        svc.backup(StreamId::new(10 + round), &hot).unwrap();
+    let before = svc.cluster().stats().unwrap();
+    assert!(before
+        .nodes
+        .iter()
+        .all(|n| n.cache.hits > 0 && n.device.reads > 0));
+    for (manifest, data) in manifests.iter().zip(&payloads) {
+        assert_eq!(&svc.restore(manifest).unwrap(), data);
+        let replay = svc.restore_with(manifest, RestoreConfig::new(3)).unwrap();
+        assert_eq!(&replay.data, data);
     }
+    let after = svc.cluster().stats().unwrap();
+    assert_eq!(
+        node_counters(&after),
+        node_counters(&before),
+        "a restore must not reach any index node"
+    );
 
-    let stats = svc.cluster().stats().unwrap();
-    let (ram, ssd) = stats.nodes.iter().fold((0u64, 0u64), |(r, s), n| {
-        (r + n.stats.ram_hits, s + n.stats.ssd_hits)
-    });
+    // The counters are live: a backup does move them.
+    svc.backup(StreamId::new(8), &payloads[1]).unwrap();
+    let touched = svc.cluster().stats().unwrap();
+    assert_ne!(node_counters(&touched), node_counters(&before));
     svc.cluster().clone().shutdown().unwrap();
-    assert!(ram + ssd > 0, "hot re-ingest must classify duplicates");
-    ram as f64 / (ram + ssd) as f64
 }
 
 #[test]
-fn bypass_restore_preserves_ingest_hit_rate() {
-    let undisturbed = hot_set_hit_ratio(Interference::None);
-    let with_restore = hot_set_hit_ratio(Interference::Restore);
-    let with_normal = hot_set_hit_ratio(Interference::NormalSweep);
-
-    // The scan-resistant (Bypass) restore leaves the ingest working set
-    // resident: at least 90 % of the undisturbed hit rate.
-    assert!(
-        with_restore >= 0.9 * undisturbed,
-        "restore flushed the hot set: {with_restore:.3} vs {undisturbed:.3}"
-    );
-    // The same sweep with Normal admission reads through the cache and
-    // evicts the hot set — proof the contrast above measures the hint.
-    assert!(
-        with_normal < with_restore,
-        "expected a normal-admission sweep to pollute the cache: \
-         normal {with_normal:.3} vs restore {with_restore:.3}"
-    );
-}
-
-#[test]
-fn dead_index_node_degrades_audit_not_data() {
+fn restore_with_every_node_killed_is_byte_exact() {
     let svc = service(3);
     let spec = RestoreSpec::open_loop(1, 80).with_chunk_size(256);
     let data = spec.client_data(0);
     let manifest = svc.backup(StreamId::new(1), &data).unwrap().manifest;
+    let mut client = BackupClient::new(svc.clone());
+    let dataset = Dataset::generate(&DatasetSpec {
+        files: 5,
+        mean_file_size: 3000,
+        seed: 11,
+    });
+    let (snapshot, _) = client.snapshot(&dataset).unwrap();
 
-    svc.cluster().kill_node(NodeId::new(1)).unwrap();
-
-    let report = svc.restore_with(&manifest, RestoreConfig::new(8)).unwrap();
-    assert_eq!(report.data, data, "restore survives a dead node");
-    assert!(report.degraded, "locate audit must flag the dead node");
-    assert!(report.skipped > 0, "skips locates after failure");
+    for node in 0..3 {
+        svc.cluster().kill_node(NodeId::new(node)).unwrap();
+    }
+    let probe = svc
+        .cluster()
+        .query_batch(&[manifest.entries[0].fingerprint]);
     assert!(
-        report.located + report.mismatched + report.skipped == report.chunks,
-        "audit accounts for every entry"
+        matches!(probe, Err(Error::Unavailable(_))),
+        "the index must be gone: {probe:?}"
+    );
+
+    assert_eq!(svc.restore(&manifest).unwrap(), data);
+    let replay = svc.restore_with(&manifest, RestoreConfig::new(8)).unwrap();
+    assert_eq!(replay.data, data);
+    let restored = client.restore_snapshot(&snapshot).unwrap();
+    assert_eq!(
+        restored.iter().collect::<Vec<_>>(),
+        dataset.iter().collect::<Vec<_>>()
     );
     svc.cluster().clone().shutdown().unwrap();
 }
@@ -485,7 +450,6 @@ impl DiskRig {
     fn assert_clean_restore(&self) {
         let replay = self.restore().expect("clean restore");
         assert_eq!(replay.data, self.data);
-        assert_eq!(replay.located, replay.chunks);
     }
 }
 

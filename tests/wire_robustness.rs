@@ -4,8 +4,8 @@
 //! channel hop between threads.)
 
 use proptest::prelude::*;
-use shhc_net::{decode, encode, Frame};
-use shhc_types::{Admission, Fingerprint, StreamId};
+use shhc_net::{decode, encode, Frame, WIRE_VERSION};
+use shhc_types::{Error, Fingerprint, KeyRange, StreamId};
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
     let fps = proptest::collection::vec(any::<u64>(), 0..64)
@@ -18,13 +18,8 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 fingerprints: f,
             }
         }),
-        (any::<u64>(), any::<bool>(), fps.clone()).prop_map(|(c, b, f)| Frame::QueryReq {
+        (any::<u64>(), fps.clone()).prop_map(|(c, f)| Frame::QueryReq {
             correlation: c,
-            admission: if b {
-                Admission::Bypass
-            } else {
-                Admission::Normal
-            },
             fingerprints: f,
         }),
         (
@@ -104,4 +99,107 @@ fn empty_and_header_only_inputs() {
     assert!(decode(&[0, 0, 0, 0]).is_err());
     // A length prefix of zero with nothing after it.
     assert!(decode(&[0, 0, 0, 0, 1]).is_err());
+}
+
+/// One frame of every tag, each with a non-empty body where it has one.
+fn one_of_each_tag() -> Vec<Frame> {
+    let fps: Vec<Fingerprint> = (1..4).map(Fingerprint::from_u64).collect();
+    let pairs: Vec<(Fingerprint, u64)> = fps.iter().map(|fp| (*fp, 7)).collect();
+    vec![
+        Frame::LookupInsertReq {
+            correlation: 1,
+            stream: StreamId::new(3),
+            fingerprints: fps.clone(),
+        },
+        Frame::QueryReq {
+            correlation: 2,
+            fingerprints: fps.clone(),
+        },
+        Frame::LookupResp {
+            correlation: 3,
+            exists: vec![true, false, true],
+            values: vec![10, 30],
+        },
+        Frame::Ping { correlation: 4 },
+        Frame::Pong { correlation: 5 },
+        Frame::RecordReq {
+            correlation: 6,
+            pairs: pairs.clone(),
+        },
+        Frame::Ack { correlation: 7 },
+        Frame::Error {
+            correlation: 8,
+            message: "boom".into(),
+        },
+        Frame::RemoveReq {
+            correlation: 9,
+            fingerprints: fps.clone(),
+        },
+        Frame::ScanRangeReq {
+            correlation: 10,
+            range: KeyRange::full(),
+            after: Some(fps[0]),
+            limit: 64,
+        },
+        Frame::ScanRangeResp {
+            correlation: 11,
+            pairs: pairs.clone(),
+            done: true,
+        },
+        Frame::MigrateReq {
+            correlation: 12,
+            pairs,
+        },
+    ]
+}
+
+/// Rewrites the length prefix to count everything after itself.
+fn patch_len(bytes: &mut [u8]) {
+    let len = (bytes.len() - 4) as u32;
+    bytes[..4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// A byte appended *inside* the length prefix: the prefix agrees with
+/// the payload, but the tag's body ends one byte early. Every tag must
+/// reject it rather than silently drop the extra byte.
+#[test]
+fn trailing_byte_inside_length_prefix_rejected_on_every_tag() {
+    for frame in one_of_each_tag() {
+        for extra in [0x00u8, 0x01, 0xFF] {
+            let mut bytes = encode(&frame).to_vec();
+            bytes.push(extra);
+            patch_len(&mut bytes);
+            let err = decode(&bytes).expect_err("trailing byte accepted");
+            assert!(matches!(err, Error::Decode(_)), "{frame:?}: {err:?}");
+        }
+    }
+}
+
+/// The version-1 `QueryReq` carried a one-byte cache-admission hint
+/// between the correlation id and the count. Such a frame is rejected
+/// under its own version byte and under the current one.
+#[test]
+fn old_layout_query_req_rejected() {
+    for (hint, n) in [(0u8, 0u32), (1, 0), (0, 2), (1, 3)] {
+        let mut old = vec![0u8; 4];
+        old.push(1); // version 1
+        old.push(2); // TAG_QUERY_REQ
+        old.extend_from_slice(&42u64.to_le_bytes());
+        old.push(hint);
+        old.extend_from_slice(&n.to_le_bytes());
+        for i in 0..u64::from(n) {
+            old.extend_from_slice(Fingerprint::from_u64(i).as_bytes());
+        }
+        patch_len(&mut old);
+        let err = decode(&old).expect_err("version-1 frame accepted");
+        assert!(matches!(err, Error::Decode(_)), "{err:?}");
+
+        let mut relabelled = old.clone();
+        relabelled[4] = WIRE_VERSION;
+        let err = decode(&relabelled).expect_err("old layout accepted");
+        assert!(
+            matches!(err, Error::Decode(_)),
+            "hint {hint} n {n}: {err:?}"
+        );
+    }
 }
