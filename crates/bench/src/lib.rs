@@ -57,13 +57,6 @@ pub fn recovery_quick() -> bool {
     env_flag("SHHC_RECOVERY_QUICK")
 }
 
-/// Quick mode for the index-backend shootout bench
-/// (`SHHC_MAP_SHOOTOUT_QUICK`): tiny op streams and reader sweep for a
-/// CI smoke run.
-pub fn map_shootout_quick() -> bool {
-    env_flag("SHHC_MAP_SHOOTOUT_QUICK")
-}
-
 /// Quick mode for the self-tuning bench (`SHHC_ADAPTIVE_QUICK`): short
 /// traces and a reduced static grid for a CI smoke run.
 pub fn adaptive_quick() -> bool {

@@ -181,12 +181,6 @@ impl ClusterStats {
             .collect()
     }
 
-    /// Total mirror-index lock acquisitions that had to block, across
-    /// alive nodes (zero unless a concurrent backend is configured).
-    pub fn total_lock_waits(&self) -> u64 {
-        self.nodes.iter().map(|n| n.stats.lock_waits).sum()
-    }
-
     /// Deepest inbound request queue any alive node has seen — the
     /// cluster-side overload gauge (near 1 when nodes keep up; grows
     /// with the worst burst a node absorbed).
@@ -196,19 +190,6 @@ impl ClusterStats {
             .map(|n| n.stats.queue_peak)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Total snapshot-backend stale-epoch refreshes across alive nodes
-    /// (zero for the locking backends).
-    pub fn total_read_retries(&self) -> u64 {
-        self.nodes.iter().map(|n| n.stats.read_retries).sum()
-    }
-
-    /// Total queries answered by reader pools across alive nodes — a
-    /// subset of the summed `stats.queries`, so dividing the two gives
-    /// the pools' share of cluster query traffic.
-    pub fn total_pool_queries(&self) -> u64 {
-        self.nodes.iter().map(|n| n.stats.pool_queries).sum()
     }
 }
 
@@ -1913,10 +1894,7 @@ fn spawn_node(id: NodeId, config: NodeConfig) -> Result<NodeSlot> {
     // `shards > 1` runs the node as a shard-per-worker pool (the
     // dispatcher below spawns one worker thread per shard); `shards == 1`
     // keeps the paper's single-threaded node as the measured baseline.
-    // A reader pool needs the dispatcher too — a single-shard node with
-    // readers runs as a one-worker sharded loop so its queries can be
-    // served concurrently from the mirror index.
-    let handle = if config.shards > 1 || config.wants_reader_pool() {
+    let handle = if config.shards > 1 {
         let shards = ShardedNode::new(id, config.clone())?.into_shards();
         std::thread::Builder::new()
             .name(format!("shhc-{id}"))

@@ -17,8 +17,6 @@
 //!   via power-of-two-choices on outstanding work, each optionally behind
 //!   a bounded [`AdmissionPolicy`] (blocking backpressure or fail-fast
 //!   shedding) — the multi-front-end arrangement of the paper's Figure 4,
-//! - [`Frontend`] — the per-session facade over a shared front-end
-//!   (legacy single-client API preserved),
 //! - [`BackupService`] — the end-to-end backup path: chunking →
 //!   fingerprint lookup → chunk storage → manifest, plus verified
 //!   restore,
@@ -50,7 +48,6 @@
 
 mod client;
 mod cluster;
-mod frontend;
 pub mod motivation;
 mod server;
 mod service;
@@ -62,7 +59,6 @@ pub use client::{BackupClient, FileEntry, Snapshot, SnapshotReport};
 pub use cluster::{
     Admission, ClusterConfig, ClusterStats, DataPlane, RebalanceReport, RecoveryReport, ShhcCluster,
 };
-pub use frontend::Frontend;
 pub use server::{AutotuneOptions, AutotuneReport, NodeSnapshot};
 pub use service::{BackupReport, BackupService, DeleteReport, RestoreConfig, RestoreReport};
 pub use shared_frontend::{FrontendConfig, LookupAnswer, SharedFrontend};
@@ -88,8 +84,8 @@ pub use shhc_types::{ChunkId, ClientId, Error, Fingerprint, Nanos, NodeId, Resul
 /// Commonly used imports for applications built on SHHC.
 pub mod prelude {
     pub use crate::{
-        BackupReport, BackupService, ClusterConfig, Frontend, FrontendConfig, FrontendTier,
-        RestoreConfig, RestoreReport, SharedFrontend, ShhcCluster, SimCluster, SimClusterConfig,
+        BackupReport, BackupService, ClusterConfig, FrontendConfig, FrontendTier, RestoreConfig,
+        RestoreReport, SharedFrontend, ShhcCluster, SimCluster, SimClusterConfig,
     };
     pub use shhc_chunking::{Chunker, FixedChunker, GearChunker, RabinChunker};
     pub use shhc_node::{HybridHashNode, NodeConfig};

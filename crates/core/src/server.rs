@@ -31,10 +31,9 @@ use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use shhc_cache::{CacheSizer, CacheStats, SizerConfig, SizerDecision};
 use shhc_flash::{DeviceStats, FtlStats};
-use shhc_index::{AnyIndex, Collection, CollectionHandle};
 use shhc_net::{decode, encode_reusing, Frame};
 use shhc_node::{
     load_imbalance, merge_classified, Classified, HybridHashNode, NodeConfig, NodeStats, ShardLoad,
@@ -61,9 +60,6 @@ pub struct NodeSnapshot {
     /// Intra-node shards executing on this node (1 = the single-threaded
     /// baseline loop).
     pub shards: u32,
-    /// Reader-pool threads attached to this node (0 = no pool; queries
-    /// are served by the owning server/worker threads).
-    pub readers: u32,
     /// Per-shard load shares (empty for single-threaded nodes) — the
     /// hot-shard imbalance signal.
     pub shard_loads: Vec<ShardLoad>,
@@ -164,7 +160,6 @@ pub(crate) fn snapshot_of(node: &HybridHashNode) -> NodeSnapshot {
         device: node.device_stats(),
         ftl: node.ftl_stats(),
         shards: 1,
-        readers: 0,
         shard_loads: Vec::new(),
     }
 }
@@ -193,10 +188,6 @@ fn merge_snapshots(parts: Vec<NodeSnapshot>) -> NodeSnapshot {
         device: DeviceStats::merge(device.iter()),
         ftl: FtlStats::merge(ftl.iter()),
         shards,
-        // Per-shard snapshots know nothing of the pool; the dispatcher's
-        // Stats job fills this in (and folds the pool counters) after
-        // merging.
-        readers: 0,
         shard_loads,
     }
 }
@@ -427,121 +418,15 @@ struct NodeShared {
     /// time, in frame order, so sequentially driven traffic receives
     /// exactly the values a single-threaded node would assign.
     next_value: AtomicU64,
-    /// The reader pool, present only when the node's backend is
-    /// concurrent and [`NodeConfig::readers`] `> 0`.
-    pool: Option<PoolShared>,
-    /// The live shard router — read per frame by the dispatcher and the
-    /// pool readers, swapped by an autotune re-split.
-    router: RwLock<ShardRouter>,
-    /// In-flight frames (jobs plus queued pool tasks). The autotuner
-    /// drains this to zero before moving entries between shards: the
-    /// apply phase of a lookup fans out from whichever worker classified
-    /// last, so queue-FIFO alone cannot order a re-split after it.
-    outstanding: Arc<AtomicUsize>,
-    /// Cumulative per-shard loads as of the previous autotune pass.
-    /// Each pass tunes on the *delta* since the last one, so the hot-
-    /// shard signal tracks the current phase of a shifting workload
-    /// instead of averaging over all history.
-    tuned_loads: Mutex<Vec<ShardLoad>>,
+    /// In-flight frames. The autotuner drains this to zero before moving
+    /// entries between shards: the apply phase of a lookup fans out from
+    /// whichever worker classified last, so queue-FIFO alone cannot
+    /// order a re-split after it.
+    outstanding: AtomicUsize,
     /// High-water mark of the dispatcher's inbound queue (requests still
     /// waiting plus the one being dispatched). Written by the dispatcher
     /// loop, folded into merged `Stats` snapshots by the Stats job.
     queue_peak: AtomicU64,
-}
-
-/// The dispatcher's handle on the reader pool.
-struct PoolShared {
-    /// The one MPMC queue every reader thread competes on. Read-only
-    /// query frames go here instead of the per-shard worker queues.
-    tx: Sender<PoolTask>,
-    /// Pool size — surfaced as [`NodeSnapshot::readers`].
-    readers: u32,
-    /// Counters the readers bump, folded into `Stats` snapshots.
-    stats: Arc<PoolStats>,
-}
-
-/// Counters shared by every reader thread of one node's pool.
-#[derive(Default)]
-struct PoolStats {
-    /// Fingerprints answered from the mirror indexes.
-    queries: AtomicU64,
-    /// Virtual busy time charged by the pool, in raw nanoseconds
-    /// (mirror answers are RAM-resident: CPU + one RAM probe per
-    /// fingerprint, never device time).
-    busy_nanos: AtomicU64,
-}
-
-/// A unit of work queued to the reader pool: one whole read-only frame.
-/// Unlike [`ShardTask`], pool tasks are not split per shard — any one
-/// reader answers the full frame, pinning a handle per shard mirror.
-enum PoolTask {
-    Query {
-        correlation: u64,
-        fps: Vec<Fingerprint>,
-        reply: Sender<Bytes>,
-        /// Artificial wall-clock service time for the frame; readers
-        /// sleep concurrently with each other and with the writers.
-        delay: Duration,
-    },
-    Shutdown,
-}
-
-/// One reader-pool thread: answers `QueryReq` frames from the shards'
-/// mirror indexes, competing with its siblings on the shared queue.
-/// Readers never touch the single-writer shard state, so a deep read
-/// burst cannot head-of-line-block writes — and a slow write frame
-/// cannot stall reads. Correctness leans on the write path updating the
-/// mirror *before* a mutation's reply is released: a client that has
-/// seen its ack will find the record here (read-your-writes), and the
-/// mirror tracks live store records exactly, so answers are
-/// byte-identical to the worker path's.
-fn pool_reader(
-    mirrors: Vec<AnyIndex<Fingerprint, u64>>,
-    per_op_cost: Nanos,
-    stats: Arc<PoolStats>,
-    shared: Arc<NodeShared>,
-    rx: Receiver<PoolTask>,
-) {
-    let mut handles: Vec<_> = mirrors.iter().map(Collection::pin).collect();
-    let mut scratch = BytesMut::new();
-    while let Ok(task) = rx.recv() {
-        let PoolTask::Query {
-            correlation,
-            fps,
-            reply,
-            delay,
-        } = task
-        else {
-            break;
-        };
-        sleep_service(delay);
-        // Re-read the router per frame: an autotune re-split re-homes
-        // entries between shard mirrors, and it only runs with zero
-        // frames outstanding — so this read always matches the mirrors.
-        let router = shared.router.read().clone();
-        let mut exists = Vec::with_capacity(fps.len());
-        let mut values = Vec::with_capacity(fps.len());
-        for fp in &fps {
-            let hit = handles[router.shard_of(fp)].get(fp);
-            exists.push(hit.is_some());
-            values.push(hit.unwrap_or(0));
-        }
-        stats.queries.fetch_add(fps.len() as u64, Ordering::Relaxed);
-        stats.busy_nanos.fetch_add(
-            (per_op_cost * fps.len() as u64).as_nanos(),
-            Ordering::Relaxed,
-        );
-        let values = compact_values(&exists, &values);
-        let _ = reply.send(encode_reusing(
-            &Frame::LookupResp {
-                correlation,
-                exists,
-                values,
-            },
-            &mut scratch,
-        ));
-        shared.outstanding.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 /// A unit of work queued to one shard worker.
@@ -818,16 +703,6 @@ impl FrameJob {
                     })
                     .collect();
                 let mut snap = merge_snapshots(parts);
-                // Fold in the reader pool: queries it absorbed never
-                // touched a shard, so the shard counters alone would
-                // under-report the node's traffic and busy time.
-                if let Some(pool) = &self.shared.pool {
-                    let pool_q = pool.stats.queries.load(Ordering::Relaxed);
-                    snap.stats.queries += pool_q;
-                    snap.stats.pool_queries = pool_q;
-                    snap.stats.busy += Nanos::new(pool.stats.busy_nanos.load(Ordering::Relaxed));
-                    snap.readers = pool.readers;
-                }
                 // The shards never saw the inbound queue; the
                 // dispatcher's high-water mark is the node's.
                 snap.stats.queue_peak = self.shared.queue_peak.load(Ordering::Relaxed);
@@ -1069,7 +944,11 @@ pub(crate) fn sharded_node_loop(
     shards: Vec<HybridHashNode>,
     rx: Receiver<NodeRequest>,
 ) {
-    let router = ShardRouter::new(shards.len() as u32);
+    // Only this thread reads the router (per frame) or replaces it (an
+    // autotune re-split, which runs here with the node drained).
+    let mut router = ShardRouter::new(shards.len() as u32);
+    // Cumulative per-shard loads as of the previous autotune pass.
+    let mut tuned_loads: Vec<ShardLoad> = Vec::new();
     let node_id = shards.first().map(HybridHashNode::id).unwrap_or_default();
     let mut worker_txs = Vec::with_capacity(shards.len());
     let mut worker_rxs = Vec::with_capacity(shards.len());
@@ -1078,28 +957,6 @@ pub(crate) fn sharded_node_loop(
         worker_txs.push(tx);
         worker_rxs.push(wrx);
     }
-    // Reader pool: clone every shard's mirror index *before* the shards
-    // move into their worker threads. All-or-nothing — a pool that could
-    // only answer for some shards would have to bounce the rest back to
-    // the workers mid-frame.
-    let mirrors: Vec<AnyIndex<Fingerprint, u64>> = shards
-        .iter()
-        .filter_map(|s| s.mirror_index().cloned())
-        .collect();
-    let pool_on = config.wants_reader_pool() && mirrors.len() == shards.len();
-    let (pool, pool_rx) = if pool_on {
-        let (ptx, prx) = unbounded();
-        (
-            Some(PoolShared {
-                tx: ptx,
-                readers: config.readers,
-                stats: Arc::new(PoolStats::default()),
-            }),
-            Some(prx),
-        )
-    } else {
-        (None, None)
-    };
     // Seed the value allocator past anything the shards recovered from
     // their WALs, so a warm-restarted node never reissues a value the
     // pre-crash node already handed out.
@@ -1111,10 +968,7 @@ pub(crate) fn sharded_node_loop(
     let shared = Arc::new(NodeShared {
         workers: worker_txs,
         next_value: AtomicU64::new(next_value),
-        pool,
-        router: RwLock::new(router),
-        outstanding: Arc::new(AtomicUsize::new(0)),
-        tuned_loads: Mutex::new(Vec::new()),
+        outstanding: AtomicUsize::new(0),
         queue_peak: AtomicU64::new(0),
     });
     let handles: Vec<JoinHandle<()>> = shards
@@ -1128,23 +982,6 @@ pub(crate) fn sharded_node_loop(
                 .expect("spawn shard worker")
         })
         .collect();
-    let mut reader_handles: Vec<JoinHandle<()>> = Vec::new();
-    if let Some(prx) = pool_rx {
-        let pool = shared.pool.as_ref().expect("pool channel implies pool");
-        let per_op_cost = config.cpu_per_op + config.ram_probe;
-        for r in 0..pool.readers {
-            let mirrors = mirrors.clone();
-            let stats = Arc::clone(&pool.stats);
-            let shared = Arc::clone(&shared);
-            let prx = prx.clone();
-            reader_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("shhc-{node_id}-r{r}"))
-                    .spawn(move || pool_reader(mirrors, per_op_cost, stats, shared, prx))
-                    .expect("spawn pool reader"),
-            );
-        }
-    }
     let mut scratch = BytesMut::new();
     // Clean only via ControlMsg::Shutdown; a channel disconnect (the
     // cluster killing the node) exits dirty, and the shards drop with
@@ -1159,7 +996,6 @@ pub(crate) fn sharded_node_loop(
         }
         match request {
             NodeRequest::Data { frame, reply } => {
-                let router = shared.router.read().clone();
                 dispatch_data(&config, &router, &shared, &frame, reply, &mut scratch);
             }
             NodeRequest::Control { msg, reply } => match msg {
@@ -1172,7 +1008,14 @@ pub(crate) fn sharded_node_loop(
                 ControlMsg::Flush => broadcast_control(&shared, JobKind::Flush, reply),
                 ControlMsg::Scan => broadcast_control(&shared, JobKind::Scan, reply),
                 ControlMsg::Autotune(opts) => {
-                    let r = match run_autotune(&config, &shared, node_id, opts) {
+                    let r = match run_autotune(
+                        &config,
+                        &shared,
+                        &mut router,
+                        &mut tuned_loads,
+                        node_id,
+                        opts,
+                    ) {
                         Ok(report) => ControlReply::Autotune(Box::new(report)),
                         Err(m) => ControlReply::Failed(m),
                     };
@@ -1181,18 +1024,10 @@ pub(crate) fn sharded_node_loop(
             },
         }
     }
-    if let Some(pool) = &shared.pool {
-        for _ in 0..pool.readers {
-            let _ = pool.tx.send(PoolTask::Shutdown);
-        }
-    }
     for tx in &shared.workers {
         let _ = tx.send(ShardTask::Shutdown { clean });
     }
     for handle in handles {
-        let _ = handle.join();
-    }
-    for handle in reader_handles {
         let _ = handle.join();
     }
 }
@@ -1299,23 +1134,6 @@ fn dispatch_data(
             }
         }
         Frame::QueryReq { fingerprints, .. } => {
-            // With a reader pool attached the whole read-only frame goes
-            // to the shared pool queue: whichever reader is idle answers
-            // it from the mirror indexes, and the shard workers (the
-            // write path) never see it. The frame is deliberately not
-            // split per shard — a pool reader holds a handle on *every*
-            // shard's mirror, so splitting would only add merge cost.
-            if let Some(pool) = &shared.pool {
-                let delay = delay_for(0, fingerprints.len());
-                shared.outstanding.fetch_add(1, Ordering::AcqRel);
-                let _ = pool.tx.send(PoolTask::Query {
-                    correlation,
-                    fps: fingerprints,
-                    reply,
-                    delay,
-                });
-                return;
-            }
             let involved = involved_subs(router, &fingerprints);
             if involved.is_empty() {
                 let _ = reply.send(encode_reusing(
@@ -1566,16 +1384,16 @@ fn shard_direct(
 /// One node-local self-tuning pass, run on the dispatcher thread with
 /// the node quiesced:
 ///
-/// 1. **drain** — wait for every in-flight frame (including queued pool
-///    reads and lookup apply phases) to release its reply, so no worker
-///    touches shard state concurrently;
+/// 1. **drain** — wait for every in-flight frame (including lookup apply
+///    phases) to release its reply, so no worker touches shard state
+///    concurrently;
 /// 2. **hot-shard re-split** — read per-shard query loads; if the
 ///    max/mean imbalance reaches the threshold, re-split the shard key
 ///    ranges along the observed load CDF and re-home the entries whose
 ///    shard changed (install on the target, then remove from the
-///    source), finally swapping the live router. Declined on WAL-backed
-///    nodes: restart replay rebuilds the uniform router and would
-///    mis-route the moved entries;
+///    source), finally replacing the dispatcher's router. Declined on
+///    WAL-backed nodes: restart replay rebuilds the uniform router and
+///    would mis-route the moved entries;
 /// 3. **cache autosizing** — shift RAM-cache capacity from the shard
 ///    with the lowest recent misses-per-slot to the one with the
 ///    highest.
@@ -1585,6 +1403,8 @@ fn shard_direct(
 fn run_autotune(
     config: &NodeConfig,
     shared: &NodeShared,
+    router: &mut ShardRouter,
+    tuned_loads: &mut Vec<ShardLoad>,
     node_id: NodeId,
     opts: AutotuneOptions,
 ) -> Result<AutotuneReport, String> {
@@ -1605,22 +1425,18 @@ fn run_autotune(
     // Tune on the window since the previous pass: against a workload
     // whose hot set moves, cumulative counters would drown the current
     // phase in stale history and re-split one phase behind.
-    let window: Vec<ShardLoad> = {
-        let mut last = shared.tuned_loads.lock();
-        let w = loads
-            .iter()
-            .enumerate()
-            .map(|(s, l)| {
-                let prev = last.get(s).copied().unwrap_or_default();
-                ShardLoad {
-                    queries: l.queries.saturating_sub(prev.queries),
-                    busy: Nanos::from(l.busy.as_nanos().saturating_sub(prev.busy.as_nanos())),
-                }
-            })
-            .collect();
-        *last = loads;
-        w
-    };
+    let window: Vec<ShardLoad> = loads
+        .iter()
+        .enumerate()
+        .map(|(s, l)| {
+            let prev = tuned_loads.get(s).copied().unwrap_or_default();
+            ShardLoad {
+                queries: l.queries.saturating_sub(prev.queries),
+                busy: Nanos::from(l.busy.as_nanos().saturating_sub(prev.busy.as_nanos())),
+            }
+        })
+        .collect();
+    *tuned_loads = loads;
     let imbalance = load_imbalance(&window);
     let mut report = AutotuneReport {
         id: node_id,
@@ -1635,7 +1451,6 @@ fn run_autotune(
         && imbalance >= opts.imbalance_threshold
         && !config.durability.is_durable()
     {
-        let current = shared.router.read().clone();
         let queries: Vec<u64> = window.iter().map(|l| l.queries).collect();
         // Scan first: the stored keys both weight the re-split (so a hot
         // set clustered inside one slice is cut *between* its keys in a
@@ -1651,8 +1466,8 @@ fn run_autotune(
             .iter()
             .map(|pairs| pairs.iter().map(|(fp, _)| fp.route_key()).collect())
             .collect();
-        let new_router = current.rebalanced_over_keys(&queries, &keys_by_shard);
-        if new_router != current {
+        let new_router = router.rebalanced_over_keys(&queries, &keys_by_shard);
+        if new_router != *router {
             let mut installs: Vec<Vec<(Fingerprint, u64)>> = vec![Vec::new(); shards];
             let mut removes: Vec<Vec<Fingerprint>> = vec![Vec::new(); shards];
             for (s, pairs) in scans.into_iter().enumerate() {
@@ -1689,7 +1504,7 @@ fn run_autotune(
                     )?;
                 }
             }
-            *shared.router.write() = new_router;
+            *router = new_router;
             report.resplit = true;
             report.moved_entries = moved;
         }
@@ -2033,107 +1848,6 @@ mod tests {
         drop(shard_tx);
         base_handle.join().unwrap();
         shard_handle.join().unwrap();
-    }
-
-    fn spawn_test_pooled(
-        shards: u32,
-        backend: shhc_index::BackendKind,
-        readers: u32,
-    ) -> (Sender<NodeRequest>, std::thread::JoinHandle<()>) {
-        let config = NodeConfig::small_test()
-            .with_shards(shards)
-            .with_backend(backend)
-            .with_readers(readers);
-        let node = ShardedNode::new(NodeId::new(0), config.clone()).unwrap();
-        let (tx, rx) = unbounded();
-        let handle = std::thread::spawn(move || sharded_node_loop(config, node.into_shards(), rx));
-        (tx, handle)
-    }
-
-    fn node_stats(tx: &Sender<NodeRequest>) -> NodeSnapshot {
-        let (ctl_tx, ctl_rx) = unbounded();
-        tx.send(NodeRequest::Control {
-            msg: ControlMsg::Stats,
-            reply: ctl_tx,
-        })
-        .unwrap();
-        match ctl_rx.recv().unwrap() {
-            ControlReply::Stats(snap) => *snap,
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    /// A pooled node (readers answering queries from the mirror) replies
-    /// byte-identically to the single-threaded baseline across a
-    /// mutate-heavy sequence, for every concurrent backend and for both
-    /// the single-shard and multi-shard dispatchers.
-    #[test]
-    fn reader_pool_matches_baseline_replies() {
-        use shhc_index::BackendKind;
-        for backend in [BackendKind::Striped, BackendKind::Snapshot] {
-            for shards in [1u32, 4] {
-                let (base_tx, base_handle) = spawn_test_node();
-                let (pool_tx, pool_handle) = spawn_test_pooled(shards, backend, 3);
-                let fps: Vec<Fingerprint> = (0..40)
-                    .map(|i: u64| Fingerprint::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-                    .collect();
-                let mut correlation = 0u64;
-                let mut both = |frame_of: &dyn Fn(u64) -> Frame| {
-                    correlation += 1;
-                    let a = rpc(&base_tx, frame_of(correlation));
-                    let b = rpc(&pool_tx, frame_of(correlation));
-                    assert_eq!(a, b, "replies diverge ({backend}, {shards} shards)");
-                    a
-                };
-                both(&|correlation| Frame::QueryReq {
-                    correlation,
-                    fingerprints: fps.clone(),
-                });
-                both(&|correlation| Frame::LookupInsertReq {
-                    correlation,
-                    stream: StreamId::new(0),
-                    fingerprints: fps.clone(),
-                });
-                // A repeat after the inserts, now all hits, on every
-                // dispatch path (single node, per-shard split, reader pool).
-                both(&|correlation| Frame::QueryReq {
-                    correlation,
-                    fingerprints: fps.clone(),
-                });
-                both(&|correlation| Frame::RecordReq {
-                    correlation,
-                    pairs: fps.iter().map(|f| (*f, f.route_key() % 97)).collect(),
-                });
-                both(&|correlation| Frame::RemoveReq {
-                    correlation,
-                    fingerprints: fps[..13].to_vec(),
-                });
-                // Read-your-writes through the pool: the removes above
-                // were acked, so the pool must already see them gone.
-                both(&|correlation| Frame::QueryReq {
-                    correlation,
-                    fingerprints: fps.clone(),
-                });
-                both(&|correlation| Frame::QueryReq {
-                    correlation,
-                    fingerprints: Vec::new(),
-                });
-                let snap = node_stats(&pool_tx);
-                assert_eq!(snap.shards, shards, "{backend}");
-                assert_eq!(snap.readers, 3, "{backend}");
-                // 4 query frames × 40 fps (the empty frame adds none),
-                // all absorbed by the pool, all counted as queries.
-                assert_eq!(snap.stats.pool_queries, 120, "{backend}");
-                assert_eq!(snap.stats.queries, 120, "{backend}");
-                let base = node_stats(&base_tx);
-                assert_eq!(base.readers, 0);
-                assert_eq!(base.stats.pool_queries, 0);
-                drop(base_tx);
-                drop(pool_tx);
-                base_handle.join().unwrap();
-                pool_handle.join().unwrap();
-            }
-        }
     }
 
     /// Dropping the request channel (a kill) stops the dispatcher and

@@ -1,11 +1,5 @@
-//! Runtime-selected backend: enum dispatch over the three maps.
-//!
-//! `NodeConfig` carries a [`BackendKind`](crate::BackendKind), not a
-//! type parameter — nodes would otherwise become generic over their
-//! index and the choice would leak into every signature up through the
-//! cluster. [`AnyIndex`] pays one match per operation for that
-//! flexibility, which the shootout shows is noise next to the lock
-//! behavior being compared.
+//! Runtime-selected backend: enum dispatch over the two maps, so one
+//! harness can measure both behind one type.
 
 use std::hash::BuildHasher;
 
@@ -13,8 +7,7 @@ use shhc_types::FingerprintBuildHasher;
 
 use crate::{
     BackendKind, Collection, CollectionHandle, IndexKey, IndexStats, IndexValue,
-    SingleWriterHandle, SingleWriterMap, SnapshotHandle, SnapshotMap, StripedHandle, StripedMap,
-    DEFAULT_STRIPES,
+    SingleWriterHandle, SingleWriterMap, StripedHandle, StripedMap, DEFAULT_STRIPES,
 };
 
 /// A map whose backend is chosen at runtime by [`BackendKind`].
@@ -23,8 +16,6 @@ pub enum AnyIndex<K, V, H = FingerprintBuildHasher> {
     Single(SingleWriterMap<K, V, H>),
     /// Striped `RwLock` map.
     Striped(StripedMap<K, V, H>),
-    /// Epoch-validated COW snapshot map.
-    Snapshot(SnapshotMap<K, V, H>),
 }
 
 impl<K, V, H> Clone for AnyIndex<K, V, H> {
@@ -32,7 +23,6 @@ impl<K, V, H> Clone for AnyIndex<K, V, H> {
         match self {
             AnyIndex::Single(m) => AnyIndex::Single(m.clone()),
             AnyIndex::Striped(m) => AnyIndex::Striped(m.clone()),
-            AnyIndex::Snapshot(m) => AnyIndex::Snapshot(m.clone()),
         }
     }
 }
@@ -49,15 +39,12 @@ where
     }
 
     /// Creates an empty index of the given kind; `stripes` applies to
-    /// the striped backends and is ignored by the single-writer one.
+    /// the striped backend and is ignored by the single-writer one.
     pub fn with_stripes(kind: BackendKind, capacity: usize, stripes: usize) -> Self {
         match kind {
             BackendKind::Single => AnyIndex::Single(SingleWriterMap::with_capacity(capacity)),
             BackendKind::Striped => {
                 AnyIndex::Striped(StripedMap::with_capacity_and_stripes(capacity, stripes))
-            }
-            BackendKind::Snapshot => {
-                AnyIndex::Snapshot(SnapshotMap::with_capacity_and_stripes(capacity, stripes))
             }
         }
     }
@@ -67,7 +54,6 @@ where
         match self {
             AnyIndex::Single(_) => BackendKind::Single,
             AnyIndex::Striped(_) => BackendKind::Striped,
-            AnyIndex::Snapshot(_) => BackendKind::Snapshot,
         }
     }
 }
@@ -79,7 +65,6 @@ impl<K, V, H> std::fmt::Debug for AnyIndex<K, V, H> {
         f.write_str(match self {
             AnyIndex::Single(_) => "AnyIndex::Single",
             AnyIndex::Striped(_) => "AnyIndex::Striped",
-            AnyIndex::Snapshot(_) => "AnyIndex::Snapshot",
         })
     }
 }
@@ -90,8 +75,6 @@ pub enum AnyHandle<K, V, H = FingerprintBuildHasher> {
     Single(SingleWriterHandle<K, V, H>),
     /// Handle onto the striped map.
     Striped(StripedHandle<K, V, H>),
-    /// Handle onto the snapshot map (caches the frozen `Arc`).
-    Snapshot(SnapshotHandle<K, V, H>),
 }
 
 impl<K, V, H> std::fmt::Debug for AnyHandle<K, V, H> {
@@ -99,7 +82,6 @@ impl<K, V, H> std::fmt::Debug for AnyHandle<K, V, H> {
         f.write_str(match self {
             AnyHandle::Single(_) => "AnyHandle::Single",
             AnyHandle::Striped(_) => "AnyHandle::Striped",
-            AnyHandle::Snapshot(_) => "AnyHandle::Snapshot",
         })
     }
 }
@@ -118,7 +100,6 @@ where
         match self {
             AnyIndex::Single(m) => AnyHandle::Single(m.pin()),
             AnyIndex::Striped(m) => AnyHandle::Striped(m.pin()),
-            AnyIndex::Snapshot(m) => AnyHandle::Snapshot(m.pin()),
         }
     }
 
@@ -126,7 +107,6 @@ where
         match self {
             AnyIndex::Single(m) => m.stats(),
             AnyIndex::Striped(m) => m.stats(),
-            AnyIndex::Snapshot(m) => m.stats(),
         }
     }
 
@@ -134,7 +114,6 @@ where
         match self {
             AnyIndex::Single(m) => m.len(),
             AnyIndex::Striped(m) => m.len(),
-            AnyIndex::Snapshot(m) => m.len(),
         }
     }
 
@@ -142,7 +121,6 @@ where
         match self {
             AnyIndex::Single(m) => m.snapshot_entries(),
             AnyIndex::Striped(m) => m.snapshot_entries(),
-            AnyIndex::Snapshot(m) => m.snapshot_entries(),
         }
     }
 }
@@ -160,7 +138,6 @@ where
         match self {
             AnyHandle::Single(h) => h.get(key),
             AnyHandle::Striped(h) => h.get(key),
-            AnyHandle::Snapshot(h) => h.get(key),
         }
     }
 
@@ -168,7 +145,6 @@ where
         match self {
             AnyHandle::Single(h) => h.insert(key, value),
             AnyHandle::Striped(h) => h.insert(key, value),
-            AnyHandle::Snapshot(h) => h.insert(key, value),
         }
     }
 
@@ -176,7 +152,6 @@ where
         match self {
             AnyHandle::Single(h) => h.insert_if_absent(key, value),
             AnyHandle::Striped(h) => h.insert_if_absent(key, value),
-            AnyHandle::Snapshot(h) => h.insert_if_absent(key, value),
         }
     }
 
@@ -184,7 +159,6 @@ where
         match self {
             AnyHandle::Single(h) => h.remove(key),
             AnyHandle::Striped(h) => h.remove(key),
-            AnyHandle::Snapshot(h) => h.remove(key),
         }
     }
 }

@@ -1,34 +1,19 @@
-//! Pluggable concurrent shard-state backends for SHHC nodes.
+//! Concurrent fingerprint maps behind a map-bench-style adapter.
 //!
-//! The paper's dedup workload is overwhelmingly *queries* against the
-//! RAM fingerprint index, yet through PR 5 every shard's RAM state was a
-//! single-writer structure owned by exactly one worker thread —
-//! parallelism stopped at the shard count regardless of cores. This
-//! crate factors the node's RAM index behind a map-bench-style
-//! [`Collection`]/[`CollectionHandle`] adapter pair and ships three
-//! interchangeable implementations:
+//! A node's RAM index is its own cache and flash table, owned by one
+//! shard worker; this crate is not on that path. It keeps two maps behind
+//! a [`Collection`]/[`CollectionHandle`] adapter pair so the ledger's
+//! `index.*` kernel rows can keep measuring them:
 //!
-//! | backend | reads | writes | suited to |
-//! |---|---|---|---|
-//! | [`SingleWriterMap`] | serialize on one mutex | serialize | the retained baseline: one owner thread |
-//! | [`StripedMap`] | shared `RwLock` per stripe — readers never block readers | exclusive per stripe | balanced read/write mixes |
-//! | [`SnapshotMap`] | lock-free against an epoch-validated frozen snapshot | striped delta overlay, COW publish | read-dominant probe traffic |
+//! | backend | reads | writes |
+//! |---|---|---|
+//! | [`SingleWriterMap`] | serialize on one mutex | serialize |
+//! | [`StripedMap`] | shared `RwLock` per stripe — readers never block readers | exclusive per stripe |
 //!
 //! A [`Collection`] is the cheaply-cloneable shared structure; each
 //! thread *pins* it into a [`CollectionHandle`] it owns exclusively.
-//! For the locking backends a handle is just another reference; for
-//! [`SnapshotMap`] the handle caches the current frozen [`Arc`] snapshot
-//! and revalidates it with one atomic epoch load per operation, so the
-//! bulk of a read-mostly workload touches no lock at all.
-//!
-//! Contention is *measured*, not guessed: every backend counts
-//! [`IndexStats::lock_waits`] (a `try_lock` that failed and had to
-//! block) and [`IndexStats::read_retries`] (snapshot refreshes after a
-//! publish), which the node surfaces through `NodeStats` and
-//! `ClusterStats`. The `ext_map_shootout` bench sweeps every backend
-//! over reader-thread counts so the choice is a measured config knob.
-//!
-//! [`Arc`]: std::sync::Arc
+//! Both backends count [`IndexStats::lock_waits`]: a `try_lock` that
+//! failed and had to block.
 //!
 //! # Examples
 //!
@@ -50,13 +35,11 @@
 
 mod any;
 mod single;
-mod snapshot;
 mod stats;
 mod striped;
 
 pub use any::{AnyHandle, AnyIndex};
 pub use single::{SingleWriterHandle, SingleWriterMap};
-pub use snapshot::{SnapshotHandle, SnapshotMap};
 pub use stats::IndexStats;
 pub use striped::{StripedHandle, StripedMap};
 
@@ -106,10 +89,7 @@ pub trait Collection: Clone + Send + Sync + 'static {
 /// A per-thread accessor onto a [`Collection`] (map-bench's
 /// `CollectionHandle`).
 ///
-/// Methods take `&mut self`: a handle belongs to exactly one thread,
-/// which lets implementations keep per-thread state (the
-/// [`SnapshotHandle`] caches the current frozen snapshot and swaps it on
-/// epoch change without any synchronization of its own).
+/// Methods take `&mut self`: a handle belongs to exactly one thread.
 pub trait CollectionHandle: Send {
     /// Key type.
     type Key: IndexKey;
@@ -130,40 +110,19 @@ pub trait CollectionHandle: Send {
     fn remove(&mut self, key: &Self::Key) -> Option<Self::Value>;
 }
 
-/// Which concurrent backend a node's RAM index runs on.
-///
-/// Parsed from config or the `SHHC_TEST_BACKEND` environment variable
-/// (the CI matrix leg); see the crate docs for the trade-off table.
+/// Which backend an [`AnyIndex`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// The retained baseline: one mutex, single-writer semantics.
+    /// One mutex, single-writer semantics.
     #[default]
     Single,
     /// Striped `RwLock` map: readers never block readers.
     Striped,
-    /// Epoch-validated COW snapshot: lock-free read-mostly probes.
-    Snapshot,
 }
 
 impl BackendKind {
-    /// Every backend, in baseline-first order (bench sweeps).
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Single,
-        BackendKind::Striped,
-        BackendKind::Snapshot,
-    ];
-
-    /// Whether this backend supports concurrent readers (everything but
-    /// the single-writer baseline).
-    pub fn concurrent(self) -> bool {
-        !matches!(self, BackendKind::Single)
-    }
-
-    /// Reads a backend from an environment variable, returning `None`
-    /// when unset, empty, or unparseable.
-    pub fn from_env(var: &str) -> Option<Self> {
-        std::env::var(var).ok()?.parse().ok()
-    }
+    /// Every backend.
+    pub const ALL: [BackendKind; 2] = [BackendKind::Single, BackendKind::Striped];
 }
 
 impl std::fmt::Display for BackendKind {
@@ -171,7 +130,6 @@ impl std::fmt::Display for BackendKind {
         f.write_str(match self {
             BackendKind::Single => "single",
             BackendKind::Striped => "striped",
-            BackendKind::Snapshot => "snapshot",
         })
     }
 }
@@ -183,7 +141,6 @@ impl std::str::FromStr for BackendKind {
         match s.trim().to_ascii_lowercase().as_str() {
             "single" | "single-writer" | "mutex" => Ok(BackendKind::Single),
             "striped" | "striped-rwlock" | "rwlock" => Ok(BackendKind::Striped),
-            "snapshot" | "cow" | "lockfree" | "lock-free" => Ok(BackendKind::Snapshot),
             other => Err(format!("unknown index backend {other:?}")),
         }
     }
@@ -218,15 +175,15 @@ mod tests {
             let round: BackendKind = kind.to_string().parse().unwrap();
             assert_eq!(round, kind);
         }
-        assert_eq!("COW".parse::<BackendKind>().unwrap(), BackendKind::Snapshot);
+        assert_eq!(
+            "rwlock".parse::<BackendKind>().unwrap(),
+            BackendKind::Striped
+        );
         assert_eq!(
             "single-writer".parse::<BackendKind>().unwrap(),
             BackendKind::Single
         );
-        assert!("quantum".parse::<BackendKind>().is_err());
-        assert!(!BackendKind::Single.concurrent());
-        assert!(BackendKind::Striped.concurrent());
-        assert!(BackendKind::Snapshot.concurrent());
+        assert!("snapshot".parse::<BackendKind>().is_err());
     }
 
     #[test]

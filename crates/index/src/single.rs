@@ -10,11 +10,9 @@ use shhc_types::FingerprintBuildHasher;
 use crate::stats::ContentionCounters;
 use crate::{Collection, CollectionHandle, IndexKey, IndexStats, IndexValue};
 
-/// The pre-PR-6 shard state, unchanged in spirit: every operation —
-/// reads included — takes the one mutex. This is the correct choice when
-/// a shard is owned by exactly one worker thread (the lock is then
-/// always uncontended) and the fairness baseline every concurrent
-/// backend is measured against in `ext_map_shootout`.
+/// Every operation — reads included — takes the one mutex. This is the
+/// correct choice when a map is owned by exactly one thread (the lock is
+/// then always uncontended).
 pub struct SingleWriterMap<K, V, H = FingerprintBuildHasher> {
     inner: Arc<Inner<K, V, H>>,
 }

@@ -4,27 +4,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point-in-time snapshot of a backend's contention counters.
 ///
-/// Both counters are *events observed*, not time spent: they tell you
-/// how often a thread found the structure busy, which is the signal the
-/// `ext_map_shootout` bench and `ClusterStats` aggregate to compare
-/// backends under identical load.
+/// The counter is *events observed*, not time spent: how often a thread
+/// found the structure busy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// A `try_lock`/`try_read`/`try_write` failed and the thread had to
     /// fall back to a blocking acquire.
     pub lock_waits: u64,
-    /// A snapshot handle found its cached epoch stale and refreshed its
-    /// frozen map (the [`SnapshotMap`](crate::SnapshotMap) backend; zero
-    /// for the locking backends).
-    pub read_retries: u64,
 }
 
 impl IndexStats {
-    /// Sums two snapshots (used when a node folds per-shard indexes).
+    /// Sums two snapshots.
     pub fn merge(self, other: IndexStats) -> IndexStats {
         IndexStats {
             lock_waits: self.lock_waits + other.lock_waits,
-            read_retries: self.read_retries + other.read_retries,
         }
     }
 }
@@ -33,7 +26,6 @@ impl IndexStats {
 #[derive(Debug, Default)]
 pub(crate) struct ContentionCounters {
     lock_waits: AtomicU64,
-    read_retries: AtomicU64,
 }
 
 impl ContentionCounters {
@@ -41,14 +33,9 @@ impl ContentionCounters {
         self.lock_waits.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn count_read_retry(&self) {
-        self.read_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn snapshot(&self) -> IndexStats {
         IndexStats {
             lock_waits: self.lock_waits.load(Ordering::Relaxed),
-            read_retries: self.read_retries.load(Ordering::Relaxed),
         }
     }
 }
@@ -62,15 +49,9 @@ mod tests {
         let c = ContentionCounters::default();
         c.count_lock_wait();
         c.count_lock_wait();
-        c.count_read_retry();
         let snap = c.snapshot();
         assert_eq!(snap.lock_waits, 2);
-        assert_eq!(snap.read_retries, 1);
-        let merged = snap.merge(IndexStats {
-            lock_waits: 3,
-            read_retries: 4,
-        });
+        let merged = snap.merge(IndexStats { lock_waits: 3 });
         assert_eq!(merged.lock_waits, 5);
-        assert_eq!(merged.read_retries, 5);
     }
 }

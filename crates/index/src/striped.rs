@@ -20,9 +20,7 @@ use crate::{
 /// Readers on different keys proceed fully in parallel; readers on the
 /// *same* stripe still share the lock (shared mode); only a writer to a
 /// stripe excludes that stripe's readers. Writes to distinct stripes
-/// also proceed in parallel, which is why this backend holds up on
-/// write-heavy mixes where [`SnapshotMap`](crate::SnapshotMap)'s publish
-/// cost starts to show.
+/// also proceed in parallel.
 pub struct StripedMap<K, V, H = FingerprintBuildHasher> {
     inner: Arc<Inner<K, V, H>>,
 }

@@ -1,7 +1,5 @@
 //! Every backend must answer byte-identically to a reference model
-//! under randomized op interleavings — the crate-level half of the PR's
-//! equivalence suite (the node/cluster-level half lives in the root
-//! facade's `backend_equivalence` tests).
+//! under randomized op interleavings.
 
 use std::collections::BTreeMap;
 
@@ -14,7 +12,6 @@ enum Op {
     Insert(u64, u64),
     InsertIfAbsent(u64, u64),
     Remove(u64),
-    ForcePublish,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -25,7 +22,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         ((0u64..64), any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
         ((0u64..64), any::<u64>()).prop_map(|(k, v)| Op::InsertIfAbsent(k, v)),
         (0u64..64).prop_map(Op::Remove),
-        Just(Op::ForcePublish),
     ]
 }
 
@@ -70,11 +66,6 @@ proptest! {
                             "{} remove({}) diverged at op {}", kind, k, i
                         );
                     }
-                    Op::ForcePublish => {
-                        if let AnyIndex::Snapshot(m) = &index {
-                            m.force_publish();
-                        }
-                    }
                 }
             }
             prop_assert_eq!(index.len(), model.len(), "{} final len diverged", kind);
@@ -85,8 +76,8 @@ proptest! {
         }
     }
 
-    /// A stale handle (pinned before a burst of writes and publishes on
-    /// another handle) still reads the latest values.
+    /// A handle pinned before a burst of writes on another handle still
+    /// reads the latest values.
     #[test]
     fn prop_stale_handles_read_fresh_data(
         writes in proptest::collection::vec(((0u64..64), any::<u64>()), 1..100),
@@ -99,9 +90,6 @@ proptest! {
             for (k, v) in &writes {
                 writer.insert(*k, *v);
                 model.insert(*k, *v);
-            }
-            if let AnyIndex::Snapshot(m) = &index {
-                m.force_publish();
             }
             for (k, expect) in &model {
                 prop_assert_eq!(stale.get(k), Some(*expect), "{} stale read of {}", kind, k);

@@ -3,8 +3,8 @@
 use shhc_bloom::BloomFilter;
 use shhc_cache::{Cache, LruCache, SegmentedLruCache, TwoQCache};
 use shhc_flash::{DeviceStats, Durability, FlashConfig, FlashStore, FtlStats};
-use shhc_index::{AnyHandle, AnyIndex, BackendKind, Collection, CollectionHandle};
-use shhc_types::{Fingerprint, KeyRange, Nanos, NodeId, Result};
+use shhc_index::BackendKind;
+use shhc_types::{Error, Fingerprint, KeyRange, Nanos, NodeId, Result};
 
 /// Which replacement policy manages the RAM fingerprint cache.
 ///
@@ -68,19 +68,13 @@ pub struct NodeConfig {
     /// bloom filter and flash slice, executed by a per-shard worker pool
     /// in the cluster server (one core per shard).
     pub shards: u32,
-    /// Which concurrent index backend mirrors the node's live records.
-    /// [`BackendKind::Single`] (the default) keeps the node exactly as
-    /// before — no mirror, every request served by the owning worker.
-    /// A concurrent backend maintains a [`shhc_index::AnyIndex`] mirror
-    /// of the live fingerprint set, updated at every store mutation,
-    /// from which read-only queries can be answered by [`NodeConfig::
-    /// readers`] pool threads without touching the single-writer state.
+    /// Must be [`BackendKind::Single`]: each shard's RAM index is its own
+    /// cache and flash table, owned by its worker. The field survives
+    /// only because the ledger sets it; [`HybridHashNode::new`] rejects
+    /// any other value.
     pub backend: BackendKind,
-    /// Size of the read-only query pool the cluster server attaches to
-    /// this node when [`NodeConfig::backend`] is concurrent. `0`
-    /// disables the pool; with `R > 0`, `R` reader threads (readers can
-    /// outnumber shards) answer `QueryReq` frames from the mirror index
-    /// while writes stay serialized on the shard workers.
+    /// Must be `0`: there is no reader pool. Kept for the same reason as
+    /// [`NodeConfig::backend`], and rejected the same way.
     pub readers: u32,
     /// Persistence mode of the node's flash store.
     /// [`Durability::Volatile`] (the default) keeps the historical
@@ -122,12 +116,6 @@ impl NodeConfig {
     /// churn, …) runs against **sharded** nodes unmodified — CI uses this
     /// to prove the migration/drain/rebalance machinery is shard-agnostic.
     ///
-    /// Honors `SHHC_TEST_BACKEND` the same way: when set to a concurrent
-    /// [`BackendKind`] (`striped`, `snapshot`) every test node mirrors
-    /// its live records into that backend and gets a two-thread reader
-    /// pool, so the whole suite exercises pool-served queries against a
-    /// concurrent index unmodified.
-    ///
     /// Honors `SHHC_TEST_DURABILITY=wal` the same way: every test node
     /// gets a WAL-backed store under a unique temp directory, so the
     /// whole suite runs on top of the durable flash path unmodified.
@@ -137,7 +125,6 @@ impl NodeConfig {
             .and_then(|v| v.parse().ok())
             .filter(|&s| s > 0)
             .unwrap_or(1);
-        let backend = BackendKind::from_env("SHHC_TEST_BACKEND").unwrap_or_default();
         let durability = match std::env::var("SHHC_TEST_DURABILITY").as_deref() {
             Ok("wal") => Durability::wal(unique_test_dir()),
             _ => Durability::Volatile,
@@ -153,8 +140,8 @@ impl NodeConfig {
             service_delay: std::time::Duration::ZERO,
             batch_overhead: std::time::Duration::ZERO,
             shards,
-            backend,
-            readers: if backend.concurrent() { 2 } else { 0 },
+            backend: BackendKind::Single,
+            readers: 0,
             durability,
         }
     }
@@ -165,35 +152,12 @@ impl NodeConfig {
         self
     }
 
-    /// Returns this configuration with the given index backend. Picking
-    /// a concurrent backend without also setting
-    /// [`NodeConfig::with_readers`] keeps request routing unchanged (the
-    /// mirror is maintained but nobody reads from it).
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Returns this configuration with a reader pool of `readers`
-    /// threads (only effective with a concurrent
-    /// [`NodeConfig::backend`]).
-    pub fn with_readers(mut self, readers: u32) -> Self {
-        self.readers = readers;
-        self
-    }
-
     /// Returns this configuration with the given [`Durability`] mode.
     /// `Durability::wal(dir)` makes the node's flash store journal every
     /// mutation under `dir` and replay it on restart.
     pub fn with_durability(mut self, durability: Durability) -> Self {
         self.durability = durability;
         self
-    }
-
-    /// Whether the cluster server should attach a reader pool to this
-    /// node: a concurrent backend and at least one reader thread.
-    pub fn wants_reader_pool(&self) -> bool {
-        self.backend.concurrent() && self.readers > 0
     }
 
     /// The per-shard configuration of one slice of this node: the SSD
@@ -305,16 +269,6 @@ pub struct NodeStats {
     pub migrated_in: u64,
     /// Total virtual busy time of this node (CPU + RAM + device).
     pub busy: Nanos,
-    /// Times a mirror-index lock acquisition found the lock held and had
-    /// to block (zero without a concurrent [`NodeConfig::backend`]).
-    pub lock_waits: u64,
-    /// Times a snapshot-backend reader refreshed a stale frozen snapshot
-    /// (zero for the locking backends).
-    pub read_retries: u64,
-    /// Queries answered by the reader pool from the mirror index — a
-    /// subset of [`NodeStats::queries`], so `pool_queries / queries` is
-    /// the pool's share of the query traffic (its occupancy).
-    pub pool_queries: u64,
     /// Live entries rebuilt from the WAL when this node (re)opened its
     /// store — zero for volatile nodes and for first boots of a durable
     /// node.
@@ -356,9 +310,6 @@ impl NodeStats {
             acc.queries += p.queries;
             acc.migrated_in += p.migrated_in;
             acc.busy += p.busy;
-            acc.lock_waits += p.lock_waits;
-            acc.read_retries += p.read_retries;
-            acc.pool_queries += p.pool_queries;
             acc.recovered_entries += p.recovered_entries;
             acc.recovery_replayed += p.recovery_replayed;
             acc.recovery_torn += p.recovery_torn;
@@ -401,14 +352,6 @@ pub struct HybridHashNode {
     config: NodeConfig,
     stats: NodeStats,
     next_value: u64,
-    /// With a concurrent [`NodeConfig::backend`]: a shareable index
-    /// mirroring the node's live records (fingerprint → stored value),
-    /// updated by this (single-writer) node at every store mutation.
-    /// Reader-pool threads clone it and answer read-only queries without
-    /// entering the node. `None` under [`BackendKind::Single`].
-    mirror: Option<AnyIndex<Fingerprint, u64>>,
-    /// The node's own pinned writer handle onto the mirror.
-    mirror_writer: Option<AnyHandle<Fingerprint, u64>>,
 }
 
 /// Concrete cache dispatch (enum instead of trait object to keep the node
@@ -521,22 +464,25 @@ impl HybridHashNode {
     ///
     /// With [`Durability::Wal`] the flash store is *opened*, not created:
     /// any surviving journal + segment log under the data dir is replayed
-    /// first, and the node warms its bloom filter, RAM cache and mirror
-    /// index from the recovered records before accepting traffic — a
-    /// restarted node answers exactly as it did before the crash.
+    /// first, and the node warms its bloom filter and RAM cache from the
+    /// recovered records before accepting traffic — a restarted node
+    /// answers exactly as it did before the crash.
     ///
     /// # Errors
     ///
-    /// Propagates [`shhc_types::Error::InvalidArgument`] from the flash
-    /// store configuration and [`shhc_types::Error::Io`] /
-    /// [`shhc_types::Error::Corruption`] from WAL recovery.
+    /// [`Error::InvalidArgument`] when [`NodeConfig::backend`] is not
+    /// [`BackendKind::Single`] or [`NodeConfig::readers`] is not `0`, or
+    /// from the flash store configuration; [`Error::Io`] /
+    /// [`Error::Corruption`] from WAL recovery.
     pub fn new(id: NodeId, config: NodeConfig) -> Result<Self> {
+        if config.backend != BackendKind::Single || config.readers != 0 {
+            return Err(Error::invalid(format!(
+                "a node has one RAM index per shard and no reader pool \
+                 (backend {}, readers {}; only single/0 is accepted)",
+                config.backend, config.readers
+            )));
+        }
         let (mut store, recovery) = FlashStore::open(config.flash, &config.durability)?;
-        let mirror = config
-            .backend
-            .concurrent()
-            .then(|| AnyIndex::new(config.backend, config.cache_capacity));
-        let mut mirror_writer = mirror.as_ref().map(Collection::pin);
 
         let mut bloom = BloomFilter::with_rate(config.bloom_expected, config.bloom_fpr);
         let mut cache = NodeCache::new(config.cache_policy, config.cache_capacity);
@@ -546,16 +492,13 @@ impl HybridHashNode {
         if recovery.entries > 0 {
             // Warm the read path from the recovered table: bloom must see
             // every live fingerprint (or lookups would wrongly skip the
-            // SSD), the cache and mirror may see all of them (both are
-            // capacity-bounded), and value allocation resumes above the
-            // highest recovered value.
+            // SSD), the cache may see all of them (it is capacity-bounded),
+            // and value allocation resumes above the highest recovered
+            // value.
             let before = store.busy();
             for (fp, value) in store.scan()? {
                 bloom.insert(fp.as_bytes());
                 cache.insert(fp, value);
-                if let Some(w) = mirror_writer.as_mut() {
-                    w.insert(fp, value);
-                }
                 next_value = next_value.max(value + 1);
             }
             warm_cost = store.busy() - before;
@@ -575,8 +518,6 @@ impl HybridHashNode {
             config,
             stats,
             next_value,
-            mirror,
-            mirror_writer,
         })
     }
 
@@ -590,26 +531,9 @@ impl HybridHashNode {
         &self.config
     }
 
-    /// Node counters. With a concurrent backend the mirror's contention
-    /// counters ([`NodeStats::lock_waits`], [`NodeStats::read_retries`])
-    /// are folded in at read time — they live in the shared index, where
-    /// reader-pool threads bump them too.
+    /// Node counters.
     pub fn stats(&self) -> NodeStats {
-        let mut stats = self.stats;
-        if let Some(mirror) = &self.mirror {
-            let index = mirror.stats();
-            stats.lock_waits = index.lock_waits;
-            stats.read_retries = index.read_retries;
-        }
-        stats
-    }
-
-    /// The shareable mirror of this node's live records, when the
-    /// configured [`NodeConfig::backend`] is concurrent. The cluster
-    /// server clones this for its reader-pool threads; each then pins
-    /// its own handle and answers queries without entering the node.
-    pub fn mirror_index(&self) -> Option<&AnyIndex<Fingerprint, u64>> {
-        self.mirror.as_ref()
+        self.stats
     }
 
     /// RAM cache counters.
@@ -714,7 +638,6 @@ impl HybridHashNode {
             cost += flash_cost;
             self.bloom.insert(fp.as_bytes());
             self.cache.insert(fp, value);
-            self.mirror_put(fp, value);
             self.stats.inserted += 1;
             self.charge(cost);
             return Ok(LookupResult {
@@ -751,7 +674,6 @@ impl HybridHashNode {
                 cost += put_cost;
                 self.bloom.insert(fp.as_bytes());
                 self.cache.insert(fp, value);
-                self.mirror_put(fp, value);
                 self.stats.inserted += 1;
                 self.charge(cost);
                 Ok(LookupResult {
@@ -946,7 +868,6 @@ impl HybridHashNode {
                 self.stats.inserted += 1;
             }
             self.cache.insert(fp, value);
-            self.mirror_put(fp, value);
             self.charge(cost);
         }
         Ok(())
@@ -1076,7 +997,6 @@ impl HybridHashNode {
             put
         };
         self.cache.insert(fp, value);
-        self.mirror_put(fp, value);
         self.charge(cost);
         Ok(cost)
     }
@@ -1155,7 +1075,6 @@ impl HybridHashNode {
         cost += self.charged_store(|s| s.put(fp, value))?;
         self.bloom.insert(fp.as_bytes());
         self.cache.insert(fp, value);
-        self.mirror_put(fp, value);
         self.stats.migrated_in += 1;
         self.charge(cost);
         Ok(true)
@@ -1189,25 +1108,8 @@ impl HybridHashNode {
             probe
         };
         cost += self.charged_store(|s| s.delete(fp))?;
-        self.mirror_remove(&fp);
         self.charge(cost);
         Ok(())
-    }
-
-    /// Mirrors a live-record write (put or update) into the concurrent
-    /// index. Called at every store mutation site so the mirror tracks
-    /// the store's live set exactly; a no-op without a mirror.
-    fn mirror_put(&mut self, fp: Fingerprint, value: u64) {
-        if let Some(writer) = &mut self.mirror_writer {
-            writer.insert(fp, value);
-        }
-    }
-
-    /// Mirrors a record deletion; a no-op without a mirror.
-    fn mirror_remove(&mut self, fp: &Fingerprint) {
-        if let Some(writer) = &mut self.mirror_writer {
-            writer.remove(fp);
-        }
     }
 
     /// Runs `f` against the store, returning the virtual device time it
@@ -1545,65 +1447,6 @@ mod tests {
             }
             assert_eq!(n.entries(), 20, "{policy:?}");
         }
-    }
-
-    /// The mirror index must track the store's live set exactly through
-    /// every mutation path (lookup-insert, record, install, remove,
-    /// apply-inserts), for every concurrent backend.
-    #[test]
-    fn mirror_tracks_live_records_for_every_backend() {
-        for backend in [BackendKind::Striped, BackendKind::Snapshot] {
-            let config = NodeConfig::small_test()
-                .with_backend(backend)
-                .with_readers(2);
-            assert!(config.wants_reader_pool());
-            let mut n = HybridHashNode::new(NodeId::new(3), config).unwrap();
-            for i in 0..100 {
-                n.lookup_insert(fp(i % 30)).unwrap();
-            }
-            n.record(fp(5), 5000).unwrap();
-            n.record(fp(200), 2000).unwrap(); // absent: registers
-            n.install(fp(201), 2010).unwrap();
-            n.install(fp(5), 1).unwrap(); // present: keeps value
-            n.apply_inserts(&[(fp(202), 2020), (fp(5), 5001)]).unwrap();
-            for i in 0..10 {
-                n.remove(fp(i)).unwrap();
-            }
-            n.remove(fp(999)).unwrap(); // absent: no-op
-
-            let mirror = n.mirror_index().expect("concurrent backend").clone();
-            let mut mirrored = mirror.snapshot_entries();
-            mirrored.sort_unstable();
-            let mut live = n.scan().unwrap();
-            live.sort_unstable();
-            assert_eq!(mirrored, live, "{backend} mirror diverged from store");
-
-            // Read-only queries agree with the mirror, value included.
-            let mut handle = mirror.pin();
-            for i in 0..40 {
-                let q = n.query(fp(i)).unwrap();
-                let m = handle.get(&fp(i));
-                assert_eq!(q.existed, m.is_some(), "{backend} fp {i}");
-                if let Some(v) = m {
-                    assert_eq!(q.value, v, "{backend} fp {i}");
-                }
-            }
-        }
-    }
-
-    /// Without a concurrent backend there is no mirror and the new
-    /// counters stay zero — the retained single-writer baseline.
-    /// (Backend pinned explicitly: this test is *about* the baseline, so
-    /// the `SHHC_TEST_BACKEND` matrix leg must not redirect it.)
-    #[test]
-    fn single_backend_has_no_mirror() {
-        let config = NodeConfig::small_test()
-            .with_backend(BackendKind::Single)
-            .with_readers(0);
-        let n = HybridHashNode::new(NodeId::new(0), config).expect("config");
-        assert!(n.mirror_index().is_none());
-        let s = n.stats();
-        assert_eq!((s.lock_waits, s.read_retries, s.pool_queries), (0, 0, 0));
     }
 
     /// A durable node that crashed (dropped without `close`) after

@@ -44,11 +44,11 @@ pub use hybrid::{
     BatchResult, CachePolicy, Classified, HybridHashNode, LookupOutcome, LookupResult, NodeConfig,
     NodeStats,
 };
-// The backend selector is part of `NodeConfig`'s public surface.
 pub use sharded::{
     load_imbalance, merge_classified, MergedLookup, ShardLoad, ShardRouter, ShardedNode, SubBatch,
     SubClassified,
 };
 // The durability mode is part of `NodeConfig`'s public surface.
 pub use shhc_flash::{Durability, FaultPlan, WalConfig};
+// `NodeConfig::backend` names it; only `BackendKind::Single` is accepted.
 pub use shhc_index::BackendKind;

@@ -19,8 +19,6 @@
 //! - [`OverloadSpec`] — open-loop overload populations: thousands of
 //!   simulated clients offering a fixed aggregate rate (past saturation)
 //!   on precomputed arrival schedules, for the admission-control benches,
-//! - [`OpMixSpec`] / [`split_op_mix`] — raw map-operation mixes for the
-//!   index-backend shootout bench,
 //! - [`SkewSpec`] / [`ZipfSampler`] — seeded Zipf / rotating hot-set
 //!   streams for the self-tuning benches,
 //! - [`spread_fingerprint`] / [`spread_batches`] — ring-uniform unique
@@ -46,7 +44,6 @@ mod generate;
 mod io;
 mod mixer;
 mod multi;
-mod opmix;
 mod overload;
 pub mod presets;
 mod restore;
@@ -59,7 +56,6 @@ pub use generate::{Trace, TraceGenerator, TraceSpec};
 pub use io::{load_trace, save_trace};
 pub use mixer::mix;
 pub use multi::MultiClientSpec;
-pub use opmix::{split_op_mix, MapOp, OpMixSpec};
 pub use overload::{Arrival, OverloadSpec};
 pub use restore::RestoreSpec;
 pub use skew::{KeyMapping, SkewSpec, ZipfSampler};

@@ -11,8 +11,7 @@
 //! - [`ZipfSampler`] — exact inverse-CDF Zipf(s) sampling over a bounded
 //!   rank space, with the theoretical top-1 mass exposed for tests,
 //! - [`SkewSpec`] — a named trace spec (exponent, key mapping, optional
-//!   rotating hot-set phases) producing keys, fingerprints, or a
-//!   [`MapOp`] mix that composes with [`split_op_mix`](crate::split_op_mix),
+//!   rotating hot-set phases) producing keys or fingerprints,
 //! - [`KeyMapping`] — whether popular ranks *cluster* on a contiguous
 //!   ring prefix (hot shard under a uniform [`ShardRouter`] split) or are
 //!   *scattered* uniformly (cache skew only, balanced shards).
@@ -20,8 +19,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shhc_types::Fingerprint;
-
-use crate::{MapOp, OpMixSpec};
 
 /// Exact Zipf(s) sampler over ranks `0..n` via a precomputed CDF.
 ///
@@ -199,48 +196,11 @@ impl SkewSpec {
     pub fn fingerprints(&self) -> Vec<Fingerprint> {
         self.keys().into_iter().map(Fingerprint::from_u64).collect()
     }
-
-    /// Generates a [`MapOp`] mix over the skewed key stream, mirroring
-    /// [`OpMixSpec::generate`](crate::OpMixSpec::generate) (same value
-    /// derivation, same read/remove shape) so it composes with
-    /// [`split_op_mix`](crate::split_op_mix) and the backend harnesses.
-    pub fn op_mix(&self, read_fraction: f64, remove_fraction: f64) -> Vec<MapOp> {
-        let sampler = ZipfSampler::new(self.keyspace, self.exponent);
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        (0..self.ops)
-            .map(|i| {
-                let phase = i.checked_div(self.phase_len).unwrap_or(0) as u64;
-                let key = self.map_rank(sampler.sample(&mut rng), phase);
-                let fp = Fingerprint::from_u64(key);
-                if rng.gen_bool(read_fraction.clamp(0.0, 1.0)) {
-                    MapOp::Get(fp)
-                } else if rng.gen_bool(remove_fraction.clamp(0.0, 1.0)) {
-                    MapOp::Remove(fp)
-                } else {
-                    MapOp::Insert(fp, key.wrapping_mul(GOLDEN_GAMMA))
-                }
-            })
-            .collect()
-    }
-
-    /// An [`OpMixSpec`] with matching op count and seed, for pairing a
-    /// skewed stream against its uniform control in one harness.
-    pub fn uniform_control(&self, read_fraction: f64) -> OpMixSpec {
-        OpMixSpec {
-            name: "uniform_control",
-            ops: self.ops,
-            keyspace: self.keyspace,
-            read_fraction,
-            remove_fraction: 0.2,
-            seed: self.seed,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::split_op_mix;
 
     #[test]
     fn sampler_is_a_distribution() {
@@ -322,28 +282,5 @@ mod tests {
         let first = top(&keys[..20_000]);
         let second = top(&keys[20_000..]);
         assert_ne!(first, second, "hot key should move across phases");
-    }
-
-    #[test]
-    fn op_mix_composes_with_split() {
-        let spec = SkewSpec::zipf_clustered(10_000, 2048, 1.0, 3);
-        let ops = spec.op_mix(0.9, 0.2);
-        assert_eq!(ops.len(), 10_000);
-        let reads = ops.iter().filter(|o| o.is_read()).count();
-        let frac = reads as f64 / ops.len() as f64;
-        assert!((frac - 0.9).abs() < 0.02, "read fraction {frac}");
-        let (read_streams, writes) = split_op_mix(&ops, 4);
-        assert_eq!(read_streams.len(), 4);
-        let total: usize = read_streams.iter().map(Vec::len).sum::<usize>() + writes.len();
-        assert_eq!(total, ops.len());
-        assert!(read_streams.iter().flatten().all(MapOp::is_read));
-        // The skew survives the split: the hottest key dominates reads.
-        let hot = Fingerprint::from_u64(0);
-        let hot_reads = read_streams
-            .iter()
-            .flatten()
-            .filter(|o| matches!(o, MapOp::Get(fp) if *fp == hot))
-            .count();
-        assert!(hot_reads > reads / 20, "hot reads {hot_reads} of {reads}");
     }
 }

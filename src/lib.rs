@@ -8,7 +8,7 @@
 //! |---|---|
 //! | [`types`] | shared vocabulary |
 //! | [`hash`], [`bloom`], [`cache`], [`chunking`], [`flash`] | substrates |
-//! | [`index`], [`net`], [`ring`], [`sim`], [`storage`], [`workload`] | substrates |
+//! | [`net`], [`ring`], [`sim`], [`storage`], [`workload`] | substrates |
 //! | [`node`], [`baseline`] | node layer |
 //! | [`cluster`] (the `shhc` core crate) | the cluster itself |
 //!
@@ -37,7 +37,6 @@ pub use shhc_cache as cache;
 pub use shhc_chunking as chunking;
 pub use shhc_flash as flash;
 pub use shhc_hash as hash;
-pub use shhc_index as index;
 pub use shhc_net as net;
 pub use shhc_node as node;
 pub use shhc_ring as ring;
@@ -50,6 +49,6 @@ pub use shhc_workload as workload;
 pub use shhc as cluster;
 
 pub use shhc::{
-    BackupReport, BackupService, ClusterConfig, ClusterStats, Frontend, SharedFrontend,
-    ShhcCluster, SimCluster, SimClusterConfig,
+    BackupReport, BackupService, ClusterConfig, ClusterStats, SharedFrontend, ShhcCluster,
+    SimCluster, SimClusterConfig,
 };

@@ -1,8 +1,10 @@
 //! Cluster-level behaviour: concurrency, membership change, replication,
 //! and failure handling across the real threaded implementation.
 
-use shhc::{ClusterConfig, Frontend, ShhcCluster};
-use shhc_types::{Error, Fingerprint, Nanos, NodeId};
+use std::time::Duration;
+
+use shhc::{BackendKind, ClusterConfig, NodeConfig, SharedFrontend, ShhcCluster};
+use shhc_types::{Error, Fingerprint, NodeId};
 
 fn fps(range: std::ops::Range<u64>) -> Vec<Fingerprint> {
     range
@@ -106,19 +108,45 @@ fn overlapping_concurrent_writers_converge() {
 #[test]
 fn frontend_batches_and_answers_everything() {
     let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
-    let mut frontend = Frontend::new(cluster.clone(), 64, Nanos::from_secs(10));
-    let stream = fps(0..1_000);
-    let mut answers = Vec::new();
-    for fp in &stream {
-        if let Some(batch) = frontend.submit(*fp).unwrap() {
-            answers.extend(batch);
-        }
+    let frontend = SharedFrontend::new(cluster.clone(), 64, Duration::from_secs(10));
+    let tickets: Vec<_> = fps(0..1_000)
+        .into_iter()
+        .map(|fp| (fp, frontend.submit(fp)))
+        .collect();
+    frontend.flush().unwrap();
+    for (fp, ticket) in tickets {
+        assert!(
+            !ticket.wait().unwrap().existed,
+            "{fp} answered as a duplicate"
+        );
     }
-    answers.extend(frontend.flush().unwrap());
-    assert_eq!(answers.len(), 1_000);
-    assert!(answers.iter().all(|(_, existed)| !existed));
-    assert!(frontend.batches_sent() >= 15);
+    assert!(frontend.stats().batches >= 15);
     cluster.shutdown().unwrap();
+}
+
+/// A node has one RAM index per shard and no reader pool: a cluster
+/// asked for either fails to spawn instead of running without it.
+#[test]
+fn spawn_rejects_a_reader_pool_or_a_concurrent_backend() {
+    let with = |edit: fn(&mut NodeConfig)| {
+        let mut node = NodeConfig::small_test();
+        edit(&mut node);
+        ShhcCluster::spawn(ClusterConfig::new(2, node))
+    };
+    for result in [
+        with(|n| n.readers = 2),
+        with(|n| n.backend = BackendKind::Striped),
+        with(|n| {
+            n.shards = 4;
+            n.readers = 2;
+        }),
+    ] {
+        assert!(
+            matches!(result, Err(Error::InvalidArgument(_))),
+            "{:?}",
+            result.map(|_| ())
+        );
+    }
 }
 
 #[test]

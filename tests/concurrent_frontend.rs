@@ -5,7 +5,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use shhc::{BackupClient, BackupService, ClusterConfig, Frontend, SharedFrontend, ShhcCluster};
+use shhc::{BackupClient, BackupService, ClusterConfig, SharedFrontend, ShhcCluster};
 use shhc_chunking::FixedChunker;
 use shhc_storage::MemChunkStore;
 use shhc_types::Fingerprint;
@@ -101,8 +101,12 @@ fn concurrent_shards_match_sequential_answers() {
     cluster.shutdown().unwrap();
 }
 
-/// Session facades over one shared front-end preserve per-session
-/// arrival order and never leak another session's answers.
+/// Sessions sharing one front-end, each holding its own
+/// `(fingerprint, ticket)` pairs, get their own answers in their own
+/// arrival order. Every session submits each of its fingerprints twice:
+/// exactly one of the two tickets may say "new" (the two can land in
+/// different batches, dispatched in either order), so a ticket answered
+/// with another submission's result shows up as a wrong `existed` bit.
 #[test]
 fn session_facades_preserve_order_under_concurrency() {
     let clients = 4usize;
@@ -115,25 +119,31 @@ fn session_facades_preserve_order_under_concurrency() {
         let shared = shared.clone();
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
-            let mut session = Frontend::attach(shared);
             barrier.wait();
-            let mut answered: Vec<Fingerprint> = Vec::new();
+            let mut session = Vec::with_capacity(2 * per_client);
             for i in 0..per_client as u64 {
                 let fp = Fingerprint::from_u64((c << 32) | i);
-                if let Some(results) = session.submit(fp).unwrap() {
-                    answered.extend(results.iter().map(|(fp, _)| *fp));
-                }
+                session.push((fp, shared.submit(fp)));
+                session.push((fp, shared.submit(fp)));
             }
-            answered.extend(session.flush().unwrap().iter().map(|(fp, _)| *fp));
-            answered
+            shared.flush().unwrap();
+            session
+                .into_iter()
+                .map(|(fp, ticket)| (fp, ticket.wait().unwrap().existed))
+                .collect::<Vec<(Fingerprint, bool)>>()
         }));
     }
     for (c, handle) in handles.into_iter().enumerate() {
         let answered = handle.join().unwrap();
-        let expected: Vec<Fingerprint> = (0..per_client as u64)
-            .map(|i| Fingerprint::from_u64(((c as u64) << 32) | i))
-            .collect();
-        assert_eq!(answered, expected, "client {c} answers out of order");
+        assert_eq!(answered.len(), 2 * per_client, "client {c}");
+        for (i, pair) in answered.chunks(2).enumerate() {
+            let fp = Fingerprint::from_u64(((c as u64) << 32) | i as u64);
+            assert_eq!((pair[0].0, pair[1].0), (fp, fp), "client {c} out of order");
+            assert_ne!(
+                pair[0].1, pair[1].1,
+                "client {c}: {fp} must be new exactly once"
+            );
+        }
     }
     cluster.shutdown().unwrap();
 }
