@@ -1,24 +1,22 @@
-//! Extension — surviving 2× saturation: bounded admission and a
-//! load-balanced front-end tier under open-loop overload.
+//! Extension — surviving 2× saturation: bounded admission on one shared
+//! front-end under open-loop overload.
 //!
-//! A front-end tier with unbounded queues degrades catastrophically past
-//! saturation: queues grow without bound, every admitted request inherits
-//! the full backlog's delay, and goodput collapses exactly when demand
-//! peaks. This harness drives [`FrontendTier`]s of 1 and 4 front-ends —
-//! each front-end's aggregation capacity modeled by a token-bucket
-//! [`IngestModel`] and its queue bounded by a shedding
-//! [`AdmissionPolicy`] — with an **open-loop** client population
-//! ([`OverloadSpec`]: thousands of simulated clients on precomputed
-//! arrival schedules, so the offered rate does not slow down when the
-//! system does) swept from 0.5× to 2× the tier's saturation rate.
+//! A front-end with an unbounded queue degrades catastrophically past
+//! saturation: the queue grows without bound, every admitted request
+//! inherits the full backlog's delay, and goodput collapses exactly when
+//! demand peaks. This harness drives one [`SharedFrontend`] — its
+//! aggregation capacity modeled by a token-bucket [`IngestModel`] and its
+//! queue bounded by a shedding [`AdmissionPolicy`] — with an
+//! **open-loop** client population ([`OverloadSpec`]: thousands of
+//! simulated clients on precomputed arrival schedules, so the offered
+//! rate does not slow down when the system does) swept from 0.5× to 2×
+//! the front-end's saturation rate.
 //!
 //! Expected shape: goodput climbs with offered load up to saturation and
 //! then *stays flat* — the admission gate sheds the excess at the door
 //! (`Error::Overloaded` in microseconds) instead of queueing it, so at
 //! 2× offered load goodput holds ≥ 0.9× its peak and the p99 latency of
-//! *admitted* requests stays within 2× of its 1×-load value. The 4-FE
-//! tier's peak goodput exceeds the single front-end's (power-of-two-
-//! choices balancing across four ingest buckets). Emits
+//! *admitted* requests stays within 2× of its 1×-load value. Emits
 //! `results/ext_overload.csv` plus `BENCH_overload.json` at the
 //! workspace root. Set `SHHC_OVERLOAD_QUICK=1` for a CI smoke run.
 
@@ -26,7 +24,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use shhc::{
-    AdmissionPolicy, ClusterConfig, FrontendConfig, FrontendTier, IngestModel, NodeConfig,
+    AdmissionPolicy, ClusterConfig, FrontendConfig, IngestModel, NodeConfig, SharedFrontend,
     ShhcCluster,
 };
 use shhc_bench::{banner, overload_quick, write_bench_json, write_csv};
@@ -35,10 +33,10 @@ use shhc_workload::OverloadSpec;
 
 struct Scenario {
     nodes: u32,
-    fe_counts: Vec<usize>,
-    /// Offered-load sweep, as multiples of the tier's saturation rate.
+    /// Offered-load sweep, as multiples of the front-end's saturation
+    /// rate.
     offered_mults: Vec<f64>,
-    /// Modeled aggregation capacity of one front-end, submissions/s.
+    /// Modeled aggregation capacity of the front-end, submissions/s.
     per_fe_rate: f64,
     workers: usize,
     clients_per_worker: usize,
@@ -70,15 +68,15 @@ fn spawn_cluster(scenario: &Scenario) -> ShhcCluster {
     ShhcCluster::spawn(ClusterConfig::new(scenario.nodes, node_config)).expect("spawn cluster")
 }
 
-/// One sweep point: a fresh cluster + tier of `fe_count` front-ends,
-/// driven open-loop at `offered` submissions/s until the schedule and
-/// every admitted ticket drain.
-fn drive(scenario: &Scenario, fe_count: usize, offered: f64) -> Measured {
+/// One sweep point: a fresh cluster + front-end, driven open-loop at
+/// `offered` submissions/s until the schedule and every admitted ticket
+/// drain.
+fn drive(scenario: &Scenario, offered: f64) -> Measured {
     let cluster = spawn_cluster(scenario);
     let config = FrontendConfig::new(scenario.batch_size, scenario.max_age)
         .admission(AdmissionPolicy::Shed { max_pending: 4096 })
         .ingest(IngestModel::per_sec(scenario.per_fe_rate));
-    let tier = FrontendTier::new(cluster.clone(), fe_count, &config);
+    let frontend = SharedFrontend::with_config(cluster.clone(), config);
     let spec = OverloadSpec::new(
         scenario.workers,
         scenario.clients_per_worker,
@@ -90,7 +88,7 @@ fn drive(scenario: &Scenario, fe_count: usize, offered: f64) -> Measured {
     let mut handles = Vec::new();
     for w in 0..scenario.workers {
         let schedule = spec.worker_schedule(w);
-        let tier = tier.clone();
+        let frontend = frontend.clone();
         let barrier = Arc::clone(&barrier);
         handles.push(std::thread::spawn(move || {
             barrier.wait();
@@ -106,7 +104,7 @@ fn drive(scenario: &Scenario, fe_count: usize, offered: f64) -> Measured {
                     std::thread::sleep(due - now);
                 }
                 let tenant = Some(u32::from(arrival.client));
-                let (ticket, was_shed) = tier.submit_from(tenant, arrival.fingerprint);
+                let (ticket, was_shed) = frontend.submit_from(tenant, arrival.fingerprint);
                 if was_shed {
                     shed += 1;
                 } else {
@@ -126,7 +124,7 @@ fn drive(scenario: &Scenario, fe_count: usize, offered: f64) -> Measured {
         tickets.extend(t);
     }
     // Tail: answer the last partial batches now, not at the age limit.
-    let _ = tier.flush_all();
+    let _ = frontend.flush();
     let mut answered_ok = 0u64;
     let mut errors = 0u64;
     for t in tickets {
@@ -136,7 +134,7 @@ fn drive(scenario: &Scenario, fe_count: usize, offered: f64) -> Measured {
         }
     }
     let elapsed = start.elapsed();
-    let stats = tier.stats();
+    let stats = frontend.stats();
     let node_queue_peak = cluster
         .stats()
         .map(|s| s.max_queue_peak())
@@ -167,7 +165,6 @@ fn main() {
     let scenario = if quick {
         Scenario {
             nodes: 2,
-            fe_counts: vec![1, 2],
             offered_mults: vec![1.0, 2.0],
             per_fe_rate: 1_200.0,
             workers: 2,
@@ -179,7 +176,6 @@ fn main() {
     } else {
         Scenario {
             nodes: 2,
-            fe_counts: vec![1, 4],
             offered_mults: vec![0.5, 1.0, 1.5, 2.0],
             per_fe_rate: 1_800.0,
             workers: 4,
@@ -190,12 +186,12 @@ fn main() {
         }
     };
     banner(
-        "Extension — overload: bounded admission + load-balanced front-end tier at 2× saturation",
-        "a bounded, shedding front-end tier holds ≥0.9× peak goodput and ≤2× admitted p99 \
-         at twice its saturation rate, instead of queue-collapsing (Figure-4 tier)",
+        "Extension — overload: bounded admission on one shared front-end at 2× saturation",
+        "a bounded, shedding front-end holds ≥0.9× peak goodput and ≤2× admitted p99 \
+         at twice its saturation rate, instead of queue-collapsing (Figure-4 front-end)",
     );
     println!(
-        "mode: {}, {} nodes, {} modeled fps/s per front-end, {} workers × {} simulated \
+        "mode: {}, {} nodes, {} modeled fps/s front-end capacity, {} workers × {} simulated \
          clients, {} ms offered window, batch {} / {} ms age\n",
         if quick { "quick (CI smoke)" } else { "full" },
         scenario.nodes,
@@ -208,90 +204,64 @@ fn main() {
     );
 
     println!(
-        "{:>4} {:>6} {:>9} {:>9} {:>8} {:>8} {:>9} {:>8} {:>10} {:>11} {:>7}",
-        "fes",
-        "mult",
-        "offered",
-        "submit",
-        "shed",
-        "ok",
-        "goodput",
-        "shed%",
-        "p99_ms",
-        "p999_ms",
-        "nodeQ"
+        "{:>6} {:>9} {:>9} {:>8} {:>8} {:>9} {:>8} {:>10} {:>11} {:>7}",
+        "mult", "offered", "submit", "shed", "ok", "goodput", "shed%", "p99_ms", "p999_ms", "nodeQ"
     );
     let mut rows = Vec::new();
-    // (fe_count, mult, measured) for the checks and the JSON record.
-    let mut sweep: Vec<(usize, f64, Measured)> = Vec::new();
-    for &fe_count in &scenario.fe_counts {
-        let saturation = scenario.per_fe_rate * fe_count as f64;
-        for &mult in &scenario.offered_mults {
-            let m = drive(&scenario, fe_count, saturation * mult);
-            println!(
-                "{fe_count:>4} {mult:>5.1}x {:>9.0} {:>9} {:>8} {:>8} {:>9.0} {:>7.1}% \
-                 {:>10.2} {:>11.2} {:>7}",
-                m.offered_per_sec,
-                m.submitted,
-                m.shed,
-                m.answered_ok,
-                m.goodput_per_sec,
-                m.shed_rate * 100.0,
-                us(m.admitted_p99) / 1e3,
-                us(m.admitted_p999) / 1e3,
-                m.node_queue_peak,
-            );
-            rows.push(format!(
-                "{fe_count},{mult},{:.0},{},{},{},{},{:.3},{:.0},{:.4},{:.1},{:.1},{}",
-                m.offered_per_sec,
-                m.submitted,
-                m.shed,
-                m.answered_ok,
-                m.errors,
-                m.elapsed.as_secs_f64() * 1e3,
-                m.goodput_per_sec,
-                m.shed_rate,
-                us(m.admitted_p99),
-                us(m.admitted_p999),
-                m.node_queue_peak,
-            ));
-            sweep.push((fe_count, mult, m));
-        }
+    // (mult, measured) for the checks and the JSON record.
+    let mut sweep: Vec<(f64, Measured)> = Vec::new();
+    for &mult in &scenario.offered_mults {
+        let m = drive(&scenario, scenario.per_fe_rate * mult);
+        println!(
+            "{mult:>5.1}x {:>9.0} {:>9} {:>8} {:>8} {:>9.0} {:>7.1}% {:>10.2} {:>11.2} {:>7}",
+            m.offered_per_sec,
+            m.submitted,
+            m.shed,
+            m.answered_ok,
+            m.goodput_per_sec,
+            m.shed_rate * 100.0,
+            us(m.admitted_p99) / 1e3,
+            us(m.admitted_p999) / 1e3,
+            m.node_queue_peak,
+        );
+        rows.push(format!(
+            "{mult},{:.0},{},{},{},{},{:.3},{:.0},{:.4},{:.1},{:.1},{}",
+            m.offered_per_sec,
+            m.submitted,
+            m.shed,
+            m.answered_ok,
+            m.errors,
+            m.elapsed.as_secs_f64() * 1e3,
+            m.goodput_per_sec,
+            m.shed_rate,
+            us(m.admitted_p99),
+            us(m.admitted_p999),
+            m.node_queue_peak,
+        ));
+        sweep.push((mult, m));
     }
 
     println!("\nchecks:");
-    let point = |fes: usize, mult: f64| {
+    let point = |mult: f64| {
         sweep
             .iter()
-            .find(|(f, m, _)| *f == fes && (*m - mult).abs() < 1e-9)
-            .map(|(_, _, m)| m)
+            .find(|(m, _)| (*m - mult).abs() < 1e-9)
+            .map(|(_, m)| m)
     };
-    let peak = |fes: usize| {
-        sweep
-            .iter()
-            .filter(|(f, ..)| *f == fes)
-            .map(|(_, _, m)| m.goodput_per_sec)
-            .fold(0.0f64, f64::max)
-    };
-    let mut fe_summaries = Vec::new();
-    for &fe_count in &scenario.fe_counts {
-        let peak_goodput = peak(fe_count);
-        let (Some(at_1x), Some(at_2x)) = (point(fe_count, 1.0), point(fe_count, 2.0)) else {
-            continue;
-        };
-        let goodput_ratio = at_2x.goodput_per_sec / peak_goodput.max(1.0);
-        let p99_ratio = us(at_2x.admitted_p99) / us(at_1x.admitted_p99).max(1.0);
-        println!(
-            "  {fe_count} FE: goodput@2x / peak = {goodput_ratio:.2} (target ≥ 0.9); \
-             admitted p99 @2x/@1x = {p99_ratio:.2} (target ≤ 2.0)"
-        );
-        fe_summaries.push((fe_count, peak_goodput, goodput_ratio, p99_ratio));
-    }
-    let first = scenario.fe_counts.first().copied().unwrap_or(1);
-    if let Some(last) = scenario.fe_counts.last().copied().filter(|&l| l > first) {
-        let scaling = peak(last) / peak(first).max(1.0);
-        println!("  {last}-FE peak goodput / {first}-FE = {scaling:.2}x (target ≥ 1.3x)");
-    }
+    let peak_goodput = sweep
+        .iter()
+        .map(|(_, m)| m.goodput_per_sec)
+        .fold(0.0f64, f64::max);
+    let (at_1x, at_2x) = (
+        point(1.0).expect("the sweep includes 1×"),
+        point(2.0).expect("the sweep includes 2×"),
+    );
+    let goodput_ratio = at_2x.goodput_per_sec / peak_goodput.max(1.0);
+    let p99_ratio = us(at_2x.admitted_p99) / us(at_1x.admitted_p99).max(1.0);
+    println!(
+        "  goodput@2x / peak = {goodput_ratio:.2} (target ≥ 0.9); \
+         admitted p99 @2x/@1x = {p99_ratio:.2} (target ≤ 2.0)"
+    );
 
     // Quick (smoke) runs write under a distinct name so they can never
     // clobber the committed full-run artifacts.
@@ -301,9 +271,8 @@ fn main() {
         } else {
             "ext_overload"
         },
-        "frontends,offered_mult,offered_per_sec,submitted,shed,answered_ok,errors,\
-         elapsed_ms,goodput_per_sec,shed_rate,admitted_p99_us,admitted_p999_us,\
-         node_queue_peak",
+        "offered_mult,offered_per_sec,submitted,shed,answered_ok,errors,elapsed_ms,\
+         goodput_per_sec,shed_rate,admitted_p99_us,admitted_p999_us,node_queue_peak",
         &rows,
     );
     if quick {
@@ -312,12 +281,11 @@ fn main() {
     }
     let entries: Vec<String> = sweep
         .iter()
-        .map(|(fes, mult, m)| {
+        .map(|(mult, m)| {
             format!(
-                "    {{\"frontends\": {fes}, \"offered_mult\": {mult}, \
-                 \"offered_per_sec\": {:.0}, \"goodput_per_sec\": {:.0}, \
-                 \"shed_rate\": {:.4}, \"admitted_p99_us\": {:.1}, \
-                 \"admitted_p999_us\": {:.1}}}",
+                "    {{\"offered_mult\": {mult}, \"offered_per_sec\": {:.0}, \
+                 \"goodput_per_sec\": {:.0}, \"shed_rate\": {:.4}, \
+                 \"admitted_p99_us\": {:.1}, \"admitted_p999_us\": {:.1}}}",
                 m.offered_per_sec,
                 m.goodput_per_sec,
                 m.shed_rate,
@@ -326,28 +294,19 @@ fn main() {
             )
         })
         .collect();
-    let checks: Vec<String> = fe_summaries
-        .iter()
-        .map(|(fes, peak, ratio, p99)| {
-            format!(
-                "    {{\"frontends\": {fes}, \"peak_goodput_per_sec\": {peak:.0}, \
-                 \"goodput_2x_over_peak\": {ratio:.3}, \"p99_2x_over_1x\": {p99:.3}}}"
-            )
-        })
-        .collect();
     write_bench_json(
         "overload",
         &format!(
             "{{\n  \"bench\": \"ext_overload\",\n  \"quick\": {quick},\n  \
              \"nodes\": {},\n  \"per_fe_rate\": {},\n  \"workers\": {},\n  \
-             \"clients\": {},\n  \"duration_ms\": {},\n  \"checks\": [\n{}\n  ],\n  \
-             \"results\": [\n{}\n  ]\n}}\n",
+             \"clients\": {},\n  \"duration_ms\": {},\n  \"check\": {{\"peak_goodput_per_sec\": \
+             {peak_goodput:.0}, \"goodput_2x_over_peak\": {goodput_ratio:.3}, \
+             \"p99_2x_over_1x\": {p99_ratio:.3}}},\n  \"results\": [\n{}\n  ]\n}}\n",
             scenario.nodes,
             scenario.per_fe_rate,
             scenario.workers,
             scenario.workers * scenario.clients_per_worker,
             scenario.duration.as_nanos() / 1_000_000,
-            checks.join(",\n"),
             entries.join(",\n")
         ),
     );

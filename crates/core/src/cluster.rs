@@ -43,7 +43,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use shhc_net::{decode, encode, Frame};
-use shhc_node::{HybridHashNode, NodeConfig, ShardedNode};
+use shhc_node::{shard_slices, HybridHashNode, NodeConfig};
 use shhc_ring::{MigrationPlan, RingView};
 use shhc_types::{Error, Fingerprint, FpHashMap, FpHashSet, NodeId, Result, StreamId};
 
@@ -1893,9 +1893,10 @@ fn spawn_node(id: NodeId, config: NodeConfig) -> Result<NodeSlot> {
     let (tx, rx) = unbounded();
     // `shards > 1` runs the node as a shard-per-worker pool (the
     // dispatcher below spawns one worker thread per shard); `shards == 1`
-    // keeps the paper's single-threaded node as the measured baseline.
+    // runs `node_loop`: behind the dispatcher's classify → merge → apply
+    // path a one-shard node measured slower, even with no thread hand-off.
     let handle = if config.shards > 1 {
-        let shards = ShardedNode::new(id, config.clone())?.into_shards();
+        let shards = shard_slices(id, &config)?;
         std::thread::Builder::new()
             .name(format!("shhc-{id}"))
             .spawn(move || sharded_node_loop(config, shards, rx))

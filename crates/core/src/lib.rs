@@ -11,12 +11,11 @@
 //! - [`SharedFrontend`] — the web-front-end role of the paper's Figure 4:
 //!   one cross-client batch queue many client threads submit to, each
 //!   submission receiving a completion [`Ticket`](shhc_net::Ticket);
-//!   batches close on size, on age (background flusher thread) or on
-//!   flush, and one cluster round-trip answers every ticket,
-//! - [`FrontendTier`] — N shared front-ends load-balancing one cluster
-//!   via power-of-two-choices on outstanding work, each optionally behind
-//!   a bounded [`AdmissionPolicy`] (blocking backpressure or fail-fast
-//!   shedding) — the multi-front-end arrangement of the paper's Figure 4,
+//!   batches close on size, on demand, on age (background flusher
+//!   thread) or on flush, and one cluster round-trip answers every
+//!   ticket. It can sit behind a bounded [`AdmissionPolicy`] (blocking
+//!   backpressure or fail-fast shedding). One process is one front-end;
+//!   Figure 4's several front-ends are several processes,
 //! - [`BackupService`] — the end-to-end backup path: chunking →
 //!   fingerprint lookup → chunk storage → manifest, plus verified
 //!   restore,
@@ -53,7 +52,6 @@ mod server;
 mod service;
 mod shared_frontend;
 mod simcluster;
-mod tier;
 
 pub use client::{BackupClient, FileEntry, Snapshot, SnapshotReport};
 pub use cluster::{
@@ -63,7 +61,6 @@ pub use server::{AutotuneOptions, AutotuneReport, NodeSnapshot};
 pub use service::{BackupReport, BackupService, DeleteReport, RestoreConfig, RestoreReport};
 pub use shared_frontend::{FrontendConfig, LookupAnswer, SharedFrontend};
 pub use simcluster::{SimCluster, SimClusterConfig, SimReport};
-pub use tier::FrontendTier;
 
 // The ticket/stats types a SharedFrontend user needs, re-exported from
 // the net layer so `shhc` stays a single-dependency facade.
@@ -77,15 +74,15 @@ pub use shhc_cache::{SizerConfig, SizerDecision};
 pub use shhc_flash::{Durability, FaultPlan, WalConfig};
 pub use shhc_node::{
     load_imbalance, BackendKind, CachePolicy, EnergyModel, HybridHashNode, NodeConfig, NodeStats,
-    ShardLoad, ShardRouter, ShardedNode,
+    ShardLoad, ShardRouter,
 };
 pub use shhc_types::{ChunkId, ClientId, Error, Fingerprint, Nanos, NodeId, Result, StreamId};
 
 /// Commonly used imports for applications built on SHHC.
 pub mod prelude {
     pub use crate::{
-        BackupReport, BackupService, ClusterConfig, FrontendConfig, FrontendTier, RestoreConfig,
-        RestoreReport, SharedFrontend, ShhcCluster, SimCluster, SimClusterConfig,
+        BackupReport, BackupService, ClusterConfig, FrontendConfig, RestoreConfig, RestoreReport,
+        SharedFrontend, ShhcCluster, SimCluster, SimClusterConfig,
     };
     pub use shhc_chunking::{Chunker, FixedChunker, GearChunker, RabinChunker};
     pub use shhc_node::{HybridHashNode, NodeConfig};

@@ -2,8 +2,11 @@
 //! plane, in two execution flavours.
 //!
 //! - [`node_loop`] — the paper's node: one thread owns a
-//!   [`HybridHashNode`] exclusively and serves one frame at a time (kept
-//!   as the measured single-core baseline),
+//!   [`HybridHashNode`] exclusively and serves one frame at a time. It
+//!   serves `shards == 1` because a one-shard node behind
+//!   [`sharded_node_loop`]'s per-frame classify → merge → apply path is
+//!   slower on paced lookups even when its shard runs inline on the
+//!   dispatcher (numbers in `results/baselines/README.md`),
 //! - [`sharded_node_loop`] — the multi-core node: a dispatcher thread
 //!   splits every data frame across `S` prefix-routed shards, each owned
 //!   by its own **worker thread**. Sub-frames from different clients
@@ -58,10 +61,11 @@ pub struct NodeSnapshot {
     /// FTL counters.
     pub ftl: FtlStats,
     /// Intra-node shards executing on this node (1 = the single-threaded
-    /// baseline loop).
+    /// loop, which answers each frame without the sharded dispatcher's
+    /// classify → merge → apply path).
     pub shards: u32,
-    /// Per-shard load shares (empty for single-threaded nodes) — the
-    /// hot-shard imbalance signal.
+    /// Per-shard load shares (empty for single-threaded nodes, which have
+    /// no shards to balance) — the hot-shard imbalance signal.
     pub shard_loads: Vec<ShardLoad>,
 }
 
@@ -1547,7 +1551,8 @@ fn run_autotune(
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
-    use shhc_node::{NodeConfig, ShardedNode};
+    use proptest::prelude::*;
+    use shhc_node::{shard_slices, NodeConfig};
     use shhc_types::StreamId;
 
     fn spawn_test_node() -> (Sender<NodeRequest>, std::thread::JoinHandle<()>) {
@@ -1559,9 +1564,9 @@ mod tests {
 
     fn spawn_test_sharded(shards: u32) -> (Sender<NodeRequest>, std::thread::JoinHandle<()>) {
         let config = NodeConfig::small_test().with_shards(shards);
-        let node = ShardedNode::new(NodeId::new(0), config.clone()).unwrap();
+        let slices = shard_slices(NodeId::new(0), &config).unwrap();
         let (tx, rx) = unbounded();
-        let handle = std::thread::spawn(move || sharded_node_loop(config, node.into_shards(), rx));
+        let handle = std::thread::spawn(move || sharded_node_loop(config, slices, rx));
         (tx, handle)
     }
 
@@ -1772,7 +1777,7 @@ mod tests {
     fn sharded_server_round_trip_matches_baseline() {
         let (base_tx, base_handle) = spawn_test_node();
         let (shard_tx, shard_handle) = spawn_test_sharded(4);
-        let fps: Vec<Fingerprint> = (0..40)
+        let fps: Vec<Fingerprint> = (0..300)
             .map(|i: u64| Fingerprint::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
             .collect();
         let mut correlation = 0u64;
@@ -1809,23 +1814,30 @@ mod tests {
             fingerprints: fps.clone(),
         });
         both(&|correlation| Frame::Ping { correlation });
-        // Cursor-paged scans agree page by page.
-        let mut after = None;
-        loop {
-            let scan = |correlation: u64| Frame::ScanRangeReq {
-                correlation,
-                range: shhc_types::KeyRange::full(),
-                after,
-                limit: 6,
-            };
-            match both(&scan) {
-                Frame::ScanRangeResp { pairs, done, .. } => {
-                    after = pairs.last().map(|(fp, _)| *fp);
-                    if done {
-                        break;
+        // Cursor-paged scans agree page by page, over the full space, a
+        // half and a range that wraps past the top of the key space.
+        for (range, limit) in [
+            (KeyRange::full(), 6),
+            (KeyRange::new(0, u64::MAX / 2), 11),
+            (KeyRange::new(u64::MAX / 4 * 3, u64::MAX / 4), 11),
+        ] {
+            let mut after = None;
+            loop {
+                let scan = |correlation: u64| Frame::ScanRangeReq {
+                    correlation,
+                    range,
+                    after,
+                    limit,
+                };
+                match both(&scan) {
+                    Frame::ScanRangeResp { pairs, done, .. } => {
+                        after = pairs.last().map(|(fp, _)| *fp);
+                        if done {
+                            break;
+                        }
                     }
+                    other => panic!("unexpected {other:?}"),
                 }
-                other => panic!("unexpected {other:?}"),
             }
         }
         // Control plane: merged stats count the same entries.
@@ -1838,9 +1850,9 @@ mod tests {
             .unwrap();
         match ctl_rx.recv().unwrap() {
             ControlReply::Stats(snap) => {
-                assert_eq!(snap.entries, 33);
+                assert_eq!(snap.entries, 293);
                 assert_eq!(snap.shards, 4);
-                assert_eq!(snap.stats.inserted, 40);
+                assert_eq!(snap.stats.inserted, 300);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1865,5 +1877,71 @@ mod tests {
         );
         drop(tx);
         handle.join().unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The sharded server (any S) answers a random stream of
+        /// lookup/record/install/remove frames exactly like one
+        /// `HybridHashNode`: same existence bits, same values (so insert
+        /// values are allocated in frame order), same final scan. Lookup
+        /// frames carry up to 8 fingerprints from a 120-key population, so
+        /// they span shards and repeat fingerprints within a frame.
+        #[test]
+        fn prop_sharded_server_matches_reference(
+            shards in 1u32..=8,
+            keys in proptest::collection::vec(0u64..120, 1..150),
+        ) {
+            let fp = |k: u64| {
+                Fingerprint::from_u64(k.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31))
+            };
+            let mut reference =
+                HybridHashNode::new(NodeId::new(0), NodeConfig::small_test()).unwrap();
+            let (tx, handle) = spawn_test_sharded(shards);
+            for (i, &k) in keys.iter().enumerate() {
+                let correlation = i as u64;
+                let f = fp(k);
+                let ack = Frame::Ack { correlation };
+                let (frame, want) = match k % 7 {
+                    0 => {
+                        reference.remove(f).unwrap();
+                        let fingerprints = vec![f];
+                        (Frame::RemoveReq { correlation, fingerprints }, ack)
+                    }
+                    1 => {
+                        reference.record(f, k * 10).unwrap();
+                        (Frame::RecordReq { correlation, pairs: vec![(f, k * 10)] }, ack)
+                    }
+                    2 => {
+                        reference.install(f, k).unwrap();
+                        (Frame::MigrateReq { correlation, pairs: vec![(f, k)] }, ack)
+                    }
+                    _ => {
+                        let fingerprints: Vec<Fingerprint> =
+                            keys[i..keys.len().min(i + 8)].iter().map(|&k| fp(k)).collect();
+                        let batch = reference.lookup_insert_batch(&fingerprints).unwrap();
+                        let values = compact_values(&batch.exists, &batch.values);
+                        let stream = StreamId::new(0);
+                        (
+                            Frame::LookupInsertReq { correlation, stream, fingerprints },
+                            Frame::LookupResp { correlation, exists: batch.exists, values },
+                        )
+                    }
+                };
+                prop_assert_eq!(rpc(&tx, frame), want, "op {i}");
+            }
+            let (ctl_tx, ctl_rx) = unbounded();
+            let scan = NodeRequest::Control { msg: ControlMsg::Scan, reply: ctl_tx };
+            tx.send(scan).unwrap();
+            match ctl_rx.recv().unwrap() {
+                ControlReply::Scan(entries) => {
+                    prop_assert_eq!(entries, reference.scan().unwrap());
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+            drop(tx);
+            handle.join().unwrap();
+        }
     }
 }

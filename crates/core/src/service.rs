@@ -12,7 +12,7 @@ use shhc_hash::fingerprint_of;
 use shhc_storage::{BackupManifest, ChunkStore, ManifestEntry};
 use shhc_types::{ChunkId, Error, Fingerprint, Result, StreamId};
 
-use crate::{FrontendTier, LookupAnswer, SharedFrontend, ShhcCluster};
+use crate::{LookupAnswer, SharedFrontend, ShhcCluster};
 
 /// Age limit for the service's private shared front-end. Rarely hit —
 /// full windows close their batch by size and tail windows flush — but it
@@ -23,7 +23,7 @@ const SERVICE_MAX_AGE: Duration = Duration::from_millis(20);
 /// How many times a shed lookup submission is retried (with backoff)
 /// before the overload error is surfaced to the backup session. At the
 /// backoff cap this is ≈¼ s of yielding — long enough to ride out a
-/// burst, short enough that a truly saturated tier fails fast.
+/// burst, short enough that a truly saturated front-end fails fast.
 const SHED_RETRY_LIMIT: u32 = 32;
 
 /// First retry backoff after a shed submission; doubles per attempt.
@@ -160,13 +160,12 @@ impl BackupReport {
 }
 
 struct ServiceInner<C, S> {
-    tier: FrontendTier,
+    frontend: SharedFrontend,
     chunker: C,
     /// Reader-writer: restores and stats only read (`ChunkStore::get`/
     /// `fingerprint_of` take `&self`), so a long restore does not
     /// serialize concurrent sessions' metadata reads.
     store: RwLock<S>,
-    batch_size: usize,
     /// Chunk locations assigned for fingerprints whose cluster-side
     /// `record` may not have landed yet, keyed by fingerprint. This is
     /// the placeholder shield, shared across sessions: a concurrent
@@ -229,8 +228,7 @@ impl<C, S> Clone for BackupService<C, S> {
 impl<C, S> std::fmt::Debug for BackupService<C, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BackupService")
-            .field("batch_size", &self.inner.batch_size)
-            .field("tier", &self.inner.tier)
+            .field("frontend", &self.inner.frontend)
             .finish()
     }
 }
@@ -251,27 +249,17 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
         )
     }
 
-    /// Creates a service over an existing shared front-end (its batch
-    /// size becomes the service's lookup window) — a tier of one.
+    /// Creates a service over an existing shared front-end; its batch
+    /// size becomes the service's lookup window. Each session's
+    /// submissions carry its stream id as the admission tenant — under a
+    /// `FairShed` policy a noisy stream sheds before it can starve quiet
+    /// ones.
     pub fn with_frontend(frontend: SharedFrontend, chunker: C, store: S) -> Self {
-        Self::with_tier(FrontendTier::from_frontends(vec![frontend]), chunker, store)
-    }
-
-    /// Creates a service over a load-balanced [`FrontendTier`]. Sessions'
-    /// lookup windows spread across the tier's front-ends by
-    /// power-of-two-choices, and each session's submissions carry its
-    /// stream id as the admission tenant — under a `FairShed` policy a
-    /// noisy stream sheds before it can starve quiet ones.
-    ///
-    /// The lookup window is the first front-end's batch size.
-    pub fn with_tier(tier: FrontendTier, chunker: C, store: S) -> Self {
-        let batch_size = tier.frontend(0).batch_size();
         BackupService {
             inner: Arc::new(ServiceInner {
-                tier,
+                frontend,
                 chunker,
                 store: RwLock::new(store),
-                batch_size,
                 pending_records: Mutex::new(HashMap::new()),
             }),
         }
@@ -279,19 +267,12 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
 
     /// The underlying cluster handle.
     pub fn cluster(&self) -> &ShhcCluster {
-        self.inner.tier.cluster()
+        self.inner.frontend.cluster()
     }
 
-    /// The first front-end of the service's tier (the only one for
-    /// services built with [`new`](Self::new) or
-    /// [`with_frontend`](Self::with_frontend)).
+    /// The shared front-end this service submits lookups through.
     pub fn frontend(&self) -> &SharedFrontend {
-        self.inner.tier.frontend(0)
-    }
-
-    /// The front-end tier this service submits lookups through.
-    pub fn tier(&self) -> &FrontendTier {
-        &self.inner.tier
+        &self.inner.frontend
     }
 
     /// Locked (shared, read-only) access to the underlying chunk store
@@ -300,13 +281,14 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
         self.inner.store.read()
     }
 
-    /// Submits one window of fingerprints through the front-end tier
+    /// Submits one window of fingerprints through the front-end
     /// (tenant-attributed to `stream`) and waits for every ticket.
     ///
     /// Shed submissions are retried with exponential backoff up to
     /// [`SHED_RETRY_LIMIT`] times — overload shows up as a slower backup
     /// first and an [`Overloaded`](shhc_types::Error::Overloaded) error
-    /// only once the tier stays saturated through the whole backoff run.
+    /// only once the front-end stays saturated through the whole backoff
+    /// run.
     fn lookup_window(&self, stream: StreamId, fps: &[Fingerprint]) -> Result<Vec<LookupAnswer>> {
         let tenant = Some(stream.raw());
         let mut tickets = Vec::with_capacity(fps.len());
@@ -314,7 +296,7 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
             let mut backoff = SHED_BACKOFF_FLOOR;
             let mut attempts = 0u32;
             let ticket = loop {
-                let (ticket, shed) = self.inner.tier.submit_from(tenant, *fp);
+                let (ticket, shed) = self.inner.frontend.submit_from(tenant, *fp);
                 if !shed || attempts >= SHED_RETRY_LIMIT {
                     // Retries exhausted: the shed ticket is already
                     // resolved Overloaded and surfaces below in wait().
@@ -389,7 +371,7 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
             total: 0,
             stored_bytes: 0,
         };
-        let window_len = self.inner.batch_size;
+        let window_len = self.inner.frontend.batch_size();
         let mut spans: Vec<Range<usize>> = Vec::with_capacity(window_len);
         let mut fps: Vec<Fingerprint> = Vec::with_capacity(window_len);
         let mut start = 0;
@@ -866,9 +848,9 @@ mod tests {
 
     #[test]
     fn concurrent_backups_complete_through_a_fair_shed_tier() {
-        // A tier of 2 tightly bounded front-ends: sessions get shed under
-        // the combined load and the retry/backoff path must still land
-        // every backup byte-exactly.
+        // One tightly bounded front-end: sessions get shed under the
+        // combined load and the retry/backoff path must still land every
+        // backup byte-exactly.
         let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
         let config = crate::FrontendConfig::new(32, SERVICE_MAX_AGE).admission(
             shhc_net::AdmissionPolicy::FairShed {
@@ -876,9 +858,11 @@ mod tests {
                 per_tenant_quota: 40,
             },
         );
-        let tier = FrontendTier::new(cluster, 2, &config);
-        let svc =
-            BackupService::with_tier(tier, FixedChunker::new(128), MemChunkStore::new(1 << 20));
+        let svc = BackupService::with_frontend(
+            SharedFrontend::with_config(cluster, config),
+            FixedChunker::new(128),
+            MemChunkStore::new(1 << 20),
+        );
         let mut handles = Vec::new();
         for s in 0..4u32 {
             let svc = svc.clone();

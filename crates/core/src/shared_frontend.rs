@@ -246,23 +246,8 @@ impl SharedFrontend {
     /// # Panics
     ///
     /// Panics if `batch_size` is zero.
-    ///
-    /// Setting `SHHC_TEST_ADMISSION=fairshed` in the environment runs the
-    /// suite behind a per-tenant fair-shedding admission gate, pinning
-    /// down that a bounded front-end still answers everything the tests
-    /// submit.
     pub fn new(cluster: ShhcCluster, batch_size: usize, max_age: Duration) -> Self {
-        let mut config = FrontendConfig::new(batch_size, max_age);
-        if matches!(std::env::var("SHHC_TEST_ADMISSION"), Ok(v) if v == "fairshed") {
-            // Bounds generous enough that the functional suite never
-            // actually sheds — the lever checks the gate's accounting,
-            // not its refusals.
-            config = config.admission(AdmissionPolicy::FairShed {
-                max_pending: 1 << 15,
-                per_tenant_quota: 1 << 11,
-            });
-        }
-        Self::with_config(cluster, config)
+        Self::with_config(cluster, FrontendConfig::new(batch_size, max_age))
     }
 
     /// Creates a shared front-end from a full [`FrontendConfig`]:

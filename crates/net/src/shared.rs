@@ -586,40 +586,6 @@ impl SharedBatcherStats {
     pub fn admitted_p999(&self) -> Option<Duration> {
         self.admitted_latency_quantile(0.999)
     }
-
-    /// Merges per-front-end snapshots into one tier-wide view: counters
-    /// and sample sets sum/concatenate, maxima take the max — the
-    /// aggregation a [`FrontendTier`] reports for Figure 4's N
-    /// front-ends serving one cluster.
-    pub fn merge(snapshots: &[SharedBatcherStats]) -> SharedBatcherStats {
-        let mut out = SharedBatcherStats::default();
-        for s in snapshots {
-            out.batches += s.batches;
-            out.fingerprints += s.fingerprints;
-            out.closed_by_size += s.closed_by_size;
-            out.closed_by_demand += s.closed_by_demand;
-            out.closed_by_age += s.closed_by_age;
-            out.closed_by_flush += s.closed_by_flush;
-            out.max_occupancy = out.max_occupancy.max(s.max_occupancy);
-            out.pending += s.pending;
-            out.delay_count += s.delay_count;
-            out.delay_total_ns += s.delay_total_ns;
-            out.delay_max_ns = out.delay_max_ns.max(s.delay_max_ns);
-            out.delay_samples_ns.extend_from_slice(&s.delay_samples_ns);
-            out.admitted += s.admitted;
-            out.shed += s.shed;
-            out.shed_by_tenant += s.shed_by_tenant;
-            out.blocked += s.blocked;
-            out.outstanding += s.outstanding;
-            out.admitted_latency_count += s.admitted_latency_count;
-            out.admitted_latency_total_ns += s.admitted_latency_total_ns;
-            out.admitted_latency_max_ns =
-                out.admitted_latency_max_ns.max(s.admitted_latency_max_ns);
-            out.admitted_latency_samples_ns
-                .extend_from_slice(&s.admitted_latency_samples_ns);
-        }
-        out
-    }
 }
 
 /// Inner queue state, under one mutex. The batch's age derives from the
@@ -1582,30 +1548,6 @@ mod tests {
         let batch = b.flush().unwrap();
         let n = batch.len();
         batch.complete(vec![0; n]).unwrap();
-    }
-
-    #[test]
-    fn merged_stats_sum_across_front_ends() {
-        let mk = |n: u64| {
-            let b: SharedBatcher<u64> = SharedBatcher::new(100, Duration::from_secs(60));
-            let tickets: Vec<_> = (0..n).map(|i| b.submit(fp(i)).ticket).collect();
-            let batch = b.flush().unwrap();
-            let len = batch.len();
-            batch.complete(vec![0; len]).unwrap();
-            for t in tickets {
-                let _ = t.wait();
-            }
-            b.stats()
-        };
-        let (a, b) = (mk(3), mk(5));
-        let merged = SharedBatcherStats::merge(&[a.clone(), b.clone()]);
-        assert_eq!(merged.fingerprints, 8);
-        assert_eq!(merged.batches, 2);
-        assert_eq!(merged.admitted, 8);
-        assert_eq!(merged.delay_samples_ns.len(), 8);
-        assert_eq!(merged.admitted_latency_count, 8);
-        assert_eq!(merged.max_occupancy, a.max_occupancy.max(b.max_occupancy));
-        assert_eq!(merged.delay_max_ns, a.delay_max_ns.max(b.delay_max_ns));
     }
 
     #[test]

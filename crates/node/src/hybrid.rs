@@ -63,10 +63,10 @@ pub struct NodeConfig {
     pub batch_overhead: std::time::Duration,
     /// Number of intra-node shards. `1` (the default) is the paper's
     /// single-threaded node, served by one server thread; `> 1` splits
-    /// the node's fingerprint range into that many prefix-routed
-    /// [`crate::ShardedNode`] shards, each owning its own RAM cache,
-    /// bloom filter and flash slice, executed by a per-shard worker pool
-    /// in the cluster server (one core per shard).
+    /// the node's fingerprint range into that many prefix-routed shards
+    /// ([`crate::shard_slices`]), each owning its own RAM cache, bloom
+    /// filter and flash slice, executed by a per-shard worker pool in the
+    /// cluster server (one core per shard).
     pub shards: u32,
     /// Must be [`BackendKind::Single`]: each shard's RAM index is its own
     /// cache and flash table, owned by its worker. The field survives

@@ -45,7 +45,7 @@ pub use hybrid::{
     NodeStats,
 };
 pub use sharded::{
-    load_imbalance, merge_classified, MergedLookup, ShardLoad, ShardRouter, ShardedNode, SubBatch,
+    load_imbalance, merge_classified, shard_slices, MergedLookup, ShardLoad, ShardRouter, SubBatch,
     SubClassified,
 };
 // The durability mode is part of `NodeConfig`'s public surface.

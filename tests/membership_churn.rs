@@ -21,8 +21,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use shhc::{
-    BackupService, ClusterConfig, Durability, Error, FaultPlan, Fingerprint, NodeId, ShhcCluster,
-    StreamId, WalConfig,
+    AdmissionPolicy, BackupService, ClusterConfig, Durability, Error, FaultPlan, Fingerprint,
+    FrontendConfig, NodeId, SharedFrontend, ShhcCluster, StreamId, WalConfig,
 };
 use shhc_chunking::FixedChunker;
 use shhc_storage::MemChunkStore;
@@ -145,12 +145,29 @@ fn drain_under_live_inserts_strands_nothing() {
     cluster.shutdown().unwrap();
 }
 
-fn service_on(cluster: &ShhcCluster) -> BackupService<FixedChunker, MemChunkStore> {
-    BackupService::new(
-        cluster.clone(),
+/// The admission gates every service-driven test runs behind: the
+/// default blocking bound, then a fair-shedding gate with bounds generous
+/// enough that the suite never actually sheds — that run checks the
+/// gate's accounting under churn, not its refusals.
+const ADMISSIONS: [AdmissionPolicy; 2] = [
+    AdmissionPolicy::Block {
+        max_pending: shhc_net::DEFAULT_MAX_PENDING,
+    },
+    AdmissionPolicy::FairShed {
+        max_pending: 1 << 15,
+        per_tenant_quota: 1 << 11,
+    },
+];
+
+fn service_on(
+    cluster: &ShhcCluster,
+    admission: AdmissionPolicy,
+) -> BackupService<FixedChunker, MemChunkStore> {
+    let config = FrontendConfig::new(64, Duration::from_millis(20)).admission(admission);
+    BackupService::with_frontend(
+        SharedFrontend::with_config(cluster.clone(), config),
         FixedChunker::new(256),
         MemChunkStore::new(1 << 24),
-        64,
     )
 }
 
@@ -166,48 +183,50 @@ fn random_data(len: usize, seed: u64) -> Vec<u8> {
 /// every single chunk.
 #[test]
 fn graceful_churn_preserves_perfect_dedup() {
-    let cluster = ShhcCluster::spawn(roomy_config(3).with_migration_chunk(64)).unwrap();
-    let service = service_on(&cluster);
+    for admission in ADMISSIONS {
+        let cluster = ShhcCluster::spawn(roomy_config(3).with_migration_chunk(64)).unwrap();
+        let service = service_on(&cluster, admission);
 
-    // Phase 1: three sessions back up concurrently while the cluster
-    // gains a node and drains another.
-    let mut sessions = Vec::new();
-    for s in 0..3u32 {
-        let service = service.clone();
-        sessions.push(std::thread::spawn(move || {
-            let data = random_data(120_000, 7_000 + u64::from(s));
-            let report = service.backup(StreamId::new(s), &data).unwrap();
-            assert_eq!(service.restore(&report.manifest).unwrap(), data);
-            (data, report)
-        }));
+        // Phase 1: three sessions back up concurrently while the cluster
+        // gains a node and drains another.
+        let mut sessions = Vec::new();
+        for s in 0..3u32 {
+            let service = service.clone();
+            sessions.push(std::thread::spawn(move || {
+                let data = random_data(120_000, 7_000 + u64::from(s));
+                let report = service.backup(StreamId::new(s), &data).unwrap();
+                assert_eq!(service.restore(&report.manifest).unwrap(), data);
+                (data, report)
+            }));
+        }
+        let (added, add_report) = cluster.add_node().unwrap();
+        assert!(add_report.to_epoch > add_report.from_epoch);
+        let drain_report = cluster.drain_node(NodeId::new(1)).unwrap();
+        assert_eq!(drain_report.post_scan_entries, 0);
+
+        let firsts: Vec<(Vec<u8>, shhc::BackupReport)> =
+            sessions.into_iter().map(|s| s.join().unwrap()).collect();
+
+        // Phase 2 (quiet): identical data deduplicates perfectly — graceful
+        // membership changes lost nothing.
+        for (s, (data, first)) in firsts.iter().enumerate() {
+            let second = service.backup(StreamId::new(100 + s as u32), data).unwrap();
+            assert_eq!(
+                second.new_chunks, 0,
+                "graceful churn must not degrade dedup (session {s})"
+            );
+            assert_eq!(second.duplicate_chunks, second.total_chunks);
+            // Both generations restore byte-exactly.
+            assert_eq!(&service.restore(&first.manifest).unwrap(), data);
+            assert_eq!(&service.restore(&second.manifest).unwrap(), data);
+        }
+
+        let stats = cluster.stats().unwrap();
+        assert_eq!(stats.epoch, 3);
+        assert_eq!(stats.drained, vec![NodeId::new(1)]);
+        assert!(stats.nodes.iter().any(|n| n.id == added));
+        cluster.shutdown().unwrap();
     }
-    let (added, add_report) = cluster.add_node().unwrap();
-    assert!(add_report.to_epoch > add_report.from_epoch);
-    let drain_report = cluster.drain_node(NodeId::new(1)).unwrap();
-    assert_eq!(drain_report.post_scan_entries, 0);
-
-    let firsts: Vec<(Vec<u8>, shhc::BackupReport)> =
-        sessions.into_iter().map(|s| s.join().unwrap()).collect();
-
-    // Phase 2 (quiet): identical data deduplicates perfectly — graceful
-    // membership changes lost nothing.
-    for (s, (data, first)) in firsts.iter().enumerate() {
-        let second = service.backup(StreamId::new(100 + s as u32), data).unwrap();
-        assert_eq!(
-            second.new_chunks, 0,
-            "graceful churn must not degrade dedup (session {s})"
-        );
-        assert_eq!(second.duplicate_chunks, second.total_chunks);
-        // Both generations restore byte-exactly.
-        assert_eq!(&service.restore(&first.manifest).unwrap(), data);
-        assert_eq!(&service.restore(&second.manifest).unwrap(), data);
-    }
-
-    let stats = cluster.stats().unwrap();
-    assert_eq!(stats.epoch, 3);
-    assert_eq!(stats.drained, vec![NodeId::new(1)]);
-    assert!(stats.nodes.iter().any(|n| n.id == added));
-    cluster.shutdown().unwrap();
 }
 
 /// One step of a seeded chaos schedule.
@@ -246,11 +265,14 @@ fn schedule(seed: u64, len: usize) -> Vec<ChurnEvent> {
 /// under a bound.
 #[test]
 fn seeded_churn_chaos_keeps_backups_restorable() {
-    for seed in [11u64, 29, 47] {
+    for (admission, seed) in ADMISSIONS
+        .into_iter()
+        .flat_map(|a| [11u64, 29, 47].map(|seed| (a, seed)))
+    {
         let cluster =
             ShhcCluster::spawn(roomy_config(3).with_replication(2).with_migration_chunk(64))
                 .unwrap();
-        let service = service_on(&cluster);
+        let service = service_on(&cluster, admission);
 
         // K clients, three backup generations each, all concurrent with
         // the chaos schedule.
@@ -344,7 +366,7 @@ fn seeded_churn_chaos_keeps_backups_restorable() {
         }
         let fraction = reuploaded as f64 / total.max(1) as f64;
         println!(
-            "seed {seed}: {reuploaded}/{total} chunks re-uploaded \
+            "seed {seed}, {admission:?}: {reuploaded}/{total} chunks re-uploaded \
              ({:.1}% dedup loss) after churn",
             fraction * 100.0
         );
@@ -464,67 +486,69 @@ fn removes_during_migration_do_not_resurrect() {
 /// traffic bounded by the entries actually moved.
 #[test]
 fn crash_recover_mid_backup_loses_nothing() {
-    let dir = std::env::temp_dir().join(format!("shhc-churn-crash-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut config = roomy_config(3).with_replication(2).with_migration_chunk(64);
-    // Durable nodes whose every dirty shutdown also tears the final
-    // journal + segment records — recovery must truncate, not replay.
-    config.node_config.durability =
-        Durability::Wal(WalConfig::new(&dir).with_fault(FaultPlan::torn_tails()));
-    let cluster = ShhcCluster::spawn(config).unwrap();
-    let service = service_on(&cluster);
+    for admission in ADMISSIONS {
+        let dir = std::env::temp_dir().join(format!("shhc-churn-crash-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = roomy_config(3).with_replication(2).with_migration_chunk(64);
+        // Durable nodes whose every dirty shutdown also tears the final
+        // journal + segment records — recovery must truncate, not replay.
+        config.node_config.durability =
+            Durability::Wal(WalConfig::new(&dir).with_fault(FaultPlan::torn_tails()));
+        let cluster = ShhcCluster::spawn(config).unwrap();
+        let service = service_on(&cluster, admission);
 
-    // A client runs backup generations while the crash happens.
-    let worker = {
-        let service = service.clone();
-        std::thread::spawn(move || {
-            let mut generations = Vec::new();
-            for generation in 0..3u32 {
-                let data = random_data(90_000, 40_000 + u64::from(generation));
-                let report = service.backup(StreamId::new(generation), &data).unwrap();
-                assert_eq!(service.restore(&report.manifest).unwrap(), data);
-                generations.push((data, report));
-            }
-            generations
-        })
-    };
+        // A client runs backup generations while the crash happens.
+        let worker = {
+            let service = service.clone();
+            std::thread::spawn(move || {
+                let mut generations = Vec::new();
+                for generation in 0..3u32 {
+                    let data = random_data(90_000, 40_000 + u64::from(generation));
+                    let report = service.backup(StreamId::new(generation), &data).unwrap();
+                    assert_eq!(service.restore(&report.manifest).unwrap(), data);
+                    generations.push((data, report));
+                }
+                generations
+            })
+        };
 
-    std::thread::sleep(Duration::from_millis(3));
-    let victim = NodeId::new(2);
-    cluster.kill_node(victim).unwrap();
-    std::thread::sleep(Duration::from_millis(5));
-    let report = cluster.restart_node(victim).unwrap();
-    assert!(
-        report.recovered_entries > 0 || report.replayed == 0,
-        "a node that replayed WAL records must recover entries"
-    );
-    assert!(
-        report.chunks <= report.resynced.max(1),
-        "re-sync shipped {} chunks for {} entries",
-        report.chunks,
-        report.resynced
-    );
-
-    let generations = worker.join().unwrap();
-
-    // Zero lost client-recorded entries: every acked chunk still
-    // deduplicates, and every snapshot restores byte-exactly.
-    for (i, (data, first)) in generations.iter().enumerate() {
-        assert_eq!(&service.restore(&first.manifest).unwrap(), data);
-        let again = service.backup(StreamId::new(300 + i as u32), data).unwrap();
-        assert_eq!(
-            again.new_chunks, 0,
-            "generation {i}: client-recorded entries lost in the crash"
+        std::thread::sleep(Duration::from_millis(3));
+        let victim = NodeId::new(2);
+        cluster.kill_node(victim).unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        let report = cluster.restart_node(victim).unwrap();
+        assert!(
+            report.recovered_entries > 0 || report.replayed == 0,
+            "a node that replayed WAL records must recover entries"
         );
-    }
+        assert!(
+            report.chunks <= report.resynced.max(1),
+            "re-sync shipped {} chunks for {} entries",
+            report.chunks,
+            report.resynced
+        );
 
-    let stats = cluster.stats().unwrap();
-    assert_eq!(stats.recovered, vec![victim]);
-    assert!(stats.crashed.is_empty());
-    assert_eq!(stats.resync_moved, report.resynced);
-    assert_eq!(stats.resync_chunks, report.chunks);
-    cluster.shutdown().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
+        let generations = worker.join().unwrap();
+
+        // Zero lost client-recorded entries: every acked chunk still
+        // deduplicates, and every snapshot restores byte-exactly.
+        for (i, (data, first)) in generations.iter().enumerate() {
+            assert_eq!(&service.restore(&first.manifest).unwrap(), data);
+            let again = service.backup(StreamId::new(300 + i as u32), data).unwrap();
+            assert_eq!(
+                again.new_chunks, 0,
+                "generation {i}: client-recorded entries lost in the crash"
+            );
+        }
+
+        let stats = cluster.stats().unwrap();
+        assert_eq!(stats.recovered, vec![victim]);
+        assert!(stats.crashed.is_empty());
+        assert_eq!(stats.resync_moved, report.resynced);
+        assert_eq!(stats.resync_chunks, report.chunks);
+        cluster.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Errors keep their shape under churn: killing a node without

@@ -1,15 +1,15 @@
-//! Integration tests for bounded admission and the front-end tier:
+//! Integration tests for bounded admission on the shared front-end:
 //! shed tickets resolve (never hang), blocking admission loses nothing,
 //! fair shedding isolates tenants, and the backup service survives a
-//! saturated tier through its retry path.
+//! saturated front-end through its retry path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use shhc::{
-    AdmissionPolicy, BackupService, ClusterConfig, FrontendConfig, FrontendTier, IngestModel,
-    SharedFrontend, ShhcCluster,
+    AdmissionPolicy, BackupService, ClusterConfig, FrontendConfig, IngestModel, SharedFrontend,
+    ShhcCluster,
 };
 use shhc_chunking::FixedChunker;
 use shhc_storage::MemChunkStore;
@@ -19,8 +19,8 @@ fn fp(v: u64) -> Fingerprint {
     Fingerprint::from_u64(v)
 }
 
-/// Under deliberate overload of a shedding tier, every ticket — admitted
-/// or shed — must resolve; a shed submission fails fast as `Overloaded`
+/// Under deliberate overload of a shedding front-end, every ticket —
+/// admitted or shed — must resolve; a shed submission fails fast as `Overloaded`
 /// and an admitted one gets its answer. Nothing may hang.
 #[test]
 fn shed_tickets_always_resolve_under_concurrent_overload() {
@@ -28,7 +28,7 @@ fn shed_tickets_always_resolve_under_concurrent_overload() {
     let config = FrontendConfig::new(16, Duration::from_millis(2))
         .admission(AdmissionPolicy::Shed { max_pending: 32 })
         .ingest(IngestModel::per_sec(2_000.0));
-    let tier = FrontendTier::new(cluster.clone(), 2, &config);
+    let fe = SharedFrontend::with_config(cluster.clone(), config);
 
     let threads = 4u64;
     let per_thread = 200u64;
@@ -36,7 +36,7 @@ fn shed_tickets_always_resolve_under_concurrent_overload() {
     let shed_total = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::new();
     for t in 0..threads {
-        let tier = tier.clone();
+        let fe = fe.clone();
         let barrier = Arc::clone(&barrier);
         let shed_total = Arc::clone(&shed_total);
         handles.push(std::thread::spawn(move || {
@@ -46,7 +46,7 @@ fn shed_tickets_always_resolve_under_concurrent_overload() {
             // thread — the shape that actually overloads the gate.
             let mut admitted = Vec::new();
             for i in 0..per_thread {
-                let (ticket, shed) = tier.submit_from(Some(t as u32), fp(t * per_thread + i));
+                let (ticket, shed) = fe.submit_from(Some(t as u32), fp(t * per_thread + i));
                 if shed {
                     shed_total.fetch_add(1, Ordering::Relaxed);
                     // A shed ticket is already resolved — wait() must
@@ -75,7 +75,7 @@ fn shed_tickets_always_resolve_under_concurrent_overload() {
         shed > 0,
         "4 unpaced threads against a 2 k/s ingest model must shed"
     );
-    let stats = tier.stats();
+    let stats = fe.stats();
     assert_eq!(stats.shed, shed);
     assert_eq!(stats.admitted, answered);
     cluster.shutdown().unwrap();
@@ -199,55 +199,10 @@ fn fair_shed_protects_quiet_tenant_from_noisy_one() {
     cluster.shutdown().unwrap();
 }
 
-/// Power-of-two-choices routing never changes answers: disjoint
-/// fingerprints submitted concurrently through a tier all come back
-/// fresh, and resubmitting the same population reads back as duplicates
-/// regardless of which front-end each submission landed on.
-#[test]
-fn tier_answers_stay_correct_across_routing() {
-    let cluster = ShhcCluster::spawn(ClusterConfig::small_test(3)).unwrap();
-    let config = FrontendConfig::new(16, Duration::from_millis(2));
-    let tier = FrontendTier::new(cluster.clone(), 3, &config);
-
-    let threads = 3u64;
-    let per_thread = 150u64;
-    for round in 0..2u32 {
-        let barrier = Arc::new(Barrier::new(threads as usize));
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let tier = tier.clone();
-            let barrier = Arc::clone(&barrier);
-            handles.push(std::thread::spawn(move || {
-                barrier.wait();
-                let tickets: Vec<_> = (0..per_thread)
-                    .map(|i| tier.submit(fp(t * per_thread + i)))
-                    .collect();
-                for ticket in tickets {
-                    let answer = ticket.wait_timeout(Duration::from_secs(30)).unwrap();
-                    assert_eq!(
-                        answer.existed,
-                        round == 1,
-                        "round {round}: wrong dedup answer"
-                    );
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        tier.flush_all().unwrap();
-    }
-    assert_eq!(
-        cluster.stats().unwrap().total_entries(),
-        threads * per_thread,
-        "second round deduplicated everything"
-    );
-    cluster.shutdown().unwrap();
-}
-
 /// End to end: concurrent backups through a deliberately saturated
-/// FairShed tier (tight quotas + a slow ingest model) must all complete
-/// via the service's retry-on-shed path and restore byte-exactly.
+/// FairShed front-end (tight quotas + a slow ingest model) must all
+/// complete via the service's retry-on-shed path and restore
+/// byte-exactly.
 #[test]
 fn service_backups_survive_a_saturated_fair_shed_tier() {
     let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
@@ -257,8 +212,11 @@ fn service_backups_survive_a_saturated_fair_shed_tier() {
             per_tenant_quota: 24,
         })
         .ingest(IngestModel::per_sec(4_000.0));
-    let tier = FrontendTier::new(cluster, 2, &config);
-    let svc = BackupService::with_tier(tier, FixedChunker::new(128), MemChunkStore::new(1 << 20));
+    let svc = BackupService::with_frontend(
+        SharedFrontend::with_config(cluster, config),
+        FixedChunker::new(128),
+        MemChunkStore::new(1 << 20),
+    );
 
     let mut handles = Vec::new();
     for s in 0..4u32 {
@@ -277,7 +235,7 @@ fn service_backups_survive_a_saturated_fair_shed_tier() {
     for h in handles {
         h.join().unwrap();
     }
-    let stats = svc.tier().stats();
+    let stats = svc.frontend().stats();
     assert_eq!(stats.outstanding, 0, "all lookups drained");
     svc.cluster().clone().shutdown().unwrap();
 }

@@ -1,8 +1,8 @@
 //! Sharded-node equivalence and head-of-line-blocking suite.
 //!
-//! A multi-core [`shhc::ShardedNode`] must be a pure performance change:
-//! byte-identical answers to the single-threaded `HybridHashNode` for
-//! every operation, through membership changes —
+//! Nodes with `shards > 1`, served by one worker thread per shard, must be
+//! a pure performance change: byte-identical answers to single-threaded
+//! nodes for every operation, through membership changes —
 //! plus the property the sharding exists for: a small frame queued
 //! behind a deep frame is answered in ≈ its own service time instead of
 //! waiting for the deep frame to drain.
