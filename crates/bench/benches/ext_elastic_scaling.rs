@@ -6,9 +6,9 @@
 //! continuously while the cluster, mid-run:
 //!
 //! 1. **joins** a node (`add_node`: install-first epoch swap, dual-read,
-//!    chunked online migration), then
-//! 2. **drains** one of the original nodes (`drain_node`: migrate out,
-//!    evacuate, verify empty by scan, decommission).
+//!    chunked re-home passes), then
+//! 2. **drains** one of the original nodes (`drain_node`: the same
+//!    re-home passes, verify empty by scan, decommission).
 //!
 //! A sampler thread bins completed lookups into a throughput timeline
 //! (`results/ext_elastic_scaling.csv`, one row per bin with its phase),

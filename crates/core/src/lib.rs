@@ -73,8 +73,8 @@ pub use shhc_cache::{SizerConfig, SizerDecision};
 // cluster, so `shhc` works as a single-dependency facade.
 pub use shhc_flash::{Durability, FaultPlan, WalConfig};
 pub use shhc_node::{
-    load_imbalance, BackendKind, CachePolicy, EnergyModel, HybridHashNode, NodeConfig, NodeStats,
-    ShardLoad, ShardRouter,
+    load_imbalance, BackendKind, CachePolicy, HybridHashNode, NodeConfig, NodeStats, ShardLoad,
+    ShardRouter,
 };
 pub use shhc_types::{ChunkId, ClientId, Error, Fingerprint, Nanos, NodeId, Result, StreamId};
 

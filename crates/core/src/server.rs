@@ -42,7 +42,7 @@ use shhc_node::{
     load_imbalance, merge_classified, Classified, HybridHashNode, NodeConfig, NodeStats, ShardLoad,
     ShardRouter, SubBatch, SubClassified,
 };
-use shhc_types::{Fingerprint, KeyRange, Nanos, NodeId};
+use shhc_types::{Fingerprint, Nanos, NodeId};
 
 /// A point-in-time view of one node's state, fetched over the control
 /// plane. For sharded nodes every counter is the across-shard aggregate.
@@ -287,8 +287,7 @@ fn ops_in(frame: &Frame) -> u32 {
         | Frame::RemoveReq { fingerprints, .. } => fingerprints.len() as u32,
         // Migration installs pay per-entry device time like any other
         // write, so rebalancing visibly competes with client traffic in
-        // wall-clock benches. Range scans are modeled as one sequential
-        // sweep (their real CPU cost), not per-entry device ops.
+        // wall-clock benches.
         Frame::RecordReq { pairs, .. } | Frame::MigrateReq { pairs, .. } => pairs.len() as u32,
         _ => 0,
     }
@@ -376,39 +375,43 @@ fn handle_frame(node: &mut HybridHashNode, frame: &Bytes) -> Frame {
             }
             Frame::Ack { correlation }
         }
-        Frame::ScanRangeReq {
-            range,
-            after,
-            limit,
-            ..
-        } => match node.scan_range(range, after, limit as usize) {
-            Ok((pairs, done)) => Frame::ScanRangeResp {
-                correlation,
-                pairs,
-                done,
-            },
+        Frame::MigrateReq { pairs, .. } => match install_all(node, &pairs) {
+            Ok((exists, values)) => {
+                let values = compact_values(&exists, &values);
+                Frame::LookupResp {
+                    correlation,
+                    exists,
+                    values,
+                }
+            }
             Err(e) => Frame::Error {
                 correlation,
                 message: e.to_string(),
             },
         },
-        Frame::MigrateReq { pairs, .. } => {
-            for (fp, value) in pairs {
-                if let Err(e) = node.install(fp, value) {
-                    return Frame::Error {
-                        correlation,
-                        message: e.to_string(),
-                    };
-                }
-            }
-            Frame::Ack { correlation }
-        }
         Frame::Ping { .. } => Frame::Pong { correlation },
         other => Frame::Error {
             correlation,
             message: format!("unexpected frame at node: {other:?}"),
         },
     }
+}
+
+/// Installs migrated pairs in order ([`HybridHashNode::install`]) and
+/// reports, parallel to `pairs`, which entries the node already held and
+/// the value it held (zero where it installed the carried value).
+fn install_all(
+    node: &mut HybridHashNode,
+    pairs: &[(Fingerprint, u64)],
+) -> shhc_types::Result<(Vec<bool>, Vec<u64>)> {
+    let mut exists = Vec::with_capacity(pairs.len());
+    let mut values = Vec::with_capacity(pairs.len());
+    for &(fp, value) in pairs {
+        let held = node.install(fp, value)?;
+        exists.push(held.is_some());
+        values.push(held.unwrap_or(0));
+    }
+    Ok((exists, values))
 }
 
 // ─── Sharded execution ──────────────────────────────────────────────────
@@ -482,11 +485,6 @@ enum ShardWork {
         fps: Vec<Fingerprint>,
         delay: Duration,
     },
-    ScanRange {
-        range: KeyRange,
-        after: Option<Fingerprint>,
-        limit: usize,
-    },
     Scan,
     Flush,
     Stats,
@@ -511,9 +509,6 @@ enum ShardOutcome {
         values: Vec<u64>,
     },
     Acked,
-    Page {
-        pairs: Vec<(Fingerprint, u64)>,
-    },
     Entries {
         pairs: Vec<(Fingerprint, u64)>,
     },
@@ -536,13 +531,10 @@ enum ReplyTo {
 enum JobKind {
     /// Two-phase lookup-insert (classify → merge/allocate → apply).
     Lookup,
-    /// Read-only query: index-merge the slices.
+    /// Query or install: index-merge the slices' answers.
     Query,
-    /// Record/remove/install: every shard acks.
+    /// Record/remove: every shard acks.
     Ack,
-    /// Cursor-paged range scan: concatenate slot pages in shard order,
-    /// over-fetched by one entry to decide `done` exactly.
-    ScanRange { limit: usize },
     /// Full scan: concatenate in shard order.
     Scan,
     /// All shards flushed.
@@ -647,35 +639,6 @@ impl FrameJob {
                     },
                 };
                 self.send_data(&frame, scratch);
-            }
-            JobKind::ScanRange { limit } => {
-                if let Some(m) = &inner.failure {
-                    return self.send_data(&error_frame(self.correlation, m), scratch);
-                }
-                // Slot order = shard order = ascending fingerprint order;
-                // collecting limit+1 entries decides `done` exactly as
-                // the unsharded scan's over-count does.
-                let mut pairs: Vec<(Fingerprint, u64)> = Vec::new();
-                for outcome in inner.slots.iter().flatten() {
-                    if let ShardOutcome::Page { pairs: page } = outcome {
-                        for &entry in page {
-                            if pairs.len() > *limit {
-                                break;
-                            }
-                            pairs.push(entry);
-                        }
-                    }
-                }
-                let done = pairs.len() <= *limit;
-                pairs.truncate(*limit);
-                self.send_data(
-                    &Frame::ScanRangeResp {
-                        correlation: self.correlation,
-                        pairs,
-                        done,
-                    },
-                    scratch,
-                );
             }
             JobKind::Scan => {
                 if let Some(m) = &inner.failure {
@@ -889,12 +852,10 @@ fn run_shard_work(shard: &mut HybridHashNode, work: ShardWork) -> ShardOutcome {
         }
         ShardWork::Install { pairs, delay } => {
             sleep_service(delay);
-            for (fp, value) in pairs {
-                if let Err(e) = shard.install(fp, value) {
-                    return ShardOutcome::Failed(e.to_string());
-                }
+            match install_all(shard, &pairs) {
+                Ok((exists, values)) => ShardOutcome::Answered { exists, values },
+                Err(e) => ShardOutcome::Failed(e.to_string()),
             }
-            ShardOutcome::Acked
         }
         ShardWork::Remove { fps, delay } => {
             sleep_service(delay);
@@ -905,14 +866,6 @@ fn run_shard_work(shard: &mut HybridHashNode, work: ShardWork) -> ShardOutcome {
             }
             ShardOutcome::Acked
         }
-        ShardWork::ScanRange {
-            range,
-            after,
-            limit,
-        } => match shard.scan_range(range, after, limit) {
-            Ok((pairs, _done)) => ShardOutcome::Page { pairs },
-            Err(e) => ShardOutcome::Failed(e.to_string()),
-        },
         ShardWork::Scan => match shard.scan() {
             Ok(pairs) => ShardOutcome::Entries { pairs },
             Err(e) => ShardOutcome::Failed(e.to_string()),
@@ -1101,161 +1054,53 @@ fn dispatch_data(
         }
         d
     };
+    let mut split = |kind, fingerprints: &[Fingerprint], make_work: MakeWork<'_>| {
+        dispatch_split(
+            kind,
+            router,
+            shared,
+            correlation,
+            reply.clone(),
+            scratch,
+            fingerprints,
+            &delay_for,
+            make_work,
+        )
+    };
     match decoded {
         Frame::LookupInsertReq { fingerprints, .. } => {
-            let involved = involved_subs(router, &fingerprints);
-            if involved.is_empty() {
-                let _ = reply.send(encode_reusing(
-                    &Frame::LookupResp {
-                        correlation,
-                        exists: Vec::new(),
-                        values: Vec::new(),
-                    },
-                    scratch,
-                ));
-                return;
-            }
-            let (positions, shard_of_slot, fps): (Vec<_>, Vec<_>, Vec<_>) = split_parts(involved);
-            let job = new_job(
-                JobKind::Lookup,
-                correlation,
-                fingerprints.len(),
-                ReplyTo::Data(reply),
-                shared,
-                positions,
-                shard_of_slot.clone(),
-            );
-            for (k, (shard, sub_fps)) in shard_of_slot.into_iter().zip(fps).enumerate() {
-                let delay = delay_for(k, sub_fps.len());
-                let _ = shared.workers[shard].send(ShardTask::Work {
-                    job: Arc::clone(&job),
-                    slot: k,
-                    work: ShardWork::Classify {
-                        fps: sub_fps,
-                        delay,
-                    },
-                });
-            }
+            split(JobKind::Lookup, &fingerprints, &|_, fps, delay| {
+                ShardWork::Classify { fps, delay }
+            });
         }
         Frame::QueryReq { fingerprints, .. } => {
-            let involved = involved_subs(router, &fingerprints);
-            if involved.is_empty() {
-                let _ = reply.send(encode_reusing(
-                    &Frame::LookupResp {
-                        correlation,
-                        exists: Vec::new(),
-                        values: Vec::new(),
-                    },
-                    scratch,
-                ));
-                return;
-            }
-            let (positions, shard_of_slot, fps): (Vec<_>, Vec<_>, Vec<_>) = split_parts(involved);
-            let job = new_job(
-                JobKind::Query,
-                correlation,
-                fingerprints.len(),
-                ReplyTo::Data(reply),
-                shared,
-                positions,
-                shard_of_slot.clone(),
-            );
-            for (k, (shard, sub_fps)) in shard_of_slot.into_iter().zip(fps).enumerate() {
-                let delay = delay_for(k, sub_fps.len());
-                let _ = shared.workers[shard].send(ShardTask::Work {
-                    job: Arc::clone(&job),
-                    slot: k,
-                    work: ShardWork::Query {
-                        fps: sub_fps,
-                        delay,
-                    },
-                });
-            }
+            split(JobKind::Query, &fingerprints, &|_, fps, delay| {
+                ShardWork::Query { fps, delay }
+            });
         }
         Frame::RecordReq { pairs, .. } => {
-            dispatch_pairs(
-                router,
-                shared,
-                correlation,
-                reply,
-                scratch,
-                pairs,
-                |pairs, delay| ShardWork::Record { pairs, delay },
-                &delay_for,
-            );
+            let fps: Vec<Fingerprint> = pairs.iter().map(|(fp, _)| *fp).collect();
+            split(JobKind::Ack, &fps, &|positions, _, delay| {
+                ShardWork::Record {
+                    pairs: positions.iter().map(|&i| pairs[i]).collect(),
+                    delay,
+                }
+            });
         }
+        // Installs answer like a query: which entries each shard held.
         Frame::MigrateReq { pairs, .. } => {
-            dispatch_pairs(
-                router,
-                shared,
-                correlation,
-                reply,
-                scratch,
-                pairs,
-                |pairs, delay| ShardWork::Install { pairs, delay },
-                &delay_for,
-            );
+            let fps: Vec<Fingerprint> = pairs.iter().map(|(fp, _)| *fp).collect();
+            split(JobKind::Query, &fps, &|positions, _, delay| {
+                ShardWork::Install {
+                    pairs: positions.iter().map(|&i| pairs[i]).collect(),
+                    delay,
+                }
+            });
         }
         Frame::RemoveReq { fingerprints, .. } => {
-            let involved = involved_subs(router, &fingerprints);
-            if involved.is_empty() {
-                let _ = reply.send(encode_reusing(&Frame::Ack { correlation }, scratch));
-                return;
-            }
-            let shard_of_slot: Vec<usize> = involved.iter().map(|(s, _)| *s).collect();
-            let job = new_job(
-                JobKind::Ack,
-                correlation,
-                0,
-                ReplyTo::Data(reply),
-                shared,
-                vec![Vec::new(); shard_of_slot.len()],
-                shard_of_slot,
-            );
-            for (k, (shard, sub)) in involved.into_iter().enumerate() {
-                let delay = delay_for(k, sub.fingerprints.len());
-                let _ = shared.workers[shard].send(ShardTask::Work {
-                    job: Arc::clone(&job),
-                    slot: k,
-                    work: ShardWork::Remove {
-                        fps: sub.fingerprints,
-                        delay,
-                    },
-                });
-            }
-        }
-        Frame::ScanRangeReq {
-            range,
-            after,
-            limit,
-            ..
-        } => {
-            // Shards before the cursor's shard hold only smaller
-            // fingerprints — skip them.
-            let start = after.map(|fp| router.shard_of(&fp)).unwrap_or(0);
-            let shard_of_slot: Vec<usize> = (start..router.count()).collect();
-            let job = new_job(
-                JobKind::ScanRange {
-                    limit: limit as usize,
-                },
-                correlation,
-                0,
-                ReplyTo::Data(reply),
-                shared,
-                vec![Vec::new(); shard_of_slot.len()],
-                shard_of_slot.clone(),
-            );
-            for (k, shard) in shard_of_slot.into_iter().enumerate() {
-                let _ = shared.workers[shard].send(ShardTask::Work {
-                    job: Arc::clone(&job),
-                    slot: k,
-                    work: ShardWork::ScanRange {
-                        range,
-                        after,
-                        limit: limit as usize + 1,
-                    },
-                });
-            }
+            split(JobKind::Ack, &fingerprints, &|_, fps, delay| {
+                ShardWork::Remove { fps, delay }
+            });
         }
         Frame::Ping { .. } => {
             let _ = reply.send(encode_reusing(&Frame::Pong { correlation }, scratch));
@@ -1269,48 +1114,61 @@ fn dispatch_data(
     }
 }
 
-/// Routes `(fingerprint, value)` pairs by shard and fans them out under
-/// an ack-merged job.
+/// Builds one shard's work item from its positions in the frame, its
+/// fingerprints and its share of the service delay.
+type MakeWork<'a> = &'a dyn Fn(&[usize], Vec<Fingerprint>, Duration) -> ShardWork;
+
+/// Splits a frame's fingerprints by shard and sends each involved shard
+/// one work item, built by `make_work`, under a `kind` job.
 #[allow(clippy::too_many_arguments)]
-fn dispatch_pairs(
+fn dispatch_split(
+    kind: JobKind,
     router: &ShardRouter,
     shared: &Arc<NodeShared>,
     correlation: u64,
     reply: Sender<Bytes>,
     scratch: &mut BytesMut,
-    pairs: Vec<(Fingerprint, u64)>,
-    make_work: impl Fn(Vec<(Fingerprint, u64)>, Duration) -> ShardWork,
+    fingerprints: &[Fingerprint],
     delay_for: &dyn Fn(usize, usize) -> Duration,
+    make_work: MakeWork<'_>,
 ) {
-    let mut by_shard: Vec<Vec<(Fingerprint, u64)>> = vec![Vec::new(); router.count()];
-    for (fp, value) in pairs {
-        by_shard[router.shard_of(&fp)].push((fp, value));
-    }
-    let involved: Vec<(usize, Vec<(Fingerprint, u64)>)> = by_shard
-        .into_iter()
-        .enumerate()
-        .filter(|(_, pairs)| !pairs.is_empty())
-        .collect();
+    let involved = involved_subs(router, fingerprints);
     if involved.is_empty() {
-        let _ = reply.send(encode_reusing(&Frame::Ack { correlation }, scratch));
+        let empty = match kind {
+            JobKind::Ack => Frame::Ack { correlation },
+            _ => Frame::LookupResp {
+                correlation,
+                exists: Vec::new(),
+                values: Vec::new(),
+            },
+        };
+        let _ = reply.send(encode_reusing(&empty, scratch));
         return;
     }
-    let shard_of_slot: Vec<usize> = involved.iter().map(|(s, _)| *s).collect();
+    let (positions, shard_of_slot, fps) = split_parts(involved);
+    let work: Vec<ShardWork> = positions
+        .iter()
+        .zip(fps)
+        .enumerate()
+        .map(|(k, (at, fps))| {
+            let delay = delay_for(k, fps.len());
+            make_work(at, fps, delay)
+        })
+        .collect();
     let job = new_job(
-        JobKind::Ack,
+        kind,
         correlation,
-        0,
+        fingerprints.len(),
         ReplyTo::Data(reply),
         shared,
-        vec![Vec::new(); shard_of_slot.len()],
-        shard_of_slot,
+        positions,
+        shard_of_slot.clone(),
     );
-    for (k, (shard, sub_pairs)) in involved.into_iter().enumerate() {
-        let delay = delay_for(k, sub_pairs.len());
+    for (k, (shard, work)) in shard_of_slot.into_iter().zip(work).enumerate() {
         let _ = shared.workers[shard].send(ShardTask::Work {
             job: Arc::clone(&job),
             slot: k,
-            work: make_work(sub_pairs, delay),
+            work,
         });
     }
 }
@@ -1671,8 +1529,21 @@ mod tests {
         handle.join().unwrap();
     }
 
+    fn scan(tx: &Sender<NodeRequest>) -> Vec<(Fingerprint, u64)> {
+        let (ctl_tx, ctl_rx) = unbounded();
+        tx.send(NodeRequest::Control {
+            msg: ControlMsg::Scan,
+            reply: ctl_tx,
+        })
+        .unwrap();
+        match ctl_rx.recv().unwrap() {
+            ControlReply::Scan(entries) => entries,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
-    fn scan_range_and_migrate_round_trip() {
+    fn scan_and_migrate_round_trip() {
         let (tx, handle) = spawn_test_node();
         let fps: Vec<Fingerprint> = (0..20)
             .map(|i: u64| Fingerprint::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
@@ -1685,50 +1556,46 @@ mod tests {
                 fingerprints: fps.clone(),
             },
         );
-        // Page through the full key space.
-        let mut collected = Vec::new();
-        let mut after = None;
-        loop {
-            match rpc(
-                &tx,
-                Frame::ScanRangeReq {
-                    correlation: 2,
-                    range: shhc_types::KeyRange::full(),
-                    after,
-                    limit: 7,
-                },
-            ) {
-                Frame::ScanRangeResp { pairs, done, .. } => {
-                    after = pairs.last().map(|(fp, _)| *fp);
-                    collected.extend(pairs);
-                    if done {
-                        break;
-                    }
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(collected.len(), 20);
-        // Install the scanned entries on a second node; values survive.
+        let scanned = scan(&tx);
+        assert_eq!(scanned.len(), 20);
+        assert!(
+            scanned.windows(2).all(|w| w[0].0 < w[1].0),
+            "scan is sorted"
+        );
+        // Install the scanned entries on a second node, which already
+        // holds the first five with its own values: those keep them and
+        // the reply says so.
         let (tx2, handle2) = spawn_test_node();
-        let ack = rpc(
+        let held: Vec<(Fingerprint, u64)> = scanned[..5].iter().map(|(f, _)| (*f, 900)).collect();
+        rpc(
+            &tx2,
+            Frame::MigrateReq {
+                correlation: 2,
+                pairs: held,
+            },
+        );
+        match rpc(
             &tx2,
             Frame::MigrateReq {
                 correlation: 3,
-                pairs: collected.clone(),
-            },
-        );
-        assert_eq!(ack, Frame::Ack { correlation: 3 });
-        match rpc(
-            &tx2,
-            Frame::QueryReq {
-                correlation: 4,
-                fingerprints: fps.clone(),
+                pairs: scanned.clone(),
             },
         ) {
-            Frame::LookupResp { exists, .. } => assert!(exists.iter().all(|e| *e)),
+            Frame::LookupResp {
+                correlation,
+                exists,
+                values,
+            } => {
+                assert_eq!(correlation, 3);
+                let want: Vec<bool> = (0..20).map(|i| i < 5).collect();
+                assert_eq!(exists, want);
+                assert_eq!(values, vec![900; 5]);
+            }
             other => panic!("unexpected {other:?}"),
         }
+        let mut want = scanned.clone();
+        want[..5].iter_mut().for_each(|(_, v)| *v = 900);
+        assert_eq!(scan(&tx2), want);
         drop(tx);
         drop(tx2);
         handle.join().unwrap();
@@ -1814,32 +1681,17 @@ mod tests {
             fingerprints: fps.clone(),
         });
         both(&|correlation| Frame::Ping { correlation });
-        // Cursor-paged scans agree page by page, over the full space, a
-        // half and a range that wraps past the top of the key space.
-        for (range, limit) in [
-            (KeyRange::full(), 6),
-            (KeyRange::new(0, u64::MAX / 2), 11),
-            (KeyRange::new(u64::MAX / 4 * 3, u64::MAX / 4), 11),
-        ] {
-            let mut after = None;
-            loop {
-                let scan = |correlation: u64| Frame::ScanRangeReq {
-                    correlation,
-                    range,
-                    after,
-                    limit,
-                };
-                match both(&scan) {
-                    Frame::ScanRangeResp { pairs, done, .. } => {
-                        after = pairs.last().map(|(fp, _)| *fp);
-                        if done {
-                            break;
-                        }
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-        }
+        // Installs answer which entries each node held: the seven
+        // removed ones come back, the rest keep their recorded values.
+        both(&|correlation| Frame::MigrateReq {
+            correlation,
+            pairs: fps[..40].iter().map(|f| (*f, 5)).collect(),
+        });
+        both(&|correlation| Frame::MigrateReq {
+            correlation,
+            pairs: Vec::new(),
+        });
+        assert_eq!(scan(&shard_tx), scan(&base_tx), "sorted scans agree");
         // Control plane: merged stats count the same entries.
         let (ctl_tx, ctl_rx) = unbounded();
         shard_tx
@@ -1850,9 +1702,10 @@ mod tests {
             .unwrap();
         match ctl_rx.recv().unwrap() {
             ControlReply::Stats(snap) => {
-                assert_eq!(snap.entries, 293);
+                assert_eq!(snap.entries, 300);
                 assert_eq!(snap.shards, 4);
                 assert_eq!(snap.stats.inserted, 300);
+                assert_eq!(snap.stats.migrated_in, 7);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1886,8 +1739,9 @@ mod tests {
         /// lookup/record/install/remove frames exactly like one
         /// `HybridHashNode`: same existence bits, same values (so insert
         /// values are allocated in frame order), same final scan. Lookup
-        /// frames carry up to 8 fingerprints from a 120-key population, so
-        /// they span shards and repeat fingerprints within a frame.
+        /// and install frames carry up to 8 fingerprints from a 120-key
+        /// population, so they span shards and repeat fingerprints within
+        /// a frame.
         #[test]
         fn prop_sharded_server_matches_reference(
             shards in 1u32..=8,
@@ -1914,8 +1768,19 @@ mod tests {
                         (Frame::RecordReq { correlation, pairs: vec![(f, k * 10)] }, ack)
                     }
                     2 => {
-                        reference.install(f, k).unwrap();
-                        (Frame::MigrateReq { correlation, pairs: vec![(f, k)] }, ack)
+                        let pairs: Vec<(Fingerprint, u64)> =
+                            keys[i..keys.len().min(i + 8)].iter().map(|&k| (fp(k), k)).collect();
+                        let mut exists = Vec::new();
+                        let mut values = Vec::new();
+                        for &(f, k) in &pairs {
+                            let held = reference.install(f, k).unwrap();
+                            exists.push(held.is_some());
+                            values.extend(held);
+                        }
+                        (
+                            Frame::MigrateReq { correlation, pairs },
+                            Frame::LookupResp { correlation, exists, values },
+                        )
                     }
                     _ => {
                         let fingerprints: Vec<Fingerprint> =

@@ -1,10 +1,12 @@
 //! Length-prefixed, versioned wire format.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use shhc_types::{Error, Fingerprint, KeyRange, Result, StreamId, FINGERPRINT_LEN};
+use shhc_types::{Error, Fingerprint, Result, StreamId, FINGERPRINT_LEN};
 
 /// Wire protocol version byte; bump on incompatible layout changes.
-pub const WIRE_VERSION: u8 = 2;
+/// Version 3 retired the range-scan frames (tags 10 and 11) and answers
+/// [`Frame::MigrateReq`] with a [`Frame::LookupResp`].
+pub const WIRE_VERSION: u8 = 3;
 
 const TAG_LOOKUP_INSERT_REQ: u8 = 1;
 const TAG_QUERY_REQ: u8 = 2;
@@ -15,8 +17,6 @@ const TAG_RECORD_REQ: u8 = 6;
 const TAG_ACK: u8 = 7;
 const TAG_ERROR: u8 = 8;
 const TAG_REMOVE_REQ: u8 = 9;
-const TAG_SCAN_RANGE_REQ: u8 = 10;
-const TAG_SCAN_RANGE_RESP: u8 = 11;
 const TAG_MIGRATE_REQ: u8 = 12;
 
 /// A protocol message exchanged between front-ends and hash nodes.
@@ -85,33 +85,11 @@ pub enum Frame {
         /// Fingerprints to remove.
         fingerprints: Vec<Fingerprint>,
     },
-    /// One page of a chunked scan over a node's entries whose routing
-    /// keys fall inside `range` — the read half of online migration.
-    /// Answered with [`Frame::ScanRangeResp`].
-    ScanRangeReq {
-        /// Request/response correlation id.
-        correlation: u64,
-        /// Routing-key range to scan (inclusive, possibly wrapping).
-        range: KeyRange,
-        /// Resume cursor: return only fingerprints strictly greater than
-        /// this one (`None` starts from the beginning of the range).
-        after: Option<Fingerprint>,
-        /// Maximum entries to return in this page.
-        limit: u32,
-    },
-    /// One page of scan results, in ascending fingerprint order.
-    ScanRangeResp {
-        /// Correlation id copied from the request.
-        correlation: u64,
-        /// The page's `(fingerprint, value)` entries.
-        pairs: Vec<(Fingerprint, u64)>,
-        /// Whether the range is exhausted (no entries beyond this page).
-        done: bool,
-    },
-    /// Installs migrated entries on their new owner: each fingerprint is
-    /// inserted with its carried value **if absent**; entries the node
-    /// already holds keep their (fresher) local value. Answered with
-    /// [`Frame::Ack`].
+    /// Installs migrated entries on an owner: each fingerprint is inserted
+    /// with its carried value **if absent**; entries the node already
+    /// holds keep their (fresher) local value. Answered with a
+    /// [`Frame::LookupResp`] parallel to `pairs`: `exists` marks the
+    /// entries the node already held, with the value it held.
     MigrateReq {
         /// Request/response correlation id.
         correlation: u64,
@@ -136,8 +114,6 @@ impl Frame {
             | Frame::LookupResp { correlation, .. }
             | Frame::RecordReq { correlation, .. }
             | Frame::RemoveReq { correlation, .. }
-            | Frame::ScanRangeReq { correlation, .. }
-            | Frame::ScanRangeResp { correlation, .. }
             | Frame::MigrateReq { correlation, .. }
             | Frame::Ack { correlation }
             | Frame::Ping { correlation }
@@ -268,39 +244,6 @@ pub fn encode_into(frame: &Frame, buf: &mut BytesMut) {
                 buf.put_slice(fp.as_bytes());
             }
         }
-        Frame::ScanRangeReq {
-            correlation,
-            range,
-            after,
-            limit,
-        } => {
-            buf.put_u8(TAG_SCAN_RANGE_REQ);
-            buf.put_u64_le(*correlation);
-            buf.put_u64_le(range.first);
-            buf.put_u64_le(range.last);
-            match after {
-                Some(fp) => {
-                    buf.put_u8(1);
-                    buf.put_slice(fp.as_bytes());
-                }
-                None => buf.put_u8(0),
-            }
-            buf.put_u32_le(*limit);
-        }
-        Frame::ScanRangeResp {
-            correlation,
-            pairs,
-            done,
-        } => {
-            buf.put_u8(TAG_SCAN_RANGE_RESP);
-            buf.put_u64_le(*correlation);
-            buf.put_u8(u8::from(*done));
-            buf.put_u32_le(pairs.len() as u32);
-            for (fp, v) in pairs {
-                buf.put_slice(fp.as_bytes());
-                buf.put_u64_le(*v);
-            }
-        }
         Frame::MigrateReq { correlation, pairs } => {
             buf.put_u8(TAG_MIGRATE_REQ);
             buf.put_u64_le(*correlation);
@@ -340,12 +283,6 @@ pub fn encoded_len(frame: &Frame) -> usize {
                 1 + 8 + 4 + exists.len().div_ceil(8) + values.len() * 8
             }
             Frame::RecordReq { pairs, .. } => 1 + 8 + 4 + pairs.len() * (FINGERPRINT_LEN + 8),
-            Frame::ScanRangeReq { after, .. } => {
-                1 + 8 + 16 + 1 + if after.is_some() { FINGERPRINT_LEN } else { 0 } + 4
-            }
-            Frame::ScanRangeResp { pairs, .. } => {
-                1 + 8 + 1 + 4 + pairs.len() * (FINGERPRINT_LEN + 8)
-            }
             Frame::MigrateReq { pairs, .. } => 1 + 8 + 4 + pairs.len() * (FINGERPRINT_LEN + 8),
             Frame::Ack { .. } | Frame::Ping { .. } | Frame::Pong { .. } => 1 + 8,
             Frame::Error { message, .. } => 1 + 8 + 4 + message.len(),
@@ -472,47 +409,6 @@ pub fn decode(bytes: &[u8]) -> Result<Frame> {
                 fingerprints,
             })
         }
-        TAG_SCAN_RANGE_REQ => {
-            need(&buf, 16 + 1)?;
-            let first = buf.get_u64_le();
-            let last = buf.get_u64_le();
-            let after = match buf.get_u8() {
-                0 => None,
-                1 => {
-                    need(&buf, FINGERPRINT_LEN)?;
-                    let mut fp = [0u8; FINGERPRINT_LEN];
-                    buf.copy_to_slice(&mut fp);
-                    Some(Fingerprint::from_bytes(fp))
-                }
-                other => {
-                    return Err(Error::Decode(format!("bad scan cursor flag {other}")));
-                }
-            };
-            need(&buf, 4)?;
-            let limit = buf.get_u32_le();
-            Ok(Frame::ScanRangeReq {
-                correlation,
-                range: KeyRange::new(first, last),
-                after,
-                limit,
-            })
-        }
-        TAG_SCAN_RANGE_RESP => {
-            need(&buf, 1 + 4)?;
-            let done = match buf.get_u8() {
-                0 => false,
-                1 => true,
-                other => return Err(Error::Decode(format!("bad scan done flag {other}"))),
-            };
-            let n = buf.get_u32_le() as usize;
-            need(&buf, n * (FINGERPRINT_LEN + 8))?;
-            let pairs = read_pairs(&mut buf, n);
-            Ok(Frame::ScanRangeResp {
-                correlation,
-                pairs,
-                done,
-            })
-        }
         TAG_MIGRATE_REQ => {
             need(&buf, 4)?;
             let n = buf.get_u32_le() as usize;
@@ -610,31 +506,6 @@ mod tests {
                 correlation: 9,
                 fingerprints: (5..9).map(Fingerprint::from_u64).collect(),
             },
-            Frame::ScanRangeReq {
-                correlation: 10,
-                range: KeyRange::new(100, 50), // wrapping
-                after: None,
-                limit: 256,
-            },
-            Frame::ScanRangeReq {
-                correlation: 11,
-                range: KeyRange::full(),
-                after: Some(Fingerprint::from_u64(77)),
-                limit: 1,
-            },
-            Frame::ScanRangeResp {
-                correlation: 12,
-                pairs: vec![
-                    (Fingerprint::from_u64(3), 33),
-                    (Fingerprint::from_u64(4), 44),
-                ],
-                done: false,
-            },
-            Frame::ScanRangeResp {
-                correlation: 13,
-                pairs: vec![],
-                done: true,
-            },
             Frame::MigrateReq {
                 correlation: 14,
                 pairs: vec![(Fingerprint::from_u64(9), 99)],
@@ -709,22 +580,6 @@ mod tests {
         bytes[5] = 200;
         let err = decode(&bytes).unwrap_err();
         assert!(matches!(err, Error::Decode(ref m) if m.contains("tag")));
-    }
-
-    #[test]
-    fn bad_scan_cursor_flag_detected() {
-        let mut bytes = encode(&Frame::ScanRangeReq {
-            correlation: 1,
-            range: KeyRange::new(0, 10),
-            after: None,
-            limit: 8,
-        })
-        .to_vec();
-        // The cursor flag sits after len(4) + version + tag + correlation(8)
-        // + range(16).
-        bytes[4 + 1 + 1 + 8 + 16] = 9;
-        let err = decode(&bytes).unwrap_err();
-        assert!(matches!(err, Error::Decode(ref m) if m.contains("cursor")));
     }
 
     #[test]

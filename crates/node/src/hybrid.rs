@@ -4,7 +4,7 @@ use shhc_bloom::BloomFilter;
 use shhc_cache::{Cache, LruCache, SegmentedLruCache, TwoQCache};
 use shhc_flash::{DeviceStats, Durability, FlashConfig, FlashStore, FtlStats};
 use shhc_index::BackendKind;
-use shhc_types::{Error, Fingerprint, KeyRange, Nanos, NodeId, Result};
+use shhc_types::{Error, Fingerprint, Nanos, NodeId, Result};
 
 /// Which replacement policy manages the RAM fingerprint cache.
 ///
@@ -566,7 +566,7 @@ impl HybridHashNode {
         self.cache.recent_misses()
     }
 
-    /// Flash device counters (for energy accounting).
+    /// Flash device counters (reads, programs, erases).
     pub fn device_stats(&self) -> DeviceStats {
         self.store.device_stats()
     }
@@ -1001,7 +1001,8 @@ impl HybridHashNode {
         Ok(cost)
     }
 
-    /// Scans every fingerprint stored on the node (rebalancing support).
+    /// Every fingerprint stored on the node, in ascending fingerprint
+    /// order (rebalancing support: one scan feeds a whole re-home pass).
     ///
     /// # Errors
     ///
@@ -1010,40 +1011,9 @@ impl HybridHashNode {
         self.store.scan()
     }
 
-    /// One page of a cursor-driven scan over the entries whose routing
-    /// keys fall in `range`: at most `limit` entries with fingerprints
-    /// strictly greater than `after` (or from the start when `None`), in
-    /// ascending fingerprint order, plus whether the range is exhausted.
-    ///
-    /// Chunked migration walks a range with this: entries returned by one
-    /// page may be removed before the next is requested without
-    /// disturbing the cursor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn scan_range(
-        &mut self,
-        range: KeyRange,
-        after: Option<Fingerprint>,
-        limit: usize,
-    ) -> Result<(Vec<(Fingerprint, u64)>, bool)> {
-        let mut matches: Vec<(Fingerprint, u64)> = self
-            .store
-            .scan()?
-            .into_iter()
-            .filter(|(fp, _)| range.contains(fp.route_key()))
-            .filter(|(fp, _)| after.is_none_or(|cursor| *fp > cursor))
-            .collect();
-        matches.sort_unstable_by_key(|(fp, _)| *fp);
-        let done = matches.len() <= limit;
-        matches.truncate(limit);
-        Ok((matches, done))
-    }
-
     /// Installs a migrated entry: inserts `fp` with `value` when absent,
-    /// keeps the existing (fresher) record when present. Returns whether
-    /// the entry was installed.
+    /// keeps the existing (fresher) record when present. Returns the
+    /// value the node already held, or `None` when it installed `value`.
     ///
     /// This is the node half of online rebalancing — unlike
     /// [`HybridHashNode::lookup_insert_with`] it never counts toward the
@@ -1053,11 +1023,11 @@ impl HybridHashNode {
     /// # Errors
     ///
     /// Propagates device errors.
-    pub fn install(&mut self, fp: Fingerprint, value: u64) -> Result<bool> {
+    pub fn install(&mut self, fp: Fingerprint, value: u64) -> Result<Option<u64>> {
         let mut cost = self.config.cpu_per_op + self.config.ram_probe;
-        if self.cache.get(&fp).is_some() {
+        if let Some(held) = self.cache.get(&fp) {
             self.charge(cost);
-            return Ok(false);
+            return Ok(Some(held));
         }
         if self.bloom.contains(fp.as_bytes()) {
             let (found, probe) = {
@@ -1069,7 +1039,7 @@ impl HybridHashNode {
             if let Some(existing) = found {
                 self.cache.insert(fp, existing);
                 self.charge(cost);
-                return Ok(false);
+                return Ok(Some(existing));
             }
         }
         cost += self.charged_store(|s| s.put(fp, value))?;
@@ -1077,7 +1047,7 @@ impl HybridHashNode {
         self.cache.insert(fp, value);
         self.stats.migrated_in += 1;
         self.charge(cost);
-        Ok(true)
+        Ok(None)
     }
 
     /// Removes a fingerprint (rebalancing: entry moved to another node).
@@ -1317,9 +1287,10 @@ mod tests {
     #[test]
     fn install_inserts_only_when_absent() {
         let mut n = node();
-        assert!(n.install(fp(1), 100).unwrap());
-        assert!(
-            !n.install(fp(1), 200).unwrap(),
+        assert_eq!(n.install(fp(1), 100).unwrap(), None);
+        assert_eq!(
+            n.install(fp(1), 200).unwrap(),
+            Some(100),
             "present entries keep their value"
         );
         let r = n.query(fp(1)).unwrap();
@@ -1328,7 +1299,7 @@ mod tests {
         // A client-recorded value survives a late migration install.
         n.lookup_insert(fp(2)).unwrap();
         n.record(fp(2), 555).unwrap();
-        assert!(!n.install(fp(2), 1).unwrap());
+        assert_eq!(n.install(fp(2), 1).unwrap(), Some(555));
         assert_eq!(n.query(fp(2)).unwrap().value, 555);
         // Installs count as migration, not lookups.
         assert_eq!(n.stats().migrated_in, 1);
@@ -1343,73 +1314,29 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_pages_through_a_range_in_order() {
+    fn scan_is_sorted_and_survives_interleaved_removal() {
         let mut n = node();
         for i in 0..200 {
             n.lookup_insert(spread(i)).unwrap();
         }
-        let range = KeyRange::new(0, u64::MAX / 2);
-        // Full walk in pages of 16, removing each page as migration does.
-        let mut seen: Vec<Fingerprint> = Vec::new();
-        let mut cursor = None;
-        loop {
-            let (page, done) = n.scan_range(range, cursor, 16).unwrap();
-            assert!(page.len() <= 16);
-            for w in page.windows(2) {
-                assert!(w[0].0 < w[1].0, "page must be sorted");
-            }
-            if let Some(last) = page.last() {
-                cursor = Some(last.0);
-            }
-            seen.extend(page.iter().map(|(f, _)| *f));
-            if done {
-                break;
-            }
+        n.flush().unwrap();
+        for i in 200..230 {
+            n.lookup_insert(spread(i)).unwrap(); // still in the RAM buffer
         }
-        // Exactly the in-range entries, each once.
-        let expected: Vec<Fingerprint> = {
-            let mut v: Vec<Fingerprint> = (0..200)
-                .map(spread)
-                .filter(|f| range.contains(f.route_key()))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert!(!expected.is_empty() && expected.len() < 200);
-        assert_eq!(seen, expected);
-        // Pages survive interleaved removal: removing what was returned
-        // does not disturb the cursor.
-        let (page, _) = n.scan_range(range, None, 8).unwrap();
-        let cursor = page.last().map(|(f, _)| *f);
-        for (f, _) in &page {
+        let scan = n.scan().unwrap();
+        let mut expected: Vec<Fingerprint> = (0..230).map(spread).collect();
+        expected.sort_unstable();
+        let seen: Vec<Fingerprint> = scan.iter().map(|(f, _)| *f).collect();
+        assert_eq!(seen, expected, "one scan, every entry, fingerprint order");
+        // Removing what a scan returned leaves exactly the rest.
+        for (f, _) in &scan[..100] {
             n.remove(*f).unwrap();
         }
-        let (next, _) = n.scan_range(range, cursor, 8).unwrap();
-        for (f, _) in &next {
-            assert!(
-                !page.iter().any(|(p, _)| p == f),
-                "page overlap after removal"
-            );
-        }
-    }
-
-    #[test]
-    fn scan_range_wrapping_range_and_empty_result() {
-        let mut n = node();
-        for i in 0..50 {
-            n.lookup_insert(spread(i)).unwrap();
-        }
-        // A wrapping range plus its complement partition the key space.
-        let wrap = KeyRange::new(u64::MAX / 4 * 3, u64::MAX / 4);
-        let complement = KeyRange::new(u64::MAX / 4 + 1, u64::MAX / 4 * 3 - 1);
-        let (a, a_done) = n.scan_range(wrap, None, 1000).unwrap();
-        let (b, b_done) = n.scan_range(complement, None, 1000).unwrap();
-        assert!(a_done && b_done);
-        assert_eq!(a.len() + b.len(), 50);
-        // An empty node page reports done immediately.
-        let mut empty = node();
-        let (page, done) = empty.scan_range(KeyRange::full(), None, 10).unwrap();
-        assert!(page.is_empty() && done);
+        assert_eq!(n.scan().unwrap(), scan[100..].to_vec());
+        assert!(
+            node().scan().unwrap().is_empty(),
+            "an empty node scans empty"
+        );
     }
 
     #[test]

@@ -35,11 +35,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod energy;
 mod hybrid;
 mod sharded;
 
-pub use energy::EnergyModel;
 pub use hybrid::{
     BatchResult, CachePolicy, Classified, HybridHashNode, LookupOutcome, LookupResult, NodeConfig,
     NodeStats,

@@ -578,7 +578,7 @@ mod tests {
             for (f, v) in pairs {
                 let t = router.shard_of(&f);
                 if t != s {
-                    assert!(node.shards[t].install(f, v).unwrap());
+                    assert_eq!(node.shards[t].install(f, v).unwrap(), None);
                     node.shards[s].remove(f).unwrap();
                     moved += 1;
                 }
@@ -615,7 +615,7 @@ mod tests {
         let mut shards = shard_slices(NodeId::new(0), &config).unwrap();
         assert!(shards.iter().all(HybridHashNode::is_durable));
         let v = shards[home].lookup_insert(f).unwrap().value;
-        assert!(shards[target].install(f, v).unwrap());
+        assert_eq!(shards[target].install(f, v).unwrap(), None);
         shards[home].remove(f).unwrap();
         for shard in &mut shards {
             shard.close().unwrap();
@@ -708,41 +708,23 @@ mod tests {
         }
     }
 
+    /// A re-home pass reads a sharded node through one `Scan`: shard
+    /// order is fingerprint order, so the concatenated shard scans are
+    /// the unsharded node's sorted scan, entry for entry.
     #[test]
-    fn scan_range_pages_match_hybrid_exactly() {
-        use shhc_types::KeyRange;
+    fn scan_matches_hybrid_exactly() {
         let mut reference = HybridHashNode::new(NodeId::new(0), NodeConfig::small_test()).unwrap();
         let mut node = Sequential::new(NodeConfig::small_test().with_shards(4));
-        for i in 0..300 {
-            reference.lookup_insert(spread(i)).unwrap();
-        }
         let all: Vec<Fingerprint> = (0..300).map(spread).collect();
+        reference.lookup_insert_batch(&all).unwrap();
         node.lookup_insert_batch(&all);
-        for range in [
-            KeyRange::full(),
-            KeyRange::new(0, u64::MAX / 2),
-            KeyRange::new(u64::MAX / 4 * 3, u64::MAX / 4), // wrapping
-        ] {
-            let mut cursor = None;
-            loop {
-                let want = reference.scan_range(range, cursor, 11).unwrap();
-                // Shard order is fingerprint order; every shard
-                // over-fetches one entry, as the server's merge does, so
-                // `done` matches the unsharded scan's.
-                let mut got: Vec<(Fingerprint, u64)> = node
-                    .shards
-                    .iter_mut()
-                    .flat_map(|s| s.scan_range(range, cursor, 12).unwrap().0)
-                    .collect();
-                let done = got.len() <= 11;
-                got.truncate(11);
-                assert_eq!((got, done), want, "range {range:?} cursor {cursor:?}");
-                cursor = want.0.last().map(|(f, _)| *f);
-                if want.1 {
-                    break;
-                }
-            }
+        for f in all.iter().step_by(7) {
+            reference.remove(*f).unwrap();
+            node.owner(*f).remove(*f).unwrap();
         }
+        let want = reference.scan().unwrap();
+        assert!(want.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(node.scan(), want);
     }
 
     #[test]

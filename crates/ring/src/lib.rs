@@ -4,18 +4,10 @@
 //! Chord system … each node holds a range of hash values", but — unlike
 //! Chord — runs in a structured, relatively static datacenter environment
 //! where every front-end knows the full routing table. This crate
-//! provides the partitioning strategies and the machinery to reason about
-//! them:
+//! provides the partitioning and the machinery to reason about it:
 //!
-//! - [`ConsistentHashRing`] — virtual-node consistent hashing (the
-//!   default: balanced and minimally disruptive on membership change),
-//! - [`StaticRangePartition`] — the paper's literal "each node holds a
-//!   range" layout,
-//! - [`ModuloPartition`] — the naive baseline, maximally disruptive on
-//!   membership change (ablation),
-//! - [`FingerTable`] — a Chord-style O(log n) hop simulation quantifying
-//!   what SHHC's full-routing-table assumption saves over true P2P
-//!   routing,
+//! - [`ConsistentHashRing`] — virtual-node consistent hashing (balanced
+//!   and minimally disruptive on membership change),
 //! - [`RingView`] + [`MigrationPlan`] — immutable, epoch-stamped ring
 //!   snapshots and the exact ownership diff between consecutive epochs,
 //!   the machinery behind online membership changes (join/drain under
@@ -38,17 +30,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod chord;
 mod epoch;
-mod modulo;
 mod ring;
-mod static_range;
 
-pub use chord::FingerTable;
 pub use epoch::{MigrationPlan, RangeMove, RingView};
-pub use modulo::ModuloPartition;
 pub use ring::ConsistentHashRing;
-pub use static_range::StaticRangePartition;
 
 use shhc_types::{Fingerprint, NodeId};
 
@@ -128,8 +114,8 @@ mod tests {
 
     #[test]
     fn moved_fraction_zero_for_identical() {
-        let a = ModuloPartition::new(4);
-        let b = ModuloPartition::new(4);
+        let a = ConsistentHashRing::with_nodes(4, 64);
+        let b = ConsistentHashRing::with_nodes(4, 64);
         assert_eq!(moved_fraction(&a, &b, 0..500u64), 0.0);
     }
 }

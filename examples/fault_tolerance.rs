@@ -43,12 +43,14 @@ fn main() -> Result<()> {
         report.scanned, report.moved
     );
 
+    // The join re-homes every entry to its full replica set, so the
+    // cold-restarted node-1 is refilled from its peers on the way.
     let exists = cluster.lookup_insert_batch(&batch)?;
     let found = exists.iter().filter(|e| **e).count();
     println!("lookups after rebalance: {found}/3000 answered 'exists'");
-    println!("(fingerprints whose whole replica set shifted read as new —");
-    println!(" a safe false-negative: the client re-uploads those chunks and");
-    println!(" the lookup above already re-registered them)");
+    assert_eq!(found, 3000, "the join keeps every fingerprint");
+    let copies = cluster.stats()?.total_entries();
+    println!("stored copies: {copies} (two per fingerprint)");
 
     println!("\n=== final layout ===");
     for node in &cluster.stats()?.nodes {

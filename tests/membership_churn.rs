@@ -47,7 +47,7 @@ fn roomy_config(nodes: u32) -> ClusterConfig {
 /// protocol, `add_node` scanned old owners under the *old* ring and only
 /// swapped the ring at the end — an insert landing on a node after its
 /// range was scanned was stranded there, permanently unreachable once
-/// routing moved on. With install-first + dual-read + rescan-until-empty,
+/// routing moved on. With install-first + dual-read + re-home passes,
 /// every fingerprint registered before or during the join must keep
 /// answering "exists".
 #[test]

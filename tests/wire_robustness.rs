@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use shhc_net::{decode, encode, Frame, WIRE_VERSION};
-use shhc_types::{Error, Fingerprint, KeyRange, StreamId};
+use shhc_types::{Error, Fingerprint, StreamId};
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
     let fps = proptest::collection::vec(any::<u64>(), 0..64)
@@ -135,17 +135,6 @@ fn one_of_each_tag() -> Vec<Frame> {
             correlation: 9,
             fingerprints: fps.clone(),
         },
-        Frame::ScanRangeReq {
-            correlation: 10,
-            range: KeyRange::full(),
-            after: Some(fps[0]),
-            limit: 64,
-        },
-        Frame::ScanRangeResp {
-            correlation: 11,
-            pairs: pairs.clone(),
-            done: true,
-        },
         Frame::MigrateReq {
             correlation: 12,
             pairs,
@@ -201,5 +190,52 @@ fn old_layout_query_req_rejected() {
             matches!(err, Error::Decode(_)),
             "hint {hint} n {n}: {err:?}"
         );
+    }
+}
+
+/// Version 2 is retired: a frame of every current tag stamped with
+/// version byte 2 is rejected, not decoded under the new layout.
+#[test]
+fn version_2_frames_rejected() {
+    assert_eq!(WIRE_VERSION, 3);
+    for frame in one_of_each_tag() {
+        let mut bytes = encode(&frame).to_vec();
+        bytes[4] = 2;
+        let err = decode(&bytes).expect_err("version-2 frame accepted");
+        assert!(
+            matches!(err, Error::Decode(ref m) if m.contains("version")),
+            "{frame:?}: {err:?}"
+        );
+    }
+}
+
+/// Tags 10 and 11 were the range-scan pager's request and page. Under
+/// the current version they are unknown tags, with or without a body in
+/// their old layout.
+#[test]
+fn retired_range_scan_tags_rejected() {
+    // The old request body: range (16 bytes), cursor flag + fingerprint,
+    // limit; the old page: done flag, count, one pair.
+    let mut old_req = vec![0u8; 16];
+    old_req.push(1);
+    old_req.extend_from_slice(Fingerprint::from_u64(5).as_bytes());
+    old_req.extend_from_slice(&64u32.to_le_bytes());
+    let mut old_resp = vec![1u8];
+    old_resp.extend_from_slice(&1u32.to_le_bytes());
+    old_resp.extend_from_slice(Fingerprint::from_u64(5).as_bytes());
+    old_resp.extend_from_slice(&9u64.to_le_bytes());
+    for (tag, body) in [(10u8, old_req), (11, old_resp)] {
+        for body in [Vec::new(), body] {
+            let mut bytes = vec![0u8; 4];
+            bytes.extend_from_slice(&[WIRE_VERSION, tag]);
+            bytes.extend_from_slice(&3u64.to_le_bytes());
+            bytes.extend_from_slice(&body);
+            patch_len(&mut bytes);
+            let err = decode(&bytes).expect_err("retired tag accepted");
+            assert!(
+                matches!(err, Error::Decode(ref m) if m.contains("tag")),
+                "tag {tag}: {err:?}"
+            );
+        }
     }
 }
