@@ -8,14 +8,14 @@ use crate::{CuckooTable, FingerprintIndex, IndexResult};
 /// A ChunkStash-style single-node index: every stored fingerprint has a
 /// compact signature in an in-RAM cuckoo table; a signature hit is
 /// confirmed with one flash read, a signature miss is a definitive miss
-/// (the cuckoo table is a *complete* index, unlike SHHC's lossy bloom +
-/// partial cache).
+/// (the cuckoo table is a *complete* index).
 ///
-/// The trade-off against the hybrid node: ChunkStash needs RAM
-/// proportional to the *entire* fingerprint population (~12 B/entry
-/// here), while SHHC's RAM is a fixed-size cache + bloom bits; in
-/// exchange ChunkStash never wastes a flash read on an absent key and
-/// needs no bloom.
+/// The hybrid node works the same way: its flash store's signature
+/// directory is a complete index too, so both answer an absent key
+/// without a flash read, bar a signature collision. What differs is the
+/// RAM: ChunkStash spends ~12 B per stored entry here on cuckoo
+/// signatures, the hybrid node 2–4 B per stored record on directory tags
+/// plus a fixed-size LRU cache of hot fingerprints.
 ///
 /// # Examples
 ///

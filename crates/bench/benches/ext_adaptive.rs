@@ -53,7 +53,6 @@ fn node_config(service_delay: Duration, frame_overhead: Duration) -> NodeConfig 
         .with_durability(Durability::Volatile);
     config.flash = FlashConfig::medium_test();
     config.cache_capacity = 4096;
-    config.bloom_expected = 500_000;
     config.service_delay = service_delay;
     config.batch_overhead = frame_overhead;
     config

@@ -122,7 +122,6 @@ fn main() {
     let mut node_config = NodeConfig::small_test();
     node_config.flash = FlashConfig::medium_test();
     node_config.cache_capacity = 16_384;
-    node_config.bloom_expected = 500_000;
     node_config.service_delay = s.service_delay;
     let cluster = ShhcCluster::spawn(
         ClusterConfig::new(3, node_config).with_migration_chunk(s.migration_chunk),

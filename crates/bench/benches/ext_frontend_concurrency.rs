@@ -56,7 +56,6 @@ fn spawn_cluster(scenario: &Scenario) -> ShhcCluster {
     let mut node_config = NodeConfig::small_test();
     node_config.flash = shhc_flash::FlashConfig::medium_test();
     node_config.cache_capacity = 16_384;
-    node_config.bloom_expected = 500_000;
     node_config.batch_overhead = scenario.batch_overhead;
     ShhcCluster::spawn(ClusterConfig::new(scenario.nodes, node_config)).expect("spawn cluster")
 }

@@ -35,7 +35,6 @@ fn node_config(shards: u32, service_delay: Duration) -> NodeConfig {
     let mut config = NodeConfig::small_test();
     config.flash = FlashConfig::medium_test();
     config.cache_capacity = 16_384;
-    config.bloom_expected = 500_000;
     config.service_delay = service_delay;
     config.shards = shards;
     config

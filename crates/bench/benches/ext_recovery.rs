@@ -76,7 +76,6 @@ fn replay_trial(size: u64, torn: bool) -> ReplayTrial {
     };
     let mut node_config = NodeConfig::small_test().with_durability(wal);
     node_config.flash = roomy_flash();
-    node_config.bloom_expected = 2 * size + 1_024;
     let cluster = ShhcCluster::spawn(ClusterConfig::new(1, node_config)).expect("spawn");
     load(&cluster, &fps(0..size));
 
@@ -109,7 +108,6 @@ fn resync_trial(base: u64, delta: u64) -> ResyncTrial {
     let dir = bench_dir(&format!("resync-{delta}"));
     let mut node_config = NodeConfig::small_test().with_durability(Durability::wal(&dir));
     node_config.flash = roomy_flash();
-    node_config.bloom_expected = 2 * (base + delta) + 1_024;
     let cluster = ShhcCluster::spawn(
         ClusterConfig::new(2, node_config)
             .with_replication(2)

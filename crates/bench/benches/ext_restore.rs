@@ -45,7 +45,6 @@ fn spawn_service(scenario: &Scenario) -> Svc {
     let mut node_config = NodeConfig::small_test();
     node_config.flash = shhc_flash::FlashConfig::medium_test();
     node_config.cache_capacity = 16_384;
-    node_config.bloom_expected = 500_000;
     node_config.batch_overhead = scenario.batch_overhead;
     node_config.service_delay = scenario.service_delay;
     let cluster =

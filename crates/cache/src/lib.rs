@@ -6,15 +6,12 @@
 //! discipline (paper Fig. 4). This crate provides:
 //!
 //! - [`LruCache`] — O(1) least-recently-used cache (hash map + intrusive
-//!   doubly-linked list over a slab),
-//! - [`SegmentedLruCache`] — scan-resistant two-segment LRU (probation +
-//!   protected),
-//! - [`TwoQCache`] — the 2Q policy (A1in/A1out/Am),
+//!   doubly-linked list over a slab), implementing the object-safe
+//!   [`Cache`] trait,
+//! - [`CacheStats`] and [`WindowedHitRate`] instrumentation,
+//! - [`CacheSizer`], which moves capacity between a node's shard caches.
 //!
-//! all implementing the object-safe [`Cache`] trait, plus [`CacheStats`]
-//! instrumentation shared by every policy.
-//!
-//! Every policy is generic over its [`std::hash::BuildHasher`] and
+//! The cache is generic over its [`std::hash::BuildHasher`] and
 //! defaults to [`shhc_types::FingerprintBuildHasher`]: cache keys are
 //! SHA-1 fingerprints (or ids derived from them), already uniform, so the
 //! default SipHash state buys nothing on the lookup hot path.
@@ -38,22 +35,15 @@
 
 mod lru;
 mod sizer;
-mod slru;
 mod stats;
-mod twoq;
 
 pub use lru::LruCache;
 pub use sizer::{CacheSizer, SizerConfig, SizerDecision};
-pub use slru::SegmentedLruCache;
 pub use stats::{CacheStats, WindowedHitRate};
-pub use twoq::TwoQCache;
 
 use std::hash::Hash;
 
 /// A bounded key-value cache with an eviction policy.
-///
-/// All SHHC cache policies implement this trait so the hybrid node (and
-/// the cache-ablation benches) can swap policies freely.
 pub trait Cache<K, V> {
     /// Looks up `key`, updating recency metadata on hit.
     fn get(&mut self, key: &K) -> Option<&V>;
@@ -87,8 +77,7 @@ pub trait Cache<K, V> {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is below the policy's minimum (1 for LRU,
-    /// 2 for SLRU, 4 for 2Q).
+    /// Panics if `capacity` is below the policy's minimum (1 for LRU).
     fn resize(&mut self, capacity: usize);
 
     /// Hit/miss/eviction counters.

@@ -159,8 +159,7 @@ impl<K: CacheKey, V, S: BuildHasher> LruCache<K, V, S> {
 
     /// Removes and returns the least-recently-used entry.
     ///
-    /// Exposed so composite policies (SLRU, 2Q) and the node's destage
-    /// path can drain in eviction order.
+    /// Exposed so callers can drain in eviction order.
     ///
     /// # Examples
     ///

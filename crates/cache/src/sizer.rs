@@ -17,8 +17,7 @@
 /// Tuning knobs for [`CacheSizer`].
 #[derive(Debug, Clone, Copy)]
 pub struct SizerConfig {
-    /// No cache is shrunk below this many entries (also respects the
-    /// policy minimums — keep it ≥ 4 if 2Q may be in play).
+    /// No cache is shrunk below this many entries.
     pub min_capacity: usize,
     /// Entries moved per decision (one hill-climbing step).
     pub step: usize,

@@ -952,9 +952,9 @@ impl ShhcCluster {
     /// Removes fingerprints from the cluster (fan-out to all replicas) —
     /// the garbage-collection path when chunks lose their last reference.
     ///
-    /// The per-node bloom filters cannot unlearn removed fingerprints;
-    /// they degrade to extra false positives (one wasted SSD probe each)
-    /// until a node is rebuilt.
+    /// A removed fingerprint leaves a tombstone on flash and its tag in
+    /// the node's directory until compaction drops both; a later lookup
+    /// of it may read that page once, and is answered "new".
     ///
     /// # Errors
     ///
@@ -1184,8 +1184,8 @@ impl ShhcCluster {
     }
 
     /// Restarts a killed node **warm**: the node replays its write-ahead
-    /// log (journal + segment metadata) to rebuild its bucket directory,
-    /// bloom filter and RAM cache before accepting traffic, then the
+    /// log (journal + segment metadata) to rebuild its bucket directory
+    /// and warm its RAM cache before accepting traffic, then the
     /// cluster re-syncs the *delta* it missed while down from replica
     /// peers — each running peer is scanned once, entries whose replica
     /// set includes the restarted node are shipped to it in chunked

@@ -2,7 +2,7 @@
 //!
 //! The paper's Figure 5/6 testbed was six physical machines. Our
 //! substitute keeps every *data structure* real — actual
-//! [`HybridHashNode`]s with bloom filters, LRU caches and the flash-store
+//! [`HybridHashNode`]s with LRU caches, flash directories and the flash-store
 //! stack — but advances time on a virtual clock: node service time comes
 //! from the nodes' own device accounting, network time from the
 //! [`NetModel`], and queueing from per-node FCFS servers. Runs are
@@ -26,7 +26,7 @@ pub struct SimClusterConfig {
     pub nodes: u32,
     /// Virtual nodes per physical node on the ring.
     pub vnodes: u32,
-    /// Per-node configuration (cache, bloom, flash, CPU).
+    /// Per-node configuration (cache, flash, CPU).
     pub node_config: NodeConfig,
     /// Link cost model between clients/front-ends and nodes.
     pub net: NetModel,
@@ -304,7 +304,6 @@ mod tests {
             node_config: NodeConfig {
                 cpu_per_op: Nanos::from_micros(20),
                 cache_capacity: 4096,
-                bloom_expected: 100_000,
                 flash: shhc_flash::FlashConfig::medium_test(),
                 ..NodeConfig::small_test()
             },

@@ -160,9 +160,9 @@ impl Bucket {
 /// the chain — the Berkeley-DB-on-SSD characteristic the paper relies
 /// on, at 2 B of RAM a record ([`FlashStore::directory_bytes`]).
 ///
-/// The store itself is deliberately bloom-filter-free: the node layer owns
-/// the in-RAM `<bloom, store>` pair exactly as Figure 3 of the paper draws
-/// it.
+/// The directory is also the node's only absence test: where Figure 3 of
+/// the paper puts a bloom filter in front of the table, the node asks
+/// the store directly.
 ///
 /// Opened with [`FlashStore::open`] and a [`Durability::Wal`] mode, the
 /// store additionally maintains a write-ahead journal and a segment log
@@ -627,8 +627,8 @@ impl FlashStore {
 
     /// RAM held by the signature directories, in bytes: every bucket's
     /// tag vector at its allocated *capacity*, plus the vector headers.
-    /// The node adds this to its bloom filter and cache when it states
-    /// RAM per fingerprint.
+    /// The node adds this to its cache when it states RAM per
+    /// fingerprint.
     pub fn directory_bytes(&self) -> usize {
         self.buckets
             .iter()

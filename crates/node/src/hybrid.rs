@@ -1,24 +1,18 @@
 //! The hybrid node implementation.
 
-use shhc_bloom::BloomFilter;
-use shhc_cache::{Cache, LruCache, SegmentedLruCache, TwoQCache};
+use shhc_cache::{Cache, LruCache};
 use shhc_flash::{DeviceStats, Durability, FlashConfig, FlashStore, FtlStats};
 use shhc_index::BackendKind;
 use shhc_types::{Error, Fingerprint, Nanos, NodeId, Result};
 
-/// Which replacement policy manages the RAM fingerprint cache.
-///
-/// The paper prescribes plain LRU; the alternatives are ablation points
-/// for the cache-policy bench.
+/// Which replacement policy manages the RAM fingerprint cache: plain
+/// LRU, the paper's design, is the only one. The type survives only
+/// because the ledger sets [`NodeConfig::cache_policy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
     /// Plain least-recently-used (the paper's design).
     #[default]
     Lru,
-    /// Segmented LRU (scan-resistant).
-    Slru,
-    /// 2Q (ghost-list admission).
-    TwoQ,
 }
 
 /// A process-unique temp directory for a WAL-backed test node
@@ -36,17 +30,19 @@ fn unique_test_dir() -> std::path::PathBuf {
 pub struct NodeConfig {
     /// RAM cache capacity in fingerprint entries.
     pub cache_capacity: usize,
-    /// RAM cache replacement policy.
+    /// RAM cache replacement policy; always [`CachePolicy::Lru`].
     pub cache_policy: CachePolicy,
-    /// Expected fingerprints on this node (bloom sizing).
+    /// Ignored: the node has no bloom filter (the flash directory is its
+    /// absence test). Kept only because the ledger sets it.
     pub bloom_expected: u64,
-    /// Bloom false-positive rate target.
+    /// Ignored, like [`NodeConfig::bloom_expected`].
     pub bloom_fpr: f64,
     /// The node's SSD (geometry, latency, bucketing).
     pub flash: FlashConfig,
     /// CPU time to parse, hash and dispatch one fingerprint lookup.
     pub cpu_per_op: Nanos,
-    /// RAM access time for one cache/bloom probe round.
+    /// RAM access time for one cache probe. A directory probe is charged
+    /// through the flash store's own clock (zero for a directory miss).
     pub ram_probe: Nanos,
     /// Artificial *wall-clock* service time per fingerprint in a
     /// data-plane request (zero in production configs). Unlike the
@@ -64,8 +60,8 @@ pub struct NodeConfig {
     /// Number of intra-node shards. `1` (the default) is the paper's
     /// single-threaded node, served by one server thread; `> 1` splits
     /// the node's fingerprint range into that many prefix-routed shards
-    /// ([`crate::shard_slices`]), each owning its own RAM cache, bloom
-    /// filter and flash slice, executed by a per-shard worker pool in the
+    /// ([`crate::shard_slices`]), each owning its own RAM cache and flash
+    /// slice (with its directory), executed by a per-shard worker pool in the
     /// cluster server (one core per shard).
     pub shards: u32,
     /// Must be [`BackendKind::Single`]: each shard's RAM index is its own
@@ -81,21 +77,20 @@ pub struct NodeConfig {
     /// behavior — state dies with the process. [`Durability::Wal`] gives
     /// the node a data-dir root under which its store (one subdirectory
     /// per shard) keeps a write-ahead journal + segment log, replayed on
-    /// restart to rebuild the bucket directory, bloom filter and RAM
-    /// cache before the node accepts traffic.
+    /// restart to rebuild the bucket directory and warm the RAM cache
+    /// before the node accepts traffic.
     pub durability: Durability,
 }
 
 impl NodeConfig {
-    /// A realistic node: 1 M-entry RAM cache, bloom sized for 16 M
-    /// fingerprints at 1 %, a 512 MiB simulated SSD, 2008-era Xeon-ish
-    /// per-op CPU cost.
+    /// A realistic node: 1 M-entry RAM cache, a 512 MiB simulated SSD,
+    /// 2008-era Xeon-ish per-op CPU cost.
     pub fn default_node() -> Self {
         NodeConfig {
             cache_capacity: 1_000_000,
             cache_policy: CachePolicy::Lru,
-            bloom_expected: 16_000_000,
-            bloom_fpr: 0.01,
+            bloom_expected: 0,
+            bloom_fpr: 0.0,
             flash: FlashConfig::default_node(),
             cpu_per_op: Nanos::from_micros(20),
             ram_probe: Nanos::new(500),
@@ -132,8 +127,8 @@ impl NodeConfig {
         NodeConfig {
             cache_capacity: 64,
             cache_policy: CachePolicy::Lru,
-            bloom_expected: 10_000,
-            bloom_fpr: 0.01,
+            bloom_expected: 0,
+            bloom_fpr: 0.0,
             flash: FlashConfig::small_test(),
             cpu_per_op: Nanos::from_micros(1),
             ram_probe: Nanos::new(100),
@@ -161,7 +156,7 @@ impl NodeConfig {
     }
 
     /// The per-shard configuration of one slice of this node: the SSD
-    /// geometry, RAM write buffer, cache capacity and bloom sizing are
+    /// geometry, bucket directory, RAM write buffer and cache capacity are
     /// divided across the shards (a shard owns a *slice* of the node's
     /// hardware, not a copy), with floors that keep each slice viable —
     /// enough spare blocks for FTL garbage collection and at least one
@@ -189,7 +184,6 @@ impl NodeConfig {
         };
         cfg.flash.write_buffer = (self.flash.write_buffer / s as usize).max(1);
         cfg.cache_capacity = (self.cache_capacity / s as usize).max(1);
-        cfg.bloom_expected = (self.bloom_expected / u64::from(s)).max(1);
         cfg
     }
 }
@@ -258,9 +252,10 @@ pub struct NodeStats {
     pub ssd_hits: u64,
     /// Lookups that inserted a new fingerprint.
     pub inserted: u64,
-    /// SSD probes avoided because the bloom filter said "absent".
+    /// Always 0: the node has no bloom filter. Kept only because the
+    /// ledger reads it.
     pub bloom_skips: u64,
-    /// Bloom said "present" but the SSD probe found nothing.
+    /// Always 0, like [`NodeStats::bloom_skips`].
     pub bloom_false_positives: u64,
     /// Read-only queries served.
     pub queries: u64,
@@ -305,8 +300,6 @@ impl NodeStats {
             acc.ram_hits += p.ram_hits;
             acc.ssd_hits += p.ssd_hits;
             acc.inserted += p.inserted;
-            acc.bloom_skips += p.bloom_skips;
-            acc.bloom_false_positives += p.bloom_false_positives;
             acc.queries += p.queries;
             acc.migrated_in += p.migrated_in;
             acc.busy += p.busy;
@@ -346,117 +339,11 @@ impl NodeStats {
 #[derive(Debug)]
 pub struct HybridHashNode {
     id: NodeId,
-    bloom: BloomFilter,
-    cache: NodeCache,
+    cache: LruCache<Fingerprint, u64>,
     store: FlashStore,
     config: NodeConfig,
     stats: NodeStats,
     next_value: u64,
-}
-
-/// Concrete cache dispatch (enum instead of trait object to keep the node
-/// `Debug` and the dispatch branch-predictable).
-#[derive(Debug)]
-enum NodeCache {
-    Lru(LruCache<Fingerprint, u64>),
-    Slru(SegmentedLruCache<Fingerprint, u64>),
-    TwoQ(TwoQCache<Fingerprint, u64>),
-}
-
-impl NodeCache {
-    fn new(policy: CachePolicy, capacity: usize) -> Self {
-        match policy {
-            CachePolicy::Lru => NodeCache::Lru(LruCache::new(capacity)),
-            CachePolicy::Slru => NodeCache::Slru(SegmentedLruCache::new(capacity.max(2), 0.8)),
-            CachePolicy::TwoQ => NodeCache::TwoQ(TwoQCache::new(capacity.max(4))),
-        }
-    }
-
-    fn get(&mut self, fp: &Fingerprint) -> Option<u64> {
-        match self {
-            NodeCache::Lru(c) => c.get(fp).copied(),
-            NodeCache::Slru(c) => c.get(fp).copied(),
-            NodeCache::TwoQ(c) => c.get(fp).copied(),
-        }
-    }
-
-    fn insert(&mut self, fp: Fingerprint, v: u64) {
-        match self {
-            NodeCache::Lru(c) => {
-                c.insert(fp, v);
-            }
-            NodeCache::Slru(c) => {
-                c.insert(fp, v);
-            }
-            NodeCache::TwoQ(c) => {
-                c.insert(fp, v);
-            }
-        }
-    }
-
-    fn remove(&mut self, fp: &Fingerprint) {
-        match self {
-            NodeCache::Lru(c) => {
-                c.remove(fp);
-            }
-            NodeCache::Slru(c) => {
-                c.remove(fp);
-            }
-            NodeCache::TwoQ(c) => {
-                c.remove(fp);
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            NodeCache::Lru(c) => c.len(),
-            NodeCache::Slru(c) => c.len(),
-            NodeCache::TwoQ(c) => c.len(),
-        }
-    }
-
-    fn stats(&self) -> shhc_cache::CacheStats {
-        match self {
-            NodeCache::Lru(c) => c.stats(),
-            NodeCache::Slru(c) => c.stats(),
-            NodeCache::TwoQ(c) => c.stats(),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        match self {
-            NodeCache::Lru(c) => c.capacity(),
-            NodeCache::Slru(c) => c.capacity(),
-            NodeCache::TwoQ(c) => c.capacity(),
-        }
-    }
-
-    /// Resizes online, clamping to the policy's minimum capacity (the
-    /// same clamps [`NodeCache::new`] applies).
-    fn resize(&mut self, capacity: usize) {
-        match self {
-            NodeCache::Lru(c) => c.resize(capacity.max(1)),
-            NodeCache::Slru(c) => c.resize(capacity.max(2)),
-            NodeCache::TwoQ(c) => c.resize(capacity.max(4)),
-        }
-    }
-
-    fn recent_hit_ratio(&self) -> f64 {
-        match self {
-            NodeCache::Lru(c) => c.recent_hit_ratio(),
-            NodeCache::Slru(c) => c.recent_hit_ratio(),
-            NodeCache::TwoQ(c) => c.recent_hit_ratio(),
-        }
-    }
-
-    fn recent_misses(&self) -> f64 {
-        match self {
-            NodeCache::Lru(c) => c.recent_misses(),
-            NodeCache::Slru(c) => c.recent_misses(),
-            NodeCache::TwoQ(c) => c.recent_misses(),
-        }
-    }
 }
 
 impl HybridHashNode {
@@ -464,9 +351,9 @@ impl HybridHashNode {
     ///
     /// With [`Durability::Wal`] the flash store is *opened*, not created:
     /// any surviving journal + segment log under the data dir is replayed
-    /// first, and the node warms its bloom filter and RAM cache from the
-    /// recovered records before accepting traffic — a restarted node
-    /// answers exactly as it did before the crash.
+    /// first (rebuilding the flash directory), and the node warms its RAM
+    /// cache from the recovered records before accepting traffic — a
+    /// restarted node answers exactly as it did before the crash.
     ///
     /// # Errors
     ///
@@ -484,20 +371,16 @@ impl HybridHashNode {
         }
         let (mut store, recovery) = FlashStore::open(config.flash, &config.durability)?;
 
-        let mut bloom = BloomFilter::with_rate(config.bloom_expected, config.bloom_fpr);
-        let mut cache = NodeCache::new(config.cache_policy, config.cache_capacity);
+        let mut cache = LruCache::new(config.cache_capacity);
         let mut stats = NodeStats::default();
         let mut next_value = 0;
         let mut warm_cost = Nanos::ZERO;
         if recovery.entries > 0 {
-            // Warm the read path from the recovered table: bloom must see
-            // every live fingerprint (or lookups would wrongly skip the
-            // SSD), the cache may see all of them (it is capacity-bounded),
-            // and value allocation resumes above the highest recovered
-            // value.
+            // Warm the cache from the recovered table (it is
+            // capacity-bounded), and resume value allocation above the
+            // highest recovered value.
             let before = store.busy();
             for (fp, value) in store.scan()? {
-                bloom.insert(fp.as_bytes());
                 cache.insert(fp, value);
                 next_value = next_value.max(value + 1);
             }
@@ -512,7 +395,6 @@ impl HybridHashNode {
 
         Ok(HybridHashNode {
             id,
-            bloom,
             cache,
             store,
             config,
@@ -547,11 +429,11 @@ impl HybridHashNode {
         self.cache.capacity()
     }
 
-    /// Resizes the RAM cache online (clamped to the policy minimum).
-    /// Purely a performance dial: a shrink evicts in policy order, which
-    /// can only turn future hits into SSD hits — never change an answer.
+    /// Resizes the RAM cache online (clamped to one entry). Purely a
+    /// performance dial: a shrink evicts in LRU order, which can only
+    /// turn future hits into SSD hits — never change an answer.
     pub fn resize_cache(&mut self, capacity: usize) {
-        self.cache.resize(capacity);
+        self.cache.resize(capacity.max(1));
     }
 
     /// Exponentially decayed recent cache hit ratio — the autosizer's
@@ -588,8 +470,8 @@ impl HybridHashNode {
     }
 
     /// RAM held by the flash table's signature directories, in bytes
-    /// ([`FlashStore::directory_bytes`]) — with the bloom filter and the
-    /// cache, the third term of the node's RAM per fingerprint.
+    /// ([`FlashStore::directory_bytes`]) — with the cache, the node's RAM
+    /// per fingerprint.
     pub fn directory_bytes(&self) -> usize {
         self.store.directory_bytes()
     }
@@ -618,121 +500,35 @@ impl HybridHashNode {
     /// Propagates device errors.
     pub fn lookup_insert_with(&mut self, fp: Fingerprint, value: u64) -> Result<LookupResult> {
         let mut cost = self.config.cpu_per_op + self.config.ram_probe;
-
-        // 1. RAM cache.
-        if let Some(cached) = self.cache.get(&fp) {
+        let (existed, outcome, value) = if let Some(&cached) = self.cache.get(&fp) {
             self.stats.ram_hits += 1;
-            self.charge(cost);
-            return Ok(LookupResult {
-                existed: true,
-                outcome: LookupOutcome::RamHit,
-                value: cached,
-                cost,
-            });
-        }
-
-        // 2. Bloom filter guard in front of the SSD.
-        if !self.bloom.contains(fp.as_bytes()) {
-            self.stats.bloom_skips += 1;
-            let flash_cost = self.charged_store(|s| s.put(fp, value))?;
-            cost += flash_cost;
-            self.bloom.insert(fp.as_bytes());
-            self.cache.insert(fp, value);
-            self.stats.inserted += 1;
-            self.charge(cost);
-            return Ok(LookupResult {
-                existed: false,
-                outcome: LookupOutcome::Inserted,
-                value,
-                cost,
-            });
-        }
-
-        // 3. SSD probe.
-        let (found, flash_cost) = {
-            let before = self.store.busy();
-            let found = self.store.get(fp)?;
-            (found, self.store.busy() - before)
+            (true, LookupOutcome::RamHit, cached)
+        } else {
+            // The flash directory answers an absent fingerprint without a
+            // device read.
+            let (found, probe) = self.timed(|s| s.get(fp))?;
+            cost += probe;
+            match found {
+                Some(stored) => {
+                    self.stats.ssd_hits += 1;
+                    self.cache.insert(fp, stored);
+                    (true, LookupOutcome::SsdHit, stored)
+                }
+                None => {
+                    cost += self.charged_store(|s| s.put(fp, value))?;
+                    self.stats.inserted += 1;
+                    self.cache.insert(fp, value);
+                    (false, LookupOutcome::Inserted, value)
+                }
+            }
         };
-        cost += flash_cost;
-        match found {
-            Some(stored) => {
-                self.cache.insert(fp, stored);
-                self.stats.ssd_hits += 1;
-                self.charge(cost);
-                Ok(LookupResult {
-                    existed: true,
-                    outcome: LookupOutcome::SsdHit,
-                    value: stored,
-                    cost,
-                })
-            }
-            None => {
-                // Bloom false positive: the SSD probe was wasted.
-                self.stats.bloom_false_positives += 1;
-                let put_cost = self.charged_store(|s| s.put(fp, value))?;
-                cost += put_cost;
-                self.bloom.insert(fp.as_bytes());
-                self.cache.insert(fp, value);
-                self.stats.inserted += 1;
-                self.charge(cost);
-                Ok(LookupResult {
-                    existed: false,
-                    outcome: LookupOutcome::Inserted,
-                    value,
-                    cost,
-                })
-            }
-        }
-    }
-
-    /// Read-only existence check (no insertion on miss).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn query(&mut self, fp: Fingerprint) -> Result<LookupResult> {
-        self.stats.queries += 1;
-        let mut cost = self.config.cpu_per_op + self.config.ram_probe;
-        if let Some(cached) = self.cache.get(&fp) {
-            self.charge(cost);
-            return Ok(LookupResult {
-                existed: true,
-                outcome: LookupOutcome::RamHit,
-                value: cached,
-                cost,
-            });
-        }
-        if !self.bloom.contains(fp.as_bytes()) {
-            self.charge(cost);
-            return Ok(LookupResult {
-                existed: false,
-                outcome: LookupOutcome::Inserted,
-                value: 0,
-                cost,
-            });
-        }
-        let before = self.store.busy();
-        let found = self.store.get(fp)?;
-        cost += self.store.busy() - before;
         self.charge(cost);
-        match found {
-            Some(v) => {
-                self.cache.insert(fp, v);
-                Ok(LookupResult {
-                    existed: true,
-                    outcome: LookupOutcome::SsdHit,
-                    value: v,
-                    cost,
-                })
-            }
-            None => Ok(LookupResult {
-                existed: false,
-                outcome: LookupOutcome::Inserted,
-                value: 0,
-                cost,
-            }),
-        }
+        Ok(LookupResult {
+            existed,
+            outcome,
+            value,
+            cost,
+        })
     }
 
     /// Batched [`HybridHashNode::lookup_insert`] — the unit of work a
@@ -762,9 +558,9 @@ impl HybridHashNode {
     /// fingerprint as [`Classified::Hit`] (present, with its value),
     /// [`Classified::New`] (absent, to be inserted) or
     /// [`Classified::NewDup`] (repeat of a `New` earlier in this batch)
-    /// **without writing anything**. SSD probes the bloom filter cannot
-    /// rule out are deferred and issued as one coalesced
-    /// [`FlashStore::get_batch`], so misses destined for the same
+    /// **without writing anything**. Cache misses are deferred and probed
+    /// as one coalesced [`FlashStore::get_batch`]: the directory answers
+    /// absent keys without a read, and misses destined for the same
     /// on-flash bucket page share a single device read.
     ///
     /// Combined with [`HybridHashNode::apply_inserts`] this produces
@@ -777,55 +573,20 @@ impl HybridHashNode {
     /// Propagates device errors.
     pub fn classify_batch(&mut self, fps: &[Fingerprint]) -> Result<Vec<Classified>> {
         let mut out = vec![Classified::New; fps.len()];
+        let misses = self.probe_misses(fps, |i, v| out[i] = Classified::Hit(v))?;
+        self.stats.ram_hits += (fps.len() - misses.len()) as u64;
         // Fingerprints classified New in this batch (not yet applied).
         let mut pending: shhc_types::FpHashSet<Fingerprint> = Default::default();
-        let mut probe_idx: Vec<usize> = Vec::new();
-        let mut probe_fps: Vec<Fingerprint> = Vec::new();
-        let per_op = self.config.cpu_per_op + self.config.ram_probe;
-        for (i, fp) in fps.iter().enumerate() {
-            self.charge(per_op);
-            if pending.contains(fp) {
+        for (i, fp, found) in misses {
+            if pending.contains(&fp) {
                 self.stats.ram_hits += 1;
                 out[i] = Classified::NewDup;
-                continue;
-            }
-            if let Some(cached) = self.cache.get(fp) {
-                self.stats.ram_hits += 1;
-                out[i] = Classified::Hit(cached);
-                continue;
-            }
-            if !self.bloom.contains(fp.as_bytes()) {
-                self.stats.bloom_skips += 1;
-                pending.insert(*fp);
-                continue; // out[i] stays New
-            }
-            probe_idx.push(i);
-            probe_fps.push(*fp);
-        }
-        if !probe_fps.is_empty() {
-            let before = self.store.busy();
-            let found = self.store.get_batch(&probe_fps)?;
-            let probe_cost = self.store.busy() - before;
-            self.charge(probe_cost);
-            for (k, &i) in probe_idx.iter().enumerate() {
-                let fp = probe_fps[k];
-                if pending.contains(&fp) {
-                    self.stats.ram_hits += 1;
-                    out[i] = Classified::NewDup;
-                    continue;
-                }
-                match found[k] {
-                    Some(v) => {
-                        self.stats.ssd_hits += 1;
-                        self.cache.insert(fp, v);
-                        out[i] = Classified::Hit(v);
-                    }
-                    None => {
-                        self.stats.bloom_false_positives += 1;
-                        pending.insert(fp);
-                        // out[i] stays New
-                    }
-                }
+            } else if let Some(v) = found {
+                self.stats.ssd_hits += 1;
+                self.cache.insert(fp, v);
+                out[i] = Classified::Hit(v);
+            } else {
+                pending.insert(fp); // out[i] stays New
             }
         }
         Ok(out)
@@ -850,34 +611,21 @@ impl HybridHashNode {
     /// Fails on the first device error, leaving earlier insertions done.
     pub fn apply_inserts(&mut self, pairs: &[(Fingerprint, u64)]) -> Result<()> {
         for &(fp, value) in pairs {
-            let mut cost = Nanos::ZERO;
-            let present = if self.bloom.contains(fp.as_bytes()) {
-                let before = self.store.busy();
-                let found = self.store.get(fp)?;
-                cost += self.store.busy() - before;
-                found.is_some()
-            } else {
-                false
-            };
+            let (present, cost) = self.write(fp, value)?;
             if present {
-                cost += self.charged_store(|s| s.update(fp, value))?;
                 self.stats.ssd_hits += 1;
             } else {
-                cost += self.charged_store(|s| s.put(fp, value))?;
-                self.bloom.insert(fp.as_bytes());
                 self.stats.inserted += 1;
             }
-            self.cache.insert(fp, value);
             self.charge(cost);
         }
         Ok(())
     }
 
-    /// Batched [`HybridHashNode::query`] with coalesced SSD probes:
+    /// Read-only batched existence check with coalesced SSD probes:
     /// returns position-parallel existence flags and values (zero for
-    /// misses). Answers are identical to querying one at a time; bloom
-    /// positives share bucket page reads via
-    /// [`FlashStore::get_batch`].
+    /// misses), inserting nothing. Cache misses share bucket page reads
+    /// via [`FlashStore::get_batch`].
     ///
     /// # Errors
     ///
@@ -886,33 +634,49 @@ impl HybridHashNode {
         self.stats.queries += fps.len() as u64;
         let mut exists = vec![false; fps.len()];
         let mut values = vec![0u64; fps.len()];
-        let mut probe_idx: Vec<usize> = Vec::new();
-        let mut probe_fps: Vec<Fingerprint> = Vec::new();
-        let per_op = self.config.cpu_per_op + self.config.ram_probe;
-        for (i, fp) in fps.iter().enumerate() {
-            self.charge(per_op);
-            if let Some(cached) = self.cache.get(fp) {
+        let misses = self.probe_misses(fps, |i, v| {
+            exists[i] = true;
+            values[i] = v;
+        })?;
+        for (i, fp, found) in misses {
+            if let Some(v) = found {
+                self.cache.insert(fp, v);
                 exists[i] = true;
-                values[i] = cached;
-            } else if self.bloom.contains(fp.as_bytes()) {
-                probe_idx.push(i);
-                probe_fps.push(*fp);
-            }
-        }
-        if !probe_fps.is_empty() {
-            let before = self.store.busy();
-            let found = self.store.get_batch(&probe_fps)?;
-            let probe_cost = self.store.busy() - before;
-            self.charge(probe_cost);
-            for (k, &i) in probe_idx.iter().enumerate() {
-                if let Some(v) = found[k] {
-                    self.cache.insert(probe_fps[k], v);
-                    exists[i] = true;
-                    values[i] = v;
-                }
+                values[i] = v;
             }
         }
         Ok((exists, values))
+    }
+
+    /// The first pass of a batch: charges each fingerprint's CPU and
+    /// cache probe, hands cache hits to `hit` as `(position, value)`, and
+    /// probes the flash store once, coalesced, for every miss. Returns
+    /// each miss as `(position, fingerprint, what the store holds)`.
+    fn probe_misses(
+        &mut self,
+        fps: &[Fingerprint],
+        mut hit: impl FnMut(usize, u64),
+    ) -> Result<Vec<(usize, Fingerprint, Option<u64>)>> {
+        let mut probe_idx = Vec::new();
+        let mut probe_fps = Vec::new();
+        for (i, fp) in fps.iter().enumerate() {
+            match self.cache.get(fp) {
+                Some(&v) => hit(i, v),
+                None => {
+                    probe_idx.push(i);
+                    probe_fps.push(*fp);
+                }
+            }
+        }
+        self.charge((self.config.cpu_per_op + self.config.ram_probe) * fps.len() as u64);
+        let (found, cost) = self.timed(|s| s.get_batch(&probe_fps))?;
+        self.charge(cost);
+        Ok(probe_idx
+            .into_iter()
+            .zip(probe_fps)
+            .zip(found)
+            .map(|((i, fp), v)| (i, fp, v))
+            .collect())
     }
 
     /// Flushes the SSD write buffer (e.g. at end of a backup window).
@@ -980,25 +744,24 @@ impl HybridHashNode {
     ///
     /// Propagates device errors.
     pub fn record(&mut self, fp: Fingerprint, value: u64) -> Result<Nanos> {
-        let mut cost = Nanos::ZERO;
-        let present = if self.bloom.contains(fp.as_bytes()) {
-            let before = self.store.busy();
-            let found = self.store.get(fp)?;
-            cost += self.store.busy() - before;
-            found.is_some()
-        } else {
-            false
-        };
+        let (_, cost) = self.write(fp, value)?;
+        self.charge(cost);
+        Ok(cost)
+    }
+
+    /// Stores `value` for `fp`: an update when the store holds `fp`, a
+    /// put (one more live record) when it does not. Refreshes the cache
+    /// and returns whether `fp` was present, with the device time spent.
+    fn write(&mut self, fp: Fingerprint, value: u64) -> Result<(bool, Nanos)> {
+        let (found, mut cost) = self.timed(|s| s.get(fp))?;
+        let present = found.is_some();
         cost += if present {
             self.charged_store(|s| s.update(fp, value))?
         } else {
-            let put = self.charged_store(|s| s.put(fp, value))?;
-            self.bloom.insert(fp.as_bytes());
-            put
+            self.charged_store(|s| s.put(fp, value))?
         };
         self.cache.insert(fp, value);
-        self.charge(cost);
-        Ok(cost)
+        Ok((present, cost))
     }
 
     /// Every fingerprint stored on the node, in ascending fingerprint
@@ -1025,25 +788,18 @@ impl HybridHashNode {
     /// Propagates device errors.
     pub fn install(&mut self, fp: Fingerprint, value: u64) -> Result<Option<u64>> {
         let mut cost = self.config.cpu_per_op + self.config.ram_probe;
-        if let Some(held) = self.cache.get(&fp) {
+        if let Some(&held) = self.cache.get(&fp) {
             self.charge(cost);
             return Ok(Some(held));
         }
-        if self.bloom.contains(fp.as_bytes()) {
-            let (found, probe) = {
-                let before = self.store.busy();
-                let found = self.store.get(fp)?;
-                (found, self.store.busy() - before)
-            };
-            cost += probe;
-            if let Some(existing) = found {
-                self.cache.insert(fp, existing);
-                self.charge(cost);
-                return Ok(Some(existing));
-            }
+        let (found, probe) = self.timed(|s| s.get(fp))?;
+        cost += probe;
+        if let Some(existing) = found {
+            self.cache.insert(fp, existing);
+            self.charge(cost);
+            return Ok(Some(existing));
         }
         cost += self.charged_store(|s| s.put(fp, value))?;
-        self.bloom.insert(fp.as_bytes());
         self.cache.insert(fp, value);
         self.stats.migrated_in += 1;
         self.charge(cost);
@@ -1059,35 +815,28 @@ impl HybridHashNode {
     ///
     /// Propagates device errors.
     pub fn remove(&mut self, fp: Fingerprint) -> Result<()> {
-        // The bloom filter cannot unlearn; deletions leave it slightly
-        // pessimistic, which is safe (false positives only). The RAM
-        // cache, however, must evict immediately or a stale entry would
+        // The RAM cache must evict immediately or a stale entry would
         // keep answering "exists".
         self.cache.remove(&fp);
-        if !self.bloom.contains(fp.as_bytes()) {
-            return Ok(());
+        let (found, mut cost) = self.timed(|s| s.get(fp))?;
+        if found.is_some() {
+            cost += self.charged_store(|s| s.delete(fp))?;
         }
-        let mut cost = {
-            let before = self.store.busy();
-            let found = self.store.get(fp)?;
-            let probe = self.store.busy() - before;
-            if found.is_none() {
-                self.charge(probe);
-                return Ok(());
-            }
-            probe
-        };
-        cost += self.charged_store(|s| s.delete(fp))?;
         self.charge(cost);
         Ok(())
     }
 
-    /// Runs `f` against the store, returning the virtual device time it
-    /// consumed.
-    fn charged_store<T>(&mut self, f: impl FnOnce(&mut FlashStore) -> Result<T>) -> Result<Nanos> {
+    /// Runs `f` against the store, returning its result and the virtual
+    /// device time it consumed.
+    fn timed<T>(&mut self, f: impl FnOnce(&mut FlashStore) -> Result<T>) -> Result<(T, Nanos)> {
         let before = self.store.busy();
-        f(&mut self.store)?;
-        Ok(self.store.busy() - before)
+        let out = f(&mut self.store)?;
+        Ok((out, self.store.busy() - before))
+    }
+
+    /// [`HybridHashNode::timed`] for calls whose result is `()`.
+    fn charged_store(&mut self, f: impl FnOnce(&mut FlashStore) -> Result<()>) -> Result<Nanos> {
+        Ok(self.timed(f)?.1)
     }
 
     fn charge(&mut self, cost: Nanos) {
@@ -1135,20 +884,36 @@ mod tests {
         assert!(n.stats().ssd_hits >= 1);
     }
 
+    /// The flash directory is the node's only absence test: a fresh
+    /// fingerprint looked up against flushed records is answered "new"
+    /// from RAM, and reads a page only on a directory tag collision.
     #[test]
-    fn bloom_skips_ssd_for_cold_misses() {
-        let mut n = node();
-        for i in 0..100 {
-            n.lookup_insert(fp(i)).unwrap();
+    fn directory_answers_fresh_fingerprints_without_reads() {
+        let config = NodeConfig {
+            flash: FlashConfig::medium_test(),
+            ..NodeConfig::small_test()
+        };
+        let mut n = HybridHashNode::new(NodeId::new(0), config).unwrap();
+        let stored: Vec<Fingerprint> = (0..20_000).map(spread).collect();
+        n.lookup_insert_batch(&stored).unwrap();
+        n.flush().unwrap();
+        let (before, reads) = (n.stats(), n.device_stats().reads);
+        // Fewer than the write buffer holds, so no flush reads a page.
+        let fresh = 2_000u64;
+        for i in 0..fresh {
+            let r = n.lookup_insert(spread(1_000_000 + i)).unwrap();
+            assert_eq!(r.outcome, LookupOutcome::Inserted, "fresh fingerprint {i}");
         }
-        // All 100 were first sightings; the bloom filter should have
-        // spared (almost) every one an SSD read.
         let s = n.stats();
-        assert_eq!(s.inserted, 100);
+        assert_eq!(s.inserted - before.inserted, fresh);
+        assert_eq!(
+            s.ssd_hits, before.ssd_hits,
+            "no fresh fingerprint is an SSD hit"
+        );
+        let collisions = n.device_stats().reads - reads;
         assert!(
-            s.bloom_skips >= 95,
-            "bloom skipped only {} of 100 cold misses",
-            s.bloom_skips
+            collisions * 100 <= fresh,
+            "{collisions} device reads for {fresh} fresh fingerprints"
         );
     }
 
@@ -1168,15 +933,19 @@ mod tests {
         );
     }
 
+    /// One fingerprint's `query_many` answer: `Some(value)` when present.
+    fn query(n: &mut HybridHashNode, f: Fingerprint) -> Option<u64> {
+        let (exists, values) = n.query_many(&[f]).unwrap();
+        exists[0].then_some(values[0])
+    }
+
     #[test]
     fn query_does_not_insert() {
         let mut n = node();
-        let r = n.query(fp(5)).unwrap();
-        assert!(!r.existed);
+        assert_eq!(query(&mut n, fp(5)), None);
         assert_eq!(n.entries(), 0);
-        n.lookup_insert(fp(5)).unwrap();
-        let r = n.query(fp(5)).unwrap();
-        assert!(r.existed);
+        let v = n.lookup_insert(fp(5)).unwrap().value;
+        assert_eq!(query(&mut n, fp(5)), Some(v));
         assert_eq!(n.entries(), 1);
         assert_eq!(n.stats().queries, 2);
     }
@@ -1263,13 +1032,11 @@ mod tests {
         let mut n = node();
         n.record(fp(8), 800).unwrap();
         assert_eq!(n.entries(), 1, "record must register absent entries");
-        let r = n.query(fp(8)).unwrap();
-        assert!(r.existed);
-        assert_eq!(r.value, 800);
+        assert_eq!(query(&mut n, fp(8)), Some(800));
         // And still overwrites when present.
         n.record(fp(8), 801).unwrap();
         assert_eq!(n.entries(), 1);
-        assert_eq!(n.query(fp(8)).unwrap().value, 801);
+        assert_eq!(query(&mut n, fp(8)), Some(801));
     }
 
     #[test]
@@ -1293,14 +1060,12 @@ mod tests {
             Some(100),
             "present entries keep their value"
         );
-        let r = n.query(fp(1)).unwrap();
-        assert!(r.existed);
-        assert_eq!(r.value, 100);
+        assert_eq!(query(&mut n, fp(1)), Some(100));
         // A client-recorded value survives a late migration install.
         n.lookup_insert(fp(2)).unwrap();
         n.record(fp(2), 555).unwrap();
         assert_eq!(n.install(fp(2), 1).unwrap(), Some(555));
-        assert_eq!(n.query(fp(2)).unwrap().value, 555);
+        assert_eq!(query(&mut n, fp(2)), Some(555));
         // Installs count as migration, not lookups.
         assert_eq!(n.stats().migrated_in, 1);
         assert_eq!(n.stats().inserted, 1);
@@ -1361,19 +1126,6 @@ mod tests {
         assert_eq!(s.inserted, 40);
         assert_eq!(s.ram_hits + s.ssd_hits, 160);
         assert!(s.busy > Nanos::ZERO);
-    }
-
-    #[test]
-    fn alternative_cache_policies_work() {
-        for policy in [CachePolicy::Slru, CachePolicy::TwoQ] {
-            let mut config = NodeConfig::small_test();
-            config.cache_policy = policy;
-            let mut n = HybridHashNode::new(NodeId::new(2), config).unwrap();
-            for i in 0..100 {
-                n.lookup_insert(fp(i % 20)).unwrap();
-            }
-            assert_eq!(n.entries(), 20, "{policy:?}");
-        }
     }
 
     /// A durable node that crashed (dropped without `close`) after
@@ -1440,9 +1192,8 @@ mod tests {
         let mut n = HybridHashNode::new(NodeId::new(4), config).unwrap();
         assert_eq!(n.stats().recovered_entries, 200);
         assert_eq!(n.entries(), 200);
-        for i in 0..200 {
-            assert!(n.query(fp(i)).unwrap().existed);
-        }
+        let all: Vec<Fingerprint> = (0..200).map(fp).collect();
+        assert!(n.query_many(&all).unwrap().0.iter().all(|&e| e));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1450,7 +1201,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Existence answers always agree with a reference HashSet,
-        /// regardless of cache evictions, flushes and bloom noise.
+        /// regardless of cache evictions, flushes and directory tag
+        /// collisions.
         #[test]
         fn prop_matches_reference_set(keys in proptest::collection::vec(0u64..200, 1..400),
                                       flush_every in 1usize..50) {

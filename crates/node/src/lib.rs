@@ -1,16 +1,17 @@
 //! The hybrid RAM+SSD hash node (paper Figures 3 and 4).
 //!
-//! Each SHHC node pairs a RAM tier (LRU cache of hot fingerprints plus a
-//! bloom filter summarizing the SSD table) with an SSD tier (the
-//! persistent fingerprint table). The lookup workflow is the paper's
-//! Figure 4:
+//! Each SHHC node pairs a RAM tier with an SSD tier (the persistent
+//! fingerprint table). The RAM tier is one LRU cache of hot fingerprints
+//! over the flash store's in-RAM signature directory (2 B a record). The
+//! lookup workflow is the paper's Figure 4, with the directory where the
+//! paper puts a bloom filter:
 //!
 //! 1. probe the RAM cache — hit: answer "exists", refresh recency;
-//! 2. miss: consult the bloom filter — negative: the fingerprint is
-//!    certainly not on SSD, so insert it (new chunk) and answer "does not
-//!    exist, send the data";
-//! 3. bloom positive: probe the SSD table — hit: promote into RAM and
-//!    answer "exists"; miss (bloom false positive): insert as new.
+//! 2. miss: probe the SSD table — its directory answers an absent
+//!    fingerprint without a device read, and reads one page only when a
+//!    record's tag matches;
+//! 3. found: promote into RAM and answer "exists"; absent: insert it (new
+//!    chunk) and answer "does not exist, send the data".
 //!
 //! All device time is accounted on a virtual clock so a node can be
 //! driven either by real threads or by the discrete-event simulator.

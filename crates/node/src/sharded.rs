@@ -4,7 +4,7 @@
 //! node as one sequential server, so a node can never exploit more than
 //! one core. This module partitions a node's fingerprint range into `S`
 //! contiguous routing-key slices ([`ShardRouter`]); each shard owns its
-//! own RAM cache, bloom filter and flash slice (a full
+//! own RAM cache and flash slice with its directory (a full
 //! [`HybridHashNode`] built from [`NodeConfig::shard_slice`]). Because a
 //! fingerprint's shard is a pure function of its routing-key prefix, the
 //! shards are a true partition: every operation routes to exactly one

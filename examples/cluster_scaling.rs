@@ -38,7 +38,6 @@ fn main() -> Result<()> {
             // Example-sized node hardware so the run stays snappy.
             config.node_config.flash = FlashConfig::medium_test();
             config.node_config.cache_capacity = 8192;
-            config.node_config.bloom_expected = 500_000;
             config.node_config.cpu_per_op = Nanos::from_micros(20);
             let mut sim = SimCluster::new(config)?;
             let report = sim.run(&clients)?;

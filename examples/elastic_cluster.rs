@@ -28,7 +28,6 @@ fn main() -> Result<()> {
     let mut node_config = shhc::NodeConfig::small_test();
     node_config.flash = shhc_flash::FlashConfig::medium_test();
     node_config.cache_capacity = 4_096;
-    node_config.bloom_expected = 100_000;
     let cluster = ShhcCluster::spawn(ClusterConfig::new(3, node_config).with_migration_chunk(128))?;
     println!(
         "=== epoch {}: 3 nodes, ingest 6000 fingerprints ===",

@@ -1,6 +1,6 @@
 //! The full backup lifecycle: create, deduplicate, delete, garbage
 //! collect, and re-ingest — exercising refcounts, fingerprint removal
-//! and the bloom filter's inability to unlearn.
+//! and removed fingerprints leaving the nodes' flash directories.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -65,8 +65,8 @@ fn reingest_after_delete_stores_fresh_copies() {
     let first = svc.backup(StreamId::new(1), &data).unwrap();
     svc.delete_backup(&first.manifest).unwrap();
 
-    // After GC, the same data is new again (bloom false positives may
-    // cost an SSD probe, but must not cause false "exists" answers).
+    // After GC, the same data is new again: a removed fingerprint's
+    // tombstone must not leave a false "exists" answer.
     let again = svc.backup(StreamId::new(2), &data).unwrap();
     assert_eq!(again.new_chunks, again.total_chunks);
     assert_eq!(svc.restore(&again.manifest).unwrap(), data);

@@ -24,7 +24,6 @@ fn roomy_cluster() -> ShhcCluster {
     let mut node_config = NodeConfig::small_test();
     node_config.flash = shhc_flash::FlashConfig::medium_test();
     node_config.cache_capacity = 4_096;
-    node_config.bloom_expected = 100_000;
     ShhcCluster::spawn(ClusterConfig::new(2, node_config)).unwrap()
 }
 

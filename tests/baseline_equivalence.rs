@@ -90,8 +90,8 @@ fn ddfs_locality_cache_beats_naive_disk() {
 }
 
 #[test]
-fn shhc_node_bloom_keeps_cold_misses_cheap() {
-    // Unique stream: the hybrid node's bloom filter answers "absent"
+fn shhc_node_directory_keeps_cold_misses_cheap() {
+    // Unique stream: the hybrid node's flash directory answers "absent"
     // from RAM; per-op cost must stay near CPU cost, far from a flash
     // read per op.
     let config = NodeConfig {
@@ -112,10 +112,10 @@ fn shhc_node_bloom_keeps_cold_misses_cheap() {
     }
     let per_op = node.busy().as_nanos() / trace.len() as u64;
     // A flash read is 25 µs; with delayed writes the amortized program
-    // cost per record is a few µs. Without the bloom filter every cold
+    // cost per record is a few µs. Without the directory every cold
     // miss would additionally pay ≥25 µs of probe reads.
     assert!(
         per_op < 20_000,
-        "per-op cost {per_op} ns suggests bloom is not skipping SSD probes"
+        "per-op cost {per_op} ns suggests the directory is not skipping SSD probes"
     );
 }

@@ -43,7 +43,6 @@ fn load_balances_across_nodes() {
     // Medium-sized stores: 20k entries exceed the tiny test device.
     let node_config = shhc::NodeConfig {
         flash: shhc_flash::FlashConfig::medium_test(),
-        bloom_expected: 100_000,
         ..shhc::NodeConfig::small_test()
     };
     let cluster = ShhcCluster::spawn(ClusterConfig::new(4, node_config)).unwrap();

@@ -39,7 +39,6 @@ fn roomy_config(nodes: u32) -> ClusterConfig {
     let mut node_config = shhc::NodeConfig::small_test();
     node_config.flash = shhc_flash::FlashConfig::medium_test();
     node_config.cache_capacity = 4_096;
-    node_config.bloom_expected = 200_000;
     ClusterConfig::new(nodes, node_config)
 }
 

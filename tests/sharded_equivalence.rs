@@ -32,7 +32,6 @@ fn config(nodes: u32, shards: u32) -> ClusterConfig {
     let mut node_config = NodeConfig::small_test();
     node_config.flash = shhc_flash::FlashConfig::medium_test();
     node_config.cache_capacity = 512;
-    node_config.bloom_expected = 100_000;
     node_config.shards = shards;
     ClusterConfig::new(nodes, node_config).with_migration_chunk(48)
 }

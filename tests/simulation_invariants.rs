@@ -11,7 +11,6 @@ fn sim_config(nodes: u32, batch: usize) -> SimClusterConfig {
     let mut config = SimClusterConfig::paper_scale(nodes, batch);
     config.node_config.flash = FlashConfig::medium_test();
     config.node_config.cache_capacity = 8192;
-    config.node_config.bloom_expected = 300_000;
     config
 }
 

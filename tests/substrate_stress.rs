@@ -1,12 +1,12 @@
 //! Longer-running cross-substrate stress tests: the kind of sustained,
 //! churn-heavy workloads that shake out interaction bugs between the
-//! cache, bloom filter, flash store and FTL.
+//! cache, flash store and FTL.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shhc_cache::{Cache, LruCache};
 use shhc_flash::{FlashConfig, FlashStore};
-use shhc_node::{CachePolicy, HybridHashNode, NodeConfig};
+use shhc_node::{HybridHashNode, NodeConfig};
 use shhc_ring::{load_distribution, ConsistentHashRing};
 use shhc_types::{Fingerprint, NodeId};
 use shhc_workload::presets;
@@ -50,23 +50,19 @@ fn flash_store_sustains_heavy_churn() {
 #[test]
 fn node_correct_under_every_cache_policy_on_real_traces() {
     let trace = presets::home_dir().scaled(256).generate();
-    for policy in [CachePolicy::Lru, CachePolicy::Slru, CachePolicy::TwoQ] {
-        let config = NodeConfig {
-            cache_policy: policy,
-            cache_capacity: 512,
-            flash: FlashConfig::medium_test(),
-            bloom_expected: 100_000,
-            ..NodeConfig::small_test()
-        };
-        let mut node = HybridHashNode::new(NodeId::new(0), config).unwrap();
-        let mut reference = std::collections::HashSet::new();
-        for fp in &trace.fingerprints {
-            let r = node.lookup_insert(*fp).unwrap();
-            assert_eq!(r.existed, reference.contains(fp), "{policy:?}");
-            reference.insert(*fp);
-        }
-        assert_eq!(node.entries(), reference.len() as u64, "{policy:?}");
+    let config = NodeConfig {
+        cache_capacity: 512,
+        flash: FlashConfig::medium_test(),
+        ..NodeConfig::small_test()
+    };
+    let mut node = HybridHashNode::new(NodeId::new(0), config).unwrap();
+    let mut reference = std::collections::HashSet::new();
+    for fp in &trace.fingerprints {
+        let r = node.lookup_insert(*fp).unwrap();
+        assert_eq!(r.existed, reference.contains(fp));
+        reference.insert(*fp);
     }
+    assert_eq!(node.entries(), reference.len() as u64);
 }
 
 #[test]
@@ -78,7 +74,6 @@ fn cache_hit_ratio_tracks_working_set_size() {
         let config = NodeConfig {
             cache_capacity: capacity,
             flash: FlashConfig::medium_test(),
-            bloom_expected: 300_000,
             ..NodeConfig::small_test()
         };
         let mut node = HybridHashNode::new(NodeId::new(0), config).unwrap();
