@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the substrate hot paths: hashing,
 //! bloom filters, caches, the cuckoo table, chunking, the service's backup
-//! and restore byte paths, the flash store, ring routing, wire
-//! encode/decode, and the shared batcher's tickets.
+//! and restore byte paths, the flash store, a node's cold lookup frame,
+//! ring routing, wire encode/decode, and the shared batcher's tickets.
 
 use std::sync::{Arc, Weak};
 
@@ -16,8 +16,9 @@ use shhc_chunking::{Chunker, GearChunker, RabinChunker};
 use shhc_flash::{FlashConfig, FlashStore};
 use shhc_hash::{fingerprint_of, xxh64, Sha1};
 use shhc_net::{decode, encode, encode_into, Frame, SharedBatcher, Ticket};
+use shhc_node::{HybridHashNode, NodeConfig};
 use shhc_ring::{ConsistentHashRing, Partitioner};
-use shhc_types::{Fingerprint, StreamId};
+use shhc_types::{Fingerprint, NodeId, StreamId};
 
 fn bench_hashes(c: &mut Criterion) {
     let mut group = c.benchmark_group("hash");
@@ -265,6 +266,73 @@ fn bench_flash_store_cold(c: &mut Criterion) {
     group.finish();
 }
 
+/// A one-shard node's cold lookup-insert frame, at the size the perf
+/// ledger's `lookup_cold` ships to a node: a `default_node` node holding
+/// 3 M fingerprints behind a 64 Ki-entry cache, sent 1 024-fingerprint
+/// frames of which 90 % are held (drawn uniformly, so nearly all miss
+/// the cache and are verified on flash) and 10 % are fresh (answered
+/// "new" by the directory and inserted). Fresh fingerprints come from a
+/// counter, so every frame inserts new ones however many samples run.
+fn bench_node_cold(c: &mut Criterion) {
+    const RECORDS: u64 = 3_000_000;
+    const FRAME: usize = 1024;
+    const FRAMES: usize = 256;
+    let mut group = c.benchmark_group("node");
+    group.throughput(Throughput::Elements(FRAME as u64));
+    struct Loaded {
+        node: HybridHashNode,
+        /// Held fingerprints, with the fresh slots still to fill.
+        frames: Vec<Vec<Fingerprint>>,
+        fresh_slots: Vec<Vec<usize>>,
+    }
+    let mut loaded: Option<Loaded> = None;
+    let load = || {
+        let mut rng = StdRng::seed_from_u64(4);
+        let keys: Vec<Fingerprint> = (0..RECORDS)
+            .map(|_| Fingerprint::from_u64(rng.gen()))
+            .collect();
+        let config = NodeConfig {
+            cache_capacity: 65_536,
+            ..NodeConfig::default_node()
+        };
+        let mut node = HybridHashNode::new(NodeId::new(0), config).expect("config");
+        for frame in keys.chunks(FRAME) {
+            node.lookup_insert_batch(frame).expect("load");
+        }
+        let frames = (0..FRAMES)
+            .map(|_| {
+                (0..FRAME)
+                    .map(|_| keys[rng.gen_range(0..keys.len())])
+                    .collect()
+            })
+            .collect();
+        let fresh_slots = (0..FRAMES)
+            .map(|_| (0..FRAME).filter(|_| rng.gen_range(0..10) == 0).collect())
+            .collect();
+        Loaded {
+            node,
+            frames,
+            fresh_slots,
+        }
+    };
+    let (mut next, mut fresh) = (0usize, 0u64);
+    group.bench_function("lookup_insert_batch_cold", |b| {
+        let l = loaded.get_or_insert_with(load);
+        b.iter(|| {
+            next = (next + 1) % FRAMES;
+            for &slot in &l.fresh_slots[next] {
+                // Small counter values: no 64-bit draw of the load hits one.
+                fresh += 1;
+                l.frames[next][slot] = Fingerprint::from_u64(fresh);
+            }
+            l.node
+                .lookup_insert_batch(black_box(&l.frames[next]))
+                .expect("lookup_insert_batch")
+        });
+    });
+    group.finish();
+}
+
 fn bench_shared_batcher(c: &mut Criterion) {
     const WINDOW: usize = 2048;
     let mut group = c.benchmark_group("shared_batcher");
@@ -379,6 +447,6 @@ fn bench_wire(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_hashes, bench_bloom, bench_cache, bench_cuckoo, bench_chunking, bench_flash_store, bench_flash_store_cold, bench_shared_batcher, bench_ring, bench_wire
+    targets = bench_hashes, bench_bloom, bench_cache, bench_cuckoo, bench_chunking, bench_flash_store, bench_flash_store_cold, bench_node_cold, bench_shared_batcher, bench_ring, bench_wire
 }
 criterion_main!(benches);

@@ -9,6 +9,13 @@
 //! deterministic and laptop-fast while preserving exactly the effects the
 //! figures measure: batch amortization of per-message cost and node-count
 //! scaling.
+//!
+//! A node serves a sub-batch in one pass
+//! ([`HybridHashNode::lookup_insert_batch`]), probing flash for all of its
+//! cache misses at once against the sub-batch's starting state, so its
+//! virtual service time drops below a per-fingerprint loop's by the page
+//! reads the batch coalesces: a page that several of the sub-batch's
+//! misses need is charged once.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

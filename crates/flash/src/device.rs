@@ -179,7 +179,8 @@ impl FlashDevice {
         self.faults.torn_program = Some(keep_bytes);
     }
 
-    /// Arms a one-shot short read: the next [`FlashDevice::read_page`]
+    /// Arms a one-shot short read: the next page read (by
+    /// [`FlashDevice::read_page`], or the first page of a batched read)
     /// returns only the first `keep_bytes` bytes of the page.
     pub fn arm_short_read(&mut self, keep_bytes: usize) {
         self.faults.short_read = Some(keep_bytes);
@@ -222,18 +223,45 @@ impl FlashDevice {
     /// [`Error::InvalidArgument`] for an out-of-range address;
     /// [`Error::DeviceViolation`] when reading an erased page.
     pub fn read_page(&mut self, ppa: u64) -> Result<(&[u8], Nanos)> {
+        let keep = self.charge_read(ppa)?;
+        Ok((&self.pages[ppa as usize][..keep], self.latency.read))
+    }
+
+    /// Reads several programmed pages, in order: each is checked, counted
+    /// and charged exactly as by [`FlashDevice::read_page`], all before any
+    /// is borrowed, so the caller's accesses to the returned bytes do not
+    /// wait on one another.
+    ///
+    /// # Errors
+    ///
+    /// As [`FlashDevice::read_page`], for the first page that fails; the
+    /// pages before it stay charged.
+    pub(crate) fn read_pages(&mut self, ppas: &[u64]) -> Result<Vec<&[u8]>> {
+        let mut keep = Vec::with_capacity(ppas.len());
+        for &ppa in ppas {
+            keep.push(self.charge_read(ppa)?);
+        }
+        Ok(ppas
+            .iter()
+            .zip(keep)
+            .map(|(&ppa, keep)| &self.pages[ppa as usize][..keep])
+            .collect())
+    }
+
+    /// Checks, counts and charges one page read, and fires an armed short
+    /// read: returns how many of the page's bytes the read delivers.
+    fn charge_read(&mut self, ppa: u64) -> Result<usize> {
         let idx = self.check_ppa(ppa)?;
         if self.states[idx] != PageState::Programmed {
             return Err(Error::DeviceViolation(format!("read of erased page {ppa}")));
         }
         self.stats.reads += 1;
         self.stats.busy += self.latency.read;
-        let data = &self.pages[idx];
-        let keep = match self.faults.short_read.take() {
-            Some(keep) => keep.min(data.len()),
-            None => data.len(),
-        };
-        Ok((&data[..keep], self.latency.read))
+        let len = self.pages[idx].len();
+        Ok(match self.faults.short_read.take() {
+            Some(keep) => keep.min(len),
+            None => len,
+        })
     }
 
     /// Programs an erased page with `data`, returning the program latency.
@@ -402,6 +430,26 @@ mod tests {
         d.arm_short_read(2);
         assert_eq!(d.read_page(0).unwrap().0, &[9; 2]);
         assert_eq!(d.read_page(0).unwrap().0, &[9; 8], "fault was one-shot");
+    }
+
+    /// A batched read checks, counts and charges each page as a single
+    /// read does, and an armed short read cuts its first page only.
+    #[test]
+    fn read_pages_charges_like_single_reads() {
+        let mut d = small();
+        d.program_page(0, &[1; 8]).unwrap();
+        d.program_page(5, &[2; 6]).unwrap();
+        let busy = d.stats().busy;
+        d.arm_short_read(3);
+        let pages = d.read_pages(&[5, 0, 5]).unwrap();
+        assert_eq!(pages, vec![&[2u8; 3][..], &[1; 8][..], &[2; 6][..]]);
+        let s = d.stats();
+        assert_eq!((s.reads, s.busy - busy), (3, Nanos::from_micros(25) * 3));
+        assert!(matches!(
+            d.read_pages(&[0, 1]),
+            Err(Error::DeviceViolation(_))
+        ));
+        assert_eq!(d.stats().reads, 4, "the page before the failure is charged");
     }
 
     #[test]

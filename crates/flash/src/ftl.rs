@@ -195,6 +195,26 @@ impl Ftl {
         self.device.read_page(ppa)
     }
 
+    /// Reads several logical pages at once, borrowed like [`Ftl::read`]:
+    /// every address is translated first, then the device charges each
+    /// page ([`FlashDevice::read_pages`]). The caller passes each page
+    /// once; a page it lists twice is read, and charged, twice.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ftl::read`], for the first address that fails.
+    pub(crate) fn read_pages(&mut self, lpas: &[u64]) -> Result<Vec<&[u8]>> {
+        let mut ppas = Vec::with_capacity(lpas.len());
+        for &lpa in lpas {
+            let ppa = self.l2p[self.check_lpa(lpa)?];
+            if ppa == NONE {
+                return Err(Error::not_found(format!("logical page {lpa} unwritten")));
+            }
+            ppas.push(ppa);
+        }
+        self.device.read_pages(&ppas)
+    }
+
     /// True if the logical page has been written at least once.
     pub fn is_mapped(&self, lpa: u64) -> bool {
         self.check_lpa(lpa)

@@ -519,60 +519,207 @@ impl FlashStore {
         }
         self.stats.flash_probes += 1;
         let mut out = [None];
-        self.probe_bucket(&[fp], &mut [(self.bucket_of(fp), 0)], &mut out)?;
+        self.probe_bucket(&[fp], &mut [(self.bucket_of(fp), 0)], &[], &mut out)?;
         Ok(out[0])
     }
 
-    /// Batched [`FlashStore::get`] with **coalesced flash reads**: probes
-    /// destined for the same bucket share one newest-first walk of the
-    /// bucket's chain, so a page read charged once on the device serves
-    /// every probe whose tag it holds — the amortization an SSD-resident
-    /// table invites when lookups arrive in batches. Answers are
-    /// position-parallel to `fps` and identical to issuing the `get`s one
-    /// at a time (the RAM write buffer is checked first and the newest
-    /// on-flash record wins, tombstones included).
+    /// Batched [`FlashStore::get`] with **coalesced flash reads**. Answers
+    /// are position-parallel to `fps` and identical to issuing the `get`s
+    /// one at a time (the RAM write buffer is checked first and the newest
+    /// on-flash record wins, tombstones included); a page that several
+    /// probes need is read, and charged, once.
+    ///
+    /// See [`FlashStore::get_batch_with_repeats`] for how the probes are
+    /// resolved.
     ///
     /// # Errors
     ///
     /// Propagates device/FTL errors (corruption of the page chain).
     pub fn get_batch(&mut self, fps: &[Fingerprint]) -> Result<Vec<Option<u64>>> {
+        self.get_batch_with_repeats(fps, |_, _| {})
+    }
+
+    /// [`FlashStore::get_batch`] that also calls `repeat(i, first)` for
+    /// every position `i` whose fingerprint already occurred in `fps`,
+    /// first at position `first` — the in-batch repeats a caller that
+    /// inserts what is absent must answer once, found where the batch
+    /// groups its probes anyway rather than with a per-batch hash set.
+    ///
+    /// The probes are resolved in stages, each one short loop over the
+    /// whole batch, so the cache misses within a stage do not wait on
+    /// one another:
+    ///
+    /// 0. sort the probes by (bucket, tag, position), which groups a
+    ///    bucket's probes and puts each repeat right behind its first
+    ///    occurrence;
+    /// 1. answer what the write buffer holds, locate each other probe's
+    ///    bucket, and touch its directory tail (the newest tag, compared
+    ///    on the spot) and its page list (the newest page);
+    /// 2. scan the rest of the directory newest-first to the first tag
+    ///    match, in fixed blocks of 16 compares with no exit inside a
+    ///    block;
+    /// 3. list each bucket's distinct candidate pages and borrow them all
+    ///    through one batched device read, which checks, counts and
+    ///    charges each page as a single read does;
+    /// 4. verify each probe's candidate record.
+    ///
+    /// A probe whose candidate is not its fingerprint (a tag collision;
+    /// its record, if any, is older) goes to the per-bucket chain walk
+    /// that also serves [`FlashStore::get`], which re-uses the pages
+    /// stage 3 already paid for.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device/FTL errors (corruption of the page chain).
+    pub fn get_batch_with_repeats(
+        &mut self,
+        fps: &[Fingerprint],
+        mut repeat: impl FnMut(usize, usize),
+    ) -> Result<Vec<Option<u64>>> {
         let mut out = vec![None; fps.len()];
-        // (bucket, index) pairs for the probes the buffer cannot answer,
-        // sorted so each bucket's probes group into one chain walk.
-        let mut probes: Vec<(usize, usize)> = Vec::with_capacity(fps.len());
-        for (i, fp) in fps.iter().enumerate() {
-            if let Some(pending) = self.write_buffer.get(fp) {
-                self.stats.buffer_hits += 1;
-                out[i] = *pending;
-            } else {
-                self.stats.flash_probes += 1;
-                probes.push((self.bucket_of(*fp), i));
+        let scanned_before = self.stats.pages_scanned;
+        let rpp = self.records_per_page;
+
+        // Stage 0: bucket, tag and position packed into one sort key.
+        assert!(fps.len() <= u32::MAX as usize, "batch too large");
+        let mut keys: Vec<u128> = fps
+            .iter()
+            .enumerate()
+            .map(|(i, fp)| {
+                (self.bucket_of(*fp) as u128) << 48 | u128::from(tag_of(*fp)) << 32 | i as u128
+            })
+            .collect();
+        keys.sort_unstable();
+        let mut run = 0;
+        for k in 1..keys.len() {
+            if keys[k] >> 32 != keys[k - 1] >> 32 {
+                run = k;
+                continue;
+            }
+            // Same bucket and tag: a repeat, or (rarely) a tag collision.
+            let i = keys[k] as u32 as usize;
+            if let Some(&first) = keys[run..k]
+                .iter()
+                .find(|&&other| fps[other as u32 as usize] == fps[i])
+            {
+                repeat(i, first as u32 as usize);
             }
         }
-        probes.sort_unstable();
-        for group in probes.chunk_by_mut(|a, b| a.0 == b.0) {
-            self.probe_bucket(fps, group, &mut out)?;
+
+        // Stage 1: write buffer, bucket, directory tail and page list.
+        let mut probes: Vec<Probe> = Vec::with_capacity(keys.len());
+        for key in keys {
+            let index = key as u32 as usize;
+            if let Some(pending) = self.write_buffer.get(&fps[index]) {
+                self.stats.buffer_hits += 1;
+                out[index] = *pending;
+                continue;
+            }
+            self.stats.flash_probes += 1;
+            let (bucket, tag) = ((key >> 48) as usize, (key >> 32) as u16);
+            let b = &self.buckets[bucket];
+            // An empty directory holds no candidate: `None` stands.
+            let Some(&newest) = b.tags.last() else {
+                continue;
+            };
+            probes.push(Probe {
+                index,
+                bucket,
+                tag,
+                cand: if newest == tag {
+                    b.tags.len() - 1
+                } else {
+                    NO_CANDIDATE
+                },
+                newest_lpa: *b.pages.last().expect("a directory with tags has pages"),
+                page: 0,
+            });
         }
+
+        // Stage 2: the rest of the directory, newest-first.
+        for p in probes.iter_mut().filter(|p| p.cand == NO_CANDIDATE) {
+            let tags = &self.buckets[p.bucket].tags;
+            p.cand = newest_match(&tags[..tags.len() - 1], p.tag).unwrap_or(NO_CANDIDATE);
+        }
+        probes.retain(|p| p.cand != NO_CANDIDATE);
+
+        // Stage 3: each bucket's distinct candidate pages, read at once.
+        let mut lpas: Vec<u64> = Vec::with_capacity(probes.len());
+        for group in probes.chunk_by_mut(|a, b| a.bucket == b.bucket) {
+            let first = lpas.len();
+            let chain = &self.buckets[group[0].bucket].pages;
+            for p in group {
+                let at = p.cand / rpp;
+                let lpa = if at + 1 == chain.len() {
+                    p.newest_lpa
+                } else {
+                    chain[at]
+                };
+                p.page = match lpas[first..].iter().position(|&l| l == lpa) {
+                    Some(k) => first + k,
+                    None => {
+                        lpas.push(lpa);
+                        lpas.len() - 1
+                    }
+                };
+            }
+        }
+        let pages = self.ftl.read_pages(&lpas)?;
+        self.stats.pages_scanned += lpas.len() as u64;
+
+        // Stage 4: verify. `users` counts (probe, page) uses, so every use
+        // past a page's one paid read is a coalesced probe.
+        let mut users = 0u64;
+        let mut collided: Vec<(usize, usize)> = Vec::new();
+        let mut held: Vec<(u64, Vec<u8>)> = Vec::new();
+        for group in probes.chunk_by(|a, b| a.bucket == b.bucket) {
+            let before = collided.len();
+            for p in group {
+                let records = page_records(pages[p.page])?;
+                match record_at(records, p.cand % rpp, fps[p.index])? {
+                    Some(hit) => {
+                        out[p.index] = hit.value();
+                        users += 1;
+                    }
+                    None => collided.push((p.bucket, p.index)),
+                }
+            }
+            if collided.len() > before {
+                // The walk may need any page this bucket already paid for;
+                // a group's pages sit together in `lpas`.
+                let lo = group.iter().map(|p| p.page).min().expect("non-empty group");
+                let hi = group.iter().map(|p| p.page).max().expect("non-empty group");
+                held.extend((lo..=hi).map(|k| (lpas[k], pages[k].to_vec())));
+            }
+        }
+        for group in collided.chunk_by_mut(|a, b| a.0 == b.0) {
+            users += self.probe_bucket(fps, group, &held, &mut out)?;
+        }
+        self.stats.coalesced_probes += users - (self.stats.pages_scanned - scanned_before);
         Ok(out)
     }
 
     /// Resolves `group` — (bucket, index into `fps`) for probes that all
     /// hash to one bucket — against that bucket's chain, writing answers
-    /// to `out`.
+    /// to `out`. Returns how many (probe, page) uses it made: a lone probe
+    /// uses each page it reads once.
     ///
     /// Pages are visited newest-first. Within a page each unresolved
     /// probe's tag is matched against the page's stretch of the
     /// directory, newest slot first; the first match by any probe reads
-    /// the page, and every candidate slot is verified against the full
+    /// the page — or borrows it from `held`, pages the caller already
+    /// paid for — and every candidate slot is verified against the full
     /// fingerprint, so a tag collision falls through to the next-older
     /// candidate. A probe with no candidate left answers `None`.
     fn probe_bucket(
         &mut self,
         fps: &[Fingerprint],
         group: &mut [(usize, usize)],
+        held: &[(u64, Vec<u8>)],
         out: &mut [Option<u64>],
-    ) -> Result<()> {
+    ) -> Result<u64> {
         let b = &self.buckets[group[0].0];
+        let mut users = 0u64;
         // The still-unresolved probes stay packed at the group's front,
         // in their original order.
         let mut unresolved = group.len();
@@ -580,10 +727,8 @@ impl FlashStore {
             if unresolved == 0 {
                 break;
             }
-            // The page's record area, read at the first tag match, and
-            // how many probes were verified against it.
+            // The page's record area, fetched at the first tag match.
             let mut records: Option<&[u8]> = None;
-            let mut verified = 0u64;
             let mut still = 0;
             for k in 0..unresolved {
                 let i = group[k].1;
@@ -596,15 +741,21 @@ impl FlashStore {
                     let records = match records {
                         Some(records) => records,
                         None => {
-                            let (data, _) = self.ftl.read(b.pages[page])?;
-                            self.stats.pages_scanned += 1;
+                            let lpa = b.pages[page];
+                            let data = match held.iter().find(|(l, _)| *l == lpa) {
+                                Some((_, data)) => data.as_slice(),
+                                None => {
+                                    self.stats.pages_scanned += 1;
+                                    self.ftl.read(lpa)?.0
+                                }
+                            };
                             let area = page_records(data)?;
                             records = Some(area);
                             area
                         }
                     };
                     // Count the probe once, at its first candidate here.
-                    verified += u64::from(older.len() == tags.len());
+                    users += u64::from(older.len() == tags.len());
                     hit = record_at(records, slot, fps[i])?;
                     if hit.is_some() {
                         break;
@@ -619,10 +770,9 @@ impl FlashStore {
                     }
                 }
             }
-            self.stats.coalesced_probes += verified.saturating_sub(1);
             unresolved = still;
         }
-        Ok(())
+        Ok(users)
     }
 
     /// RAM held by the signature directories, in bytes: every bucket's
@@ -976,6 +1126,29 @@ impl FlashStore {
     }
 }
 
+/// Directory scan block: [`newest_match`] compares this many tags at a
+/// time, with no exit inside a block.
+const TAG_BLOCK: usize = 16;
+
+/// [`Probe::cand`] of a probe whose candidate is not known (yet).
+const NO_CANDIDATE: usize = usize::MAX;
+
+/// One flash probe's progress through the stages of
+/// [`FlashStore::get_batch_with_repeats`].
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    /// Position in the batch.
+    index: usize,
+    bucket: usize,
+    tag: u16,
+    /// Chain position of the newest record with the probe's tag.
+    cand: usize,
+    /// The bucket's newest page, touched while locating the bucket.
+    newest_lpa: u64,
+    /// The candidate's page, as an index into the batch's page list.
+    page: usize,
+}
+
 enum RecordHit {
     Live(u64),
     Tombstone,
@@ -1046,6 +1219,25 @@ fn record_hit(record: &[u8], index: usize) -> Result<RecordHit> {
 /// bucket selection has already spent.
 fn tag_of(fp: Fingerprint) -> u16 {
     fp.tag32() as u16
+}
+
+/// The position of the newest tag equal to `tag`. Blocks of
+/// [`TAG_BLOCK`] tags, aligned to the newest end, are compared whole —
+/// into a mask, with no branch per tag — and the scan stops at the first
+/// block that matches; the oldest, partial block comes last.
+fn newest_match(tags: &[u16], tag: u16) -> Option<usize> {
+    let blocks = tags.rchunks_exact(TAG_BLOCK);
+    let oldest = blocks.remainder();
+    for (n, block) in blocks.enumerate() {
+        let mut mask = 0u32;
+        for (k, &t) in block.iter().enumerate() {
+            mask |= u32::from(t == tag) << k;
+        }
+        if let Some(k) = mask.checked_ilog2() {
+            return Some(tags.len() - (n + 1) * TAG_BLOCK + k as usize);
+        }
+    }
+    oldest.iter().rposition(|&t| t == tag)
 }
 
 /// Verifies one directory candidate: the record at `slot` of a page's
@@ -1796,6 +1988,35 @@ mod tests {
         assert_eq!(s.get_batch(&[fp]).unwrap(), vec![Some(1)], "one-shot");
     }
 
+    /// A short read inside a staged batch — several buckets, several
+    /// pages, the first page read cut short — fails the whole batch with
+    /// `Corruption`, never a wrong answer, and the next batch answers.
+    #[test]
+    fn short_read_in_a_staged_batch_is_detected_as_corruption() {
+        let mut s = store();
+        for i in 0..600u64 {
+            s.put(Fingerprint::from_u64(i), i + 7).unwrap();
+        }
+        s.flush().unwrap();
+        let batch: Vec<Fingerprint> = (0..600u64).step_by(3).map(Fingerprint::from_u64).collect();
+        let buckets: std::collections::HashSet<usize> =
+            batch.iter().map(|fp| s.bucket_of(*fp)).collect();
+        let want: Vec<Option<u64>> = (0..600u64).step_by(3).map(|i| Some(i + 7)).collect();
+        for keep in [2, PAGE_HEADER_LEN, PAGE_HEADER_LEN + RECORD_LEN - 1] {
+            let reads = s.device_stats().reads;
+            s.ftl.device_mut().arm_short_read(keep);
+            assert!(
+                matches!(s.get_batch(&batch), Err(Error::Corruption(_))),
+                "cut at {keep} bytes"
+            );
+            assert!(
+                s.device_stats().reads - reads >= 2 && buckets.len() >= 2,
+                "the batch spans pages and buckets"
+            );
+            assert_eq!(s.get_batch(&batch).unwrap(), want, "one-shot");
+        }
+    }
+
     /// The record a probe resolves at is flag-checked; a bad flag on a
     /// record the probe only passes is left to the whole-page readers
     /// (scan, compaction, replay), which still validate every record.
@@ -1994,6 +2215,83 @@ mod tests {
             (s.stats().pages_scanned, s.stats().coalesced_probes),
             (7, 3)
         );
+    }
+
+    /// A fingerprint with a chosen bucket and directory tag; `id` keeps
+    /// it distinct.
+    fn fp_in(bucket: u64, tag: u16, id: u8) -> Fingerprint {
+        let mut bytes = [id; FINGERPRINT_LEN];
+        bytes[8..16].copy_from_slice(&bucket.to_be_bytes());
+        bytes[18..].copy_from_slice(&tag.to_be_bytes());
+        Fingerprint::from_bytes(bytes)
+    }
+
+    /// Several buckets, and in one of them fingerprints that share a tag
+    /// over two pages: the staged batch's first candidate fails for all
+    /// but the newest, and the chain walk finds the older records — on a
+    /// page stage 3 already read, or on one it reads itself — at exactly
+    /// the reads and coalesced probes the page images call for.
+    #[test]
+    fn staged_batch_falls_back_to_the_chain_walk_on_a_tag_collision() {
+        let mut s = FlashStore::new(FlashConfig {
+            buckets: 4,
+            write_buffer: 64,
+            ..FlashConfig::small_test()
+        })
+        .unwrap();
+        let rpp = s.records_per_page as u8;
+        let tag = 7;
+        let (oldest, older, newer, absent) = (
+            fp_in(2, tag, 1),
+            fp_in(2, tag, 2),
+            fp_in(2, tag, 3),
+            fp_in(2, tag, 4),
+        );
+        // Page 0 of bucket 2 leads with `oldest`; page 1 holds `older`
+        // then `newer`, so `newer` is every tag-7 probe's first candidate.
+        s.put(oldest, 10).unwrap();
+        for id in 1..rpp {
+            s.put(fp_in(2, 1_000 + u16::from(id), 100 + id), 0).unwrap();
+        }
+        s.flush().unwrap();
+        s.put(older, 20).unwrap();
+        s.put(newer, 30).unwrap();
+        // Other buckets, one page each.
+        let others: Vec<Fingerprint> = (0..8u8)
+            .map(|id| fp_in(u64::from(id % 2) * 3, 2_000 + u16::from(id), 200 + id))
+            .collect();
+        for (k, fp) in others.iter().enumerate() {
+            s.put(*fp, 40 + k as u64).unwrap();
+        }
+        s.flush().unwrap();
+        assert_eq!(s.buckets[2].pages.len(), 2);
+
+        let mut images = s.clone();
+        let batch = [
+            others[0], absent, oldest, newer, others[1], older, oldest, others[5], absent,
+        ];
+        let before = s.stats();
+        check_batch_against_oracle(&mut s, &mut images, &batch);
+        let after = s.stats();
+        // Bucket 2: both pages, each read once; buckets 0 and 3: one each.
+        assert_eq!(after.pages_scanned - before.pages_scanned, 4);
+        assert_eq!(
+            s.get_batch(&batch).unwrap(),
+            vec![
+                Some(40),
+                None,
+                Some(10),
+                Some(30),
+                Some(41),
+                Some(20),
+                Some(10),
+                Some(45),
+                None
+            ]
+        );
+        for fp in [oldest, older, newer, absent] {
+            check_batch_against_oracle(&mut s, &mut images, &[fp, others[2], fp]);
+        }
     }
 
     /// An overwrite and then a tombstone land in newer pages than the
@@ -2208,6 +2506,61 @@ mod tests {
                 "the comparison must probe multi-page chains and share reads: {stats:?}"
             );
         }
+
+    }
+
+    proptest! {
+        /// Random put/update/delete/flush traffic on a few buckets, then
+        /// batches mixing held, absent, deleted, buffered and repeated
+        /// keys: the staged batch answers as per-key `get`s on a clone,
+        /// reads no more pages than they do, and names every repeat with
+        /// its first position.
+        #[test]
+        fn prop_get_batch_equals_per_key_gets(seed: u64, ops in 50usize..400) {
+            let cfg = FlashConfig {
+                buckets: 4,
+                write_buffer: 16,
+                ..FlashConfig::small_test_with_latency()
+            };
+            let mut s = FlashStore::new(cfg).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..ops {
+                let fp = Fingerprint::from_u64(rng.gen_range(0..120u64));
+                match rng.gen_range(0..12) {
+                    0..=5 => s.put(fp, rng.gen()).unwrap(),
+                    6..=7 => s.update(fp, rng.gen()).unwrap(),
+                    8..=10 => s.delete(fp).unwrap(),
+                    _ => s.flush().unwrap(),
+                }
+            }
+            // Keys past 120 were never stored; a narrow range repeats.
+            let batch: Vec<Fingerprint> = (0..rng.gen_range(1..80usize))
+                .map(|_| Fingerprint::from_u64(rng.gen_range(0..160u64)))
+                .collect();
+            let mut singles = s.clone();
+            let reads = s.device_stats().reads;
+            let mut repeats = Vec::new();
+            let got = s
+                .get_batch_with_repeats(&batch, |i, first| repeats.push((i, first)))
+                .unwrap();
+            let batch_reads = s.device_stats().reads - reads;
+            let want: Vec<Option<u64>> =
+                batch.iter().map(|fp| singles.get(*fp).unwrap()).collect();
+            prop_assert_eq!(got, want);
+            prop_assert!(batch_reads <= singles.device_stats().reads - reads);
+            repeats.sort_unstable();
+            let firsts: Vec<(usize, usize)> = (0..batch.len())
+                .filter_map(|i| {
+                    let first = batch.iter().position(|fp| *fp == batch[i])?;
+                    (first < i).then_some((i, first))
+                })
+                .collect();
+            prop_assert_eq!(repeats, firsts);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// The store behaves like a HashMap under random put/delete/get
         /// with random flush points.

@@ -200,10 +200,11 @@ pub enum LookupOutcome {
 }
 
 /// Per-fingerprint decision of a [`HybridHashNode::classify_batch`]
-/// pass — the read half of a lookup-insert, split from the write half
-/// ([`HybridHashNode::apply_inserts`]) so a sharded node can classify
-/// shards concurrently, assign insert values in frame order at the
-/// merge, and only then apply the writes.
+/// pass — the read half of a lookup-insert. A one-shard node inserts the
+/// `New` entries right after ([`HybridHashNode::lookup_insert_batch`]); a
+/// sharded node classifies shards concurrently, assigns insert values in
+/// frame order at the merge, and only then applies the writes
+/// ([`HybridHashNode::apply_inserts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Classified {
     /// The fingerprint is already stored; carries its value.
@@ -211,11 +212,11 @@ pub enum Classified {
     /// First sighting in this frame: absent from the node, to be
     /// inserted with a merge-assigned value.
     New,
-    /// Repeat of a fingerprint already classified [`Classified::New`]
-    /// earlier in the same frame — it exists *for the client* (same
-    /// chunk, no second upload) and resolves to the first occurrence's
-    /// assigned value.
-    NewDup,
+    /// Repeat of a fingerprint classified [`Classified::New`] at the
+    /// given earlier position of the same frame — it exists *for the
+    /// client* (same chunk, no second upload) and resolves to that first
+    /// occurrence's assigned value.
+    NewDup(usize),
 }
 
 /// Result of one lookup-insert.
@@ -484,21 +485,6 @@ impl HybridHashNode {
     /// Propagates device errors ([`shhc_types::Error::OutOfSpace`] when
     /// the SSD fills).
     pub fn lookup_insert(&mut self, fp: Fingerprint) -> Result<LookupResult> {
-        let value = self.next_value;
-        let result = self.lookup_insert_with(fp, value)?;
-        if result.outcome == LookupOutcome::Inserted {
-            self.next_value += 1;
-        }
-        Ok(result)
-    }
-
-    /// [`HybridHashNode::lookup_insert`] with a caller-chosen value to
-    /// associate on insert (e.g. a packed [`shhc_types::ChunkId`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn lookup_insert_with(&mut self, fp: Fingerprint, value: u64) -> Result<LookupResult> {
         let mut cost = self.config.cpu_per_op + self.config.ram_probe;
         let (existed, outcome, value) = if let Some(&cached) = self.cache.get(&fp) {
             self.stats.ram_hits += 1;
@@ -515,9 +501,8 @@ impl HybridHashNode {
                     (true, LookupOutcome::SsdHit, stored)
                 }
                 None => {
-                    cost += self.charged_store(|s| s.put(fp, value))?;
-                    self.stats.inserted += 1;
-                    self.cache.insert(fp, value);
+                    let (value, put) = self.insert_new(fp)?;
+                    cost += put;
                     (false, LookupOutcome::Inserted, value)
                 }
             }
@@ -532,26 +517,60 @@ impl HybridHashNode {
     }
 
     /// Batched [`HybridHashNode::lookup_insert`] — the unit of work a
-    /// front-end ships to a node.
+    /// front-end ships to a node, resolved in one pass: the cache pass
+    /// and one coalesced flash probe for every miss
+    /// ([`HybridHashNode::classify_batch`]), then the inserts, in frame
+    /// order, with the values a per-fingerprint loop would assign. A
+    /// repeat of a new fingerprint later in the frame answers "exists"
+    /// with the first occurrence's value.
+    ///
+    /// The answers, [`HybridHashNode::entries`] and the insert count
+    /// equal those of calling [`HybridHashNode::lookup_insert`] on each
+    /// fingerprint in turn; the split of the other lookups between RAM
+    /// and SSD hits may differ. Every probe sees the frame's starting
+    /// state, and the virtual cost drops below the loop's by the page
+    /// reads the batch coalesces: a page several misses need is charged
+    /// once.
     ///
     /// # Errors
     ///
-    /// Fails on the first device error, leaving earlier insertions done.
+    /// A device error while probing inserts nothing; one while inserting
+    /// leaves the earlier insertions done.
     pub fn lookup_insert_batch(&mut self, fps: &[Fingerprint]) -> Result<BatchResult> {
+        let busy = self.stats.busy;
+        let classes = self.classify_batch(fps)?;
         let mut exists = Vec::with_capacity(fps.len());
         let mut values = Vec::with_capacity(fps.len());
-        let mut cost = Nanos::ZERO;
-        for fp in fps {
-            let r = self.lookup_insert(*fp)?;
-            exists.push(r.existed);
-            values.push(r.value);
-            cost += r.cost;
+        for (fp, class) in fps.iter().zip(classes) {
+            let (existed, value) = match class {
+                Classified::Hit(value) => (true, value),
+                Classified::New => {
+                    let (value, cost) = self.insert_new(*fp)?;
+                    self.charge(cost);
+                    (false, value)
+                }
+                Classified::NewDup(first) => (true, values[first]),
+            };
+            exists.push(existed);
+            values.push(value);
         }
         Ok(BatchResult {
             exists,
             values,
-            cost,
+            cost: self.stats.busy - busy,
         })
+    }
+
+    /// Stores `fp` as a new chunk under the next value, counting it as a
+    /// client insert; returns the value and the device time of the put,
+    /// which the caller charges.
+    fn insert_new(&mut self, fp: Fingerprint) -> Result<(u64, Nanos)> {
+        let value = self.next_value;
+        let cost = self.charged_store(|s| s.put(fp, value))?;
+        self.next_value += 1;
+        self.stats.inserted += 1;
+        self.cache.insert(fp, value);
+        Ok((value, cost))
     }
 
     /// The read half of a batched lookup-insert: classifies every
@@ -559,34 +578,37 @@ impl HybridHashNode {
     /// [`Classified::New`] (absent, to be inserted) or
     /// [`Classified::NewDup`] (repeat of a `New` earlier in this batch)
     /// **without writing anything**. Cache misses are deferred and probed
-    /// as one coalesced [`FlashStore::get_batch`]: the directory answers
-    /// absent keys without a read, and misses destined for the same
-    /// on-flash bucket page share a single device read.
-    ///
-    /// Combined with [`HybridHashNode::apply_inserts`] this produces
-    /// exactly the answers of [`HybridHashNode::lookup_insert_batch`]:
-    /// the split exists so a sharded node can classify shards
-    /// concurrently and assign insert values in frame order in between.
+    /// as one coalesced [`FlashStore::get_batch_with_repeats`]: the
+    /// directory answers absent keys without a read, misses destined for
+    /// the same on-flash page share a single device read, and the store
+    /// names the in-batch repeats.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
     pub fn classify_batch(&mut self, fps: &[Fingerprint]) -> Result<Vec<Classified>> {
         let mut out = vec![Classified::New; fps.len()];
-        let misses = self.probe_misses(fps, |i, v| out[i] = Classified::Hit(v))?;
+        let mut repeats = Vec::new();
+        let misses = self.probe_misses(
+            fps,
+            |i, v| out[i] = Classified::Hit(v),
+            |i, first| repeats.push((i, first)),
+        )?;
         self.stats.ram_hits += (fps.len() - misses.len()) as u64;
-        // Fingerprints classified New in this batch (not yet applied).
-        let mut pending: shhc_types::FpHashSet<Fingerprint> = Default::default();
         for (i, fp, found) in misses {
-            if pending.contains(&fp) {
-                self.stats.ram_hits += 1;
-                out[i] = Classified::NewDup;
-            } else if let Some(v) = found {
+            if let Some(v) = found {
                 self.stats.ssd_hits += 1;
                 self.cache.insert(fp, v);
                 out[i] = Classified::Hit(v);
-            } else {
-                pending.insert(fp); // out[i] stays New
+            }
+        }
+        // A repeat of a present fingerprint is a hit like its first
+        // occurrence; one of an absent fingerprint exists once the first
+        // is inserted.
+        for (i, first) in repeats {
+            if out[first] == Classified::New {
+                self.stats.ram_hits += 1;
+                out[i] = Classified::NewDup(first);
             }
         }
         Ok(out)
@@ -634,10 +656,14 @@ impl HybridHashNode {
         self.stats.queries += fps.len() as u64;
         let mut exists = vec![false; fps.len()];
         let mut values = vec![0u64; fps.len()];
-        let misses = self.probe_misses(fps, |i, v| {
-            exists[i] = true;
-            values[i] = v;
-        })?;
+        let misses = self.probe_misses(
+            fps,
+            |i, v| {
+                exists[i] = true;
+                values[i] = v;
+            },
+            |_, _| {},
+        )?;
         for (i, fp, found) in misses {
             if let Some(v) = found {
                 self.cache.insert(fp, v);
@@ -650,12 +676,15 @@ impl HybridHashNode {
 
     /// The first pass of a batch: charges each fingerprint's CPU and
     /// cache probe, hands cache hits to `hit` as `(position, value)`, and
-    /// probes the flash store once, coalesced, for every miss. Returns
-    /// each miss as `(position, fingerprint, what the store holds)`.
+    /// probes the flash store once, coalesced, for every miss, handing
+    /// each miss that repeats an earlier one to `repeat` as `(position,
+    /// first position)`. Returns each miss as `(position, fingerprint,
+    /// what the store holds)`.
     fn probe_misses(
         &mut self,
         fps: &[Fingerprint],
         mut hit: impl FnMut(usize, u64),
+        mut repeat: impl FnMut(usize, usize),
     ) -> Result<Vec<(usize, Fingerprint, Option<u64>)>> {
         let mut probe_idx = Vec::new();
         let mut probe_fps = Vec::new();
@@ -669,7 +698,11 @@ impl HybridHashNode {
             }
         }
         self.charge((self.config.cpu_per_op + self.config.ram_probe) * fps.len() as u64);
-        let (found, cost) = self.timed(|s| s.get_batch(&probe_fps))?;
+        let (found, cost) = self.timed(|s| {
+            s.get_batch_with_repeats(&probe_fps, |i, first| {
+                repeat(probe_idx[i], probe_idx[first]);
+            })
+        })?;
         self.charge(cost);
         Ok(probe_idx
             .into_iter()
@@ -779,7 +812,7 @@ impl HybridHashNode {
     /// value the node already held, or `None` when it installed `value`.
     ///
     /// This is the node half of online rebalancing — unlike
-    /// [`HybridHashNode::lookup_insert_with`] it never counts toward the
+    /// [`HybridHashNode::lookup_insert`] it never counts toward the
     /// lookup statistics, and unlike [`HybridHashNode::record`] it cannot
     /// clobber a value a client recorded during the migration window.
     ///
@@ -950,18 +983,32 @@ mod tests {
         assert_eq!(n.stats().queries, 2);
     }
 
+    /// A new fingerprint repeated within a frame is inserted once and
+    /// answered "exists" with the first occurrence's value, whether the
+    /// repeats sit next to each other or far apart, beside repeats of a
+    /// stored fingerprint, and for a fingerprint removed just before (its
+    /// tombstone still in the write buffer).
     #[test]
     fn batch_equals_singles() {
-        let fps: Vec<Fingerprint> = [1u64, 2, 1, 3, 2, 1].iter().map(|v| fp(*v)).collect();
-        let mut a = node();
-        let batch = a.lookup_insert_batch(&fps).unwrap();
-        let mut b = node();
-        let singles: Vec<bool> = fps
-            .iter()
-            .map(|f| b.lookup_insert(*f).unwrap().existed)
-            .collect();
-        assert_eq!(batch.exists, singles);
+        let fps = |ks: &[u64]| -> Vec<Fingerprint> { ks.iter().map(|k| fp(*k)).collect() };
+        let first = fps(&[1, 2, 1, 3, 2, 1]);
+        check_batch_against_singles(&[
+            Step {
+                remove: vec![],
+                frame: first.clone(),
+                flush: true,
+            },
+            Step {
+                remove: fps(&[2]),
+                frame: fps(&[4, 4, 1, 5, 2, 4, 1, 5, 2, 6, 6, 4]),
+                flush: false,
+            },
+        ]);
+        let mut n = node();
+        let batch = n.lookup_insert_batch(&first).unwrap();
         assert_eq!(batch.exists, vec![false, false, true, false, true, true]);
+        assert_eq!(batch.values, vec![0, 1, 0, 2, 1, 0]);
+        assert_eq!(n.stats().inserted, 3);
     }
 
     #[test]
@@ -1195,6 +1242,73 @@ mod tests {
         let all: Vec<Fingerprint> = (0..200).map(fp).collect();
         assert!(n.query_many(&all).unwrap().0.iter().all(|&e| e));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One frame of [`check_batch_against_singles`], with what both
+    /// nodes remove before it and whether both flush after it.
+    struct Step {
+        remove: Vec<Fingerprint>,
+        frame: Vec<Fingerprint>,
+        flush: bool,
+    }
+
+    /// Runs each step's frame through `lookup_insert_batch` on one node
+    /// and through a `lookup_insert` loop on its twin, and checks that
+    /// answers, live entries, inserts and operation counts agree after
+    /// every frame.
+    fn check_batch_against_singles(steps: &[Step]) {
+        let (mut batched, mut single) = (node(), node());
+        for step in steps {
+            for f in &step.remove {
+                batched.remove(*f).unwrap();
+                single.remove(*f).unwrap();
+            }
+            let got = batched.lookup_insert_batch(&step.frame).unwrap();
+            let (exists, values): (Vec<bool>, Vec<u64>) = step
+                .frame
+                .iter()
+                .map(|f| {
+                    let r = single.lookup_insert(*f).unwrap();
+                    (r.existed, r.value)
+                })
+                .unzip();
+            assert_eq!((&got.exists, &got.values), (&exists, &values));
+            assert_eq!(batched.entries(), single.entries());
+            let (b, s) = (batched.stats(), single.stats());
+            assert_eq!((b.inserted, b.ops()), (s.inserted, s.ops()));
+            if step.flush {
+                batched.flush().unwrap();
+                single.flush().unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        /// `lookup_insert_batch` answers as a per-fingerprint loop does,
+        /// over frames that repeat keys, evict the 64-entry cache, find
+        /// keys on flash, in the write buffer or removed (a buffered or
+        /// flushed tombstone), and see fresh ones.
+        #[test]
+        fn prop_batch_matches_per_fingerprint_loop(
+            frames in proptest::collection::vec(
+                proptest::collection::vec(0u64..300, 1..120), 1..12),
+            removes in proptest::collection::vec(
+                proptest::collection::vec(0u64..300, 0..20), 12),
+            flush in proptest::collection::vec(any::<bool>(), 12),
+        ) {
+            let keys = |ks: &Vec<u64>| ks.iter().map(|k| spread(*k)).collect();
+            let steps: Vec<Step> = frames
+                .iter()
+                .zip(&removes)
+                .zip(&flush)
+                .map(|((frame, remove), &flush)| Step {
+                    remove: keys(remove),
+                    frame: keys(frame),
+                    flush,
+                })
+                .collect();
+            check_batch_against_singles(&steps);
+        }
     }
 
     proptest! {

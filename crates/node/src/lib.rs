@@ -13,6 +13,14 @@
 //! 3. found: promote into RAM and answer "exists"; absent: insert it (new
 //!    chunk) and answer "does not exist, send the data".
 //!
+//! A frame ([`HybridHashNode::lookup_insert_batch`]) takes the same steps
+//! in one pass, each over the whole frame: the cache pass, then one
+//! [`shhc_flash::FlashStore::get_batch_with_repeats`] for every miss —
+//! staged, so the misses' directory and page accesses overlap, and
+//! coalesced, so a page several misses need is read once — then the
+//! inserts, in frame order. A fingerprint repeated in the frame is
+//! inserted once; its repeats answer "exists".
+//!
 //! All device time is accounted on a virtual clock so a node can be
 //! driven either by real threads or by the discrete-event simulator.
 //!

@@ -30,7 +30,7 @@
 //! equivalence suites hold the answers byte-identical to one
 //! [`HybridHashNode`].
 
-use shhc_types::{Fingerprint, FpHashMap, Nanos, NodeId, Result};
+use shhc_types::{Fingerprint, Nanos, NodeId, Result};
 
 use crate::hybrid::{Classified, HybridHashNode, NodeConfig};
 
@@ -280,7 +280,6 @@ pub fn merge_classified(
     let mut exists = vec![false; total];
     let mut values = vec![0u64; total];
     let mut inserts: Vec<Vec<(Fingerprint, u64)>> = vec![Vec::new(); subs.len()];
-    let mut assigned: FpHashMap<Fingerprint, u64> = FpHashMap::default();
     for pos in 0..total {
         let (si, k) = at[pos];
         debug_assert_ne!(si, usize::MAX, "sub-batches must cover every position");
@@ -293,15 +292,13 @@ pub fn merge_classified(
             }
             Classified::New => {
                 let v = alloc();
-                assigned.insert(fp, v);
                 inserts[si].push((fp, v));
                 values[pos] = v;
             }
-            Classified::NewDup => {
+            Classified::NewDup(first) => {
+                // The first occurrence precedes this one in frame order.
                 exists[pos] = true;
-                values[pos] = *assigned
-                    .get(&fp)
-                    .expect("NewDup follows its New in frame order");
+                values[pos] = values[sub.positions[first]];
             }
         }
     }
