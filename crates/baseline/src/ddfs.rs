@@ -47,7 +47,7 @@ pub struct DdfsIndex {
     seek: Nanos,
     cpu_per_op: Nanos,
     busy: Nanos,
-    next_value: u64,
+    next_id: u64,
     /// Container fetches (cold duplicate lookups).
     pub_fetches: u64,
 }
@@ -80,7 +80,7 @@ impl DdfsIndex {
             seek,
             cpu_per_op,
             busy: Nanos::ZERO,
-            next_value: 0,
+            next_id: 0,
             pub_fetches: 0,
         }
     }
@@ -132,8 +132,8 @@ impl FingerprintIndex for DdfsIndex {
             // container; index write is amortized (DDFS batches index
             // updates with container writes), charge CPU only.
             let container = self.containers.len() as u32 - 1;
-            let v = self.next_value;
-            self.next_value += 1;
+            let v = self.next_id;
+            self.next_id += 1;
             self.table.insert(fp, (container, v));
             self.containers[container as usize].push(fp);
             self.resident.insert(fp, v); // newly written containers stay hot
@@ -153,8 +153,8 @@ impl FingerprintIndex for DdfsIndex {
             // Bloom false positive: pay the index probe, then insert.
             cost += self.seek;
             let container = self.containers.len() as u32 - 1;
-            let v = self.next_value;
-            self.next_value += 1;
+            let v = self.next_id;
+            self.next_id += 1;
             self.table.insert(fp, (container, v));
             self.containers[container as usize].push(fp);
             self.resident.insert(fp, v);

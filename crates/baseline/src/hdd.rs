@@ -33,7 +33,7 @@ pub struct HddIndex {
     seek: Nanos,
     cpu_per_op: Nanos,
     busy: Nanos,
-    next_value: u64,
+    next_id: u64,
 }
 
 impl HddIndex {
@@ -49,7 +49,7 @@ impl HddIndex {
             seek,
             cpu_per_op,
             busy: Nanos::ZERO,
-            next_value: 0,
+            next_id: 0,
         }
     }
 
@@ -78,8 +78,8 @@ impl FingerprintIndex for HddIndex {
             // Miss: one seek to read the bucket (and find it empty), one
             // to write the new entry.
             cost += self.seek * 2;
-            let v = self.next_value;
-            self.next_value += 1;
+            let v = self.next_id;
+            self.next_id += 1;
             self.table.insert(fp, v);
             self.cache.insert(fp, v);
             false

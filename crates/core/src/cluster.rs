@@ -51,7 +51,7 @@ use parking_lot::{Mutex, RwLock};
 use shhc_net::{decode, encode, Frame};
 use shhc_node::{shard_slices, HybridHashNode, NodeConfig};
 use shhc_ring::{MigrationPlan, RingView};
-use shhc_types::{Error, Fingerprint, FpHashSet, NodeId, Result, StreamId};
+use shhc_types::{Error, Fingerprint, FpHashSet, NodeId, Result, StreamId, PENDING_VALUE};
 
 use crate::server::{
     node_loop, sharded_node_loop, AutotuneOptions, AutotuneReport, ControlMsg, ControlReply,
@@ -647,11 +647,15 @@ impl ShhcCluster {
     /// fingerprint exists if *any* replica knows it — so a cold-restarted
     /// primary does not cause spurious re-uploads while its replicas
     /// still remember the data. Values come from the first replica (ring
-    /// order) that reported the fingerprint present, and replicas that
-    /// disagreed (answered "new" while a peer knew the fingerprint) are
-    /// **read-repaired**: the merged value is re-recorded on them, so a
-    /// cold replica re-learns real values from traffic instead of
-    /// keeping the placeholder its local insert invented.
+    /// order) that reported a *recorded* value, falling back to
+    /// [`PENDING_VALUE`] when every replica that knew the fingerprint
+    /// still holds it unrecorded. Replicas that answered "new" or
+    /// [`PENDING_VALUE`] while a peer held a recorded value are
+    /// **read-repaired**: that value is re-recorded on them, so a cold
+    /// replica re-learns real values from traffic instead of keeping the
+    /// placeholder its local insert stored. A pending value is never
+    /// repaired onto a replica: it could overwrite a record that has
+    /// just landed.
     ///
     /// # Errors
     ///
@@ -694,9 +698,9 @@ impl ShhcCluster {
                 &mut repairs,
             )?;
         }
-        // Read repair: replicas that answered "new" for a fingerprint a
-        // peer knew just inserted a locally-invented value; overwrite it
-        // with the merged one so replica values converge under traffic.
+        // Read repair: replicas that answered "new" or pending for a
+        // fingerprint a peer holds recorded get the recorded value, so
+        // replica values converge under traffic.
         for (node, pairs) in repairs {
             let frame = Frame::RecordReq {
                 correlation: self.next_correlation(),
@@ -712,9 +716,9 @@ impl ShhcCluster {
             }
         }
         // Dual-read: misses inside in-flight migration ranges fall back
-        // to the range's previous owner; hits there get their
-        // authoritative value re-recorded on the new owner (which just
-        // inserted a placeholder).
+        // to the range's previous owner; hits there get their recorded
+        // value re-recorded on the new owner (which just inserted a
+        // placeholder).
         if let Some(migration) = &state.migration {
             let repairs = self.dual_read_fallback(migration, fps, &mut exists, &mut values)?;
             if !repairs.is_empty() {
@@ -741,7 +745,9 @@ impl ShhcCluster {
     /// Queries the previous owner of every missed fingerprint inside an
     /// in-flight migration range, patching `exists`/`values` for hits.
     /// Returns the `(fingerprint, value)` pairs the caller should
-    /// re-record on the new owners. A dead previous owner means that
+    /// re-record on the new owners: the hits with a recorded value (a
+    /// [`PENDING_VALUE`] is not re-recorded, lest it overwrite a record
+    /// that has just landed). A dead previous owner means that
     /// range's unmigrated data is gone — the miss stands (the client
     /// re-uploads one chunk; benign for deduplication).
     fn dual_read_fallback(
@@ -800,7 +806,9 @@ impl ShhcCluster {
                         })?;
                         exists[pos] = true;
                         values[pos] = value;
-                        repairs.push((fps[pos], value));
+                        if value != PENDING_VALUE {
+                            repairs.push((fps[pos], value));
+                        }
                     }
                 }
                 Ok(other) => return Err(unexpected(other)),
@@ -1734,8 +1742,8 @@ fn spawn_node(id: NodeId, config: NodeConfig) -> Result<NodeSlot> {
     let (tx, rx) = unbounded();
     // `shards > 1` runs the node as a shard-per-worker pool (the
     // dispatcher below spawns one worker thread per shard); `shards == 1`
-    // runs `node_loop`: behind the dispatcher's classify → merge → apply
-    // path a one-shard node measured slower, even with no thread hand-off.
+    // runs `node_loop`: behind the dispatcher's per-frame job machinery a
+    // one-shard node measured slower, even with its shard run inline.
     let handle = if config.shards > 1 {
         let shards = shard_slices(id, &config)?;
         std::thread::Builder::new()
@@ -1798,9 +1806,10 @@ fn collect_reply(
 }
 
 /// OR-merges a group's replica replies into the batch-wide result
-/// vectors (value from the first replica, in ring order, that knew the
-/// fingerprint), queueing read repairs for replicas that answered "new"
-/// while a peer reported the fingerprint present. Errors when no replica
+/// vectors: the value is the first recorded one in ring order, or
+/// [`PENDING_VALUE`] when no replica that knew the fingerprint holds a
+/// recorded value. A recorded value is queued as a read repair for each
+/// replica that answered "new" or pending. Errors when no replica
 /// answered at all.
 fn merge_replies(
     group: &RouteGroup,
@@ -1824,14 +1833,21 @@ fn merge_replies(
         }
     }
     for (k, &pos) in group.positions.iter().enumerate() {
-        let merged = replies.iter().find(|(_, e, _)| e[k]).map(|(_, _, v)| v[k]);
-        let Some(value) = merged else {
+        if !replies.iter().any(|(_, e, _)| e[k]) {
             continue; // a genuinely new fingerprint: every replica inserted
-        };
+        }
+        let recorded = replies
+            .iter()
+            .map(|(_, e, v)| (e[k], v[k]))
+            .find(|&(e, v)| e && v != PENDING_VALUE);
         exists[pos] = true;
+        let Some((_, value)) = recorded else {
+            values[pos] = PENDING_VALUE;
+            continue;
+        };
         values[pos] = value;
-        for (node, e, _) in &replies {
-            if e[k] {
+        for (node, e, v) in &replies {
+            if e[k] && v[k] != PENDING_VALUE {
                 continue;
             }
             let pair = (fps[pos], value);
@@ -2265,6 +2281,69 @@ mod tests {
             );
         }
         cluster.shutdown().unwrap();
+    }
+
+    /// Merged values and the queued repairs.
+    type Merged = (Vec<u64>, Vec<(NodeId, Vec<(Fingerprint, u64)>)>);
+
+    /// `merge_replies` over one two-replica group of `fps`.
+    fn merge_two(fps: &[Fingerprint], replies: Vec<ReplicaReply>) -> Merged {
+        let group = RouteGroup {
+            replicas: vec![NodeId::new(0), NodeId::new(1)],
+            positions: (0..fps.len()).collect(),
+            fingerprints: Vec::new(),
+        };
+        let mut exists = vec![false; fps.len()];
+        let mut values = vec![0; fps.len()];
+        let mut repairs = Vec::new();
+        merge_replies(
+            &group,
+            fps,
+            replies,
+            None,
+            &mut exists,
+            &mut values,
+            &mut repairs,
+        )
+        .unwrap();
+        assert!(exists.iter().all(|e| *e));
+        (values, repairs)
+    }
+
+    /// A replica still holding the insert-time `PENDING_VALUE` loses to
+    /// a peer's recorded value, whichever comes first in ring order, and
+    /// is repaired to it.
+    #[test]
+    fn merge_replies_prefers_a_recorded_value_over_pending() {
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        let f = fps(0..1);
+        let (values, repairs) = merge_two(
+            &f,
+            vec![
+                (a, vec![true], vec![PENDING_VALUE]),
+                (b, vec![true], vec![7]),
+            ],
+        );
+        assert_eq!(values, vec![7]);
+        assert_eq!(repairs, vec![(a, vec![(f[0], 7)])]);
+    }
+
+    /// `PENDING_VALUE` against "new": the fingerprint exists, nothing is
+    /// recorded anywhere, and no repair is queued — a late repair of the
+    /// placeholder could overwrite a record that has just landed.
+    #[test]
+    fn merge_replies_never_repairs_a_pending_value() {
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        let f = fps(0..1);
+        let (values, repairs) = merge_two(
+            &f,
+            vec![
+                (a, vec![false], vec![0]),
+                (b, vec![true], vec![PENDING_VALUE]),
+            ],
+        );
+        assert_eq!(values, vec![PENDING_VALUE]);
+        assert!(repairs.is_empty(), "queued {repairs:?}");
     }
 
     #[test]

@@ -76,7 +76,9 @@ pub use shhc_node::{
     load_imbalance, BackendKind, CachePolicy, HybridHashNode, NodeConfig, NodeStats, ShardLoad,
     ShardRouter,
 };
-pub use shhc_types::{ChunkId, ClientId, Error, Fingerprint, Nanos, NodeId, Result, StreamId};
+pub use shhc_types::{
+    ChunkId, ClientId, Error, Fingerprint, Nanos, NodeId, Result, StreamId, PENDING_VALUE,
+};
 
 /// Commonly used imports for applications built on SHHC.
 pub mod prelude {

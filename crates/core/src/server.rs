@@ -1,33 +1,31 @@
 //! The per-node server: wire-format data plane plus a typed control
-//! plane, in two execution flavours.
+//! plane, in two execution flavours that share every node operation. A
+//! decoded frame becomes one `ShardWork` item (its vectors move in),
+//! `run_shard_work` runs it on one [`HybridHashNode`], and the outcome is
+//! encoded as the reply.
 //!
 //! - [`node_loop`] — the paper's node: one thread owns a
-//!   [`HybridHashNode`] exclusively and serves one frame at a time. It
-//!   serves `shards == 1` because a one-shard node behind
-//!   [`sharded_node_loop`]'s per-frame classify → merge → apply path is
-//!   slower on paced lookups even when its shard runs inline on the
-//!   dispatcher (numbers in `results/baselines/README.md`),
+//!   [`HybridHashNode`] exclusively and runs each frame's work item
+//!   itself. It serves `shards == 1` because a one-shard node behind
+//!   [`sharded_node_loop`] pays that loop's per-frame job machinery
+//!   (split, shared job, worker hand-off, scatter) and is slower on
+//!   paced lookups, even with its shard run inline on the dispatcher
+//!   (numbers in `results/baselines/README.md`),
 //! - [`sharded_node_loop`] — the multi-core node: a dispatcher thread
-//!   splits every data frame across `S` prefix-routed shards, each owned
-//!   by its own **worker thread**. Sub-frames from different clients
-//!   interleave freely across the workers, so a small frame no longer
-//!   waits head-of-line behind a deep frame that targets other shards.
+//!   splits every data frame's work across `S` prefix-routed shards, each
+//!   owned by its own **worker thread**. Sub-frames from different
+//!   clients interleave freely across the workers, so a small frame no
+//!   longer waits head-of-line behind a deep frame that targets other
+//!   shards.
 //!
-//! A sharded lookup-insert runs in two phases. Every involved worker
-//! *classifies* its slice (read-only, with coalesced flash reads); the
-//! **last worker to finish** merges the slices in frame order — this is
-//! where insert values are allocated, so they match what a sequential
-//! node would have assigned — encodes the reply, and fans the decided
-//! inserts back out as *apply* tasks. The reply is released once every
-//! apply lands, preserving the read-your-writes behaviour of the
-//! sequential loop for clients that wait for their answer. Between one
-//! frame's classify and apply, a concurrent frame for the same shard may
-//! classify the same fingerprint as new — both clients are then told
-//! "send the data", the standard benign dedup race the backup service
-//! already resolves above the cluster (a redundant copy, never
-//! corruption).
+//! Each shard answers its slice of a frame in one pass — a lookup-insert
+//! probes and inserts in the same `HybridHashNode::lookup_insert_batch`
+//! call — and the **last worker to finish** scatters the slices' answers
+//! back to their positions and replies. Every occurrence of a fingerprint
+//! routes to the same shard, and a shard runs its queue in order, so a
+//! frame queued behind another sees that frame's inserts: each
+//! fingerprint is answered "new" once.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -38,10 +36,7 @@ use parking_lot::Mutex;
 use shhc_cache::{CacheSizer, CacheStats, SizerConfig, SizerDecision};
 use shhc_flash::{DeviceStats, FtlStats};
 use shhc_net::{decode, encode_reusing, Frame};
-use shhc_node::{
-    load_imbalance, merge_classified, Classified, HybridHashNode, NodeConfig, NodeStats, ShardLoad,
-    ShardRouter, SubBatch, SubClassified,
-};
+use shhc_node::{load_imbalance, HybridHashNode, NodeConfig, NodeStats, ShardLoad, ShardRouter};
 use shhc_types::{Fingerprint, Nanos, NodeId};
 
 /// A point-in-time view of one node's state, fetched over the control
@@ -61,8 +56,8 @@ pub struct NodeSnapshot {
     /// FTL counters.
     pub ftl: FtlStats,
     /// Intra-node shards executing on this node (1 = the single-threaded
-    /// loop, which answers each frame without the sharded dispatcher's
-    /// classify → merge → apply path).
+    /// loop, which runs each frame itself, without the sharded
+    /// dispatcher's per-frame job machinery).
     pub shards: u32,
     /// Per-shard load shares (empty for single-threaded nodes, which have
     /// no shards to balance) — the hot-shard imbalance signal.
@@ -197,7 +192,8 @@ fn merge_snapshots(parts: Vec<NodeSnapshot>) -> NodeSnapshot {
 }
 
 /// The node server main loop: owns the node exclusively, serving requests
-/// until `Shutdown` arrives or every sender is dropped.
+/// until `Shutdown` arrives or every sender is dropped. A data frame runs
+/// as one work item over the whole frame.
 pub(crate) fn node_loop(mut node: HybridHashNode, rx: Receiver<NodeRequest>) {
     // One reply-encode scratch buffer for the thread's lifetime: replies
     // reuse its allocation instead of growing a fresh buffer per frame.
@@ -210,190 +206,239 @@ pub(crate) fn node_loop(mut node: HybridHashNode, rx: Receiver<NodeRequest>) {
         queue_peak = queue_peak.max(rx.len() as u64 + 1);
         match request {
             NodeRequest::Data { frame, reply } => {
-                let response = handle_frame(&mut node, &frame);
-                // Group-commit the WAL before acking (no-op for volatile
-                // nodes): once the client sees the reply, the frame's
-                // mutations survive a crash.
-                if let Err(e) = node.wal_commit() {
-                    let _ = reply.send(encode_reusing(
-                        &Frame::Error {
-                            correlation: 0,
-                            message: format!("wal commit failed: {e}"),
-                        },
-                        &mut scratch,
-                    ));
-                    continue;
-                }
+                let response = match frame_work(&frame) {
+                    Ok((correlation, work)) => {
+                        sleep_service(service_time(node.config(), true, work.records()));
+                        reply_frame(correlation, run_shard_work(&mut node, work))
+                    }
+                    Err(now) => now,
+                };
                 // A dropped reply channel means the client gave up
                 // (timeout or crash); nothing for the server to do.
                 let _ = reply.send(encode_reusing(&response, &mut scratch));
             }
-            NodeRequest::Control { msg, reply } => match msg {
-                ControlMsg::Stats => {
-                    let mut snap = snapshot_of(&node);
-                    snap.stats.queue_peak = queue_peak;
-                    let _ = reply.send(ControlReply::Stats(Box::new(snap)));
-                }
-                ControlMsg::Flush => {
-                    let r = match node.flush() {
-                        Ok(_) => ControlReply::Done,
-                        Err(e) => ControlReply::Failed(e.to_string()),
-                    };
-                    let _ = reply.send(r);
-                }
-                ControlMsg::Scan => {
-                    let r = match node.scan() {
-                        Ok(entries) => ControlReply::Scan(entries),
-                        Err(e) => ControlReply::Failed(e.to_string()),
-                    };
-                    let _ = reply.send(r);
-                }
-                ControlMsg::Autotune(_) => {
-                    // The single-threaded node has one shard and one
-                    // cache: nothing to re-split or shift.
-                    let _ = reply.send(ControlReply::Autotune(Box::new(AutotuneReport {
-                        id: node.id(),
-                        shards: 1,
-                        imbalance: 1.0,
-                        resplit: false,
-                        moved_entries: 0,
-                        cache_shift: None,
-                    })));
-                }
-                ControlMsg::Shutdown => {
-                    // Clean shutdown: flush + close the WAL so restart
-                    // replays only segment metadata. A *crashed* node
-                    // never gets here — its channel just disconnects and
-                    // the store drops unclosed, losing uncommitted state
-                    // (and tearing log tails under a FaultPlan).
-                    let r = match node.close() {
-                        Ok(_) => ControlReply::Done,
-                        Err(e) => ControlReply::Failed(e.to_string()),
-                    };
-                    let _ = reply.send(r);
-                    break;
-                }
-            },
+            NodeRequest::Control { msg, reply } => {
+                let work = match msg {
+                    ControlMsg::Stats => ShardWork::Stats { queue_peak },
+                    ControlMsg::Flush => ShardWork::Flush,
+                    ControlMsg::Scan => ShardWork::Scan,
+                    ControlMsg::Autotune(_) => {
+                        // The single-threaded node has one shard and one
+                        // cache: nothing to re-split or shift.
+                        let _ = reply.send(ControlReply::Autotune(Box::new(AutotuneReport {
+                            id: node.id(),
+                            shards: 1,
+                            imbalance: 1.0,
+                            resplit: false,
+                            moved_entries: 0,
+                            cache_shift: None,
+                        })));
+                        continue;
+                    }
+                    ControlMsg::Shutdown => {
+                        // Clean shutdown: flush + close the WAL so restart
+                        // replays only segment metadata. A *crashed* node
+                        // never gets here — its channel just disconnects
+                        // and the store drops unclosed, losing uncommitted
+                        // state (and tearing log tails under a FaultPlan).
+                        let r = match node.close() {
+                            Ok(_) => ControlReply::Done,
+                            Err(e) => ControlReply::Failed(e.to_string()),
+                        };
+                        let _ = reply.send(r);
+                        break;
+                    }
+                };
+                let _ = reply.send(control_reply(run_shard_work(&mut node, work)));
+            }
         }
     }
 }
 
-/// Number of per-record operations a data-plane frame asks for — the
-/// unit the artificial wall-clock service delay is charged in.
-fn ops_in(frame: &Frame) -> u32 {
-    match frame {
-        Frame::LookupInsertReq { fingerprints, .. }
-        | Frame::QueryReq { fingerprints, .. }
-        | Frame::RemoveReq { fingerprints, .. } => fingerprints.len() as u32,
-        // Migration installs pay per-entry device time like any other
-        // write, so rebalancing visibly competes with client traffic in
-        // wall-clock benches.
-        Frame::RecordReq { pairs, .. } | Frame::MigrateReq { pairs, .. } => pairs.len() as u32,
-        _ => 0,
+/// One unit of work on one shard — or on a one-shard node's only
+/// [`HybridHashNode`]: a data frame's records (all of them, or the
+/// shard's slice), or one control step.
+enum ShardWork {
+    Lookup(Vec<Fingerprint>),
+    Query(Vec<Fingerprint>),
+    Remove(Vec<Fingerprint>),
+    Record(Vec<(Fingerprint, u64)>),
+    /// Migration installs; answered like a query: which entries the
+    /// shard already held.
+    Install(Vec<(Fingerprint, u64)>),
+    Scan,
+    Flush,
+    /// Snapshot the shard, reporting `queue_peak` as the inbound queue's
+    /// high-water mark (a shard never sees the node's inbound queue).
+    Stats {
+        queue_peak: u64,
+    },
+    /// Report `(cache capacity, recent cache misses)` — the autotune
+    /// sizer's marginal-utility input.
+    CacheProfile,
+    /// Retarget the shard's RAM cache capacity (clamped to one entry by
+    /// the node).
+    ResizeCache(usize),
+}
+
+impl ShardWork {
+    /// Records the work covers — the unit the artificial service delay
+    /// is charged in (migration installs pay per entry like any other
+    /// write, so rebalancing visibly competes with client traffic).
+    fn records(&self) -> usize {
+        match self {
+            ShardWork::Lookup(fps) | ShardWork::Query(fps) | ShardWork::Remove(fps) => fps.len(),
+            ShardWork::Record(pairs) | ShardWork::Install(pairs) => pairs.len(),
+            _ => 0,
+        }
+    }
+
+    /// Splits a data frame's work by the shard each record routes to:
+    /// `(shard, positions in the frame, work)` for every involved shard,
+    /// in shard order. An empty frame goes whole to shard 0, so its reply
+    /// still comes from a shard.
+    fn split(self, router: &ShardRouter) -> Vec<(usize, Vec<usize>, ShardWork)> {
+        fn by_shard<T>(
+            router: &ShardRouter,
+            records: Vec<T>,
+            fp: impl Fn(&T) -> Fingerprint,
+            work: impl Fn(Vec<T>) -> ShardWork,
+        ) -> Vec<(usize, Vec<usize>, ShardWork)> {
+            if records.is_empty() {
+                return vec![(0, Vec::new(), work(records))];
+            }
+            router
+                .split(records, fp)
+                .into_iter()
+                .enumerate()
+                .filter(|(_, sub)| !sub.positions.is_empty())
+                .map(|(shard, sub)| (shard, sub.positions, work(sub.records)))
+                .collect()
+        }
+        match self {
+            ShardWork::Lookup(fps) => by_shard(router, fps, |f| *f, ShardWork::Lookup),
+            ShardWork::Query(fps) => by_shard(router, fps, |f| *f, ShardWork::Query),
+            ShardWork::Remove(fps) => by_shard(router, fps, |f| *f, ShardWork::Remove),
+            ShardWork::Record(pairs) => by_shard(router, pairs, |p| p.0, ShardWork::Record),
+            ShardWork::Install(pairs) => by_shard(router, pairs, |p| p.0, ShardWork::Install),
+            control => vec![(0, Vec::new(), control)],
+        }
     }
 }
 
-/// Decodes, executes and answers one data-plane frame.
-fn handle_frame(node: &mut HybridHashNode, frame: &Bytes) -> Frame {
-    let decoded = match decode(frame) {
-        Ok(f) => f,
-        Err(e) => {
-            return Frame::Error {
-                correlation: 0,
-                message: format!("undecodable request: {e}"),
-            }
+/// One shard's (or one-shard node's) result for one unit of work.
+enum ShardOutcome {
+    /// Existence and value per record, parallel to the work's records.
+    Answered {
+        exists: Vec<bool>,
+        values: Vec<u64>,
+    },
+    Done,
+    Entries(Vec<(Fingerprint, u64)>),
+    Snapshot(Box<NodeSnapshot>),
+    Profile {
+        capacity: usize,
+        recent_misses: f64,
+    },
+    Failed(String),
+}
+
+/// Decodes a data-plane frame into its correlation id and the work it
+/// asks for over the whole frame (the decoded vectors move into the
+/// work), or into the reply it gets at once: a pong, or an error for an
+/// undecodable or unexpected frame.
+fn frame_work(frame: &[u8]) -> Result<(u64, ShardWork), Frame> {
+    let decoded =
+        decode(frame).map_err(|e| error_frame(0, &format!("undecodable request: {e}")))?;
+    let correlation = decoded.correlation();
+    let work = match decoded {
+        Frame::LookupInsertReq { fingerprints, .. } => ShardWork::Lookup(fingerprints),
+        Frame::QueryReq { fingerprints, .. } => ShardWork::Query(fingerprints),
+        Frame::RemoveReq { fingerprints, .. } => ShardWork::Remove(fingerprints),
+        Frame::RecordReq { pairs, .. } => ShardWork::Record(pairs),
+        Frame::MigrateReq { pairs, .. } => ShardWork::Install(pairs),
+        Frame::Ping { .. } => return Err(Frame::Pong { correlation }),
+        other => {
+            let message = format!("unexpected frame at node: {other:?}");
+            return Err(error_frame(correlation, &message));
         }
     };
-    // Artificial wall-clock service time (zero in production configs):
-    // blocks this node's server thread exactly as a slow device would,
-    // so wall-clock benches and slow-replica tests see real per-node
-    // service times. `batch_overhead` is charged once per data frame —
-    // the per-message cost batching amortizes; `service_delay` once per
-    // fingerprint in the frame.
-    let per_op = node.config().service_delay;
-    let per_frame = node.config().batch_overhead;
-    if !per_op.is_zero() || !per_frame.is_zero() {
-        let ops = ops_in(&decoded);
-        if ops > 0 {
-            let delay = per_frame + per_op * ops;
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-        }
-    }
-    let correlation = decoded.correlation();
-    match decoded {
-        Frame::LookupInsertReq { fingerprints, .. } => {
-            match node.lookup_insert_batch(&fingerprints) {
-                Ok(batch) => {
-                    let values = compact_values(&batch.exists, &batch.values);
-                    Frame::LookupResp {
-                        correlation,
-                        exists: batch.exists,
-                        values,
-                    }
-                }
-                Err(e) => Frame::Error {
-                    correlation,
-                    message: e.to_string(),
-                },
-            }
-        }
-        Frame::QueryReq { fingerprints, .. } => match node.query_many(&fingerprints) {
-            Ok((exists, values)) => {
-                let values = compact_values(&exists, &values);
-                Frame::LookupResp {
-                    correlation,
-                    exists,
-                    values,
-                }
-            }
-            Err(e) => Frame::Error {
+    Ok((correlation, work))
+}
+
+/// The data-plane reply to a frame whose work ended in `outcome`:
+/// answers go out as a `LookupResp` carrying one value per existing
+/// fingerprint, finished writes as an `Ack`.
+fn reply_frame(correlation: u64, outcome: ShardOutcome) -> Frame {
+    match outcome {
+        ShardOutcome::Answered { exists, values } => {
+            let values = compact_values(&exists, &values);
+            Frame::LookupResp {
                 correlation,
-                message: e.to_string(),
-            },
-        },
-        Frame::RecordReq { pairs, .. } => {
-            for (fp, value) in pairs {
-                if let Err(e) = node.record(fp, value) {
-                    return Frame::Error {
-                        correlation,
-                        message: e.to_string(),
-                    };
-                }
+                exists,
+                values,
             }
-            Frame::Ack { correlation }
         }
-        Frame::RemoveReq { fingerprints, .. } => {
-            for fp in fingerprints {
-                if let Err(e) = node.remove(fp) {
-                    return Frame::Error {
-                        correlation,
-                        message: e.to_string(),
-                    };
-                }
-            }
-            Frame::Ack { correlation }
-        }
-        Frame::MigrateReq { pairs, .. } => match install_all(node, &pairs) {
-            Ok((exists, values)) => {
-                let values = compact_values(&exists, &values);
-                Frame::LookupResp {
-                    correlation,
-                    exists,
-                    values,
-                }
-            }
-            Err(e) => Frame::Error {
-                correlation,
-                message: e.to_string(),
-            },
-        },
-        Frame::Ping { .. } => Frame::Pong { correlation },
-        other => Frame::Error {
+        ShardOutcome::Done => Frame::Ack { correlation },
+        ShardOutcome::Failed(message) => Frame::Error {
             correlation,
-            message: format!("unexpected frame at node: {other:?}"),
+            message,
         },
+        _ => error_frame(correlation, "data work ended in a control outcome"),
+    }
+}
+
+/// The control-plane reply to a control step that ended in `outcome`.
+fn control_reply(outcome: ShardOutcome) -> ControlReply {
+    match outcome {
+        ShardOutcome::Snapshot(snap) => ControlReply::Stats(snap),
+        ShardOutcome::Entries(entries) => ControlReply::Scan(entries),
+        ShardOutcome::Done => ControlReply::Done,
+        ShardOutcome::Failed(m) => ControlReply::Failed(m),
+        _ => ControlReply::Failed("control step ended in a data outcome".into()),
+    }
+}
+
+/// Runs one unit of work on `shard` — every node operation, for both
+/// node loops — then group-commits the shard's WAL, so the outcome cannot
+/// release a reply before the work's mutations survive a crash (no-op
+/// for volatile shards).
+fn run_shard_work(shard: &mut HybridHashNode, work: ShardWork) -> ShardOutcome {
+    let answered = |(exists, values)| ShardOutcome::Answered { exists, values };
+    let outcome = match work {
+        ShardWork::Lookup(fps) => shard
+            .lookup_insert_batch(&fps)
+            .map(|batch| answered((batch.exists, batch.values))),
+        ShardWork::Query(fps) => shard.query_many(&fps).map(answered),
+        ShardWork::Install(pairs) => install_all(shard, &pairs).map(answered),
+        ShardWork::Record(pairs) => pairs
+            .into_iter()
+            .try_for_each(|(fp, value)| shard.record(fp, value).map(drop))
+            .map(|()| ShardOutcome::Done),
+        ShardWork::Remove(fps) => fps
+            .into_iter()
+            .try_for_each(|fp| shard.remove(fp))
+            .map(|()| ShardOutcome::Done),
+        ShardWork::Scan => shard.scan().map(ShardOutcome::Entries),
+        ShardWork::Flush => shard.flush().map(|_| ShardOutcome::Done),
+        ShardWork::Stats { queue_peak } => {
+            let mut snap = snapshot_of(shard);
+            snap.stats.queue_peak = queue_peak;
+            Ok(ShardOutcome::Snapshot(Box::new(snap)))
+        }
+        ShardWork::CacheProfile => Ok(ShardOutcome::Profile {
+            capacity: shard.cache_capacity(),
+            recent_misses: shard.recent_cache_misses(),
+        }),
+        ShardWork::ResizeCache(capacity) => {
+            shard.resize_cache(capacity);
+            Ok(ShardOutcome::Done)
+        }
+    };
+    match (outcome, shard.wal_commit()) {
+        (Err(e), _) => ShardOutcome::Failed(e.to_string()),
+        (Ok(_), Err(e)) => ShardOutcome::Failed(format!("wal commit failed: {e}")),
+        (Ok(outcome), Ok(())) => outcome,
     }
 }
 
@@ -414,357 +459,26 @@ fn install_all(
     Ok((exists, values))
 }
 
-// ─── Sharded execution ──────────────────────────────────────────────────
-
-/// State shared by a sharded node's dispatcher and workers.
-struct NodeShared {
-    /// Per-shard task queues — the merge phase fans apply tasks back out
-    /// through these.
-    workers: Vec<Sender<ShardTask>>,
-    /// Node-level insert-value allocator. Values are only drawn at merge
-    /// time, in frame order, so sequentially driven traffic receives
-    /// exactly the values a single-threaded node would assign.
-    next_value: AtomicU64,
-    /// In-flight frames. The autotuner drains this to zero before moving
-    /// entries between shards: the apply phase of a lookup fans out from
-    /// whichever worker classified last, so queue-FIFO alone cannot
-    /// order a re-split after it.
-    outstanding: AtomicUsize,
-    /// High-water mark of the dispatcher's inbound queue (requests still
-    /// waiting plus the one being dispatched). Written by the dispatcher
-    /// loop, folded into merged `Stats` snapshots by the Stats job.
-    queue_peak: AtomicU64,
-}
-
-/// A unit of work queued to one shard worker.
-enum ShardTask {
-    Work {
-        job: Arc<FrameJob>,
-        slot: usize,
-        work: ShardWork,
-    },
-    /// Synchronous single-shard RPC, bypassing the job machinery — the
-    /// autotuner's building block (the dispatcher blocks on the reply
-    /// with the node quiesced, so ordering is trivial).
-    Direct {
-        work: ShardWork,
-        reply: Sender<ShardOutcome>,
-    },
-    /// Stop the worker. `clean` distinguishes an orderly node shutdown
-    /// (flush + close the shard's WAL, so restart replays nothing) from
-    /// a simulated crash (drop the shard unclosed — uncommitted state is
-    /// lost, exactly what recovery must tolerate).
-    Shutdown { clean: bool },
-}
-
-/// What a worker does with its shard for one sub-frame. `delay` is the
-/// artificial wall-clock service time for this slice (so shards of one
-/// frame sleep **concurrently** — the multi-core effect the paper's
-/// sequential node cannot show).
-enum ShardWork {
-    Classify {
-        fps: Vec<Fingerprint>,
-        delay: Duration,
-    },
-    Apply {
-        pairs: Vec<(Fingerprint, u64)>,
-    },
-    Query {
-        fps: Vec<Fingerprint>,
-        delay: Duration,
-    },
-    Record {
-        pairs: Vec<(Fingerprint, u64)>,
-        delay: Duration,
-    },
-    Install {
-        pairs: Vec<(Fingerprint, u64)>,
-        delay: Duration,
-    },
-    Remove {
-        fps: Vec<Fingerprint>,
-        delay: Duration,
-    },
-    Scan,
-    Flush,
-    Stats,
-    /// Report `(cache capacity, recent cache misses)` — the autotune
-    /// sizer's marginal-utility input.
-    CacheProfile,
-    /// Retarget the shard's RAM cache capacity (clamped to the policy's
-    /// minimum by the node).
-    ResizeCache {
-        capacity: usize,
-    },
-}
-
-/// One shard's result for its slice of a frame.
-enum ShardOutcome {
-    Classified {
-        fps: Vec<Fingerprint>,
-        classes: Vec<Classified>,
-    },
-    Answered {
-        exists: Vec<bool>,
-        values: Vec<u64>,
-    },
-    Acked,
-    Entries {
-        pairs: Vec<(Fingerprint, u64)>,
-    },
-    Snapshot(Box<NodeSnapshot>),
-    Profile {
-        capacity: usize,
-        recent_misses: f64,
-    },
-    Done,
-    Failed(String),
-}
-
-/// Where a finished job's answer goes.
-enum ReplyTo {
-    Data(Sender<Bytes>),
-    Control(Sender<ControlReply>),
-}
-
-/// How the per-shard outcomes of a job merge into one answer.
-enum JobKind {
-    /// Two-phase lookup-insert (classify → merge/allocate → apply).
-    Lookup,
-    /// Query or install: index-merge the slices' answers.
-    Query,
-    /// Record/remove: every shard acks.
-    Ack,
-    /// Full scan: concatenate in shard order.
-    Scan,
-    /// All shards flushed.
-    Flush,
-    /// Merge per-shard snapshots.
-    Stats,
-}
-
-/// Phases of a [`JobKind::Lookup`] job.
-#[derive(PartialEq, Eq)]
-enum Phase {
-    Classify,
-    Apply,
-}
-
-/// One in-flight frame fanned out across shard workers. The **last
-/// worker to finish decrements `remaining` to zero and merges** — the
-/// dispatcher never blocks on a frame, which is what lets frames from
-/// different clients interleave across shards.
-struct FrameJob {
-    kind: JobKind,
-    correlation: u64,
-    /// Batch length (lookup/query) for position merging.
-    total: usize,
-    reply: ReplyTo,
-    shared: Arc<NodeShared>,
-    /// Set once the job's reply has been released, when the job leaves
-    /// the `outstanding` count (exactly-once guard: some finish paths
-    /// reach more than one send site).
-    released: AtomicBool,
-    inner: Mutex<JobInner>,
-}
-
-struct JobInner {
-    remaining: usize,
-    /// Per-slot outcomes, slot order = shard order.
-    slots: Vec<Option<ShardOutcome>>,
-    /// Per-slot positions in the original batch (lookup/query).
-    positions: Vec<Vec<usize>>,
-    /// Worker index behind each slot.
-    shard_of_slot: Vec<usize>,
-    phase: Phase,
-    /// Reply bytes prepared at classify-merge, released after apply.
-    reply_bytes: Option<Bytes>,
-    failure: Option<String>,
-}
-
-impl FrameJob {
-    /// Records one slot's outcome; the worker that completes the job
-    /// merges and replies (and, for lookups, fans out the apply phase).
-    fn complete(self: &Arc<Self>, slot: usize, outcome: ShardOutcome, scratch: &mut BytesMut) {
-        let mut inner = self.inner.lock();
-        if let ShardOutcome::Failed(m) = &outcome {
-            if inner.failure.is_none() {
-                inner.failure = Some(m.clone());
-            }
-        }
-        inner.slots[slot] = Some(outcome);
-        inner.remaining -= 1;
-        if inner.remaining > 0 {
-            return;
-        }
-        self.finish(&mut inner, scratch);
+/// Artificial wall-clock service time (zero in production configs) for
+/// `records` records of a data frame: `service_delay` per record, plus
+/// `batch_overhead` — the per-message cost batching amortizes — on the
+/// frame's `first` slice. Shards of one frame sleep **concurrently**,
+/// the multi-core effect the paper's sequential node cannot show.
+fn service_time(config: &NodeConfig, first: bool, records: usize) -> Duration {
+    if records == 0 {
+        return Duration::ZERO;
     }
+    let overhead = if first {
+        config.batch_overhead
+    } else {
+        Duration::ZERO
+    };
+    config.service_delay * records as u32 + overhead
+}
 
-    fn finish(self: &Arc<Self>, inner: &mut JobInner, scratch: &mut BytesMut) {
-        match &self.kind {
-            JobKind::Lookup => self.finish_lookup(inner, scratch),
-            JobKind::Query => {
-                if let Some(m) = &inner.failure {
-                    return self.send_data(&error_frame(self.correlation, m), scratch);
-                }
-                let mut exists = vec![false; self.total];
-                let mut values = vec![0u64; self.total];
-                for (slot, outcome) in inner.slots.iter().enumerate() {
-                    if let Some(ShardOutcome::Answered {
-                        exists: e,
-                        values: v,
-                    }) = outcome
-                    {
-                        for ((&pos, e), v) in inner.positions[slot].iter().zip(e).zip(v) {
-                            exists[pos] = *e;
-                            values[pos] = *v;
-                        }
-                    }
-                }
-                let values = compact_values(&exists, &values);
-                self.send_data(
-                    &Frame::LookupResp {
-                        correlation: self.correlation,
-                        exists,
-                        values,
-                    },
-                    scratch,
-                );
-            }
-            JobKind::Ack => {
-                let frame = match &inner.failure {
-                    Some(m) => error_frame(self.correlation, m),
-                    None => Frame::Ack {
-                        correlation: self.correlation,
-                    },
-                };
-                self.send_data(&frame, scratch);
-            }
-            JobKind::Scan => {
-                if let Some(m) = &inner.failure {
-                    return self.send_control(ControlReply::Failed(m.clone()));
-                }
-                let mut entries = Vec::new();
-                for outcome in inner.slots.iter_mut().flatten() {
-                    if let ShardOutcome::Entries { pairs } = outcome {
-                        entries.append(pairs);
-                    }
-                }
-                self.send_control(ControlReply::Scan(entries));
-            }
-            JobKind::Flush => {
-                let reply = match &inner.failure {
-                    Some(m) => ControlReply::Failed(m.clone()),
-                    None => ControlReply::Done,
-                };
-                self.send_control(reply);
-            }
-            JobKind::Stats => {
-                let parts: Vec<NodeSnapshot> = inner
-                    .slots
-                    .iter()
-                    .flatten()
-                    .filter_map(|o| match o {
-                        ShardOutcome::Snapshot(snap) => Some((**snap).clone()),
-                        _ => None,
-                    })
-                    .collect();
-                let mut snap = merge_snapshots(parts);
-                // The shards never saw the inbound queue; the
-                // dispatcher's high-water mark is the node's.
-                snap.stats.queue_peak = self.shared.queue_peak.load(Ordering::Relaxed);
-                self.send_control(ControlReply::Stats(Box::new(snap)));
-            }
-        }
-    }
-
-    fn finish_lookup(self: &Arc<Self>, inner: &mut JobInner, scratch: &mut BytesMut) {
-        match inner.phase {
-            Phase::Classify => {
-                if let Some(m) = &inner.failure {
-                    return self.send_data(&error_frame(self.correlation, m), scratch);
-                }
-                let mut subs: Vec<SubClassified> = Vec::with_capacity(inner.slots.len());
-                for (slot, outcome) in inner.slots.iter_mut().enumerate() {
-                    let Some(ShardOutcome::Classified { fps, classes }) = outcome.take() else {
-                        return self.send_data(
-                            &error_frame(self.correlation, "shard lost its classification"),
-                            scratch,
-                        );
-                    };
-                    subs.push(SubClassified {
-                        positions: std::mem::take(&mut inner.positions[slot]),
-                        fingerprints: fps,
-                        classes,
-                    });
-                }
-                // The frame-order merge: insert values are allocated
-                // here, not in the (arbitrarily scheduled) workers.
-                let merged = merge_classified(self.total, &subs, || {
-                    self.shared.next_value.fetch_add(1, Ordering::Relaxed)
-                });
-                let values = compact_values(&merged.exists, &merged.values);
-                let reply = Frame::LookupResp {
-                    correlation: self.correlation,
-                    exists: merged.exists,
-                    values,
-                };
-                let applies: Vec<(usize, Vec<(Fingerprint, u64)>)> = merged
-                    .inserts
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, pairs)| !pairs.is_empty())
-                    .map(|(slot, pairs)| (inner.shard_of_slot[slot], pairs))
-                    .collect();
-                if applies.is_empty() {
-                    return self.send_data(&reply, scratch);
-                }
-                inner.phase = Phase::Apply;
-                inner.remaining = applies.len();
-                inner.reply_bytes = Some(encode_reusing(&reply, scratch));
-                inner.slots.iter_mut().for_each(|s| *s = None);
-                for (slot, (shard, pairs)) in applies.into_iter().enumerate() {
-                    // The queue outlives the job (workers only exit on
-                    // shutdown), so the send cannot fail while a client
-                    // still waits.
-                    let _ = self.shared.workers[shard].send(ShardTask::Work {
-                        job: Arc::clone(self),
-                        slot,
-                        work: ShardWork::Apply { pairs },
-                    });
-                }
-            }
-            Phase::Apply => {
-                if let Some(m) = &inner.failure {
-                    return self.send_data(&error_frame(self.correlation, m), scratch);
-                }
-                if let (ReplyTo::Data(tx), Some(bytes)) = (&self.reply, inner.reply_bytes.take()) {
-                    let _ = tx.send(bytes);
-                }
-                self.release();
-            }
-        }
-    }
-
-    fn send_data(&self, frame: &Frame, scratch: &mut BytesMut) {
-        if let ReplyTo::Data(tx) = &self.reply {
-            let _ = tx.send(encode_reusing(frame, scratch));
-        }
-        self.release();
-    }
-
-    fn send_control(&self, reply: ControlReply) {
-        if let ReplyTo::Control(tx) = &self.reply {
-            let _ = tx.send(reply);
-        }
-        self.release();
-    }
-
-    /// Removes this job from the node's in-flight count, exactly once.
-    fn release(&self) {
-        if !self.released.swap(true, Ordering::AcqRel) {
-            self.shared.outstanding.fetch_sub(1, Ordering::AcqRel);
-        }
+fn sleep_service(delay: Duration) {
+    if !delay.is_zero() {
+        std::thread::sleep(delay);
     }
 }
 
@@ -786,12 +500,164 @@ fn compact_values(exists: &[bool], values: &[u64]) -> Vec<u64> {
         .collect()
 }
 
+// ─── Sharded execution ──────────────────────────────────────────────────
+
+/// A unit of work queued to one shard worker.
+enum ShardTask {
+    /// One slot of a job: sleep `delay` (the slot's share of the
+    /// artificial service time), run `work`, hand the outcome to the job.
+    Work {
+        job: Arc<FrameJob>,
+        slot: usize,
+        work: ShardWork,
+        delay: Duration,
+    },
+    /// Synchronous single-shard RPC, bypassing the job machinery — the
+    /// autotuner's building block.
+    Direct {
+        work: ShardWork,
+        reply: Sender<ShardOutcome>,
+    },
+    /// Stop the worker. `clean` distinguishes an orderly node shutdown
+    /// (flush + close the shard's WAL, so restart replays nothing) from
+    /// a simulated crash (drop the shard unclosed — uncommitted state is
+    /// lost, exactly what recovery must tolerate).
+    Shutdown { clean: bool },
+}
+
+/// Where a finished job's merged outcome goes.
+enum ReplyTo {
+    Data { correlation: u64, tx: Sender<Bytes> },
+    Control(Sender<ControlReply>),
+}
+
+/// One in-flight frame (or broadcast control step) fanned out across
+/// shard workers. The **last worker to finish merges the slots' outcomes
+/// and replies** — the dispatcher never blocks on a frame, which is what
+/// lets frames from different clients interleave across shards.
+struct FrameJob {
+    reply: ReplyTo,
+    /// Each slot's positions in the frame (empty for control steps).
+    positions: Vec<Vec<usize>>,
+    inner: Mutex<JobInner>,
+}
+
+struct JobInner {
+    /// Slots still running.
+    remaining: usize,
+    /// Per-slot outcomes, slot order = shard order.
+    slots: Vec<Option<ShardOutcome>>,
+}
+
+impl FrameJob {
+    fn new(reply: ReplyTo, positions: Vec<Vec<usize>>) -> Arc<Self> {
+        let slots = positions.len();
+        Arc::new(FrameJob {
+            reply,
+            positions,
+            inner: Mutex::new(JobInner {
+                remaining: slots,
+                slots: (0..slots).map(|_| None).collect(),
+            }),
+        })
+    }
+
+    /// Records one slot's outcome; the worker that completes the job
+    /// merges and replies.
+    fn complete(&self, slot: usize, outcome: ShardOutcome, scratch: &mut BytesMut) {
+        let slots = {
+            let mut inner = self.inner.lock();
+            inner.slots[slot] = Some(outcome);
+            inner.remaining -= 1;
+            if inner.remaining > 0 {
+                return;
+            }
+            std::mem::take(&mut inner.slots)
+        };
+        let outcome = merge_outcomes(slots.into_iter().flatten().collect(), &self.positions);
+        match &self.reply {
+            ReplyTo::Data { correlation, tx } => {
+                let _ = tx.send(encode_reusing(&reply_frame(*correlation, outcome), scratch));
+            }
+            ReplyTo::Control(tx) => {
+                let _ = tx.send(control_reply(outcome));
+            }
+        }
+    }
+}
+
+/// Merges a job's slot outcomes into the outcome one shard running the
+/// whole job would have given: answers scattered back to their frame
+/// positions, scans concatenated in shard (= fingerprint) order,
+/// snapshots merged. Every slot ran the same kind of work; one failed
+/// slot fails the job.
+fn merge_outcomes(mut slots: Vec<ShardOutcome>, positions: &[Vec<usize>]) -> ShardOutcome {
+    if let Some(i) = slots
+        .iter()
+        .position(|o| matches!(o, ShardOutcome::Failed(_)))
+    {
+        return slots.swap_remove(i);
+    }
+    match slots.first() {
+        Some(ShardOutcome::Answered { .. }) => {
+            let total = positions.iter().map(Vec::len).sum();
+            let mut exists = vec![false; total];
+            let mut values = vec![0u64; total];
+            for (outcome, at) in slots.into_iter().zip(positions) {
+                if let ShardOutcome::Answered {
+                    exists: e,
+                    values: v,
+                } = outcome
+                {
+                    for ((&pos, e), v) in at.iter().zip(e).zip(v) {
+                        exists[pos] = e;
+                        values[pos] = v;
+                    }
+                }
+            }
+            ShardOutcome::Answered { exists, values }
+        }
+        Some(ShardOutcome::Entries(_)) => ShardOutcome::Entries(
+            slots
+                .into_iter()
+                .flat_map(|o| match o {
+                    ShardOutcome::Entries(entries) => entries,
+                    _ => Vec::new(),
+                })
+                .collect(),
+        ),
+        Some(ShardOutcome::Snapshot(_)) => {
+            let parts = slots
+                .into_iter()
+                .filter_map(|o| match o {
+                    ShardOutcome::Snapshot(snap) => Some(*snap),
+                    _ => None,
+                })
+                .collect();
+            ShardOutcome::Snapshot(Box::new(merge_snapshots(parts)))
+        }
+        _ => ShardOutcome::Done,
+    }
+}
+
 /// One shard worker: owns its [`HybridHashNode`] slice exclusively and
 /// executes sub-frames FIFO until shutdown.
 fn shard_worker(mut shard: HybridHashNode, rx: Receiver<ShardTask>) {
     let mut scratch = BytesMut::new();
     while let Ok(task) = rx.recv() {
         match task {
+            ShardTask::Work {
+                job,
+                slot,
+                work,
+                delay,
+            } => {
+                sleep_service(delay);
+                job.complete(slot, run_shard_work(&mut shard, work), &mut scratch);
+            }
+            ShardTask::Direct { work, reply } => {
+                let _ = reply.send(run_shard_work(&mut shard, work));
+            }
             ShardTask::Shutdown { clean } => {
                 if clean {
                     // Orderly exit: checkpoint + close the shard's WAL.
@@ -800,95 +666,7 @@ fn shard_worker(mut shard: HybridHashNode, rx: Receiver<ShardTask>) {
                 }
                 break;
             }
-            ShardTask::Work { job, slot, work } => {
-                let mut outcome = run_shard_work(&mut shard, work);
-                // Group-commit this shard's WAL before the outcome can
-                // release the frame's reply: an acked sub-frame is a
-                // durable sub-frame. (No-op for volatile shards.)
-                if let Err(e) = shard.wal_commit() {
-                    outcome = ShardOutcome::Failed(format!("wal commit failed: {e}"));
-                }
-                job.complete(slot, outcome, &mut scratch);
-            }
-            ShardTask::Direct { work, reply } => {
-                let mut outcome = run_shard_work(&mut shard, work);
-                if let Err(e) = shard.wal_commit() {
-                    outcome = ShardOutcome::Failed(format!("wal commit failed: {e}"));
-                }
-                let _ = reply.send(outcome);
-            }
         }
-    }
-}
-
-fn run_shard_work(shard: &mut HybridHashNode, work: ShardWork) -> ShardOutcome {
-    match work {
-        ShardWork::Classify { fps, delay } => {
-            sleep_service(delay);
-            match shard.classify_batch(&fps) {
-                Ok(classes) => ShardOutcome::Classified { fps, classes },
-                Err(e) => ShardOutcome::Failed(e.to_string()),
-            }
-        }
-        ShardWork::Apply { pairs } => match shard.apply_inserts(&pairs) {
-            Ok(()) => ShardOutcome::Acked,
-            Err(e) => ShardOutcome::Failed(e.to_string()),
-        },
-        ShardWork::Query { fps, delay } => {
-            sleep_service(delay);
-            match shard.query_many(&fps) {
-                Ok((exists, values)) => ShardOutcome::Answered { exists, values },
-                Err(e) => ShardOutcome::Failed(e.to_string()),
-            }
-        }
-        ShardWork::Record { pairs, delay } => {
-            sleep_service(delay);
-            for (fp, value) in pairs {
-                if let Err(e) = shard.record(fp, value) {
-                    return ShardOutcome::Failed(e.to_string());
-                }
-            }
-            ShardOutcome::Acked
-        }
-        ShardWork::Install { pairs, delay } => {
-            sleep_service(delay);
-            match install_all(shard, &pairs) {
-                Ok((exists, values)) => ShardOutcome::Answered { exists, values },
-                Err(e) => ShardOutcome::Failed(e.to_string()),
-            }
-        }
-        ShardWork::Remove { fps, delay } => {
-            sleep_service(delay);
-            for fp in fps {
-                if let Err(e) = shard.remove(fp) {
-                    return ShardOutcome::Failed(e.to_string());
-                }
-            }
-            ShardOutcome::Acked
-        }
-        ShardWork::Scan => match shard.scan() {
-            Ok(pairs) => ShardOutcome::Entries { pairs },
-            Err(e) => ShardOutcome::Failed(e.to_string()),
-        },
-        ShardWork::Flush => match shard.flush() {
-            Ok(_) => ShardOutcome::Done,
-            Err(e) => ShardOutcome::Failed(e.to_string()),
-        },
-        ShardWork::Stats => ShardOutcome::Snapshot(Box::new(snapshot_of(shard))),
-        ShardWork::CacheProfile => ShardOutcome::Profile {
-            capacity: shard.cache_capacity(),
-            recent_misses: shard.recent_cache_misses(),
-        },
-        ShardWork::ResizeCache { capacity } => {
-            shard.resize_cache(capacity);
-            ShardOutcome::Done
-        }
-    }
-}
-
-fn sleep_service(delay: Duration) {
-    if !delay.is_zero() {
-        std::thread::sleep(delay);
     }
 }
 
@@ -902,72 +680,57 @@ pub(crate) fn sharded_node_loop(
     rx: Receiver<NodeRequest>,
 ) {
     // Only this thread reads the router (per frame) or replaces it (an
-    // autotune re-split, which runs here with the node drained).
+    // autotune re-split, which runs here).
     let mut router = ShardRouter::new(shards.len() as u32);
     // Cumulative per-shard loads as of the previous autotune pass.
     let mut tuned_loads: Vec<ShardLoad> = Vec::new();
     let node_id = shards.first().map(HybridHashNode::id).unwrap_or_default();
-    let mut worker_txs = Vec::with_capacity(shards.len());
-    let mut worker_rxs = Vec::with_capacity(shards.len());
-    for _ in 0..shards.len() {
-        let (tx, wrx) = unbounded();
-        worker_txs.push(tx);
-        worker_rxs.push(wrx);
-    }
-    // Seed the value allocator past anything the shards recovered from
-    // their WALs, so a warm-restarted node never reissues a value the
-    // pre-crash node already handed out.
-    let next_value = shards
-        .iter()
-        .map(HybridHashNode::next_value_hint)
-        .max()
-        .unwrap_or(0);
-    let shared = Arc::new(NodeShared {
-        workers: worker_txs,
-        next_value: AtomicU64::new(next_value),
-        outstanding: AtomicUsize::new(0),
-        queue_peak: AtomicU64::new(0),
-    });
-    let handles: Vec<JoinHandle<()>> = shards
+    let (workers, handles): (Vec<Sender<ShardTask>>, Vec<JoinHandle<()>>) = shards
         .into_iter()
-        .zip(worker_rxs)
         .enumerate()
-        .map(|(s, (shard, wrx))| {
-            std::thread::Builder::new()
+        .map(|(s, shard)| {
+            let (tx, wrx) = unbounded();
+            let handle = std::thread::Builder::new()
                 .name(format!("shhc-{}-s{s}", shard.id()))
                 .spawn(move || shard_worker(shard, wrx))
-                .expect("spawn shard worker")
+                .expect("spawn shard worker");
+            (tx, handle)
         })
-        .collect();
+        .unzip();
     let mut scratch = BytesMut::new();
+    // High-water mark of the inbound queue (requests still waiting plus
+    // the one being dispatched); the shards never see that queue.
+    let mut queue_peak: u64 = 0;
     // Clean only via ControlMsg::Shutdown; a channel disconnect (the
     // cluster killing the node) exits dirty, and the shards drop with
     // their WALs unclosed — a crash.
     let mut clean = false;
     while let Ok(request) = rx.recv() {
-        // Only the dispatcher writes this; a load-relaxed read-max-store
-        // is race-free here and keeps the hot loop cheap.
-        let depth = rx.len() as u64 + 1;
-        if depth > shared.queue_peak.load(Ordering::Relaxed) {
-            shared.queue_peak.store(depth, Ordering::Relaxed);
-        }
+        queue_peak = queue_peak.max(rx.len() as u64 + 1);
         match request {
-            NodeRequest::Data { frame, reply } => {
-                dispatch_data(&config, &router, &shared, &frame, reply, &mut scratch);
-            }
+            NodeRequest::Data { frame, reply } => match frame_work(&frame) {
+                Ok((correlation, work)) => {
+                    dispatch_data(&config, &router, &workers, correlation, work, reply);
+                }
+                Err(now) => {
+                    let _ = reply.send(encode_reusing(&now, &mut scratch));
+                }
+            },
             NodeRequest::Control { msg, reply } => match msg {
                 ControlMsg::Shutdown => {
                     clean = true;
                     let _ = reply.send(ControlReply::Done);
                     break;
                 }
-                ControlMsg::Stats => broadcast_control(&shared, JobKind::Stats, reply),
-                ControlMsg::Flush => broadcast_control(&shared, JobKind::Flush, reply),
-                ControlMsg::Scan => broadcast_control(&shared, JobKind::Scan, reply),
+                ControlMsg::Stats => {
+                    broadcast_control(&workers, || ShardWork::Stats { queue_peak }, reply);
+                }
+                ControlMsg::Flush => broadcast_control(&workers, || ShardWork::Flush, reply),
+                ControlMsg::Scan => broadcast_control(&workers, || ShardWork::Scan, reply),
                 ControlMsg::Autotune(opts) => {
                     let r = match run_autotune(
                         &config,
-                        &shared,
+                        &workers,
                         &mut router,
                         &mut tuned_loads,
                         node_id,
@@ -981,7 +744,7 @@ pub(crate) fn sharded_node_loop(
             },
         }
     }
-    for tx in &shared.workers {
+    for tx in &workers {
         let _ = tx.send(ShardTask::Shutdown { clean });
     }
     for handle in handles {
@@ -989,238 +752,50 @@ pub(crate) fn sharded_node_loop(
     }
 }
 
-/// Builds a job over `slots.len()` sub-frames and returns it; callers
-/// send one task per slot.
-#[allow(clippy::too_many_arguments)]
-fn new_job(
-    kind: JobKind,
-    correlation: u64,
-    total: usize,
-    reply: ReplyTo,
-    shared: &Arc<NodeShared>,
-    positions: Vec<Vec<usize>>,
-    shard_of_slot: Vec<usize>,
-) -> Arc<FrameJob> {
-    let slots = shard_of_slot.len();
-    shared.outstanding.fetch_add(1, Ordering::AcqRel);
-    Arc::new(FrameJob {
-        kind,
-        correlation,
-        total,
-        reply,
-        shared: Arc::clone(shared),
-        released: AtomicBool::new(false),
-        inner: Mutex::new(JobInner {
-            remaining: slots,
-            slots: (0..slots).map(|_| None).collect(),
-            positions,
-            shard_of_slot,
-            phase: Phase::Classify,
-            reply_bytes: None,
-            failure: None,
-        }),
-    })
-}
-
-/// Splits a decoded data frame across the shard workers.
+/// Sends every shard a data frame involves its slice of `work`, under one
+/// job that replies once every slice is answered.
 fn dispatch_data(
     config: &NodeConfig,
     router: &ShardRouter,
-    shared: &Arc<NodeShared>,
-    frame: &Bytes,
-    reply: Sender<Bytes>,
-    scratch: &mut BytesMut,
-) {
-    let decoded = match decode(frame) {
-        Ok(f) => f,
-        Err(e) => {
-            let _ = reply.send(encode_reusing(
-                &error_frame(0, &format!("undecodable request: {e}")),
-                scratch,
-            ));
-            return;
-        }
-    };
-    let correlation = decoded.correlation();
-    let per_op = config.service_delay;
-    let per_frame = config.batch_overhead;
-    // Per-slice service time: each shard sleeps for *its* share of the
-    // frame concurrently; the per-message overhead is charged once, on
-    // the first involved shard.
-    let delay_for = |k: usize, ops: usize| -> Duration {
-        let mut d = per_op * ops as u32;
-        if k == 0 {
-            d += per_frame;
-        }
-        d
-    };
-    let mut split = |kind, fingerprints: &[Fingerprint], make_work: MakeWork<'_>| {
-        dispatch_split(
-            kind,
-            router,
-            shared,
-            correlation,
-            reply.clone(),
-            scratch,
-            fingerprints,
-            &delay_for,
-            make_work,
-        )
-    };
-    match decoded {
-        Frame::LookupInsertReq { fingerprints, .. } => {
-            split(JobKind::Lookup, &fingerprints, &|_, fps, delay| {
-                ShardWork::Classify { fps, delay }
-            });
-        }
-        Frame::QueryReq { fingerprints, .. } => {
-            split(JobKind::Query, &fingerprints, &|_, fps, delay| {
-                ShardWork::Query { fps, delay }
-            });
-        }
-        Frame::RecordReq { pairs, .. } => {
-            let fps: Vec<Fingerprint> = pairs.iter().map(|(fp, _)| *fp).collect();
-            split(JobKind::Ack, &fps, &|positions, _, delay| {
-                ShardWork::Record {
-                    pairs: positions.iter().map(|&i| pairs[i]).collect(),
-                    delay,
-                }
-            });
-        }
-        // Installs answer like a query: which entries each shard held.
-        Frame::MigrateReq { pairs, .. } => {
-            let fps: Vec<Fingerprint> = pairs.iter().map(|(fp, _)| *fp).collect();
-            split(JobKind::Query, &fps, &|positions, _, delay| {
-                ShardWork::Install {
-                    pairs: positions.iter().map(|&i| pairs[i]).collect(),
-                    delay,
-                }
-            });
-        }
-        Frame::RemoveReq { fingerprints, .. } => {
-            split(JobKind::Ack, &fingerprints, &|_, fps, delay| {
-                ShardWork::Remove { fps, delay }
-            });
-        }
-        Frame::Ping { .. } => {
-            let _ = reply.send(encode_reusing(&Frame::Pong { correlation }, scratch));
-        }
-        other => {
-            let _ = reply.send(encode_reusing(
-                &error_frame(correlation, &format!("unexpected frame at node: {other:?}")),
-                scratch,
-            ));
-        }
-    }
-}
-
-/// Builds one shard's work item from its positions in the frame, its
-/// fingerprints and its share of the service delay.
-type MakeWork<'a> = &'a dyn Fn(&[usize], Vec<Fingerprint>, Duration) -> ShardWork;
-
-/// Splits a frame's fingerprints by shard and sends each involved shard
-/// one work item, built by `make_work`, under a `kind` job.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_split(
-    kind: JobKind,
-    router: &ShardRouter,
-    shared: &Arc<NodeShared>,
+    workers: &[Sender<ShardTask>],
     correlation: u64,
-    reply: Sender<Bytes>,
-    scratch: &mut BytesMut,
-    fingerprints: &[Fingerprint],
-    delay_for: &dyn Fn(usize, usize) -> Duration,
-    make_work: MakeWork<'_>,
+    work: ShardWork,
+    tx: Sender<Bytes>,
 ) {
-    let involved = involved_subs(router, fingerprints);
-    if involved.is_empty() {
-        let empty = match kind {
-            JobKind::Ack => Frame::Ack { correlation },
-            _ => Frame::LookupResp {
-                correlation,
-                exists: Vec::new(),
-                values: Vec::new(),
-            },
-        };
-        let _ = reply.send(encode_reusing(&empty, scratch));
-        return;
+    let mut positions = Vec::new();
+    let mut tasks = Vec::new();
+    for (shard, at, work) in work.split(router) {
+        let delay = service_time(config, tasks.is_empty(), at.len());
+        tasks.push((shard, work, delay));
+        positions.push(at);
     }
-    let (positions, shard_of_slot, fps) = split_parts(involved);
-    let work: Vec<ShardWork> = positions
-        .iter()
-        .zip(fps)
-        .enumerate()
-        .map(|(k, (at, fps))| {
-            let delay = delay_for(k, fps.len());
-            make_work(at, fps, delay)
-        })
-        .collect();
-    let job = new_job(
-        kind,
-        correlation,
-        fingerprints.len(),
-        ReplyTo::Data(reply),
-        shared,
-        positions,
-        shard_of_slot.clone(),
-    );
-    for (k, (shard, work)) in shard_of_slot.into_iter().zip(work).enumerate() {
-        let _ = shared.workers[shard].send(ShardTask::Work {
+    let job = FrameJob::new(ReplyTo::Data { correlation, tx }, positions);
+    for (slot, (shard, work, delay)) in tasks.into_iter().enumerate() {
+        // The queue outlives the job (workers only exit on shutdown), so
+        // the send cannot fail while a client still waits.
+        let _ = workers[shard].send(ShardTask::Work {
             job: Arc::clone(&job),
-            slot: k,
+            slot,
             work,
+            delay,
         });
     }
 }
 
-/// The non-empty sub-batches of a frame, tagged with their shard index.
-fn involved_subs(router: &ShardRouter, fps: &[Fingerprint]) -> Vec<(usize, SubBatch)> {
-    router
-        .split(fps)
-        .into_iter()
-        .enumerate()
-        .filter(|(_, sub)| !sub.fingerprints.is_empty())
-        .collect()
-}
-
-/// Decomposes involved sub-batches into the parallel vectors a job needs.
-type SplitParts = (Vec<Vec<usize>>, Vec<usize>, Vec<Vec<Fingerprint>>);
-fn split_parts(involved: Vec<(usize, SubBatch)>) -> SplitParts {
-    let mut positions = Vec::with_capacity(involved.len());
-    let mut shards = Vec::with_capacity(involved.len());
-    let mut fps = Vec::with_capacity(involved.len());
-    for (shard, sub) in involved {
-        positions.push(sub.positions);
-        shards.push(shard);
-        fps.push(sub.fingerprints);
-    }
-    (positions, shards, fps)
-}
-
-/// Fans a control command out to every shard under a merged job.
-fn broadcast_control(shared: &Arc<NodeShared>, kind: JobKind, reply: Sender<ControlReply>) {
-    let work_of = |kind: &JobKind| match kind {
-        JobKind::Stats => ShardWork::Stats,
-        JobKind::Flush => ShardWork::Flush,
-        JobKind::Scan => ShardWork::Scan,
-        _ => unreachable!("only control kinds broadcast"),
-    };
-    let shard_of_slot: Vec<usize> = (0..shared.workers.len()).collect();
-    let job = new_job(
-        kind,
-        0,
-        0,
-        ReplyTo::Control(reply),
-        shared,
-        vec![Vec::new(); shard_of_slot.len()],
-        shard_of_slot.clone(),
-    );
-    for (k, shard) in shard_of_slot.into_iter().enumerate() {
-        let work = work_of(&job.kind);
-        let _ = shared.workers[shard].send(ShardTask::Work {
+/// Runs one control step on every shard under one job that replies with
+/// the merged outcome.
+fn broadcast_control(
+    workers: &[Sender<ShardTask>],
+    work: impl Fn() -> ShardWork,
+    reply: Sender<ControlReply>,
+) {
+    let job = FrameJob::new(ReplyTo::Control(reply), vec![Vec::new(); workers.len()]);
+    for (slot, worker) in workers.iter().enumerate() {
+        let _ = worker.send(ShardTask::Work {
             job: Arc::clone(&job),
-            slot: k,
-            work,
+            slot,
+            work: work(),
+            delay: Duration::ZERO,
         });
     }
 }
@@ -1228,12 +803,12 @@ fn broadcast_control(shared: &Arc<NodeShared>, kind: JobKind, reply: Sender<Cont
 /// Synchronously runs one unit of work on one shard and returns its
 /// outcome, mapping `Failed` to `Err`.
 fn shard_direct(
-    shared: &NodeShared,
+    workers: &[Sender<ShardTask>],
     shard: usize,
     work: ShardWork,
 ) -> Result<ShardOutcome, String> {
     let (tx, rx) = unbounded();
-    shared.workers[shard]
+    workers[shard]
         .send(ShardTask::Direct { work, reply: tx })
         .map_err(|_| format!("shard {shard} worker is gone"))?;
     match rx.recv() {
@@ -1243,20 +818,19 @@ fn shard_direct(
     }
 }
 
-/// One node-local self-tuning pass, run on the dispatcher thread with
-/// the node quiesced:
+/// One node-local self-tuning pass, run on the dispatcher thread, so no
+/// frame is dispatched meanwhile; each shard's FIFO queue finishes every
+/// sub-frame dispatched before the pass ahead of the pass's own steps on
+/// that shard:
 ///
-/// 1. **drain** — wait for every in-flight frame (including lookup apply
-///    phases) to release its reply, so no worker touches shard state
-///    concurrently;
-/// 2. **hot-shard re-split** — read per-shard query loads; if the
+/// 1. **hot-shard re-split** — read per-shard query loads; if the
 ///    max/mean imbalance reaches the threshold, re-split the shard key
 ///    ranges along the observed load CDF and re-home the entries whose
 ///    shard changed (install on the target, then remove from the
 ///    source), finally replacing the dispatcher's router. Declined on
 ///    WAL-backed nodes: restart replay rebuilds the uniform router and
 ///    would mis-route the moved entries;
-/// 3. **cache autosizing** — shift RAM-cache capacity from the shard
+/// 2. **cache autosizing** — shift RAM-cache capacity from the shard
 ///    with the lowest recent misses-per-slot to the one with the
 ///    highest.
 ///
@@ -1264,19 +838,16 @@ fn shard_direct(
 /// change *which worker owns them*, never their existence or value.
 fn run_autotune(
     config: &NodeConfig,
-    shared: &NodeShared,
+    workers: &[Sender<ShardTask>],
     router: &mut ShardRouter,
     tuned_loads: &mut Vec<ShardLoad>,
     node_id: NodeId,
     opts: AutotuneOptions,
 ) -> Result<AutotuneReport, String> {
-    while shared.outstanding.load(Ordering::Acquire) > 0 {
-        std::thread::sleep(Duration::from_micros(50));
-    }
-    let shards = shared.workers.len();
+    let shards = workers.len();
     let mut loads = Vec::with_capacity(shards);
     for s in 0..shards {
-        match shard_direct(shared, s, ShardWork::Stats)? {
+        match shard_direct(workers, s, ShardWork::Stats { queue_peak: 0 })? {
             ShardOutcome::Snapshot(snap) => loads.push(ShardLoad {
                 queries: snap.stats.ops() + snap.stats.queries,
                 busy: snap.stats.busy,
@@ -1319,7 +890,7 @@ fn run_autotune(
         // single pass) and supply the entries to re-home.
         let mut scans: Vec<Vec<(Fingerprint, u64)>> = Vec::with_capacity(shards);
         for s in 0..shards {
-            let ShardOutcome::Entries { pairs } = shard_direct(shared, s, ShardWork::Scan)? else {
+            let ShardOutcome::Entries(pairs) = shard_direct(workers, s, ShardWork::Scan)? else {
                 return Err("shard scan returned an unexpected outcome".into());
             };
             scans.push(pairs);
@@ -1344,26 +915,12 @@ fn run_autotune(
             let moved: u64 = removes.iter().map(|r| r.len() as u64).sum();
             for (t, pairs) in installs.into_iter().enumerate() {
                 if !pairs.is_empty() {
-                    shard_direct(
-                        shared,
-                        t,
-                        ShardWork::Install {
-                            pairs,
-                            delay: Duration::ZERO,
-                        },
-                    )?;
+                    shard_direct(workers, t, ShardWork::Install(pairs))?;
                 }
             }
             for (s, fps) in removes.into_iter().enumerate() {
                 if !fps.is_empty() {
-                    shard_direct(
-                        shared,
-                        s,
-                        ShardWork::Remove {
-                            fps,
-                            delay: Duration::ZERO,
-                        },
-                    )?;
+                    shard_direct(workers, s, ShardWork::Remove(fps))?;
                 }
             }
             *router = new_router;
@@ -1377,7 +934,7 @@ fn run_autotune(
             let ShardOutcome::Profile {
                 capacity,
                 recent_misses,
-            } = shard_direct(shared, s, ShardWork::CacheProfile)?
+            } = shard_direct(workers, s, ShardWork::CacheProfile)?
             else {
                 return Err("shard cache profile returned an unexpected outcome".into());
             };
@@ -1386,18 +943,14 @@ fn run_autotune(
         let sizer = CacheSizer::new(opts.sizer);
         if let Some(d) = sizer.plan(&profile) {
             shard_direct(
-                shared,
+                workers,
                 d.from,
-                ShardWork::ResizeCache {
-                    capacity: profile[d.from].0 - d.entries,
-                },
+                ShardWork::ResizeCache(profile[d.from].0 - d.entries),
             )?;
             shard_direct(
-                shared,
+                workers,
                 d.to,
-                ShardWork::ResizeCache {
-                    capacity: profile[d.to].0 + d.entries,
-                },
+                ShardWork::ResizeCache(profile[d.to].0 + d.entries),
             )?;
             report.cache_shift = Some(d);
         }
@@ -1410,6 +963,7 @@ mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
     use proptest::prelude::*;
+    use shhc_flash::FlashConfig;
     use shhc_node::{shard_slices, NodeConfig};
     use shhc_types::StreamId;
 
@@ -1715,6 +1269,60 @@ mod tests {
         shard_handle.join().unwrap();
     }
 
+    /// A fingerprint is answered "new" once, even when the frame that
+    /// inserts it is still busy on another shard: frame A holds X plus
+    /// 2 000 new fingerprints of one other shard, frame B only X, and B is
+    /// queued behind A before either reply is read.
+    #[test]
+    fn sharded_server_answers_new_once_across_frames() {
+        let config = NodeConfig {
+            flash: FlashConfig::medium_test(),
+            ..NodeConfig::small_test()
+        }
+        .with_shards(4);
+        let router = ShardRouter::new(4);
+        let spread =
+            |i: u64| Fingerprint::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31));
+        let send = |tx: &Sender<NodeRequest>, correlation: u64, fingerprints: Vec<Fingerprint>| {
+            let (reply, rx) = unbounded();
+            let frame = shhc_net::encode(&Frame::LookupInsertReq {
+                correlation,
+                stream: StreamId::new(0),
+                fingerprints,
+            });
+            tx.send(NodeRequest::Data { frame, reply }).unwrap();
+            rx
+        };
+        for run in 0..30u64 {
+            let x = spread(run);
+            let busy = (router.shard_of(&x) + 1) % 4;
+            let mut a = vec![x];
+            a.extend(
+                (1_000..)
+                    .map(spread)
+                    .filter(|f| router.shard_of(f) == busy)
+                    .take(2_000),
+            );
+            let slices = shard_slices(NodeId::new(0), &config).unwrap();
+            let (tx, rx) = unbounded();
+            let node_config = config.clone();
+            let handle = std::thread::spawn(move || sharded_node_loop(node_config, slices, rx));
+            let (reply_a, reply_b) = (send(&tx, 1, a), send(&tx, 2, vec![x]));
+            let existed = |rx: Receiver<Bytes>| match decode(&rx.recv().unwrap()).unwrap() {
+                Frame::LookupResp { exists, .. } => exists[0],
+                other => panic!("unexpected {other:?}"),
+            };
+            let (in_a, in_b) = (existed(reply_a), existed(reply_b));
+            assert_eq!(
+                (in_a, in_b),
+                (false, true),
+                "run {run}: X must be new in frame A and a duplicate in frame B"
+            );
+            drop(tx);
+            handle.join().unwrap();
+        }
+    }
+
     /// Dropping the request channel (a kill) stops the dispatcher and
     /// its workers without a shutdown message.
     #[test]
@@ -1737,8 +1345,8 @@ mod tests {
 
         /// The sharded server (any S) answers a random stream of
         /// lookup/record/install/remove frames exactly like one
-        /// `HybridHashNode`: same existence bits, same values (so insert
-        /// values are allocated in frame order), same final scan. Lookup
+        /// `HybridHashNode`: same existence bits, same values (recorded
+        /// ones, or `PENDING_VALUE`), same final scan. Lookup
         /// and install frames carry up to 8 fingerprints from a 120-key
         /// population, so they span shards and repeat fingerprints within
         /// a frame.

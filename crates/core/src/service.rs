@@ -10,7 +10,7 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use shhc_chunking::Chunker;
 use shhc_hash::fingerprint_of;
 use shhc_storage::{BackupManifest, ChunkStore, ManifestEntry};
-use shhc_types::{ChunkId, Error, Fingerprint, Result, StreamId};
+use shhc_types::{ChunkId, Error, Fingerprint, Result, StreamId, PENDING_VALUE};
 
 use crate::{LookupAnswer, SharedFrontend, ShhcCluster};
 
@@ -170,8 +170,8 @@ struct ServiceInner<C, S> {
     /// `record` may not have landed yet, keyed by fingerprint. This is
     /// the placeholder shield, shared across sessions: a concurrent
     /// session that sees "exists" for a chunk stored moments ago resolves
-    /// its location here instead of trusting the cluster's placeholder
-    /// value. Entries are dropped once the record batch lands.
+    /// its location here, where the cluster still answers
+    /// [`PENDING_VALUE`]. Entries are dropped once the record batch lands.
     pending_records: Mutex<HashMap<Fingerprint, ChunkId>>,
 }
 
@@ -421,17 +421,21 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
                 let len = bytes.len() as u32;
                 let resolved = if answer.existed {
                     // Prefer the in-flight location: the cluster value
-                    // may still be the insert-time placeholder.
+                    // may still be `PENDING_VALUE`.
                     let shielded = self.inner.pending_records.lock().get(&fp).copied();
                     // Resolve, verify and take the reference under ONE
                     // store lock, so a concurrent delete cannot free
                     // the chunk between the check and the add_ref. Any
-                    // failure here — placeholder value, wrong payload,
-                    // chunk just deleted — falls back to uploading our
-                    // own copy (benign redundancy, never corruption).
+                    // failure here — a value not recorded yet, wrong
+                    // payload, chunk just deleted — falls back to
+                    // uploading our own copy (benign redundancy, never
+                    // corruption).
                     let mut store = self.inner.store.write();
                     shielded
                         .or_else(|| {
+                            if answer.value == PENDING_VALUE {
+                                return None;
+                            }
                             let id = ChunkId::from_u64(answer.value);
                             match store.fingerprint_of(id) {
                                 Ok(stored) if stored == fp => Some(id),
@@ -465,8 +469,8 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
         })();
         // Drop this window's shield entries whether or not the record
         // landed, so error paths cannot grow the map for the lifetime
-        // of the service. After a failed record the cluster holds a
-        // placeholder value; later sessions fail its verification and
+        // of the service. After a failed record the cluster holds
+        // `PENDING_VALUE`; later sessions fail its verification and
         // re-upload, which is correct (if slightly redundant).
         if !record_pairs.is_empty() {
             let mut pending = self.inner.pending_records.lock();

@@ -46,8 +46,9 @@ pub struct LookupAnswer {
     /// Whether the fingerprint already existed in the cluster (the
     /// "duplicate — skip the upload" answer).
     pub existed: bool,
-    /// The value stored with it (chunk location once recorded; zero for
-    /// new fingerprints and not-yet-recorded placeholders).
+    /// The value stored with it: the chunk location once recorded,
+    /// [`shhc_types::PENDING_VALUE`] while it is not, and zero for new
+    /// fingerprints.
     pub value: u64,
 }
 

@@ -3,7 +3,7 @@
 use shhc_cache::{Cache, LruCache};
 use shhc_flash::{DeviceStats, Durability, FlashConfig, FlashStore, FtlStats};
 use shhc_index::BackendKind;
-use shhc_types::{Error, Fingerprint, Nanos, NodeId, Result};
+use shhc_types::{Error, Fingerprint, Nanos, NodeId, Result, PENDING_VALUE};
 
 /// Which replacement policy manages the RAM fingerprint cache: plain
 /// LRU, the paper's design, is the only one. The type survives only
@@ -199,26 +199,6 @@ pub enum LookupOutcome {
     Inserted,
 }
 
-/// Per-fingerprint decision of a [`HybridHashNode::classify_batch`]
-/// pass — the read half of a lookup-insert. A one-shard node inserts the
-/// `New` entries right after ([`HybridHashNode::lookup_insert_batch`]); a
-/// sharded node classifies shards concurrently, assigns insert values in
-/// frame order at the merge, and only then applies the writes
-/// ([`HybridHashNode::apply_inserts`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Classified {
-    /// The fingerprint is already stored; carries its value.
-    Hit(u64),
-    /// First sighting in this frame: absent from the node, to be
-    /// inserted with a merge-assigned value.
-    New,
-    /// Repeat of a fingerprint classified [`Classified::New`] at the
-    /// given earlier position of the same frame — it exists *for the
-    /// client* (same chunk, no second upload) and resolves to that first
-    /// occurrence's assigned value.
-    NewDup(usize),
-}
-
 /// Result of one lookup-insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LookupResult {
@@ -226,8 +206,9 @@ pub struct LookupResult {
     pub existed: bool,
     /// Which tier resolved the lookup.
     pub outcome: LookupOutcome,
-    /// The value stored with the fingerprint (existing value on a hit,
-    /// the newly assigned value on an insert).
+    /// The value stored with the fingerprint: the existing value on a
+    /// hit, [`PENDING_VALUE`] on an insert and on a hit whose location is
+    /// not recorded yet.
     pub value: u64,
     /// Virtual time this operation consumed on the node.
     pub cost: Nanos,
@@ -238,7 +219,9 @@ pub struct LookupResult {
 pub struct BatchResult {
     /// Per-fingerprint existence, parallel to the request order.
     pub exists: Vec<bool>,
-    /// Per-fingerprint stored values, parallel to the request order.
+    /// Per-fingerprint stored values, parallel to the request order
+    /// ([`PENDING_VALUE`] for inserts and not-yet-recorded entries, as in
+    /// [`LookupResult::value`]).
     pub values: Vec<u64>,
     /// Total virtual node time consumed by the batch.
     pub cost: Nanos,
@@ -344,7 +327,6 @@ pub struct HybridHashNode {
     store: FlashStore,
     config: NodeConfig,
     stats: NodeStats,
-    next_value: u64,
 }
 
 impl HybridHashNode {
@@ -374,16 +356,13 @@ impl HybridHashNode {
 
         let mut cache = LruCache::new(config.cache_capacity);
         let mut stats = NodeStats::default();
-        let mut next_value = 0;
         let mut warm_cost = Nanos::ZERO;
         if recovery.entries > 0 {
             // Warm the cache from the recovered table (it is
-            // capacity-bounded), and resume value allocation above the
-            // highest recovered value.
+            // capacity-bounded).
             let before = store.busy();
             for (fp, value) in store.scan()? {
                 cache.insert(fp, value);
-                next_value = next_value.max(value + 1);
             }
             warm_cost = store.busy() - before;
             stats.recovered_entries = recovery.entries;
@@ -400,7 +379,6 @@ impl HybridHashNode {
             store,
             config,
             stats,
-            next_value,
         })
     }
 
@@ -501,9 +479,8 @@ impl HybridHashNode {
                     (true, LookupOutcome::SsdHit, stored)
                 }
                 None => {
-                    let (value, put) = self.insert_new(fp)?;
-                    cost += put;
-                    (false, LookupOutcome::Inserted, value)
+                    cost += self.insert_new(fp)?;
+                    (false, LookupOutcome::Inserted, PENDING_VALUE)
                 }
             }
         };
@@ -517,12 +494,11 @@ impl HybridHashNode {
     }
 
     /// Batched [`HybridHashNode::lookup_insert`] — the unit of work a
-    /// front-end ships to a node, resolved in one pass: the cache pass
-    /// and one coalesced flash probe for every miss
-    /// ([`HybridHashNode::classify_batch`]), then the inserts, in frame
-    /// order, with the values a per-fingerprint loop would assign. A
-    /// repeat of a new fingerprint later in the frame answers "exists"
-    /// with the first occurrence's value.
+    /// front-end ships to a node (or to one shard of it), resolved in one
+    /// pass: the cache pass and one coalesced flash probe for every miss,
+    /// then the inserts, in frame order. A repeat of a new fingerprint
+    /// later in the frame answers "exists" with [`PENDING_VALUE`], like
+    /// the insert itself.
     ///
     /// The answers, [`HybridHashNode::entries`] and the insert count
     /// equal those of calling [`HybridHashNode::lookup_insert`] on each
@@ -538,21 +514,38 @@ impl HybridHashNode {
     /// leaves the earlier insertions done.
     pub fn lookup_insert_batch(&mut self, fps: &[Fingerprint]) -> Result<BatchResult> {
         let busy = self.stats.busy;
-        let classes = self.classify_batch(fps)?;
-        let mut exists = Vec::with_capacity(fps.len());
-        let mut values = Vec::with_capacity(fps.len());
-        for (fp, class) in fps.iter().zip(classes) {
-            let (existed, value) = match class {
-                Classified::Hit(value) => (true, value),
-                Classified::New => {
-                    let (value, cost) = self.insert_new(*fp)?;
-                    self.charge(cost);
-                    (false, value)
+        let mut exists = vec![false; fps.len()];
+        let mut values = vec![PENDING_VALUE; fps.len()];
+        let mut repeats = Vec::new();
+        let misses = self.probe_misses(
+            fps,
+            |i, v| {
+                exists[i] = true;
+                values[i] = v;
+            },
+            |i| repeats.push(i),
+        )?;
+        self.stats.ram_hits += (fps.len() - misses.len()) as u64;
+        // A repeat exists for the client (same chunk, no second upload):
+        // it is a hit like its first occurrence, or, when that one is
+        // absent, a RAM hit on the entry the first occurrence inserts.
+        for i in repeats {
+            exists[i] = true;
+        }
+        for (i, fp, found) in misses {
+            match found {
+                Some(v) => {
+                    self.stats.ssd_hits += 1;
+                    self.cache.insert(fp, v);
+                    exists[i] = true;
+                    values[i] = v;
                 }
-                Classified::NewDup(first) => (true, values[first]),
-            };
-            exists.push(existed);
-            values.push(value);
+                None if exists[i] => self.stats.ram_hits += 1,
+                None => {
+                    let cost = self.insert_new(fp)?;
+                    self.charge(cost);
+                }
+            }
         }
         Ok(BatchResult {
             exists,
@@ -561,87 +554,14 @@ impl HybridHashNode {
         })
     }
 
-    /// Stores `fp` as a new chunk under the next value, counting it as a
-    /// client insert; returns the value and the device time of the put,
-    /// which the caller charges.
-    fn insert_new(&mut self, fp: Fingerprint) -> Result<(u64, Nanos)> {
-        let value = self.next_value;
-        let cost = self.charged_store(|s| s.put(fp, value))?;
-        self.next_value += 1;
+    /// Stores `fp` as a new chunk under [`PENDING_VALUE`], counting it as
+    /// a client insert; returns the device time of the put, which the
+    /// caller charges.
+    fn insert_new(&mut self, fp: Fingerprint) -> Result<Nanos> {
+        let cost = self.charged_store(|s| s.put(fp, PENDING_VALUE))?;
         self.stats.inserted += 1;
-        self.cache.insert(fp, value);
-        Ok((value, cost))
-    }
-
-    /// The read half of a batched lookup-insert: classifies every
-    /// fingerprint as [`Classified::Hit`] (present, with its value),
-    /// [`Classified::New`] (absent, to be inserted) or
-    /// [`Classified::NewDup`] (repeat of a `New` earlier in this batch)
-    /// **without writing anything**. Cache misses are deferred and probed
-    /// as one coalesced [`FlashStore::get_batch_with_repeats`]: the
-    /// directory answers absent keys without a read, misses destined for
-    /// the same on-flash page share a single device read, and the store
-    /// names the in-batch repeats.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn classify_batch(&mut self, fps: &[Fingerprint]) -> Result<Vec<Classified>> {
-        let mut out = vec![Classified::New; fps.len()];
-        let mut repeats = Vec::new();
-        let misses = self.probe_misses(
-            fps,
-            |i, v| out[i] = Classified::Hit(v),
-            |i, first| repeats.push((i, first)),
-        )?;
-        self.stats.ram_hits += (fps.len() - misses.len()) as u64;
-        for (i, fp, found) in misses {
-            if let Some(v) = found {
-                self.stats.ssd_hits += 1;
-                self.cache.insert(fp, v);
-                out[i] = Classified::Hit(v);
-            }
-        }
-        // A repeat of a present fingerprint is a hit like its first
-        // occurrence; one of an absent fingerprint exists once the first
-        // is inserted.
-        for (i, first) in repeats {
-            if out[first] == Classified::New {
-                self.stats.ram_hits += 1;
-                out[i] = Classified::NewDup(first);
-            }
-        }
-        Ok(out)
-    }
-
-    /// The write half of a batched lookup-insert: registers the entries a
-    /// [`HybridHashNode::classify_batch`] pass decided were new, with the
-    /// values the merge assigned. Counted as client inserts (not
-    /// migration).
-    ///
-    /// The write is presence-checked: on a concurrently-driven sharded
-    /// node another frame may have applied the same fingerprint between
-    /// this frame's classify and apply, and a blind re-insert would
-    /// double-count the live record. A late duplicate degrades to a
-    /// value overwrite (both clients were told "send the data" — the
-    /// benign redundant-copy race the backup service resolves) and is
-    /// counted as an SSD-detected duplicate, keeping
-    /// [`NodeStats::ops`] at one operation per fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first device error, leaving earlier insertions done.
-    pub fn apply_inserts(&mut self, pairs: &[(Fingerprint, u64)]) -> Result<()> {
-        for &(fp, value) in pairs {
-            let (present, cost) = self.write(fp, value)?;
-            if present {
-                self.stats.ssd_hits += 1;
-            } else {
-                self.stats.inserted += 1;
-            }
-            self.charge(cost);
-        }
-        Ok(())
+        self.cache.insert(fp, PENDING_VALUE);
+        Ok(cost)
     }
 
     /// Read-only batched existence check with coalesced SSD probes:
@@ -662,7 +582,7 @@ impl HybridHashNode {
                 exists[i] = true;
                 values[i] = v;
             },
-            |_, _| {},
+            |_| {},
         )?;
         for (i, fp, found) in misses {
             if let Some(v) = found {
@@ -677,14 +597,14 @@ impl HybridHashNode {
     /// The first pass of a batch: charges each fingerprint's CPU and
     /// cache probe, hands cache hits to `hit` as `(position, value)`, and
     /// probes the flash store once, coalesced, for every miss, handing
-    /// each miss that repeats an earlier one to `repeat` as `(position,
-    /// first position)`. Returns each miss as `(position, fingerprint,
-    /// what the store holds)`.
+    /// the position of each miss that repeats an earlier one to `repeat`.
+    /// Returns each miss as `(position, fingerprint, what the store
+    /// holds)`.
     fn probe_misses(
         &mut self,
         fps: &[Fingerprint],
         mut hit: impl FnMut(usize, u64),
-        mut repeat: impl FnMut(usize, usize),
+        mut repeat: impl FnMut(usize),
     ) -> Result<Vec<(usize, Fingerprint, Option<u64>)>> {
         let mut probe_idx = Vec::new();
         let mut probe_fps = Vec::new();
@@ -698,11 +618,8 @@ impl HybridHashNode {
             }
         }
         self.charge((self.config.cpu_per_op + self.config.ram_probe) * fps.len() as u64);
-        let (found, cost) = self.timed(|s| {
-            s.get_batch_with_repeats(&probe_fps, |i, first| {
-                repeat(probe_idx[i], probe_idx[first]);
-            })
-        })?;
+        let (found, cost) =
+            self.timed(|s| s.get_batch_with_repeats(&probe_fps, |i, _| repeat(probe_idx[i])))?;
         self.charge(cost);
         Ok(probe_idx
             .into_iter()
@@ -719,14 +636,6 @@ impl HybridHashNode {
     /// Propagates device errors.
     pub fn flush(&mut self) -> Result<Nanos> {
         self.charged_store(|s| s.flush())
-    }
-
-    /// First value [`HybridHashNode::lookup_insert`] would assign. After
-    /// recovery this is one past the highest recovered value, letting
-    /// the cluster server reseed its value allocator without handing out
-    /// ids the pre-crash node already used.
-    pub fn next_value_hint(&self) -> u64 {
-        self.next_value
     }
 
     /// True when the node's store persists through a write-ahead log.
@@ -777,24 +686,15 @@ impl HybridHashNode {
     ///
     /// Propagates device errors.
     pub fn record(&mut self, fp: Fingerprint, value: u64) -> Result<Nanos> {
-        let (_, cost) = self.write(fp, value)?;
-        self.charge(cost);
-        Ok(cost)
-    }
-
-    /// Stores `value` for `fp`: an update when the store holds `fp`, a
-    /// put (one more live record) when it does not. Refreshes the cache
-    /// and returns whether `fp` was present, with the device time spent.
-    fn write(&mut self, fp: Fingerprint, value: u64) -> Result<(bool, Nanos)> {
         let (found, mut cost) = self.timed(|s| s.get(fp))?;
-        let present = found.is_some();
-        cost += if present {
+        cost += if found.is_some() {
             self.charged_store(|s| s.update(fp, value))?
         } else {
             self.charged_store(|s| s.put(fp, value))?
         };
         self.cache.insert(fp, value);
-        Ok((present, cost))
+        self.charge(cost);
+        Ok(cost)
     }
 
     /// Every fingerprint stored on the node, in ascending fingerprint
@@ -1007,7 +907,7 @@ mod tests {
         let mut n = node();
         let batch = n.lookup_insert_batch(&first).unwrap();
         assert_eq!(batch.exists, vec![false, false, true, false, true, true]);
-        assert_eq!(batch.values, vec![0, 1, 0, 2, 1, 0]);
+        assert_eq!(batch.values, vec![PENDING_VALUE; 6]);
         assert_eq!(n.stats().inserted, 3);
     }
 
@@ -1177,8 +1077,7 @@ mod tests {
 
     /// A durable node that crashed (dropped without `close`) after
     /// committing comes back answering exactly as before: every
-    /// committed fingerprint is a duplicate, values are identical, and
-    /// value allocation resumes past the recovered maximum.
+    /// committed fingerprint is a duplicate with its recorded value.
     #[test]
     fn durable_node_survives_crash() {
         let dir = std::env::temp_dir().join(format!("shhc-node-crash-{}", std::process::id()));
@@ -1197,7 +1096,9 @@ mod tests {
                 "first boot recovers nothing"
             );
             for i in 0..300 {
-                values.push(n.lookup_insert(fp(i)).unwrap().value);
+                assert_eq!(n.lookup_insert(fp(i)).unwrap().value, PENDING_VALUE);
+                n.record(fp(i), 1_000 + i).unwrap();
+                values.push(1_000 + i);
             }
             n.wal_commit().unwrap();
             // Dropped here without close(): a crash.
@@ -1207,18 +1108,12 @@ mod tests {
         assert_eq!(s.recovered_entries, 300);
         assert!(s.recovery_replayed > 0);
         assert!(s.recovery_busy > Nanos::ZERO);
-        assert!(n.next_value_hint() > 0);
         for i in 0..300 {
             let r = n.lookup_insert(fp(i)).unwrap();
             assert!(r.existed, "fingerprint {i} lost in the crash");
             assert_eq!(r.value, values[i as usize], "value changed for {i}");
         }
-        let fresh = n.lookup_insert(fp(9999)).unwrap();
-        assert!(!fresh.existed);
-        assert!(
-            !values.contains(&fresh.value),
-            "recovered allocator reissued a pre-crash value"
-        );
+        assert!(!n.lookup_insert(fp(9999)).unwrap().existed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -48,13 +48,9 @@ mod hybrid;
 mod sharded;
 
 pub use hybrid::{
-    BatchResult, CachePolicy, Classified, HybridHashNode, LookupOutcome, LookupResult, NodeConfig,
-    NodeStats,
+    BatchResult, CachePolicy, HybridHashNode, LookupOutcome, LookupResult, NodeConfig, NodeStats,
 };
-pub use sharded::{
-    load_imbalance, merge_classified, shard_slices, MergedLookup, ShardLoad, ShardRouter, SubBatch,
-    SubClassified,
-};
+pub use sharded::{load_imbalance, shard_slices, ShardLoad, ShardRouter, SubBatch};
 // The durability mode is part of `NodeConfig`'s public surface.
 pub use shhc_flash::{Durability, FaultPlan, WalConfig};
 // `NodeConfig::backend` names it; only `BackendKind::Single` is accepted.

@@ -12,27 +12,24 @@
 //! key is the fingerprint's first eight bytes), which keeps scans and
 //! migration cursors deterministic.
 //!
-//! Batched lookup-inserts run in three steps so insert values stay
-//! frame-ordered no matter how shards are scheduled:
+//! A batched lookup-insert runs in one pass per shard: the frame is split
+//! by shard ([`ShardRouter::split`]), each shard answers its slice with
+//! [`HybridHashNode::lookup_insert_batch`] — probing and inserting in the
+//! same call — and the answers are scattered back to their positions.
+//! Every occurrence of a fingerprint routes to the same shard, so a
+//! shard sees each frame's repeats together and serves frames in the
+//! order it receives them: a fingerprint is answered "new" exactly once.
+//! An insert stores [`shhc_types::PENDING_VALUE`] until its location is
+//! recorded, so the answers carry no shard-local state.
 //!
-//! 1. **classify** — each shard resolves its slice of the frame
-//!    read-only ([`HybridHashNode::classify_batch`], with coalesced
-//!    flash reads),
-//! 2. **merge** — [`merge_classified`] walks the frame in arrival order,
-//!    allocating one value per first-sighting and resolving in-frame
-//!    repeats,
-//! 3. **apply** — each shard registers its new entries
-//!    ([`HybridHashNode::apply_inserts`]).
-//!
-//! [`shard_slices`] builds a node's shards. The cluster server runs steps
-//! 1 and 3 on a per-shard worker pool, one core per shard, and step 2 on
-//! whichever worker finishes classifying last; its tests and the
+//! [`shard_slices`] builds a node's shards. The cluster server runs each
+//! on its own worker thread, one core per shard; its tests and the
 //! equivalence suites hold the answers byte-identical to one
 //! [`HybridHashNode`].
 
 use shhc_types::{Fingerprint, Nanos, NodeId, Result};
 
-use crate::hybrid::{Classified, HybridHashNode, NodeConfig};
+use crate::hybrid::{HybridHashNode, NodeConfig};
 
 /// Routes fingerprints to intra-node shards by routing-key prefix.
 ///
@@ -182,16 +179,22 @@ impl ShardRouter {
         ShardRouter::from_bounds(bounds)
     }
 
-    /// Splits a position-ordered batch into one [`SubBatch`] per shard
-    /// (empty sub-batches included, so index `s` is always shard `s`).
-    /// Each fingerprint lands in exactly one sub-batch, in its original
+    /// Splits a position-ordered batch of records into one [`SubBatch`]
+    /// per shard (empty sub-batches included, so index `s` is always
+    /// shard `s`), routing each record by the fingerprint `fp` reads from
+    /// it. Each record lands in exactly one sub-batch, in its original
     /// relative order, alongside its position in the caller's batch.
-    pub fn split(&self, fps: &[Fingerprint]) -> Vec<SubBatch> {
-        let mut subs: Vec<SubBatch> = (0..self.count()).map(|_| SubBatch::default()).collect();
-        for (i, fp) in fps.iter().enumerate() {
-            let sub = &mut subs[self.shard_of(fp)];
+    pub fn split<T>(&self, records: Vec<T>, fp: impl Fn(&T) -> Fingerprint) -> Vec<SubBatch<T>> {
+        let mut subs: Vec<SubBatch<T>> = (0..self.count())
+            .map(|_| SubBatch {
+                positions: Vec::new(),
+                records: Vec::new(),
+            })
+            .collect();
+        for (i, record) in records.into_iter().enumerate() {
+            let sub = &mut subs[self.shard_of(&fp(&record))];
             sub.positions.push(i);
-            sub.fingerprints.push(*fp);
+            sub.records.push(record);
         }
         subs
     }
@@ -222,91 +225,14 @@ pub fn load_imbalance(loads: &[ShardLoad]) -> f64 {
     max / mean
 }
 
-/// One shard's slice of a batch: the fingerprints routed to it, parallel
-/// to their positions in the original batch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SubBatch {
+/// One shard's slice of a batch: the records routed to it, parallel to
+/// their positions in the original batch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SubBatch<T> {
     /// Positions in the original batch, ascending.
     pub positions: Vec<usize>,
-    /// The slice's fingerprints, parallel to `positions`.
-    pub fingerprints: Vec<Fingerprint>,
-}
-
-/// One shard's classified slice of a lookup-insert frame, ready for the
-/// frame-order merge.
-#[derive(Debug, Clone)]
-pub struct SubClassified {
-    /// Positions in the original batch, ascending.
-    pub positions: Vec<usize>,
-    /// The slice's fingerprints, parallel to `positions`.
-    pub fingerprints: Vec<Fingerprint>,
-    /// Per-fingerprint decisions, parallel to `positions`.
-    pub classes: Vec<Classified>,
-}
-
-/// The merged outcome of a classified lookup-insert frame.
-#[derive(Debug, Clone)]
-pub struct MergedLookup {
-    /// Per-fingerprint existence, parallel to the frame.
-    pub exists: Vec<bool>,
-    /// Per-fingerprint values, parallel to the frame: the stored value
-    /// for hits, the newly assigned value for inserts (mirroring
-    /// [`crate::BatchResult::values`]).
-    pub values: Vec<u64>,
-    /// Per-sub-slice `(fingerprint, value)` insert lists, parallel to
-    /// the `subs` argument of [`merge_classified`] — each shard applies
-    /// its own list.
-    pub inserts: Vec<Vec<(Fingerprint, u64)>>,
-}
-
-/// Merges per-shard classifications back into one frame answer,
-/// allocating insert values in **frame arrival order** via `alloc` —
-/// exactly the order a sequential [`HybridHashNode`] would have assigned
-/// them, regardless of how the shards were scheduled. In-frame repeats
-/// ([`Classified::NewDup`]) resolve to their first occurrence's value.
-pub fn merge_classified(
-    total: usize,
-    subs: &[SubClassified],
-    mut alloc: impl FnMut() -> u64,
-) -> MergedLookup {
-    // Scatter each position's (sub, offset) so the walk below runs in
-    // global frame order.
-    let mut at: Vec<(usize, usize)> = vec![(usize::MAX, 0); total];
-    for (si, sub) in subs.iter().enumerate() {
-        for (k, &pos) in sub.positions.iter().enumerate() {
-            at[pos] = (si, k);
-        }
-    }
-    let mut exists = vec![false; total];
-    let mut values = vec![0u64; total];
-    let mut inserts: Vec<Vec<(Fingerprint, u64)>> = vec![Vec::new(); subs.len()];
-    for pos in 0..total {
-        let (si, k) = at[pos];
-        debug_assert_ne!(si, usize::MAX, "sub-batches must cover every position");
-        let sub = &subs[si];
-        let fp = sub.fingerprints[k];
-        match sub.classes[k] {
-            Classified::Hit(v) => {
-                exists[pos] = true;
-                values[pos] = v;
-            }
-            Classified::New => {
-                let v = alloc();
-                inserts[si].push((fp, v));
-                values[pos] = v;
-            }
-            Classified::NewDup(first) => {
-                // The first occurrence precedes this one in frame order.
-                exists[pos] = true;
-                values[pos] = values[sub.positions[first]];
-            }
-        }
-    }
-    MergedLookup {
-        exists,
-        values,
-        inserts,
-    }
+    /// The slice's records, parallel to `positions`.
+    pub records: Vec<T>,
 }
 
 /// Builds the `config.shards` shards of node `id`, in shard order: each a
@@ -364,22 +290,18 @@ mod tests {
     }
 
     /// A node's [`shard_slices`] driven one shard after another: the
-    /// classify → merge → apply semantics the server's shard workers
-    /// reproduce concurrently.
+    /// split → per-shard lookup-insert → scatter the server's shard
+    /// workers run concurrently.
     struct Sequential {
         router: ShardRouter,
         shards: Vec<HybridHashNode>,
-        next: u64,
     }
 
     impl Sequential {
         fn new(config: NodeConfig) -> Self {
-            let shards = shard_slices(NodeId::new(0), &config).unwrap();
-            let next = shards.iter().map(HybridHashNode::next_value_hint).max();
             Sequential {
                 router: ShardRouter::new(config.shards),
-                shards,
-                next: next.unwrap_or(0),
+                shards: shard_slices(NodeId::new(0), &config).unwrap(),
             }
         }
 
@@ -388,29 +310,17 @@ mod tests {
         }
 
         fn lookup_insert_batch(&mut self, fps: &[Fingerprint]) -> (Vec<bool>, Vec<u64>) {
-            let subs: Vec<SubClassified> = self
-                .router
-                .split(fps)
-                .into_iter()
-                .zip(&mut self.shards)
-                .map(|(sub, shard)| {
-                    let classes = shard.classify_batch(&sub.fingerprints).unwrap();
-                    SubClassified {
-                        positions: sub.positions,
-                        fingerprints: sub.fingerprints,
-                        classes,
-                    }
-                })
-                .collect();
-            let next = &mut self.next;
-            let merged = merge_classified(fps.len(), &subs, || {
-                *next += 1;
-                *next - 1
-            });
-            for (shard, pairs) in self.shards.iter_mut().zip(&merged.inserts) {
-                shard.apply_inserts(pairs).unwrap();
+            let mut exists = vec![false; fps.len()];
+            let mut values = vec![0; fps.len()];
+            let subs = self.router.split(fps.to_vec(), |f| *f);
+            for (sub, shard) in subs.into_iter().zip(&mut self.shards) {
+                let got = shard.lookup_insert_batch(&sub.records).unwrap();
+                for (k, &pos) in sub.positions.iter().enumerate() {
+                    exists[pos] = got.exists[k];
+                    values[pos] = got.values[k];
+                }
             }
-            (merged.exists, merged.values)
+            (exists, values)
         }
 
         /// Shard order is fingerprint order, so concatenated shard scans
@@ -665,15 +575,15 @@ mod tests {
     fn split_preserves_positions_and_order() {
         let router = ShardRouter::new(5);
         let fps: Vec<Fingerprint> = (0..200).map(spread).collect();
-        let subs = router.split(&fps);
+        let subs = router.split(fps.clone(), |f| *f);
         assert_eq!(subs.len(), 5);
         let mut seen = vec![false; fps.len()];
         for (s, sub) in subs.iter().enumerate() {
-            assert_eq!(sub.positions.len(), sub.fingerprints.len());
+            assert_eq!(sub.positions.len(), sub.records.len());
             for w in sub.positions.windows(2) {
                 assert!(w[0] < w[1], "positions must stay in arrival order");
             }
-            for (&pos, f) in sub.positions.iter().zip(&sub.fingerprints) {
+            for (&pos, f) in sub.positions.iter().zip(&sub.records) {
                 assert_eq!(*f, fps[pos]);
                 assert_eq!(router.shard_of(f), s);
                 assert!(!seen[pos], "position {pos} routed twice");
@@ -766,19 +676,19 @@ mod tests {
             for w in keyed.windows(2) {
                 prop_assert!(w[0].1 <= w[1].1, "shard index must be monotone in the key");
             }
-            let subs = router.split(&fps);
+            let subs = router.split(fps.clone(), |f| *f);
             let covered: usize = subs.iter().map(|s| s.positions.len()).sum();
             prop_assert_eq!(covered, fps.len(), "split must cover every position once");
             for (s, sub) in subs.iter().enumerate() {
-                for f in &sub.fingerprints {
+                for f in &sub.records {
                     prop_assert_eq!(router.shard_of(f), s);
                 }
             }
         }
 
-        /// The slices of a node (any S), driven through classify → merge
-        /// → apply, answer exactly like the unsharded node under random
-        /// lookup/remove/record/install interleavings.
+        /// The slices of a node (any S), each answering its part of a
+        /// frame in one pass, answer exactly like the unsharded node under
+        /// random lookup/remove/record/install interleavings.
         #[test]
         fn prop_sharded_matches_reference(
             shards in 1u32..=8,

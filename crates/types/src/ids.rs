@@ -98,6 +98,19 @@ id_type!(
     "stream-"
 );
 
+/// The value a hash node stores with a fingerprint it has inserted but
+/// whose chunk location is not recorded yet: the "new, send the data"
+/// answer's placeholder, and what a repeat of that fingerprint answers
+/// until the location is recorded. As a [`ChunkId`] it names container
+/// `u32::MAX`, which no chunk store reaches, so it never verifies as a
+/// stored chunk.
+///
+/// ```
+/// use shhc_types::{ChunkId, PENDING_VALUE};
+/// assert_eq!(ChunkId::from_u64(PENDING_VALUE).container(), u32::MAX);
+/// ```
+pub const PENDING_VALUE: u64 = u64::MAX;
+
 /// Identifies a stored chunk inside the cloud-storage backend: a container
 /// number plus the slot within the container.
 ///

@@ -30,7 +30,7 @@ mod time;
 pub use error::{Error, Result};
 pub use fingerprint::{Fingerprint, ParseFingerprintError, FINGERPRINT_LEN};
 pub use fphash::{FingerprintBuildHasher, FingerprintHasher, FpHashMap, FpHashSet};
-pub use ids::{ChunkId, ClientId, NodeId, StreamId};
+pub use ids::{ChunkId, ClientId, NodeId, StreamId, PENDING_VALUE};
 pub use range::KeyRange;
 pub use size::{ByteSize, GIB, KIB, MIB};
 pub use time::Nanos;

@@ -82,7 +82,10 @@ fn autotune_resplit_preserves_answers_and_rebalances() {
     let hot: Vec<Fingerprint> = (0..300).map(|i| Fingerprint::from_u64(i * 1000)).collect();
     let (exists0, _) = cluster.lookup_insert_batch_values(&hot).unwrap();
     assert!(exists0.iter().all(|e| !e), "first sighting is new");
-    // Second pass returns each entry's allocated value — the baseline
+    // Distinct recorded values, so the re-split has real values to carry.
+    let recorded: Vec<(Fingerprint, u64)> = hot.iter().zip(7_000..).map(|(f, v)| (*f, v)).collect();
+    cluster.record_batch(&recorded).unwrap();
+    // Second pass returns each entry's recorded value — the baseline
     // the re-split must preserve byte-for-byte.
     let (exists1, values1) = cluster.lookup_insert_batch_values(&hot).unwrap();
     assert!(exists1.iter().all(|e| *e));
@@ -102,7 +105,7 @@ fn autotune_resplit_preserves_answers_and_rebalances() {
     assert!(report.moved_entries > 0, "hot prefix entries re-home");
 
     // Same answers after the re-split: every entry still exists with
-    // the value it was assigned before.
+    // the value recorded before.
     let (exists2, values2) = cluster.lookup_insert_batch_values(&hot).unwrap();
     assert!(exists2.iter().all(|e| *e), "entries survive the re-split");
     assert_eq!(values2, values1, "values survive the re-split");

@@ -23,6 +23,19 @@ fn fps(range: std::ops::Range<u64>) -> Vec<Fingerprint> {
         .collect()
 }
 
+/// Records a distinct value for every fingerprint of `batch` (the
+/// chunk locations a backup would record), so a test that compares
+/// values before and after a crash compares real values, not the
+/// insert-time `PENDING_VALUE` every new entry starts with.
+fn record_distinct(cluster: &ShhcCluster, batch: &[Fingerprint]) {
+    let pairs: Vec<(Fingerprint, u64)> = batch
+        .iter()
+        .enumerate()
+        .map(|(i, fp)| (*fp, 0x5EED_0000 + i as u64))
+        .collect();
+    cluster.record_batch(&pairs).unwrap();
+}
+
 fn wal_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("shhc-durability-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -43,6 +56,7 @@ fn acked_entries_survive_kill_nine_without_replication() {
     let cluster = ShhcCluster::spawn(durable_config(2, &dir)).unwrap();
     let batch = fps(0..2_000);
     cluster.lookup_insert_batch(&batch).unwrap();
+    record_distinct(&cluster, &batch);
     // Re-looking the batch up returns the stored values (inserts carry
     // no values on the wire; duplicates do).
     let (_, values) = cluster.lookup_insert_batch_values(&batch).unwrap();
@@ -166,6 +180,7 @@ fn sharded_durable_node_recovers_every_shard() {
     let cluster = ShhcCluster::spawn(config).unwrap();
     let batch = fps(0..2_000);
     cluster.lookup_insert_batch(&batch).unwrap();
+    record_distinct(&cluster, &batch);
     let (_, values) = cluster.lookup_insert_batch_values(&batch).unwrap();
 
     cluster.kill_node(NodeId::new(0)).unwrap();
@@ -210,6 +225,7 @@ fn fresh_cluster_reopens_cleanly_shut_down_state() {
     let values = {
         let cluster = ShhcCluster::spawn(durable_config(2, &dir)).unwrap();
         cluster.lookup_insert_batch(&batch).unwrap();
+        record_distinct(&cluster, &batch);
         let (_, values) = cluster.lookup_insert_batch_values(&batch).unwrap();
         cluster.shutdown().unwrap(); // clean close: journals checkpointed
         values
