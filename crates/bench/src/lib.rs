@@ -57,12 +57,6 @@ pub fn recovery_quick() -> bool {
     env_flag("SHHC_RECOVERY_QUICK")
 }
 
-/// Quick mode for the self-tuning bench (`SHHC_ADAPTIVE_QUICK`): short
-/// traces and a reduced static grid for a CI smoke run.
-pub fn adaptive_quick() -> bool {
-    env_flag("SHHC_ADAPTIVE_QUICK")
-}
-
 /// Quick mode for the overload/admission bench (`SHHC_OVERLOAD_QUICK`):
 /// a short run at a reduced offered-load grid for a CI smoke run.
 pub fn overload_quick() -> bool {

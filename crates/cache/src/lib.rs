@@ -8,8 +8,7 @@
 //! - [`LruCache`] — O(1) least-recently-used cache (hash map + intrusive
 //!   doubly-linked list over a slab), implementing the object-safe
 //!   [`Cache`] trait,
-//! - [`CacheStats`] and [`WindowedHitRate`] instrumentation,
-//! - [`CacheSizer`], which moves capacity between a node's shard caches.
+//! - [`CacheStats`], its hit/miss/eviction counters.
 //!
 //! The cache is generic over its [`std::hash::BuildHasher`] and
 //! defaults to [`shhc_types::FingerprintBuildHasher`]: cache keys are
@@ -34,12 +33,10 @@
 #![warn(missing_docs)]
 
 mod lru;
-mod sizer;
 mod stats;
 
 pub use lru::LruCache;
-pub use sizer::{CacheSizer, SizerConfig, SizerDecision};
-pub use stats::{CacheStats, WindowedHitRate};
+pub use stats::CacheStats;
 
 use std::hash::Hash;
 
@@ -69,32 +66,8 @@ pub trait Cache<K, V> {
     /// Maximum number of entries.
     fn capacity(&self) -> usize;
 
-    /// Changes the capacity online. Shrinking evicts down to the new
-    /// bound in the policy's own eviction order (counted in
-    /// [`CacheStats::evictions`]); growing takes effect immediately for
-    /// subsequent inserts. Cached answers are never changed — only how
-    /// many entries may stay resident.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is below the policy's minimum (1 for LRU).
-    fn resize(&mut self, capacity: usize);
-
     /// Hit/miss/eviction counters.
     fn stats(&self) -> CacheStats;
-
-    /// Exponentially decayed recent hit ratio (see [`WindowedHitRate`]) —
-    /// the control signal for cache autosizing, where the lifetime
-    /// [`CacheStats::hit_ratio`] is too slow to move.
-    fn recent_hit_ratio(&self) -> f64 {
-        self.stats().hit_ratio()
-    }
-
-    /// Exponentially decayed recent miss count (the marginal-utility
-    /// sizer's raw demand signal).
-    fn recent_misses(&self) -> f64 {
-        self.stats().misses as f64
-    }
 
     /// Empties the cache (stats are preserved).
     fn clear(&mut self);

@@ -5,8 +5,7 @@ use std::hash::BuildHasher;
 
 use shhc_types::FingerprintBuildHasher;
 
-use crate::stats::RECENT_HALF_LIFE;
-use crate::{Cache, CacheKey, CacheStats, WindowedHitRate};
+use crate::{Cache, CacheKey, CacheStats};
 
 const NIL: usize = usize::MAX;
 
@@ -55,7 +54,6 @@ pub struct LruCache<K, V, S = FingerprintBuildHasher> {
     tail: usize,
     capacity: usize,
     stats: CacheStats,
-    recent: WindowedHitRate,
 }
 
 impl<K: CacheKey, V> LruCache<K, V> {
@@ -85,7 +83,6 @@ impl<K: CacheKey, V, S: BuildHasher> LruCache<K, V, S> {
             tail: NIL,
             capacity,
             stats: CacheStats::default(),
-            recent: WindowedHitRate::new(RECENT_HALF_LIFE),
         }
     }
 
@@ -230,13 +227,11 @@ impl<K: CacheKey, V, S: BuildHasher> Cache<K, V> for LruCache<K, V, S> {
         match self.map.get(key).copied() {
             Some(idx) => {
                 self.stats.hits += 1;
-                self.recent.observe(true);
                 self.touch(idx);
                 Some(&self.slot(idx).value)
             }
             None => {
                 self.stats.misses += 1;
-                self.recent.observe(false);
                 None
             }
         }
@@ -287,25 +282,8 @@ impl<K: CacheKey, V, S: BuildHasher> Cache<K, V> for LruCache<K, V, S> {
         self.capacity
     }
 
-    fn resize(&mut self, capacity: usize) {
-        assert!(capacity > 0, "cache capacity must be nonzero");
-        while self.map.len() > capacity {
-            self.stats.evictions += 1;
-            self.pop_lru();
-        }
-        self.capacity = capacity;
-    }
-
     fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    fn recent_hit_ratio(&self) -> f64 {
-        self.recent.hit_ratio()
-    }
-
-    fn recent_misses(&self) -> f64 {
-        self.recent.misses()
     }
 
     fn clear(&mut self) {
@@ -404,7 +382,6 @@ mod tests {
         assert!(c.peek_value(&9).is_none());
         let after = c.stats();
         assert_eq!((before.hits, before.misses), (after.hits, after.misses));
-        assert_eq!(c.recent_hit_ratio(), 0.0, "no observations recorded");
     }
 
     #[test]
@@ -437,39 +414,6 @@ mod tests {
     #[should_panic(expected = "capacity must be nonzero")]
     fn zero_capacity_panics() {
         let _: LruCache<u8, u8> = LruCache::new(0);
-    }
-
-    #[test]
-    fn resize_shrinks_in_lru_order_and_grows_lazily() {
-        let mut c = LruCache::new(4);
-        for k in 0..4 {
-            c.insert(k, ());
-        }
-        c.get(&0); // order (MRU) 0,3,2,1 (LRU)
-        c.resize(2);
-        assert_eq!(c.capacity(), 2);
-        assert_eq!(c.len(), 2);
-        assert!(c.peek(&0) && c.peek(&3), "hottest entries survive");
-        assert_eq!(c.stats().evictions, 2);
-        c.resize(5);
-        for k in 10..13 {
-            c.insert(k, ());
-        }
-        assert_eq!(c.len(), 5, "grown capacity is usable immediately");
-    }
-
-    #[test]
-    fn recent_ratio_tracks_window() {
-        let mut c = LruCache::new(2);
-        c.insert(1, ());
-        for _ in 0..100 {
-            c.get(&1);
-        }
-        assert!(c.recent_hit_ratio() > 0.9);
-        for _ in 0..5 {
-            c.get(&9);
-        }
-        assert!(c.recent_misses() > 0.0);
     }
 
     /// Reference model: Vec kept in recency order.

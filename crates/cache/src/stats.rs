@@ -59,81 +59,6 @@ impl CacheStats {
     }
 }
 
-/// Half-life (in lookups) of the per-policy recent-hit-rate window: long
-/// enough to smooth batch-to-batch noise, short enough that a working-set
-/// shift shows within a few thousand lookups.
-pub(crate) const RECENT_HALF_LIFE: f64 = 1024.0;
-
-/// Exponentially decayed hit-rate window.
-///
-/// [`CacheStats::hit_ratio`] is a *lifetime* average: after a million
-/// lookups it barely moves, so a cache whose working set just shifted
-/// still reports its old ratio for a long time — useless as a control
-/// signal. This window decays both counters by `0.5^(1/half_life)` per
-/// observation, so the reported ratio tracks roughly the last
-/// `half_life` lookups and an idle-then-shifted cache re-converges fast.
-///
-/// # Examples
-///
-/// ```
-/// use shhc_cache::WindowedHitRate;
-///
-/// let mut w = WindowedHitRate::new(100.0);
-/// for _ in 0..1000 {
-///     w.observe(true);
-/// }
-/// assert!(w.hit_ratio() > 0.99);
-/// for _ in 0..1000 {
-///     w.observe(false); // the shift shows up within ~a half-life
-/// }
-/// assert!(w.hit_ratio() < 0.01);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct WindowedHitRate {
-    decay: f64,
-    hits: f64,
-    lookups: f64,
-}
-
-impl WindowedHitRate {
-    /// Creates a window whose influence halves every `half_life`
-    /// lookups (clamped to ≥ 1).
-    pub fn new(half_life: f64) -> Self {
-        let half_life = half_life.max(1.0);
-        WindowedHitRate {
-            decay: 0.5f64.powf(1.0 / half_life),
-            hits: 0.0,
-            lookups: 0.0,
-        }
-    }
-
-    /// Records one lookup outcome.
-    pub fn observe(&mut self, hit: bool) {
-        self.hits = self.hits * self.decay + if hit { 1.0 } else { 0.0 };
-        self.lookups = self.lookups * self.decay + 1.0;
-    }
-
-    /// Decayed hit ratio; zero before any lookup.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups == 0.0 {
-            0.0
-        } else {
-            self.hits / self.lookups
-        }
-    }
-
-    /// Effective (decayed) lookup count — how much evidence backs the
-    /// ratio; saturates near the half-life × `1/ln 2`.
-    pub fn lookups(&self) -> f64 {
-        self.lookups
-    }
-
-    /// Decayed miss count — the marginal-utility sizer's raw signal.
-    pub fn misses(&self) -> f64 {
-        (self.lookups - self.hits).max(0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,25 +66,6 @@ mod tests {
     #[test]
     fn empty_ratio_is_zero() {
         assert_eq!(CacheStats::default().hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn window_tracks_recent_behavior() {
-        let mut w = WindowedHitRate::new(50.0);
-        assert_eq!(w.hit_ratio(), 0.0);
-        for _ in 0..500 {
-            w.observe(true);
-        }
-        assert!(w.hit_ratio() > 0.99, "ratio {}", w.hit_ratio());
-        // A lifetime average would stay ≈ 0.5 after the flip; the window
-        // converges to the new behavior within a few half-lives.
-        for _ in 0..500 {
-            w.observe(false);
-        }
-        assert!(w.hit_ratio() < 0.01, "ratio {}", w.hit_ratio());
-        assert!(w.misses() > 0.0);
-        // Evidence saturates around half_life / ln 2 ≈ 72.
-        assert!(w.lookups() > 50.0 && w.lookups() < 100.0);
     }
 
     #[test]

@@ -54,8 +54,7 @@ use shhc_ring::{MigrationPlan, RingView};
 use shhc_types::{Error, Fingerprint, FpHashSet, NodeId, Result, StreamId, PENDING_VALUE};
 
 use crate::server::{
-    node_loop, sharded_node_loop, AutotuneOptions, AutotuneReport, ControlMsg, ControlReply,
-    NodeRequest, NodeSnapshot,
+    node_loop, sharded_node_loop, ControlMsg, ControlReply, NodeRequest, NodeSnapshot,
 };
 
 /// Re-home passes a membership change runs at most. Each pass after the
@@ -1081,26 +1080,6 @@ impl ShhcCluster {
             resync_moved: self.inner.resync_moved.load(Ordering::Relaxed),
             resync_chunks: self.inner.resync_chunks.load(Ordering::Relaxed),
         })
-    }
-
-    /// Runs one self-tuning pass on every running node: hot-shard
-    /// re-splitting along the observed per-shard load CDF, plus
-    /// marginal-utility cache autosizing (see [`AutotuneOptions`]).
-    /// Answers are unaffected — only *which worker owns which key
-    /// range* and how RAM-cache capacity is divided change.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first node failure.
-    pub fn autotune(&self, opts: AutotuneOptions) -> Result<Vec<AutotuneReport>> {
-        let node_ids = self.running_nodes();
-        let mut out = Vec::with_capacity(node_ids.len());
-        for id in node_ids {
-            if let ControlReply::Autotune(report) = self.control(id, ControlMsg::Autotune(opts))? {
-                out.push(*report);
-            }
-        }
-        Ok(out)
     }
 
     /// Flushes every node's SSD write buffer.

@@ -57,7 +57,7 @@ pub use client::{BackupClient, FileEntry, Snapshot, SnapshotReport};
 pub use cluster::{
     Admission, ClusterConfig, ClusterStats, DataPlane, RebalanceReport, RecoveryReport, ShhcCluster,
 };
-pub use server::{AutotuneOptions, AutotuneReport, NodeSnapshot};
+pub use server::NodeSnapshot;
 pub use service::{BackupReport, BackupService, DeleteReport, RestoreConfig, RestoreReport};
 pub use shared_frontend::{FrontendConfig, LookupAnswer, SharedFrontend};
 pub use simcluster::{SimCluster, SimClusterConfig, SimReport};
@@ -66,16 +66,10 @@ pub use simcluster::{SimCluster, SimClusterConfig, SimReport};
 // the net layer so `shhc` stays a single-dependency facade.
 pub use shhc_net::{AdmissionPolicy, IngestModel, SharedBatcherStats, Ticket};
 
-// The self-tuning knobs `autotune` exposes.
-pub use shhc_cache::{SizerConfig, SizerDecision};
-
 // Re-export the substrate APIs a downstream user needs alongside the
 // cluster, so `shhc` works as a single-dependency facade.
 pub use shhc_flash::{Durability, FaultPlan, WalConfig};
-pub use shhc_node::{
-    load_imbalance, BackendKind, CachePolicy, HybridHashNode, NodeConfig, NodeStats, ShardLoad,
-    ShardRouter,
-};
+pub use shhc_node::{BackendKind, CachePolicy, HybridHashNode, NodeConfig, NodeStats, ShardRouter};
 pub use shhc_types::{
     ChunkId, ClientId, Error, Fingerprint, Nanos, NodeId, Result, StreamId, PENDING_VALUE,
 };

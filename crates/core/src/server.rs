@@ -33,11 +33,11 @@ use std::time::Duration;
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use shhc_cache::{CacheSizer, CacheStats, SizerConfig, SizerDecision};
+use shhc_cache::CacheStats;
 use shhc_flash::{DeviceStats, FtlStats};
 use shhc_net::{decode, encode_reusing, Frame};
-use shhc_node::{load_imbalance, HybridHashNode, NodeConfig, NodeStats, ShardLoad, ShardRouter};
-use shhc_types::{Fingerprint, Nanos, NodeId};
+use shhc_node::{HybridHashNode, NodeConfig, NodeStats, ShardRouter};
+use shhc_types::{Fingerprint, NodeId};
 
 /// A point-in-time view of one node's state, fetched over the control
 /// plane. For sharded nodes every counter is the across-shard aggregate.
@@ -59,63 +59,6 @@ pub struct NodeSnapshot {
     /// loop, which runs each frame itself, without the sharded
     /// dispatcher's per-frame job machinery).
     pub shards: u32,
-    /// Per-shard load shares (empty for single-threaded nodes, which have
-    /// no shards to balance) — the hot-shard imbalance signal.
-    pub shard_loads: Vec<ShardLoad>,
-}
-
-impl NodeSnapshot {
-    /// Max/mean ratio of per-shard query loads; 1.0 when balanced or
-    /// unsharded. See [`load_imbalance`].
-    pub fn load_imbalance(&self) -> f64 {
-        load_imbalance(&self.shard_loads)
-    }
-}
-
-/// Knobs for one node-local self-tuning pass (see
-/// [`ShhcCluster::autotune`](crate::ShhcCluster::autotune)).
-#[derive(Debug, Clone, Copy)]
-pub struct AutotuneOptions {
-    /// Re-split the shard key ranges when the per-shard query imbalance
-    /// (max/mean) reaches this threshold. Only volatile sharded nodes
-    /// re-split; WAL-backed nodes skip it (restart replay rebuilds the
-    /// uniform router, which would mis-route the moved entries).
-    pub imbalance_threshold: f64,
-    /// Whether hot-shard re-splitting is attempted at all.
-    pub resplit: bool,
-    /// Whether RAM-cache capacity is shifted between shards by marginal
-    /// utility (recent misses per cache slot).
-    pub autosize_caches: bool,
-    /// Sizer knobs for the cache-capacity shift.
-    pub sizer: SizerConfig,
-}
-
-impl Default for AutotuneOptions {
-    fn default() -> Self {
-        AutotuneOptions {
-            imbalance_threshold: 1.5,
-            resplit: true,
-            autosize_caches: true,
-            sizer: SizerConfig::default(),
-        }
-    }
-}
-
-/// What one autotune pass observed and changed on one node.
-#[derive(Debug, Clone)]
-pub struct AutotuneReport {
-    /// The node.
-    pub id: NodeId,
-    /// Intra-node shards.
-    pub shards: u32,
-    /// Per-shard query imbalance (max/mean) *before* any mitigation.
-    pub imbalance: f64,
-    /// Whether the shard ranges were re-split this pass.
-    pub resplit: bool,
-    /// Entries re-homed by the re-split.
-    pub moved_entries: u64,
-    /// Cache capacity shifted between shards, if any.
-    pub cache_shift: Option<SizerDecision>,
 }
 
 /// Control-plane commands (in-process only; not wire-encoded).
@@ -124,7 +67,6 @@ pub(crate) enum ControlMsg {
     Stats,
     Flush,
     Scan,
-    Autotune(AutotuneOptions),
     Shutdown,
 }
 
@@ -134,7 +76,6 @@ pub(crate) enum ControlReply {
     Stats(Box<NodeSnapshot>),
     Done,
     Scan(Vec<(Fingerprint, u64)>),
-    Autotune(Box<AutotuneReport>),
     Failed(String),
 }
 
@@ -159,22 +100,12 @@ pub(crate) fn snapshot_of(node: &HybridHashNode) -> NodeSnapshot {
         device: node.device_stats(),
         ftl: node.ftl_stats(),
         shards: 1,
-        shard_loads: Vec::new(),
     }
 }
 
 /// Aggregates per-shard snapshots into one node-level snapshot.
 fn merge_snapshots(parts: Vec<NodeSnapshot>) -> NodeSnapshot {
     let shards = parts.len() as u32;
-    // Each part is one shard's snapshot; its query share is the
-    // hot-shard signal the autotuner and callers read.
-    let shard_loads: Vec<ShardLoad> = parts
-        .iter()
-        .map(|p| ShardLoad {
-            queries: p.stats.ops() + p.stats.queries,
-            busy: p.stats.busy,
-        })
-        .collect();
     let stats: Vec<NodeStats> = parts.iter().map(|p| p.stats).collect();
     let cache: Vec<CacheStats> = parts.iter().map(|p| p.cache).collect();
     let device: Vec<DeviceStats> = parts.iter().map(|p| p.device).collect();
@@ -187,7 +118,6 @@ fn merge_snapshots(parts: Vec<NodeSnapshot>) -> NodeSnapshot {
         device: DeviceStats::merge(device.iter()),
         ftl: FtlStats::merge(ftl.iter()),
         shards,
-        shard_loads,
     }
 }
 
@@ -222,19 +152,6 @@ pub(crate) fn node_loop(mut node: HybridHashNode, rx: Receiver<NodeRequest>) {
                     ControlMsg::Stats => ShardWork::Stats { queue_peak },
                     ControlMsg::Flush => ShardWork::Flush,
                     ControlMsg::Scan => ShardWork::Scan,
-                    ControlMsg::Autotune(_) => {
-                        // The single-threaded node has one shard and one
-                        // cache: nothing to re-split or shift.
-                        let _ = reply.send(ControlReply::Autotune(Box::new(AutotuneReport {
-                            id: node.id(),
-                            shards: 1,
-                            imbalance: 1.0,
-                            resplit: false,
-                            moved_entries: 0,
-                            cache_shift: None,
-                        })));
-                        continue;
-                    }
                     ControlMsg::Shutdown => {
                         // Clean shutdown: flush + close the WAL so restart
                         // replays only segment metadata. A *crashed* node
@@ -273,12 +190,6 @@ enum ShardWork {
     Stats {
         queue_peak: u64,
     },
-    /// Report `(cache capacity, recent cache misses)` — the autotune
-    /// sizer's marginal-utility input.
-    CacheProfile,
-    /// Retarget the shard's RAM cache capacity (clamped to one entry by
-    /// the node).
-    ResizeCache(usize),
 }
 
 impl ShardWork {
@@ -297,9 +208,9 @@ impl ShardWork {
     /// `(shard, positions in the frame, work)` for every involved shard,
     /// in shard order. An empty frame goes whole to shard 0, so its reply
     /// still comes from a shard.
-    fn split(self, router: &ShardRouter) -> Vec<(usize, Vec<usize>, ShardWork)> {
+    fn split(self, router: ShardRouter) -> Vec<(usize, Vec<usize>, ShardWork)> {
         fn by_shard<T>(
-            router: &ShardRouter,
+            router: ShardRouter,
             records: Vec<T>,
             fp: impl Fn(&T) -> Fingerprint,
             work: impl Fn(Vec<T>) -> ShardWork,
@@ -336,10 +247,6 @@ enum ShardOutcome {
     Done,
     Entries(Vec<(Fingerprint, u64)>),
     Snapshot(Box<NodeSnapshot>),
-    Profile {
-        capacity: usize,
-        recent_misses: f64,
-    },
     Failed(String),
 }
 
@@ -426,14 +333,6 @@ fn run_shard_work(shard: &mut HybridHashNode, work: ShardWork) -> ShardOutcome {
             snap.stats.queue_peak = queue_peak;
             Ok(ShardOutcome::Snapshot(Box::new(snap)))
         }
-        ShardWork::CacheProfile => Ok(ShardOutcome::Profile {
-            capacity: shard.cache_capacity(),
-            recent_misses: shard.recent_cache_misses(),
-        }),
-        ShardWork::ResizeCache(capacity) => {
-            shard.resize_cache(capacity);
-            Ok(ShardOutcome::Done)
-        }
     };
     match (outcome, shard.wal_commit()) {
         (Err(e), _) => ShardOutcome::Failed(e.to_string()),
@@ -511,12 +410,6 @@ enum ShardTask {
         slot: usize,
         work: ShardWork,
         delay: Duration,
-    },
-    /// Synchronous single-shard RPC, bypassing the job machinery — the
-    /// autotuner's building block.
-    Direct {
-        work: ShardWork,
-        reply: Sender<ShardOutcome>,
     },
     /// Stop the worker. `clean` distinguishes an orderly node shutdown
     /// (flush + close the shard's WAL, so restart replays nothing) from
@@ -655,9 +548,6 @@ fn shard_worker(mut shard: HybridHashNode, rx: Receiver<ShardTask>) {
                 sleep_service(delay);
                 job.complete(slot, run_shard_work(&mut shard, work), &mut scratch);
             }
-            ShardTask::Direct { work, reply } => {
-                let _ = reply.send(run_shard_work(&mut shard, work));
-            }
             ShardTask::Shutdown { clean } => {
                 if clean {
                     // Orderly exit: checkpoint + close the shard's WAL.
@@ -679,12 +569,7 @@ pub(crate) fn sharded_node_loop(
     shards: Vec<HybridHashNode>,
     rx: Receiver<NodeRequest>,
 ) {
-    // Only this thread reads the router (per frame) or replaces it (an
-    // autotune re-split, which runs here).
-    let mut router = ShardRouter::new(shards.len() as u32);
-    // Cumulative per-shard loads as of the previous autotune pass.
-    let mut tuned_loads: Vec<ShardLoad> = Vec::new();
-    let node_id = shards.first().map(HybridHashNode::id).unwrap_or_default();
+    let router = ShardRouter::new(shards.len() as u32);
     let (workers, handles): (Vec<Sender<ShardTask>>, Vec<JoinHandle<()>>) = shards
         .into_iter()
         .enumerate()
@@ -710,7 +595,7 @@ pub(crate) fn sharded_node_loop(
         match request {
             NodeRequest::Data { frame, reply } => match frame_work(&frame) {
                 Ok((correlation, work)) => {
-                    dispatch_data(&config, &router, &workers, correlation, work, reply);
+                    dispatch_data(&config, router, &workers, correlation, work, reply);
                 }
                 Err(now) => {
                     let _ = reply.send(encode_reusing(&now, &mut scratch));
@@ -727,20 +612,6 @@ pub(crate) fn sharded_node_loop(
                 }
                 ControlMsg::Flush => broadcast_control(&workers, || ShardWork::Flush, reply),
                 ControlMsg::Scan => broadcast_control(&workers, || ShardWork::Scan, reply),
-                ControlMsg::Autotune(opts) => {
-                    let r = match run_autotune(
-                        &config,
-                        &workers,
-                        &mut router,
-                        &mut tuned_loads,
-                        node_id,
-                        opts,
-                    ) {
-                        Ok(report) => ControlReply::Autotune(Box::new(report)),
-                        Err(m) => ControlReply::Failed(m),
-                    };
-                    let _ = reply.send(r);
-                }
             },
         }
     }
@@ -756,7 +627,7 @@ pub(crate) fn sharded_node_loop(
 /// job that replies once every slice is answered.
 fn dispatch_data(
     config: &NodeConfig,
-    router: &ShardRouter,
+    router: ShardRouter,
     workers: &[Sender<ShardTask>],
     correlation: u64,
     work: ShardWork,
@@ -798,164 +669,6 @@ fn broadcast_control(
             delay: Duration::ZERO,
         });
     }
-}
-
-/// Synchronously runs one unit of work on one shard and returns its
-/// outcome, mapping `Failed` to `Err`.
-fn shard_direct(
-    workers: &[Sender<ShardTask>],
-    shard: usize,
-    work: ShardWork,
-) -> Result<ShardOutcome, String> {
-    let (tx, rx) = unbounded();
-    workers[shard]
-        .send(ShardTask::Direct { work, reply: tx })
-        .map_err(|_| format!("shard {shard} worker is gone"))?;
-    match rx.recv() {
-        Ok(ShardOutcome::Failed(m)) => Err(m),
-        Ok(outcome) => Ok(outcome),
-        Err(_) => Err(format!("shard {shard} dropped its reply")),
-    }
-}
-
-/// One node-local self-tuning pass, run on the dispatcher thread, so no
-/// frame is dispatched meanwhile; each shard's FIFO queue finishes every
-/// sub-frame dispatched before the pass ahead of the pass's own steps on
-/// that shard:
-///
-/// 1. **hot-shard re-split** — read per-shard query loads; if the
-///    max/mean imbalance reaches the threshold, re-split the shard key
-///    ranges along the observed load CDF and re-home the entries whose
-///    shard changed (install on the target, then remove from the
-///    source), finally replacing the dispatcher's router. Declined on
-///    WAL-backed nodes: restart replay rebuilds the uniform router and
-///    would mis-route the moved entries;
-/// 2. **cache autosizing** — shift RAM-cache capacity from the shard
-///    with the lowest recent misses-per-slot to the one with the
-///    highest.
-///
-/// Every step preserves the node's observable answers: entries only
-/// change *which worker owns them*, never their existence or value.
-fn run_autotune(
-    config: &NodeConfig,
-    workers: &[Sender<ShardTask>],
-    router: &mut ShardRouter,
-    tuned_loads: &mut Vec<ShardLoad>,
-    node_id: NodeId,
-    opts: AutotuneOptions,
-) -> Result<AutotuneReport, String> {
-    let shards = workers.len();
-    let mut loads = Vec::with_capacity(shards);
-    for s in 0..shards {
-        match shard_direct(workers, s, ShardWork::Stats { queue_peak: 0 })? {
-            ShardOutcome::Snapshot(snap) => loads.push(ShardLoad {
-                queries: snap.stats.ops() + snap.stats.queries,
-                busy: snap.stats.busy,
-            }),
-            _ => return Err("shard stats returned an unexpected outcome".into()),
-        }
-    }
-    // Tune on the window since the previous pass: against a workload
-    // whose hot set moves, cumulative counters would drown the current
-    // phase in stale history and re-split one phase behind.
-    let window: Vec<ShardLoad> = loads
-        .iter()
-        .enumerate()
-        .map(|(s, l)| {
-            let prev = tuned_loads.get(s).copied().unwrap_or_default();
-            ShardLoad {
-                queries: l.queries.saturating_sub(prev.queries),
-                busy: Nanos::from(l.busy.as_nanos().saturating_sub(prev.busy.as_nanos())),
-            }
-        })
-        .collect();
-    *tuned_loads = loads;
-    let imbalance = load_imbalance(&window);
-    let mut report = AutotuneReport {
-        id: node_id,
-        shards: shards as u32,
-        imbalance,
-        resplit: false,
-        moved_entries: 0,
-        cache_shift: None,
-    };
-    if opts.resplit
-        && shards > 1
-        && imbalance >= opts.imbalance_threshold
-        && !config.durability.is_durable()
-    {
-        let queries: Vec<u64> = window.iter().map(|l| l.queries).collect();
-        // Scan first: the stored keys both weight the re-split (so a hot
-        // set clustered inside one slice is cut *between* its keys in a
-        // single pass) and supply the entries to re-home.
-        let mut scans: Vec<Vec<(Fingerprint, u64)>> = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let ShardOutcome::Entries(pairs) = shard_direct(workers, s, ShardWork::Scan)? else {
-                return Err("shard scan returned an unexpected outcome".into());
-            };
-            scans.push(pairs);
-        }
-        let keys_by_shard: Vec<Vec<u64>> = scans
-            .iter()
-            .map(|pairs| pairs.iter().map(|(fp, _)| fp.route_key()).collect())
-            .collect();
-        let new_router = router.rebalanced_over_keys(&queries, &keys_by_shard);
-        if new_router != *router {
-            let mut installs: Vec<Vec<(Fingerprint, u64)>> = vec![Vec::new(); shards];
-            let mut removes: Vec<Vec<Fingerprint>> = vec![Vec::new(); shards];
-            for (s, pairs) in scans.into_iter().enumerate() {
-                for (fp, value) in pairs {
-                    let t = new_router.shard_of(&fp);
-                    if t != s {
-                        installs[t].push((fp, value));
-                        removes[s].push(fp);
-                    }
-                }
-            }
-            let moved: u64 = removes.iter().map(|r| r.len() as u64).sum();
-            for (t, pairs) in installs.into_iter().enumerate() {
-                if !pairs.is_empty() {
-                    shard_direct(workers, t, ShardWork::Install(pairs))?;
-                }
-            }
-            for (s, fps) in removes.into_iter().enumerate() {
-                if !fps.is_empty() {
-                    shard_direct(workers, s, ShardWork::Remove(fps))?;
-                }
-            }
-            *router = new_router;
-            report.resplit = true;
-            report.moved_entries = moved;
-        }
-    }
-    if opts.autosize_caches && shards > 1 {
-        let mut profile = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let ShardOutcome::Profile {
-                capacity,
-                recent_misses,
-            } = shard_direct(workers, s, ShardWork::CacheProfile)?
-            else {
-                return Err("shard cache profile returned an unexpected outcome".into());
-            };
-            profile.push((capacity, recent_misses));
-        }
-        let sizer = CacheSizer::new(opts.sizer);
-        if let Some(d) = sizer.plan(&profile) {
-            shard_direct(
-                workers,
-                d.from,
-                ShardWork::ResizeCache(profile[d.from].0 - d.entries),
-            )?;
-            shard_direct(
-                workers,
-                d.to,
-                ShardWork::ResizeCache(profile[d.to].0 + d.entries),
-            )?;
-            report.cache_shift = Some(d);
-        }
-    }
-    Ok(report)
 }
 
 #[cfg(test)]

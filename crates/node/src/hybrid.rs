@@ -402,31 +402,6 @@ impl HybridHashNode {
         self.cache.stats()
     }
 
-    /// Current RAM cache capacity (may differ from the configured one
-    /// after [`HybridHashNode::resize_cache`]).
-    pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
-    /// Resizes the RAM cache online (clamped to one entry). Purely a
-    /// performance dial: a shrink evicts in LRU order, which can only
-    /// turn future hits into SSD hits — never change an answer.
-    pub fn resize_cache(&mut self, capacity: usize) {
-        self.cache.resize(capacity.max(1));
-    }
-
-    /// Exponentially decayed recent cache hit ratio — the autosizer's
-    /// freshness-weighted view of [`HybridHashNode::cache_stats`].
-    pub fn recent_cache_hit_ratio(&self) -> f64 {
-        self.cache.recent_hit_ratio()
-    }
-
-    /// Exponentially decayed recent cache miss count (the
-    /// marginal-utility demand signal).
-    pub fn recent_cache_misses(&self) -> f64 {
-        self.cache.recent_misses()
-    }
-
     /// Flash device counters (reads, programs, erases).
     pub fn device_stats(&self) -> DeviceStats {
         self.store.device_stats()

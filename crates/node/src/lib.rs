@@ -50,7 +50,7 @@ mod sharded;
 pub use hybrid::{
     BatchResult, CachePolicy, HybridHashNode, LookupOutcome, LookupResult, NodeConfig, NodeStats,
 };
-pub use sharded::{load_imbalance, shard_slices, ShardLoad, ShardRouter, SubBatch};
+pub use sharded::{shard_slices, ShardRouter, SubBatch};
 // The durability mode is part of `NodeConfig`'s public surface.
 pub use shhc_flash::{Durability, FaultPlan, WalConfig};
 // `NodeConfig::backend` names it; only `BackendKind::Single` is accepted.

@@ -27,21 +27,19 @@
 //! equivalence suites hold the answers byte-identical to one
 //! [`HybridHashNode`].
 
-use shhc_types::{Fingerprint, Nanos, NodeId, Result};
+use shhc_types::{Fingerprint, NodeId, Result};
 
 use crate::hybrid::{HybridHashNode, NodeConfig};
 
 /// Routes fingerprints to intra-node shards by routing-key prefix.
 ///
-/// Each shard owns one contiguous routing-key slice. The uniform router
-/// ([`ShardRouter::new`]) gives shard `s` of `S` the slice
-/// `[s·2⁶⁴/S, (s+1)·2⁶⁴/S)`; a *rebalanced* router
-/// ([`ShardRouter::rebalanced_over_keys`]) keeps the same number of
-/// shards but moves the slice boundaries so observed load splits evenly —
-/// the hot-shard mitigation narrows the overloaded prefix instead of
-/// re-sharding the whole node. Either way the shard index is monotone in
-/// the routing key and the shards partition the fingerprint space
-/// exactly.
+/// Shard `s` of `S` owns the routing-key slice `[⌈s·2⁶⁴/S⌉, ⌈(s+1)·2⁶⁴/S⌉)`,
+/// so the shard index is the fixed-point product `⌊route_key · S / 2⁶⁴⌋`:
+/// monotone in the routing key, and the shards partition the fingerprint
+/// space exactly. The slices never move. Fingerprints are SHA-1 digests,
+/// so their prefixes already spread a node's load evenly over its shards
+/// (`tests/sharded_equivalence.rs` measures the cache misses and device
+/// reads per shard under a Zipf stream).
 ///
 /// # Examples
 ///
@@ -54,129 +52,27 @@ use crate::hybrid::{HybridHashNode, NodeConfig};
 /// assert_eq!(router.shard_of(&Fingerprint::from_u64(u64::MAX / 2)), 1);
 /// assert_eq!(router.shard_of(&Fingerprint::from_u64(u64::MAX / 2 + 1)), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRouter {
-    /// Lower routing-key bound of each shard's slice: `bounds[0] == 0`,
-    /// strictly ascending; shard `s` owns `[bounds[s], bounds[s+1])`
-    /// (the last shard is open-ended).
-    bounds: std::sync::Arc<[u64]>,
+    shards: u32,
 }
 
 impl ShardRouter {
-    /// A uniform router over `shards` equal slices (clamped to ≥ 1) —
-    /// shard `k` starts at `⌈k·2⁶⁴/S⌉`, matching the fixed-point product
-    /// routing `⌊route_key · S / 2⁶⁴⌋` exactly.
+    /// A router over `shards` equal slices (clamped to ≥ 1).
     pub fn new(shards: u32) -> Self {
-        let s = u128::from(shards.max(1));
-        let bounds: Vec<u64> = (0..s).map(|k| ((k << 64).div_ceil(s)) as u64).collect();
         ShardRouter {
-            bounds: bounds.into(),
-        }
-    }
-
-    /// A router with explicit slice boundaries: `bounds[s]` is shard
-    /// `s`'s first routing key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty, does not start at 0, or is not
-    /// strictly ascending.
-    pub fn from_bounds(bounds: Vec<u64>) -> Self {
-        assert!(!bounds.is_empty(), "router needs at least one shard");
-        assert_eq!(bounds[0], 0, "shard 0 must start at routing key 0");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "shard bounds must be strictly ascending"
-        );
-        ShardRouter {
-            bounds: bounds.into(),
+            shards: shards.max(1),
         }
     }
 
     /// Number of shards.
     pub fn count(&self) -> usize {
-        self.bounds.len()
+        self.shards as usize
     }
 
-    /// The shard slice boundaries (see [`ShardRouter::from_bounds`]).
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
-    /// The shard owning `fp`: the index of the contiguous routing-key
-    /// slice the fingerprint's prefix falls in (binary search over the
-    /// slice boundaries).
+    /// The shard owning `fp`: `⌊route_key · S / 2⁶⁴⌋`.
     pub fn shard_of(&self, fp: &Fingerprint) -> usize {
-        let key = fp.route_key();
-        self.bounds.partition_point(|&b| b <= key) - 1
-    }
-
-    /// A router with the same shard count whose boundaries split the
-    /// *observed* per-shard load evenly, modelling each shard's load as
-    /// point masses on its *actual stored routing keys*. This is what the
-    /// autotuner re-splits with once it holds the shard scans: a hot set
-    /// clustered at the very bottom of one slice gets boundaries placed
-    /// *between* its keys in a single pass, where a model spreading load
-    /// uniformly over each slice would need many narrowing rounds to reach
-    /// them.
-    ///
-    /// `keys_by_shard[s]` are shard `s`'s stored routing keys (order
-    /// irrelevant). Shards with no load or no keys contribute nothing;
-    /// if every shard is empty the router is returned unchanged.
-    pub fn rebalanced_over_keys(&self, loads: &[u64], keys_by_shard: &[Vec<u64>]) -> ShardRouter {
-        let s = self.count();
-        assert_eq!(loads.len(), s, "one load sample per shard");
-        assert_eq!(keys_by_shard.len(), s, "one key set per shard");
-        if s == 1 {
-            return self.clone();
-        }
-        // Point masses: each stored key carries an equal share of its
-        // shard's observed load.
-        let mut points: Vec<(u64, f64)> = Vec::new();
-        for (&load, keys) in loads.iter().zip(keys_by_shard) {
-            if load == 0 || keys.is_empty() {
-                continue;
-            }
-            let w = load as f64 / keys.len() as f64;
-            points.extend(keys.iter().map(|&k| (k, w)));
-        }
-        if points.is_empty() {
-            return self.clone();
-        }
-        points.sort_unstable_by_key(|p| p.0);
-        let total: f64 = points.iter().map(|p| p.1).sum();
-        let mut bounds: Vec<u64> = Vec::with_capacity(s);
-        bounds.push(0);
-        let mut cum = 0.0;
-        let mut it = points.iter().peekable();
-        for k in 1..s {
-            let target = total * k as f64 / s as f64;
-            let mut boundary = None;
-            while let Some(&&(key, w)) = it.peek() {
-                if cum + w < target {
-                    cum += w;
-                    it.next();
-                } else {
-                    // This key's mass crosses the target: it stays in
-                    // the lower slice, the boundary sits just above it.
-                    cum += w;
-                    it.next();
-                    boundary = Some(key.saturating_add(1));
-                    break;
-                }
-            }
-            let prev = *bounds.last().expect("bounds start at 0");
-            // Reserve one key of headroom per remaining boundary so the
-            // tail stays strictly ascending even when the points run out
-            // or cluster at the top of the key space.
-            let headroom = (s - 1 - k) as u64;
-            let key = boundary
-                .unwrap_or(u64::MAX - headroom)
-                .max(prev + 1)
-                .min(u64::MAX - headroom);
-            bounds.push(key);
-        }
-        ShardRouter::from_bounds(bounds)
+        ((u128::from(fp.route_key()) * u128::from(self.shards)) >> 64) as usize
     }
 
     /// Splits a position-ordered batch of records into one [`SubBatch`]
@@ -198,31 +94,6 @@ impl ShardRouter {
         }
         subs
     }
-}
-
-/// One intra-node shard's share of the node's work — the imbalance
-/// signal hot-shard detection reads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardLoad {
-    /// Lookup/insert/query operations the shard served.
-    pub queries: u64,
-    /// Busy virtual time the shard accumulated.
-    pub busy: Nanos,
-}
-
-/// Max/mean ratio of per-shard query counts: 1.0 is perfectly balanced,
-/// `S` is everything-on-one-shard. Zero-load vectors report 1.0.
-pub fn load_imbalance(loads: &[ShardLoad]) -> f64 {
-    if loads.is_empty() {
-        return 1.0;
-    }
-    let total: u64 = loads.iter().map(|l| l.queries).sum();
-    if total == 0 {
-        return 1.0;
-    }
-    let mean = total as f64 / loads.len() as f64;
-    let max = loads.iter().map(|l| l.queries).max().unwrap_or(0) as f64;
-    max / mean
 }
 
 /// One shard's slice of a batch: the records routed to it, parallel to
@@ -279,6 +150,7 @@ pub fn shard_slices(id: NodeId, config: &NodeConfig) -> Result<Vec<HybridHashNod
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use shhc_types::Nanos;
 
     fn fp(v: u64) -> Fingerprint {
         Fingerprint::from_u64(v)
@@ -376,199 +248,6 @@ mod tests {
                 assert_eq!(router.shard_of(&fp(key)), want, "S={s} key={key:#x}");
             }
         }
-    }
-
-    #[test]
-    fn from_bounds_routes_by_explicit_slices() {
-        let router = ShardRouter::from_bounds(vec![0, 100, 1 << 40]);
-        assert_eq!(router.shard_of(&fp(0)), 0);
-        assert_eq!(router.shard_of(&fp(99)), 0);
-        assert_eq!(router.shard_of(&fp(100)), 1);
-        assert_eq!(router.shard_of(&fp((1 << 40) - 1)), 1);
-        assert_eq!(router.shard_of(&fp(1 << 40)), 2);
-        assert_eq!(router.shard_of(&fp(u64::MAX)), 2);
-        assert_eq!(router.bounds(), &[0, 100, 1 << 40]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn from_bounds_rejects_disorder() {
-        let _ = ShardRouter::from_bounds(vec![0, 5, 5]);
-    }
-
-    #[test]
-    fn rebalanced_over_keys_splits_a_clustered_hot_set() {
-        let router = ShardRouter::new(4);
-        // 300 keys clustered at the very bottom of shard 0's slice: the
-        // key-weighted split must land boundaries between the stored
-        // keys.
-        let keys: Vec<u64> = (0..300).map(|i| i * 1000).collect();
-        let loads = [300u64, 0, 0, 0];
-        let keys_by_shard = [keys.clone(), Vec::new(), Vec::new(), Vec::new()];
-        let hot = router.rebalanced_over_keys(&loads, &keys_by_shard);
-        let mut per_shard = [0usize; 4];
-        for &k in &keys {
-            per_shard[hot.shard_of(&fp(k))] += 1;
-        }
-        assert_eq!(per_shard, [75, 75, 75, 75], "bounds {:?}", hot.bounds());
-        // Degenerate inputs leave the router unchanged.
-        assert_eq!(
-            router
-                .rebalanced_over_keys(&[0; 4], &[vec![], vec![], vec![], vec![]])
-                .bounds(),
-            router.bounds()
-        );
-        // Fewer keys than shards still yields a valid (strictly
-        // ascending) partition.
-        let tiny = router.rebalanced_over_keys(
-            &[2, 0, 0, 0],
-            &[vec![u64::MAX - 1, u64::MAX], vec![], vec![], vec![]],
-        );
-        assert_eq!(tiny.count(), 4);
-    }
-
-    #[test]
-    fn load_imbalance_signal() {
-        let balanced: Vec<ShardLoad> = (0..4)
-            .map(|_| ShardLoad {
-                queries: 100,
-                busy: Nanos::ZERO,
-            })
-            .collect();
-        assert!((load_imbalance(&balanced) - 1.0).abs() < 1e-9);
-        let skewed: Vec<ShardLoad> = [970u64, 10, 10, 10]
-            .iter()
-            .map(|&q| ShardLoad {
-                queries: q,
-                busy: Nanos::ZERO,
-            })
-            .collect();
-        assert!(load_imbalance(&skewed) > 3.0);
-        assert_eq!(load_imbalance(&[]), 1.0);
-    }
-
-    #[test]
-    fn resplit_preserves_every_answer() {
-        // Volatile regardless of the env matrix: WAL nodes never re-split
-        // (see the test below).
-        let volatile = NodeConfig::small_test().with_durability(crate::Durability::Volatile);
-        let mut reference = HybridHashNode::new(NodeId::new(0), volatile.clone()).unwrap();
-        let mut node = Sequential::new(volatile.with_shards(4));
-        // Clustered keys: everything lands on shard 0.
-        let hot: Vec<Fingerprint> = (0..120).map(|i| fp(i * 1000)).collect();
-        reference.lookup_insert_batch(&hot).unwrap();
-        node.lookup_insert_batch(&hot);
-        let queries: Vec<u64> = node.shards.iter().map(|s| s.stats().ops()).collect();
-        let loads: Vec<ShardLoad> = queries
-            .iter()
-            .map(|&queries| ShardLoad {
-                queries,
-                busy: Nanos::ZERO,
-            })
-            .collect();
-        assert!(
-            load_imbalance(&loads) > 2.0,
-            "clustered keys overload shard 0"
-        );
-        // Re-split over the stored keys and re-home every entry outside
-        // its new slice — install on the target, then remove from the
-        // source — the way the server's autotune does.
-        let scans: Vec<Vec<(Fingerprint, u64)>> =
-            node.shards.iter_mut().map(|s| s.scan().unwrap()).collect();
-        let keys: Vec<Vec<u64>> = scans
-            .iter()
-            .map(|pairs| pairs.iter().map(|(f, _)| f.route_key()).collect())
-            .collect();
-        let router = node.router.rebalanced_over_keys(&queries, &keys);
-        let mut moved = 0;
-        for (s, pairs) in scans.into_iter().enumerate() {
-            for (f, v) in pairs {
-                let t = router.shard_of(&f);
-                if t != s {
-                    assert_eq!(node.shards[t].install(f, v).unwrap(), None);
-                    node.shards[s].remove(f).unwrap();
-                    moved += 1;
-                }
-            }
-        }
-        node.router = router;
-        assert!(moved > 0, "clustered entries must re-home");
-        // Nothing changed observably: same answers, same scan, same
-        // entries — and the stored entries now span several shards.
-        let want = reference.lookup_insert_batch(&hot).unwrap();
-        assert_eq!(node.lookup_insert_batch(&hot), (want.exists, want.values));
-        assert_eq!(node.scan(), reference.scan().unwrap());
-        assert_eq!(node.entries(), reference.entries());
-        assert!(node.shards.iter().filter(|s| s.entries() > 0).count() > 1);
-    }
-
-    /// Why a WAL-backed node declines to re-split: each shard replays its
-    /// own `s{i}` log on restart and the reopened node routes uniformly,
-    /// so an entry a re-split moved comes back on a shard the uniform
-    /// router never asks. (The server declining is checked by the
-    /// adaptive-equivalence suite.)
-    #[test]
-    fn resplit_declined_for_durable_nodes() {
-        let dir = std::env::temp_dir().join(format!("shhc-resplit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = NodeConfig::small_test()
-            .with_shards(4)
-            .with_durability(crate::Durability::wal(&dir));
-        let uniform = ShardRouter::new(4);
-        let resplit = ShardRouter::from_bounds(vec![0, 1, 2, 3]);
-        let f = fp(1000);
-        let (home, target) = (uniform.shard_of(&f), resplit.shard_of(&f));
-        assert_ne!(home, target);
-        let mut shards = shard_slices(NodeId::new(0), &config).unwrap();
-        assert!(shards.iter().all(HybridHashNode::is_durable));
-        let v = shards[home].lookup_insert(f).unwrap().value;
-        assert_eq!(shards[target].install(f, v).unwrap(), None);
-        shards[home].remove(f).unwrap();
-        for shard in &mut shards {
-            shard.close().unwrap();
-        }
-        drop(shards);
-        let mut reopened = shard_slices(NodeId::new(0), &config).unwrap();
-        assert_eq!(reopened[target].scan().unwrap(), vec![(f, v)]);
-        let (exists, _) = reopened[uniform.shard_of(&f)].query_many(&[f]).unwrap();
-        assert_eq!(exists, vec![false], "the uniform owner lost the entry");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn autosize_moves_capacity_to_the_missing_shard() {
-        use shhc_cache::{CacheSizer, SizerConfig};
-        let mut node = Sequential::new(NodeConfig::small_test().with_shards(4));
-        // Warm every shard, then hammer shard 0 with misses (clustered
-        // low keys) so its decayed miss count dominates.
-        let spread_keys: Vec<Fingerprint> = (0..64).map(spread).collect();
-        node.lookup_insert_batch(&spread_keys);
-        for i in 0..2000u64 {
-            let f = fp(i % 701); // low keys → shard 0, mostly capacity misses
-            node.owner(f).query_many(&[f]).unwrap();
-        }
-        let sizer = CacheSizer::new(SizerConfig {
-            min_capacity: 8,
-            step: 16,
-            hysteresis: 1.5,
-        });
-        let profile = |shards: &[HybridHashNode]| -> Vec<(usize, f64)> {
-            shards
-                .iter()
-                .map(|s| (s.cache_capacity(), s.recent_cache_misses()))
-                .collect()
-        };
-        let before = profile(&node.shards);
-        let d = sizer.plan(&before).expect("skewed misses move capacity");
-        assert_eq!(d.to, 0, "hot shard receives: {d:?}");
-        // Shrink the donor first, then grow the receiver, as the server's
-        // autotune does: total residency never overshoots.
-        node.shards[d.from].resize_cache(before[d.from].0 - d.entries);
-        node.shards[d.to].resize_cache(before[d.to].0 + d.entries);
-        let after = profile(&node.shards);
-        let total = |p: &[(usize, f64)]| p.iter().map(|c| c.0).sum::<usize>();
-        assert_eq!(total(&after), total(&before));
-        assert!(after[0].0 > before[0].0);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! - [`OverloadSpec`] — open-loop overload populations: thousands of
 //!   simulated clients offering a fixed aggregate rate (past saturation)
 //!   on precomputed arrival schedules, for the admission-control benches,
-//! - [`SkewSpec`] / [`ZipfSampler`] — seeded Zipf / rotating hot-set
-//!   streams for the self-tuning benches,
+//! - [`SkewSpec`] / [`ZipfSampler`] — seeded Zipf streams of SHA-1
+//!   fingerprints,
 //! - [`spread_fingerprint`] / [`spread_batches`] — ring-uniform unique
 //!   fingerprint streams for the wall-clock benches.
 //!
@@ -58,5 +58,5 @@ pub use mixer::mix;
 pub use multi::MultiClientSpec;
 pub use overload::{Arrival, OverloadSpec};
 pub use restore::RestoreSpec;
-pub use skew::{KeyMapping, SkewSpec, ZipfSampler};
+pub use skew::{SkewSpec, ZipfSampler};
 pub use spread::{spread_batches, spread_fingerprint};

@@ -1,15 +1,16 @@
 //! Integration tests for the shared front-end: idle-batch starvation
-//! regression, cross-client answer fidelity, and the end-to-end
-//! many-clients-one-service shape.
+//! regression, cross-client answer fidelity, answers that do not depend
+//! on where batches close, and the end-to-end many-clients-one-service
+//! shape.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use shhc::{BackupClient, BackupService, ClusterConfig, SharedFrontend, ShhcCluster};
+use shhc::{BackupClient, BackupService, ClusterConfig, LookupAnswer, SharedFrontend, ShhcCluster};
 use shhc_chunking::FixedChunker;
 use shhc_storage::MemChunkStore;
 use shhc_types::Fingerprint;
-use shhc_workload::{Dataset, DatasetSpec, MultiClientSpec};
+use shhc_workload::{Dataset, DatasetSpec, MultiClientSpec, SkewSpec};
 
 /// Regression for the idle-batch starvation bug: a front-end that
 /// evaluated `max_age` only on the next `submit` never answered a lone
@@ -183,4 +184,55 @@ fn concurrent_backup_clients_share_one_service() {
     assert!(stats.batches > 0);
     drop(service);
     cluster.shutdown().unwrap();
+}
+
+/// Drives one front-end through the trace single-threaded in waves of
+/// `wave` submissions, blocking on each wave's tickets, and collects
+/// every answer in order.
+///
+/// The age limit is kept huge so every batch is dispatched on *this*
+/// thread — inline on a size close, or on demand when the first wait
+/// finds the wave's tail still open. Sequential dispatch means each node
+/// sees its fingerprints in submission order no matter where the batch
+/// boundaries fall, which is exactly why the close rules cannot change
+/// answers.
+fn drive(fe: &SharedFrontend, trace: &[Fingerprint], wave: usize) -> Vec<LookupAnswer> {
+    let mut answers = Vec::with_capacity(trace.len());
+    for chunk in trace.chunks(wave) {
+        let tickets: Vec<_> = chunk.iter().map(|&fp| fe.submit(fp)).collect();
+        answers.extend(tickets.into_iter().map(|t| t.wait().expect("answer")));
+    }
+    answers
+}
+
+const FOREVER: Duration = Duration::from_secs(600);
+
+/// A batch leaves on size or on demand; where it closes is a performance
+/// choice and must never change an answer. The Zipf trace repeats its hot
+/// fingerprints, so repeats land in the same batch and across batches.
+#[test]
+fn answers_do_not_depend_on_where_batches_close() {
+    let trace = SkewSpec::new(600, 4_000, 1.1, 11).fingerprints();
+    let reference = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
+    let want = drive(
+        &SharedFrontend::new(reference.clone(), 8, FOREVER),
+        &trace,
+        50,
+    );
+
+    // Size limits below, at and far above the wave: mostly size closes
+    // with a demand-closed tail, one demand close per wave, and waves of
+    // one (every batch a single demanded fingerprint).
+    for (batch_size, wave) in [(2, 50), (64, 50), (1000, 50), (1000, 1)] {
+        let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
+        let fe = SharedFrontend::new(cluster.clone(), batch_size, FOREVER);
+        let got = drive(&fe, &trace, wave);
+        assert_eq!(
+            got, want,
+            "answers diverged (size {batch_size}, wave {wave})"
+        );
+        assert_eq!(fe.stats().closed_by_age, 0);
+        cluster.shutdown().unwrap();
+    }
+    reference.shutdown().unwrap();
 }

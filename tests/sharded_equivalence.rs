@@ -5,12 +5,16 @@
 //! nodes for every operation, through membership changes —
 //! plus the property the sharding exists for: a small frame queued
 //! behind a deep frame is answered in ≈ its own service time instead of
-//! waiting for the deep frame to drain.
+//! waiting for the deep frame to drain — and the evidence that the fixed
+//! prefix split needs no re-balancing: under a Zipf stream of SHA-1
+//! fingerprints every shard does the same flash work.
 
 use std::time::{Duration, Instant};
 
 use shhc::{ClusterConfig, NodeConfig, ShardRouter, ShhcCluster};
-use shhc_types::Fingerprint;
+use shhc_node::shard_slices;
+use shhc_types::{Fingerprint, NodeId};
+use shhc_workload::SkewSpec;
 
 /// Deterministic fingerprints spread over the routing-key space.
 fn fps(range: std::ops::Range<u64>) -> Vec<Fingerprint> {
@@ -233,4 +237,45 @@ fn sharded_frame_latency_tracks_share_not_sum() {
         "4 shards must cut frame latency well below the single-threaded \
          sum ({sharded:?} vs {single:?})"
     );
+}
+
+/// Largest part ÷ mean part.
+fn max_over_mean(parts: &[u64]) -> f64 {
+    let mean = parts.iter().sum::<u64>() as f64 / parts.len() as f64;
+    *parts.iter().max().unwrap() as f64 / mean
+}
+
+/// SHA-1 placement balances a node's flash work on its own. A Zipf(1.1)
+/// stream skews *which* fingerprints recur, but SHA-1 scatters them over
+/// the routing-key space, and the few very hot ones are RAM-cache hits.
+/// So the cache misses and the device reads — the work a shard cannot
+/// answer from RAM — split evenly across the fixed prefix slices, and
+/// there is nothing for a re-split or a cache resize to move.
+#[test]
+fn sha1_placed_zipf_balances_flash_work_across_shards() {
+    const SHARDS: u32 = 4;
+    const WINDOW: usize = 2_048;
+    let mut config = NodeConfig::small_test().with_shards(SHARDS);
+    config.flash = shhc_flash::FlashConfig::medium_test();
+    // RAM for 4 % of the ranks: the Zipf tail misses and reaches flash.
+    config.cache_capacity = 4_096;
+    let mut shards = shard_slices(NodeId::new(0), &config).unwrap();
+    let router = ShardRouter::new(SHARDS);
+    let trace = SkewSpec::new(400_000, 100_000, 1.1, 7).fingerprints();
+    for window in trace.chunks(WINDOW) {
+        let subs = router.split(window.to_vec(), |f| *f);
+        for (sub, shard) in subs.iter().zip(&mut shards) {
+            shard.lookup_insert_batch(&sub.records).unwrap();
+        }
+    }
+    let misses: Vec<u64> = shards.iter().map(|s| s.cache_stats().misses).collect();
+    let reads: Vec<u64> = shards.iter().map(|s| s.device_stats().reads).collect();
+    let (miss_ratio, read_ratio) = (max_over_mean(&misses), max_over_mean(&reads));
+    println!("max/mean: cache misses {miss_ratio:.3}, device reads {read_ratio:.3}");
+    assert!(
+        reads.iter().all(|&r| r > 0),
+        "the stream must reach flash: {reads:?}"
+    );
+    assert!(miss_ratio <= 1.05, "cache misses {misses:?}");
+    assert!(read_ratio <= 1.05, "device reads {reads:?}");
 }
