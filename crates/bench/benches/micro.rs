@@ -11,7 +11,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use shhc::prelude::{BackupService, ClusterConfig, MemChunkStore, ShhcCluster};
 use shhc_baseline::CuckooTable;
 use shhc_bloom::BloomFilter;
-use shhc_cache::{Cache, LruCache};
+use shhc_cache::{Cache, ClockCache, LruCache};
 use shhc_chunking::{Chunker, GearChunker, RabinChunker};
 use shhc_flash::{FlashConfig, FlashStore};
 use shhc_hash::{fingerprint_of, xxh64, Sha1};
@@ -68,27 +68,64 @@ fn bench_bloom(c: &mut Criterion) {
     group.finish();
 }
 
+/// The node's RAM cache beside the exact LRU it replaced, map-bench
+/// style: one harness over the `Cache` trait, and the same 64 Ki-entry
+/// capacity, keys and op mixes for both. `get_hit` probes keys both hold,
+/// `get_miss` keys neither holds, and `insert_evict` inserts fresh keys
+/// into the full cache, so every insert replaces an entry.
 fn bench_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lru");
-    let mut cache: LruCache<u64, u64> = LruCache::new(100_000);
-    for i in 0..100_000u64 {
-        cache.insert(i, i);
+    const ENTRIES: usize = 64 * 1024;
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut draw = |n: usize| -> Vec<Fingerprint> {
+        (0..n).map(|_| Fingerprint::from_u64(rng.gen())).collect()
+    };
+    let (keys, absent, fresh) = (draw(ENTRIES), draw(ENTRIES), draw(2 * ENTRIES));
+    let mut lru = LruCache::new(ENTRIES);
+    let mut clock = ClockCache::new(ENTRIES);
+    for k in &keys {
+        lru.insert(*k, 1);
+        clock.insert(*k, 1);
     }
-    let mut i = 0u64;
-    group.bench_function("get_hit", |b| {
-        b.iter(|| {
-            i = (i + 1) % 100_000;
-            cache.get(black_box(&i)).copied()
-        });
-    });
-    let mut j = 100_000u64;
-    group.bench_function("insert_evict", |b| {
-        b.iter(|| {
-            j += 1;
-            cache.insert(j, j)
-        });
-    });
+    // A set-associative table filled with as many keys as it has slots
+    // keeps most of them, not all: the hit rows probe what both hold.
+    let held: Vec<Fingerprint> = keys
+        .iter()
+        .filter(|k| lru.peek(k) && clock.peek(k))
+        .copied()
+        .collect();
+    let mut group = c.benchmark_group("cache");
+    cache_rows(&mut group, "lru", &mut lru, [&held, &absent, &fresh]);
+    cache_rows(&mut group, "clock", &mut clock, [&held, &absent, &fresh]);
     group.finish();
+}
+
+fn cache_rows(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    cache: &mut impl Cache<Fingerprint, u64>,
+    [held, absent, fresh]: [&[Fingerprint]; 3],
+) {
+    let mut i = 0usize;
+    group.bench_function(&format!("{name}/get_hit"), |b| {
+        b.iter(|| {
+            i = (i + 1) % held.len();
+            cache.get(black_box(&held[i])).copied()
+        });
+    });
+    group.bench_function(&format!("{name}/get_miss"), |b| {
+        b.iter(|| {
+            i = (i + 1) % absent.len();
+            cache.get(black_box(&absent[i])).copied()
+        });
+    });
+    // Cycling through twice as many fresh keys as the cache holds: each
+    // one is gone again before it comes round.
+    group.bench_function(&format!("{name}/insert_evict"), |b| {
+        b.iter(|| {
+            i = (i + 1) % fresh.len();
+            cache.insert(black_box(fresh[i]), 1)
+        });
+    });
 }
 
 fn bench_cuckoo(c: &mut Criterion) {

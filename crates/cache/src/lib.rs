@@ -5,15 +5,20 @@
 //! queries and hide the latency of SSD accesses", managed with an LRU
 //! discipline (paper Fig. 4). This crate provides:
 //!
-//! - [`LruCache`] — O(1) least-recently-used cache (hash map + intrusive
-//!   doubly-linked list over a slab), implementing the object-safe
-//!   [`Cache`] trait,
-//! - [`CacheStats`], its hit/miss/eviction counters.
+//! - [`ClockCache`] — the node's cache: a set-associative table of
+//!   32-byte `(fingerprint, value)` slots, eight ways a set, each set
+//!   evicting by second chance (CLOCK), indexed by the fingerprint's own
+//!   bytes; 36 bytes an entry;
+//! - [`LruCache`] — an exact least-recently-used cache (hash map +
+//!   intrusive doubly-linked list over a slab), generic over its keys,
+//!   which the DDFS and HDD baselines use and which is the reference the
+//!   table's hit rate is held to;
+//! - the object-safe [`Cache`] trait both implement, and
+//!   [`CacheStats`], their hit/miss/eviction counters.
 //!
-//! The cache is generic over its [`std::hash::BuildHasher`] and
-//! defaults to [`shhc_types::FingerprintBuildHasher`]: cache keys are
-//! SHA-1 fingerprints (or ids derived from them), already uniform, so the
-//! default SipHash state buys nothing on the lookup hot path.
+//! `LruCache` defaults to [`shhc_types::FingerprintBuildHasher`]: its
+//! keys are SHA-1 fingerprints (or ids derived from them), already
+//! uniform, so SipHash's seeded rounds buy nothing.
 //!
 //! # Examples
 //!
@@ -32,9 +37,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod clock;
 mod lru;
 mod stats;
 
+pub use clock::ClockCache;
 pub use lru::LruCache;
 pub use stats::CacheStats;
 

@@ -2,7 +2,7 @@
 //!
 //! The paper's Figure 5/6 testbed was six physical machines. Our
 //! substitute keeps every *data structure* real — actual
-//! [`HybridHashNode`]s with LRU caches, flash directories and the flash-store
+//! [`HybridHashNode`]s with CLOCK caches, flash directories and the flash-store
 //! stack — but advances time on a virtual clock: node service time comes
 //! from the nodes' own device accounting, network time from the
 //! [`NetModel`], and queueing from per-node FCFS servers. Runs are

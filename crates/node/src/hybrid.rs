@@ -1,16 +1,18 @@
 //! The hybrid node implementation.
 
-use shhc_cache::{Cache, LruCache};
+use shhc_cache::{Cache, ClockCache};
 use shhc_flash::{DeviceStats, Durability, FlashConfig, FlashStore, FtlStats};
 use shhc_index::BackendKind;
 use shhc_types::{Error, Fingerprint, Nanos, NodeId, Result, PENDING_VALUE};
 
-/// Which replacement policy manages the RAM fingerprint cache: plain
-/// LRU, the paper's design, is the only one. The type survives only
-/// because the ledger sets [`NodeConfig::cache_policy`].
+/// Which replacement policy manages the RAM fingerprint cache. There is
+/// one: the paper's LRU list, approximated per set by the second-chance
+/// sweep of [`ClockCache`]. The type survives only because the ledger
+/// sets [`NodeConfig::cache_policy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
-    /// Plain least-recently-used (the paper's design).
+    /// The paper's least-recently-used list, as the node's
+    /// [`ClockCache`] approximates it.
     #[default]
     Lru,
 }
@@ -28,9 +30,12 @@ fn unique_test_dir() -> std::path::PathBuf {
 /// Configuration of one hybrid node.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
-    /// RAM cache capacity in fingerprint entries.
+    /// RAM cache capacity in fingerprint entries: the node's (or each
+    /// shard's slice of the) [`ClockCache`] holds exactly this many, at
+    /// 36 bytes an entry.
     pub cache_capacity: usize,
-    /// RAM cache replacement policy; always [`CachePolicy::Lru`].
+    /// RAM cache replacement policy; always [`CachePolicy::Lru`], which
+    /// selects the one [`ClockCache`].
     pub cache_policy: CachePolicy,
     /// Ignored: the node has no bloom filter (the flash directory is its
     /// absence test). Kept only because the ledger sets it.
@@ -323,7 +328,7 @@ impl NodeStats {
 #[derive(Debug)]
 pub struct HybridHashNode {
     id: NodeId,
-    cache: LruCache<Fingerprint, u64>,
+    cache: ClockCache,
     store: FlashStore,
     config: NodeConfig,
     stats: NodeStats,
@@ -354,7 +359,7 @@ impl HybridHashNode {
         }
         let (mut store, recovery) = FlashStore::open(config.flash, &config.durability)?;
 
-        let mut cache = LruCache::new(config.cache_capacity);
+        let mut cache = ClockCache::new(config.cache_capacity);
         let mut stats = NodeStats::default();
         let mut warm_cost = Nanos::ZERO;
         if recovery.entries > 0 {

@@ -1,12 +1,14 @@
 //! The hybrid RAM+SSD hash node (paper Figures 3 and 4).
 //!
 //! Each SHHC node pairs a RAM tier with an SSD tier (the persistent
-//! fingerprint table). The RAM tier is one LRU cache of hot fingerprints
-//! over the flash store's in-RAM signature directory (2 B a record). The
+//! fingerprint table). The RAM tier is one cache of hot fingerprints — a
+//! set-associative CLOCK table ([`shhc_cache::ClockCache`], 36 B an
+//! entry, the paper's LRU list approximated per set) — over the flash
+//! store's in-RAM signature directory (2 B a record). The
 //! lookup workflow is the paper's Figure 4, with the directory where the
 //! paper puts a bloom filter:
 //!
-//! 1. probe the RAM cache — hit: answer "exists", refresh recency;
+//! 1. probe the RAM cache — hit: answer "exists", set its reference bit;
 //! 2. miss: probe the SSD table — its directory answers an absent
 //!    fingerprint without a device read, and reads one page only when a
 //!    record's tag matches;
