@@ -1,4 +1,4 @@
-//! Extension — intra-node parallelism: shard-per-worker hybrid nodes.
+//! Extension — intra-node parallelism: one server thread per shard.
 //!
 //! The paper scales SHHC across machines but serves each hybrid hash
 //! node from one sequential thread, so a node can never use more than
@@ -9,9 +9,10 @@
 //!
 //! - `shards = 1` — the paper's node, one server thread (the measured
 //!   baseline),
-//! - `shards = S` — the shard-per-worker node: every frame splits into
-//!   per-shard sub-frames that sleep and execute **concurrently** on S
-//!   worker threads, and a frame costs ≈ its largest per-shard share.
+//! - `shards = S` — one server thread per shard: the cluster splits
+//!   every window into per-shard frames that sleep and execute
+//!   **concurrently** on the S shard threads, and a window costs ≈ its
+//!   largest per-shard share.
 //!
 //! A second measurement drives two clients — one submitting deep frames,
 //! one submitting 1-fingerprint frames — and reports the small client's
@@ -134,7 +135,7 @@ fn main() {
         )
     };
     banner(
-        "Extension — intra-node parallelism: shard-per-worker hybrid nodes",
+        "Extension — intra-node parallelism: one server thread per shard",
         "a node's throughput scales with its shard count (multi-core execution \
          the paper's sequential node leaves on the table), and small frames \
          stop waiting head-of-line behind deep ones",

@@ -3,13 +3,21 @@
 //! # Data plane
 //!
 //! Batch operations run as a two-phase **scatter-gather pipeline**:
-//! phase 1 routes the batch into per-replica-set groups and *sends* every
-//! group's frame to every replica up front (each request carries a fresh
-//! reply channel and a correlation id that is verified on receipt);
-//! phase 2 gathers all replies under one shared deadline and merges them.
-//! A batch spanning N nodes therefore costs ≈ max of the per-node service
+//! phase 1 routes the batch into groups by replica set and intra-node
+//! shard and *sends* every group's frame to that shard's queue on every
+//! replica up front (each request carries a fresh reply channel and a
+//! correlation id that is verified on receipt); phase 2 gathers all
+//! replies under one shared deadline and merges them. A batch spanning N
+//! nodes (or shards) therefore costs ≈ max of the per-queue service
 //! times instead of their sum — the property the paper's
 //! throughput-scaling claim (Figure 5) rests on.
+//!
+//! Every node runs one [`node_loop`] thread per shard, each behind its
+//! own queue; the cluster's [`ShardRouter`] picks the shard, so a node
+//! has no dispatcher. Sends that address one node outside a window's
+//! scatter (dual-read, old-owner removes, read repair, migration) go
+//! through [`ShhcCluster::node_exchange`], which splits them the same
+//! way, and control messages go to every shard of a node and are merged.
 //!
 //! # Control plane: epoch-versioned membership
 //!
@@ -49,13 +57,15 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use shhc_net::{decode, encode, Frame};
-use shhc_node::{shard_slices, HybridHashNode, NodeConfig};
+use shhc_node::{shard_slices, NodeConfig, ShardRouter};
 use shhc_ring::{MigrationPlan, RingView};
 use shhc_types::{Error, Fingerprint, FpHashSet, NodeId, Result, StreamId, PENDING_VALUE};
 
-use crate::server::{
-    node_loop, sharded_node_loop, ControlMsg, ControlReply, NodeRequest, NodeSnapshot,
-};
+use shhc_cache::CacheStats;
+use shhc_flash::{DeviceStats, FtlStats};
+use shhc_node::NodeStats;
+
+use crate::server::{node_loop, ControlMsg, ControlReply, NodeRequest, NodeSnapshot};
 
 /// Re-home passes a membership change runs at most. Each pass after the
 /// first only has to catch entries written by batches that were already
@@ -278,8 +288,10 @@ enum SlotStatus {
 }
 
 struct NodeSlot {
-    sender: Option<Sender<NodeRequest>>,
-    handle: Option<JoinHandle<()>>,
+    /// One queue per shard, in shard order; empty while the node is down.
+    senders: Vec<Sender<NodeRequest>>,
+    /// The shards' server threads, in shard order.
+    handles: Vec<JoinHandle<()>>,
     status: SlotStatus,
     /// True for a running node that rejoined via a warm restart
     /// (replayed WAL state / re-synced from peers) rather than as a cold
@@ -318,6 +330,9 @@ struct RoutingState {
 
 struct Inner {
     config: ClusterConfig,
+    /// Routes a fingerprint to its shard on whichever node holds it:
+    /// every node runs `config.node_config.shards` shards.
+    router: ShardRouter,
     nodes: RwLock<Vec<NodeSlot>>,
     /// Handles are joined under a separate lock to keep the hot path
     /// read-only.
@@ -335,12 +350,14 @@ struct Inner {
     resync_chunks: AtomicU64,
 }
 
-/// One slice of a batch bound for a single replica set: the fingerprints
-/// (moved, not cloned, into the outgoing frame) plus their positions in
-/// the caller's batch.
+/// One slice of a batch bound for one shard of a single replica set: the
+/// fingerprints (moved, not cloned, into the outgoing frame) plus their
+/// positions in the caller's batch.
 struct RouteGroup {
     /// The replica set, primary first (ring order).
     replicas: Vec<NodeId>,
+    /// The shard, on each replica, whose queue takes the group.
+    shard: usize,
     /// Positions in the original batch, in arrival order.
     positions: Vec<usize>,
     /// The group's fingerprints, parallel to `positions`. Drained by the
@@ -403,6 +420,7 @@ impl ShhcCluster {
         let view = RingView::initial(config.nodes, config.vnodes);
         Ok(ShhcCluster {
             inner: Arc::new(Inner {
+                router: ShardRouter::new(config.node_config.shards),
                 config,
                 nodes: RwLock::new(slots),
                 join_guard: Mutex::new(()),
@@ -476,20 +494,20 @@ impl ShhcCluster {
         self.inner.correlation.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn data_sender(&self, node: NodeId) -> Result<Sender<NodeRequest>> {
-        let nodes = self.inner.nodes.read();
-        let slot = nodes
-            .get(node.index())
-            .ok_or_else(|| Error::invalid(format!("unknown node {node}")))?;
-        slot.sender
-            .clone()
-            .ok_or_else(|| Error::Unavailable(format!("{node} is down")))
-    }
-
-    /// Ships an already-encoded frame to `node` without waiting, handing
-    /// back the reply channel — the scatter half of the pipeline.
-    fn send_data(&self, node: NodeId, frame: Bytes) -> Result<Receiver<Bytes>> {
-        let sender = self.data_sender(node)?;
+    /// Ships an already-encoded frame to shard `shard` of `node` without
+    /// waiting, handing back the reply channel — the scatter half of the
+    /// pipeline.
+    fn send_data(&self, node: NodeId, shard: usize, frame: Bytes) -> Result<Receiver<Bytes>> {
+        let sender = {
+            let nodes = self.inner.nodes.read();
+            let slot = nodes
+                .get(node.index())
+                .ok_or_else(|| Error::invalid(format!("unknown node {node}")))?;
+            slot.senders
+                .get(shard)
+                .cloned()
+                .ok_or_else(|| Error::Unavailable(format!("{node} is down")))?
+        };
         let (reply_tx, reply_rx) = unbounded();
         sender
             .send(NodeRequest::Data {
@@ -500,18 +518,17 @@ impl ShhcCluster {
         Ok(reply_rx)
     }
 
-    /// Sends a data-plane frame to `node` and awaits the decoded reply
-    /// (used by control-ish flows like rebalancing where pipelining buys
-    /// nothing).
-    fn exchange(&self, node: NodeId, frame: &Frame) -> Result<Frame> {
-        self.exchange_encoded(node, frame.correlation(), encode(frame))
-    }
-
-    /// Blocking request-reply exchange over an already-encoded frame, so
-    /// a query's replica fallback re-sends the refcounted buffer instead
-    /// of re-encoding.
-    fn exchange_encoded(&self, node: NodeId, correlation: u64, frame: Bytes) -> Result<Frame> {
-        let reply_rx = self.send_data(node, frame)?;
+    /// Blocking request-reply exchange with one shard over an
+    /// already-encoded frame, so a query's replica fallback re-sends the
+    /// refcounted buffer instead of re-encoding.
+    fn exchange_encoded(
+        &self,
+        node: NodeId,
+        shard: usize,
+        correlation: u64,
+        frame: Bytes,
+    ) -> Result<Frame> {
+        let reply_rx = self.send_data(node, shard, frame)?;
         let bytes = reply_rx
             .recv_timeout(self.inner.config.request_timeout)
             .map_err(|_| Error::Unavailable(format!("{node} did not reply")))?;
@@ -554,7 +571,7 @@ impl ShhcCluster {
                     .iter()
                     .map(|&node| PendingReply {
                         node,
-                        reply: self.send_data(node, bytes.clone()),
+                        reply: self.send_data(node, group.shard, bytes.clone()),
                     })
                     .collect();
                 PendingGroup {
@@ -565,36 +582,119 @@ impl ShhcCluster {
             .collect()
     }
 
-    fn control(&self, node: NodeId, msg: ControlMsg) -> Result<ControlReply> {
-        let sender = self.data_sender(node)?;
-        let (reply_tx, reply_rx) = unbounded();
-        sender
-            .send(NodeRequest::Control {
-                msg,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::Unavailable(format!("{node} is down")))?;
-        let reply = reply_rx
-            .recv_timeout(self.inner.config.request_timeout)
-            .map_err(|_| Error::Unavailable(format!("{node} did not reply")))?;
-        if let ControlReply::Failed(m) = &reply {
-            return Err(Error::Io(format!("{node} control failed: {m}")));
-        }
-        Ok(reply)
+    /// Runs one control step on every shard of `node` and merges the
+    /// replies ([`merge_control`]).
+    pub(crate) fn control(&self, node: NodeId, msg: ControlMsg) -> Result<ControlReply> {
+        let senders = {
+            let nodes = self.inner.nodes.read();
+            let slot = nodes
+                .get(node.index())
+                .ok_or_else(|| Error::invalid(format!("unknown node {node}")))?;
+            slot.senders.clone()
+        };
+        self.control_all(node, &senders, msg)
     }
 
-    /// Groups fingerprints (with their positions) by replica set, indexed
-    /// through the primary node: with `replication = 1` (the common case)
-    /// each primary owns exactly one group, so routing costs one Vec
-    /// index per fingerprint — no tree map keyed by heap-allocated
-    /// replica vectors on the hot path.
+    /// Sends `msg` to every queue in `senders` (one node's shards, in
+    /// shard order) before awaiting any reply, then gathers the replies
+    /// under one deadline. A shard's failure fails the step.
+    fn control_all(
+        &self,
+        node: NodeId,
+        senders: &[Sender<NodeRequest>],
+        msg: ControlMsg,
+    ) -> Result<ControlReply> {
+        let down = || Error::Unavailable(format!("{node} is down"));
+        if senders.is_empty() {
+            return Err(down());
+        }
+        let pending = senders
+            .iter()
+            .map(|sender| {
+                let (reply, reply_rx) = unbounded();
+                sender
+                    .send(NodeRequest::Control { msg, reply })
+                    .map_err(|_| down())?;
+                Ok(reply_rx)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let deadline = Instant::now() + self.inner.config.request_timeout;
+        let mut replies = Vec::with_capacity(pending.len());
+        for reply_rx in pending {
+            let reply = reply_rx
+                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .map_err(|_| Error::Unavailable(format!("{node} did not reply")))?;
+            if let ControlReply::Failed(m) = &reply {
+                return Err(Error::Io(format!("{node} control failed: {m}")));
+            }
+            replies.push(reply);
+        }
+        Ok(merge_control(replies))
+    }
+
+    /// Sends `records` to `node`, split by shard: each shard they route
+    /// to gets one frame `make(correlation, its records)`, every frame is
+    /// sent before any reply is awaited, and the replies are gathered
+    /// under one deadline. `LookupResp` answers are scattered back to the
+    /// records' positions — existence plus a full-length value vector
+    /// (zero where absent); acknowledged writes leave both at their
+    /// defaults. Empty `records` send nothing.
+    pub(crate) fn node_exchange<T>(
+        &self,
+        node: NodeId,
+        records: &[T],
+        fp: impl Fn(&T) -> Fingerprint,
+        make: impl Fn(u64, Vec<T>) -> Frame,
+    ) -> Result<(Vec<bool>, Vec<u64>)>
+    where
+        T: Clone,
+    {
+        let correlation = self.next_correlation();
+        let sent: Vec<(Vec<usize>, PendingReply)> = self
+            .inner
+            .router
+            .split(records.to_vec(), fp)
+            .into_iter()
+            .enumerate()
+            .filter(|(_, sub)| !sub.positions.is_empty())
+            .map(|(shard, sub)| {
+                let frame = encode(&make(correlation, sub.records));
+                let reply = self.send_data(node, shard, frame);
+                (sub.positions, PendingReply { node, reply })
+            })
+            .collect();
+        let deadline = Instant::now() + self.inner.config.request_timeout;
+        let mut exists = vec![false; records.len()];
+        let mut values = vec![0u64; records.len()];
+        for (positions, pending) in sent {
+            match self.gather_one(pending, correlation, deadline)? {
+                Frame::LookupResp {
+                    exists: e,
+                    values: v,
+                    ..
+                } => scatter_positions(&positions, &e, &v, &mut exists, &mut values)?,
+                Frame::Ack { .. } => {}
+                other => return Err(unexpected(other)),
+            }
+        }
+        Ok((exists, values))
+    }
+
+    /// Groups fingerprints (with their positions) by replica set and
+    /// shard, indexed through the primary node and the shard: with
+    /// `replication = 1` (the common case) each (primary, shard) pair
+    /// owns exactly one group, so routing costs one Vec index per
+    /// fingerprint — no tree map keyed by heap-allocated replica vectors
+    /// on the hot path.
     fn group_by_replicas(&self, view: &RingView, fps: &[Fingerprint]) -> Vec<RouteGroup> {
         let ring = view;
         let replication = self.inner.config.replication;
+        let router = self.inner.router;
         let mut groups: Vec<RouteGroup> = Vec::new();
-        // groups owned by primary p (more than one only when replication
-        // > 1 splits a primary's arcs across different successor sets).
-        let mut by_primary: Vec<Vec<usize>> = Vec::new();
+        // groups owned by primary p's shard s, at p · S + s (more than one
+        // only when replication > 1 splits a primary's arcs across
+        // different successor sets).
+        let mut by_owner: Vec<Vec<usize>> = Vec::new();
         let mut replicas: Vec<NodeId> = Vec::with_capacity(replication);
         for (i, fp) in fps.iter().enumerate() {
             ring.replicas_into(fp.route_key(), replication, &mut replicas);
@@ -603,10 +703,12 @@ impl ShhcCluster {
                 // ring never shrinks to zero.
                 continue;
             };
-            if primary >= by_primary.len() {
-                by_primary.resize_with(primary + 1, Vec::new);
+            let shard = router.shard_of(fp);
+            let owner = primary * router.count() + shard;
+            if owner >= by_owner.len() {
+                by_owner.resize_with(owner + 1, Vec::new);
             }
-            let found = by_primary[primary]
+            let found = by_owner[owner]
                 .iter()
                 .copied()
                 .find(|&g| groups[g].replicas == replicas);
@@ -615,10 +717,11 @@ impl ShhcCluster {
                 None => {
                     groups.push(RouteGroup {
                         replicas: replicas.clone(),
+                        shard,
                         positions: Vec::new(),
                         fingerprints: Vec::new(),
                     });
-                    by_primary[primary].push(groups.len() - 1);
+                    by_owner[owner].push(groups.len() - 1);
                     groups.len() - 1
                 }
             };
@@ -701,16 +804,11 @@ impl ShhcCluster {
         // fingerprint a peer holds recorded get the recorded value, so
         // replica values converge under traffic.
         for (node, pairs) in repairs {
-            let frame = Frame::RecordReq {
-                correlation: self.next_correlation(),
-                pairs,
-            };
-            match self.exchange(node, &frame) {
-                Ok(Frame::Ack { .. }) => {}
-                Ok(other) => return Err(unexpected(other)),
+            let record = |correlation, pairs| Frame::RecordReq { correlation, pairs };
+            match self.node_exchange(node, &pairs, |p| p.0, record) {
                 // A replica dying between its reply and the repair loses
                 // nothing it would have kept anyway.
-                Err(Error::Unavailable(_)) => {}
+                Ok(_) | Err(Error::Unavailable(_)) => {}
                 Err(e) => return Err(e),
             }
         }
@@ -778,41 +876,25 @@ impl ShhcCluster {
         }
         let mut repairs = Vec::new();
         for (old, positions) in by_old {
-            let frame = Frame::QueryReq {
-                correlation: self.next_correlation(),
-                fingerprints: positions.iter().map(|&i| fps[i]).collect(),
+            let missed: Vec<Fingerprint> = positions.iter().map(|&i| fps[i]).collect();
+            let query = |correlation, fingerprints| Frame::QueryReq {
+                correlation,
+                fingerprints,
             };
-            match self.exchange(old, &frame) {
-                Ok(Frame::LookupResp {
-                    exists: e,
-                    values: v,
-                    ..
-                }) => {
-                    if e.len() != positions.len() {
-                        return Err(Error::Decode(format!(
-                            "fallback reply covers {} fingerprints, expected {}",
-                            e.len(),
-                            positions.len()
-                        )));
-                    }
-                    let mut value_iter = v.iter();
-                    for (&pos, hit) in positions.iter().zip(e.iter()) {
-                        if !hit {
-                            continue;
-                        }
-                        let value = *value_iter.next().ok_or_else(|| {
-                            Error::Decode("reply carries fewer values than hits".into())
-                        })?;
-                        exists[pos] = true;
-                        values[pos] = value;
-                        if value != PENDING_VALUE {
-                            repairs.push((fps[pos], value));
-                        }
-                    }
-                }
-                Ok(other) => return Err(unexpected(other)),
+            let (hits, held) = match self.node_exchange(old, &missed, |f| *f, query) {
+                Ok(answer) => answer,
                 Err(Error::Unavailable(_)) => continue,
                 Err(e) => return Err(e),
+            };
+            for ((&pos, hit), value) in positions.iter().zip(hits).zip(held) {
+                if !hit {
+                    continue;
+                }
+                exists[pos] = true;
+                values[pos] = value;
+                if value != PENDING_VALUE {
+                    repairs.push((fps[pos], value));
+                }
             }
         }
         Ok(repairs)
@@ -871,7 +953,7 @@ impl ShhcCluster {
                 let correlation = self.next_correlation();
                 let bytes = encode(&make(group, correlation));
                 let primary = group.replicas[0];
-                let reply = self.send_data(primary, bytes.clone());
+                let reply = self.send_data(primary, group.shard, bytes.clone());
                 (
                     correlation,
                     bytes,
@@ -909,7 +991,7 @@ impl ShhcCluster {
                 if answered {
                     break;
                 }
-                match self.exchange_encoded(node, correlation, bytes.clone()) {
+                match self.exchange_encoded(node, group.shard, correlation, bytes.clone()) {
                     Ok(Frame::LookupResp {
                         exists: e,
                         values: v,
@@ -994,17 +1076,8 @@ impl ShhcCluster {
         };
         self.acked_fanout(&mut groups, make)?;
         for (old, fingerprints) in old_owner_removes {
-            let frame = Frame::RemoveReq {
-                correlation: self.next_correlation(),
-                fingerprints,
-            };
-            match self.exchange(old, &frame) {
-                Ok(Frame::Ack { .. }) => {}
-                Ok(other) => return Err(unexpected(other)),
-                // A dead previous owner holds nothing to remove.
-                Err(Error::Unavailable(_)) => {}
-                Err(e) => return Err(e),
-            }
+            // A dead previous owner holds nothing to remove.
+            self.remove_from(old, &fingerprints)?;
         }
         Ok(())
     }
@@ -1112,7 +1185,7 @@ impl ShhcCluster {
     ///
     /// [`Error::InvalidArgument`] for an unknown node.
     pub fn kill_node(&self, node: NodeId) -> Result<()> {
-        let (sender, handle) = {
+        let (senders, handles) = {
             let mut nodes = self.inner.nodes.write();
             let slot = nodes
                 .get_mut(node.index())
@@ -1120,11 +1193,21 @@ impl ShhcCluster {
             if slot.status == SlotStatus::Running {
                 slot.status = SlotStatus::Crashed;
             }
-            (slot.sender.take(), slot.handle.take())
+            (
+                std::mem::take(&mut slot.senders),
+                std::mem::take(&mut slot.handles),
+            )
         };
-        drop(sender);
-        if let Some(handle) = handle {
-            let _guard = self.inner.join_guard.lock();
+        // Every shard's queue disconnects, so every shard thread exits
+        // with its store unclosed.
+        drop(senders);
+        self.join_shards(node, handles)
+    }
+
+    /// Joins a stopped node's shard threads.
+    fn join_shards(&self, node: NodeId, handles: Vec<JoinHandle<()>>) -> Result<()> {
+        let _guard = self.inner.join_guard.lock();
+        for handle in handles {
             handle
                 .join()
                 .map_err(|_| Error::Io(format!("{node} thread panicked")))?;
@@ -1297,7 +1380,7 @@ impl ShhcCluster {
         let (migration, old_view) = self.install_next_epoch(|view| view.with_node_added(new_id));
         // Let batches that routed under the old epoch finish before
         // migrating: afterwards nothing can insert behind a scan.
-        self.quiesce_epoch(old_view);
+        self.quiesce_epoch(old_view)?;
         let mut report = self.migrate(&migration)?;
         self.retire_migration();
         report.wall_clock = start.elapsed();
@@ -1343,7 +1426,7 @@ impl ShhcCluster {
         // Barrier: once no batch holds the old epoch's view, nothing can
         // write to the drained node under stale routing — the
         // verification scan after the re-home passes is authoritative.
-        self.quiesce_epoch(old_view);
+        self.quiesce_epoch(old_view)?;
         let mut report = self.migrate(&migration)?;
         report.post_scan_entries = match self.control(node, ControlMsg::Scan)? {
             ControlReply::Scan(entries) => entries.len() as u64,
@@ -1351,21 +1434,19 @@ impl ShhcCluster {
         };
         self.retire_migration();
         if report.post_scan_entries == 0 {
-            // Verified empty: decommission the thread.
-            let (sender, handle) = {
+            // Verified empty: decommission the shard threads.
+            let (senders, handles) = {
                 let mut nodes = self.inner.nodes.write();
                 let slot = &mut nodes[node.index()];
                 slot.status = SlotStatus::Drained;
-                (slot.sender.take(), slot.handle.take())
+                (
+                    std::mem::take(&mut slot.senders),
+                    std::mem::take(&mut slot.handles),
+                )
             };
-            let _ = self.control_via(sender.as_ref(), ControlMsg::Shutdown);
-            drop(sender);
-            if let Some(handle) = handle {
-                let _guard = self.inner.join_guard.lock();
-                handle
-                    .join()
-                    .map_err(|_| Error::Io(format!("{node} thread panicked")))?;
-            }
+            let _ = self.control_all(node, &senders, ControlMsg::Shutdown);
+            drop(senders);
+            self.join_shards(node, handles)?;
         }
         report.wall_clock = start.elapsed();
         Ok(report)
@@ -1430,17 +1511,29 @@ impl ShhcCluster {
         (migration, old_view)
     }
 
-    /// Waits (bounded by the request timeout) until no batch still holds
-    /// the previous epoch's view: every in-flight operation snapshots the
-    /// routing state by cloning its `Arc`s, so once ours is the last
-    /// reference, no pre-epoch batch can write under stale routing — the
-    /// barrier a drain's verified-empty scan and a join's last pass rely
-    /// on.
-    fn quiesce_epoch(&self, old_view: Arc<RingView>) {
-        let deadline = Instant::now() + self.inner.config.request_timeout;
-        while Arc::strong_count(&old_view) > 1 && Instant::now() < deadline {
+    /// Waits until no batch still holds the previous epoch's view: every
+    /// in-flight operation snapshots the routing state by cloning its
+    /// `Arc`s, so once ours is the last reference, no pre-epoch batch can
+    /// write under stale routing — the barrier a drain's verified-empty
+    /// scan and a join's last pass rely on.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Unavailable`] when a batch still holds the old view after
+    /// the request timeout; the caller leaves its migration in flight.
+    fn quiesce_epoch(&self, old_view: Arc<RingView>) -> Result<()> {
+        let timeout = self.inner.config.request_timeout;
+        let deadline = Instant::now() + timeout;
+        while Arc::strong_count(&old_view) > 1 {
+            if Instant::now() >= deadline {
+                return Err(Error::Unavailable(format!(
+                    "batches still route under epoch {} after {timeout:?}",
+                    old_view.epoch()
+                )));
+            }
             std::thread::sleep(Duration::from_millis(1));
         }
+        Ok(())
     }
 
     /// Clears the in-flight migration: the old epoch is retired and
@@ -1570,7 +1663,7 @@ impl ShhcCluster {
                         .filter(|fp| strays.remove(fp))
                         .collect();
                     if source_up && !gone.is_empty() {
-                        source_up = self.remove_from(source, gone)?;
+                        source_up = self.remove_from(source, &gone)?;
                         changed = true;
                     }
                 }
@@ -1589,7 +1682,7 @@ impl ShhcCluster {
                 None => Vec::new(),
             };
             for page in tombstoned.chunks(chunk) {
-                if !source_up || !self.remove_from(source, page.to_vec())? {
+                if !source_up || !self.remove_from(source, page)? {
                     break;
                 }
                 changed = true;
@@ -1613,24 +1706,12 @@ impl ShhcCluster {
         migration: Option<&MigrationState>,
         report: &mut RebalanceReport,
     ) -> Result<Option<u64>> {
-        let frame = Frame::MigrateReq {
-            correlation: self.next_correlation(),
-            pairs: pairs.to_vec(),
-        };
-        let (exists, values) = match self.exchange(target, &frame) {
-            Ok(Frame::LookupResp { exists, values, .. }) => (exists, values),
-            Ok(other) => return Err(unexpected(other)),
+        let install = |correlation, pairs| Frame::MigrateReq { correlation, pairs };
+        let (exists, held) = match self.node_exchange(target, pairs, |p| p.0, install) {
+            Ok(answer) => answer,
             Err(Error::Unavailable(_)) => return Ok(None),
             Err(e) => return Err(e),
         };
-        if exists.len() != pairs.len() {
-            return Err(Error::Decode(format!(
-                "install reply covers {} entries, expected {}",
-                exists.len(),
-                pairs.len()
-            )));
-        }
-        let held = expand_values(&exists, &values)?;
         let mut installed = 0u64;
         let mut undo: Vec<Fingerprint> = Vec::new();
         {
@@ -1645,7 +1726,7 @@ impl ShhcCluster {
                 }
             }
         }
-        if !undo.is_empty() && !self.remove_from(target, undo)? {
+        if !undo.is_empty() && !self.remove_from(target, &undo)? {
             return Ok(None);
         }
         if installed > 0 {
@@ -1656,37 +1737,16 @@ impl ShhcCluster {
     }
 
     /// Removes `fps` from `node`; `false` when the node is down.
-    fn remove_from(&self, node: NodeId, fps: Vec<Fingerprint>) -> Result<bool> {
-        let frame = Frame::RemoveReq {
-            correlation: self.next_correlation(),
-            fingerprints: fps,
+    fn remove_from(&self, node: NodeId, fps: &[Fingerprint]) -> Result<bool> {
+        let remove = |correlation, fingerprints| Frame::RemoveReq {
+            correlation,
+            fingerprints,
         };
-        match self.exchange(node, &frame) {
-            Ok(Frame::Ack { .. }) => Ok(true),
-            Ok(other) => Err(unexpected(other)),
+        match self.node_exchange(node, fps, |f| *f, remove) {
+            Ok(_) => Ok(true),
             Err(Error::Unavailable(_)) => Ok(false),
             Err(e) => Err(e),
         }
-    }
-
-    /// Sends a control message over an already-extracted sender (used
-    /// during decommission, when the slot no longer owns it).
-    fn control_via(
-        &self,
-        sender: Option<&Sender<NodeRequest>>,
-        msg: ControlMsg,
-    ) -> Result<ControlReply> {
-        let sender = sender.ok_or_else(|| Error::Unavailable("node is down".into()))?;
-        let (reply_tx, reply_rx) = unbounded();
-        sender
-            .send(NodeRequest::Control {
-                msg,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::Unavailable("node is down".into()))?;
-        reply_rx
-            .recv_timeout(self.inner.config.request_timeout)
-            .map_err(|_| Error::Unavailable("node did not reply".into()))
     }
 
     /// Gracefully shuts down every node thread.
@@ -1701,8 +1761,8 @@ impl ShhcCluster {
         }
         let mut nodes = self.inner.nodes.write();
         for (i, slot) in nodes.iter_mut().enumerate() {
-            slot.sender = None;
-            if let Some(handle) = slot.handle.take() {
+            slot.senders.clear();
+            for handle in slot.handles.drain(..) {
                 handle
                     .join()
                     .map_err(|_| Error::Io(format!("node-{i} thread panicked")))?;
@@ -1712,35 +1772,92 @@ impl ShhcCluster {
     }
 }
 
+/// Starts node `id`: one [`node_loop`] thread per shard slice, each
+/// behind its own queue. A WAL-backed shard replays its log before its
+/// thread takes the first request.
 fn spawn_node(id: NodeId, config: NodeConfig) -> Result<NodeSlot> {
     // Each node persists under its own subdirectory of the cluster's
     // data-dir root (no-op for volatile configs). Callers always pass the
     // cluster's *base* node config, so scoping happens exactly once.
     let mut config = config;
     config.durability = config.durability.scoped(format!("n{}", id.index()));
-    let (tx, rx) = unbounded();
-    // `shards > 1` runs the node as a shard-per-worker pool (the
-    // dispatcher below spawns one worker thread per shard); `shards == 1`
-    // runs `node_loop`: behind the dispatcher's per-frame job machinery a
-    // one-shard node measured slower, even with its shard run inline.
-    let handle = if config.shards > 1 {
-        let shards = shard_slices(id, &config)?;
-        std::thread::Builder::new()
-            .name(format!("shhc-{id}"))
-            .spawn(move || sharded_node_loop(config, shards, rx))
-    } else {
-        let node = HybridHashNode::new(id, config)?;
-        std::thread::Builder::new()
-            .name(format!("shhc-{id}"))
-            .spawn(move || node_loop(node, rx))
-    }
-    .map_err(|e| Error::Io(format!("failed to spawn node thread: {e}")))?;
-    Ok(NodeSlot {
-        sender: Some(tx),
-        handle: Some(handle),
+    let mut slot = NodeSlot {
+        senders: Vec::new(),
+        handles: Vec::new(),
         status: SlotStatus::Running,
         recovered: false,
-    })
+    };
+    for (s, shard) in shard_slices(id, &config)?.into_iter().enumerate() {
+        let (tx, rx) = unbounded();
+        let spawned = std::thread::Builder::new()
+            .name(format!("shhc-{id}-s{s}"))
+            .spawn(move || node_loop(shard, rx));
+        match spawned {
+            Ok(handle) => {
+                slot.senders.push(tx);
+                slot.handles.push(handle);
+            }
+            Err(e) => {
+                // Stop the shards already running: their queues close.
+                slot.senders.clear();
+                for handle in slot.handles {
+                    let _ = handle.join();
+                }
+                return Err(Error::Io(format!("failed to spawn node thread: {e}")));
+            }
+        }
+    }
+    Ok(slot)
+}
+
+/// Merges one control step's per-shard replies (shard order) into the
+/// reply an unsharded node would give: snapshots as one node-level
+/// snapshot, scans concatenated (shard order is fingerprint order, so the
+/// result stays sorted). One shard's reply is the node's.
+fn merge_control(mut replies: Vec<ControlReply>) -> ControlReply {
+    if replies.len() == 1 {
+        return replies.swap_remove(0);
+    }
+    match replies.first() {
+        Some(ControlReply::Stats(_)) => {
+            let parts = replies
+                .into_iter()
+                .filter_map(|r| match r {
+                    ControlReply::Stats(snap) => Some(*snap),
+                    _ => None,
+                })
+                .collect();
+            ControlReply::Stats(Box::new(merge_snapshots(parts)))
+        }
+        Some(ControlReply::Scan(_)) => ControlReply::Scan(
+            replies
+                .into_iter()
+                .flat_map(|r| match r {
+                    ControlReply::Scan(entries) => entries,
+                    _ => Vec::new(),
+                })
+                .collect(),
+        ),
+        _ => ControlReply::Done,
+    }
+}
+
+/// Aggregates per-shard snapshots into one node-level snapshot.
+fn merge_snapshots(parts: Vec<NodeSnapshot>) -> NodeSnapshot {
+    let shards = parts.len() as u32;
+    let stats: Vec<NodeStats> = parts.iter().map(|p| p.stats).collect();
+    let cache: Vec<CacheStats> = parts.iter().map(|p| p.cache).collect();
+    let device: Vec<DeviceStats> = parts.iter().map(|p| p.device).collect();
+    let ftl: Vec<FtlStats> = parts.iter().map(|p| p.ftl).collect();
+    NodeSnapshot {
+        id: parts.first().map(|p| p.id).unwrap_or(NodeId::new(0)),
+        entries: parts.iter().map(|p| p.entries).sum(),
+        stats: NodeStats::merge(stats.iter()),
+        cache: CacheStats::merge(cache.iter()),
+        device: DeviceStats::merge(device.iter()),
+        ftl: FtlStats::merge(ftl.iter()),
+        shards,
+    }
 }
 
 /// Decodes and validates one reply from `node`: error frames surface as
@@ -2149,6 +2266,34 @@ mod tests {
         cluster.shutdown().unwrap();
     }
 
+    /// A batch that still routes under the old epoch holds the join's
+    /// barrier: past the request timeout `add_node` fails instead of
+    /// migrating behind it, and leaves dual-read on. Once the batch is
+    /// gone, `rebalance` re-homes the entries and retires the migration.
+    #[test]
+    fn add_node_fails_while_an_old_epoch_batch_is_in_flight() {
+        let mut config = ClusterConfig::small_test(2);
+        config.request_timeout = Duration::from_millis(200);
+        let cluster = ShhcCluster::spawn(config).unwrap();
+        let batch = fps(0..300);
+        cluster.lookup_insert_batch(&batch).unwrap();
+        let in_flight = cluster.routing();
+        let err = cluster.add_node().unwrap_err();
+        assert!(matches!(err, Error::Unavailable(_)), "{err}");
+        assert!(cluster.migration_in_flight(), "dual-read must stay on");
+        assert_eq!(cluster.epoch(), 2, "the new epoch stays installed");
+        let exists = cluster.query_batch(&batch).unwrap();
+        assert!(exists.iter().all(|e| *e), "dual-read answers every entry");
+        drop(in_flight);
+        let report = cluster.rebalance().unwrap();
+        assert!(report.moved > 0, "the new node's share must move");
+        assert!(!cluster.migration_in_flight(), "rebalance retires it");
+        let stats = cluster.stats().unwrap();
+        assert_eq!(stats.total_entries(), 300);
+        assert!(stats.nodes.iter().all(|n| n.entries > 0));
+        cluster.shutdown().unwrap();
+    }
+
     #[test]
     fn drain_node_empties_and_marks_drained() {
         let cluster =
@@ -2269,6 +2414,7 @@ mod tests {
     fn merge_two(fps: &[Fingerprint], replies: Vec<ReplicaReply>) -> Merged {
         let group = RouteGroup {
             replicas: vec![NodeId::new(0), NodeId::new(1)],
+            shard: 0,
             positions: (0..fps.len()).collect(),
             fingerprints: Vec::new(),
         };

@@ -1,42 +1,26 @@
-//! The per-node server: wire-format data plane plus a typed control
-//! plane, in two execution flavours that share every node operation. A
-//! decoded frame becomes one `ShardWork` item (its vectors move in),
-//! `run_shard_work` runs it on one [`HybridHashNode`], and the outcome is
-//! encoded as the reply.
+//! The per-node server: the wire-format data plane plus a typed control
+//! plane, served by [`node_loop`] — one thread that owns one
+//! [`HybridHashNode`] exclusively and answers its queue in order, the
+//! paper's sequential hash node.
 //!
-//! - [`node_loop`] — the paper's node: one thread owns a
-//!   [`HybridHashNode`] exclusively and runs each frame's work item
-//!   itself. It serves `shards == 1` because a one-shard node behind
-//!   [`sharded_node_loop`] pays that loop's per-frame job machinery
-//!   (split, shared job, worker hand-off, scatter) and is slower on
-//!   paced lookups, even with its shard run inline on the dispatcher
-//!   (numbers in `results/baselines/README.md`),
-//! - [`sharded_node_loop`] — the multi-core node: a dispatcher thread
-//!   splits every data frame's work across `S` prefix-routed shards, each
-//!   owned by its own **worker thread**. Sub-frames from different
-//!   clients interleave freely across the workers, so a small frame no
-//!   longer waits head-of-line behind a deep frame that targets other
-//!   shards.
-//!
-//! Each shard answers its slice of a frame in one pass — a lookup-insert
-//! probes and inserts in the same `HybridHashNode::lookup_insert_batch`
-//! call — and the **last worker to finish** scatters the slices' answers
-//! back to their positions and replies. Every occurrence of a fingerprint
-//! routes to the same shard, and a shard runs its queue in order, so a
-//! frame queued behind another sees that frame's inserts: each
+//! A node with `S` intra-node shards is `S` such threads, one per shard
+//! slice ([`shhc_node::shard_slices`]), each behind its own queue. There
+//! is no dispatcher: the cluster routes every fingerprint to its shard
+//! ([`shhc_node::ShardRouter`]) and sends each shard its part of a window
+//! as one frame, so a small frame never waits behind a deep frame that
+//! targets other shards. Every occurrence of a fingerprint reaches the
+//! same single-consumer queue in send order, and a shard answers its
+//! frame in one `HybridHashNode::lookup_insert_batch` pass, so each
 //! fingerprint is answered "new" once.
 
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{Receiver, Sender};
 use shhc_cache::CacheStats;
 use shhc_flash::{DeviceStats, FtlStats};
 use shhc_net::{decode, encode_reusing, Frame};
-use shhc_node::{HybridHashNode, NodeConfig, NodeStats, ShardRouter};
+use shhc_node::{HybridHashNode, NodeConfig, NodeStats};
 use shhc_types::{Fingerprint, NodeId};
 
 /// A point-in-time view of one node's state, fetched over the control
@@ -55,14 +39,13 @@ pub struct NodeSnapshot {
     pub device: DeviceStats,
     /// FTL counters.
     pub ftl: FtlStats,
-    /// Intra-node shards executing on this node (1 = the single-threaded
-    /// loop, which runs each frame itself, without the sharded
-    /// dispatcher's per-frame job machinery).
+    /// Intra-node shards executing on this node, one [`node_loop`]
+    /// thread each.
     pub shards: u32,
 }
 
 /// Control-plane commands (in-process only; not wire-encoded).
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum ControlMsg {
     Stats,
     Flush,
@@ -91,7 +74,7 @@ pub(crate) enum NodeRequest {
     },
 }
 
-pub(crate) fn snapshot_of(node: &HybridHashNode) -> NodeSnapshot {
+fn snapshot_of(node: &HybridHashNode) -> NodeSnapshot {
     NodeSnapshot {
         id: node.id(),
         entries: node.entries(),
@@ -103,27 +86,9 @@ pub(crate) fn snapshot_of(node: &HybridHashNode) -> NodeSnapshot {
     }
 }
 
-/// Aggregates per-shard snapshots into one node-level snapshot.
-fn merge_snapshots(parts: Vec<NodeSnapshot>) -> NodeSnapshot {
-    let shards = parts.len() as u32;
-    let stats: Vec<NodeStats> = parts.iter().map(|p| p.stats).collect();
-    let cache: Vec<CacheStats> = parts.iter().map(|p| p.cache).collect();
-    let device: Vec<DeviceStats> = parts.iter().map(|p| p.device).collect();
-    let ftl: Vec<FtlStats> = parts.iter().map(|p| p.ftl).collect();
-    NodeSnapshot {
-        id: parts.first().map(|p| p.id).unwrap_or(NodeId::new(0)),
-        entries: parts.iter().map(|p| p.entries).sum(),
-        stats: NodeStats::merge(stats.iter()),
-        cache: CacheStats::merge(cache.iter()),
-        device: DeviceStats::merge(device.iter()),
-        ftl: FtlStats::merge(ftl.iter()),
-        shards,
-    }
-}
-
-/// The node server main loop: owns the node exclusively, serving requests
-/// until `Shutdown` arrives or every sender is dropped. A data frame runs
-/// as one work item over the whole frame.
+/// The node server main loop: owns the node (or one shard of it)
+/// exclusively, serving requests in arrival order until `Shutdown`
+/// arrives or every sender is dropped.
 pub(crate) fn node_loop(mut node: HybridHashNode, rx: Receiver<NodeRequest>) {
     // One reply-encode scratch buffer for the thread's lifetime: replies
     // reuse its allocation instead of growing a fresh buffer per frame.
@@ -136,208 +101,100 @@ pub(crate) fn node_loop(mut node: HybridHashNode, rx: Receiver<NodeRequest>) {
         queue_peak = queue_peak.max(rx.len() as u64 + 1);
         match request {
             NodeRequest::Data { frame, reply } => {
-                let response = match frame_work(&frame) {
-                    Ok((correlation, work)) => {
-                        sleep_service(service_time(node.config(), true, work.records()));
-                        reply_frame(correlation, run_shard_work(&mut node, work))
-                    }
-                    Err(now) => now,
-                };
+                let response = serve_frame(&mut node, &frame);
                 // A dropped reply channel means the client gave up
                 // (timeout or crash); nothing for the server to do.
                 let _ = reply.send(encode_reusing(&response, &mut scratch));
             }
             NodeRequest::Control { msg, reply } => {
-                let work = match msg {
-                    ControlMsg::Stats => ShardWork::Stats { queue_peak },
-                    ControlMsg::Flush => ShardWork::Flush,
-                    ControlMsg::Scan => ShardWork::Scan,
-                    ControlMsg::Shutdown => {
-                        // Clean shutdown: flush + close the WAL so restart
-                        // replays only segment metadata. A *crashed* node
-                        // never gets here — its channel just disconnects
-                        // and the store drops unclosed, losing uncommitted
-                        // state (and tearing log tails under a FaultPlan).
-                        let r = match node.close() {
-                            Ok(_) => ControlReply::Done,
-                            Err(e) => ControlReply::Failed(e.to_string()),
-                        };
-                        let _ = reply.send(r);
-                        break;
-                    }
-                };
-                let _ = reply.send(control_reply(run_shard_work(&mut node, work)));
+                let _ = reply.send(serve_control(&mut node, msg, queue_peak));
+                if matches!(msg, ControlMsg::Shutdown) {
+                    break;
+                }
             }
         }
     }
 }
 
-/// One unit of work on one shard — or on a one-shard node's only
-/// [`HybridHashNode`]: a data frame's records (all of them, or the
-/// shard's slice), or one control step.
-enum ShardWork {
-    Lookup(Vec<Fingerprint>),
-    Query(Vec<Fingerprint>),
-    Remove(Vec<Fingerprint>),
-    Record(Vec<(Fingerprint, u64)>),
-    /// Migration installs; answered like a query: which entries the
-    /// shard already held.
-    Install(Vec<(Fingerprint, u64)>),
-    Scan,
-    Flush,
-    /// Snapshot the shard, reporting `queue_peak` as the inbound queue's
-    /// high-water mark (a shard never sees the node's inbound queue).
-    Stats {
-        queue_peak: u64,
-    },
-}
-
-impl ShardWork {
-    /// Records the work covers — the unit the artificial service delay
-    /// is charged in (migration installs pay per entry like any other
-    /// write, so rebalancing visibly competes with client traffic).
-    fn records(&self) -> usize {
-        match self {
-            ShardWork::Lookup(fps) | ShardWork::Query(fps) | ShardWork::Remove(fps) => fps.len(),
-            ShardWork::Record(pairs) | ShardWork::Install(pairs) => pairs.len(),
-            _ => 0,
-        }
-    }
-
-    /// Splits a data frame's work by the shard each record routes to:
-    /// `(shard, positions in the frame, work)` for every involved shard,
-    /// in shard order. An empty frame goes whole to shard 0, so its reply
-    /// still comes from a shard.
-    fn split(self, router: ShardRouter) -> Vec<(usize, Vec<usize>, ShardWork)> {
-        fn by_shard<T>(
-            router: ShardRouter,
-            records: Vec<T>,
-            fp: impl Fn(&T) -> Fingerprint,
-            work: impl Fn(Vec<T>) -> ShardWork,
-        ) -> Vec<(usize, Vec<usize>, ShardWork)> {
-            if records.is_empty() {
-                return vec![(0, Vec::new(), work(records))];
-            }
-            router
-                .split(records, fp)
-                .into_iter()
-                .enumerate()
-                .filter(|(_, sub)| !sub.positions.is_empty())
-                .map(|(shard, sub)| (shard, sub.positions, work(sub.records)))
-                .collect()
-        }
-        match self {
-            ShardWork::Lookup(fps) => by_shard(router, fps, |f| *f, ShardWork::Lookup),
-            ShardWork::Query(fps) => by_shard(router, fps, |f| *f, ShardWork::Query),
-            ShardWork::Remove(fps) => by_shard(router, fps, |f| *f, ShardWork::Remove),
-            ShardWork::Record(pairs) => by_shard(router, pairs, |p| p.0, ShardWork::Record),
-            ShardWork::Install(pairs) => by_shard(router, pairs, |p| p.0, ShardWork::Install),
-            control => vec![(0, Vec::new(), control)],
-        }
-    }
-}
-
-/// One shard's (or one-shard node's) result for one unit of work.
-enum ShardOutcome {
-    /// Existence and value per record, parallel to the work's records.
-    Answered {
-        exists: Vec<bool>,
-        values: Vec<u64>,
-    },
-    Done,
-    Entries(Vec<(Fingerprint, u64)>),
-    Snapshot(Box<NodeSnapshot>),
-    Failed(String),
-}
-
-/// Decodes a data-plane frame into its correlation id and the work it
-/// asks for over the whole frame (the decoded vectors move into the
-/// work), or into the reply it gets at once: a pong, or an error for an
-/// undecodable or unexpected frame.
-fn frame_work(frame: &[u8]) -> Result<(u64, ShardWork), Frame> {
-    let decoded =
-        decode(frame).map_err(|e| error_frame(0, &format!("undecodable request: {e}")))?;
-    let correlation = decoded.correlation();
-    let work = match decoded {
-        Frame::LookupInsertReq { fingerprints, .. } => ShardWork::Lookup(fingerprints),
-        Frame::QueryReq { fingerprints, .. } => ShardWork::Query(fingerprints),
-        Frame::RemoveReq { fingerprints, .. } => ShardWork::Remove(fingerprints),
-        Frame::RecordReq { pairs, .. } => ShardWork::Record(pairs),
-        Frame::MigrateReq { pairs, .. } => ShardWork::Install(pairs),
-        Frame::Ping { .. } => return Err(Frame::Pong { correlation }),
-        other => {
-            let message = format!("unexpected frame at node: {other:?}");
-            return Err(error_frame(correlation, &message));
-        }
+/// Answers one data-plane frame: answers go out as a `LookupResp`
+/// carrying one value per existing fingerprint, finished writes as an
+/// `Ack`, a ping as a `Pong`, and an undecodable or unexpected frame or
+/// a failed operation as an `Error`.
+fn serve_frame(node: &mut HybridHashNode, frame: &[u8]) -> Frame {
+    let request = match decode(frame) {
+        Ok(request) => request,
+        Err(e) => return error_frame(0, &format!("undecodable request: {e}")),
     };
-    Ok((correlation, work))
-}
-
-/// The data-plane reply to a frame whose work ended in `outcome`:
-/// answers go out as a `LookupResp` carrying one value per existing
-/// fingerprint, finished writes as an `Ack`.
-fn reply_frame(correlation: u64, outcome: ShardOutcome) -> Frame {
-    match outcome {
-        ShardOutcome::Answered { exists, values } => {
-            let values = compact_values(&exists, &values);
-            Frame::LookupResp {
-                correlation,
-                exists,
-                values,
-            }
-        }
-        ShardOutcome::Done => Frame::Ack { correlation },
-        ShardOutcome::Failed(message) => Frame::Error {
-            correlation,
-            message,
-        },
-        _ => error_frame(correlation, "data work ended in a control outcome"),
-    }
-}
-
-/// The control-plane reply to a control step that ended in `outcome`.
-fn control_reply(outcome: ShardOutcome) -> ControlReply {
-    match outcome {
-        ShardOutcome::Snapshot(snap) => ControlReply::Stats(snap),
-        ShardOutcome::Entries(entries) => ControlReply::Scan(entries),
-        ShardOutcome::Done => ControlReply::Done,
-        ShardOutcome::Failed(m) => ControlReply::Failed(m),
-        _ => ControlReply::Failed("control step ended in a data outcome".into()),
-    }
-}
-
-/// Runs one unit of work on `shard` — every node operation, for both
-/// node loops — then group-commits the shard's WAL, so the outcome cannot
-/// release a reply before the work's mutations survive a crash (no-op
-/// for volatile shards).
-fn run_shard_work(shard: &mut HybridHashNode, work: ShardWork) -> ShardOutcome {
-    let answered = |(exists, values)| ShardOutcome::Answered { exists, values };
-    let outcome = match work {
-        ShardWork::Lookup(fps) => shard
-            .lookup_insert_batch(&fps)
+    let correlation = request.correlation();
+    let records = match &request {
+        Frame::LookupInsertReq { fingerprints, .. }
+        | Frame::QueryReq { fingerprints, .. }
+        | Frame::RemoveReq { fingerprints, .. } => fingerprints.len(),
+        Frame::RecordReq { pairs, .. } | Frame::MigrateReq { pairs, .. } => pairs.len(),
+        _ => 0,
+    };
+    sleep_service(service_time(node.config(), records));
+    let answered = |(exists, values): (Vec<bool>, Vec<u64>)| Frame::LookupResp {
+        correlation,
+        values: compact_values(&exists, &values),
+        exists,
+    };
+    let outcome = match request {
+        Frame::LookupInsertReq { fingerprints, .. } => node
+            .lookup_insert_batch(&fingerprints)
             .map(|batch| answered((batch.exists, batch.values))),
-        ShardWork::Query(fps) => shard.query_many(&fps).map(answered),
-        ShardWork::Install(pairs) => install_all(shard, &pairs).map(answered),
-        ShardWork::Record(pairs) => pairs
+        Frame::QueryReq { fingerprints, .. } => node.query_many(&fingerprints).map(answered),
+        // Migration installs are answered like a query: which entries
+        // the node already held.
+        Frame::MigrateReq { pairs, .. } => install_all(node, &pairs).map(answered),
+        Frame::RecordReq { pairs, .. } => pairs
             .into_iter()
-            .try_for_each(|(fp, value)| shard.record(fp, value).map(drop))
-            .map(|()| ShardOutcome::Done),
-        ShardWork::Remove(fps) => fps
+            .try_for_each(|(fp, value)| node.record(fp, value).map(drop))
+            .map(|()| Frame::Ack { correlation }),
+        Frame::RemoveReq { fingerprints, .. } => fingerprints
             .into_iter()
-            .try_for_each(|fp| shard.remove(fp))
-            .map(|()| ShardOutcome::Done),
-        ShardWork::Scan => shard.scan().map(ShardOutcome::Entries),
-        ShardWork::Flush => shard.flush().map(|_| ShardOutcome::Done),
-        ShardWork::Stats { queue_peak } => {
-            let mut snap = snapshot_of(shard);
+            .try_for_each(|fp| node.remove(fp))
+            .map(|()| Frame::Ack { correlation }),
+        Frame::Ping { .. } => return Frame::Pong { correlation },
+        other => return error_frame(correlation, &format!("unexpected frame at node: {other:?}")),
+    };
+    committed(node, outcome).unwrap_or_else(|message| Frame::Error {
+        correlation,
+        message,
+    })
+}
+
+/// Runs one control step. `Shutdown` flushes and closes the WAL, so a
+/// restart replays only segment metadata; a *crashed* node never gets
+/// here — its queue just disconnects and the store drops unclosed,
+/// losing uncommitted state (and tearing log tails under a `FaultPlan`).
+fn serve_control(node: &mut HybridHashNode, msg: ControlMsg, queue_peak: u64) -> ControlReply {
+    let outcome = match msg {
+        ControlMsg::Stats => {
+            let mut snap = snapshot_of(node);
             snap.stats.queue_peak = queue_peak;
-            Ok(ShardOutcome::Snapshot(Box::new(snap)))
+            Ok(ControlReply::Stats(Box::new(snap)))
+        }
+        ControlMsg::Flush => node.flush().map(|_| ControlReply::Done),
+        ControlMsg::Scan => node.scan().map(ControlReply::Scan),
+        ControlMsg::Shutdown => {
+            return match node.close() {
+                Ok(_) => ControlReply::Done,
+                Err(e) => ControlReply::Failed(e.to_string()),
+            }
         }
     };
-    match (outcome, shard.wal_commit()) {
-        (Err(e), _) => ShardOutcome::Failed(e.to_string()),
-        (Ok(_), Err(e)) => ShardOutcome::Failed(format!("wal commit failed: {e}")),
-        (Ok(outcome), Ok(())) => outcome,
+    committed(node, outcome).unwrap_or_else(ControlReply::Failed)
+}
+
+/// Group-commits the node's WAL behind `outcome`, so no reply leaves
+/// before the work's mutations survive a crash (no-op for volatile
+/// nodes). Either failure becomes the reply's error message.
+fn committed<T>(node: &mut HybridHashNode, outcome: shhc_types::Result<T>) -> Result<T, String> {
+    match (outcome, node.wal_commit()) {
+        (Err(e), _) => Err(e.to_string()),
+        (Ok(_), Err(e)) => Err(format!("wal commit failed: {e}")),
+        (Ok(outcome), Ok(())) => Ok(outcome),
     }
 }
 
@@ -359,20 +216,15 @@ fn install_all(
 }
 
 /// Artificial wall-clock service time (zero in production configs) for
-/// `records` records of a data frame: `service_delay` per record, plus
-/// `batch_overhead` — the per-message cost batching amortizes — on the
-/// frame's `first` slice. Shards of one frame sleep **concurrently**,
+/// a frame of `records` records: `service_delay` per record plus
+/// `batch_overhead`, the cost batching amortizes, charged per frame a
+/// node thread receives. The shards of one node sleep **concurrently**,
 /// the multi-core effect the paper's sequential node cannot show.
-fn service_time(config: &NodeConfig, first: bool, records: usize) -> Duration {
+fn service_time(config: &NodeConfig, records: usize) -> Duration {
     if records == 0 {
         return Duration::ZERO;
     }
-    let overhead = if first {
-        config.batch_overhead
-    } else {
-        Duration::ZERO
-    };
-    config.service_delay * records as u32 + overhead
+    config.service_delay * records as u32 + config.batch_overhead
 }
 
 fn sleep_service(delay: Duration) {
@@ -399,299 +251,22 @@ fn compact_values(exists: &[bool], values: &[u64]) -> Vec<u64> {
         .collect()
 }
 
-// ─── Sharded execution ──────────────────────────────────────────────────
-
-/// A unit of work queued to one shard worker.
-enum ShardTask {
-    /// One slot of a job: sleep `delay` (the slot's share of the
-    /// artificial service time), run `work`, hand the outcome to the job.
-    Work {
-        job: Arc<FrameJob>,
-        slot: usize,
-        work: ShardWork,
-        delay: Duration,
-    },
-    /// Stop the worker. `clean` distinguishes an orderly node shutdown
-    /// (flush + close the shard's WAL, so restart replays nothing) from
-    /// a simulated crash (drop the shard unclosed — uncommitted state is
-    /// lost, exactly what recovery must tolerate).
-    Shutdown { clean: bool },
-}
-
-/// Where a finished job's merged outcome goes.
-enum ReplyTo {
-    Data { correlation: u64, tx: Sender<Bytes> },
-    Control(Sender<ControlReply>),
-}
-
-/// One in-flight frame (or broadcast control step) fanned out across
-/// shard workers. The **last worker to finish merges the slots' outcomes
-/// and replies** — the dispatcher never blocks on a frame, which is what
-/// lets frames from different clients interleave across shards.
-struct FrameJob {
-    reply: ReplyTo,
-    /// Each slot's positions in the frame (empty for control steps).
-    positions: Vec<Vec<usize>>,
-    inner: Mutex<JobInner>,
-}
-
-struct JobInner {
-    /// Slots still running.
-    remaining: usize,
-    /// Per-slot outcomes, slot order = shard order.
-    slots: Vec<Option<ShardOutcome>>,
-}
-
-impl FrameJob {
-    fn new(reply: ReplyTo, positions: Vec<Vec<usize>>) -> Arc<Self> {
-        let slots = positions.len();
-        Arc::new(FrameJob {
-            reply,
-            positions,
-            inner: Mutex::new(JobInner {
-                remaining: slots,
-                slots: (0..slots).map(|_| None).collect(),
-            }),
-        })
-    }
-
-    /// Records one slot's outcome; the worker that completes the job
-    /// merges and replies.
-    fn complete(&self, slot: usize, outcome: ShardOutcome, scratch: &mut BytesMut) {
-        let slots = {
-            let mut inner = self.inner.lock();
-            inner.slots[slot] = Some(outcome);
-            inner.remaining -= 1;
-            if inner.remaining > 0 {
-                return;
-            }
-            std::mem::take(&mut inner.slots)
-        };
-        let outcome = merge_outcomes(slots.into_iter().flatten().collect(), &self.positions);
-        match &self.reply {
-            ReplyTo::Data { correlation, tx } => {
-                let _ = tx.send(encode_reusing(&reply_frame(*correlation, outcome), scratch));
-            }
-            ReplyTo::Control(tx) => {
-                let _ = tx.send(control_reply(outcome));
-            }
-        }
-    }
-}
-
-/// Merges a job's slot outcomes into the outcome one shard running the
-/// whole job would have given: answers scattered back to their frame
-/// positions, scans concatenated in shard (= fingerprint) order,
-/// snapshots merged. Every slot ran the same kind of work; one failed
-/// slot fails the job.
-fn merge_outcomes(mut slots: Vec<ShardOutcome>, positions: &[Vec<usize>]) -> ShardOutcome {
-    if let Some(i) = slots
-        .iter()
-        .position(|o| matches!(o, ShardOutcome::Failed(_)))
-    {
-        return slots.swap_remove(i);
-    }
-    match slots.first() {
-        Some(ShardOutcome::Answered { .. }) => {
-            let total = positions.iter().map(Vec::len).sum();
-            let mut exists = vec![false; total];
-            let mut values = vec![0u64; total];
-            for (outcome, at) in slots.into_iter().zip(positions) {
-                if let ShardOutcome::Answered {
-                    exists: e,
-                    values: v,
-                } = outcome
-                {
-                    for ((&pos, e), v) in at.iter().zip(e).zip(v) {
-                        exists[pos] = e;
-                        values[pos] = v;
-                    }
-                }
-            }
-            ShardOutcome::Answered { exists, values }
-        }
-        Some(ShardOutcome::Entries(_)) => ShardOutcome::Entries(
-            slots
-                .into_iter()
-                .flat_map(|o| match o {
-                    ShardOutcome::Entries(entries) => entries,
-                    _ => Vec::new(),
-                })
-                .collect(),
-        ),
-        Some(ShardOutcome::Snapshot(_)) => {
-            let parts = slots
-                .into_iter()
-                .filter_map(|o| match o {
-                    ShardOutcome::Snapshot(snap) => Some(*snap),
-                    _ => None,
-                })
-                .collect();
-            ShardOutcome::Snapshot(Box::new(merge_snapshots(parts)))
-        }
-        _ => ShardOutcome::Done,
-    }
-}
-
-/// One shard worker: owns its [`HybridHashNode`] slice exclusively and
-/// executes sub-frames FIFO until shutdown.
-fn shard_worker(mut shard: HybridHashNode, rx: Receiver<ShardTask>) {
-    let mut scratch = BytesMut::new();
-    while let Ok(task) = rx.recv() {
-        match task {
-            ShardTask::Work {
-                job,
-                slot,
-                work,
-                delay,
-            } => {
-                sleep_service(delay);
-                job.complete(slot, run_shard_work(&mut shard, work), &mut scratch);
-            }
-            ShardTask::Shutdown { clean } => {
-                if clean {
-                    // Orderly exit: checkpoint + close the shard's WAL.
-                    // On the crash path the shard drops unclosed instead.
-                    let _ = shard.close();
-                }
-                break;
-            }
-        }
-    }
-}
-
-/// The sharded node server: the dispatcher half. Spawns one worker per
-/// shard, splits every data frame across them, and never blocks on a
-/// frame — merging and replying happen on whichever worker finishes a
-/// frame last.
-pub(crate) fn sharded_node_loop(
-    config: NodeConfig,
-    shards: Vec<HybridHashNode>,
-    rx: Receiver<NodeRequest>,
-) {
-    let router = ShardRouter::new(shards.len() as u32);
-    let (workers, handles): (Vec<Sender<ShardTask>>, Vec<JoinHandle<()>>) = shards
-        .into_iter()
-        .enumerate()
-        .map(|(s, shard)| {
-            let (tx, wrx) = unbounded();
-            let handle = std::thread::Builder::new()
-                .name(format!("shhc-{}-s{s}", shard.id()))
-                .spawn(move || shard_worker(shard, wrx))
-                .expect("spawn shard worker");
-            (tx, handle)
-        })
-        .unzip();
-    let mut scratch = BytesMut::new();
-    // High-water mark of the inbound queue (requests still waiting plus
-    // the one being dispatched); the shards never see that queue.
-    let mut queue_peak: u64 = 0;
-    // Clean only via ControlMsg::Shutdown; a channel disconnect (the
-    // cluster killing the node) exits dirty, and the shards drop with
-    // their WALs unclosed — a crash.
-    let mut clean = false;
-    while let Ok(request) = rx.recv() {
-        queue_peak = queue_peak.max(rx.len() as u64 + 1);
-        match request {
-            NodeRequest::Data { frame, reply } => match frame_work(&frame) {
-                Ok((correlation, work)) => {
-                    dispatch_data(&config, router, &workers, correlation, work, reply);
-                }
-                Err(now) => {
-                    let _ = reply.send(encode_reusing(&now, &mut scratch));
-                }
-            },
-            NodeRequest::Control { msg, reply } => match msg {
-                ControlMsg::Shutdown => {
-                    clean = true;
-                    let _ = reply.send(ControlReply::Done);
-                    break;
-                }
-                ControlMsg::Stats => {
-                    broadcast_control(&workers, || ShardWork::Stats { queue_peak }, reply);
-                }
-                ControlMsg::Flush => broadcast_control(&workers, || ShardWork::Flush, reply),
-                ControlMsg::Scan => broadcast_control(&workers, || ShardWork::Scan, reply),
-            },
-        }
-    }
-    for tx in &workers {
-        let _ = tx.send(ShardTask::Shutdown { clean });
-    }
-    for handle in handles {
-        let _ = handle.join();
-    }
-}
-
-/// Sends every shard a data frame involves its slice of `work`, under one
-/// job that replies once every slice is answered.
-fn dispatch_data(
-    config: &NodeConfig,
-    router: ShardRouter,
-    workers: &[Sender<ShardTask>],
-    correlation: u64,
-    work: ShardWork,
-    tx: Sender<Bytes>,
-) {
-    let mut positions = Vec::new();
-    let mut tasks = Vec::new();
-    for (shard, at, work) in work.split(router) {
-        let delay = service_time(config, tasks.is_empty(), at.len());
-        tasks.push((shard, work, delay));
-        positions.push(at);
-    }
-    let job = FrameJob::new(ReplyTo::Data { correlation, tx }, positions);
-    for (slot, (shard, work, delay)) in tasks.into_iter().enumerate() {
-        // The queue outlives the job (workers only exit on shutdown), so
-        // the send cannot fail while a client still waits.
-        let _ = workers[shard].send(ShardTask::Work {
-            job: Arc::clone(&job),
-            slot,
-            work,
-            delay,
-        });
-    }
-}
-
-/// Runs one control step on every shard under one job that replies with
-/// the merged outcome.
-fn broadcast_control(
-    workers: &[Sender<ShardTask>],
-    work: impl Fn() -> ShardWork,
-    reply: Sender<ControlReply>,
-) {
-    let job = FrameJob::new(ReplyTo::Control(reply), vec![Vec::new(); workers.len()]);
-    for (slot, worker) in workers.iter().enumerate() {
-        let _ = worker.send(ShardTask::Work {
-            job: Arc::clone(&job),
-            slot,
-            work: work(),
-            delay: Duration::ZERO,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
+
+    use crate::cluster::{ClusterConfig, ShhcCluster};
     use crossbeam::channel::unbounded;
     use proptest::prelude::*;
     use shhc_flash::FlashConfig;
-    use shhc_node::{shard_slices, NodeConfig};
-    use shhc_types::StreamId;
+    use shhc_node::{Durability, NodeConfig, ShardRouter};
+    use shhc_types::{Error, StreamId};
 
     fn spawn_test_node() -> (Sender<NodeRequest>, std::thread::JoinHandle<()>) {
         let node = HybridHashNode::new(NodeId::new(0), NodeConfig::small_test()).unwrap();
         let (tx, rx) = unbounded();
         let handle = std::thread::spawn(move || node_loop(node, rx));
-        (tx, handle)
-    }
-
-    fn spawn_test_sharded(shards: u32) -> (Sender<NodeRequest>, std::thread::JoinHandle<()>) {
-        let config = NodeConfig::small_test().with_shards(shards);
-        let slices = shard_slices(NodeId::new(0), &config).unwrap();
-        let (tx, rx) = unbounded();
-        let handle = std::thread::spawn(move || sharded_node_loop(config, slices, rx));
         (tx, handle)
     }
 
@@ -905,87 +480,88 @@ mod tests {
         handle.join().unwrap();
     }
 
-    /// The sharded server answers the full frame vocabulary exactly like
-    /// the single-threaded loop.
+    // ─── Sharded nodes: one `node_loop` per shard, routed by the cluster ──
+
+    const NODE: NodeId = NodeId::new(0);
+
+    /// Fingerprints spread over the routing-key space.
+    fn spread(i: u64) -> Fingerprint {
+        Fingerprint::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31))
+    }
+
+    /// A one-node cluster whose node runs `config.shards` shards.
+    fn one_node(config: NodeConfig) -> ShhcCluster {
+        ShhcCluster::spawn(ClusterConfig::new(1, config)).unwrap()
+    }
+
+    fn scan_node(cluster: &ShhcCluster) -> Vec<(Fingerprint, u64)> {
+        match cluster.control(NODE, ControlMsg::Scan).unwrap() {
+            ControlReply::Scan(entries) => entries,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// Migration installs, split by shard like every per-node send.
+    fn install(cluster: &ShhcCluster, pairs: &[(Fingerprint, u64)]) -> (Vec<bool>, Vec<u64>) {
+        let frame = |correlation, pairs| Frame::MigrateReq { correlation, pairs };
+        cluster.node_exchange(NODE, pairs, |p| p.0, frame).unwrap()
+    }
+
+    /// Runs `op` on both clusters and asserts the answers agree.
+    fn both<T: PartialEq + std::fmt::Debug>(
+        clusters: &[ShhcCluster; 2],
+        op: impl Fn(&ShhcCluster) -> T,
+    ) -> T {
+        let answer = op(&clusters[0]);
+        assert_eq!(answer, op(&clusters[1]), "answers diverge");
+        answer
+    }
+
+    /// A node whose four shards run as four `node_loop` threads answers
+    /// every operation exactly like a one-shard node.
     #[test]
     fn sharded_server_round_trip_matches_baseline() {
-        let (base_tx, base_handle) = spawn_test_node();
-        let (shard_tx, shard_handle) = spawn_test_sharded(4);
+        let clusters = [
+            one_node(NodeConfig::small_test().with_shards(1)),
+            one_node(NodeConfig::small_test().with_shards(4)),
+        ];
         let fps: Vec<Fingerprint> = (0..300)
             .map(|i: u64| Fingerprint::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
             .collect();
-        let mut correlation = 0u64;
-        let mut both = |frame_of: &dyn Fn(u64) -> Frame| {
-            correlation += 1;
-            let a = rpc(&base_tx, frame_of(correlation));
-            let b = rpc(&shard_tx, frame_of(correlation));
-            assert_eq!(a, b, "replies diverge");
-            a
-        };
-        let lookup = |fps: Vec<Fingerprint>| {
-            move |correlation: u64| Frame::LookupInsertReq {
-                correlation,
-                stream: StreamId::new(0),
-                fingerprints: fps.clone(),
-            }
-        };
-        both(&lookup(fps.clone()));
-        both(&lookup(fps[..10].to_vec()));
-        both(&|correlation| Frame::QueryReq {
-            correlation,
-            fingerprints: fps.clone(),
+        let pairs: Vec<(Fingerprint, u64)> = fps.iter().map(|f| (*f, f.route_key() % 97)).collect();
+        both(&clusters, |c| c.lookup_insert_batch_values(&fps).unwrap());
+        both(&clusters, |c| {
+            c.lookup_insert_batch_values(&fps[..10]).unwrap()
         });
-        both(&|correlation| Frame::RecordReq {
-            correlation,
-            pairs: fps.iter().map(|f| (*f, f.route_key() % 97)).collect(),
-        });
-        both(&|correlation| Frame::RemoveReq {
-            correlation,
-            fingerprints: fps[..7].to_vec(),
-        });
-        both(&|correlation| Frame::QueryReq {
-            correlation,
-            fingerprints: fps.clone(),
-        });
-        both(&|correlation| Frame::Ping { correlation });
+        both(&clusters, |c| c.query_batch_values(&fps).unwrap());
+        both(&clusters, |c| c.record_batch(&pairs).unwrap());
+        both(&clusters, |c| c.remove_batch(&fps[..7]).unwrap());
+        both(&clusters, |c| c.query_batch_values(&fps).unwrap());
         // Installs answer which entries each node held: the seven
         // removed ones come back, the rest keep their recorded values.
-        both(&|correlation| Frame::MigrateReq {
-            correlation,
-            pairs: fps[..40].iter().map(|f| (*f, 5)).collect(),
-        });
-        both(&|correlation| Frame::MigrateReq {
-            correlation,
-            pairs: Vec::new(),
-        });
-        assert_eq!(scan(&shard_tx), scan(&base_tx), "sorted scans agree");
+        let moved: Vec<(Fingerprint, u64)> = fps[..40].iter().map(|f| (*f, 5)).collect();
+        let (held, _) = both(&clusters, |c| install(c, &moved));
+        assert_eq!(held.iter().filter(|h| !**h).count(), 7);
+        both(&clusters, |c| install(c, &[]));
+        assert_eq!(both(&clusters, scan_node).len(), 300, "sorted scans agree");
         // Control plane: merged stats count the same entries.
-        let (ctl_tx, ctl_rx) = unbounded();
-        shard_tx
-            .send(NodeRequest::Control {
-                msg: ControlMsg::Stats,
-                reply: ctl_tx,
-            })
-            .unwrap();
-        match ctl_rx.recv().unwrap() {
-            ControlReply::Stats(snap) => {
-                assert_eq!(snap.entries, 300);
-                assert_eq!(snap.shards, 4);
-                assert_eq!(snap.stats.inserted, 300);
-                assert_eq!(snap.stats.migrated_in, 7);
-            }
-            other => panic!("unexpected {other:?}"),
+        let stats = clusters[1].stats().unwrap();
+        let snap = &stats.nodes[0];
+        assert_eq!(snap.entries, 300);
+        assert_eq!(snap.shards, 4);
+        assert_eq!(snap.stats.inserted, 300);
+        assert_eq!(snap.stats.migrated_in, 7);
+        for cluster in clusters {
+            cluster.shutdown().unwrap();
         }
-        drop(base_tx);
-        drop(shard_tx);
-        base_handle.join().unwrap();
-        shard_handle.join().unwrap();
     }
 
-    /// A fingerprint is answered "new" once, even when the frame that
-    /// inserts it is still busy on another shard: frame A holds X plus
-    /// 2 000 new fingerprints of one other shard, frame B only X, and B is
-    /// queued behind A before either reply is read.
+    /// A fingerprint is answered "new" once, even when the window that
+    /// inserts it is still busy on another shard: window A holds X plus
+    /// 2 000 new fingerprints of one other shard, window B only X. Sent
+    /// once X is stored, B finds it (A still answers "new"); sent at the
+    /// same time, the two windows reach X's shard queue in either order,
+    /// and exactly one of them is told "new".
     #[test]
     fn sharded_server_answers_new_once_across_frames() {
         let config = NodeConfig {
@@ -994,18 +570,6 @@ mod tests {
         }
         .with_shards(4);
         let router = ShardRouter::new(4);
-        let spread =
-            |i: u64| Fingerprint::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31));
-        let send = |tx: &Sender<NodeRequest>, correlation: u64, fingerprints: Vec<Fingerprint>| {
-            let (reply, rx) = unbounded();
-            let frame = shhc_net::encode(&Frame::LookupInsertReq {
-                correlation,
-                stream: StreamId::new(0),
-                fingerprints,
-            });
-            tx.send(NodeRequest::Data { frame, reply }).unwrap();
-            rx
-        };
         for run in 0..30u64 {
             let x = spread(run);
             let busy = (router.shard_of(&x) + 1) % 4;
@@ -1016,118 +580,130 @@ mod tests {
                     .filter(|f| router.shard_of(f) == busy)
                     .take(2_000),
             );
-            let slices = shard_slices(NodeId::new(0), &config).unwrap();
-            let (tx, rx) = unbounded();
-            let node_config = config.clone();
-            let handle = std::thread::spawn(move || sharded_node_loop(node_config, slices, rx));
-            let (reply_a, reply_b) = (send(&tx, 1, a), send(&tx, 2, vec![x]));
-            let existed = |rx: Receiver<Bytes>| match decode(&rx.recv().unwrap()).unwrap() {
-                Frame::LookupResp { exists, .. } => exists[0],
-                other => panic!("unexpected {other:?}"),
-            };
-            let (in_a, in_b) = (existed(reply_a), existed(reply_b));
-            assert_eq!(
-                (in_a, in_b),
-                (false, true),
-                "run {run}: X must be new in frame A and a duplicate in frame B"
-            );
-            drop(tx);
-            handle.join().unwrap();
+            let cluster = one_node(config.clone());
+            let sender = cluster.clone();
+            let window_a = std::thread::spawn(move || sender.lookup_insert_batch(&a).unwrap()[0]);
+            let ordered = run % 2 == 0;
+            if ordered {
+                // A query inserts nothing: X shows up once A stored it.
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while !cluster.query_batch(&[x]).unwrap()[0] {
+                    assert!(
+                        Instant::now() < deadline,
+                        "run {run}: window A never stored X"
+                    );
+                    std::thread::yield_now();
+                }
+            }
+            let in_b = cluster.lookup_insert_batch(&[x]).unwrap()[0];
+            let in_a = window_a.join().unwrap();
+            if ordered {
+                assert_eq!(
+                    (in_a, in_b),
+                    (false, true),
+                    "run {run}: X must be new in window A and a duplicate in window B"
+                );
+            }
+            assert_ne!(in_a, in_b, "run {run}: X must be answered new exactly once");
+            cluster.shutdown().unwrap();
         }
     }
 
-    /// Dropping the request channel (a kill) stops the dispatcher and
-    /// its workers without a shutdown message.
+    /// A killed sharded node stops every shard: `kill_node` drops all of
+    /// the node's queues and returns once every shard thread is joined,
+    /// and a warm `restart_node` replays every shard's log.
     #[test]
     fn sharded_server_stops_on_disconnect() {
-        let (tx, handle) = spawn_test_sharded(3);
-        rpc(
-            &tx,
-            Frame::LookupInsertReq {
-                correlation: 1,
-                stream: StreamId::new(0),
-                fingerprints: vec![Fingerprint::from_u64(1)],
-            },
-        );
-        drop(tx);
-        handle.join().unwrap();
+        let dir = std::env::temp_dir().join(format!("shhc-sharded-kill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = NodeConfig::small_test()
+            .with_shards(4)
+            .with_durability(Durability::wal(&dir));
+        let cluster = one_node(config);
+        let router = ShardRouter::new(4);
+        let fps: Vec<Fingerprint> = (0..200).map(spread).collect();
+        cluster.lookup_insert_batch(&fps).unwrap();
+        cluster.kill_node(NODE).unwrap();
+        for shard in 0..4 {
+            let on_shard: Vec<Fingerprint> = fps
+                .iter()
+                .copied()
+                .filter(|f| router.shard_of(f) == shard)
+                .collect();
+            assert!(!on_shard.is_empty(), "shard {shard} holds entries");
+            let after = cluster.query_batch(&on_shard);
+            assert!(
+                matches!(after, Err(Error::Unavailable(_))),
+                "shard {shard} still answers: {after:?}"
+            );
+        }
+        let report = cluster.restart_node(NODE).unwrap();
+        assert_eq!(report.recovered_entries, 200, "every shard's log replays");
+        assert_eq!(cluster.stats().unwrap().nodes[0].shards, 4);
+        let exists = cluster.lookup_insert_batch(&fps).unwrap();
+        assert!(exists.iter().all(|e| *e), "committed entries lost");
+        cluster.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The sharded server (any S) answers a random stream of
-        /// lookup/record/install/remove frames exactly like one
+        /// A node of any S shards answers a random stream of
+        /// lookup/record/install/remove windows exactly like one
         /// `HybridHashNode`: same existence bits, same values (recorded
-        /// ones, or `PENDING_VALUE`), same final scan. Lookup
-        /// and install frames carry up to 8 fingerprints from a 120-key
-        /// population, so they span shards and repeat fingerprints within
-        /// a frame.
+        /// ones, or `PENDING_VALUE`), same final scan. Lookup and install
+        /// windows carry up to 8 fingerprints from a 120-key population,
+        /// so they span shards and repeat fingerprints within a window.
         #[test]
         fn prop_sharded_server_matches_reference(
             shards in 1u32..=8,
             keys in proptest::collection::vec(0u64..120, 1..150),
         ) {
-            let fp = |k: u64| {
-                Fingerprint::from_u64(k.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31))
-            };
             let mut reference =
-                HybridHashNode::new(NodeId::new(0), NodeConfig::small_test()).unwrap();
-            let (tx, handle) = spawn_test_sharded(shards);
+                HybridHashNode::new(NODE, NodeConfig::small_test()).unwrap();
+            let cluster = one_node(NodeConfig::small_test().with_shards(shards));
             for (i, &k) in keys.iter().enumerate() {
-                let correlation = i as u64;
-                let f = fp(k);
-                let ack = Frame::Ack { correlation };
-                let (frame, want) = match k % 7 {
+                let f = spread(k);
+                let window = &keys[i..keys.len().min(i + 8)];
+                match k % 7 {
                     0 => {
                         reference.remove(f).unwrap();
-                        let fingerprints = vec![f];
-                        (Frame::RemoveReq { correlation, fingerprints }, ack)
+                        cluster.remove_batch(&[f]).unwrap();
                     }
                     1 => {
                         reference.record(f, k * 10).unwrap();
-                        (Frame::RecordReq { correlation, pairs: vec![(f, k * 10)] }, ack)
+                        cluster.record_batch(&[(f, k * 10)]).unwrap();
                     }
                     2 => {
                         let pairs: Vec<(Fingerprint, u64)> =
-                            keys[i..keys.len().min(i + 8)].iter().map(|&k| (fp(k), k)).collect();
-                        let mut exists = Vec::new();
-                        let mut values = Vec::new();
-                        for &(f, k) in &pairs {
-                            let held = reference.install(f, k).unwrap();
-                            exists.push(held.is_some());
-                            values.extend(held);
-                        }
-                        (
-                            Frame::MigrateReq { correlation, pairs },
-                            Frame::LookupResp { correlation, exists, values },
-                        )
+                            window.iter().map(|&k| (spread(k), k)).collect();
+                        let want: (Vec<bool>, Vec<u64>) = pairs
+                            .iter()
+                            .map(|&(f, k)| {
+                                let held = reference.install(f, k).unwrap();
+                                (held.is_some(), held.unwrap_or(0))
+                            })
+                            .unzip();
+                        prop_assert_eq!(install(&cluster, &pairs), want, "op {}", i);
                     }
                     _ => {
                         let fingerprints: Vec<Fingerprint> =
-                            keys[i..keys.len().min(i + 8)].iter().map(|&k| fp(k)).collect();
+                            window.iter().map(|&k| spread(k)).collect();
                         let batch = reference.lookup_insert_batch(&fingerprints).unwrap();
-                        let values = compact_values(&batch.exists, &batch.values);
-                        let stream = StreamId::new(0);
-                        (
-                            Frame::LookupInsertReq { correlation, stream, fingerprints },
-                            Frame::LookupResp { correlation, exists: batch.exists, values },
-                        )
+                        let values = batch
+                            .exists
+                            .iter()
+                            .zip(&batch.values)
+                            .map(|(&e, &v)| if e { v } else { 0 })
+                            .collect();
+                        let got = cluster.lookup_insert_batch_values(&fingerprints).unwrap();
+                        prop_assert_eq!(got, (batch.exists, values), "op {}", i);
                     }
-                };
-                prop_assert_eq!(rpc(&tx, frame), want, "op {i}");
-            }
-            let (ctl_tx, ctl_rx) = unbounded();
-            let scan = NodeRequest::Control { msg: ControlMsg::Scan, reply: ctl_tx };
-            tx.send(scan).unwrap();
-            match ctl_rx.recv().unwrap() {
-                ControlReply::Scan(entries) => {
-                    prop_assert_eq!(entries, reference.scan().unwrap());
                 }
-                other => panic!("unexpected {other:?}"),
             }
-            drop(tx);
-            handle.join().unwrap();
+            prop_assert_eq!(scan_node(&cluster), reference.scan().unwrap());
+            cluster.shutdown().unwrap();
         }
     }
 }

@@ -24,7 +24,14 @@ fn unique_test_dir() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("shhc-test-{}-{seq}", std::process::id()))
+    fresh_dir(std::env::temp_dir().join(format!("shhc-test-{}-{seq}", std::process::id())))
+}
+
+/// `dir`, emptied: an earlier process whose pid has since been reused
+/// may have left a store there, and a test node must not replay it.
+fn fresh_dir(dir: std::path::PathBuf) -> std::path::PathBuf {
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// Configuration of one hybrid node.
@@ -55,8 +62,9 @@ pub struct NodeConfig {
     /// for this long, making per-node service time visible to wall-clock
     /// scaling benches and slow-replica concurrency tests.
     pub service_delay: std::time::Duration,
-    /// Artificial *wall-clock* cost charged once per data-plane frame
-    /// (zero in production configs) — the per-message network/protocol
+    /// Artificial *wall-clock* cost charged once per data-plane frame a
+    /// node (or shard) server thread receives (zero in production
+    /// configs) — the per-message network/protocol
     /// overhead the in-process channel transport otherwise hides, and the
     /// cost that fingerprint batching exists to amortize. The front-end
     /// concurrency bench turns this up to make the batching dial visible
@@ -66,11 +74,12 @@ pub struct NodeConfig {
     /// single-threaded node, served by one server thread; `> 1` splits
     /// the node's fingerprint range into that many prefix-routed shards
     /// ([`crate::shard_slices`]), each owning its own RAM cache and flash
-    /// slice (with its directory), executed by a per-shard worker pool in the
-    /// cluster server (one core per shard).
+    /// slice (with its directory) and served by its own server thread in
+    /// the cluster (one core per shard); the cluster routes each
+    /// fingerprint to its shard.
     pub shards: u32,
     /// Must be [`BackendKind::Single`]: each shard's RAM index is its own
-    /// cache and flash table, owned by its worker. The field survives
+    /// cache and flash table, owned by its server thread. The field survives
     /// only because the ledger sets it; [`HybridHashNode::new`] rejects
     /// any other value.
     pub backend: BackendKind,
@@ -1116,6 +1125,34 @@ mod tests {
         assert_eq!(n.entries(), 200);
         let all: Vec<Fingerprint> = (0..200).map(fp).collect();
         assert!(n.query_many(&all).unwrap().0.iter().all(|&e| e));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A WAL test node's directory is emptied before use: a store that an
+    /// earlier process left at the same path (its pid since reused) must
+    /// not replay into a fresh node.
+    #[test]
+    fn test_node_over_a_leftover_directory_starts_empty() {
+        let dir = std::env::temp_dir().join(format!("shhc-node-leftover-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = NodeConfig::small_test().with_durability(Durability::wal(&dir));
+        {
+            let mut n = HybridHashNode::new(NodeId::new(5), config.clone()).unwrap();
+            for i in 0..50 {
+                n.lookup_insert(fp(i)).unwrap();
+            }
+            n.close().unwrap();
+        }
+        // Opened as it is, the directory replays the leftover store.
+        let stale = HybridHashNode::new(NodeId::new(5), config.clone()).unwrap();
+        assert_eq!(stale.entries(), 50);
+        drop(stale);
+        let config = config.with_durability(Durability::wal(fresh_dir(dir.clone())));
+        let mut n = HybridHashNode::new(NodeId::new(5), config).unwrap();
+        assert_eq!(n.entries(), 0);
+        assert_eq!(n.stats().recovered_entries, 0);
+        assert!(!n.lookup_insert(fp(1)).unwrap().existed);
+        assert!(!n.lookup_insert(fp(9999)).unwrap().existed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,18 +12,20 @@
 //! key is the fingerprint's first eight bytes), which keeps scans and
 //! migration cursors deterministic.
 //!
-//! A batched lookup-insert runs in one pass per shard: the frame is split
-//! by shard ([`ShardRouter::split`]), each shard answers its slice with
-//! [`HybridHashNode::lookup_insert_batch`] — probing and inserting in the
-//! same call — and the answers are scattered back to their positions.
-//! Every occurrence of a fingerprint routes to the same shard, so a
-//! shard sees each frame's repeats together and serves frames in the
-//! order it receives them: a fingerprint is answered "new" exactly once.
-//! An insert stores [`shhc_types::PENDING_VALUE`] until its location is
-//! recorded, so the answers carry no shard-local state.
+//! A batched lookup-insert runs in one pass per shard: the caller splits
+//! the batch by shard ([`ShardRouter::shard_of`], or
+//! [`ShardRouter::split`] for a position-keyed split), each shard answers
+//! its slice with [`HybridHashNode::lookup_insert_batch`] — probing and
+//! inserting in the same call — and the answers are scattered back to
+//! their positions. Every occurrence of a fingerprint routes to the same
+//! shard, so a shard sees each frame's repeats together and serves frames
+//! in the order it receives them: a fingerprint is answered "new" exactly
+//! once. An insert stores [`shhc_types::PENDING_VALUE`] until its
+//! location is recorded, so the answers carry no shard-local state.
 //!
-//! [`shard_slices`] builds a node's shards. The cluster server runs each
-//! on its own worker thread, one core per shard; its tests and the
+//! [`shard_slices`] builds a node's shards. The cluster serves each from
+//! its own server thread behind its own queue, one core per shard, and
+//! routes every fingerprint to its shard itself; its tests and the
 //! equivalence suites hold the answers byte-identical to one
 //! [`HybridHashNode`].
 
@@ -162,8 +164,8 @@ mod tests {
     }
 
     /// A node's [`shard_slices`] driven one shard after another: the
-    /// split → per-shard lookup-insert → scatter the server's shard
-    /// workers run concurrently.
+    /// split → per-shard lookup-insert → scatter the cluster runs across
+    /// the shards' server threads concurrently.
     struct Sequential {
         router: ShardRouter,
         shards: Vec<HybridHashNode>,

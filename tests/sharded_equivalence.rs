@@ -1,6 +1,6 @@
 //! Sharded-node equivalence and head-of-line-blocking suite.
 //!
-//! Nodes with `shards > 1`, served by one worker thread per shard, must be
+//! Nodes with `shards > 1`, served by one server thread per shard, must be
 //! a pure performance change: byte-identical answers to single-threaded
 //! nodes for every operation, through membership changes —
 //! plus the property the sharding exists for: a small frame queued
@@ -148,7 +148,7 @@ fn migration_interleavings_preserve_equivalence() {
     sharded.shutdown().unwrap();
 }
 
-/// The head-of-line regression the worker pool exists to fix: a 1-
+/// The head-of-line regression the shard threads exist to fix: a 1-
 /// fingerprint frame submitted right behind a 48-fingerprint frame is
 /// answered in ≈ its own service time on a sharded node (its shard is
 /// idle), while the single-threaded baseline demonstrably makes it wait
