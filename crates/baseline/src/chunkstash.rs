@@ -37,8 +37,6 @@ pub struct ChunkStashIndex {
     cpu_per_op: Nanos,
     busy: Nanos,
     entries: u64,
-    /// Signature said "present" but flash disagreed (tag collision).
-    tag_collisions: u64,
 }
 
 impl ChunkStashIndex {
@@ -55,7 +53,6 @@ impl ChunkStashIndex {
             cpu_per_op,
             busy: Nanos::ZERO,
             entries: 0,
-            tag_collisions: 0,
         })
     }
 
@@ -80,11 +77,6 @@ impl ChunkStashIndex {
             Nanos::from_micros(20),
         )
     }
-
-    /// Observed tag collisions (wasted flash confirms).
-    pub fn tag_collisions(&self) -> u64 {
-        self.tag_collisions
-    }
 }
 
 impl FingerprintIndex for ChunkStashIndex {
@@ -99,7 +91,6 @@ impl FingerprintIndex for ChunkStashIndex {
                 Some(_) => true,
                 None => {
                     // Tag collision with a different fingerprint.
-                    self.tag_collisions += 1;
                     self.store.put(fp, self.entries)?;
                     if !self.signatures.insert(fp, self.entries) {
                         return Err(shhc_types::Error::OutOfSpace {

@@ -94,12 +94,14 @@ impl CuckooTable {
     }
 
     /// Current load factor.
-    pub fn load_factor(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn load_factor(&self) -> f64 {
         self.len as f64 / (self.buckets.len() * SLOTS_PER_BUCKET) as f64
     }
 
     /// Total cuckoo displacements performed so far.
-    pub fn kicks(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn kicks(&self) -> u64 {
         self.kicks
     }
 
@@ -194,11 +196,6 @@ impl CuckooTable {
             }
         }
         None
-    }
-
-    /// RAM footprint in bytes (12 bytes per slot as laid out here).
-    pub fn size_bytes(&self) -> usize {
-        self.buckets.len() * SLOTS_PER_BUCKET * std::mem::size_of::<Option<Entry>>()
     }
 }
 

@@ -103,7 +103,8 @@ impl DdfsIndex {
     }
 
     /// Container fetches so far (each cost one seek).
-    pub fn container_fetches(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn container_fetches(&self) -> u64 {
         self.pub_fetches
     }
 

@@ -76,12 +76,12 @@ fn env_flag(name: &str) -> bool {
 }
 
 /// The workspace root (where `BENCH_*.json` summaries land).
-pub fn workspace_root() -> PathBuf {
+fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// The `results/` directory at the workspace root (created on demand).
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let dir = workspace_root().join("results");
     std::fs::create_dir_all(&dir).expect("create results directory");
     dir

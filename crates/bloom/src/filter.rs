@@ -1,7 +1,5 @@
 //! The classic bit-array bloom filter.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{probes, BloomParams};
 
 /// A space-efficient probabilistic set: membership queries may return
@@ -24,7 +22,7 @@ use crate::{probes, BloomParams};
 /// assert!((0u32..100).all(|k| bloom.contains(&k.to_le_bytes())));
 /// assert_eq!(bloom.len(), 100);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BloomFilter {
     params: BloomParams,
     bits: Vec<u64>,
@@ -84,25 +82,16 @@ impl BloomFilter {
     }
 
     /// Fraction of bits set — a direct measure of saturation.
-    pub fn fill_ratio(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn fill_ratio(&self) -> f64 {
         let set: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
         set as f64 / self.params.bits as f64
-    }
-
-    /// Predicted false-positive rate at the current load.
-    pub fn current_fpr(&self) -> f64 {
-        self.params.expected_fpr(self.inserted)
     }
 
     /// Clears the filter to empty without reallocating.
     pub fn clear(&mut self) {
         self.bits.iter_mut().for_each(|w| *w = 0);
         self.inserted = 0;
-    }
-
-    /// Memory used by the bit array, in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.bits.len() * 8
     }
 }
 
@@ -178,20 +167,6 @@ mod tests {
         // At design load, fill ratio should be near 50% (optimal k).
         let r = bloom.fill_ratio();
         assert!((0.4..0.6).contains(&r), "fill ratio {r}");
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_membership() {
-        let mut bloom = BloomFilter::with_rate(500, 0.02);
-        for i in 0u64..200 {
-            bloom.insert(&i.to_le_bytes());
-        }
-        let json = serde_json::to_string(&bloom).expect("serialize");
-        let back: BloomFilter = serde_json::from_str(&json).expect("deserialize");
-        for i in 0u64..200 {
-            assert!(back.contains(&i.to_le_bytes()));
-        }
-        assert_eq!(back.len(), bloom.len());
     }
 
     proptest! {

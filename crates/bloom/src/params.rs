@@ -1,7 +1,5 @@
 //! Bloom filter parameter mathematics.
 
-use serde::{Deserialize, Serialize};
-
 /// Solved bloom-filter parameters.
 ///
 /// # Examples
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(p.bits_per_key() > 9.0 && p.bits_per_key() < 10.5);
 /// assert_eq!(p.hashes, 7);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BloomParams {
     /// Number of bits in the filter (`m`).
     pub bits: u64,
@@ -55,15 +53,11 @@ impl BloomParams {
 
     /// Predicted false-positive rate once `inserted` keys are present:
     /// `(1 − e^(−k·i/m))^k`.
-    pub fn expected_fpr(&self, inserted: u64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn expected_fpr(&self, inserted: u64) -> f64 {
         let k = self.hashes as f64;
         let exponent = -k * inserted as f64 / self.bits as f64;
         (1.0 - exponent.exp()).powf(k)
-    }
-
-    /// Memory footprint of a plain bit-array filter with these parameters.
-    pub fn size_bytes(&self) -> u64 {
-        self.bits.div_ceil(8)
     }
 }
 

@@ -27,8 +27,7 @@ struct Slot<K, V> {
 ///
 /// The index defaults to [`FingerprintBuildHasher`] — cache keys are
 /// content hashes (or ids derived from them), so SipHash's seeded rounds
-/// buy nothing on this hot path. Pass another [`BuildHasher`] via
-/// [`LruCache::with_hasher`] to override.
+/// buy nothing on this hot path.
 ///
 /// # Examples
 ///
@@ -63,20 +62,9 @@ impl<K: CacheKey, V> LruCache<K, V> {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        Self::with_hasher(capacity, FingerprintBuildHasher)
-    }
-}
-
-impl<K: CacheKey, V, S: BuildHasher> LruCache<K, V, S> {
-    /// Like [`LruCache::new`] but with an explicit hash-state builder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_hasher(capacity: usize, hasher: S) -> Self {
         assert!(capacity > 0, "cache capacity must be nonzero");
         LruCache {
-            map: HashMap::with_hasher(hasher),
+            map: HashMap::with_hasher(FingerprintBuildHasher),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -85,7 +73,9 @@ impl<K: CacheKey, V, S: BuildHasher> LruCache<K, V, S> {
             stats: CacheStats::default(),
         }
     }
+}
 
+impl<K: CacheKey, V, S: BuildHasher> LruCache<K, V, S> {
     fn slot(&self, idx: usize) -> &Slot<K, V> {
         self.slots[idx].as_ref().expect("linked slot is occupied")
     }
@@ -179,7 +169,8 @@ impl<K: CacheKey, V, S: BuildHasher> LruCache<K, V, S> {
     }
 
     /// Returns the least-recently-used key without removing it.
-    pub fn peek_lru(&self) -> Option<&K> {
+    #[cfg(test)]
+    pub(crate) fn peek_lru(&self) -> Option<&K> {
         if self.tail == NIL {
             None
         } else {

@@ -75,37 +75,13 @@ impl RabinChunker {
     /// Panics if `min == 0`, bounds are not ordered, or `target` is not a
     /// power of two.
     pub fn new(min: usize, target: usize, max: usize) -> Self {
-        Self::with_poly(min, target, max, DEFAULT_IRREDUCIBLE_POLY)
-    }
-
-    /// Creates a chunker with a caller-chosen irreducible polynomial.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`RabinChunker::new`].
-    pub fn with_poly(min: usize, target: usize, max: usize, poly: u64) -> Self {
         let bounds = SizeBounds::new(min, target, max);
         let mask = (target as u64) - 1;
         RabinChunker {
             bounds,
-            tables: RabinTables::new(poly, Self::WINDOW),
+            tables: RabinTables::new(DEFAULT_IRREDUCIBLE_POLY, Self::WINDOW),
             mask,
         }
-    }
-
-    /// Minimum chunk size.
-    pub fn min_size(&self) -> usize {
-        self.bounds.min
-    }
-
-    /// Target (expected) chunk size.
-    pub fn target_size(&self) -> usize {
-        self.bounds.target
-    }
-
-    /// Maximum chunk size.
-    pub fn max_size(&self) -> usize {
-        self.bounds.max
     }
 }
 
@@ -177,21 +153,6 @@ impl GearChunker {
             mask_strict: high_mask(strict_bits),
             mask_loose: high_mask(loose_bits),
         }
-    }
-
-    /// Minimum chunk size.
-    pub fn min_size(&self) -> usize {
-        self.bounds.min
-    }
-
-    /// Target chunk size.
-    pub fn target_size(&self) -> usize {
-        self.bounds.target
-    }
-
-    /// Maximum chunk size.
-    pub fn max_size(&self) -> usize {
-        self.bounds.max
     }
 }
 

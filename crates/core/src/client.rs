@@ -33,7 +33,7 @@ pub struct Snapshot {
 #[derive(Debug, Clone)]
 pub struct FileEntry {
     /// Whole-file SHA-1 (change detection key).
-    pub content_hash: Fingerprint,
+    pub(crate) content_hash: Fingerprint,
     /// The file's chunk manifest.
     pub manifest: BackupManifest,
 }

@@ -129,7 +129,7 @@ pub struct ClusterConfig {
     pub replication: usize,
     /// How long a client waits for a node's reply before declaring it
     /// unavailable. This bounds the *whole* gather phase of a batch.
-    pub request_timeout: Duration,
+    pub(crate) request_timeout: Duration,
     /// Entries per migration frame during online rebalancing: scanned
     /// entries are installed on their owners and removed from nodes that
     /// no longer own them `migration_chunk` entries at a time, bounding
@@ -469,7 +469,8 @@ impl ShhcCluster {
 
     /// Whether a membership change's migration is still in flight
     /// (dual-read active).
-    pub fn migration_in_flight(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn migration_in_flight(&self) -> bool {
         self.inner.routing.read().migration.is_some()
     }
 

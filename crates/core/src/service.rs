@@ -686,19 +686,6 @@ impl<C: Chunker, S: ChunkStore> BackupService<C, S> {
         }
         Ok(())
     }
-
-    /// Consumes the service, returning the store (e.g. to inspect
-    /// containers after a run).
-    ///
-    /// # Panics
-    ///
-    /// Panics when other clones of this service handle are still alive.
-    pub fn into_store(self) -> S {
-        match Arc::try_unwrap(self.inner) {
-            Ok(inner) => inner.store.into_inner(),
-            Err(_) => panic!("into_store with other service handles alive"),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -365,11 +365,6 @@ impl SharedFrontend {
         self.inner.batcher.max_age()
     }
 
-    /// The admission policy bounding this front-end's queue.
-    pub fn admission_policy(&self) -> AdmissionPolicy {
-        self.inner.batcher.admission_policy()
-    }
-
     /// Submissions admitted but not yet answered (pending in the queue
     /// plus dispatched to the cluster) — the load signal a balancer
     /// compares front-ends by.

@@ -39,9 +39,6 @@ pub struct SimClusterConfig {
     pub net: NetModel,
     /// Fingerprints per client batch (the Figure 5 x-axis series).
     pub batch_size: usize,
-    /// Outstanding batches per client (1 = strict request/response, as
-    /// in the paper's client driver).
-    pub client_inflight: usize,
 }
 
 impl SimClusterConfig {
@@ -55,7 +52,6 @@ impl SimClusterConfig {
             node_config: NodeConfig::default_node(),
             net: NetModel::gigabit(),
             batch_size,
-            client_inflight: 1,
         }
     }
 
@@ -67,7 +63,6 @@ impl SimClusterConfig {
             node_config: NodeConfig::small_test(),
             net: NetModel::instant(),
             batch_size,
-            client_inflight: 1,
         }
     }
 }
@@ -147,10 +142,8 @@ impl SimCluster {
         if config.nodes == 0 {
             return Err(shhc_types::Error::invalid("need at least one node"));
         }
-        if config.batch_size == 0 || config.client_inflight == 0 {
-            return Err(shhc_types::Error::invalid(
-                "batch size and inflight must be nonzero",
-            ));
+        if config.batch_size == 0 {
+            return Err(shhc_types::Error::invalid("batch size must be nonzero"));
         }
         let nodes = (0..config.nodes)
             .map(|i| HybridHashNode::new(NodeId::new(i), config.node_config.clone()))
@@ -189,9 +182,10 @@ impl SimCluster {
 
     /// Drives one stream per client through the cluster to completion.
     ///
-    /// Each client batches its stream, keeps `client_inflight` batches
-    /// outstanding, and every batch is split by the ring into per-node
-    /// sub-requests that queue FCFS at the nodes.
+    /// Each client batches its stream and keeps one batch outstanding
+    /// (strict request/response, as in the paper's client driver); every
+    /// batch is split by the ring into per-node sub-requests that queue
+    /// FCFS at the nodes.
     ///
     /// # Errors
     ///
@@ -200,7 +194,6 @@ impl SimCluster {
         struct ClientState {
             batches: Vec<Vec<Fingerprint>>,
             next: usize,
-            completions: Vec<Nanos>,
         }
 
         let mut clients: Vec<ClientState> = client_streams
@@ -211,7 +204,6 @@ impl SimCluster {
                     .map(|b| b.to_vec())
                     .collect(),
                 next: 0,
-                completions: Vec::new(),
             })
             .collect();
 
@@ -227,7 +219,6 @@ impl SimCluster {
         let mut duration = Nanos::ZERO;
         let mut chunks = 0u64;
         let mut batches = 0u64;
-        let inflight = self.config.client_inflight;
 
         while let Some(Reverse((t0, c))) = heap.pop() {
             let batch = {
@@ -263,17 +254,10 @@ impl SimCluster {
             latency.record(batch_done - t0);
             duration = duration.max(batch_done);
 
-            let state = &mut clients[c];
-            state.completions.push(batch_done);
+            // The client's next batch leaves when this one completes.
+            let state = &clients[c];
             if state.next < state.batches.len() {
-                // The next dispatch waits until the (next - inflight)-th
-                // batch has completed.
-                let gate = if state.next >= inflight {
-                    state.completions[state.next - inflight]
-                } else {
-                    Nanos::ZERO
-                };
-                heap.push(Reverse((gate, c)));
+                heap.push(Reverse((batch_done, c)));
             }
         }
 

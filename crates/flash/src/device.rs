@@ -319,7 +319,8 @@ impl FlashDevice {
     }
 
     /// True if the page is currently erased.
-    pub fn is_erased(&self, ppa: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_erased(&self, ppa: u64) -> bool {
         self.check_ppa(ppa)
             .map(|idx| self.states[idx] == PageState::Erased)
             .unwrap_or(false)

@@ -15,8 +15,6 @@ pub struct FtlStats {
     pub user_programs: u64,
     /// Page programs performed by garbage collection (relocations).
     pub gc_programs: u64,
-    /// Page reads performed by garbage collection.
-    pub gc_reads: u64,
     /// Garbage collection passes.
     pub gc_runs: u64,
 }
@@ -29,7 +27,6 @@ impl FtlStats {
         parts.into_iter().fold(FtlStats::default(), |mut acc, p| {
             acc.user_programs += p.user_programs;
             acc.gc_programs += p.gc_programs;
-            acc.gc_reads += p.gc_reads;
             acc.gc_runs += p.gc_runs;
             acc
         })
@@ -339,7 +336,6 @@ impl Ftl {
                 let (data, rcost) = self.device.read_page(ppa)?;
                 let data = data.to_vec();
                 *cost += rcost;
-                self.stats.gc_reads += 1;
 
                 // Destination: next slot in the open block, which may
                 // itself fill up mid-GC. The open block may also be

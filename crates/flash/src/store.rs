@@ -4,8 +4,7 @@ use shhc_types::{Error, Fingerprint, FpHashMap, Nanos, Result, FINGERPRINT_LEN};
 
 use crate::wal::{DurableLog, JournalOp, SegmentOp};
 use crate::{
-    DeviceStats, Durability, FlashDevice, FlashGeometry, FlashLatency, Ftl, FtlStats,
-    RecoveryStats, WalStats,
+    DeviceStats, Durability, FlashDevice, FlashGeometry, FlashLatency, Ftl, FtlStats, RecoveryStats,
 };
 
 /// On-flash record: fingerprint, value, liveness flag, padding to 32 B.
@@ -93,7 +92,7 @@ impl FlashConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// `get` calls answered from the RAM write buffer.
-    pub buffer_hits: u64,
+    pub(crate) buffer_hits: u64,
     /// `get` calls the write buffer could not answer, sent to the
     /// bucket's signature directory (and to flash on a tag match).
     pub flash_probes: u64,
@@ -105,7 +104,7 @@ pub struct StoreStats {
     /// issuing the lookups individually.
     pub coalesced_probes: u64,
     /// Records currently believed live (puts − deletes).
-    pub live_records: u64,
+    pub(crate) live_records: u64,
     /// Bucket flushes performed.
     pub flushes: u64,
     /// Chain compactions performed.
@@ -445,11 +444,6 @@ impl FlashStore {
     /// True when the store persists through a write-ahead log.
     pub fn is_durable(&self) -> bool {
         self.wal.is_some()
-    }
-
-    /// Write-ahead log counters, when durable.
-    pub fn wal_stats(&self) -> Option<WalStats> {
-        self.wal.as_ref().map(DurableLog::stats)
     }
 
     /// Group-commits the write-ahead log: every journaled mutation staged
@@ -1116,7 +1110,8 @@ impl FlashStore {
 
     /// Average number of flash pages per occupied bucket — the expected
     /// read cost of a cold lookup.
-    pub fn mean_chain_length(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_chain_length(&self) -> f64 {
         let occupied = self.buckets.iter().filter(|b| !b.pages.is_empty()).count();
         if occupied == 0 {
             return 0.0;

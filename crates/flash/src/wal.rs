@@ -75,7 +75,7 @@ const fn crc32_table() -> [u32; 256] {
 static CRC32_TABLE: [u32; 256] = crc32_table();
 
 /// CRC-32 (IEEE 802.3) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
         c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -96,12 +96,12 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Append a half-written (checksum-failing) record to the journal.
-    pub torn_journal_tail: bool,
+    pub(crate) torn_journal_tail: bool,
     /// Append a half-written record to the segment log.
-    pub torn_segment_tail: bool,
+    pub(crate) torn_segment_tail: bool,
     /// Roll the journal back by its last committed group, modeling a
     /// commit the device acknowledged from volatile cache and then lost.
-    pub drop_last_commit: bool,
+    pub(crate) drop_last_commit: bool,
 }
 
 impl FaultPlan {
@@ -196,12 +196,6 @@ impl Durability {
 pub struct WalStats {
     /// Journal records staged since open.
     pub journal_records: u64,
-    /// Journal bytes committed to the file.
-    pub journal_bytes: u64,
-    /// Segment records staged since open (pages + compactions).
-    pub segment_records: u64,
-    /// Segment bytes committed to the file.
-    pub segment_bytes: u64,
     /// Group commits that wrote at least one byte.
     pub commits: u64,
     /// Checkpoints (journal truncations after a full flush).
@@ -596,7 +590,6 @@ impl DurableLog {
         let mut payload = Vec::new();
         op.encode(&mut payload);
         push_frame(&mut self.staged_segments, &payload);
-        self.stats.segment_records += 1;
     }
 
     /// Group commit: writes staged journal bytes, then staged segment
@@ -610,13 +603,11 @@ impl DurableLog {
             self.prev_journal_len = self.journal_len;
             self.journal_len += self.staged_journal.len() as u64;
             self.charge(self.staged_journal.len());
-            self.stats.journal_bytes += self.staged_journal.len() as u64;
             self.staged_journal.clear();
         }
         if !self.staged_segments.is_empty() {
             self.segments.write_all(&self.staged_segments)?;
             self.charge(self.staged_segments.len());
-            self.stats.segment_bytes += self.staged_segments.len() as u64;
             self.staged_segments.clear();
         }
         self.stats.commits += 1;

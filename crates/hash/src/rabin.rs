@@ -33,7 +33,6 @@ pub const DEFAULT_IRREDUCIBLE_POLY: u64 = 0x003D_A335_8B4D_C173;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RabinTables {
-    poly: u64,
     degree: u32,
     mask: u64,
     window: usize,
@@ -77,7 +76,6 @@ impl RabinTables {
         }
 
         RabinTables {
-            poly,
             degree,
             mask,
             window,
@@ -86,18 +84,14 @@ impl RabinTables {
         }
     }
 
-    /// The polynomial these tables were built for.
-    pub fn poly(&self) -> u64 {
-        self.poly
-    }
-
     /// The window size in bytes.
     pub fn window(&self) -> usize {
         self.window
     }
 
     /// Degree of the polynomial (number of significant fingerprint bits).
-    pub fn degree(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn degree(&self) -> u32 {
         self.degree
     }
 }
@@ -166,7 +160,8 @@ impl<'t> RabinHasher<'t> {
     }
 
     /// True once the window has seen at least `window` bytes.
-    pub fn is_warm(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_warm(&self) -> bool {
         self.filled
     }
 }

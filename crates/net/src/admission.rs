@@ -186,7 +186,6 @@ struct Counts {
     /// Completed-request latency accounting (admission → answer).
     latency: SampleRing,
     latency_total_ns: u128,
-    latency_max_ns: u64,
 }
 
 /// Shared admission state: the gate every submission passes and every
@@ -219,7 +218,6 @@ pub(crate) struct AdmissionSnapshot {
     pub outstanding: usize,
     pub latency_count: u64,
     pub latency_total_ns: u128,
-    pub latency_max_ns: u64,
     pub latency_samples: RingReader,
 }
 
@@ -346,7 +344,6 @@ impl AdmissionGate {
             let latency_ns = now.duration_since(*at).as_nanos().min(u128::from(u64::MAX)) as u64;
             counts.latency.push(latency_ns);
             counts.latency_total_ns += u128::from(latency_ns);
-            counts.latency_max_ns = counts.latency_max_ns.max(latency_ns);
         }
         let wake = counts.parked > 0;
         drop(counts);
@@ -365,7 +362,6 @@ impl AdmissionGate {
             outstanding: counts.outstanding,
             latency_count: counts.latency.seen(),
             latency_total_ns: counts.latency_total_ns,
-            latency_max_ns: counts.latency_max_ns,
             latency_samples: counts.latency.reader(),
         }
     }

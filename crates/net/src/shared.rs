@@ -367,7 +367,7 @@ impl<V> ClosedBatch<V> {
     /// How long the batch's oldest entry waited before release (its own
     /// enqueue time to the close, never a shared `opened_at` that a
     /// concurrent flush could have reset).
-    pub fn queueing_delay(&self) -> Duration {
+    pub(crate) fn queueing_delay(&self) -> Duration {
         self.closed_at - self.batch.submitted_at[0]
     }
 
@@ -441,7 +441,6 @@ struct StatsAccum {
     max_occupancy: usize,
     delay_count: u64,
     delay_total_ns: u128,
-    delay_max_ns: u64,
     /// Ring of the most recent per-fingerprint submit→close delays, so
     /// the windowed tail stays live at any uptime.
     delay_samples: SampleRing,
@@ -468,11 +467,9 @@ pub struct SharedBatcherStats {
     pub pending: usize,
     /// Per-fingerprint queueing delays recorded (may exceed the sample
     /// vector length once the retention cap is hit).
-    pub delay_count: u64,
+    pub(crate) delay_count: u64,
     /// Sum of all recorded delays, in nanoseconds.
-    pub delay_total_ns: u128,
-    /// Largest recorded delay, in nanoseconds.
-    pub delay_max_ns: u64,
+    pub(crate) delay_total_ns: u128,
     /// The most recent delay samples in nanoseconds, oldest first
     /// (bounded ring — quantiles describe current behaviour, not the
     /// first hours of uptime).
@@ -492,9 +489,7 @@ pub struct SharedBatcherStats {
     /// Admitted-latency (admission → answer) observations recorded.
     pub admitted_latency_count: u64,
     /// Sum of recorded admitted latencies, in nanoseconds.
-    pub admitted_latency_total_ns: u128,
-    /// Largest recorded admitted latency, in nanoseconds.
-    pub admitted_latency_max_ns: u64,
+    pub(crate) admitted_latency_total_ns: u128,
     /// The most recent admitted-latency samples in nanoseconds, oldest
     /// first (bounded ring).
     pub admitted_latency_samples_ns: Vec<u64>,
@@ -851,7 +846,6 @@ impl<V> SharedBatcher<V> {
                 .min(u128::from(u64::MAX)) as u64;
             stats.delay_count += 1;
             stats.delay_total_ns += u128::from(delay_ns);
-            stats.delay_max_ns = stats.delay_max_ns.max(delay_ns);
             stats.delay_samples.push(delay_ns);
         }
         Some(ClosedBatch {
@@ -883,11 +877,6 @@ impl<V> SharedBatcher<V> {
         self.max_age
     }
 
-    /// The batcher's admission policy.
-    pub fn admission_policy(&self) -> AdmissionPolicy {
-        self.gate.policy()
-    }
-
     /// Admitted submissions not yet answered (queued + dispatched) — the
     /// windowed occupancy signal a load balancer compares, cheap enough
     /// to read per submission.
@@ -916,7 +905,6 @@ impl<V> SharedBatcher<V> {
             pending: Self::pending(&state),
             delay_count: s.delay_count,
             delay_total_ns: s.delay_total_ns,
-            delay_max_ns: s.delay_max_ns,
             delay_samples_ns: Vec::new(),
             admitted: admission.admitted,
             shed: admission.shed,
@@ -925,7 +913,6 @@ impl<V> SharedBatcher<V> {
             outstanding: admission.outstanding,
             admitted_latency_count: admission.latency_count,
             admitted_latency_total_ns: admission.latency_total_ns,
-            admitted_latency_max_ns: admission.latency_max_ns,
             admitted_latency_samples_ns: Vec::new(),
         };
         drop(state);

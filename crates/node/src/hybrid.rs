@@ -18,13 +18,44 @@ pub enum CachePolicy {
 }
 
 /// A process-unique temp directory for a WAL-backed test node
-/// (`SHHC_TEST_DURABILITY=wal`): pid + monotonic counter keep parallel
-/// test binaries and successive test nodes from sharing store state.
+/// (`SHHC_TEST_DURABILITY=wal`): `temp_dir()/shhc-test/<pid>/<seq>`, so
+/// parallel test binaries and successive test nodes never share store
+/// state. The first call in a process removes the roots of test
+/// processes that have exited; the last process's root stays behind.
 fn unique_test_dir() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::OnceLock;
+    static ROOT: OnceLock<std::path::PathBuf> = OnceLock::new();
     static SEQ: AtomicU64 = AtomicU64::new(0);
+    let root = ROOT.get_or_init(|| {
+        let parent = std::env::temp_dir().join("shhc-test");
+        remove_exited_roots(&parent);
+        parent.join(std::process::id().to_string())
+    });
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    fresh_dir(std::env::temp_dir().join(format!("shhc-test-{}-{seq}", std::process::id())))
+    fresh_dir(root.join(seq.to_string()))
+}
+
+/// Removes every `<pid>` directory under `parent` whose process no
+/// longer exists (no `/proc/<pid>`). Where there is no `/proc` to ask,
+/// no process can be shown to have exited, and nothing is removed.
+fn remove_exited_roots(parent: &std::path::Path) {
+    let proc = std::path::Path::new("/proc");
+    if !proc.join("self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(parent) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(pid) = name.to_str().filter(|s| s.parse::<u32>().is_ok()) else {
+            continue;
+        };
+        if !proc.join(pid).exists() {
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
+    }
 }
 
 /// `dir`, emptied: an earlier process whose pid has since been reused
@@ -274,7 +305,7 @@ pub struct NodeStats {
     pub recovery_torn: u64,
     /// Virtual time spent replaying the WAL at recovery (also included
     /// in [`NodeStats::busy`]).
-    pub recovery_busy: Nanos,
+    pub(crate) recovery_busy: Nanos,
     /// Peak depth observed on the node's inbound request queue (frames
     /// waiting plus the one being served). The overload gauge: a node
     /// keeping up hovers near 1; a saturated node's peak grows with the
@@ -430,11 +461,6 @@ impl HybridHashNode {
     /// including the RAM write buffer) — the Figure 6 measurement.
     pub fn entries(&self) -> u64 {
         self.store.len()
-    }
-
-    /// Current RAM cache occupancy.
-    pub fn cached_entries(&self) -> usize {
-        self.cache.len()
     }
 
     /// RAM held by the flash table's signature directories, in bytes
@@ -1154,6 +1180,28 @@ mod tests {
         assert!(!n.lookup_insert(fp(1)).unwrap().existed);
         assert!(!n.lookup_insert(fp(9999)).unwrap().existed);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Test roots of exited processes are removed; a live process's root
+    /// (this one's, and pid 1's) is kept. `u32::MAX` is above any pid
+    /// limit, so no process can hold it.
+    #[test]
+    fn exited_test_roots_are_removed_and_live_ones_kept() {
+        let parent = std::env::temp_dir().join(format!("shhc-roots-{}", std::process::id()));
+        let root = |pid: u32| parent.join(pid.to_string());
+        for pid in [u32::MAX, std::process::id(), 1] {
+            std::fs::create_dir_all(root(pid).join("0")).unwrap();
+        }
+        std::fs::create_dir_all(parent.join("not-a-pid")).unwrap();
+        remove_exited_roots(&parent);
+        let has_proc = std::path::Path::new("/proc/self").exists();
+        assert_eq!(root(u32::MAX).exists(), !has_proc);
+        assert!(root(std::process::id()).join("0").exists());
+        if has_proc {
+            assert!(root(1).exists());
+        }
+        assert!(parent.join("not-a-pid").exists());
+        let _ = std::fs::remove_dir_all(&parent);
     }
 
     /// One frame of [`check_batch_against_singles`], with what both

@@ -57,7 +57,8 @@ impl RingView {
     }
 
     /// Wraps an existing ring as epoch `epoch`.
-    pub fn from_ring(ring: ConsistentHashRing, epoch: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_ring(ring: ConsistentHashRing, epoch: u64) -> Self {
         RingView { ring, epoch }
     }
 
@@ -279,7 +280,7 @@ impl MigrationPlan {
     }
 
     /// Total keys covered by the plan (65-bit to hold the full space).
-    pub fn moved_span(&self) -> u128 {
+    fn moved_span(&self) -> u128 {
         self.ranges.iter().map(|m| m.range.span()).sum()
     }
 

@@ -144,7 +144,8 @@ impl ConsistentHashRing {
 
     /// Fraction of the key space owned by each node, estimated from the
     /// ring arc lengths (exact, not sampled).
-    pub fn ownership_shares(&self) -> Vec<(NodeId, f64)> {
+    #[cfg(test)]
+    pub(crate) fn ownership_shares(&self) -> Vec<(NodeId, f64)> {
         let mut share: std::collections::HashMap<NodeId, u128> = Default::default();
         if self.points.is_empty() {
             return Vec::new();

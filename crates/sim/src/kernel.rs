@@ -51,11 +51,6 @@ impl<'a, M> SimCtx<'a, M> {
         self.now
     }
 
-    /// The id of the agent handling the event.
-    pub fn self_id(&self) -> AgentId {
-        self.self_id
-    }
-
     /// Schedules `msg` for delivery to `dst` after `delay`.
     pub fn send(&mut self, delay: Nanos, dst: AgentId, msg: M) {
         self.outbox.push((self.now + delay, dst, msg));
@@ -168,9 +163,8 @@ impl<M> Simulation<M> {
 
     /// Delivers the next event. Returns `false` when the queue is empty.
     ///
-    /// Events addressed to a removed agent (see
-    /// [`Simulation::remove_agent`]) are dropped silently, modelling
-    /// messages to a crashed node.
+    /// Events addressed to an agent that is no longer registered are
+    /// dropped silently, modelling messages to a crashed node.
     pub fn step(&mut self) -> bool {
         let Some(Reverse(ev)) = self.queue.pop() else {
             return false;
@@ -209,7 +203,8 @@ impl<M> Simulation<M> {
 
     /// Runs until the clock would pass `deadline` (events at exactly
     /// `deadline` are delivered), returning the final time.
-    pub fn run_until(&mut self, deadline: Nanos) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn run_until(&mut self, deadline: Nanos) -> Nanos {
         loop {
             match self.queue.peek() {
                 Some(Reverse(ev)) if ev.at <= deadline => {
@@ -225,7 +220,8 @@ impl<M> Simulation<M> {
     ///
     /// Pending events for the agent are dropped at delivery time (the
     /// kernel skips missing agents silently), modelling a crashed node.
-    pub fn remove_agent(&mut self, id: AgentId) -> Option<Box<dyn Agent<M>>> {
+    #[cfg(test)]
+    pub(crate) fn remove_agent(&mut self, id: AgentId) -> Option<Box<dyn Agent<M>>> {
         self.agents.get_mut(id.0).and_then(Option::take)
     }
 }

@@ -70,7 +70,8 @@ impl FcfsQueue {
     }
 
     /// Earliest time any server becomes free.
-    pub fn next_free(&self) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn next_free(&self) -> Nanos {
         *self.servers.iter().min().expect("at least one server")
     }
 
@@ -79,13 +80,9 @@ impl FcfsQueue {
         self.jobs
     }
 
-    /// Total service time consumed.
-    pub fn busy_total(&self) -> Nanos {
-        self.busy_total
-    }
-
     /// Mean queueing delay (time between arrival and service start).
-    pub fn mean_wait(&self) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn mean_wait(&self) -> Nanos {
         if self.jobs == 0 {
             Nanos::ZERO
         } else {
@@ -95,7 +92,8 @@ impl FcfsQueue {
 
     /// Utilization relative to a time horizon: busy time / (servers ×
     /// horizon). Values near 1.0 mean saturation.
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn utilization(&self, horizon: Nanos) -> f64 {
         if horizon == Nanos::ZERO {
             return 0.0;
         }

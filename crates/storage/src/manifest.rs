@@ -1,12 +1,11 @@
 //! Backup manifests and restore.
 
-use serde::{Deserialize, Serialize};
 use shhc_types::{ChunkId, Error, Fingerprint, Result, StreamId};
 
 use crate::ChunkStore;
 
 /// One chunk reference within a backup manifest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ManifestEntry {
     /// The chunk's content fingerprint.
     pub fingerprint: Fingerprint,
@@ -62,7 +61,7 @@ impl ManifestEntry {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackupManifest {
     /// The backup stream this manifest describes.
     pub stream: StreamId,
@@ -202,14 +201,5 @@ mod tests {
             }
             other => panic!("expected corruption, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut manifest = BackupManifest::new(StreamId::new(4));
-        manifest.push(Fingerprint::from_u64(1), ChunkId::new(0, 0), 10);
-        let json = serde_json::to_string(&manifest).unwrap();
-        let back: BackupManifest = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, manifest);
     }
 }

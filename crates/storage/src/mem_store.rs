@@ -78,7 +78,8 @@ impl MemChunkStore {
     }
 
     /// Containers whose chunks are all released (reclaimable space).
-    pub fn reclaimable_containers(&self) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn reclaimable_containers(&self) -> Vec<u32> {
         self.live_per_container
             .iter()
             .enumerate()

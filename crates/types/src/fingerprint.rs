@@ -3,9 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::de::Error as _;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
 /// Length in bytes of a [`Fingerprint`] (SHA-1 digest size).
 pub const FINGERPRINT_LEN: usize = 20;
 
@@ -203,31 +200,6 @@ fn hex_val(c: u8) -> Option<u8> {
     }
 }
 
-impl Serialize for Fingerprint {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        if serializer.is_human_readable() {
-            serializer.serialize_str(&self.to_hex())
-        } else {
-            serializer.serialize_bytes(&self.0)
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for Fingerprint {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        if deserializer.is_human_readable() {
-            let s = String::deserialize(deserializer)?;
-            s.parse().map_err(D::Error::custom)
-        } else {
-            let v: Vec<u8> = Vec::deserialize(deserializer)?;
-            let arr: [u8; FINGERPRINT_LEN] = v
-                .try_into()
-                .map_err(|v: Vec<u8>| D::Error::custom(format!("bad length {}", v.len())))?;
-            Ok(Fingerprint(arr))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,15 +262,6 @@ mod tests {
         let fp = Fingerprint::from_u64(42);
         assert_eq!(format!("{fp}"), fp.to_hex());
         assert!(format!("{fp:?}").starts_with("Fingerprint("));
-    }
-
-    #[test]
-    fn serde_json_round_trip() {
-        let fp = Fingerprint::from_u64(7);
-        let json = serde_json::to_string(&fp).expect("serialize");
-        assert!(json.contains(&fp.to_hex()));
-        let back: Fingerprint = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(fp, back);
     }
 
     #[test]

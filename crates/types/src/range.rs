@@ -1,7 +1,5 @@
 //! Wrapping ranges over the 64-bit routing-key space.
 
-use serde::{Deserialize, Serialize};
-
 /// An inclusive, possibly wrapping range of 64-bit routing keys.
 ///
 /// The fingerprint space is a ring: a range whose `first` exceeds its
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(wrap.contains(0));
 /// assert!(!wrap.contains(2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeyRange {
     /// First key of the range (inclusive).
     pub first: u64,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// One kibibyte (1024 bytes).
 pub const KIB: u64 = 1024;
 /// One mebibyte.
@@ -23,8 +21,7 @@ pub const GIB: u64 = 1024 * MIB;
 /// assert_eq!(total.as_u64(), 8 * 1024 + 512);
 /// assert_eq!(ByteSize::from_mib(4).to_string(), "4.00 MiB");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(u64);
 
 impl ByteSize {
@@ -44,23 +41,14 @@ impl ByteSize {
     }
 
     /// Creates a size expressed in GiB.
-    pub const fn from_gib(gib: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_gib(gib: u64) -> Self {
         ByteSize(gib * GIB)
     }
 
     /// Returns the raw number of bytes.
     pub const fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Returns the size as a `usize`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value does not fit in `usize` (only possible on
-    /// 32-bit targets).
-    pub fn as_usize(self) -> usize {
-        usize::try_from(self.0).expect("byte size fits in usize")
     }
 
     /// Saturating subtraction.

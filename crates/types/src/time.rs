@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A non-negative duration (or instant on a virtual clock) in nanoseconds.
 ///
 /// The device models (`shhc-flash`), network model (`shhc-net`) and the
@@ -22,8 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_micros_f64(), 100.0);
 /// assert_eq!(t * 3, Nanos::from_micros(300));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(u64);
 
 impl Nanos {

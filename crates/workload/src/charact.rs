@@ -2,12 +2,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use shhc_types::Fingerprint;
 
 /// Measured characteristics of a fingerprint trace — the columns of the
 /// paper's Table I plus a few extras.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceCharacteristics {
     /// Total fingerprints in the stream.
     pub total: usize,
@@ -20,17 +19,18 @@ pub struct TraceCharacteristics {
     /// fingerprint (the paper's "Distance" column).
     pub mean_duplicate_distance: f64,
     /// Median of the same distance distribution.
-    pub median_duplicate_distance: f64,
+    pub(crate) median_duplicate_distance: f64,
     /// Number of (consecutive-occurrence) duplicate pairs measured.
-    pub duplicate_pairs: usize,
+    pub(crate) duplicate_pairs: usize,
     /// Occurrence count of the most frequent fingerprint.
-    pub max_occurrences: usize,
+    pub(crate) max_occurrences: usize,
 }
 
 impl TraceCharacteristics {
     /// Formats the measurement as a Table I row:
     /// `name, fingerprints, % redundant, distance`.
-    pub fn table_row(&self, name: &str) -> String {
+    #[cfg(test)]
+    pub(crate) fn table_row(&self, name: &str) -> String {
         format!(
             "{name:<12} {:>12} {:>10.0}% {:>12.0}",
             self.total,

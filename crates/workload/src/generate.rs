@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use shhc_hash::xxh64;
 use shhc_types::Fingerprint;
 
@@ -13,7 +12,7 @@ use shhc_types::Fingerprint;
 /// entries whose chunk was seen before) and `mean_distance` (average gap
 /// between consecutive occurrences of the same fingerprint — the
 /// spatial-locality measure).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     /// Human-readable workload name.
     pub name: String,
@@ -172,11 +171,6 @@ impl TraceGenerator {
     /// The spec driving this generator.
     pub fn spec(&self) -> &TraceSpec {
         &self.spec
-    }
-
-    /// Number of distinct chunks emitted so far.
-    pub fn unique_count(&self) -> u64 {
-        self.next_unique
     }
 
     fn fingerprint_for(&self, id: u64) -> Fingerprint {

@@ -41,7 +41,6 @@
 mod charact;
 mod dataset;
 mod generate;
-mod io;
 mod mixer;
 mod multi;
 mod overload;
@@ -53,7 +52,6 @@ mod spread;
 pub use charact::{characterize, TraceCharacteristics};
 pub use dataset::{Dataset, DatasetSpec, MutationSpec};
 pub use generate::{Trace, TraceGenerator, TraceSpec};
-pub use io::{load_trace, save_trace};
 pub use mixer::mix;
 pub use multi::MultiClientSpec;
 pub use overload::{Arrival, OverloadSpec};

@@ -62,7 +62,8 @@ impl MultiClientSpec {
     }
 
     /// Returns a copy with a different arrival gap.
-    pub fn with_arrival_gap(mut self, gap: Nanos) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_arrival_gap(mut self, gap: Nanos) -> Self {
         self.arrival_gap = gap;
         self
     }

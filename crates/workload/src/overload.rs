@@ -106,7 +106,8 @@ impl OverloadSpec {
     /// Returns a copy offering a different aggregate rate — the sweep
     /// knob. The client population and their fingerprint streams stay
     /// identical; only the pacing changes.
-    pub fn with_offered(mut self, offered_per_sec: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_offered(mut self, offered_per_sec: f64) -> Self {
         assert!(
             offered_per_sec.is_finite() && offered_per_sec > 0.0,
             "offered rate must be finite and positive"
@@ -140,7 +141,7 @@ impl OverloadSpec {
 
     /// Submissions worker `w` is responsible for (the remainder of an
     /// uneven split lands on the lowest-numbered workers).
-    pub fn worker_total(&self, w: usize) -> usize {
+    fn worker_total(&self, w: usize) -> usize {
         let total = self.total();
         let base = total / self.workers;
         let extra = usize::from(w < total % self.workers);

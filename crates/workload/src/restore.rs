@@ -82,13 +82,15 @@ impl RestoreSpec {
     }
 
     /// Returns a copy restoring `passes` times per client.
-    pub fn with_passes(mut self, passes: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_passes(mut self, passes: usize) -> Self {
         self.passes = passes.max(1);
         self
     }
 
     /// Returns a copy with a different inter-pass gap.
-    pub fn with_arrival_gap(mut self, gap: Nanos) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_arrival_gap(mut self, gap: Nanos) -> Self {
         self.arrival_gap = gap;
         self
     }

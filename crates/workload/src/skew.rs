@@ -59,7 +59,8 @@ impl ZipfSampler {
 
     /// Theoretical probability mass of the most popular rank,
     /// `1 / H(n,s)` — what a frequency count of rank 0 converges to.
-    pub fn top1_mass(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn top1_mass(&self) -> f64 {
         self.cdf[0]
     }
 
@@ -96,7 +97,8 @@ impl SkewSpec {
     }
 
     /// Theoretical frequency of the most popular fingerprint.
-    pub fn top1_mass(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn top1_mass(&self) -> f64 {
         ZipfSampler::new(self.keyspace, self.exponent).top1_mass()
     }
 

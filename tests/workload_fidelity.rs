@@ -1,7 +1,7 @@
 //! Workload-generator fidelity: the synthetic traces must measure back
 //! close to their Table I targets, and survive mixing and file I/O.
 
-use shhc_workload::{characterize, load_trace, mix, presets, save_trace, TraceSpec};
+use shhc_workload::{characterize, mix, presets};
 
 #[test]
 fn table1_targets_reproduced_at_scale_32() {
@@ -80,29 +80,6 @@ fn mixing_preserves_stream_counts_and_populations() {
         .map(|t| characterize(&t.fingerprints).unique)
         .sum();
     assert_eq!(stats.unique, expected_unique);
-}
-
-#[test]
-fn trace_files_round_trip() {
-    let spec = TraceSpec {
-        name: "integration-io".into(),
-        total: 10_000,
-        redundancy: 0.3,
-        mean_distance: 120.0,
-        distance_cv: 1.0,
-        chunk_size: 4096,
-        seed: 77,
-    };
-    let trace = spec.generate();
-    let path = std::env::temp_dir().join(format!("shhc_wl_{}.trace", std::process::id()));
-    save_trace(&trace, &path).unwrap();
-    let loaded = load_trace(&path).unwrap();
-    assert_eq!(loaded, trace);
-    assert_eq!(
-        characterize(&loaded.fingerprints),
-        characterize(&trace.fingerprints)
-    );
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
