@@ -6,6 +6,9 @@ or field) at the start of a line in a `.rs` file under `crates/`, and no
 other `.rs` file under `crates/ src/ tests/ examples/ ledger/src`
 mentions it as a word (a `pub use` re-export counts as a mention). Such a
 name is public only by accident: rustc's `dead_code` lint cannot see it.
+Names are matched as words, not resolved: a method name shared by several
+types counts as used if any of them is called, so one live `is_durable`
+hides every uncalled one.
 
     python3 ci/dead_pub.py           # print the dead names, one per line
     python3 ci/dead_pub.py --check   # compare with ci/dead_pub_allow.txt

@@ -64,7 +64,7 @@ pub use simcluster::{SimCluster, SimClusterConfig, SimReport};
 
 // The ticket/stats types a SharedFrontend user needs, re-exported from
 // the net layer so `shhc` stays a single-dependency facade.
-pub use shhc_net::{AdmissionPolicy, IngestModel, SharedBatcherStats, Ticket};
+pub use shhc_net::{AdmissionPolicy, SharedBatcherStats, Ticket};
 
 // Re-export the substrate APIs a downstream user needs alongside the
 // cluster, so `shhc` works as a single-dependency facade.

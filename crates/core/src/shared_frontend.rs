@@ -32,9 +32,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use shhc_net::{
-    AdmissionPolicy, ClosedBatch, IngestModel, SharedBatcher, SharedBatcherStats, Ticket,
-};
+use shhc_net::{AdmissionPolicy, ClosedBatch, SharedBatcher, SharedBatcherStats, Ticket};
 use shhc_types::{Fingerprint, Result};
 
 use crate::ShhcCluster;
@@ -53,7 +51,7 @@ pub struct LookupAnswer {
 }
 
 /// Full configuration for a [`SharedFrontend`]: batch close limits plus
-/// the admission policy and ingest-rate model.
+/// the admission policy.
 ///
 /// # Examples
 ///
@@ -75,14 +73,11 @@ pub struct FrontendConfig {
     pub max_age: Duration,
     /// Admission policy bounding the pending + in-flight queue.
     pub admission: AdmissionPolicy,
-    /// Optional ingest-rate model: the front-end's own aggregation
-    /// capacity, paced (`Block`) or enforced by shedding.
-    pub ingest: Option<IngestModel>,
 }
 
 impl FrontendConfig {
-    /// A config with the given close limits, default (blocking) admission
-    /// and no ingest model.
+    /// A config with the given close limits and default (blocking)
+    /// admission.
     ///
     /// # Panics
     ///
@@ -93,19 +88,12 @@ impl FrontendConfig {
             batch_size,
             max_age,
             admission: AdmissionPolicy::default(),
-            ingest: None,
         }
     }
 
     /// Sets the admission policy.
     pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
         self.admission = policy;
-        self
-    }
-
-    /// Sets the ingest-rate model.
-    pub fn ingest(mut self, model: IngestModel) -> Self {
-        self.ingest = Some(model);
         self
     }
 }
@@ -251,8 +239,8 @@ impl SharedFrontend {
         Self::with_config(cluster, FrontendConfig::new(batch_size, max_age))
     }
 
-    /// Creates a shared front-end from a full [`FrontendConfig`]:
-    /// admission policy and ingest model included.
+    /// Creates a shared front-end from a full [`FrontendConfig`],
+    /// admission policy included.
     ///
     /// # Panics
     ///
@@ -267,7 +255,6 @@ impl SharedFrontend {
                     config.batch_size,
                     config.max_age,
                     config.admission,
-                    config.ingest,
                 )
                 .on_demand(move || {
                     // A ticket that outlived the front-end has nobody to

@@ -161,7 +161,8 @@ impl Durability {
     }
 
     /// True for [`Durability::Wal`].
-    pub fn is_durable(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_durable(&self) -> bool {
         matches!(self, Durability::Wal(_))
     }
 

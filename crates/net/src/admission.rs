@@ -28,10 +28,9 @@
 //! answer — into a bounded ring of recent samples, so p99/p999 for the
 //! requests the system chose to serve stay observable at any uptime.
 //!
-//! [`IngestModel`] is the companion capacity model: a token bucket
-//! bounding the *rate* a front-end accepts work (the web front-end's
-//! HTTP/SSL/hash CPU, the resource Figure 4 scales out by adding
-//! front-ends), where the admission bound limits *occupancy*.
+//! The gate models no capacity of its own: a front-end's throughput is
+//! whatever the cluster behind it answers, and the bound only decides
+//! what happens to the work that arrives faster than that.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -104,71 +103,6 @@ impl AdmissionPolicy {
             | AdmissionPolicy::FairShed { max_pending, .. } => max_pending,
         }
     }
-
-    /// Whether this policy sheds (fails fast) rather than blocks.
-    pub fn sheds(&self) -> bool {
-        !matches!(self, AdmissionPolicy::Block { .. })
-    }
-}
-
-/// A token-bucket model of a front-end's ingest capacity: at most
-/// `rate_per_sec` submissions per second sustained, with `burst` of
-/// headroom for arrival jitter. This stands in for the web front-end's
-/// client-facing CPU (HTTP, SSL, fingerprint extraction) — the resource
-/// the paper scales out by deploying front-ends in a tier.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IngestModel {
-    /// Sustained admissions per second.
-    pub rate_per_sec: f64,
-    /// Bucket depth: admissions that may arrive back-to-back before the
-    /// rate limit engages.
-    pub burst: f64,
-}
-
-impl IngestModel {
-    /// A model admitting `rate_per_sec` sustained with a small default
-    /// burst of one batch's worth.
-    pub fn per_sec(rate_per_sec: f64) -> Self {
-        IngestModel {
-            rate_per_sec,
-            burst: 64.0,
-        }
-    }
-}
-
-/// The token bucket behind [`IngestModel`], advanced lazily on access.
-#[derive(Debug)]
-pub(crate) struct IngestBucket {
-    model: IngestModel,
-    tokens: f64,
-    last_refill: Instant,
-}
-
-impl IngestBucket {
-    pub(crate) fn new(model: IngestModel) -> Self {
-        IngestBucket {
-            model,
-            tokens: model.burst.max(1.0),
-            last_refill: Instant::now(),
-        }
-    }
-
-    /// Takes one token if available; otherwise returns how long until one
-    /// accrues.
-    pub(crate) fn try_take(&mut self, now: Instant) -> std::result::Result<(), Duration> {
-        let elapsed = now.duration_since(self.last_refill).as_secs_f64();
-        self.tokens = (self.tokens + elapsed * self.model.rate_per_sec).min(self.model.burst);
-        self.last_refill = now;
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            Ok(())
-        } else {
-            let deficit = 1.0 - self.tokens;
-            Err(Duration::from_secs_f64(
-                deficit / self.model.rate_per_sec.max(f64::MIN_POSITIVE),
-            ))
-        }
-    }
 }
 
 /// Outstanding-slot counts, under the gate mutex.
@@ -202,7 +136,7 @@ pub(crate) struct AdmissionGate {
     /// Of the shed submissions, those denied by a tenant quota rather
     /// than the global bound.
     shed_by_tenant: AtomicU64,
-    /// Times a submission had to wait (blocking policy or ingest rate).
+    /// Times a submission had to wait for a slot (blocking policy).
     blocked: AtomicU64,
 }
 
@@ -235,10 +169,6 @@ impl AdmissionGate {
             shed_by_tenant: AtomicU64::new(0),
             blocked: AtomicU64::new(0),
         })
-    }
-
-    pub(crate) fn policy(&self) -> AdmissionPolicy {
-        self.policy
     }
 
     /// Admits one submission for `tenant`, blocking or shedding per the
@@ -304,16 +234,6 @@ impl AdmissionGate {
         Ok(charged)
     }
 
-    pub(crate) fn note_blocked(&self) {
-        self.blocked.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a shed decided outside the gate (e.g. ingest-rate pacing
-    /// under a shedding policy).
-    pub(crate) fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Admitted submissions not yet answered — cheap (no sample clone),
     /// for load-balancing reads.
     pub(crate) fn outstanding(&self) -> usize {
@@ -375,8 +295,7 @@ mod tests {
     fn default_policy_is_bounded_block() {
         let p = AdmissionPolicy::default();
         assert_eq!(p.max_pending(), DEFAULT_MAX_PENDING);
-        assert!(!p.sheds());
-        assert!(AdmissionPolicy::Shed { max_pending: 4 }.sheds());
+        assert!(matches!(p, AdmissionPolicy::Block { .. }));
     }
 
     #[test]
@@ -452,22 +371,5 @@ mod tests {
         gate.release(&[], &[t1]);
         waiter.join().unwrap();
         assert!(gate.snapshot().blocked >= 1);
-    }
-
-    #[test]
-    fn ingest_bucket_paces_to_its_rate() {
-        let mut bucket = IngestBucket::new(IngestModel {
-            rate_per_sec: 1000.0,
-            burst: 2.0,
-        });
-        let t0 = Instant::now();
-        assert!(bucket.try_take(t0).is_ok());
-        assert!(bucket.try_take(t0).is_ok());
-        let wait = bucket.try_take(t0).unwrap_err();
-        assert!(wait > Duration::ZERO && wait <= Duration::from_millis(2));
-        // After the advertised wait a token has accrued.
-        assert!(bucket
-            .try_take(t0 + wait + Duration::from_micros(10))
-            .is_ok());
     }
 }

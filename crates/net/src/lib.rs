@@ -16,11 +16,11 @@
 //!   through index-mapped demux; a batch leaves when it is full or when
 //!   one of its clients blocks on it, so its size follows load with
 //!   nothing to tune,
-//! - [`AdmissionPolicy`] + [`IngestModel`] — bounded admission in front
-//!   of the shared queue: blocking backpressure, fail-fast shedding
-//!   (`Error::Overloaded`), or per-tenant fair shedding, plus a
-//!   token-bucket ingest-rate model, so a front-end degrades gracefully
-//!   instead of queue-collapsing past saturation.
+//! - [`AdmissionPolicy`] — bounded admission in front of the shared
+//!   queue: blocking backpressure, fail-fast shedding
+//!   (`Error::Overloaded`), or per-tenant fair shedding, so a front-end
+//!   degrades gracefully instead of queue-collapsing once the cluster
+//!   behind it saturates.
 //!
 //! # Examples
 //!
@@ -46,7 +46,7 @@ mod samples;
 mod shared;
 mod wire;
 
-pub use admission::{AdmissionPolicy, IngestModel, DEFAULT_MAX_PENDING};
+pub use admission::{AdmissionPolicy, DEFAULT_MAX_PENDING};
 pub use model::NetModel;
 pub use samples::{RingReader, SampleRing};
 pub use shared::{CloseReason, ClosedBatch, SharedBatcher, SharedBatcherStats, Submitted, Ticket};

@@ -85,7 +85,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use shhc_types::{Error, Fingerprint, Result};
 
-use crate::admission::{AdmissionGate, AdmissionPolicy, IngestBucket, IngestModel};
+use crate::admission::{AdmissionGate, AdmissionPolicy};
 use crate::samples::SampleRing;
 
 /// Largest up-front reservation for an opening batch's entry vectors; a
@@ -481,8 +481,7 @@ pub struct SharedBatcherStats {
     /// Of the shed submissions, those denied by a per-tenant quota
     /// rather than the global bound.
     pub shed_by_tenant: u64,
-    /// Times a submission waited for admission (blocking policy or
-    /// ingest pacing).
+    /// Times a submission waited for admission (blocking policy).
     pub blocked: u64,
     /// Admitted submissions not yet answered (queued + in flight).
     pub outstanding: usize,
@@ -611,9 +610,6 @@ pub struct SharedBatcher<V> {
     max_age: Duration,
     state: Mutex<State<V>>,
     gate: Arc<AdmissionGate>,
-    /// Optional ingest-rate model (token bucket) standing in for the
-    /// front-end's client-facing CPU; checked before admission.
-    ingest: Option<StdMutex<IngestBucket>>,
     /// The owner's demand callback, handed to every batch this opens.
     owner: Option<DemandHook>,
 }
@@ -627,21 +623,15 @@ impl<V> SharedBatcher<V> {
     ///
     /// Panics if `max_size` is zero.
     pub fn new(max_size: usize, max_age: Duration) -> Self {
-        Self::with_admission(max_size, max_age, AdmissionPolicy::default(), None)
+        Self::with_admission(max_size, max_age, AdmissionPolicy::default())
     }
 
-    /// Creates an aggregator with an explicit [`AdmissionPolicy`] and an
-    /// optional [`IngestModel`] bounding the sustained submission rate.
+    /// Creates an aggregator with an explicit [`AdmissionPolicy`].
     ///
     /// # Panics
     ///
     /// Panics if `max_size` is zero.
-    pub fn with_admission(
-        max_size: usize,
-        max_age: Duration,
-        policy: AdmissionPolicy,
-        ingest: Option<IngestModel>,
-    ) -> Self {
+    pub fn with_admission(max_size: usize, max_age: Duration, policy: AdmissionPolicy) -> Self {
         assert!(max_size > 0, "batch size must be nonzero");
         SharedBatcher {
             max_size,
@@ -651,7 +641,6 @@ impl<V> SharedBatcher<V> {
                 stats: StatsAccum::default(),
             }),
             gate: AdmissionGate::new(policy),
-            ingest: ingest.map(|model| StdMutex::new(IngestBucket::new(model))),
             owner: None,
         }
     }
@@ -684,34 +673,12 @@ impl<V> SharedBatcher<V> {
     /// is already resolved with [`Error::Overloaded`] and
     /// [`Submitted::shed`] is set.
     pub fn submit_from(&self, tenant: Option<u32>, fingerprint: Fingerprint) -> Submitted<V> {
-        // 1. Ingest-rate pacing: the front-end's client-facing CPU.
-        if let Some(bucket) = &self.ingest {
-            loop {
-                let taken = bucket
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .try_take(Instant::now());
-                match taken {
-                    Ok(()) => break,
-                    Err(_) if self.gate.policy().sheds() => {
-                        self.gate.note_shed();
-                        return Self::shed_submission(Error::overloaded(
-                            "front-end ingest rate exceeded",
-                        ));
-                    }
-                    Err(wait) => {
-                        self.gate.note_blocked();
-                        std::thread::sleep(wait);
-                    }
-                }
-            }
-        }
-        // 2. Occupancy admission: blocks or sheds per the policy.
+        // Occupancy admission: blocks or sheds per the policy.
         let charged = match self.gate.admit(tenant) {
             Ok(charged) => charged,
             Err(err) => return Self::shed_submission(err),
         };
-        // 3. The queue proper. One clock read stamps the entry for its
+        // The queue proper. One clock read stamps the entry for its
         // queueing delay and its admitted latency alike.
         let now = Instant::now();
         let max_size = self.max_size;
@@ -1366,7 +1333,6 @@ mod tests {
             100,
             Duration::from_secs(60),
             AdmissionPolicy::Shed { max_pending: 2 },
-            None,
         );
         let s1 = b.submit(fp(1));
         let s2 = b.submit(fp(2));
@@ -1393,7 +1359,6 @@ mod tests {
             2,
             Duration::from_secs(60),
             AdmissionPolicy::Shed { max_pending: 2 },
-            None,
         );
         let s1 = b.submit(fp(1));
         let s2 = b.submit(fp(2));
@@ -1425,7 +1390,6 @@ mod tests {
             2,
             Duration::from_secs(60),
             AdmissionPolicy::Block { max_pending: 2 },
-            None,
         ));
         let mut handles = Vec::new();
         for p in 0..PRODUCERS as u64 {
@@ -1475,7 +1439,6 @@ mod tests {
                 max_pending: 100,
                 per_tenant_quota: 2,
             },
-            None,
         );
         let noisy: Vec<_> = (0..5).map(|i| b.submit_from(Some(1), fp(i))).collect();
         assert_eq!(noisy.iter().filter(|s| s.shed).count(), 3, "quota is 2");
@@ -1495,46 +1458,6 @@ mod tests {
             }
         }
         assert_eq!(quiet.ticket.wait().unwrap(), 0);
-    }
-
-    #[test]
-    fn ingest_model_sheds_or_paces_by_policy() {
-        // Shedding policy + exhausted bucket: fail fast.
-        let b: SharedBatcher<u64> = SharedBatcher::with_admission(
-            100,
-            Duration::from_secs(60),
-            AdmissionPolicy::Shed { max_pending: 1000 },
-            Some(IngestModel {
-                rate_per_sec: 0.001,
-                burst: 2.0,
-            }),
-        );
-        assert!(!b.submit(fp(1)).shed);
-        assert!(!b.submit(fp(2)).shed);
-        let s = b.submit(fp(3));
-        assert!(s.shed, "bucket drained at ~zero refill rate");
-        assert!(s.ticket.wait().unwrap_err().is_overload());
-        // Blocking policy + fast bucket: pacing, not loss.
-        let b: SharedBatcher<u64> = SharedBatcher::with_admission(
-            100,
-            Duration::from_secs(60),
-            AdmissionPolicy::Block { max_pending: 1000 },
-            Some(IngestModel {
-                rate_per_sec: 2000.0,
-                burst: 1.0,
-            }),
-        );
-        let start = Instant::now();
-        for i in 0..5 {
-            assert!(!b.submit(fp(i)).shed);
-        }
-        assert!(
-            start.elapsed() >= Duration::from_millis(2),
-            "submissions were paced to the ingest rate"
-        );
-        let batch = b.flush().unwrap();
-        let n = batch.len();
-        batch.complete(vec![0; n]).unwrap();
     }
 
     #[test]

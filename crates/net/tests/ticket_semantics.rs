@@ -230,7 +230,7 @@ fn tickets_outlive_the_batcher() {
 #[test]
 fn shed_ticket_is_ready_at_birth() {
     let batcher: SharedBatcher<u64> =
-        SharedBatcher::with_admission(100, FAR, AdmissionPolicy::Shed { max_pending: 1 }, None);
+        SharedBatcher::with_admission(100, FAR, AdmissionPolicy::Shed { max_pending: 1 });
     let kept = batcher.submit(fp(1));
     let shed = batcher.submit(fp(2));
     assert!(shed.shed && shed.closed.is_none() && !shed.opened);
@@ -252,7 +252,6 @@ fn block_unblocks_exactly_when_a_batch_completes() {
         N,
         FAR,
         AdmissionPolicy::Block { max_pending: N },
-        None,
     ));
     let mut tickets = Vec::new();
     let mut closed = None;

@@ -654,7 +654,8 @@ impl HybridHashNode {
     }
 
     /// True when the node's store persists through a write-ahead log.
-    pub fn is_durable(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_durable(&self) -> bool {
         self.store.is_durable()
     }
 

@@ -3,8 +3,8 @@
 //!
 //! This crate defines the vocabulary the rest of the workspace speaks:
 //! [`Fingerprint`] (a SHA-1 digest of a chunk), [`ChunkId`], [`NodeId`],
-//! byte-size helpers and the common [`Error`] type used by fallible
-//! substrate operations.
+//! [`Nanos`] and the common [`Error`] type used by fallible substrate
+//! operations.
 //!
 //! # Examples
 //!
@@ -24,7 +24,6 @@ mod fingerprint;
 mod fphash;
 mod ids;
 mod range;
-mod size;
 mod time;
 
 pub use error::{Error, Result};
@@ -32,5 +31,4 @@ pub use fingerprint::{Fingerprint, ParseFingerprintError, FINGERPRINT_LEN};
 pub use fphash::{FingerprintBuildHasher, FingerprintHasher, FpHashMap, FpHashSet};
 pub use ids::{ChunkId, ClientId, NodeId, StreamId, PENDING_VALUE};
 pub use range::KeyRange;
-pub use size::{ByteSize, GIB, KIB, MIB};
 pub use time::Nanos;

@@ -1,14 +1,16 @@
 //! Integration tests for bounded admission on the shared front-end:
 //! shed tickets resolve (never hang), blocking admission loses nothing,
 //! fair shedding isolates tenants, and the backup service survives a
-//! saturated front-end through its retry path.
+//! saturated front-end through its retry path. The front-end models no
+//! capacity of its own; where a test needs a saturated one, the pressure
+//! comes from a slow cluster behind it (`NodeConfig::service_delay`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use shhc::{
-    AdmissionPolicy, BackupService, ClusterConfig, FrontendConfig, IngestModel, SharedFrontend,
+    AdmissionPolicy, BackupService, ClusterConfig, FrontendConfig, NodeConfig, SharedFrontend,
     ShhcCluster,
 };
 use shhc_chunking::FixedChunker;
@@ -19,15 +21,23 @@ fn fp(v: u64) -> Fingerprint {
     Fingerprint::from_u64(v)
 }
 
+/// Two test nodes that each sleep `per_record` for every fingerprint a
+/// frame carries, so the cluster, not the front-end, is the bottleneck.
+fn slow_cluster(per_record: Duration) -> ShhcCluster {
+    let mut node = NodeConfig::small_test();
+    node.service_delay = per_record;
+    ShhcCluster::spawn(ClusterConfig::new(2, node)).unwrap()
+}
+
 /// Under deliberate overload of a shedding front-end, every ticket —
 /// admitted or shed — must resolve; a shed submission fails fast as `Overloaded`
 /// and an admitted one gets its answer. Nothing may hang.
 #[test]
 fn shed_tickets_always_resolve_under_concurrent_overload() {
-    let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
+    // 2 nodes × 1 / 200 µs: the cluster answers at most ≈ 10 k/s.
+    let cluster = slow_cluster(Duration::from_micros(200));
     let config = FrontendConfig::new(16, Duration::from_millis(2))
-        .admission(AdmissionPolicy::Shed { max_pending: 32 })
-        .ingest(IngestModel::per_sec(2_000.0));
+        .admission(AdmissionPolicy::Shed { max_pending: 32 });
     let fe = SharedFrontend::with_config(cluster.clone(), config);
 
     let threads = 4u64;
@@ -73,7 +83,7 @@ fn shed_tickets_always_resolve_under_concurrent_overload() {
     assert_eq!(answered + shed, threads * per_thread, "no submission lost");
     assert!(
         shed > 0,
-        "4 unpaced threads against a 2 k/s ingest model must shed"
+        "4 unpaced threads against a ≈ 10 k/s cluster must shed"
     );
     let stats = fe.stats();
     assert_eq!(stats.shed, shed);
@@ -200,18 +210,17 @@ fn fair_shed_protects_quiet_tenant_from_noisy_one() {
 }
 
 /// End to end: concurrent backups through a deliberately saturated
-/// FairShed front-end (tight quotas + a slow ingest model) must all
+/// FairShed front-end (tight quotas in front of a slow cluster) must all
 /// complete via the service's retry-on-shed path and restore
 /// byte-exactly.
 #[test]
 fn service_backups_survive_a_saturated_fair_shed_tier() {
-    let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
-    let config = FrontendConfig::new(32, Duration::from_millis(20))
-        .admission(AdmissionPolicy::FairShed {
+    let cluster = slow_cluster(Duration::from_micros(200));
+    let config =
+        FrontendConfig::new(32, Duration::from_millis(20)).admission(AdmissionPolicy::FairShed {
             max_pending: 64,
             per_tenant_quota: 24,
-        })
-        .ingest(IngestModel::per_sec(4_000.0));
+        });
     let svc = BackupService::with_frontend(
         SharedFrontend::with_config(cluster, config),
         FixedChunker::new(128),
