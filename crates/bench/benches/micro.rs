@@ -161,8 +161,10 @@ fn bench_chunking(c: &mut Criterion) {
     });
 
     // The whole client byte path: Gear cuts on the cutter thread, SHA-1
-    // on the caller, lookups of an already stored slice (all duplicates
-    // after the first iteration, as in a re-backup).
+    // split between the caller (from the front) and the cutter (from the
+    // back, once it has cut everything), lookups of an already stored
+    // slice on the caller (all duplicates after the first iteration, as
+    // in a re-backup).
     let mut slice = vec![0u8; 4 << 20];
     rng.fill_bytes(&mut slice);
     let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).expect("cluster");

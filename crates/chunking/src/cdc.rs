@@ -11,7 +11,7 @@
 //!   before the target size and a looser one after, which tightens the
 //!   size distribution around the target.
 
-use shhc_hash::{GearHasher, RabinHasher, RabinTables, DEFAULT_IRREDUCIBLE_POLY};
+use shhc_hash::{GearHasher, RabinHasher, RabinTables, DEFAULT_IRREDUCIBLE_POLY, GEAR_TABLE};
 
 use crate::Chunker;
 
@@ -117,6 +117,12 @@ impl Chunker for RabinChunker {
 /// likely). This squeezes the chunk-size distribution toward the target
 /// compared to plain gear/Rabin chunking.
 ///
+/// The cut search rolls four bytes a step: the gear value's loop-carried
+/// work is one shift and one add per step instead of per byte, and one
+/// branch tests the four values against the mask. The cuts are exactly
+/// those of [`GearHasher::roll`] applied byte by byte, which the tests
+/// keep as the oracle.
+///
 /// # Examples
 ///
 /// ```
@@ -173,20 +179,63 @@ impl Chunker for GearChunker {
             gear.roll(b);
         }
 
-        for (i, &b) in data[self.bounds.min..normal].iter().enumerate() {
-            gear.roll(b);
-            if gear.value() & self.mask_strict == 0 {
-                return self.bounds.min + i + 1;
-            }
+        let mut value = gear.value();
+        let min = self.bounds.min;
+        if let Some(len) = gear_scan(&mut value, &data[min..normal], self.mask_strict) {
+            return min + len;
         }
-        for (i, &b) in data[normal..end].iter().enumerate() {
-            gear.roll(b);
-            if gear.value() & self.mask_loose == 0 {
-                return normal + i + 1;
-            }
+        if let Some(len) = gear_scan(&mut value, &data[normal..end], self.mask_loose) {
+            return normal + len;
         }
         end
     }
+}
+
+/// Rolls `bytes` into the gear value `value` and returns the length of
+/// the shortest prefix after which `value & mask == 0`, or `None` (with
+/// `value` rolled over all of `bytes`) if there is none.
+///
+/// Four bytes a step: from `x`, the value after byte `j` of the step is
+/// `(x << j) + t_j` with `t_j = 2·t_(j-1) + T[byte j]`, and the `t_j`
+/// do not depend on `x`. So the only work carried from one step to the
+/// next is `x = (x << 4) + t_4`, and one branch tests all four values.
+/// The result is exactly that of [`GearHasher::roll`] byte by byte.
+#[inline]
+fn gear_scan(value: &mut u64, bytes: &[u8], mask: u64) -> Option<usize> {
+    let mut x = *value;
+    let mut done = 0;
+    let mut steps = bytes.chunks_exact(4);
+    for b in steps.by_ref() {
+        let t1 = GEAR_TABLE[b[0] as usize];
+        let t2 = (t1 << 1).wrapping_add(GEAR_TABLE[b[1] as usize]);
+        let t3 = (t2 << 1).wrapping_add(GEAR_TABLE[b[2] as usize]);
+        let t4 = (t3 << 1).wrapping_add(GEAR_TABLE[b[3] as usize]);
+        let lanes = [
+            (x << 1).wrapping_add(t1),
+            (x << 2).wrapping_add(t2),
+            (x << 3).wrapping_add(t3),
+            (x << 4).wrapping_add(t4),
+        ];
+        // Non-short-circuit `|` over `u8`s: one branch for the step.
+        let hits = (lanes[0] & mask == 0) as u8
+            | (lanes[1] & mask == 0) as u8
+            | (lanes[2] & mask == 0) as u8
+            | (lanes[3] & mask == 0) as u8;
+        if hits != 0 {
+            let lane = lanes.iter().position(|v| v & mask == 0)?;
+            return Some(done + lane + 1);
+        }
+        x = lanes[3];
+        done += 4;
+    }
+    for (i, &b) in steps.remainder().iter().enumerate() {
+        x = (x << 1).wrapping_add(GEAR_TABLE[b as usize]);
+        if x & mask == 0 {
+            return Some(done + i + 1);
+        }
+    }
+    *value = x;
+    None
 }
 
 fn high_mask(bits: u32) -> u64 {
@@ -237,6 +286,77 @@ mod tests {
         let data = random_data(100_000, 43);
         check_reassembly(&chunker, &data);
         check_bounds(&chunker, &data, 256, 4096);
+    }
+
+    /// The cut [`GearChunker::cut`] must equal: [`GearHasher::roll`]
+    /// over one byte at a time. Returns the cut and, when a mask hit made
+    /// it, the hit's lane (its place within a four-byte scan step).
+    fn reference_cut(chunker: &GearChunker, data: &[u8]) -> (usize, Option<usize>) {
+        let SizeBounds { min, target, max } = chunker.bounds;
+        let n = data.len();
+        if n <= min {
+            return (n, None);
+        }
+        let end = n.min(max);
+        let normal = target.min(end);
+        let mut gear = GearHasher::new();
+        for &b in &data[min.saturating_sub(64)..min] {
+            gear.roll(b);
+        }
+        for (i, &b) in data.iter().enumerate().take(end).skip(min) {
+            gear.roll(b);
+            let (mask, from) = if i < normal {
+                (chunker.mask_strict, min)
+            } else {
+                (chunker.mask_loose, normal)
+            };
+            if gear.value() & mask == 0 {
+                return (i + 1, Some((i - from) % 4));
+            }
+        }
+        (end, None)
+    }
+
+    /// Walks `data` with both cuts, asserting they agree; returns how
+    /// many mask hits landed on each lane.
+    fn check_against_reference(chunker: &GearChunker, data: &[u8]) -> [usize; 4] {
+        let mut lanes = [0; 4];
+        let mut pos = 0;
+        while pos < data.len() {
+            let (len, lane) = reference_cut(chunker, &data[pos..]);
+            assert_eq!(chunker.cut(&data[pos..]), len, "cut at offset {pos}");
+            if let Some(lane) = lane {
+                lanes[lane] += 1;
+            }
+            pos += len;
+        }
+        lanes
+    }
+
+    #[test]
+    fn gear_cut_hits_every_lane_of_a_step() {
+        // Bounds that are not multiples of four, so the scan's steps and
+        // its per-byte tail start at every alignment.
+        for chunker in [
+            GearChunker::new(64, 256, 1024),
+            GearChunker::new(61, 256, 1021),
+        ] {
+            let lanes = check_against_reference(&chunker, &random_data(1_000_003, 21));
+            assert!(
+                lanes.iter().all(|&hits| hits > 100),
+                "hits per lane {lanes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn gear_cut_matches_reference_on_constant_inputs() {
+        let chunker = GearChunker::new(61, 256, 1021);
+        for byte in [0x00, 0xFF] {
+            for len in [0, 1, 60, 61, 62, 255, 256, 1021, 1022, 100_003] {
+                check_against_reference(&chunker, &vec![byte; len]);
+            }
+        }
     }
 
     #[test]
@@ -362,6 +482,25 @@ mod tests {
                 if i + 1 != chunks.len() {
                     prop_assert!(c.data.len() >= 64);
                 }
+            }
+        }
+    }
+
+    // No `with_cases`: CI's `PROPTEST_CASES=1024` step widens this block.
+    proptest! {
+        #[test]
+        fn prop_gear_cut_matches_per_byte_roll(seed: u64, len in 0usize..20_000, fill in 0u8..3) {
+            let mut data = random_data(len, seed);
+            match fill {
+                0 => {}
+                1 => data.fill(0x00),
+                _ => data.fill(0xFF),
+            }
+            for chunker in [
+                GearChunker::new(64, 256, 1024),
+                GearChunker::new(61, 256, 1021),
+            ] {
+                check_against_reference(&chunker, &data);
             }
         }
     }

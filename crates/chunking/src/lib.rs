@@ -75,7 +75,8 @@ impl Chunk {
 /// that, so every chunker shares one driver.
 ///
 /// Chunkers are `Sync`: `BackupService::backup` searches for cut points on
-/// a helper thread while the calling thread fingerprints the chunks.
+/// a helper thread while the calling thread fingerprints the chunks (and
+/// the helper, once it has cut everything, fingerprints from the back).
 pub trait Chunker: Sync {
     /// Length of the next chunk at the front of `rest` (non-empty).
     ///

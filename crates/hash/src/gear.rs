@@ -28,7 +28,12 @@ const fn build_gear_table(seed: u64) -> [u64; 256] {
     table
 }
 
-/// Rolling gear hasher.
+/// Rolling gear hasher, one byte at a time.
+///
+/// `GearChunker` in `shhc-chunking` rolls the window warm-up with
+/// [`roll`](Self::roll) and then scans four bytes a step straight over
+/// [`GEAR_TABLE`]; `roll` stays the reference that scan is tested
+/// against.
 ///
 /// # Examples
 ///

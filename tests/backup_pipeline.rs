@@ -1,5 +1,6 @@
-//! The two-stage `BackupService::backup` (a cutter thread streams cut
-//! points, the caller fingerprints borrowed slices) against a model built
+//! The two-thread `BackupService::backup` (a cutter thread streams cut
+//! points and then fingerprints chunks from the back, the caller
+//! fingerprints from the front until the two meet) against a model built
 //! from `Chunker::chunk`, plus its failure paths: a failing store or a
 //! dead cluster must surface as an error promptly, with the cutter thread
 //! joined and the service still usable.
@@ -103,6 +104,14 @@ fn check_against_model<C: Chunker + Clone + Send>(chunker: C, min: usize, max: u
         .map(|len| random_data(len, len as u64))
         .collect();
     inputs.push(repetitive_data((4 << 20) + 17, 1));
+    // Every chunk alike: the two threads' claims meet over duplicates.
+    inputs.push(vec![0; (4 << 20) + 17]);
+    // One chunk as long as the chunker makes it: the helper may hash it
+    // before the caller gets there, so they meet at chunk 0.
+    let mut one_chunk = random_data(max, 3);
+    one_chunk.truncate(chunker.cut(&one_chunk));
+    assert_eq!(chunker.boundaries(&one_chunk).len(), 1);
+    inputs.push(one_chunk);
     for (i, data) in inputs.iter().enumerate() {
         for pass in ["first", "second"] {
             let what = format!("input {i} ({} B), {pass} backup", data.len());
@@ -188,11 +197,16 @@ where
         .expect("backup hung instead of returning its error")
 }
 
-/// Small chunks, so a 4 MiB input has ≈ 4 000 cuts: more than the
-/// cutter may queue ahead, so a failing backup leaves it parked on a
-/// full channel.
+/// Small chunks, so a 4 MiB input has ≈ 4 000 cuts: a backup that fails
+/// early leaves the cutter thread cutting or hashing from the back, and
+/// it must still stop.
 fn small_gear() -> GearChunker {
     GearChunker::new(256, 1024, 8192)
+}
+
+#[test]
+fn small_gear_backup_matches_chunk_model() {
+    check_against_model(small_gear(), 256, 8192);
 }
 
 #[test]
