@@ -378,6 +378,20 @@ struct PendingGroup {
     replies: Vec<PendingReply>,
 }
 
+/// A lookup window whose frames are sent and whose replies are not yet
+/// gathered ([`ShhcCluster::lookup_scatter`]). Dropping it drops the
+/// reply channels; the nodes still apply the inserts.
+pub(crate) struct SentLookup {
+    /// The window's groups, their fingerprints moved into the frames.
+    groups: Vec<RouteGroup>,
+    /// The replies owed, parallel to `groups`.
+    pending: Vec<PendingGroup>,
+    /// The epoch the window was routed under.
+    epoch: u64,
+    /// The migration in flight at the send, for the dual-read.
+    migration: Option<Arc<MigrationState>>,
+}
+
 /// The scalable hybrid hash cluster: a set of node server threads behind
 /// consistent-hash routing — the paper's SHHC tier.
 ///
@@ -764,10 +778,23 @@ impl ShhcCluster {
     ///
     /// Same as [`ShhcCluster::lookup_insert_batch`].
     pub fn lookup_insert_batch_values(&self, fps: &[Fingerprint]) -> Result<(Vec<bool>, Vec<u64>)> {
+        let sent = self.lookup_scatter(fps);
+        self.lookup_gather(sent, fps)
+    }
+
+    /// The scatter half of [`Self::lookup_insert_batch_values`]: routes
+    /// `fps` under the current epoch and sends every group's frame,
+    /// without waiting for a reply.
+    ///
+    /// The window holds the epoch's view only while it sends. Once its
+    /// frames are queued, a membership change's barrier
+    /// ([`Self::quiesce_epoch`]) may pass: every scan the change sends
+    /// afterwards reaches each shard's queue behind these inserts, so it
+    /// sees them. A window whose gather comes much later (a front-end
+    /// part waiting for its batch to close) therefore never holds an old
+    /// epoch for longer than a send.
+    pub(crate) fn lookup_scatter(&self, fps: &[Fingerprint]) -> SentLookup {
         let state = self.routing();
-        let mut exists = vec![false; fps.len()];
-        let mut values = vec![0u64; fps.len()];
-        let mut repairs: Vec<(NodeId, Vec<(Fingerprint, u64)>)> = Vec::new();
         let mut groups = self.group_by_replicas(&state.view, fps);
         let make = |g: &mut RouteGroup, correlation: u64| Frame::LookupInsertReq {
             correlation,
@@ -775,6 +802,40 @@ impl ShhcCluster {
             fingerprints: std::mem::take(&mut g.fingerprints),
         };
         let pending = self.scatter_frames(&mut groups, make);
+        SentLookup {
+            groups,
+            pending,
+            epoch: state.view.epoch(),
+            migration: state.migration,
+        }
+    }
+
+    /// The gather half of [`Self::lookup_insert_batch_values`]: awaits
+    /// the replies of a window [`Self::lookup_scatter`] sent for `fps`
+    /// (under one deadline, from now), merges them, then runs read
+    /// repair and the migration dual-read.
+    ///
+    /// Read repair writes to the replicas the window was routed to, so it
+    /// runs only while that epoch is still current, and holds its view
+    /// for the duration, so a membership change's barrier waits for it.
+    /// A window that outlived its epoch skips the repair: its replicas
+    /// converge through later traffic or the next re-home pass.
+    /// Dual-read uses the migration that was in flight at the send: it
+    /// names the owners before those the window asked.
+    pub(crate) fn lookup_gather(
+        &self,
+        sent: SentLookup,
+        fps: &[Fingerprint],
+    ) -> Result<(Vec<bool>, Vec<u64>)> {
+        let SentLookup {
+            groups,
+            pending,
+            epoch,
+            migration,
+        } = sent;
+        let mut exists = vec![false; fps.len()];
+        let mut values = vec![0u64; fps.len()];
+        let mut repairs: Vec<(NodeId, Vec<(Fingerprint, u64)>)> = Vec::new();
         let deadline = Instant::now() + self.inner.config.request_timeout;
         for (group, sent) in groups.iter().zip(pending) {
             let mut replies = Vec::new();
@@ -803,21 +864,26 @@ impl ShhcCluster {
         }
         // Read repair: replicas that answered "new" or pending for a
         // fingerprint a peer holds recorded get the recorded value, so
-        // replica values converge under traffic.
-        for (node, pairs) in repairs {
-            let record = |correlation, pairs| Frame::RecordReq { correlation, pairs };
-            match self.node_exchange(node, &pairs, |p| p.0, record) {
-                // A replica dying between its reply and the repair loses
-                // nothing it would have kept anyway.
-                Ok(_) | Err(Error::Unavailable(_)) => {}
-                Err(e) => return Err(e),
+        // replica values converge under traffic. Only under the epoch
+        // the window was routed by, whose view this holds meanwhile.
+        let routed = (!repairs.is_empty()).then(|| self.routing());
+        if routed.as_ref().is_some_and(|r| r.view.epoch() == epoch) {
+            for (node, pairs) in repairs {
+                let record = |correlation, pairs| Frame::RecordReq { correlation, pairs };
+                match self.node_exchange(node, &pairs, |p| p.0, record) {
+                    // A replica dying between its reply and the repair
+                    // loses nothing it would have kept anyway.
+                    Ok(_) | Err(Error::Unavailable(_)) => {}
+                    Err(e) => return Err(e),
+                }
             }
         }
+        drop(routed);
         // Dual-read: misses inside in-flight migration ranges fall back
         // to the range's previous owner; hits there get their recorded
         // value re-recorded on the new owner (which just inserted a
         // placeholder).
-        if let Some(migration) = &state.migration {
+        if let Some(migration) = &migration {
             let repairs = self.dual_read_fallback(migration, fps, &mut exists, &mut values)?;
             if !repairs.is_empty() {
                 self.record_batch(&repairs)?;
@@ -1516,7 +1582,9 @@ impl ShhcCluster {
     /// in-flight operation snapshots the routing state by cloning its
     /// `Arc`s, so once ours is the last reference, no pre-epoch batch can
     /// write under stale routing — the barrier a drain's verified-empty
-    /// scan and a join's last pass rely on.
+    /// scan and a join's last pass rely on. A lookup window holds the
+    /// view until its frames are queued (see [`Self::lookup_scatter`]),
+    /// not until its replies are gathered.
     ///
     /// # Errors
     ///
@@ -2405,6 +2473,38 @@ mod tests {
                 "cold replica must have been repaired to the recorded value"
             );
         }
+        cluster.shutdown().unwrap();
+    }
+
+    /// A window scattered under one epoch and gathered under the next:
+    /// the join between them does not wait for the gather (the window
+    /// held the old view only while it sent; with a 300 ms request
+    /// timeout a held view would fail the join), the answers are the
+    /// old owners', and the read repair they call for is skipped, not
+    /// written to replicas under stale routing.
+    #[test]
+    fn a_window_gathered_after_a_join_skips_its_read_repair() {
+        let mut config = ClusterConfig::small_test(2).with_replication(2);
+        config.request_timeout = Duration::from_millis(300);
+        let cluster = ShhcCluster::spawn(config).unwrap();
+        let batch = fps(0..200);
+        cluster.lookup_insert_batch(&batch).unwrap();
+        let pairs: Vec<(Fingerprint, u64)> = batch
+            .iter()
+            .enumerate()
+            .map(|(i, fp)| (*fp, 7000 + i as u64))
+            .collect();
+        cluster.record_batch(&pairs).unwrap();
+        // A cold replica: the window's answers call for repairs on it.
+        cluster.kill_node(NodeId::new(0)).unwrap();
+        cluster.restart_cold(NodeId::new(0)).unwrap();
+        let sent = cluster.lookup_scatter(&batch);
+        let (_, report) = cluster.add_node().unwrap();
+        assert!(report.moved > 0);
+        let (exists, values) = cluster.lookup_gather(sent, &batch).unwrap();
+        assert!(exists.iter().all(|e| *e), "the warm replica answered");
+        let want: Vec<u64> = pairs.iter().map(|p| p.1).collect();
+        assert_eq!(values, want);
         cluster.shutdown().unwrap();
     }
 

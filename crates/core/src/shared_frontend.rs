@@ -11,6 +11,16 @@
 //! A batch leaves for the cluster by the three rules of
 //! [`SharedBatcher`]'s module docs; here is who ships it:
 //!
+//! - **parts** — while a batch fills, the client whose submission
+//!   completes [`PART`] unsent fingerprints sends them to their nodes at
+//!   once, scatter only, and the batch keeps the pending replies. The
+//!   nodes work on a window while its client is still submitting the
+//!   rest. Whoever closes the batch (any rule below) sends the
+//!   remainder, gathers every part in order and answers the tickets:
+//!   the answers are those of one
+//!   [`ShhcCluster::lookup_insert_batch_values`] call over the whole
+//!   batch, and any part's failure fails it all. A batch of at most
+//!   `PART` fingerprints sends no part;
 //! - **size** — the client whose submission filled it, inline;
 //! - **demand** — a client blocked in [`Ticket::wait`] on it: at once, on
 //!   its own thread, if this front-end has no round trip in flight; if it
@@ -32,9 +42,10 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use shhc_net::{AdmissionPolicy, ClosedBatch, SharedBatcher, SharedBatcherStats, Ticket};
+use shhc_net::{AdmissionPolicy, ClosedBatch, SharedBatcher, SharedBatcherStats, Ticket, PART};
 use shhc_types::{Fingerprint, Result};
 
+use crate::cluster::SentLookup;
 use crate::ShhcCluster;
 
 /// One fingerprint's cluster answer, delivered through a completion
@@ -100,7 +111,8 @@ impl FrontendConfig {
 
 struct FrontendInner {
     cluster: ShhcCluster,
-    batcher: SharedBatcher<LookupAnswer>,
+    /// Keeps each sent part's pending replies in its batch.
+    batcher: SharedBatcher<LookupAnswer, SentLookup>,
     /// Wakes the flusher when a submission opens a fresh batch (its age
     /// alarm must be re-armed). Dropping the last handle disconnects the
     /// channel, which is the flusher's exit signal.
@@ -120,7 +132,7 @@ impl FrontendInner {
     /// Runs on whichever thread closed the batch — a client thread on a
     /// size or demand trigger or an explicit flush, the flusher on the
     /// age cap.
-    fn dispatch(&self, batch: ClosedBatch<LookupAnswer>) -> Result<usize> {
+    fn dispatch(&self, batch: ClosedBatch<LookupAnswer, SentLookup>) -> Result<usize> {
         *self.in_flight.lock() += 1;
         self.round_trip(batch)
     }
@@ -157,20 +169,10 @@ impl FrontendInner {
     /// the answer anyway, so leading costs no extra thread switch, where
     /// the flusher would add one and serialize every demand close behind
     /// a single thread.
-    fn round_trip(&self, batch: ClosedBatch<LookupAnswer>) -> Result<usize> {
+    fn round_trip(&self, mut batch: ClosedBatch<LookupAnswer, SentLookup>) -> Result<usize> {
         let n = batch.len();
-        let result = match self
-            .cluster
-            .lookup_insert_batch_values(batch.fingerprints())
-        {
-            Ok((exists, values)) => {
-                let answers = exists
-                    .into_iter()
-                    .zip(values)
-                    .map(|(existed, value)| LookupAnswer { existed, value })
-                    .collect();
-                batch.complete(answers).map(|()| n)
-            }
+        let result = match self.lookup(&mut batch) {
+            Ok(answers) => batch.complete(answers).map(|()| n),
             Err(e) => {
                 batch.fail(&e);
                 Err(e)
@@ -182,6 +184,34 @@ impl FrontendInner {
             self.batcher.pass_demand();
         }
         result
+    }
+
+    /// Sends what the batch's parts did not cover, then gathers every
+    /// part and that rest in batch order and joins their answers.
+    fn lookup(
+        &self,
+        batch: &mut ClosedBatch<LookupAnswer, SentLookup>,
+    ) -> Result<Vec<LookupAnswer>> {
+        let mut parts = batch.take_parts();
+        let fps = batch.fingerprints();
+        let sent = parts.len() * PART;
+        if sent < fps.len() {
+            parts.push(self.cluster.lookup_scatter(&fps[sent..]));
+        }
+        let slices = fps[..sent]
+            .chunks(PART)
+            .chain((sent < fps.len()).then(|| &fps[sent..]));
+        let mut answers = Vec::with_capacity(fps.len());
+        for (part, fps) in parts.into_iter().zip(slices) {
+            let (exists, values) = self.cluster.lookup_gather(part, fps)?;
+            answers.extend(
+                exists
+                    .into_iter()
+                    .zip(values)
+                    .map(|(existed, value)| LookupAnswer { existed, value }),
+            );
+        }
+        Ok(answers)
     }
 }
 
@@ -247,6 +277,7 @@ impl SharedFrontend {
     /// Panics if `config.batch_size` is zero.
     pub fn with_config(cluster: ShhcCluster, config: FrontendConfig) -> Self {
         let (wake_tx, wake_rx) = unbounded();
+        let parts = cluster.clone();
         let inner = Arc::new_cyclic(|weak: &Weak<FrontendInner>| {
             let owner = weak.clone();
             FrontendInner {
@@ -262,7 +293,10 @@ impl SharedFrontend {
                     if let Some(inner) = owner.upgrade() {
                         inner.demand();
                     }
-                }),
+                })
+                // Only a submission through this front-end sends a part,
+                // so the hook needs the cluster, not the front-end.
+                .on_part(move |fps| parts.lookup_scatter(fps)),
                 wake_tx,
                 in_flight: Mutex::new(0),
                 flusher_passes: AtomicU64::new(0),
@@ -279,11 +313,14 @@ impl SharedFrontend {
     /// Submits one fingerprint, returning its completion ticket.
     ///
     /// If this submission closes the batch (size limit, or an age limit
-    /// the flusher has not got to yet), the whole batch is dispatched
+    /// the flusher has not got to yet), the batch's round trip runs
     /// synchronously on the calling thread before returning, so every
     /// ticket in it — this one included — is already answered. Otherwise
     /// the batch goes when a client blocks on one of its tickets, or at
-    /// the age cap. Dispatch failures are delivered through the tickets.
+    /// the age cap; if this submission completes [`PART`] unsent
+    /// fingerprints of the open batch, it first sends them to their nodes
+    /// without waiting for the replies. Dispatch failures are delivered
+    /// through the tickets.
     pub fn submit(&self, fp: Fingerprint) -> Ticket<LookupAnswer> {
         self.submit_from(None, fp).0
     }
@@ -692,6 +729,135 @@ mod tests {
         let stats = fe.stats();
         assert_eq!(stats.admitted, 2);
         assert_eq!(stats.shed, 1);
+        cluster.shutdown().unwrap();
+    }
+
+    /// A fingerprint whose route key is spread over the ring (`fp`'s is
+    /// `v` itself, so small values all route to one node).
+    fn spread(v: u64) -> Fingerprint {
+        fp(v.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// Answers through the front-end equal one
+    /// `lookup_insert_batch_values` call over the same batch on a twin
+    /// cluster, for batches just below, at, just above and past two
+    /// parts, closed by size (a part and a tail) and on demand (after a
+    /// part, the tail may be empty). A quarter of each batch is already
+    /// stored, and after the first part every third fingerprint repeats
+    /// one from the first part: answered "new" once, by the first part.
+    #[test]
+    fn parts_answer_as_one_cluster_call() {
+        for n in [PART - 1, PART, PART + 1, 2 * PART + 3] {
+            let stored: Vec<Fingerprint> =
+                (0..=n as u64 / 4).map(|i| spread((1 << 40) | i)).collect();
+            let batch: Vec<Fingerprint> = (0..n)
+                .map(|i| match i {
+                    _ if i % 4 == 1 => stored[i / 4],
+                    _ if i >= PART && i % 3 == 0 => spread((i - PART) as u64),
+                    _ => spread(i as u64),
+                })
+                .collect();
+            let twin = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
+            twin.lookup_insert_batch(&stored).unwrap();
+            let (exists, values) = twin.lookup_insert_batch_values(&batch).unwrap();
+            let want: Vec<LookupAnswer> = exists
+                .into_iter()
+                .zip(values)
+                .map(|(existed, value)| LookupAnswer { existed, value })
+                .collect();
+            twin.shutdown().unwrap();
+            for batch_size in [n, 4 * PART] {
+                let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
+                cluster.lookup_insert_batch(&stored).unwrap();
+                let fe = SharedFrontend::new(cluster.clone(), batch_size, Duration::from_secs(60));
+                let tickets: Vec<_> = batch.iter().map(|&f| fe.submit(f)).collect();
+                let got: Vec<LookupAnswer> =
+                    tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+                assert_eq!(got, want, "batch of {n}, size limit {batch_size}");
+                let mut answered_new = std::collections::HashSet::new();
+                for (f, answer) in batch.iter().zip(&got) {
+                    assert!(answer.existed || answered_new.insert(*f), "{f} new twice");
+                }
+                let stats = fe.stats();
+                assert_eq!((stats.batches, stats.fingerprints), (1, n as u64));
+                assert_eq!(fe.outstanding(), 0);
+                cluster.shutdown().unwrap();
+            }
+        }
+    }
+
+    /// The nodes see a part before its batch closes: after `PART`
+    /// submissions to a much larger batch, every one of them is stored,
+    /// though no ticket is answered yet.
+    #[test]
+    fn a_part_reaches_the_nodes_before_its_batch_closes() {
+        let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
+        let fe = SharedFrontend::new(cluster.clone(), 4 * PART, Duration::from_secs(60));
+        let mut tickets: Vec<_> = (0..PART as u64 - 1).map(|i| fe.submit(spread(i))).collect();
+        assert_eq!(
+            cluster.stats().unwrap().total_entries(),
+            0,
+            "nothing sent yet"
+        );
+        tickets.push(fe.submit(spread(PART as u64 - 1)));
+        // Control messages queue behind the part's frames on each shard.
+        assert_eq!(cluster.stats().unwrap().total_entries(), PART as u64);
+        assert!(
+            tickets.iter().all(|t| !t.is_ready()),
+            "the batch is still open"
+        );
+        assert_eq!(fe.stats().batches, 0);
+        for t in tickets {
+            assert!(!t.wait().unwrap().existed);
+        }
+        let stats = fe.stats();
+        assert_eq!((stats.batches, stats.closed_by_demand), (1, 1));
+        cluster.shutdown().unwrap();
+    }
+
+    /// A node killed between a part's send and the batch's close fails
+    /// the whole batch: every ticket gets the error promptly and every
+    /// admission slot comes back.
+    #[test]
+    fn a_node_killed_after_a_part_fails_every_ticket_of_the_batch() {
+        let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
+        let fe = SharedFrontend::new(cluster.clone(), 4 * PART, Duration::from_secs(60));
+        let mut tickets: Vec<_> = (0..PART as u64).map(|i| fe.submit(spread(i))).collect();
+        cluster.kill_node(shhc_types::NodeId::new(0)).unwrap();
+        // The tail: ≈ half of it routes to the dead node.
+        tickets.extend((PART as u64..PART as u64 + 200).map(|i| fe.submit(spread(i))));
+        let start = Instant::now();
+        for t in tickets {
+            let err = t.wait_timeout(Duration::from_secs(20)).unwrap_err();
+            assert!(matches!(err, shhc_types::Error::Unavailable(_)), "{err}");
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "a dead node fails its frames at once, not at the request timeout"
+        );
+        assert_eq!(fe.outstanding(), 0);
+        assert_eq!(fe.stats().closed_by_demand, 1);
+        cluster.shutdown().unwrap();
+    }
+
+    /// Dropping a front-end that holds sent parts fails its open batch:
+    /// the tickets resolve `Unavailable` and the cluster is unharmed.
+    #[test]
+    fn dropping_a_frontend_with_sent_parts_fails_its_tickets() {
+        let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
+        let fe = SharedFrontend::new(cluster.clone(), 4 * PART, Duration::from_secs(60));
+        let tickets: Vec<_> = (0..2 * PART as u64 + 10)
+            .map(|i| fe.submit(spread(i)))
+            .collect();
+        drop(fe);
+        for t in tickets {
+            assert!(matches!(
+                t.wait_timeout(Duration::from_secs(20)),
+                Err(shhc_types::Error::Unavailable(_))
+            ));
+        }
+        // The parts' inserts landed; the tail never left.
+        assert_eq!(cluster.stats().unwrap().total_entries(), 2 * PART as u64);
         cluster.shutdown().unwrap();
     }
 

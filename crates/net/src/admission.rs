@@ -22,17 +22,20 @@
 //!   accounting: one noisy tenant saturating its quota cannot push a
 //!   quiet tenant's traffic out of the queue.
 //!
-//! A slot is taken per submission; release is **per batch** — one lock, one
-//! clock read and at most one wake-up hand back every slot of an answered
-//! batch and record each entry's **admitted latency** — admission to
-//! answer — into a bounded ring of recent samples, so p99/p999 for the
-//! requests the system chose to serve stay observable at any uptime.
+//! A slot is taken per submission — under [`AdmissionPolicy::Block`] and
+//! [`AdmissionPolicy::Shed`] with one compare-and-swap while a slot is
+//! free, and under the gate's lock only when full or per tenant. Release
+//! is **per batch** — one lock, one clock read and at most one wake-up
+//! hand back every slot of an answered batch and record each entry's
+//! **admitted latency** — admission to answer — into a bounded ring of
+//! recent samples, so p99/p999 for the requests the system chose to
+//! serve stay observable at any uptime.
 //!
 //! The gate models no capacity of its own: a front-end's throughput is
 //! whatever the cluster behind it answers, and the bound only decides
 //! what happens to the work that arrives faster than that.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -105,11 +108,9 @@ impl AdmissionPolicy {
     }
 }
 
-/// Outstanding-slot counts, under the gate mutex.
+/// Per-tenant and parked counts, under the gate mutex.
 #[derive(Debug, Default)]
 struct Counts {
-    /// Slots currently held (admitted submissions not yet answered).
-    outstanding: usize,
     /// Per-tenant outstanding slots (only maintained under
     /// [`AdmissionPolicy::FairShed`]). Entries are removed at zero so the
     /// map stays proportional to *active* tenants.
@@ -127,6 +128,12 @@ struct Counts {
 #[derive(Debug)]
 pub(crate) struct AdmissionGate {
     policy: AdmissionPolicy,
+    /// Slots currently held (admitted submissions not yet answered).
+    /// Never above the policy's bound: a slot is taken only by a
+    /// compare-and-swap from below it. A take (acquire) that reuses a
+    /// slot happens after the release that freed it (release); the
+    /// handshake with parked `Block` submitters goes through `counts`.
+    outstanding: AtomicUsize,
     counts: Mutex<Counts>,
     space: Condvar,
     /// Submissions admitted (slots ever issued).
@@ -159,6 +166,7 @@ impl AdmissionGate {
     pub(crate) fn new(policy: AdmissionPolicy) -> Arc<Self> {
         Arc::new(AdmissionGate {
             policy,
+            outstanding: AtomicUsize::new(0),
             counts: Mutex::new(Counts {
                 latency: SampleRing::new(LATENCY_SAMPLE_CAP),
                 ..Counts::default()
@@ -181,10 +189,19 @@ impl AdmissionGate {
     ///
     /// [`Error::Overloaded`] when a shedding policy is past its bound.
     pub(crate) fn admit(&self, tenant: Option<u32>) -> Result<Option<u32>> {
+        // A free slot needs no lock unless a tenant is charged for it.
+        let per_tenant = matches!(self.policy, AdmissionPolicy::FairShed { .. });
+        if !per_tenant && self.try_take() {
+            self.admitted.fetch_add(1, Ordering::Relaxed);
+            return Ok(None);
+        }
         let max_pending = self.policy.max_pending();
         let mut counts = self.counts.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if counts.outstanding < max_pending {
+            // Under the lock, so a `Block` submitter cannot miss the
+            // wake-up of a release that lands between this look and its
+            // park: the release takes the lock to see `parked`.
+            if self.try_take() {
                 break;
             }
             match self.policy {
@@ -219,6 +236,7 @@ impl AdmissionGate {
             let held = counts.per_tenant.entry(key).or_insert(0);
             if *held >= per_tenant_quota {
                 drop(counts);
+                self.outstanding.fetch_sub(1, Ordering::AcqRel);
                 self.shed.fetch_add(1, Ordering::Relaxed);
                 self.shed_by_tenant.fetch_add(1, Ordering::Relaxed);
                 return Err(Error::overloaded(format!(
@@ -228,19 +246,25 @@ impl AdmissionGate {
             *held += 1;
             charged = Some(key);
         }
-        counts.outstanding += 1;
         drop(counts);
         self.admitted.fetch_add(1, Ordering::Relaxed);
         Ok(charged)
     }
 
-    /// Admitted submissions not yet answered — cheap (no sample clone),
-    /// for load-balancing reads.
+    /// Takes a slot if one is free.
+    fn try_take(&self) -> bool {
+        let max_pending = self.policy.max_pending();
+        self.outstanding
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |held| {
+                (held < max_pending).then_some(held + 1)
+            })
+            .is_ok()
+    }
+
+    /// Admitted submissions not yet answered — cheap (no lock, no sample
+    /// clone), for load-balancing reads.
     pub(crate) fn outstanding(&self) -> usize {
-        self.counts
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .outstanding
+        self.outstanding.load(Ordering::Acquire)
     }
 
     /// Hands back the slots of one answered (or abandoned) batch:
@@ -250,8 +274,9 @@ impl AdmissionGate {
     /// are woken only if there are any.
     pub(crate) fn release(&self, charged: &[u32], admitted_at: &[Instant]) {
         let now = Instant::now();
+        self.outstanding
+            .fetch_sub(admitted_at.len(), Ordering::AcqRel);
         let mut counts = self.counts.lock().unwrap_or_else(|e| e.into_inner());
-        counts.outstanding = counts.outstanding.saturating_sub(admitted_at.len());
         for key in charged {
             if let Some(held) = counts.per_tenant.get_mut(key) {
                 *held = held.saturating_sub(1);
@@ -279,7 +304,7 @@ impl AdmissionGate {
             shed: self.shed.load(Ordering::Relaxed),
             shed_by_tenant: self.shed_by_tenant.load(Ordering::Relaxed),
             blocked: self.blocked.load(Ordering::Relaxed),
-            outstanding: counts.outstanding,
+            outstanding: self.outstanding(),
             latency_count: counts.latency.seen(),
             latency_total_ns: counts.latency_total_ns,
             latency_samples: counts.latency.reader(),
@@ -355,6 +380,66 @@ mod tests {
         // Releasing one of tenant 7's slots reopens its quota.
         gate.release(&[a2], &[Instant::now()]);
         gate.admit(Some(7)).unwrap();
+    }
+
+    /// Submitters racing for slots, mostly on the lock-free path: the
+    /// count never passes the bound (an observer thread and every
+    /// submitter check it), every offer is counted once as admitted or
+    /// shed, and `Block` sheds nothing.
+    #[test]
+    fn racing_submitters_never_pass_the_bound() {
+        const SUBMITTERS: usize = 4;
+        const OFFERS: usize = 5_000;
+        const BOUND: usize = 2;
+        for policy in [
+            AdmissionPolicy::Block { max_pending: BOUND },
+            AdmissionPolicy::Shed { max_pending: BOUND },
+        ] {
+            let gate = AdmissionGate::new(policy);
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let refused: usize = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    while !done.load(Ordering::Relaxed) {
+                        assert!(gate.outstanding() <= BOUND, "{policy:?} past its bound");
+                    }
+                });
+                let submitters: Vec<_> = (0..SUBMITTERS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut refused = 0;
+                            for _ in 0..OFFERS {
+                                match gate.admit(None) {
+                                    Ok(_) => {
+                                        assert!(gate.outstanding() <= BOUND);
+                                        gate.release(&[], &[Instant::now()]);
+                                    }
+                                    Err(err) => {
+                                        assert!(err.is_overload(), "{err}");
+                                        refused += 1;
+                                    }
+                                }
+                            }
+                            refused
+                        })
+                    })
+                    .collect();
+                let refused = submitters.into_iter().map(|h| h.join().unwrap()).sum();
+                done.store(true, Ordering::Relaxed);
+                refused
+            });
+            let snap = gate.snapshot();
+            assert_eq!(snap.outstanding, 0);
+            assert_eq!(snap.shed, refused as u64, "{policy:?}");
+            assert_eq!(snap.admitted + snap.shed, (SUBMITTERS * OFFERS) as u64);
+            assert_eq!(snap.latency_count, snap.admitted);
+            if let AdmissionPolicy::Block { .. } = policy {
+                assert_eq!(snap.shed, 0, "Block never sheds");
+                // One submitter alone never finds the gate full.
+                gate.admit(None).unwrap();
+                gate.release(&[], &[Instant::now()]);
+                assert_eq!(gate.snapshot().blocked, snap.blocked);
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,9 @@ mod wire;
 pub use admission::{AdmissionPolicy, DEFAULT_MAX_PENDING};
 pub use model::NetModel;
 pub use samples::{RingReader, SampleRing};
-pub use shared::{CloseReason, ClosedBatch, SharedBatcher, SharedBatcherStats, Submitted, Ticket};
+pub use shared::{
+    CloseReason, ClosedBatch, SharedBatcher, SharedBatcherStats, Submitted, Ticket, PART,
+};
 pub use wire::{
     decode, encode, encode_into, encode_reusing, encoded_len, lookup_req_len, lookup_resp_len,
     Frame, WIRE_VERSION,

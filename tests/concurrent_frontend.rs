@@ -222,8 +222,20 @@ fn answers_do_not_depend_on_where_batches_close() {
 
     // Size limits below, at and far above the wave: mostly size closes
     // with a demand-closed tail, one demand close per wave, and waves of
-    // one (every batch a single demanded fingerprint).
-    for (batch_size, wave) in [(2, 50), (64, 50), (1000, 50), (1000, 1)] {
+    // one (every batch a single demanded fingerprint). Batches past
+    // `PART` (512) send parts before they close: demand-closed after
+    // parts (2048 / 1500, 1000 / 700, 4096 / 4000) and size-closed with
+    // a part and a tail (1024 / 4000).
+    for (batch_size, wave) in [
+        (2, 50),
+        (64, 50),
+        (1000, 50),
+        (1000, 1),
+        (2048, 1500),
+        (1000, 700),
+        (4096, 4000),
+        (1024, 4000),
+    ] {
         let cluster = ShhcCluster::spawn(ClusterConfig::small_test(2)).unwrap();
         let fe = SharedFrontend::new(cluster.clone(), batch_size, FOREVER);
         let got = drive(&fe, &trace, wave);

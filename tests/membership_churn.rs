@@ -144,6 +144,72 @@ fn drain_under_live_inserts_strands_nothing() {
     cluster.shutdown().unwrap();
 }
 
+/// A join and a drain while an open front-end batch holds sent parts. A
+/// part holds its epoch's view only while it sends, so neither change's
+/// barrier waits for the batch to close: both complete at once, though
+/// nobody waits on the batch until the end and its age cap is ten
+/// minutes off. The batch straddles three epochs, and every answer is
+/// the oracle's: a stored fingerprint exists, a fresh one is new exactly
+/// the first time, including repeats of the first part's fresh
+/// fingerprints that the join migrated before the tail asked for them.
+#[test]
+fn membership_changes_pass_an_open_batch_holding_sent_parts() {
+    const PART: u64 = shhc_net::PART as u64;
+    let cluster = ShhcCluster::spawn(roomy_config(2)).unwrap();
+    let stored = fps(0..2_000);
+    cluster.lookup_insert_batch(&stored).unwrap();
+    let fe = SharedFrontend::new(cluster.clone(), 8 * PART as usize, Duration::from_secs(600));
+    let fresh = fps(1_000_000..1_000_000 + 2 * PART);
+    // Part 1: stored and fresh fingerprints alternating.
+    let part1: Vec<Fingerprint> = (0..PART as usize)
+        .map(|i| if i % 2 == 0 { stored[i] } else { fresh[i] })
+        .collect();
+    // Part 2: repeats of part 1's fresh ones, more stored, more fresh.
+    let part2: Vec<Fingerprint> = (0..PART as usize)
+        .map(|i| match i % 3 {
+            0 => part1[i | 1],
+            1 => stored[1_000 + i],
+            _ => fresh[PART as usize + i],
+        })
+        .collect();
+    // The tail: repeats of both parts.
+    let tail: Vec<Fingerprint> = part1.iter().chain(&part2).step_by(7).copied().collect();
+
+    let mut tickets: Vec<_> = part1.iter().map(|&f| fe.submit(f)).collect();
+    let started = std::time::Instant::now();
+    let (joined, report) = cluster.add_node().unwrap();
+    assert!(report.moved > 0);
+    tickets.extend(part2.iter().map(|&f| fe.submit(f)));
+    cluster.drain_node(NodeId::new(0)).unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the changes waited for the open batch"
+    );
+    assert_eq!(cluster.epoch(), 3);
+    assert!(
+        tickets.iter().all(|t| !t.is_ready()),
+        "the batch is still open"
+    );
+    tickets.extend(tail.iter().map(|&f| fe.submit(f)));
+
+    let stream: Vec<Fingerprint> = part1.iter().chain(&part2).chain(&tail).copied().collect();
+    let mut known: std::collections::HashSet<Fingerprint> = stored.iter().copied().collect();
+    for (i, (f, ticket)) in stream.iter().zip(tickets).enumerate() {
+        let answer = ticket.wait().unwrap();
+        assert_eq!(answer.existed, !known.insert(*f), "answer {i} ({f})");
+    }
+    assert_eq!(fe.stats().batches, 1, "one batch straddled both changes");
+    assert!(cluster.query_batch(&stream).unwrap().iter().all(|e| *e));
+    assert_eq!(cluster.stats().unwrap().total_entries(), known.len() as u64);
+    assert!(cluster
+        .stats()
+        .unwrap()
+        .nodes
+        .iter()
+        .any(|n| n.id == joined && n.entries > 0));
+    cluster.shutdown().unwrap();
+}
+
 /// The admission gates every service-driven test runs behind: the
 /// default blocking bound, then a fair-shedding gate with bounds generous
 /// enough that the suite never actually sheds — that run checks the
