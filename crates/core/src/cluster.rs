@@ -4,20 +4,21 @@
 //!
 //! Batch operations run as a two-phase **scatter-gather pipeline**:
 //! phase 1 routes the batch into groups by replica set and intra-node
-//! shard and *sends* every group's frame to that shard's queue on every
-//! replica up front (each request carries a fresh reply channel and a
-//! correlation id that is verified on receipt); phase 2 gathers all
-//! replies under one shared deadline and merges them. A batch spanning N
-//! nodes (or shards) therefore costs ≈ max of the per-queue service
-//! times instead of their sum — the property the paper's
+//! shard and *sends* every group's request to that shard's queue on
+//! every replica up front; phase 2 gathers all replies under one shared
+//! deadline and merges them. A request is a typed [`Request`] value with
+//! its own reply channel, so nothing is encoded and no reply carries a
+//! correlation id: the channel names the request it answers. A batch
+//! spanning N nodes (or shards) therefore costs ≈ max of the per-queue
+//! service times instead of their sum — the property the paper's
 //! throughput-scaling claim (Figure 5) rests on.
 //!
-//! Every node runs one [`node_loop`] thread per shard, each behind its
+//! Every node runs one `node_loop` thread per shard, each behind its
 //! own queue; the cluster's [`ShardRouter`] picks the shard, so a node
 //! has no dispatcher. Sends that address one node outside a window's
 //! scatter (dual-read, old-owner removes, read repair, migration) go
 //! through [`ShhcCluster::node_exchange`], which splits them the same
-//! way, and control messages go to every shard of a node and are merged.
+//! way, and control requests go to every shard of a node and are merged.
 //!
 //! # Control plane: epoch-versioned membership
 //!
@@ -34,12 +35,18 @@
 //!    miss inside a moved range falls back to the range's previous owner,
 //!    and a hit there re-records the authoritative value on the new owner,
 //! 3. **re-home** in passes over the new view: scan each running node
-//!    once (`ControlMsg::Scan`), ship every entry in chunked
-//!    `MigrateReq` frames to each owner in its replica set (the reply
-//!    says which entries the owner already held), then `RemoveReq` what
-//!    the node no longer owns once an owner acknowledged it — repeating
-//!    until a pass installs and removes nothing,
+//!    once (`Request::Scan`), ship every entry in chunked
+//!    `Request::Migrate` pages to each owner in its replica set (the
+//!    reply says which entries the owner already held), then
+//!    `Request::Remove` what the node no longer owns once an owner
+//!    acknowledged it — repeating until a pass installs and removes
+//!    nothing,
 //! 4. **retire** the old epoch: the plan is dropped and dual-read ends.
+//!
+//! Between 1 and 3 sits a barrier: every batch counts itself into the
+//! epoch it routes under and out when it is done, and the change waits
+//! on that count (a condvar, woken by the last batch out) until no batch
+//! routes under the old view.
 //!
 //! Client deletes racing a migration leave tombstones in the plan's
 //! in-flight state so a removed fingerprint cannot be resurrected by a
@@ -48,24 +55,21 @@
 //! epoch, and a warm restart's re-sync runs one pass that targets the
 //! restarted node alone.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use shhc_net::{decode, encode, Frame};
 use shhc_node::{shard_slices, NodeConfig, ShardRouter};
 use shhc_ring::{MigrationPlan, RingView};
-use shhc_types::{Error, Fingerprint, FpHashSet, NodeId, Result, StreamId, PENDING_VALUE};
+use shhc_types::{Error, Fingerprint, FpHashSet, NodeId, Result, PENDING_VALUE};
 
 use shhc_cache::CacheStats;
 use shhc_flash::{DeviceStats, FtlStats};
 use shhc_node::NodeStats;
 
-use crate::server::{node_loop, ControlMsg, ControlReply, NodeRequest, NodeSnapshot};
+use crate::server::{NodeSnapshot, Reply, ReplyRx, Request, ShardQueue};
 
 /// Re-home passes a membership change runs at most. Each pass after the
 /// first only has to catch entries written by batches that were already
@@ -289,7 +293,7 @@ enum SlotStatus {
 
 struct NodeSlot {
     /// One queue per shard, in shard order; empty while the node is down.
-    senders: Vec<Sender<NodeRequest>>,
+    queues: Vec<ShardQueue>,
     /// The shards' server threads, in shard order.
     handles: Vec<JoinHandle<()>>,
     status: SlotStatus,
@@ -319,13 +323,96 @@ impl MigrationState {
     }
 }
 
+/// One epoch's ring view plus the count of [`RoutingState`] values that
+/// hold it: the installed state and every batch routing by it. A
+/// membership change's barrier ([`ShhcCluster::quiesce_epoch`]) waits for
+/// the epoch it replaced to empty.
+struct EpochView {
+    view: RingView,
+    holders: AtomicUsize,
+    /// Set while a barrier waits: only then does the last holder out
+    /// take `lock` to wake it, so a batch takes no lock for its count.
+    barrier: AtomicBool,
+    lock: std::sync::Mutex<()>,
+    emptied: Condvar,
+}
+
+impl std::ops::Deref for EpochView {
+    type Target = RingView;
+
+    fn deref(&self) -> &RingView {
+        &self.view
+    }
+}
+
+impl EpochView {
+    /// One holder lets go; the last one wakes a waiting barrier.
+    fn leave(&self) {
+        if self.holders.fetch_sub(1, Ordering::SeqCst) == 1 && self.barrier.load(Ordering::SeqCst) {
+            let _lock = self.lock.lock();
+            self.emptied.notify_all();
+        }
+    }
+
+    /// Waits until nothing holds the epoch, or until `deadline`; returns
+    /// whether it emptied. The flag is raised before the count is read,
+    /// and a holder lowers the count before it reads the flag, so either
+    /// the barrier sees the count at zero or the last holder sees the
+    /// flag and wakes it.
+    fn wait_empty(&self, deadline: Instant) -> bool {
+        self.barrier.store(true, Ordering::SeqCst);
+        let mut lock = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        while self.holders.load(Ordering::SeqCst) > 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            lock = match self.emptied.wait_timeout(lock, left) {
+                Ok((lock, _)) => lock,
+                Err(e) => e.into_inner().0,
+            };
+        }
+        true
+    }
+}
+
 /// The routing state a batch operates under: the current epoch's view
-/// plus the in-flight migration, if any. Cloning is two `Arc` bumps; the
-/// cluster swaps the whole value on membership change.
-#[derive(Clone)]
+/// plus the in-flight migration, if any. A value holds its epoch from
+/// creation or clone until it drops (two `Arc` bumps and one atomic
+/// add); the cluster swaps the installed value on membership change.
 struct RoutingState {
-    view: Arc<RingView>,
+    view: Arc<EpochView>,
     migration: Option<Arc<MigrationState>>,
+}
+
+impl RoutingState {
+    /// The installed state of a new epoch: its first holder.
+    fn install(view: RingView, migration: Option<Arc<MigrationState>>) -> Self {
+        let view = Arc::new(EpochView {
+            view,
+            holders: AtomicUsize::new(1),
+            barrier: AtomicBool::new(false),
+            lock: std::sync::Mutex::new(()),
+            emptied: Condvar::new(),
+        });
+        RoutingState { view, migration }
+    }
+}
+
+impl Clone for RoutingState {
+    fn clone(&self) -> Self {
+        self.view.holders.fetch_add(1, Ordering::SeqCst);
+        RoutingState {
+            view: Arc::clone(&self.view),
+            migration: self.migration.clone(),
+        }
+    }
+}
+
+impl Drop for RoutingState {
+    fn drop(&mut self) {
+        self.view.leave();
+    }
 }
 
 struct Inner {
@@ -343,7 +430,6 @@ struct Inner {
     /// Serializes membership changes (join/drain/rebalance) against each
     /// other — never against traffic.
     membership: Mutex<()>,
-    correlation: AtomicU64,
     /// Cumulative delta re-sync traffic to warm-restarted nodes
     /// (entries / chunks), reported through [`ClusterStats`].
     resync_moved: AtomicU64,
@@ -351,7 +437,7 @@ struct Inner {
 }
 
 /// One slice of a batch bound for one shard of a single replica set: the
-/// fingerprints (moved, not cloned, into the outgoing frame) plus their
+/// fingerprints (moved, not cloned, into the outgoing request) plus their
 /// positions in the caller's batch.
 struct RouteGroup {
     /// The replica set, primary first (ring order).
@@ -369,23 +455,17 @@ struct RouteGroup {
 /// the send-time failure (node down).
 struct PendingReply {
     node: NodeId,
-    reply: Result<Receiver<Bytes>>,
+    reply: Result<ReplyRx>,
 }
 
-/// All replies owed for one scattered group.
-struct PendingGroup {
-    correlation: u64,
-    replies: Vec<PendingReply>,
-}
-
-/// A lookup window whose frames are sent and whose replies are not yet
+/// A lookup window whose requests are sent and whose replies are not yet
 /// gathered ([`ShhcCluster::lookup_scatter`]). Dropping it drops the
 /// reply channels; the nodes still apply the inserts.
 pub(crate) struct SentLookup {
-    /// The window's groups, their fingerprints moved into the frames.
+    /// The window's groups, their fingerprints moved into the requests.
     groups: Vec<RouteGroup>,
-    /// The replies owed, parallel to `groups`.
-    pending: Vec<PendingGroup>,
+    /// The replies owed by each group's replicas, parallel to `groups`.
+    pending: Vec<Vec<PendingReply>>,
     /// The epoch the window was routed under.
     epoch: u64,
     /// The migration in flight at the send, for the dual-read.
@@ -438,12 +518,8 @@ impl ShhcCluster {
                 config,
                 nodes: RwLock::new(slots),
                 join_guard: Mutex::new(()),
-                routing: RwLock::new(RoutingState {
-                    view: Arc::new(view),
-                    migration: None,
-                }),
+                routing: RwLock::new(RoutingState::install(view, None)),
                 membership: Mutex::new(()),
-                correlation: AtomicU64::new(1),
                 resync_moved: AtomicU64::new(0),
                 resync_chunks: AtomicU64::new(0),
             }),
@@ -500,171 +576,115 @@ impl ShhcCluster {
     }
 
     /// Snapshot of the routing state for one batch: two `Arc` clones
-    /// under a momentary read lock.
+    /// under a momentary read lock. The batch counts as a holder of the
+    /// epoch until it drops the snapshot.
     fn routing(&self) -> RoutingState {
         self.inner.routing.read().clone()
     }
 
-    fn next_correlation(&self) -> u64 {
-        self.inner.correlation.fetch_add(1, Ordering::Relaxed)
+    /// Queues `request` on shard `shard` of `node` without waiting and
+    /// hands back the reply channel. Every request to a node goes
+    /// through here.
+    fn send(&self, node: NodeId, shard: usize, request: Request) -> Result<ReplyRx> {
+        let nodes = self.inner.nodes.read();
+        let slot = nodes
+            .get(node.index())
+            .ok_or_else(|| Error::invalid(format!("unknown node {node}")))?;
+        slot.queues
+            .get(shard)
+            .and_then(|queue| queue.send(request))
+            .ok_or_else(|| Error::Unavailable(format!("{node} is down")))
     }
 
-    /// Ships an already-encoded frame to shard `shard` of `node` without
-    /// waiting, handing back the reply channel — the scatter half of the
-    /// pipeline.
-    fn send_data(&self, node: NodeId, shard: usize, frame: Bytes) -> Result<Receiver<Bytes>> {
-        let sender = {
-            let nodes = self.inner.nodes.read();
-            let slot = nodes
-                .get(node.index())
-                .ok_or_else(|| Error::invalid(format!("unknown node {node}")))?;
-            slot.senders
-                .get(shard)
-                .cloned()
-                .ok_or_else(|| Error::Unavailable(format!("{node} is down")))?
-        };
-        let (reply_tx, reply_rx) = unbounded();
-        sender
-            .send(NodeRequest::Data {
-                frame,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::Unavailable(format!("{node} is down")))?;
-        Ok(reply_rx)
-    }
-
-    /// Blocking request-reply exchange with one shard over an
-    /// already-encoded frame, so a query's replica fallback re-sends the
-    /// refcounted buffer instead of re-encoding.
-    fn exchange_encoded(
-        &self,
-        node: NodeId,
-        shard: usize,
-        correlation: u64,
-        frame: Bytes,
-    ) -> Result<Frame> {
-        let reply_rx = self.send_data(node, shard, frame)?;
-        let bytes = reply_rx
-            .recv_timeout(self.inner.config.request_timeout)
-            .map_err(|_| Error::Unavailable(format!("{node} did not reply")))?;
-        verify_reply(node, correlation, &bytes)
+    /// [`Self::send`], keeping the node for the gather.
+    fn pending(&self, node: NodeId, shard: usize, request: Request) -> PendingReply {
+        PendingReply {
+            node,
+            reply: self.send(node, shard, request),
+        }
     }
 
     /// The gather half of the pipeline: awaits one replica's reply under
-    /// the shared deadline and verifies it.
-    fn gather_one(
-        &self,
-        pending: PendingReply,
-        correlation: u64,
-        deadline: Instant,
-    ) -> Result<Frame> {
+    /// the shared deadline. A node-side failure arrives as the node's
+    /// own [`Error::Io`].
+    fn gather_one(&self, pending: PendingReply, deadline: Instant) -> Result<Reply> {
         let rx = pending.reply?;
         let remaining = deadline.saturating_duration_since(Instant::now());
-        let bytes = rx
-            .recv_timeout(remaining)
-            .map_err(|_| Error::Unavailable(format!("{} did not reply", pending.node)))?;
-        verify_reply(pending.node, correlation, &bytes)
+        rx.recv_timeout(remaining)
+            .map_err(|_| Error::Unavailable(format!("{} did not reply", pending.node)))?
     }
 
-    /// Phase 1: encode each group's frame exactly once (fingerprints
-    /// moved, not cloned) and send it to every replica of the group.
-    fn scatter_frames(
+    /// [`Self::gather_one`] for a lookup or a query, which the node
+    /// answers with [`Reply::Answer`].
+    fn gather_answer(
+        &self,
+        pending: PendingReply,
+        deadline: Instant,
+    ) -> Result<(Vec<bool>, Vec<u64>)> {
+        match self.gather_one(pending, deadline)? {
+            Reply::Answer(exists, values) => Ok((exists, values)),
+            other => unreachable!("a lookup answered with {other:?}"),
+        }
+    }
+
+    /// Phase 1: sends each group's request (fingerprints moved, not
+    /// cloned) to every replica of the group; each replica after the
+    /// first gets a clone.
+    fn scatter(
         &self,
         groups: &mut [RouteGroup],
-        mut make_frame: impl FnMut(&mut RouteGroup, u64) -> Frame,
-    ) -> Vec<PendingGroup> {
+        mut make: impl FnMut(&mut RouteGroup) -> Request,
+    ) -> Vec<Vec<PendingReply>> {
         groups
             .iter_mut()
             .map(|group| {
-                let correlation = self.next_correlation();
-                let frame = make_frame(group, correlation);
-                // One encode per group; replicas share the buffer via
-                // cheap refcounted clones.
-                let bytes = encode(&frame);
-                let replies = group
-                    .replicas
+                let request = make(group);
+                let Some((&last, rest)) = group.replicas.split_last() else {
+                    return Vec::new();
+                };
+                let mut replies: Vec<PendingReply> = rest
                     .iter()
-                    .map(|&node| PendingReply {
-                        node,
-                        reply: self.send_data(node, group.shard, bytes.clone()),
-                    })
+                    .map(|&node| self.pending(node, group.shard, request.clone()))
                     .collect();
-                PendingGroup {
-                    correlation,
-                    replies,
-                }
+                replies.push(self.pending(last, group.shard, request));
+                replies
             })
             .collect()
     }
 
     /// Runs one control step on every shard of `node` and merges the
-    /// replies ([`merge_control`]).
-    pub(crate) fn control(&self, node: NodeId, msg: ControlMsg) -> Result<ControlReply> {
-        let senders = {
-            let nodes = self.inner.nodes.read();
-            let slot = nodes
-                .get(node.index())
-                .ok_or_else(|| Error::invalid(format!("unknown node {node}")))?;
-            slot.senders.clone()
-        };
-        self.control_all(node, &senders, msg)
-    }
-
-    /// Sends `msg` to every queue in `senders` (one node's shards, in
-    /// shard order) before awaiting any reply, then gathers the replies
-    /// under one deadline. A shard's failure fails the step.
-    fn control_all(
-        &self,
-        node: NodeId,
-        senders: &[Sender<NodeRequest>],
-        msg: ControlMsg,
-    ) -> Result<ControlReply> {
-        let down = || Error::Unavailable(format!("{node} is down"));
-        if senders.is_empty() {
-            return Err(down());
-        }
-        let pending = senders
-            .iter()
-            .map(|sender| {
-                let (reply, reply_rx) = unbounded();
-                sender
-                    .send(NodeRequest::Control { msg, reply })
-                    .map_err(|_| down())?;
-                Ok(reply_rx)
-            })
-            .collect::<Result<Vec<_>>>()?;
+    /// replies ([`merge_control`]). Every shard's request is sent before
+    /// any reply is awaited, the replies are gathered under one
+    /// deadline, and a shard's failure fails the step.
+    pub(crate) fn control(&self, node: NodeId, request: Request) -> Result<Reply> {
+        let pending: Vec<PendingReply> = (0..self.inner.router.count())
+            .map(|shard| self.pending(node, shard, request.clone()))
+            .collect();
         let deadline = Instant::now() + self.inner.config.request_timeout;
-        let mut replies = Vec::with_capacity(pending.len());
-        for reply_rx in pending {
-            let reply = reply_rx
-                .recv_timeout(deadline.saturating_duration_since(Instant::now()))
-                .map_err(|_| Error::Unavailable(format!("{node} did not reply")))?;
-            if let ControlReply::Failed(m) = &reply {
-                return Err(Error::Io(format!("{node} control failed: {m}")));
-            }
-            replies.push(reply);
-        }
+        let replies = pending
+            .into_iter()
+            .map(|p| self.gather_one(p, deadline))
+            .collect::<Result<Vec<_>>>()?;
         Ok(merge_control(replies))
     }
 
     /// Sends `records` to `node`, split by shard: each shard they route
-    /// to gets one frame `make(correlation, its records)`, every frame is
-    /// sent before any reply is awaited, and the replies are gathered
-    /// under one deadline. `LookupResp` answers are scattered back to the
-    /// records' positions — existence plus a full-length value vector
-    /// (zero where absent); acknowledged writes leave both at their
-    /// defaults. Empty `records` send nothing.
+    /// to gets one request `make(its records)`, every request is sent
+    /// before any reply is awaited, and the replies are gathered under
+    /// one deadline. Answers are scattered back to the records'
+    /// positions — existence plus a full-length value vector (zero where
+    /// absent); acknowledged writes leave both at their defaults. Empty
+    /// `records` send nothing.
     pub(crate) fn node_exchange<T>(
         &self,
         node: NodeId,
         records: &[T],
         fp: impl Fn(&T) -> Fingerprint,
-        make: impl Fn(u64, Vec<T>) -> Frame,
+        make: impl Fn(Vec<T>) -> Request,
     ) -> Result<(Vec<bool>, Vec<u64>)>
     where
         T: Clone,
     {
-        let correlation = self.next_correlation();
         let sent: Vec<(Vec<usize>, PendingReply)> = self
             .inner
             .router
@@ -672,24 +692,14 @@ impl ShhcCluster {
             .into_iter()
             .enumerate()
             .filter(|(_, sub)| !sub.positions.is_empty())
-            .map(|(shard, sub)| {
-                let frame = encode(&make(correlation, sub.records));
-                let reply = self.send_data(node, shard, frame);
-                (sub.positions, PendingReply { node, reply })
-            })
+            .map(|(shard, sub)| (sub.positions, self.pending(node, shard, make(sub.records))))
             .collect();
         let deadline = Instant::now() + self.inner.config.request_timeout;
         let mut exists = vec![false; records.len()];
         let mut values = vec![0u64; records.len()];
         for (positions, pending) in sent {
-            match self.gather_one(pending, correlation, deadline)? {
-                Frame::LookupResp {
-                    exists: e,
-                    values: v,
-                    ..
-                } => scatter_positions(&positions, &e, &v, &mut exists, &mut values)?,
-                Frame::Ack { .. } => {}
-                other => return Err(unexpected(other)),
+            if let Reply::Answer(e, v) = self.gather_one(pending, deadline)? {
+                scatter_positions(&positions, &e, &v, &mut exists, &mut values);
             }
         }
         Ok((exists, values))
@@ -783,11 +793,11 @@ impl ShhcCluster {
     }
 
     /// The scatter half of [`Self::lookup_insert_batch_values`]: routes
-    /// `fps` under the current epoch and sends every group's frame,
+    /// `fps` under the current epoch and sends every group's request,
     /// without waiting for a reply.
     ///
     /// The window holds the epoch's view only while it sends. Once its
-    /// frames are queued, a membership change's barrier
+    /// requests are queued, a membership change's barrier
     /// ([`Self::quiesce_epoch`]) may pass: every scan the change sends
     /// afterwards reaches each shard's queue behind these inserts, so it
     /// sees them. A window whose gather comes much later (a front-end
@@ -796,17 +806,14 @@ impl ShhcCluster {
     pub(crate) fn lookup_scatter(&self, fps: &[Fingerprint]) -> SentLookup {
         let state = self.routing();
         let mut groups = self.group_by_replicas(&state.view, fps);
-        let make = |g: &mut RouteGroup, correlation: u64| Frame::LookupInsertReq {
-            correlation,
-            stream: StreamId::new(0),
-            fingerprints: std::mem::take(&mut g.fingerprints),
-        };
-        let pending = self.scatter_frames(&mut groups, make);
+        let pending = self.scatter(&mut groups, |g| {
+            Request::LookupInsert(std::mem::take(&mut g.fingerprints))
+        });
         SentLookup {
             groups,
             pending,
             epoch: state.view.epoch(),
-            migration: state.migration,
+            migration: state.migration.clone(),
         }
     }
 
@@ -837,18 +844,13 @@ impl ShhcCluster {
         let mut values = vec![0u64; fps.len()];
         let mut repairs: Vec<(NodeId, Vec<(Fingerprint, u64)>)> = Vec::new();
         let deadline = Instant::now() + self.inner.config.request_timeout;
-        for (group, sent) in groups.iter().zip(pending) {
+        for (group, owed) in groups.iter().zip(pending) {
             let mut replies = Vec::new();
             let mut last_err = None;
-            for p in sent.replies {
+            for p in owed {
                 let node = p.node;
-                match self.gather_one(p, sent.correlation, deadline) {
-                    Ok(Frame::LookupResp {
-                        exists: e,
-                        values: v,
-                        ..
-                    }) => collect_reply(&mut replies, &mut last_err, node, e, v),
-                    Ok(other) => last_err = Some(unexpected(other)),
+                match self.gather_answer(p, deadline) {
+                    Ok((e, v)) => replies.push((node, e, v)),
                     Err(e) => last_err = Some(e),
                 }
             }
@@ -869,8 +871,7 @@ impl ShhcCluster {
         let routed = (!repairs.is_empty()).then(|| self.routing());
         if routed.as_ref().is_some_and(|r| r.view.epoch() == epoch) {
             for (node, pairs) in repairs {
-                let record = |correlation, pairs| Frame::RecordReq { correlation, pairs };
-                match self.node_exchange(node, &pairs, |p| p.0, record) {
+                match self.node_exchange(node, &pairs, |p| p.0, Request::Record) {
                     // A replica dying between its reply and the repair
                     // loses nothing it would have kept anyway.
                     Ok(_) | Err(Error::Unavailable(_)) => {}
@@ -944,11 +945,7 @@ impl ShhcCluster {
         let mut repairs = Vec::new();
         for (old, positions) in by_old {
             let missed: Vec<Fingerprint> = positions.iter().map(|&i| fps[i]).collect();
-            let query = |correlation, fingerprints| Frame::QueryReq {
-                correlation,
-                fingerprints,
-            };
-            let (hits, held) = match self.node_exchange(old, &missed, |f| *f, query) {
+            let (hits, held) = match self.node_exchange(old, &missed, |f| *f, Request::Query) {
                 Ok(answer) => answer,
                 Err(Error::Unavailable(_)) => continue,
                 Err(e) => return Err(e),
@@ -1008,74 +1005,31 @@ impl ShhcCluster {
         let mut exists = vec![false; fps.len()];
         let mut values = vec![0u64; fps.len()];
         let mut groups = self.group_by_replicas(&state.view, fps);
-        let make = |g: &mut RouteGroup, correlation: u64| Frame::QueryReq {
-            correlation,
-            fingerprints: std::mem::take(&mut g.fingerprints),
-        };
-        // Phase 1: one request per group, to the primary only; keep the
-        // encoded frame around for the failure fallback.
-        let pending: Vec<(u64, Bytes, PendingReply)> = groups
+        // Phase 1: one request per group, to the primary only.
+        let pending: Vec<PendingReply> = groups
             .iter_mut()
             .map(|group| {
-                let correlation = self.next_correlation();
-                let bytes = encode(&make(group, correlation));
-                let primary = group.replicas[0];
-                let reply = self.send_data(primary, group.shard, bytes.clone());
-                (
-                    correlation,
-                    bytes,
-                    PendingReply {
-                        node: primary,
-                        reply,
-                    },
-                )
+                let request = Request::Query(std::mem::take(&mut group.fingerprints));
+                self.pending(group.replicas[0], group.shard, request)
             })
             .collect();
         // Phase 2: gather; a failed primary falls back to the remaining
-        // replicas in ring order.
+        // replicas in ring order, each asked anew for the group's
+        // fingerprints and given a full timeout.
         let deadline = Instant::now() + self.inner.config.request_timeout;
-        for (group, (correlation, bytes, primary)) in groups.iter().zip(pending) {
-            let mut last_err = None;
-            let mut answered = match self.gather_one(primary, correlation, deadline) {
-                Ok(Frame::LookupResp {
-                    exists: e,
-                    values: v,
-                    ..
-                }) => {
-                    scatter_positions(&group.positions, &e, &v, &mut exists, &mut values)?;
-                    true
-                }
-                Ok(other) => {
-                    last_err = Some(unexpected(other));
-                    false
-                }
-                Err(e) => {
-                    last_err = Some(e);
-                    false
-                }
-            };
-            for &node in group.replicas.iter().skip(1) {
-                if answered {
+        for (group, primary) in groups.iter().zip(pending) {
+            let mut answer = self.gather_answer(primary, deadline);
+            for &node in &group.replicas[1..] {
+                if answer.is_ok() {
                     break;
                 }
-                match self.exchange_encoded(node, group.shard, correlation, bytes.clone()) {
-                    Ok(Frame::LookupResp {
-                        exists: e,
-                        values: v,
-                        ..
-                    }) => {
-                        scatter_positions(&group.positions, &e, &v, &mut exists, &mut values)?;
-                        answered = true;
-                    }
-                    Ok(other) => last_err = Some(unexpected(other)),
-                    Err(e) => last_err = Some(e),
-                }
+                let request = Request::Query(group.positions.iter().map(|&i| fps[i]).collect());
+                let retry = self.pending(node, group.shard, request);
+                answer =
+                    self.gather_answer(retry, Instant::now() + self.inner.config.request_timeout);
             }
-            if !answered {
-                return Err(
-                    last_err.unwrap_or_else(|| Error::Unavailable("no replica answered".into()))
-                );
-            }
+            let (e, v) = answer?;
+            scatter_positions(&group.positions, &e, &v, &mut exists, &mut values);
         }
         // Dual-read for misses inside in-flight migration ranges.
         // Queries are read-only: patch the answer, repair nothing.
@@ -1095,14 +1049,9 @@ impl ShhcCluster {
         let state = self.routing();
         let fps: Vec<Fingerprint> = pairs.iter().map(|(fp, _)| *fp).collect();
         let mut groups = self.group_by_replicas(&state.view, &fps);
-        let make = |g: &mut RouteGroup, correlation: u64| {
-            g.fingerprints.clear();
-            Frame::RecordReq {
-                correlation,
-                pairs: g.positions.iter().map(|&i| pairs[i]).collect(),
-            }
-        };
-        self.acked_fanout(&mut groups, make)
+        self.acked_fanout(&mut groups, |g| {
+            Request::Record(g.positions.iter().map(|&i| pairs[i]).collect())
+        })
     }
 
     /// Removes fingerprints from the cluster (fan-out to all replicas) —
@@ -1137,11 +1086,9 @@ impl ShhcCluster {
             }
         }
         let mut groups = self.group_by_replicas(&state.view, fps);
-        let make = |g: &mut RouteGroup, correlation: u64| Frame::RemoveReq {
-            correlation,
-            fingerprints: std::mem::take(&mut g.fingerprints),
-        };
-        self.acked_fanout(&mut groups, make)?;
+        self.acked_fanout(&mut groups, |g| {
+            Request::Remove(std::mem::take(&mut g.fingerprints))
+        })?;
         for (old, fingerprints) in old_owner_removes {
             // A dead previous owner holds nothing to remove.
             self.remove_from(old, &fingerprints)?;
@@ -1150,22 +1097,21 @@ impl ShhcCluster {
     }
 
     /// Shared driver for ack-answered fan-out operations (record,
-    /// remove): every replica gets the frame; a group succeeds if any
+    /// remove): every replica gets the request; a group succeeds if any
     /// replica acknowledges.
     fn acked_fanout(
         &self,
         groups: &mut [RouteGroup],
-        make_frame: impl FnMut(&mut RouteGroup, u64) -> Frame,
+        make: impl FnMut(&mut RouteGroup) -> Request,
     ) -> Result<()> {
-        let pending = self.scatter_frames(groups, make_frame);
+        let pending = self.scatter(groups, make);
         let deadline = Instant::now() + self.inner.config.request_timeout;
-        for sent in pending {
+        for owed in pending {
             let mut any_ok = false;
             let mut last_err = None;
-            for p in sent.replies {
-                match self.gather_one(p, sent.correlation, deadline) {
-                    Ok(Frame::Ack { .. }) => any_ok = true,
-                    Ok(other) => last_err = Some(unexpected(other)),
+            for p in owed {
+                match self.gather_one(p, deadline) {
+                    Ok(_) => any_ok = true,
                     Err(e) => last_err = Some(e),
                 }
             }
@@ -1207,7 +1153,7 @@ impl ShhcCluster {
         };
         let mut out = Vec::with_capacity(node_ids.len());
         for id in node_ids {
-            if let ControlReply::Stats(snap) = self.control(id, ControlMsg::Stats)? {
+            if let Reply::Stats(snap) = self.control(id, Request::Stats)? {
                 out.push(*snap);
             }
         }
@@ -1231,7 +1177,7 @@ impl ShhcCluster {
         let n = self.node_count();
         for i in 0..n {
             let id = NodeId::new(i as u32);
-            match self.control(id, ControlMsg::Flush) {
+            match self.control(id, Request::Flush) {
                 Ok(_) => {}
                 Err(Error::Unavailable(_)) => {} // dead nodes have nothing to flush
                 Err(e) => return Err(e),
@@ -1252,7 +1198,7 @@ impl ShhcCluster {
     ///
     /// [`Error::InvalidArgument`] for an unknown node.
     pub fn kill_node(&self, node: NodeId) -> Result<()> {
-        let (senders, handles) = {
+        let (queues, handles) = {
             let mut nodes = self.inner.nodes.write();
             let slot = nodes
                 .get_mut(node.index())
@@ -1261,13 +1207,13 @@ impl ShhcCluster {
                 slot.status = SlotStatus::Crashed;
             }
             (
-                std::mem::take(&mut slot.senders),
+                std::mem::take(&mut slot.queues),
                 std::mem::take(&mut slot.handles),
             )
         };
         // Every shard's queue disconnects, so every shard thread exits
         // with its store unclosed.
-        drop(senders);
+        drop(queues);
         self.join_shards(node, handles)
     }
 
@@ -1366,7 +1312,7 @@ impl ShhcCluster {
             }
         }
         let mut report = RecoveryReport::default();
-        if let ControlReply::Stats(snap) = self.control(node, ControlMsg::Stats)? {
+        if let Reply::Stats(snap) = self.control(node, Request::Stats)? {
             report.recovered_entries = snap.stats.recovered_entries;
             report.replayed = snap.stats.recovery_replayed;
             report.torn = snap.stats.recovery_torn;
@@ -1495,24 +1441,22 @@ impl ShhcCluster {
         // verification scan after the re-home passes is authoritative.
         self.quiesce_epoch(old_view)?;
         let mut report = self.migrate(&migration)?;
-        report.post_scan_entries = match self.control(node, ControlMsg::Scan)? {
-            ControlReply::Scan(entries) => entries.len() as u64,
+        report.post_scan_entries = match self.control(node, Request::Scan)? {
+            Reply::Scan(entries) => entries.len() as u64,
             _ => 0,
         };
         self.retire_migration();
         if report.post_scan_entries == 0 {
-            // Verified empty: decommission the shard threads.
-            let (senders, handles) = {
+            // Verified empty and out of the ring: close the shards'
+            // stores, then decommission their threads.
+            let _ = self.control(node, Request::Shutdown);
+            let handles = {
                 let mut nodes = self.inner.nodes.write();
                 let slot = &mut nodes[node.index()];
                 slot.status = SlotStatus::Drained;
-                (
-                    std::mem::take(&mut slot.senders),
-                    std::mem::take(&mut slot.handles),
-                )
+                slot.queues.clear();
+                std::mem::take(&mut slot.handles)
             };
-            let _ = self.control_all(node, &senders, ControlMsg::Shutdown);
-            drop(senders);
             self.join_shards(node, handles)?;
         }
         report.wall_clock = start.elapsed();
@@ -1560,49 +1504,41 @@ impl ShhcCluster {
 
     /// Swaps in the next epoch's view (derived by `next`) together with a
     /// fresh migration state for its plan. Returns the migration and the
-    /// *previous* epoch's view — whose `Arc` strong count doubles as the
-    /// count of in-flight batches still routing under the old epoch.
+    /// *previous* epoch's view, whose holder count is the count of
+    /// in-flight batches still routing under the old epoch.
     fn install_next_epoch(
         &self,
         next: impl FnOnce(&RingView) -> RingView,
-    ) -> (Arc<MigrationState>, Arc<RingView>) {
+    ) -> (Arc<MigrationState>, Arc<EpochView>) {
         let mut routing = self.inner.routing.write();
         let old_view = Arc::clone(&routing.view);
-        let new_view = Arc::new(next(&routing.view));
-        let plan = routing.view.diff(&new_view);
-        let migration = Arc::new(MigrationState::new(plan));
-        *routing = RoutingState {
-            view: new_view,
-            migration: Some(migration.clone()),
-        };
+        let new_view = next(&old_view);
+        let migration = Arc::new(MigrationState::new(old_view.diff(&new_view)));
+        *routing = RoutingState::install(new_view, Some(migration.clone()));
         (migration, old_view)
     }
 
     /// Waits until no batch still holds the previous epoch's view: every
-    /// in-flight operation snapshots the routing state by cloning its
-    /// `Arc`s, so once ours is the last reference, no pre-epoch batch can
-    /// write under stale routing — the barrier a drain's verified-empty
-    /// scan and a join's last pass rely on. A lookup window holds the
-    /// view until its frames are queued (see [`Self::lookup_scatter`]),
-    /// not until its replies are gathered.
+    /// in-flight operation counts itself into the epoch it snapshots, so
+    /// once the count is zero, no pre-epoch batch can write under stale
+    /// routing — the barrier a drain's verified-empty scan and a join's
+    /// last pass rely on. The last batch out wakes the wait. A lookup
+    /// window holds the view until its requests are queued (see
+    /// [`Self::lookup_scatter`]), not until its replies are gathered.
     ///
     /// # Errors
     ///
     /// [`Error::Unavailable`] when a batch still holds the old view after
     /// the request timeout; the caller leaves its migration in flight.
-    fn quiesce_epoch(&self, old_view: Arc<RingView>) -> Result<()> {
+    fn quiesce_epoch(&self, old_view: Arc<EpochView>) -> Result<()> {
         let timeout = self.inner.config.request_timeout;
-        let deadline = Instant::now() + timeout;
-        while Arc::strong_count(&old_view) > 1 {
-            if Instant::now() >= deadline {
-                return Err(Error::Unavailable(format!(
-                    "batches still route under epoch {} after {timeout:?}",
-                    old_view.epoch()
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        if old_view.wait_empty(Instant::now() + timeout) {
+            return Ok(());
         }
-        Ok(())
+        Err(Error::Unavailable(format!(
+            "batches still route under epoch {} after {timeout:?}",
+            old_view.epoch()
+        )))
     }
 
     /// Clears the in-flight migration: the old epoch is retired and
@@ -1619,8 +1555,8 @@ impl ShhcCluster {
             to_epoch: migration.plan.to_epoch,
             ..RebalanceReport::default()
         };
-        let view = self.routing().view;
-        self.rehome(&view, Some(migration), &mut report)?;
+        let state = self.routing();
+        self.rehome(&state.view, Some(migration), &mut report)?;
         Ok(report)
     }
 
@@ -1643,8 +1579,8 @@ impl ShhcCluster {
     }
 
     /// One re-home pass under `view`: scans each running node once
-    /// (`ControlMsg::Scan`, in fingerprint order) and ships each entry, in
-    /// frames of [`ClusterConfig::migration_chunk`] entries, to the
+    /// (`Request::Scan`, in fingerprint order) and ships each entry, in
+    /// pages of [`ClusterConfig::migration_chunk`] entries, to the
     /// targets `mode` names. Entries tombstoned in `migration` are not
     /// shipped. In [`Rehome::Owners`] mode, an entry its node no longer
     /// owns is then removed from that node once it is tombstoned or an
@@ -1667,8 +1603,8 @@ impl ShhcCluster {
             if mode == Rehome::Resync(source) {
                 continue;
             }
-            let entries = match self.control(source, ControlMsg::Scan) {
-                Ok(ControlReply::Scan(entries)) => entries,
+            let entries = match self.control(source, Request::Scan) {
+                Ok(Reply::Scan(entries)) => entries,
                 Ok(_) | Err(Error::Unavailable(_)) => continue,
                 Err(e) => return Err(e),
             };
@@ -1760,10 +1696,10 @@ impl ShhcCluster {
         Ok(changed)
     }
 
-    /// Installs one frame of `pairs` on `target` and returns how many
+    /// Installs one page of `pairs` on `target` and returns how many
     /// entries it installed, or `None` when the target is down. The
     /// target answers which entries it already held, and with what value,
-    /// so nothing is probed first. Entries tombstoned while the frame was
+    /// so nothing is probed first. Entries tombstoned while the page was
     /// in flight are removed from the target again; in a re-sync, so is
     /// a copy the target holds with a value other than the peer's (see
     /// [`Rehome::Resync`]).
@@ -1775,8 +1711,7 @@ impl ShhcCluster {
         migration: Option<&MigrationState>,
         report: &mut RebalanceReport,
     ) -> Result<Option<u64>> {
-        let install = |correlation, pairs| Frame::MigrateReq { correlation, pairs };
-        let (exists, held) = match self.node_exchange(target, pairs, |p| p.0, install) {
+        let (exists, held) = match self.node_exchange(target, pairs, |p| p.0, Request::Migrate) {
             Ok(answer) => answer,
             Err(Error::Unavailable(_)) => return Ok(None),
             Err(e) => return Err(e),
@@ -1807,11 +1742,7 @@ impl ShhcCluster {
 
     /// Removes `fps` from `node`; `false` when the node is down.
     fn remove_from(&self, node: NodeId, fps: &[Fingerprint]) -> Result<bool> {
-        let remove = |correlation, fingerprints| Frame::RemoveReq {
-            correlation,
-            fingerprints,
-        };
-        match self.node_exchange(node, fps, |f| *f, remove) {
+        match self.node_exchange(node, fps, |f| *f, Request::Remove) {
             Ok(_) => Ok(true),
             Err(Error::Unavailable(_)) => Ok(false),
             Err(e) => Err(e),
@@ -1826,11 +1757,11 @@ impl ShhcCluster {
     pub fn shutdown(self) -> Result<()> {
         let n = self.node_count();
         for i in 0..n {
-            let _ = self.control(NodeId::new(i as u32), ControlMsg::Shutdown);
+            let _ = self.control(NodeId::new(i as u32), Request::Shutdown);
         }
         let mut nodes = self.inner.nodes.write();
         for (i, slot) in nodes.iter_mut().enumerate() {
-            slot.senders.clear();
+            slot.queues.clear();
             for handle in slot.handles.drain(..) {
                 handle
                     .join()
@@ -1841,7 +1772,7 @@ impl ShhcCluster {
     }
 }
 
-/// Starts node `id`: one [`node_loop`] thread per shard slice, each
+/// Starts node `id`: one `node_loop` thread per shard slice, each
 /// behind its own queue. A WAL-backed shard replays its log before its
 /// thread takes the first request.
 fn spawn_node(id: NodeId, config: NodeConfig) -> Result<NodeSlot> {
@@ -1851,24 +1782,20 @@ fn spawn_node(id: NodeId, config: NodeConfig) -> Result<NodeSlot> {
     let mut config = config;
     config.durability = config.durability.scoped(format!("n{}", id.index()));
     let mut slot = NodeSlot {
-        senders: Vec::new(),
+        queues: Vec::new(),
         handles: Vec::new(),
         status: SlotStatus::Running,
         recovered: false,
     };
     for (s, shard) in shard_slices(id, &config)?.into_iter().enumerate() {
-        let (tx, rx) = unbounded();
-        let spawned = std::thread::Builder::new()
-            .name(format!("shhc-{id}-s{s}"))
-            .spawn(move || node_loop(shard, rx));
-        match spawned {
-            Ok(handle) => {
-                slot.senders.push(tx);
+        match ShardQueue::spawn(format!("shhc-{id}-s{s}"), shard) {
+            Ok((queue, handle)) => {
+                slot.queues.push(queue);
                 slot.handles.push(handle);
             }
             Err(e) => {
                 // Stop the shards already running: their queues close.
-                slot.senders.clear();
+                slot.queues.clear();
                 for handle in slot.handles {
                     let _ = handle.join();
                 }
@@ -1883,31 +1810,31 @@ fn spawn_node(id: NodeId, config: NodeConfig) -> Result<NodeSlot> {
 /// reply an unsharded node would give: snapshots as one node-level
 /// snapshot, scans concatenated (shard order is fingerprint order, so the
 /// result stays sorted). One shard's reply is the node's.
-fn merge_control(mut replies: Vec<ControlReply>) -> ControlReply {
+fn merge_control(mut replies: Vec<Reply>) -> Reply {
     if replies.len() == 1 {
         return replies.swap_remove(0);
     }
     match replies.first() {
-        Some(ControlReply::Stats(_)) => {
+        Some(Reply::Stats(_)) => {
             let parts = replies
                 .into_iter()
                 .filter_map(|r| match r {
-                    ControlReply::Stats(snap) => Some(*snap),
+                    Reply::Stats(snap) => Some(*snap),
                     _ => None,
                 })
                 .collect();
-            ControlReply::Stats(Box::new(merge_snapshots(parts)))
+            Reply::Stats(Box::new(merge_snapshots(parts)))
         }
-        Some(ControlReply::Scan(_)) => ControlReply::Scan(
+        Some(Reply::Scan(_)) => Reply::Scan(
             replies
                 .into_iter()
                 .flat_map(|r| match r {
-                    ControlReply::Scan(entries) => entries,
+                    Reply::Scan(entries) => entries,
                     _ => Vec::new(),
                 })
                 .collect(),
         ),
-        _ => ControlReply::Done,
+        _ => Reply::Done,
     }
 }
 
@@ -1929,46 +1856,9 @@ fn merge_snapshots(parts: Vec<NodeSnapshot>) -> NodeSnapshot {
     }
 }
 
-/// Decodes and validates one reply from `node`: error frames surface as
-/// [`Error::Io`], and a correlation id that does not match the request is
-/// rejected — a stale reply from an earlier, timed-out request must not
-/// be attributed to this one.
-fn verify_reply(node: NodeId, correlation: u64, bytes: &[u8]) -> Result<Frame> {
-    let reply = decode(bytes)?;
-    if let Frame::Error { message, .. } = &reply {
-        return Err(Error::Io(format!("{node} failed: {message}")));
-    }
-    if reply.correlation() != correlation {
-        return Err(Error::Decode(format!(
-            "{node} answered correlation {} to request {correlation}; stale reply rejected",
-            reply.correlation()
-        )));
-    }
-    Ok(reply)
-}
-
-fn unexpected(frame: Frame) -> Error {
-    Error::Decode(format!("unexpected reply {frame:?}"))
-}
-
-/// One replica's successful lookup reply: existence flags plus the
-/// expanded (full-length) value vector.
+/// One replica's lookup answer: existence flags plus the full-length
+/// value vector.
 type ReplicaReply = (NodeId, Vec<bool>, Vec<u64>);
-
-/// Validates and stashes one replica's lookup reply for merging; a
-/// malformed reply is downgraded to that replica's error.
-fn collect_reply(
-    replies: &mut Vec<ReplicaReply>,
-    last_err: &mut Option<Error>,
-    node: NodeId,
-    exists: Vec<bool>,
-    values: Vec<u64>,
-) {
-    match expand_values(&exists, &values) {
-        Ok(full) => replies.push((node, exists, full)),
-        Err(e) => *last_err = Some(e),
-    }
-}
 
 /// OR-merges a group's replica replies into the batch-wide result
 /// vectors: the value is the first recorded one in ring order, or
@@ -1987,15 +1877,6 @@ fn merge_replies(
 ) -> Result<()> {
     if replies.is_empty() {
         return Err(last_err.unwrap_or_else(|| Error::Unavailable("no replica answered".into())));
-    }
-    for (node, e, _) in &replies {
-        if e.len() != group.positions.len() {
-            return Err(Error::Decode(format!(
-                "{node} reply covers {} fingerprints, expected {}",
-                e.len(),
-                group.positions.len()
-            )));
-        }
     }
     for (k, &pos) in group.positions.iter().enumerate() {
         if !replies.iter().any(|(_, e, _)| e[k]) {
@@ -2025,52 +1906,24 @@ fn merge_replies(
     Ok(())
 }
 
-/// Expands a compact values list (one per hit) into a full-length vector
-/// parallel to `exists` (zero for misses).
-fn expand_values(exists: &[bool], values: &[u64]) -> Result<Vec<u64>> {
-    let mut out = vec![0u64; exists.len()];
-    let mut it = values.iter();
-    for (i, &e) in exists.iter().enumerate() {
-        if e {
-            out[i] = *it
-                .next()
-                .ok_or_else(|| Error::Decode("reply carries fewer values than hits".into()))?;
-        }
-    }
-    Ok(out)
-}
-
-/// Distributes a group reply back into the full-batch result vectors.
+/// Distributes a group's answer back into the full-batch result vectors.
 fn scatter_positions(
     positions: &[usize],
     exists: &[bool],
     values: &[u64],
     out_exists: &mut [bool],
     out_values: &mut [u64],
-) -> Result<()> {
-    if exists.len() != positions.len() {
-        return Err(Error::Decode(format!(
-            "reply covers {} fingerprints, expected {}",
-            exists.len(),
-            positions.len()
-        )));
-    }
-    let mut value_iter = values.iter();
-    for (&pos, &e) in positions.iter().zip(exists.iter()) {
+) {
+    for ((&pos, &e), &v) in positions.iter().zip(exists).zip(values) {
         out_exists[pos] = e;
-        if e {
-            out_values[pos] = *value_iter
-                .next()
-                .ok_or_else(|| Error::Decode("reply carries fewer values than hits".into()))?;
-        }
+        out_values[pos] = v;
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shhc_net::encode;
+    use shhc_flash::{FlashConfig, FlashGeometry};
     use shhc_node::Durability;
 
     fn fps(range: std::ops::Range<u64>) -> Vec<Fingerprint> {
@@ -2633,35 +2486,46 @@ mod tests {
         assert!(ShhcCluster::spawn(ClusterConfig::small_test(0)).is_err());
     }
 
+    /// A one-node cluster whose one shard has a flash device of 16
+    /// blocks of four 256-byte pages: a few hundred entries fill it.
+    fn tiny_flash_cluster() -> ShhcCluster {
+        let mut node_config = NodeConfig::small_test().with_shards(1);
+        node_config.flash = FlashConfig {
+            geometry: FlashGeometry::new(256, 4, 16),
+            buckets: 4,
+            write_buffer: 8,
+            ..FlashConfig::small_test()
+        };
+        ShhcCluster::spawn(ClusterConfig::new(1, node_config)).unwrap()
+    }
+
+    fn names_node_0(err: &Error) -> bool {
+        matches!(err, Error::Io(m) if m.contains(&NodeId::new(0).to_string()))
+    }
+
+    /// A data operation that fails on the node (its flash slice is full)
+    /// reaches the caller as `Error::Io` naming the node, and so does a
+    /// control step (a flush of the buffered entries the full device
+    /// cannot take).
     #[test]
-    fn stale_correlation_rejected() {
-        // A reply carrying the wrong correlation id must not be
-        // attributed to the request, whatever its payload claims.
-        let stale = encode(&Frame::LookupResp {
-            correlation: 41,
-            exists: vec![true],
-            values: vec![7],
-        });
-        let err = verify_reply(NodeId::new(0), 42, &stale).unwrap_err();
-        assert!(
-            matches!(err, Error::Decode(ref m) if m.contains("stale")),
-            "{err}"
-        );
-        // The matching correlation passes.
-        let fresh = encode(&Frame::Ack { correlation: 42 });
-        assert_eq!(
-            verify_reply(NodeId::new(0), 42, &fresh).unwrap(),
-            Frame::Ack { correlation: 42 }
-        );
-        // Error frames surface as node failures regardless of id.
-        let failure = encode(&Frame::Error {
-            correlation: 42,
-            message: "boom".into(),
-        });
-        assert!(matches!(
-            verify_reply(NodeId::new(0), 42, &failure).unwrap_err(),
-            Error::Io(_)
-        ));
+    fn a_node_side_failure_reaches_the_caller_naming_the_node() {
+        let cluster = tiny_flash_cluster();
+        let full = (0..100u64)
+            .find_map(|window| {
+                cluster
+                    .lookup_insert_batch(&fps(window * 64..window * 64 + 64))
+                    .err()
+            })
+            .expect("a 16 KiB device fills within 6 400 entries");
+        assert!(names_node_0(&full), "{full}");
+        let flush = (0..100u64)
+            .find_map(|i| {
+                let _ = cluster.lookup_insert_batch(&fps(100_000 + i..100_001 + i));
+                cluster.flush_all().err()
+            })
+            .expect("a full device cannot take the buffered entries");
+        assert!(names_node_0(&flush), "{flush}");
+        cluster.shutdown().unwrap();
     }
 
     /// Runs a fixed op sequence against a 4-node cluster and checks every

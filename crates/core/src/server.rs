@@ -1,27 +1,34 @@
-//! The per-node server: the wire-format data plane plus a typed control
-//! plane, served by [`node_loop`] — one thread that owns one
+//! The per-node server: one typed request enum for the data plane and
+//! the control plane, served by [`node_loop`] — one thread that owns one
 //! [`HybridHashNode`] exclusively and answers its queue in order, the
 //! paper's sequential hash node.
+//!
+//! A request travels as a Rust value on a `std::sync::mpsc` queue with
+//! its own reply channel, so nothing is encoded on the in-process path
+//! and no reply needs a correlation id: the channel it arrives on names
+//! the request it answers. The wire codec in `shhc-net` is for a
+//! transport between processes.
 //!
 //! A node with `S` intra-node shards is `S` such threads, one per shard
 //! slice ([`shhc_node::shard_slices`]), each behind its own queue. There
 //! is no dispatcher: the cluster routes every fingerprint to its shard
 //! ([`shhc_node::ShardRouter`]) and sends each shard its part of a window
-//! as one frame, so a small frame never waits behind a deep frame that
+//! as one request, so a small request never waits behind a deep one that
 //! targets other shards. Every occurrence of a fingerprint reaches the
 //! same single-consumer queue in send order, and a shard answers its
-//! frame in one `HybridHashNode::lookup_insert_batch` pass, so each
+//! request in one `HybridHashNode::lookup_insert_batch` pass, so each
 //! fingerprint is answered "new" once.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{Receiver, Sender};
 use shhc_cache::CacheStats;
 use shhc_flash::{DeviceStats, FtlStats};
-use shhc_net::{decode, encode_reusing, Frame};
 use shhc_node::{HybridHashNode, NodeConfig, NodeStats};
-use shhc_types::{Fingerprint, NodeId};
+use shhc_types::{Error, Fingerprint, NodeId, Result};
 
 /// A point-in-time view of one node's state, fetched over the control
 /// plane. For sharded nodes every counter is the across-shard aggregate.
@@ -44,34 +51,93 @@ pub struct NodeSnapshot {
     pub shards: u32,
 }
 
-/// Control-plane commands (in-process only; not wire-encoded).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ControlMsg {
+/// One request to a node (shard) thread. The first five are the data
+/// plane and carry their records; the rest are the control plane.
+#[derive(Debug, Clone)]
+pub(crate) enum Request {
+    /// The paper's lookup-with-insert, answered by [`Reply::Answer`].
+    LookupInsert(Vec<Fingerprint>),
+    /// Read-only lookup, answered by [`Reply::Answer`].
+    Query(Vec<Fingerprint>),
+    /// Sets the value stored with each fingerprint.
+    Record(Vec<(Fingerprint, u64)>),
+    /// Removes each fingerprint.
+    Remove(Vec<Fingerprint>),
+    /// Installs migrated entries ([`HybridHashNode::install`]), answered
+    /// by [`Reply::Answer`]: which entries the node already held, with
+    /// the value it held.
+    Migrate(Vec<(Fingerprint, u64)>),
+    /// A snapshot of the node's counters.
     Stats,
+    /// Flushes the SSD write buffer.
     Flush,
+    /// Every stored entry, in fingerprint order.
     Scan,
+    /// Closes the store and stops the thread.
     Shutdown,
 }
 
-/// Control-plane replies.
-#[derive(Debug)]
-pub(crate) enum ControlReply {
-    Stats(Box<NodeSnapshot>),
-    Done,
-    Scan(Vec<(Fingerprint, u64)>),
-    Failed(String),
+impl Request {
+    /// Records a data-plane request carries: what its service time
+    /// scales with.
+    fn records(&self) -> usize {
+        match self {
+            Request::LookupInsert(fps) | Request::Query(fps) | Request::Remove(fps) => fps.len(),
+            Request::Record(pairs) | Request::Migrate(pairs) => pairs.len(),
+            Request::Stats | Request::Flush | Request::Scan | Request::Shutdown => 0,
+        }
+    }
 }
 
-/// A request delivered to a node server thread.
+/// A node's answer to one [`Request`].
 #[derive(Debug)]
-pub(crate) enum NodeRequest {
-    /// Wire-encoded data-plane frame plus the reply channel.
-    Data { frame: Bytes, reply: Sender<Bytes> },
-    /// Typed control-plane command plus the reply channel.
-    Control {
-        msg: ControlMsg,
-        reply: Sender<ControlReply>,
-    },
+pub(crate) enum Reply {
+    /// Per record: whether the node held it, and the value it held (zero
+    /// where it did not).
+    Answer(Vec<bool>, Vec<u64>),
+    /// A write or control step finished.
+    Done,
+    /// The node's counters.
+    Stats(Box<NodeSnapshot>),
+    /// The node's entries, in fingerprint order.
+    Scan(Vec<(Fingerprint, u64)>),
+}
+
+/// The channel a reply comes back on.
+pub(crate) type ReplyRx = Receiver<Result<Reply>>;
+
+/// The sending end of one shard thread's queue. Its depth counter stands
+/// in for the queue length the `queue_peak` gauge reads: a send counts a
+/// request in, the thread counts it out when it takes it.
+pub(crate) struct ShardQueue {
+    tx: Sender<(Request, Sender<Result<Reply>>)>,
+    depth: Arc<AtomicU64>,
+}
+
+impl ShardQueue {
+    /// Starts a [`node_loop`] thread named `name` that owns `shard`,
+    /// behind a fresh queue.
+    pub(crate) fn spawn(
+        name: String,
+        shard: HybridHashNode,
+    ) -> std::io::Result<(ShardQueue, JoinHandle<()>)> {
+        let (tx, rx) = channel();
+        let depth = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&depth);
+        let handle = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || node_loop(shard, rx, &counted))?;
+        Ok((ShardQueue { tx, depth }, handle))
+    }
+
+    /// Queues `request` with a fresh reply channel and returns that
+    /// channel, or `None` when the thread has stopped.
+    pub(crate) fn send(&self, request: Request) -> Option<ReplyRx> {
+        let (reply, reply_rx) = channel();
+        self.depth.fetch_add(1, Ordering::Relaxed);
+        self.tx.send((request, reply)).ok()?;
+        Some(reply_rx)
+    }
 }
 
 fn snapshot_of(node: &HybridHashNode) -> NodeSnapshot {
@@ -89,122 +155,91 @@ fn snapshot_of(node: &HybridHashNode) -> NodeSnapshot {
 /// The node server main loop: owns the node (or one shard of it)
 /// exclusively, serving requests in arrival order until `Shutdown`
 /// arrives or every sender is dropped.
-pub(crate) fn node_loop(mut node: HybridHashNode, rx: Receiver<NodeRequest>) {
-    // One reply-encode scratch buffer for the thread's lifetime: replies
-    // reuse its allocation instead of growing a fresh buffer per frame.
-    let mut scratch = BytesMut::new();
+fn node_loop(
+    mut node: HybridHashNode,
+    rx: Receiver<(Request, Sender<Result<Reply>>)>,
+    depth: &AtomicU64,
+) {
     // High-water mark of the inbound queue (requests still waiting plus
-    // the one just received) — the node-side overload gauge surfaced
+    // the one just taken) — the node-side overload gauge surfaced
     // through `Stats`.
     let mut queue_peak: u64 = 0;
-    while let Ok(request) = rx.recv() {
-        queue_peak = queue_peak.max(rx.len() as u64 + 1);
-        match request {
-            NodeRequest::Data { frame, reply } => {
-                let response = serve_frame(&mut node, &frame);
-                // A dropped reply channel means the client gave up
-                // (timeout or crash); nothing for the server to do.
-                let _ = reply.send(encode_reusing(&response, &mut scratch));
-            }
-            NodeRequest::Control { msg, reply } => {
-                let _ = reply.send(serve_control(&mut node, msg, queue_peak));
-                if matches!(msg, ControlMsg::Shutdown) {
-                    break;
-                }
-            }
+    while let Ok((request, reply)) = rx.recv() {
+        queue_peak = queue_peak.max(depth.fetch_sub(1, Ordering::Relaxed));
+        let stop = matches!(request, Request::Shutdown);
+        // A dropped reply channel means the client gave up (timeout or
+        // crash); nothing for the server to do.
+        let _ = reply.send(serve(&mut node, request, queue_peak));
+        if stop {
+            break;
         }
     }
 }
 
-/// Answers one data-plane frame: answers go out as a `LookupResp`
-/// carrying one value per existing fingerprint, finished writes as an
-/// `Ack`, a ping as a `Pong`, and an undecodable or unexpected frame or
-/// a failed operation as an `Error`.
-fn serve_frame(node: &mut HybridHashNode, frame: &[u8]) -> Frame {
-    let request = match decode(frame) {
-        Ok(request) => request,
-        Err(e) => return error_frame(0, &format!("undecodable request: {e}")),
-    };
-    let correlation = request.correlation();
-    let records = match &request {
-        Frame::LookupInsertReq { fingerprints, .. }
-        | Frame::QueryReq { fingerprints, .. }
-        | Frame::RemoveReq { fingerprints, .. } => fingerprints.len(),
-        Frame::RecordReq { pairs, .. } | Frame::MigrateReq { pairs, .. } => pairs.len(),
-        _ => 0,
-    };
-    sleep_service(service_time(node.config(), records));
-    let answered = |(exists, values): (Vec<bool>, Vec<u64>)| Frame::LookupResp {
-        correlation,
-        values: compact_values(&exists, &values),
-        exists,
-    };
+/// Answers one request. A failed operation comes back as [`Error::Io`]
+/// naming the node. `Shutdown` flushes and closes the WAL, so a restart
+/// replays only segment metadata; a *crashed* node never gets here — its
+/// queue just disconnects and the store drops unclosed, losing
+/// uncommitted state (and tearing log tails under a `FaultPlan`).
+fn serve(node: &mut HybridHashNode, request: Request, queue_peak: u64) -> Result<Reply> {
+    sleep_service(service_time(node.config(), request.records()));
     let outcome = match request {
-        Frame::LookupInsertReq { fingerprints, .. } => node
-            .lookup_insert_batch(&fingerprints)
-            .map(|batch| answered((batch.exists, batch.values))),
-        Frame::QueryReq { fingerprints, .. } => node.query_many(&fingerprints).map(answered),
-        // Migration installs are answered like a query: which entries
-        // the node already held.
-        Frame::MigrateReq { pairs, .. } => install_all(node, &pairs).map(answered),
-        Frame::RecordReq { pairs, .. } => pairs
+        Request::LookupInsert(fps) => node.lookup_insert_batch(&fps).map(|batch| {
+            // A new fingerprint holds `PENDING_VALUE`; the answer says 0.
+            let values = batch
+                .exists
+                .iter()
+                .zip(batch.values)
+                .map(|(&held, value)| if held { value } else { 0 })
+                .collect();
+            Reply::Answer(batch.exists, values)
+        }),
+        Request::Query(fps) => node
+            .query_many(&fps)
+            .map(|(exists, values)| Reply::Answer(exists, values)),
+        Request::Migrate(pairs) => install_all(node, &pairs),
+        Request::Record(pairs) => pairs
             .into_iter()
             .try_for_each(|(fp, value)| node.record(fp, value).map(drop))
-            .map(|()| Frame::Ack { correlation }),
-        Frame::RemoveReq { fingerprints, .. } => fingerprints
+            .map(|()| Reply::Done),
+        Request::Remove(fps) => fps
             .into_iter()
             .try_for_each(|fp| node.remove(fp))
-            .map(|()| Frame::Ack { correlation }),
-        Frame::Ping { .. } => return Frame::Pong { correlation },
-        other => return error_frame(correlation, &format!("unexpected frame at node: {other:?}")),
-    };
-    committed(node, outcome).unwrap_or_else(|message| Frame::Error {
-        correlation,
-        message,
-    })
-}
-
-/// Runs one control step. `Shutdown` flushes and closes the WAL, so a
-/// restart replays only segment metadata; a *crashed* node never gets
-/// here — its queue just disconnects and the store drops unclosed,
-/// losing uncommitted state (and tearing log tails under a `FaultPlan`).
-fn serve_control(node: &mut HybridHashNode, msg: ControlMsg, queue_peak: u64) -> ControlReply {
-    let outcome = match msg {
-        ControlMsg::Stats => {
+            .map(|()| Reply::Done),
+        Request::Stats => {
             let mut snap = snapshot_of(node);
             snap.stats.queue_peak = queue_peak;
-            Ok(ControlReply::Stats(Box::new(snap)))
+            Ok(Reply::Stats(Box::new(snap)))
         }
-        ControlMsg::Flush => node.flush().map(|_| ControlReply::Done),
-        ControlMsg::Scan => node.scan().map(ControlReply::Scan),
-        ControlMsg::Shutdown => {
-            return match node.close() {
-                Ok(_) => ControlReply::Done,
-                Err(e) => ControlReply::Failed(e.to_string()),
-            }
+        Request::Flush => node.flush().map(|_| Reply::Done),
+        Request::Scan => node.scan().map(Reply::Scan),
+        Request::Shutdown => {
+            let id = node.id();
+            return node
+                .close()
+                .map(|_| Reply::Done)
+                .map_err(|e| Error::Io(format!("{id} failed: {e}")));
         }
     };
-    committed(node, outcome).unwrap_or_else(ControlReply::Failed)
+    committed(node, outcome)
 }
 
 /// Group-commits the node's WAL behind `outcome`, so no reply leaves
 /// before the work's mutations survive a crash (no-op for volatile
-/// nodes). Either failure becomes the reply's error message.
-fn committed<T>(node: &mut HybridHashNode, outcome: shhc_types::Result<T>) -> Result<T, String> {
+/// nodes). Either failure becomes an [`Error::Io`] naming the node.
+fn committed(node: &mut HybridHashNode, outcome: Result<Reply>) -> Result<Reply> {
+    let id = node.id();
     match (outcome, node.wal_commit()) {
-        (Err(e), _) => Err(e.to_string()),
-        (Ok(_), Err(e)) => Err(format!("wal commit failed: {e}")),
-        (Ok(outcome), Ok(())) => Ok(outcome),
+        (Err(e), _) => Err(Error::Io(format!("{id} failed: {e}"))),
+        (Ok(_), Err(e)) => Err(Error::Io(format!("{id} failed: wal commit failed: {e}"))),
+        (Ok(reply), Ok(())) => Ok(reply),
     }
 }
 
 /// Installs migrated pairs in order ([`HybridHashNode::install`]) and
 /// reports, parallel to `pairs`, which entries the node already held and
 /// the value it held (zero where it installed the carried value).
-fn install_all(
-    node: &mut HybridHashNode,
-    pairs: &[(Fingerprint, u64)],
-) -> shhc_types::Result<(Vec<bool>, Vec<u64>)> {
+fn install_all(node: &mut HybridHashNode, pairs: &[(Fingerprint, u64)]) -> Result<Reply> {
     let mut exists = Vec::with_capacity(pairs.len());
     let mut values = Vec::with_capacity(pairs.len());
     for &(fp, value) in pairs {
@@ -212,14 +247,15 @@ fn install_all(
         exists.push(held.is_some());
         values.push(held.unwrap_or(0));
     }
-    Ok((exists, values))
+    Ok(Reply::Answer(exists, values))
 }
 
 /// Artificial wall-clock service time (zero in production configs) for
-/// a frame of `records` records: `service_delay` per record plus
-/// `batch_overhead`, the cost batching amortizes, charged per frame a
-/// node thread receives. The shards of one node sleep **concurrently**,
-/// the multi-core effect the paper's sequential node cannot show.
+/// a request of `records` records: `service_delay` per record plus
+/// `batch_overhead`, the cost batching amortizes, charged per data
+/// request a node thread receives. The shards of one node sleep
+/// **concurrently**, the multi-core effect the paper's sequential node
+/// cannot show.
 fn service_time(config: &NodeConfig, records: usize) -> Duration {
     if records == 0 {
         return Duration::ZERO;
@@ -233,172 +269,76 @@ fn sleep_service(delay: Duration) {
     }
 }
 
-fn error_frame(correlation: u64, message: &str) -> Frame {
-    Frame::Error {
-        correlation,
-        message: message.to_string(),
-    }
-}
-
-/// Compacts a full-length value vector into the wire form: one value per
-/// *existing* fingerprint, in order.
-fn compact_values(exists: &[bool], values: &[u64]) -> Vec<u64> {
-    exists
-        .iter()
-        .zip(values)
-        .filter(|(e, _)| **e)
-        .map(|(_, v)| *v)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Instant;
 
     use crate::cluster::{ClusterConfig, ShhcCluster};
-    use crossbeam::channel::unbounded;
     use proptest::prelude::*;
     use shhc_flash::FlashConfig;
     use shhc_node::{Durability, NodeConfig, ShardRouter};
-    use shhc_types::{Error, StreamId};
 
-    fn spawn_test_node() -> (Sender<NodeRequest>, std::thread::JoinHandle<()>) {
+    fn spawn_test_node() -> (ShardQueue, JoinHandle<()>) {
         let node = HybridHashNode::new(NodeId::new(0), NodeConfig::small_test()).unwrap();
-        let (tx, rx) = unbounded();
-        let handle = std::thread::spawn(move || node_loop(node, rx));
-        (tx, handle)
+        ShardQueue::spawn("shhc-test-node".into(), node).unwrap()
     }
 
-    fn rpc(tx: &Sender<NodeRequest>, frame: Frame) -> Frame {
-        let (reply_tx, reply_rx) = unbounded();
-        tx.send(NodeRequest::Data {
-            frame: shhc_net::encode(&frame),
-            reply: reply_tx,
-        })
-        .unwrap();
-        decode(&reply_rx.recv().unwrap()).unwrap()
+    fn rpc(queue: &ShardQueue, request: Request) -> Reply {
+        queue.send(request).unwrap().recv().unwrap().unwrap()
+    }
+
+    fn answer(reply: Reply) -> (Vec<bool>, Vec<u64>) {
+        match reply {
+            Reply::Answer(exists, values) => (exists, values),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
     fn lookup_insert_round_trip() {
-        let (tx, handle) = spawn_test_node();
+        let (queue, handle) = spawn_test_node();
         let fps: Vec<Fingerprint> = (0..5).map(Fingerprint::from_u64).collect();
-        let req = Frame::LookupInsertReq {
-            correlation: 1,
-            stream: StreamId::new(0),
-            fingerprints: fps.clone(),
-        };
-        match rpc(&tx, req.clone()) {
-            Frame::LookupResp {
-                correlation,
-                exists,
-                values,
-            } => {
-                assert_eq!(correlation, 1);
-                assert_eq!(exists, vec![false; 5]);
-                assert!(values.is_empty());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match rpc(&tx, req) {
-            Frame::LookupResp { exists, values, .. } => {
-                assert_eq!(exists, vec![true; 5]);
-                assert_eq!(values.len(), 5);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        drop(tx);
+        let first = answer(rpc(&queue, Request::LookupInsert(fps.clone())));
+        assert_eq!(first, (vec![false; 5], vec![0; 5]), "new ones answer 0");
+        let (exists, values) = answer(rpc(&queue, Request::LookupInsert(fps)));
+        assert_eq!(exists, vec![true; 5]);
+        assert_eq!(values, vec![shhc_types::PENDING_VALUE; 5]);
+        drop(queue);
         handle.join().unwrap();
     }
 
     #[test]
     fn record_then_lookup_returns_value() {
-        let (tx, handle) = spawn_test_node();
+        let (queue, handle) = spawn_test_node();
         let fp = Fingerprint::from_u64(9);
-        rpc(
-            &tx,
-            Frame::LookupInsertReq {
-                correlation: 1,
-                stream: StreamId::new(0),
-                fingerprints: vec![fp],
-            },
-        );
-        let ack = rpc(
-            &tx,
-            Frame::RecordReq {
-                correlation: 2,
-                pairs: vec![(fp, 777)],
-            },
-        );
-        assert_eq!(ack, Frame::Ack { correlation: 2 });
-        match rpc(
-            &tx,
-            Frame::QueryReq {
-                correlation: 3,
-                fingerprints: vec![fp],
-            },
-        ) {
-            Frame::LookupResp { exists, values, .. } => {
-                assert_eq!(exists, vec![true]);
-                assert_eq!(values, vec![777]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        drop(tx);
+        rpc(&queue, Request::LookupInsert(vec![fp]));
+        assert!(matches!(
+            rpc(&queue, Request::Record(vec![(fp, 777)])),
+            Reply::Done
+        ));
+        let (exists, values) = answer(rpc(&queue, Request::Query(vec![fp])));
+        assert_eq!(exists, vec![true]);
+        assert_eq!(values, vec![777]);
+        drop(queue);
         handle.join().unwrap();
     }
 
-    #[test]
-    fn ping_pong_and_garbage() {
-        let (tx, handle) = spawn_test_node();
-        assert_eq!(
-            rpc(&tx, Frame::Ping { correlation: 42 }),
-            Frame::Pong { correlation: 42 }
-        );
-        // Garbage bytes get an error response, not a dead thread.
-        let (reply_tx, reply_rx) = unbounded();
-        tx.send(NodeRequest::Data {
-            frame: Bytes::from_static(b"\xff\xff\xff"),
-            reply: reply_tx,
-        })
-        .unwrap();
-        match decode(&reply_rx.recv().unwrap()).unwrap() {
-            Frame::Error { message, .. } => assert!(message.contains("undecodable")),
-            other => panic!("unexpected {other:?}"),
-        }
-        drop(tx);
-        handle.join().unwrap();
-    }
-
-    fn scan(tx: &Sender<NodeRequest>) -> Vec<(Fingerprint, u64)> {
-        let (ctl_tx, ctl_rx) = unbounded();
-        tx.send(NodeRequest::Control {
-            msg: ControlMsg::Scan,
-            reply: ctl_tx,
-        })
-        .unwrap();
-        match ctl_rx.recv().unwrap() {
-            ControlReply::Scan(entries) => entries,
+    fn scan(queue: &ShardQueue) -> Vec<(Fingerprint, u64)> {
+        match rpc(queue, Request::Scan) {
+            Reply::Scan(entries) => entries,
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
     fn scan_and_migrate_round_trip() {
-        let (tx, handle) = spawn_test_node();
+        let (queue, handle) = spawn_test_node();
         let fps: Vec<Fingerprint> = (0..20)
             .map(|i: u64| Fingerprint::from_u64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
             .collect();
-        rpc(
-            &tx,
-            Frame::LookupInsertReq {
-                correlation: 1,
-                stream: StreamId::new(0),
-                fingerprints: fps.clone(),
-            },
-        );
-        let scanned = scan(&tx);
+        rpc(&queue, Request::LookupInsert(fps));
+        let scanned = scan(&queue);
         assert_eq!(scanned.len(), 20);
         assert!(
             scanned.windows(2).all(|w| w[0].0 < w[1].0),
@@ -407,76 +347,66 @@ mod tests {
         // Install the scanned entries on a second node, which already
         // holds the first five with its own values: those keep them and
         // the reply says so.
-        let (tx2, handle2) = spawn_test_node();
+        let (queue2, handle2) = spawn_test_node();
         let held: Vec<(Fingerprint, u64)> = scanned[..5].iter().map(|(f, _)| (*f, 900)).collect();
-        rpc(
-            &tx2,
-            Frame::MigrateReq {
-                correlation: 2,
-                pairs: held,
-            },
-        );
-        match rpc(
-            &tx2,
-            Frame::MigrateReq {
-                correlation: 3,
-                pairs: scanned.clone(),
-            },
-        ) {
-            Frame::LookupResp {
-                correlation,
-                exists,
-                values,
-            } => {
-                assert_eq!(correlation, 3);
-                let want: Vec<bool> = (0..20).map(|i| i < 5).collect();
-                assert_eq!(exists, want);
-                assert_eq!(values, vec![900; 5]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        rpc(&queue2, Request::Migrate(held));
+        let (exists, values) = answer(rpc(&queue2, Request::Migrate(scanned.clone())));
+        let want: Vec<bool> = (0..20).map(|i| i < 5).collect();
+        assert_eq!(exists, want);
+        let want: Vec<u64> = (0..20).map(|i| if i < 5 { 900 } else { 0 }).collect();
+        assert_eq!(values, want);
         let mut want = scanned.clone();
         want[..5].iter_mut().for_each(|(_, v)| *v = 900);
-        assert_eq!(scan(&tx2), want);
-        drop(tx);
-        drop(tx2);
+        assert_eq!(scan(&queue2), want);
+        drop(queue);
+        drop(queue2);
         handle.join().unwrap();
         handle2.join().unwrap();
     }
 
     #[test]
     fn control_plane_stats_and_shutdown() {
-        let (tx, handle) = spawn_test_node();
+        let (queue, handle) = spawn_test_node();
         let fp = Fingerprint::from_u64(3);
-        rpc(
-            &tx,
-            Frame::LookupInsertReq {
-                correlation: 1,
-                stream: StreamId::new(0),
-                fingerprints: vec![fp, fp],
-            },
-        );
-        let (ctl_tx, ctl_rx) = unbounded();
-        tx.send(NodeRequest::Control {
-            msg: ControlMsg::Stats,
-            reply: ctl_tx,
-        })
-        .unwrap();
-        match ctl_rx.recv().unwrap() {
-            ControlReply::Stats(snap) => {
+        rpc(&queue, Request::LookupInsert(vec![fp, fp]));
+        match rpc(&queue, Request::Stats) {
+            Reply::Stats(snap) => {
                 assert_eq!(snap.entries, 1);
                 assert_eq!(snap.stats.ram_hits, 1);
                 assert_eq!(snap.shards, 1);
             }
             other => panic!("unexpected {other:?}"),
         }
-        let (ctl_tx, ctl_rx) = unbounded();
-        tx.send(NodeRequest::Control {
-            msg: ControlMsg::Shutdown,
-            reply: ctl_tx,
-        })
-        .unwrap();
-        assert!(matches!(ctl_rx.recv().unwrap(), ControlReply::Done));
+        assert!(matches!(rpc(&queue, Request::Shutdown), Reply::Done));
+        handle.join().unwrap();
+        assert!(queue.send(Request::Stats).is_none(), "the thread stopped");
+    }
+
+    /// `queue_peak` is the deepest the queue got: `N` requests queued
+    /// before the node thread takes its first read `N`, not the one
+    /// request in hand.
+    #[test]
+    fn queue_peak_reads_the_real_queue_depth() {
+        const N: u64 = 8;
+        let (tx, rx) = channel();
+        let depth = Arc::new(AtomicU64::new(0));
+        let queue = ShardQueue {
+            tx,
+            depth: Arc::clone(&depth),
+        };
+        let queued: Vec<ReplyRx> = (0..N)
+            .map(|_| queue.send(Request::Stats).unwrap())
+            .collect();
+        let node = HybridHashNode::new(NodeId::new(0), NodeConfig::small_test()).unwrap();
+        let handle = std::thread::spawn(move || node_loop(node, rx, &depth));
+        for reply in queued {
+            reply.recv().unwrap().unwrap();
+        }
+        match rpc(&queue, Request::Stats) {
+            Reply::Stats(snap) => assert_eq!(snap.stats.queue_peak, N),
+            other => panic!("unexpected {other:?}"),
+        }
+        drop(queue);
         handle.join().unwrap();
     }
 
@@ -495,16 +425,17 @@ mod tests {
     }
 
     fn scan_node(cluster: &ShhcCluster) -> Vec<(Fingerprint, u64)> {
-        match cluster.control(NODE, ControlMsg::Scan).unwrap() {
-            ControlReply::Scan(entries) => entries,
+        match cluster.control(NODE, Request::Scan).unwrap() {
+            Reply::Scan(entries) => entries,
             other => panic!("unexpected {other:?}"),
         }
     }
 
     /// Migration installs, split by shard like every per-node send.
     fn install(cluster: &ShhcCluster, pairs: &[(Fingerprint, u64)]) -> (Vec<bool>, Vec<u64>) {
-        let frame = |correlation, pairs| Frame::MigrateReq { correlation, pairs };
-        cluster.node_exchange(NODE, pairs, |p| p.0, frame).unwrap()
+        cluster
+            .node_exchange(NODE, pairs, |p| p.0, Request::Migrate)
+            .unwrap()
     }
 
     /// Runs `op` on both clusters and asserts the answers agree.
@@ -647,8 +578,6 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
         /// A node of any S shards answers a random stream of
         /// lookup/record/install/remove windows exactly like one
         /// `HybridHashNode`: same existence bits, same values (recorded

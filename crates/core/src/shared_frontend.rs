@@ -37,10 +37,10 @@
 //! plus an explicit [`flush`](SharedFrontend::flush), on the caller.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use shhc_net::{AdmissionPolicy, ClosedBatch, SharedBatcher, SharedBatcherStats, Ticket, PART};
 use shhc_types::{Fingerprint, Result};
@@ -276,7 +276,7 @@ impl SharedFrontend {
     ///
     /// Panics if `config.batch_size` is zero.
     pub fn with_config(cluster: ShhcCluster, config: FrontendConfig) -> Self {
-        let (wake_tx, wake_rx) = unbounded();
+        let (wake_tx, wake_rx) = channel();
         let parts = cluster.clone();
         let inner = Arc::new_cyclic(|weak: &Weak<FrontendInner>| {
             let owner = weak.clone();

@@ -5,8 +5,8 @@
 //! This crate provides the pieces that stand in for that fabric:
 //!
 //! - [`Frame`] + [`encode`]/[`decode`] — a length-prefixed, versioned wire
-//!   format (messages really are serialized to bytes, so per-message and
-//!   per-byte costs are real),
+//!   format for a transport between processes (the in-process cluster
+//!   sends typed requests over channels and encodes nothing),
 //! - [`NetModel`] — the link cost model (per-message overhead, RTT,
 //!   bandwidth) used to account virtual network time,
 //! - [`SharedBatcher`] + [`Ticket`] — the thread-safe *cross-client*
@@ -53,6 +53,5 @@ pub use shared::{
     CloseReason, ClosedBatch, SharedBatcher, SharedBatcherStats, Submitted, Ticket, PART,
 };
 pub use wire::{
-    decode, encode, encode_into, encode_reusing, encoded_len, lookup_req_len, lookup_resp_len,
-    Frame, WIRE_VERSION,
+    decode, encode, encode_into, encoded_len, lookup_req_len, lookup_resp_len, Frame, WIRE_VERSION,
 };

@@ -132,24 +132,10 @@ pub fn encode(frame: &Frame) -> Bytes {
     buf.freeze()
 }
 
-/// Serializes a frame through a caller-retained scratch buffer,
-/// returning an owned [`Bytes`]: the frame is encoded with
-/// [`encode_into`] (reusing `scratch`'s allocation across calls) and the
-/// result copied once into refcounted storage. Node server loops answer
-/// thousands of frames from one thread; this keeps each reply to a
-/// single right-sized allocation instead of growing a fresh buffer from
-/// zero per frame as [`encode`] does.
-pub fn encode_reusing(frame: &Frame, scratch: &mut BytesMut) -> Bytes {
-    encode_into(frame, scratch);
-    Bytes::copy_from_slice(scratch)
-}
-
 /// Serializes a frame into `buf`, clearing it first and reusing its
 /// allocation — for callers that keep a scratch buffer across frames
 /// (codec benches, byte-oriented transports). The in-process cluster
-/// transport carries refcounted [`Bytes`], so its hot path instead
-/// encodes once per replica group and shares the buffer via
-/// `Bytes::clone`.
+/// sends typed requests and encodes nothing.
 pub fn encode_into(frame: &Frame, buf: &mut BytesMut) {
     buf.clear();
     buf.reserve(encoded_len(frame));
